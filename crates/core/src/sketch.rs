@@ -676,13 +676,16 @@ impl DistinctCountSketch {
     }
 
     fn level_singletons_impl(&self, level: u32, wide: bool) -> Vec<FlowKey> {
+        // Most of the `max_levels` levels are never materialized; a
+        // query walks all of them, so skip the set for those.
+        let Some(state) = &self.levels[usize_from_u32(level)] else {
+            return Vec::new();
+        };
         let mut keys = BTreeSet::new();
-        if let Some(state) = &self.levels[usize_from_u32(level)] {
-            if wide {
-                state.collect_singletons(&mut keys);
-            } else {
-                state.collect_singletons_scalar(&mut keys);
-            }
+        if wide {
+            state.collect_singletons(&mut keys);
+        } else {
+            state.collect_singletons_scalar(&mut keys);
         }
         // BTreeSet iteration is already ascending, so the collected
         // vector needs no further sort.

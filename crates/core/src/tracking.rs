@@ -108,7 +108,7 @@ impl TrackingDcs {
             levels,
             untracked_decrements: 0,
         };
-        tracking.rebuild_tracking();
+        tracking.track_singletons();
         tracking
     }
 
@@ -537,18 +537,24 @@ impl TrackingDcs {
     /// Rebuilds `singletons`/heaps from the current counter storage.
     /// Anomaly counters reset too — the rebuilt structures are exact by
     /// construction, so prior evidence of drift no longer applies.
-    ///
-    /// Runs each level's singleton enumeration as the wide screen pass
-    /// (`LevelState::for_each_singleton`), which visits singletons in
-    /// slot order — exactly the table-major `(table, bucket)` order the
-    /// former nested loop used, so the rebuilt heap arrangement is
-    /// bit-identical to the pre-wide-pass rebuild.
     fn rebuild_tracking(&mut self) {
         self.untracked_decrements = 0;
         for level in self.levels.iter_mut() {
             level.singletons.clear();
             level.heap = IndexedMaxHeap::new();
         }
+        self.track_singletons();
+    }
+
+    /// Registers every singleton the counters decode in the (empty)
+    /// tracking structures.
+    ///
+    /// Runs each level's singleton enumeration as the wide screen pass
+    /// (`LevelState::for_each_singleton`), which visits singletons in
+    /// slot order — exactly the table-major `(table, bucket)` order the
+    /// former nested loop used, so the rebuilt heap arrangement is
+    /// bit-identical to the pre-wide-pass rebuild.
+    fn track_singletons(&mut self) {
         for level in 0..usize_from_u32(self.config().max_levels()) {
             let mut found: Vec<FlowKey> = Vec::new();
             if let Some(state) = self.sketch.level_state(level) {

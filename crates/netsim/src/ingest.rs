@@ -282,7 +282,7 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Linearly merges the latest published partials into one tracking
+    /// Linearly merges the latest published partials into one basic
     /// sketch (call [`Self::flush`] first for an up-to-the-cursor view).
     ///
     /// Partials that have processed no updates are skipped: they hold
@@ -290,7 +290,7 @@ impl WorkerPool {
     /// passes. Bit-identical — an untouched partial contributes zero to
     /// every counter — and it matters for snapshots taken before all
     /// shards have seen traffic.
-    pub(crate) fn merged(&self, config: &SketchConfig) -> Result<TrackingDcs, SketchError> {
+    pub(crate) fn merged(&self, config: &SketchConfig) -> Result<DistinctCountSketch, SketchError> {
         let parts = self.published_parts();
         let started = Instant::now();
         let merged = DistinctCountSketch::merge_many(
@@ -302,7 +302,7 @@ impl WorkerPool {
         )?;
         self.merge_latency
             .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        Ok(TrackingDcs::from_sketch(merged))
+        Ok(merged)
     }
 
     /// A cloneable non-blocking read handle over the published shards.

@@ -8,7 +8,7 @@
 //! streams, and per-destination EWMA baselines with absolute and
 //! relative alarm thresholds.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use dcs_core::{FlowUpdate, SketchConfig, TopKEstimate, TrackingDcs};
 use dcs_telemetry::TelemetrySnapshot;
@@ -95,119 +95,40 @@ pub enum AlarmEvent {
     },
 }
 
-/// The sketch-backed DDoS monitor.
-///
-/// # Examples
-///
-/// ```
-/// use dcs_core::{DestAddr, SketchConfig, SourceAddr};
-/// use dcs_netsim::{AlarmPolicy, DdosMonitor};
-///
-/// let policy = AlarmPolicy {
-///     absolute_threshold: 100,
-///     ..AlarmPolicy::default()
-/// };
-/// let mut monitor = DdosMonitor::new(SketchConfig::paper_default(), policy);
-/// for s in 0..500u32 {
-///     monitor.ingest_one(dcs_core::FlowUpdate::insert(SourceAddr(s), DestAddr(80)));
-/// }
-/// let alarms = monitor.evaluate();
-/// assert!(alarms.iter().any(|a| a.dest == 80));
-/// ```
+/// The alarm rules and the state they carry between evaluations —
+/// policy, EWMA baselines, the hysteresis set, and the evaluation
+/// counter — apart from any sketch. A [`DdosMonitor`] pairs one with
+/// its own tracking sketch; the pipeline pairs one with the basic
+/// sketch it ingests into, and hands both over as a [`DdosMonitor`] at
+/// shutdown.
 #[derive(Debug)]
-pub struct DdosMonitor {
-    sketch: TrackingDcs,
+pub(crate) struct AlarmJudge {
     policy: AlarmPolicy,
     baselines: HashMap<u32, f64>,
     /// Destinations currently in the alarmed state (for hysteresis).
-    active_alarms: std::collections::HashSet<u32>,
+    active_alarms: HashSet<u32>,
     evaluations: u64,
 }
 
-impl DdosMonitor {
-    /// Creates a monitor with the given sketch configuration and policy.
-    pub fn new(config: SketchConfig, policy: AlarmPolicy) -> Self {
+impl AlarmJudge {
+    /// A judge with no history: empty baselines, nothing alarmed.
+    pub(crate) fn new(policy: AlarmPolicy) -> Self {
         Self {
-            sketch: TrackingDcs::new(config),
             policy,
             baselines: HashMap::new(),
-            active_alarms: std::collections::HashSet::new(),
+            active_alarms: HashSet::new(),
             evaluations: 0,
         }
     }
 
-    /// Creates a monitor around an already-populated sketch — the
-    /// restore path after a crash. Baselines and alarm hysteresis are
-    /// *not* part of a checkpoint (they are advisory smoothing state,
-    /// re-warmed within a few evaluations), so they start empty.
-    pub fn with_sketch(sketch: TrackingDcs, policy: AlarmPolicy) -> Self {
-        Self {
-            sketch,
-            policy,
-            baselines: HashMap::new(),
-            active_alarms: std::collections::HashSet::new(),
-            evaluations: 0,
-        }
-    }
-
-    /// Ingests one flow update.
-    pub fn ingest_one(&mut self, update: FlowUpdate) {
-        self.sketch.update(update);
-    }
-
-    /// Ingests a slice of flow updates through the sketch's batched
-    /// fast path ([`TrackingDcs::update_batch`]).
-    pub fn ingest_batch(&mut self, updates: &[FlowUpdate]) {
-        self.sketch.update_batch(updates);
-    }
-
-    /// Ingests a stream of flow updates (chunked through the batched
-    /// fast path by [`TrackingDcs::extend`]).
-    pub fn ingest<I: IntoIterator<Item = FlowUpdate>>(&mut self, updates: I) {
-        self.sketch.extend(updates);
-    }
-
-    /// The current top-k view (without alarm evaluation).
-    pub fn top_k(&self, k: usize) -> TopKEstimate {
-        self.sketch.track_top_k(k, self.policy.epsilon)
-    }
-
-    /// Evaluates the alarm rules against the current top destinations,
-    /// updating baselines, and returns any alarms raised.
-    ///
-    /// Destinations are judged *before* their baseline absorbs the new
-    /// observation, so a sudden surge is compared against the calm
-    /// profile that preceded it.
-    pub fn evaluate(&mut self) -> Vec<Alarm> {
-        let top = self
-            .sketch
-            .track_top_k(self.policy.watch_top_k, self.policy.epsilon);
-        self.judge_top(&top)
-    }
-
-    /// Evaluates the alarm rules against an *external* sketch snapshot
-    /// — e.g. the merged view of a sharded ingest engine — instead of
-    /// the monitor's own sketch. Baselines, hysteresis state, and the
-    /// evaluation counter advance exactly as [`Self::evaluate`] would.
-    pub fn evaluate_snapshot(&mut self, sketch: &TrackingDcs) -> Vec<Alarm> {
-        let top = sketch.track_top_k(self.policy.watch_top_k, self.policy.epsilon);
-        self.judge_top(&top)
-    }
-
-    /// Evaluates the alarm rules against an externally-computed top-k
-    /// view — the judgment path for windowed monitors, whose views come
-    /// from a [`crate::window::SlidingWindow`] accumulator (or a
-    /// decayed rescoring of one) rather than from any single sketch.
-    /// Baselines, hysteresis state, and the evaluation counter advance
-    /// exactly as [`Self::evaluate`] would.
-    pub fn evaluate_top(&mut self, top: &TopKEstimate) -> Vec<Alarm> {
-        self.judge_top(top)
+    pub(crate) fn policy(&self) -> &AlarmPolicy {
+        &self.policy
     }
 
     /// Judges a top-k view against the alarm rules, updating baselines
     /// (after judgment, so a surge is compared against the calm profile
     /// that preceded it) and the evaluation counter.
-    fn judge_top(&mut self, top: &TopKEstimate) -> Vec<Alarm> {
+    pub(crate) fn judge_top(&mut self, top: &TopKEstimate) -> Vec<Alarm> {
         self.evaluations += 1;
         let mut alarms = Vec::new();
         for entry in &top.entries {
@@ -240,6 +161,121 @@ impl DdosMonitor {
         alarms
     }
 
+    /// Adds the judge's gauges to a snapshot of whichever sketch it
+    /// judges: `monitor_evaluations`, `monitor_baselines`, and
+    /// `monitor_active_alarms`.
+    pub(crate) fn stamp_gauges(&self, snap: &mut TelemetrySnapshot) {
+        snap.set_counter("monitor_evaluations", self.evaluations);
+        snap.set_counter(
+            "monitor_baselines",
+            u64::try_from(self.baselines.len()).unwrap_or(u64::MAX),
+        );
+        snap.set_counter(
+            "monitor_active_alarms",
+            u64::try_from(self.active_alarms.len()).unwrap_or(u64::MAX),
+        );
+    }
+}
+
+/// The sketch-backed DDoS monitor.
+///
+/// # Examples
+///
+/// ```
+/// use dcs_core::{DestAddr, SketchConfig, SourceAddr};
+/// use dcs_netsim::{AlarmPolicy, DdosMonitor};
+///
+/// let policy = AlarmPolicy {
+///     absolute_threshold: 100,
+///     ..AlarmPolicy::default()
+/// };
+/// let mut monitor = DdosMonitor::new(SketchConfig::paper_default(), policy);
+/// for s in 0..500u32 {
+///     monitor.ingest_one(dcs_core::FlowUpdate::insert(SourceAddr(s), DestAddr(80)));
+/// }
+/// let alarms = monitor.evaluate();
+/// assert!(alarms.iter().any(|a| a.dest == 80));
+/// ```
+#[derive(Debug)]
+pub struct DdosMonitor {
+    sketch: TrackingDcs,
+    judge: AlarmJudge,
+}
+
+impl DdosMonitor {
+    /// Creates a monitor with the given sketch configuration and policy.
+    pub fn new(config: SketchConfig, policy: AlarmPolicy) -> Self {
+        Self::with_sketch(TrackingDcs::new(config), policy)
+    }
+
+    /// Creates a monitor around an already-populated sketch — the
+    /// restore path after a crash. Baselines and alarm hysteresis are
+    /// *not* part of a checkpoint (they are advisory smoothing state,
+    /// re-warmed within a few evaluations), so they start empty.
+    pub fn with_sketch(sketch: TrackingDcs, policy: AlarmPolicy) -> Self {
+        Self::from_parts(sketch, AlarmJudge::new(policy))
+    }
+
+    /// A monitor over `sketch` that carries on `judge`'s baselines,
+    /// hysteresis, and evaluation count.
+    pub(crate) fn from_parts(sketch: TrackingDcs, judge: AlarmJudge) -> Self {
+        Self { sketch, judge }
+    }
+
+    /// Ingests one flow update.
+    pub fn ingest_one(&mut self, update: FlowUpdate) {
+        self.sketch.update(update);
+    }
+
+    /// Ingests a slice of flow updates through the sketch's batched
+    /// fast path ([`TrackingDcs::update_batch`]).
+    pub fn ingest_batch(&mut self, updates: &[FlowUpdate]) {
+        self.sketch.update_batch(updates);
+    }
+
+    /// Ingests a stream of flow updates (chunked through the batched
+    /// fast path by [`TrackingDcs::extend`]).
+    pub fn ingest<I: IntoIterator<Item = FlowUpdate>>(&mut self, updates: I) {
+        self.sketch.extend(updates);
+    }
+
+    /// The current top-k view (without alarm evaluation).
+    pub fn top_k(&self, k: usize) -> TopKEstimate {
+        self.sketch.track_top_k(k, self.judge.policy.epsilon)
+    }
+
+    /// Evaluates the alarm rules against the current top destinations,
+    /// updating baselines, and returns any alarms raised.
+    ///
+    /// Destinations are judged *before* their baseline absorbs the new
+    /// observation, so a sudden surge is compared against the calm
+    /// profile that preceded it.
+    pub fn evaluate(&mut self) -> Vec<Alarm> {
+        let policy = &self.judge.policy;
+        let top = self.sketch.track_top_k(policy.watch_top_k, policy.epsilon);
+        self.judge.judge_top(&top)
+    }
+
+    /// Evaluates the alarm rules against an *external* sketch snapshot
+    /// — e.g. the merged view of a sharded ingest engine — instead of
+    /// the monitor's own sketch. Baselines, hysteresis state, and the
+    /// evaluation counter advance exactly as [`Self::evaluate`] would.
+    pub fn evaluate_snapshot(&mut self, sketch: &TrackingDcs) -> Vec<Alarm> {
+        let policy = &self.judge.policy;
+        let top = sketch.track_top_k(policy.watch_top_k, policy.epsilon);
+        self.judge.judge_top(&top)
+    }
+
+    /// Evaluates the alarm rules against an externally-computed top-k
+    /// view — the judgment path for windowed monitors, whose views come
+    /// from a [`crate::window::SlidingWindow`] accumulator (or a
+    /// decayed rescoring of one) rather than from any single sketch.
+    /// Baselines, hysteresis state, and the evaluation counter advance
+    /// exactly as [`Self::evaluate`] would.
+    pub fn evaluate_top(&mut self, top: &TopKEstimate) -> Vec<Alarm> {
+        self.judge.judge_top(top)
+    }
+
     /// Evaluates with raise/clear hysteresis, returning state
     /// *transitions* instead of repeating active alarms.
     ///
@@ -250,26 +286,27 @@ impl DdosMonitor {
     /// attack edge rather than one per evaluation.
     pub fn evaluate_events(&mut self) -> Vec<AlarmEvent> {
         let raised_now = self.evaluate();
+        let judge = &mut self.judge;
         let mut events = Vec::new();
         for alarm in raised_now {
-            if self.active_alarms.insert(alarm.dest) {
+            if judge.active_alarms.insert(alarm.dest) {
                 events.push(AlarmEvent::Raised(alarm));
             }
         }
         // Check active alarms for clearance.
         let clear_level =
-            (self.policy.absolute_threshold as f64 * self.policy.clear_fraction) as u64;
-        let evaluation = self.evaluations;
-        let epsilon = self.policy.epsilon;
+            (judge.policy.absolute_threshold as f64 * judge.policy.clear_fraction) as u64;
+        let evaluation = judge.evaluations;
+        let epsilon = judge.policy.epsilon;
         let mut cleared = Vec::new();
-        for &dest in &self.active_alarms {
+        for &dest in &judge.active_alarms {
             let estimate = self.sketch.track_group(dest, epsilon).unwrap_or(0);
             if estimate < clear_level {
                 cleared.push((dest, estimate));
             }
         }
         for (dest, estimated_frequency) in cleared {
-            self.active_alarms.remove(&dest);
+            judge.active_alarms.remove(&dest);
             events.push(AlarmEvent::Cleared {
                 dest,
                 estimated_frequency,
@@ -281,14 +318,14 @@ impl DdosMonitor {
 
     /// Destinations currently in the alarmed state.
     pub fn active_alarms(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.active_alarms.iter().copied().collect();
+        let mut v: Vec<u32> = self.judge.active_alarms.iter().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// The baseline currently held for `dest`, if any.
     pub fn baseline(&self, dest: u32) -> Option<f64> {
-        self.baselines.get(&dest).copied()
+        self.judge.baselines.get(&dest).copied()
     }
 
     /// The monitor's sketch (read-only).
@@ -297,21 +334,21 @@ impl DdosMonitor {
     }
 
     /// Replaces the monitor's sketch with an externally-built one —
-    /// how a sharded pipeline hands the final merged sketch to the
-    /// monitor so the returned report is inspectable the usual way.
-    /// Baselines, hysteresis, and the evaluation counter are kept.
+    /// e.g. a sharded engine's final merged sketch, so a caller driving
+    /// the engine can inspect it the usual way. Baselines, hysteresis,
+    /// and the evaluation counter are kept.
     pub fn adopt_sketch(&mut self, sketch: TrackingDcs) {
         self.sketch = sketch;
     }
 
     /// The alarm policy.
     pub fn policy(&self) -> &AlarmPolicy {
-        &self.policy
+        &self.judge.policy
     }
 
     /// Number of evaluations performed.
     pub fn evaluations(&self) -> u64 {
-        self.evaluations
+        self.judge.evaluations
     }
 
     /// Assembles a telemetry snapshot of the monitor: the tracking
@@ -320,15 +357,7 @@ impl DdosMonitor {
     /// baselines held, and destinations currently in the alarmed state.
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
         let mut snap = self.sketch.telemetry_snapshot(label);
-        snap.set_counter("monitor_evaluations", self.evaluations);
-        snap.set_counter(
-            "monitor_baselines",
-            u64::try_from(self.baselines.len()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter(
-            "monitor_active_alarms",
-            u64::try_from(self.active_alarms.len()).unwrap_or(u64::MAX),
-        );
+        self.judge.stamp_gauges(&mut snap);
         snap
     }
 }

@@ -3,24 +3,30 @@
 //! Deployment shape for the architecture of Fig. 1: several edge
 //! routers, each on its own thread, convert their packet feeds into
 //! flow updates and ship them over a bounded crossbeam channel to one
-//! central monitor thread that maintains the Tracking Distinct-Count
-//! Sketch and evaluates alarms periodically. The monitor state is
-//! shared behind a `parking_lot::Mutex` so callers can inspect the
-//! final sketch after the run.
+//! central monitor thread. That thread ingests into a basic
+//! Distinct-Count Sketch — its own, or the per-worker partials of a
+//! [`ShardedIngest`] engine — and every [`PipelineConfig::evaluate_every`]
+//! updates judges the alarm rules against the sketch's `BaseTopk` view
+//! (Fig. 3), or against a sliding window of it.
+//!
+//! The Tracking DCS (§5) is deliberately not on the ingest path: it
+//! makes every update dearer so that queries are cheap, and at
+//! evaluation cadence `BaseTopk` returns the same ranking for far less
+//! (DESIGN.md §18). The final sketch is wrapped in a [`TrackingDcs`]
+//! once, at shutdown, and handed back in [`DetectionReport::monitor`].
 
+use std::borrow::Cow;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use crossbeam::channel;
-use parking_lot::Mutex;
 
-use dcs_core::{FlowUpdate, SketchConfig, TrackingDcs};
+use dcs_core::{DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TrackingDcs};
 use dcs_persist::{Checkpoint, CheckpointManager};
 use dcs_telemetry::{JsonlExporter, LogHistogram, TelemetrySnapshot};
 
-use crate::monitor::{Alarm, AlarmPolicy, DdosMonitor};
+use crate::monitor::{Alarm, AlarmJudge, AlarmPolicy, DdosMonitor};
 use crate::packet::TcpSegment;
 use crate::router::EdgeRouter;
 use crate::sharded::ShardedIngest;
@@ -125,7 +131,8 @@ pub struct DetectionReport {
     /// Whether the monitor resumed from an existing checkpoint file
     /// rather than starting with an empty sketch.
     pub restored_from_checkpoint: bool,
-    /// The final monitor state (sketch + baselines).
+    /// The final monitor state: baselines, plus a tracking sketch built
+    /// once from the run's final basic sketch.
     pub monitor: DdosMonitor,
 }
 
@@ -180,108 +187,104 @@ fn export_snapshot(
     }
 }
 
-/// Tries to resume the monitor from an existing checkpoint file.
-/// Any problem — missing file aside — degrades to a fresh start with a
-/// warning on stderr: a monitor must never refuse to boot because its
-/// own recovery file is damaged or stale.
-fn restore_monitor(
+/// Resumes pipeline state from the checkpoint file, if there is one.
+/// `resume` turns the document into state or says why it cannot. Any
+/// problem — missing file aside — degrades to a fresh start (`None`)
+/// with a warning on stderr: a monitor must never refuse to boot
+/// because its own recovery file is damaged or stale.
+fn resume_from<T>(
     manager: &CheckpointManager,
-    config: &SketchConfig,
-    policy: AlarmPolicy,
-) -> (DdosMonitor, bool) {
-    let fresh = |policy: AlarmPolicy| DdosMonitor::new(config.clone(), policy);
-    match manager.try_load() {
-        Ok(None) => (fresh(policy), false),
-        Ok(Some(Checkpoint::Tracking(state))) => {
-            if state.sketch.config != *config {
-                eprintln!(
-                    "checkpoint {}: sketch configuration differs from the \
-                     pipeline's; starting fresh",
-                    manager.path().display()
-                );
-                return (fresh(policy), false);
-            }
-            match TrackingDcs::from_state(state) {
-                Ok(sketch) => (DdosMonitor::with_sketch(sketch, policy), true),
-                Err(e) => {
-                    eprintln!(
-                        "checkpoint {}: restored state rejected ({e}); starting fresh",
-                        manager.path().display()
-                    );
-                    (fresh(policy), false)
-                }
-            }
-        }
-        Ok(Some(other)) => {
-            eprintln!(
-                "checkpoint {}: holds a {} document, not a tracking sketch; \
-                 starting fresh",
-                manager.path().display(),
-                other.kind_name()
-            );
-            (fresh(policy), false)
-        }
-        Err(e) => {
-            eprintln!(
-                "checkpoint {}: unreadable ({e}); starting fresh",
-                manager.path().display()
-            );
-            (fresh(policy), false)
-        }
+    resume: impl FnOnce(Checkpoint) -> Result<T, String>,
+) -> Option<T> {
+    let reason = match manager.try_load() {
+        Ok(None) => return None,
+        Ok(Some(doc)) => match resume(doc) {
+            Ok(state) => return Some(state),
+            Err(reason) => reason,
+        },
+        Err(e) => format!("unreadable ({e})"),
+    };
+    eprintln!(
+        "checkpoint {}: {reason}; starting fresh",
+        manager.path().display()
+    );
+    None
+}
+
+/// Refuses a document whose sketches were built with another
+/// configuration (different hash functions: nothing in it would line
+/// up with this pipeline's counters).
+fn same_config(found: &SketchConfig, config: &SketchConfig) -> Result<(), String> {
+    if found == config {
+        Ok(())
+    } else {
+        Err("sketch configuration differs from the pipeline's".into())
     }
 }
 
-/// Tries to resume a sharded ingest engine from an existing checkpoint
-/// file, with the same degradation contract as [`restore_monitor`]: any
-/// problem short of a missing file warns on stderr and starts fresh.
-/// A valid sharded document resumes with *its own* shard count (routing
-/// is part of the persisted stream position), which may differ from the
-/// configured `shards`.
-fn restore_sharded(
+fn rejected(e: impl std::fmt::Display) -> String {
+    format!("restored state rejected ({e})")
+}
+
+fn wrong_kind(doc: &Checkpoint, wanted: &str) -> String {
+    format!("holds a {} document, not {wanted}", doc.kind_name())
+}
+
+/// The direct all-time monitor's cumulative sketch, from a sketch
+/// document (kind 1) or from a tracking document (kind 2) written by
+/// earlier versions, whose tracking levels are validated and dropped.
+fn restore_sketch(
     manager: &CheckpointManager,
     config: &SketchConfig,
-    shards: usize,
-) -> (ShardedIngest, bool) {
-    let fresh = || ShardedIngest::new(config.clone(), shards);
-    match manager.try_load() {
-        Ok(None) => (fresh(), false),
-        Ok(Some(Checkpoint::Sharded(doc))) => {
-            if doc.shards.first().map(|s| &s.config) != Some(config) {
-                eprintln!(
-                    "checkpoint {}: sketch configuration differs from the \
-                     pipeline's; starting fresh",
-                    manager.path().display()
-                );
-                return (fresh(), false);
+) -> Option<DistinctCountSketch> {
+    resume_from(manager, |doc| match doc {
+        Checkpoint::Sketch(state) => {
+            same_config(&state.config, config)?;
+            DistinctCountSketch::from_state(state).map_err(rejected)
+        }
+        Checkpoint::Tracking(state) => {
+            same_config(&state.sketch.config, config)?;
+            TrackingDcs::from_state(state)
+                .map(TrackingDcs::into_sketch)
+                .map_err(rejected)
+        }
+        other => Err(wrong_kind(&other, "a sketch")),
+    })
+}
+
+/// A windowed direct monitor's epoch window and cumulative sketch, from
+/// a window document (kind 5). The ring, accumulator and epoch base
+/// are restored bit-exactly, while alarm baselines re-warm as usual.
+fn restore_window(
+    manager: &CheckpointManager,
+    config: &SketchConfig,
+    policy: &WindowPolicy,
+) -> Option<(EpochWindow, DistinctCountSketch)> {
+    resume_from(manager, |doc| match doc {
+        Checkpoint::Window(doc) => {
+            same_config(&doc.current.sketch.config, config)?;
+            EpochWindow::from_checkpoint(doc, policy.clone())
+                .map(|(window, current)| (window, current.into_sketch()))
+                .map_err(rejected)
+        }
+        other => Err(wrong_kind(&other, "a window")),
+    })
+}
+
+/// A sharded ingest engine, from a sharded document (kind 4). A valid
+/// document resumes with *its own* shard count (routing is part of the
+/// persisted stream position), which may differ from the configured
+/// one.
+fn restore_sharded(manager: &CheckpointManager, config: &SketchConfig) -> Option<ShardedIngest> {
+    resume_from(manager, |doc| match doc {
+        Checkpoint::Sharded(doc) => {
+            if let Some(first) = doc.shards.first() {
+                same_config(&first.config, config)?;
             }
-            match ShardedIngest::from_checkpoint(doc) {
-                Ok(engine) => (engine, true),
-                Err(e) => {
-                    eprintln!(
-                        "checkpoint {}: restored state rejected ({e}); starting fresh",
-                        manager.path().display()
-                    );
-                    (fresh(), false)
-                }
-            }
+            ShardedIngest::from_checkpoint(doc).map_err(rejected)
         }
-        Ok(Some(other)) => {
-            eprintln!(
-                "checkpoint {}: holds a {} document, not a sharded ingest; \
-                 starting fresh",
-                manager.path().display(),
-                other.kind_name()
-            );
-            (fresh(), false)
-        }
-        Err(e) => {
-            eprintln!(
-                "checkpoint {}: unreadable ({e}); starting fresh",
-                manager.path().display()
-            );
-            (fresh(), false)
-        }
-    }
+        other => Err(wrong_kind(&other, "a sharded ingest")),
+    })
 }
 
 /// Builds the epoch window for a pipeline window policy. An invalid
@@ -298,60 +301,84 @@ fn new_epoch_window(config: &SketchConfig, policy: &WindowPolicy) -> EpochWindow
     }
 }
 
-/// Tries to resume a windowed monitor (epoch window + cumulative
-/// sketch) from an existing checkpoint file, with the same degradation
-/// contract as [`restore_monitor`]. Only a window document (kind 5) is
-/// accepted; the ring, accumulator, and epoch base are restored
-/// bit-exactly, while alarm baselines re-warm as usual.
-fn restore_window(
-    manager: &CheckpointManager,
-    config: &SketchConfig,
-    policy: AlarmPolicy,
-    window_policy: &WindowPolicy,
-) -> (EpochWindow, DdosMonitor, bool) {
-    let fresh = |policy: AlarmPolicy| {
-        (
-            new_epoch_window(config, window_policy),
-            DdosMonitor::new(config.clone(), policy),
-            false,
-        )
-    };
-    match manager.try_load() {
-        Ok(None) => fresh(policy),
-        Ok(Some(Checkpoint::Window(doc))) => {
-            if doc.current.sketch.config != *config {
-                eprintln!(
-                    "checkpoint {}: sketch configuration differs from the \
-                     pipeline's; starting fresh",
-                    manager.path().display()
+/// Where the monitor thread's cumulative sketch lives: owned inline
+/// (direct mode), or split across a sharded engine's workers and
+/// merged on demand. Everything downstream — judgment, windows,
+/// telemetry — sees one basic sketch either way.
+enum Cumulative {
+    Direct(DistinctCountSketch),
+    Sharded(ShardedIngest),
+}
+
+impl Cumulative {
+    /// The starting state: resumed from the checkpoint file when it
+    /// holds a compatible document for this mode, empty otherwise.
+    /// Returns the cumulative sketch, the epoch window (when windowed)
+    /// and whether anything was restored.
+    fn start(
+        manager: Option<&CheckpointManager>,
+        config: &SketchConfig,
+        shards: Option<usize>,
+        window_policy: Option<&WindowPolicy>,
+    ) -> (Self, Option<EpochWindow>, bool) {
+        let fresh_window = || window_policy.map(|wp| new_epoch_window(config, wp));
+        match shards {
+            Some(shards) => {
+                let restored = manager.and_then(|m| restore_sharded(m, config));
+                let resumed = restored.is_some();
+                let mut cumulative = Self::Sharded(
+                    restored.unwrap_or_else(|| ShardedIngest::new(config.clone(), shards.max(1))),
                 );
-                return fresh(policy);
+                let mut window = fresh_window();
+                // A sharded document carries no ring, so the window
+                // starts empty; rebase it onto the restored cumulative
+                // so the first epoch covers only post-restore traffic.
+                if let (true, Some(w)) = (resumed, &mut window) {
+                    match cumulative.sketch() {
+                        Ok(sketch) => w.rebase(&sketch),
+                        Err(e) => eprintln!("sharded merge failed during window rebase: {e}"),
+                    }
+                }
+                (cumulative, window, resumed)
             }
-            match EpochWindow::from_checkpoint(doc, window_policy.clone()) {
-                Ok((window, current)) => (window, DdosMonitor::with_sketch(current, policy), true),
-                Err(e) => {
-                    eprintln!(
-                        "checkpoint {}: restored state rejected ({e}); starting fresh",
-                        manager.path().display()
-                    );
-                    fresh(policy)
+            None => {
+                let restored = manager.and_then(|m| match window_policy {
+                    Some(wp) => restore_window(m, config, wp).map(|(w, s)| (s, Some(w))),
+                    None => restore_sketch(m, config).map(|s| (s, None)),
+                });
+                match restored {
+                    Some((sketch, window)) => (Self::Direct(sketch), window, true),
+                    None => (
+                        Self::Direct(DistinctCountSketch::new(config.clone())),
+                        fresh_window(),
+                        false,
+                    ),
                 }
             }
         }
-        Ok(Some(other)) => {
-            eprintln!(
-                "checkpoint {}: holds a {} document, not a window; starting fresh",
-                manager.path().display(),
-                other.kind_name()
-            );
-            fresh(policy)
+    }
+
+    fn ingest(&mut self, updates: &[FlowUpdate]) {
+        match self {
+            Self::Direct(sketch) => sketch.update_batch(updates),
+            Self::Sharded(engine) => engine.ingest(updates),
         }
-        Err(e) => {
-            eprintln!(
-                "checkpoint {}: unreadable ({e}); starting fresh",
-                manager.path().display()
-            );
-            fresh(policy)
+    }
+
+    /// The cumulative sketch now: borrowed in direct mode; flushed and
+    /// merged in sharded mode (a merge error is unreachable with one
+    /// shared configuration).
+    fn sketch(&mut self) -> Result<Cow<'_, DistinctCountSketch>, SketchError> {
+        match self {
+            Self::Direct(sketch) => Ok(Cow::Borrowed(sketch)),
+            Self::Sharded(engine) => engine.merged_sketch().map(Cow::Owned),
+        }
+    }
+
+    fn into_sketch(self) -> Result<DistinctCountSketch, SketchError> {
+        match self {
+            Self::Direct(sketch) => Ok(sketch),
+            Self::Sharded(mut engine) => engine.merged_sketch(),
         }
     }
 }
@@ -384,66 +411,58 @@ fn write_checkpoint(
     }
 }
 
-/// One alarm evaluation at an ingest boundary: direct mode judges the
-/// monitor's own sketch; sharded mode flushes the engine and judges the
-/// merged snapshot (a merge failure — unreachable with one shared
+/// One alarm evaluation at an ingest boundary, judged on the cumulative
+/// basic sketch (a sharded merge failure — unreachable with one shared
 /// configuration — degrades to a warning, never a lost pipeline).
 ///
-/// In windowed mode the boundary also closes an epoch: the cumulative
-/// sketch (the monitor's own, or the merged view) is differenced
-/// against the epoch base, the window slides in O(1), and the alarm
-/// rules judge the windowed top-k instead of the all-time view. A
-/// window failure — unreachable under the pipeline's invariants —
-/// degrades to a warning and a skipped judgment, never a lost pipeline.
+/// All-time mode judges the sketch's `BaseTopk` view. Windowed mode
+/// also closes an epoch: the cumulative sketch is differenced against
+/// the epoch base, the window slides in O(1), and the alarm rules judge
+/// the windowed top-k instead. A window failure — unreachable under the
+/// pipeline's invariants — degrades to a warning and a skipped
+/// judgment.
 fn evaluate_boundary(
-    engine: &mut Option<ShardedIngest>,
-    monitor: &mut DdosMonitor,
+    cumulative: &mut Cumulative,
+    judge: &mut AlarmJudge,
     window: &mut Option<EpochWindow>,
     alarms: &mut Vec<Alarm>,
 ) {
-    fn judge_window_top(w: &EpochWindow, monitor: &mut DdosMonitor, alarms: &mut Vec<Alarm>) {
-        let top = w.top_k(monitor.policy().watch_top_k, monitor.policy().epsilon);
-        alarms.extend(monitor.evaluate_top(&top));
-    }
-    match engine {
-        Some(eng) => match eng.merged() {
-            Ok(view) => match window {
-                Some(w) => match w.advance(view.sketch()) {
-                    Ok(()) => judge_window_top(w, monitor, alarms),
-                    Err(e) => eprintln!("window slide failed during evaluation: {e}"),
-                },
-                None => alarms.extend(monitor.evaluate_snapshot(&view)),
-            },
-            Err(e) => eprintln!("sharded merge failed during evaluation: {e}"),
+    let sketch = match cumulative.sketch() {
+        Ok(sketch) => sketch,
+        Err(e) => {
+            eprintln!("sharded merge failed during evaluation: {e}");
+            return;
+        }
+    };
+    let (k, epsilon) = (judge.policy().watch_top_k, judge.policy().epsilon);
+    let top = match window {
+        Some(w) => match w.advance(&sketch) {
+            Ok(()) => w.top_k(k, epsilon),
+            Err(e) => {
+                eprintln!("window slide failed during evaluation: {e}");
+                return;
+            }
         },
-        None => match window {
-            Some(w) => match w.advance(monitor.sketch().sketch()) {
-                Ok(()) => judge_window_top(w, monitor, alarms),
-                Err(e) => eprintln!("window slide failed during evaluation: {e}"),
-            },
-            None => alarms.extend(monitor.evaluate()),
-        },
-    }
+        None => sketch.estimate_top_k(k, epsilon),
+    };
+    alarms.extend(judge.judge_top(&top));
 }
 
-/// The telemetry snapshot exported at a boundary: the monitor's own in
-/// direct mode; the engine's (queue depth, merge latency, cursors —
-/// non-blocking, from published partials) plus the monitor's evaluation
-/// counter in sharded mode.
+/// The telemetry snapshot exported at a boundary: the sketch's gauges
+/// in direct mode, the engine's (queue depth, merge latency, cursors —
+/// non-blocking, from published partials) in sharded mode, plus the
+/// judge's and the window's gauges in either.
 fn boundary_snapshot(
-    engine: &Option<ShardedIngest>,
-    monitor: &DdosMonitor,
+    cumulative: &Cumulative,
+    judge: &AlarmJudge,
     window: &Option<EpochWindow>,
     label: &str,
 ) -> TelemetrySnapshot {
-    let mut snap = match engine {
-        Some(eng) => {
-            let mut snap = eng.telemetry_snapshot(label);
-            snap.set_counter("monitor_evaluations", monitor.evaluations());
-            snap
-        }
-        None => monitor.telemetry_snapshot(label),
+    let mut snap = match cumulative {
+        Cumulative::Direct(sketch) => sketch.telemetry_snapshot(label),
+        Cumulative::Sharded(engine) => engine.telemetry_snapshot(label),
     };
+    judge.stamp_gauges(&mut snap);
     if let Some(w) = window {
         let ring = w.window();
         snap.set_counter(
@@ -459,26 +478,25 @@ fn boundary_snapshot(
     snap
 }
 
-/// The checkpoint document saved at a boundary: the monitor's tracking
-/// sketch in direct mode; in sharded mode the engine's flushed
+/// The checkpoint document saved at a boundary: the cumulative sketch
+/// (kind 1) in direct mode; in sharded mode the engine's flushed
 /// ring-drained shard states (never in-flight items), so a restore
 /// resumes routing from exactly the persisted cursor.
 ///
 /// Direct windowed mode persists the full window document instead —
-/// ring, accumulator, epoch base, and the cumulative sketch — so a
-/// resumed run's windowed judgments stay bit-identical to an
-/// uninterrupted one. Sharded mode keeps the sharded document even when
-/// windowed (routing cursors are the resumable state there); the window
-/// re-warms over the next N epochs after a restore.
-fn boundary_checkpoint(
-    engine: &mut Option<ShardedIngest>,
-    monitor: &DdosMonitor,
-    window: &Option<EpochWindow>,
-) -> Checkpoint {
-    match (engine, window) {
-        (Some(eng), _) => Checkpoint::Sharded(eng.checkpoint()),
-        (None, Some(w)) => Checkpoint::Window(w.to_checkpoint(monitor.sketch())),
-        (None, None) => Checkpoint::Tracking(monitor.sketch().to_state()),
+/// ring, accumulator, epoch base, and the cumulative sketch, whose
+/// `current` field is a tracking state built here — so a resumed run's
+/// windowed judgments stay bit-identical to an uninterrupted one.
+/// Sharded mode keeps the sharded document even when windowed (routing
+/// cursors are the resumable state there); the window re-warms over
+/// the next N epochs after a restore.
+fn boundary_checkpoint(cumulative: &mut Cumulative, window: &Option<EpochWindow>) -> Checkpoint {
+    match (cumulative, window) {
+        (Cumulative::Sharded(engine), _) => Checkpoint::Sharded(engine.checkpoint()),
+        (Cumulative::Direct(sketch), Some(w)) => {
+            Checkpoint::Window(w.to_checkpoint(&TrackingDcs::from_sketch(sketch.clone())))
+        }
+        (Cumulative::Direct(sketch), None) => Checkpoint::Sketch(sketch.to_state()),
     }
 }
 
@@ -510,12 +528,11 @@ fn boundary_checkpoint(
 /// ```
 pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) -> DetectionReport {
     let (update_tx, update_rx) = channel::bounded::<Vec<FlowUpdate>>(64);
-    let segments_total = Arc::new(Mutex::new(0u64));
 
+    // Each router thread returns how many segments it observed.
     let mut router_handles = Vec::new();
     for (index, feed) in router_feeds.into_iter().enumerate() {
         let tx = update_tx.clone();
-        let segments_total = Arc::clone(&segments_total);
         let batch_size = config.batch_size.max(1);
         let timeout = config.half_open_timeout;
         router_handles.push(thread::spawn(move || {
@@ -526,7 +543,7 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                 if router.pending_exports() >= batch_size {
                     let batch = router.drain_exports();
                     if tx.send(batch).is_err() {
-                        return;
+                        return router.segments_observed();
                     }
                 }
             }
@@ -535,13 +552,13 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
             if !tail.is_empty() {
                 let _ = tx.send(tail);
             }
-            *segments_total.lock() += router.segments_observed();
+            router.segments_observed()
         }));
     }
     drop(update_tx);
 
     let monitor_handle = {
-        let sketch = config.sketch.clone();
+        let sketch_config = config.sketch.clone();
         let policy = config.policy.clone();
         let evaluate_every = config.evaluate_every.max(1);
         let sidecar = config.telemetry.clone();
@@ -557,60 +574,13 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
             let mut ckpt_manager = ckpt_sidecar
                 .as_ref()
                 .map(|c| CheckpointManager::new(&c.path));
-            // Sharded mode: a persistent worker engine does the
-            // sketching and the monitor keeps baseline/alarm state,
-            // judging merged snapshots at evaluation boundaries.
-            let (mut engine, mut monitor, mut window, restored) = match ingest_shards {
-                Some(shards) => {
-                    let (mut engine, restored) = match &ckpt_manager {
-                        Some(manager) => restore_sharded(manager, &sketch, shards.max(1)),
-                        None => (ShardedIngest::new(sketch.clone(), shards.max(1)), false),
-                    };
-                    let mut window = window_policy
-                        .as_ref()
-                        .map(|wp| new_epoch_window(&sketch, wp));
-                    // After a sharded restore the window starts empty
-                    // (the sharded document carries no ring); rebase it
-                    // onto the restored cumulative so the first epoch
-                    // covers only post-restore traffic.
-                    if restored {
-                        if let Some(w) = &mut window {
-                            match engine.merged() {
-                                Ok(view) => w.rebase(view.sketch()),
-                                Err(e) => {
-                                    eprintln!("sharded merge failed during window rebase: {e}");
-                                }
-                            }
-                        }
-                    }
-                    (
-                        Some(engine),
-                        DdosMonitor::new(sketch.clone(), policy),
-                        window,
-                        restored,
-                    )
-                }
-                None => match &window_policy {
-                    Some(wp) => {
-                        let (window, monitor, restored) = match &ckpt_manager {
-                            Some(manager) => restore_window(manager, &sketch, policy, wp),
-                            None => (
-                                new_epoch_window(&sketch, wp),
-                                DdosMonitor::new(sketch.clone(), policy),
-                                false,
-                            ),
-                        };
-                        (None, monitor, Some(window), restored)
-                    }
-                    None => {
-                        let (monitor, restored) = match &ckpt_manager {
-                            Some(manager) => restore_monitor(manager, &sketch, policy),
-                            None => (DdosMonitor::new(sketch.clone(), policy), false),
-                        };
-                        (None, monitor, None, restored)
-                    }
-                },
-            };
+            let (mut cumulative, mut window, restored) = Cumulative::start(
+                ckpt_manager.as_ref(),
+                &sketch_config,
+                ingest_shards,
+                window_policy.as_ref(),
+            );
+            let mut judge = AlarmJudge::new(policy);
             let mut ckpt_stats = CheckpointStats::default();
             // A failed sidecar must not kill the detection run: report
             // on stderr and carry on without telemetry.
@@ -641,19 +611,16 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                     let take = usize::try_from(until_boundary)
                         .unwrap_or(remaining)
                         .min(remaining);
-                    match &mut engine {
-                        Some(eng) => eng.ingest(&batch[offset..offset + take]),
-                        None => monitor.ingest_batch(&batch[offset..offset + take]),
-                    }
+                    cumulative.ingest(&batch[offset..offset + take]);
                     offset += take;
                     ingested += take as u64;
                     if ingested >= next_eval {
-                        evaluate_boundary(&mut engine, &mut monitor, &mut window, &mut alarms);
+                        evaluate_boundary(&mut cumulative, &mut judge, &mut window, &mut alarms);
                         next_eval += evaluate_every;
                     }
                     if ingested >= next_snapshot {
                         if exporter.is_some() {
-                            let snap = boundary_snapshot(&engine, &monitor, &window, "pipeline");
+                            let snap = boundary_snapshot(&cumulative, &judge, &window, "pipeline");
                             export_snapshot(
                                 &mut exporter,
                                 snap,
@@ -664,35 +631,38 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                     }
                     if ingested >= next_checkpoint {
                         if ckpt_manager.is_some() {
-                            let doc = boundary_checkpoint(&mut engine, &monitor, &window);
+                            let doc = boundary_checkpoint(&mut cumulative, &window);
                             write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
                         }
                         next_checkpoint += checkpoint_every;
                     }
                 }
             }
-            evaluate_boundary(&mut engine, &mut monitor, &mut window, &mut alarms);
+            evaluate_boundary(&mut cumulative, &mut judge, &mut window, &mut alarms);
             // One final checkpoint so a clean shutdown is resumable too.
             if ckpt_manager.is_some() {
-                let doc = boundary_checkpoint(&mut engine, &monitor, &window);
+                let doc = boundary_checkpoint(&mut cumulative, &window);
                 write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
             }
             if exporter.is_some() {
-                let snap = boundary_snapshot(&engine, &monitor, &window, "pipeline_final");
+                let snap = boundary_snapshot(&cumulative, &judge, &window, "pipeline_final");
                 export_snapshot(
                     &mut exporter,
                     snap,
                     ckpt_manager.as_ref().map(|_| &ckpt_stats),
                 );
             }
-            // Hand the final merged sketch to the monitor so the
-            // returned report is inspectable the usual way.
-            if let Some(eng) = &mut engine {
-                match eng.merged() {
-                    Ok(view) => monitor.adopt_sketch(view),
-                    Err(e) => eprintln!("sharded merge failed at shutdown: {e}"),
+            // Build the tracking structures once, over the final
+            // sketch, so the returned report is inspectable the usual
+            // way.
+            let tracking = match cumulative.into_sketch() {
+                Ok(sketch) => TrackingDcs::from_sketch(sketch),
+                Err(e) => {
+                    eprintln!("sharded merge failed at shutdown: {e}");
+                    TrackingDcs::new(sketch_config)
                 }
-            }
+            };
+            let monitor = DdosMonitor::from_parts(tracking, judge);
             (monitor, alarms, ingested, ckpt_stats.written, restored)
         })
     };
@@ -700,9 +670,11 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
     // Join failures carry the worker's own panic payload; re-raise it
     // (as `ingest_sharded` does) instead of masking it with a generic
     // message.
+    let mut segments_observed = 0;
     for handle in router_handles {
-        if let Err(payload) = handle.join() {
-            std::panic::resume_unwind(payload);
+        match handle.join() {
+            Ok(segments) => segments_observed += segments,
+            Err(payload) => std::panic::resume_unwind(payload),
         }
     }
     let (monitor, alarms, updates_ingested, checkpoints_written, restored_from_checkpoint) =
@@ -710,7 +682,6 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
             Ok(result) => result,
             Err(payload) => std::panic::resume_unwind(payload),
         };
-    let segments_observed = *segments_total.lock();
     DetectionReport {
         alarms,
         updates_ingested,
@@ -827,11 +798,20 @@ mod tests {
         for line in &lines {
             dcs_telemetry::validate_line(line).unwrap();
         }
-        assert!(lines
-            .last()
-            .unwrap()
-            .contains("\"label\":\"pipeline_final\""));
-        assert!(lines.last().unwrap().contains("\"monitor_evaluations\""));
+        let last = lines.last().unwrap();
+        assert!(last.contains("\"label\":\"pipeline_final\""));
+        assert_monitor_gauges(last);
+    }
+
+    /// The monitor's three gauges, present in every mode.
+    fn assert_monitor_gauges(line: &str) {
+        for gauge in [
+            "\"monitor_evaluations\"",
+            "\"monitor_baselines\"",
+            "\"monitor_active_alarms\"",
+        ] {
+            assert!(line.contains(gauge), "{gauge} missing from {line}");
+        }
     }
 
     #[test]
@@ -910,8 +890,8 @@ mod tests {
         assert!(sharded.alarmed_destinations().contains(&0x0a00_0002));
         assert!(!sharded.alarmed_destinations().contains(&0x0a00_0001));
         assert_eq!(sharded.updates_ingested, direct.updates_ingested);
-        // The adopted final sketch answers identically to the
-        // single-threaded monitor's over the same update stream.
+        // The merged final sketch answers identically to the direct
+        // run's over the same update stream.
         assert_eq!(
             sharded.monitor.sketch().updates_processed(),
             direct.monitor.sketch().updates_processed()
@@ -979,7 +959,7 @@ mod tests {
         assert!(last.contains("\"label\":\"pipeline_final\""));
         assert!(last.contains("\"sharded_queue_depth\""));
         assert!(last.contains("\"sharded_merge_p50_ns\""));
-        assert!(last.contains("\"monitor_evaluations\""));
+        assert_monitor_gauges(last);
     }
 
     #[test]

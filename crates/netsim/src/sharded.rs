@@ -290,7 +290,7 @@ impl ShardedIngest {
         ))
     }
 
-    /// Drains every ring and merges the shards into one tracking sketch
+    /// Drains every ring and merges the shards into one basic sketch
     /// (the workers keep running, so ingestion can continue afterwards).
     ///
     /// # Errors
@@ -301,9 +301,22 @@ impl ShardedIngest {
     /// # Panics
     ///
     /// Re-raises the original panic payload of any worker that died.
-    pub fn merged(&mut self) -> Result<TrackingDcs, SketchError> {
+    pub fn merged_sketch(&mut self) -> Result<DistinctCountSketch, SketchError> {
         self.pool.flush();
         self.pool.merged(&self.config)
+    }
+
+    /// [`Self::merged_sketch`] with tracking structures built over it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::merged_sketch`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::merged_sketch`].
+    pub fn merged(&mut self) -> Result<TrackingDcs, SketchError> {
+        self.merged_sketch().map(TrackingDcs::from_sketch)
     }
 
     /// Assembles a telemetry snapshot of the engine without pausing the

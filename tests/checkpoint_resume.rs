@@ -8,15 +8,19 @@
 //! (mid-`update_batch` chunk, one update in, one update before the
 //! end, across an epoch `rotate()`) and check exact state equality
 //! after the restored run replays its suffix, going through real
-//! checkpoint files on disk each time.
+//! checkpoint files on disk each time. The last two tests drive
+//! `run_pipeline` itself across a restart, from a legacy tracking
+//! document and from the sketch documents it saves today.
 
 use std::path::PathBuf;
 
 use ddos_streams::netsim::epoch::EpochManager;
 use ddos_streams::netsim::sharded::ShardedIngest;
+use ddos_streams::netsim::{run_pipeline, CheckpointSidecar, PipelineConfig, TrafficDriver};
 use ddos_streams::persist::{Checkpoint, CheckpointManager};
 use ddos_streams::{
-    Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SourceAddr, TrackingDcs,
+    Delta, DestAddr, DistinctCountSketch, EdgeRouter, FlowUpdate, SketchConfig, SourceAddr,
+    TcpSegment, TrackingDcs,
 };
 
 fn config(seed: u64) -> SketchConfig {
@@ -262,4 +266,99 @@ fn per_shard_checkpoint_files_restore_independently() {
     let mut resumed = ShardedIngest::from_checkpoint(reassembled).unwrap();
     resumed.ingest(&updates[cut..]);
     assert_eq!(resumed.checkpoint(), full.checkpoint());
+}
+
+/// Everything one `run_pipeline` router thread exports for `feed`, in
+/// order: observed segments, then the shutdown timeout flush.
+fn router_exports(feed: &[TcpSegment]) -> Vec<FlowUpdate> {
+    let mut router = EdgeRouter::new(0, None);
+    router.observe_all(feed);
+    let last_ts = feed.last().map_or(0, |s| s.timestamp);
+    router.flush_expired(last_ts.saturating_add(1_000_000));
+    router.drain_exports()
+}
+
+fn mixed_feed(seed: u64) -> Vec<TcpSegment> {
+    let mut driver = TrafficDriver::new(seed);
+    driver
+        .legitimate_sessions(DestAddr(3), 400)
+        .syn_flood(DestAddr(4), 900)
+        .flash_crowd(DestAddr(5), 600);
+    driver.into_segments()
+}
+
+/// A pipeline configuration checkpointing to `path`.
+fn checkpointed(config: SketchConfig, path: &std::path::Path, every: u64) -> PipelineConfig {
+    PipelineConfig {
+        sketch: config,
+        batch_size: 128,
+        evaluate_every: 500,
+        checkpoint: Some(CheckpointSidecar {
+            path: path.to_path_buf(),
+            every,
+        }),
+        ..PipelineConfig::default()
+    }
+}
+
+#[test]
+fn pipeline_resumes_a_legacy_tracking_checkpoint() {
+    // The committed kind-2 fixture is a tracking document in the format
+    // earlier pipelines saved; its configuration is the fixture's own.
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tracking_v1.ckpt");
+    let Checkpoint::Tracking(legacy) = CheckpointManager::new(&fixture).load().unwrap() else {
+        panic!("the fixture is a tracking document");
+    };
+    let config = legacy.sketch.config.clone();
+    let path = temp_path("pipeline-legacy");
+    std::fs::copy(&fixture, &path).unwrap();
+
+    let feed = mixed_feed(41);
+    let report = run_pipeline(vec![feed.clone()], checkpointed(config, &path, 1_000));
+    let rewritten = CheckpointManager::new(&path).load().unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(report.restored_from_checkpoint);
+
+    let mut expected = TrackingDcs::from_state(legacy).unwrap().into_sketch();
+    expected.update_batch(&router_exports(&feed));
+    assert_eq!(
+        report.monitor.sketch().sketch().to_state(),
+        expected.to_state()
+    );
+    // From then on the pipeline saves sketch documents.
+    assert_eq!(rewritten, Checkpoint::Sketch(expected.to_state()));
+}
+
+#[test]
+fn pipeline_sketch_checkpoint_kill_and_resume_is_bit_identical() {
+    let feed = mixed_feed(42);
+    // Kill points inside the attack: the first run ends ("dies") right
+    // after its final checkpoint and the second resumes from that file.
+    for cut in [1_000usize, feed.len() / 2, feed.len() - 1] {
+        let path = temp_path(&format!("pipeline-kill-{cut}"));
+        let _ = std::fs::remove_file(&path);
+        let cfg = checkpointed(config(7), &path, 700);
+        let (before, after) = feed.split_at(cut);
+        let first = run_pipeline(vec![before.to_vec()], cfg.clone());
+        assert!(!first.restored_from_checkpoint);
+        assert!(matches!(
+            CheckpointManager::new(&path).load().unwrap(),
+            Checkpoint::Sketch(_)
+        ));
+        let second = run_pipeline(vec![after.to_vec()], cfg);
+        let _ = std::fs::remove_file(&path);
+        assert!(second.restored_from_checkpoint, "cut at {cut}");
+
+        // Uninterrupted: one sketch over both runs' exports. (A cut
+        // between a SYN and its ACK changes what the routers export, so
+        // the reference replays those exports, not the raw feed.)
+        let mut uninterrupted = DistinctCountSketch::new(config(7));
+        uninterrupted.update_batch(&router_exports(before));
+        uninterrupted.update_batch(&router_exports(after));
+        assert_eq!(
+            second.monitor.sketch().sketch().to_state(),
+            uninterrupted.to_state(),
+            "cut at {cut}: the resumed sketch diverged"
+        );
+    }
 }

@@ -1,9 +1,12 @@
 //! End-to-end detection tests: packets → handshake tracking → sketch →
 //! monitor alarms, across crates.
 
-use ddos_streams::netsim::{run_pipeline, PipelineConfig, TrafficDriver};
+use ddos_streams::netsim::{
+    run_pipeline, Alarm, EpochWindow, PipelineConfig, TrafficDriver, WindowPolicy,
+};
 use ddos_streams::{
-    AlarmPolicy, DdosMonitor, DestAddr, ScenarioBuilder, SketchConfig, TrackingDcs,
+    AlarmPolicy, DdosMonitor, DestAddr, EdgeRouter, FlowUpdate, ScenarioBuilder, SketchConfig,
+    SourceAddr, TcpSegment, TrackingDcs,
 };
 
 fn sketch_config(seed: u64) -> SketchConfig {
@@ -145,4 +148,104 @@ fn timeout_based_discounting_keeps_long_streams_bounded() {
     let updates = router.drain_exports();
     let net: i64 = updates.iter().map(|u| u.delta.signum()).sum();
     assert_eq!(net as usize, router.tracker().half_open_flows());
+}
+
+/// Everything one `run_pipeline` router thread exports for `feed`, in
+/// order: observed segments, then the shutdown timeout flush.
+fn router_exports(feed: &[TcpSegment], half_open_timeout: Option<u64>) -> Vec<FlowUpdate> {
+    let mut router = EdgeRouter::new(0, half_open_timeout);
+    router.observe_all(feed);
+    let last_ts = feed.last().map_or(0, |s| s.timestamp);
+    router.flush_expired(last_ts.saturating_add(1_000_000));
+    router.drain_exports()
+}
+
+/// The reference monitor: a single-threaded [`DdosMonitor`] over an
+/// incrementally maintained [`TrackingDcs`], judged at every
+/// `evaluate_every` boundary and once more at the end, as the pipeline
+/// does. Windowed configurations slide an [`EpochWindow`] over the
+/// tracking sketch's counters and judge the windowed top-k.
+fn tracking_replay(updates: &[FlowUpdate], config: &PipelineConfig) -> Vec<Alarm> {
+    let mut monitor = DdosMonitor::new(config.sketch.clone(), config.policy.clone());
+    let mut window = config
+        .window
+        .clone()
+        .map(|policy| EpochWindow::new(config.sketch.clone(), policy).unwrap());
+    let (k, epsilon) = (config.policy.watch_top_k, config.policy.epsilon);
+    let mut judge = |monitor: &mut DdosMonitor| match &mut window {
+        Some(w) => {
+            w.advance(monitor.sketch().sketch()).unwrap();
+            monitor.evaluate_top(&w.top_k(k, epsilon))
+        }
+        None => monitor.evaluate(),
+    };
+    let every = usize::try_from(config.evaluate_every).unwrap();
+    let mut alarms = Vec::new();
+    for chunk in updates.chunks(every) {
+        monitor.ingest_batch(chunk);
+        if chunk.len() == every {
+            alarms.extend(judge(&mut monitor));
+        }
+    }
+    alarms.extend(judge(&mut monitor));
+    alarms
+}
+
+#[test]
+fn pipeline_alarms_equal_a_tracking_replay_in_every_mode() {
+    let victim = DestAddr(0x0a00_0010);
+    let crowd = DestAddr(0x0a00_0011);
+    let mut driver = TrafficDriver::new(77);
+    driver
+        .legitimate_sessions(DestAddr(0x0a00_0012), 300)
+        .syn_flood(victim, 1_200)
+        .flash_crowd(crowd, 1_500)
+        .port_scan(SourceAddr(0x0b00_0001), DestAddr(0x0c00_0000), 400);
+    // A quiet gap longer than the half-open timeout: the first flood's
+    // SYNs expire (exported as -1) before the second wave arrives.
+    driver.advance_clock(1_000);
+    driver
+        .syn_flood(victim, 900)
+        .legitimate_sessions(crowd, 400);
+    let feed = driver.into_segments();
+    let base = PipelineConfig {
+        sketch: SketchConfig::builder()
+            .buckets_per_table(512)
+            .seed(17)
+            .build()
+            .unwrap(),
+        policy: AlarmPolicy {
+            absolute_threshold: 500,
+            ..AlarmPolicy::default()
+        },
+        batch_size: 96,
+        evaluate_every: 400,
+        half_open_timeout: Some(300),
+        ..PipelineConfig::default()
+    };
+    let updates = router_exports(&feed, base.half_open_timeout);
+    assert!(
+        updates.iter().any(|u| u.delta.signum() < 0),
+        "the feed exercises deletes"
+    );
+    let modes = [
+        ("direct", None, None),
+        ("sliding", None, Some(WindowPolicy::Sliding { epochs: 3 })),
+        ("sharded", Some(2), None),
+    ];
+    for (name, ingest_shards, window) in modes {
+        let config = PipelineConfig {
+            ingest_shards,
+            window,
+            ..base.clone()
+        };
+        let report = run_pipeline(vec![feed.clone()], config.clone());
+        assert_eq!(report.updates_ingested, updates.len() as u64, "{name}");
+        let expected = tracking_replay(&updates, &config);
+        assert!(
+            expected.iter().any(|a| a.dest == victim.0),
+            "{name}: the reference catches the flood"
+        );
+        assert_eq!(report.alarms, expected, "{name}: alarm lists differ");
+    }
 }
