@@ -7,8 +7,12 @@
 //! bytes). This binary measures, for several stream lengths:
 //!
 //! * encoded checkpoint bytes vs in-memory sketch bytes,
-//! * atomic save latency (encode + write-temp + fsync + rename),
-//! * load latency (read + CRC walk + decode + rebuild).
+//! * save latency in two stages: `encode` (framing, slab copies and
+//!   every section CRC) and the durable write (write-temp + fsync +
+//!   rename + directory fsync),
+//! * load latency in two stages: reading the file and `decode` (CRC
+//!   walk plus parsing). Rebuilding the live sketch from the decoded
+//!   state is checked for exactness but not timed.
 //!
 //! It also leaves a canonical `results/sample.ckpt` behind — CI uploads
 //! it as an artifact so any build's checkpoint output can be inspected
@@ -16,16 +20,27 @@
 //!
 //! Run: `cargo run -p dcs-bench --release --bin checkpoint_size [--scale full]`
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dcs_bench::{emit_record, Scale};
 use dcs_core::{SketchConfig, TrackingDcs};
 use dcs_metrics::{ExperimentRecord, Table};
-use dcs_persist::{Checkpoint, CheckpointManager};
+use dcs_persist::{decode, encode, Checkpoint, CheckpointManager};
 use dcs_streamgen::{PaperWorkload, WorkloadConfig};
 
 fn kb(bytes: u64) -> String {
     format!("{:.1} KB", bytes as f64 / 1e3)
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Runs `f`, returning its result and how long it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let started = Instant::now();
+    let out = f();
+    (out, started.elapsed())
 }
 
 fn main() {
@@ -48,13 +63,15 @@ fn main() {
         "checkpoint".into(),
         "sketch heap".into(),
         "ratio".into(),
-        "save".into(),
-        "load".into(),
+        "encode".into(),
+        "write+fsync+rename".into(),
+        "read".into(),
+        "decode".into(),
     ]);
+    let stages = ["encode_ms", "write_ms", "read_ms", "decode_ms"];
     let mut series_u = Vec::new();
     let mut series_bytes = Vec::new();
-    let mut series_save_ms = Vec::new();
-    let mut series_load_ms = Vec::new();
+    let mut series_stage_ms: [Vec<f64>; 4] = Default::default();
 
     for &u in sizes {
         let workload = PaperWorkload::generate(WorkloadConfig {
@@ -68,16 +85,16 @@ fn main() {
 
         let mut manager = CheckpointManager::new(&sample_path);
         let checkpoint = Checkpoint::Tracking(sketch.to_state());
-        let save_started = Instant::now();
-        let bytes = manager.save(&checkpoint).expect("save sample checkpoint");
-        let save = save_started.elapsed();
-        let load_started = Instant::now();
-        let restored = manager.load().expect("load sample checkpoint");
-        let Checkpoint::Tracking(state) = restored else {
+        let (encoded, encode_t) = timed(|| encode(&checkpoint));
+        let (saved, write_t) = timed(|| manager.save_encoded(&encoded));
+        let bytes = saved.expect("save sample checkpoint");
+        let (read, read_t) = timed(|| std::fs::read(&sample_path));
+        let read = read.expect("read sample checkpoint");
+        let (decoded, decode_t) = timed(|| decode(&read));
+        let Checkpoint::Tracking(state) = decoded.expect("decode sample checkpoint") else {
             unreachable!("just saved a tracking document");
         };
         let rebuilt = TrackingDcs::from_state(state).expect("restore sample checkpoint");
-        let load = load_started.elapsed();
         assert_eq!(
             rebuilt.to_state(),
             sketch.to_state(),
@@ -85,31 +102,34 @@ fn main() {
         );
 
         let heap = sketch.heap_bytes() as u64;
-        table.row(vec![
+        let stage_ms = [ms(encode_t), ms(write_t), ms(read_t), ms(decode_t)];
+        let mut row = vec![
             u.to_string(),
             kb(bytes),
             kb(heap),
             format!("{:.2}", bytes as f64 / heap as f64),
-            format!("{:.2} ms", save.as_secs_f64() * 1e3),
-            format!("{:.2} ms", load.as_secs_f64() * 1e3),
-        ]);
+        ];
+        row.extend(stage_ms.iter().map(|t| format!("{t:.2} ms")));
+        table.row(row);
         series_u.push(u as f64);
         series_bytes.push(bytes as f64);
-        series_save_ms.push(save.as_secs_f64() * 1e3);
-        series_load_ms.push(load.as_secs_f64() * 1e3);
+        for (series, t) in series_stage_ms.iter_mut().zip(stage_ms) {
+            series.push(t);
+        }
     }
 
     println!("\ncheckpoint cost profile:");
     print!("{}", table.render());
     println!("sample checkpoint left at {}", sample_path.display());
 
-    let record = ExperimentRecord::new("checkpoint_size")
+    let mut record = ExperimentRecord::new("checkpoint_size")
         .parameter("scale", scale.label())
         .parameter("format_version", i64::from(dcs_persist::FORMAT_VERSION))
         .with_series("u", series_u)
-        .with_series("checkpoint_bytes", series_bytes)
-        .with_series("save_ms", series_save_ms)
-        .with_series("load_ms", series_load_ms);
+        .with_series("checkpoint_bytes", series_bytes);
+    for (name, series) in stages.into_iter().zip(series_stage_ms) {
+        record = record.with_series(name, series);
+    }
     if let Some(path) = emit_record(&record) {
         println!("wrote {}", path.display());
     }

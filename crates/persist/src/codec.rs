@@ -14,7 +14,15 @@
 //! (magic, version, known tags, exact length accounting, and a
 //! trailing-bytes check). Compound documents nest recursively: an
 //! epoch checkpoint's `CUR`/`SNP` sections carry complete embedded
-//! documents, so the same encode/decode pair handles every layer.
+//! documents, so the same encode/decode pair handles every layer. An
+//! embedded document must be the kind the table below names for its
+//! section; the decoder checks the embedded header's kind byte before
+//! reading any further, so nesting is at most three documents deep
+//! whatever a file claims.
+//!
+//! The encoder writes a whole document into one buffer: section frames
+//! are reserved, payloads (nested documents included) are written in
+//! place, and each frame's length and CRC are filled in afterwards.
 //!
 //! Document kinds and their section sequences (order is fixed and
 //! enforced):
@@ -167,30 +175,68 @@ impl Checkpoint {
             Checkpoint::Window(_) => "window",
         }
     }
-
-    fn kind_byte(&self) -> u8 {
-        match self {
-            Checkpoint::Sketch(_) => KIND_SKETCH,
-            Checkpoint::Tracking(_) => KIND_TRACKING,
-            Checkpoint::Epoch(_) => KIND_EPOCH,
-            Checkpoint::Sharded(_) => KIND_SHARDED,
-            Checkpoint::Window(_) => KIND_WINDOW,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
 
-fn push_section(sections: &mut Vec<([u8; 4], Vec<u8>)>, tag: [u8; 4], payload: Vec<u8>) {
-    sections.push((tag, payload));
+/// One document being written into a shared buffer. The header goes
+/// out first; each section reserves its frame, writes its payload in
+/// place, then backpatches the payload's length and CRC; the section
+/// count is backpatched last. A nested document is written straight
+/// into its parent's section payload, so the whole checkpoint is one
+/// buffer with no per-section copies.
+struct DocWriter<'w> {
+    w: &'w mut ByteWriter,
+    count_at: usize,
+    sections: u32,
 }
 
-fn config_payload(config: &SketchConfig) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(u64::try_from(config.num_tables()).unwrap_or(u64::MAX));
-    w.put_u64(u64::try_from(config.buckets_per_table()).unwrap_or(u64::MAX));
+impl<'w> DocWriter<'w> {
+    fn begin(w: &'w mut ByteWriter, kind: u8) -> Self {
+        w.put_bytes(&MAGIC);
+        w.put_u32(FORMAT_VERSION);
+        w.put_u8(kind);
+        let count_at = w.len();
+        w.put_u32(0);
+        Self {
+            w,
+            count_at,
+            sections: 0,
+        }
+    }
+
+    fn section(&mut self, tag: [u8; 4], payload: impl FnOnce(&mut ByteWriter)) {
+        self.w.put_bytes(&tag);
+        let frame = self.w.len();
+        self.w.put_u64(0);
+        self.w.put_u32(0);
+        let start = self.w.len();
+        payload(self.w);
+        let len = len_u64(self.w.len() - start);
+        let crc = crc32(self.w.written_since(start));
+        self.w.patch(frame, &len.to_le_bytes());
+        self.w.patch(frame + 8, &crc.to_le_bytes());
+        self.sections = self.sections.saturating_add(1);
+    }
+
+    fn finish(self) {
+        self.w.patch(self.count_at, &self.sections.to_le_bytes());
+    }
+}
+
+fn len_u64(len: usize) -> u64 {
+    u64::try_from(len).unwrap_or(u64::MAX)
+}
+
+fn len_u32(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
+}
+
+fn write_config(w: &mut ByteWriter, config: &SketchConfig) {
+    w.put_u64(len_u64(config.num_tables()));
+    w.put_u64(len_u64(config.buckets_per_table()));
     w.put_u32(config.max_levels());
     w.put_u64(config.seed());
     let (group_tag, bits) = match config.group_by() {
@@ -205,36 +251,26 @@ fn config_payload(config: &SketchConfig) -> Vec<u8> {
         HashFamily::MultiplyShift => 0,
         HashFamily::Tabulation => 1,
     });
-    w.into_bytes()
 }
 
-fn level_payload(slab: &LevelSlabs) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn write_level(w: &mut ByteWriter, slab: &LevelSlabs) {
     w.put_u32(slab.level);
-    w.put_u64(u64::try_from(slab.counts.len()).unwrap_or(u64::MAX));
-    for &c in &slab.counts {
-        w.put_i64(c);
-    }
-    w.put_u64(u64::try_from(slab.key_sums.len()).unwrap_or(u64::MAX));
-    for &s in &slab.key_sums {
-        w.put_u64(s);
-    }
-    w.put_u64(u64::try_from(slab.fp_sums.len()).unwrap_or(u64::MAX));
-    for &s in &slab.fp_sums {
-        w.put_u64(s);
-    }
-    w.into_bytes()
+    w.put_u64(len_u64(slab.counts.len()));
+    w.put_i64s(&slab.counts);
+    w.put_u64(len_u64(slab.key_sums.len()));
+    w.put_u64s(&slab.key_sums);
+    w.put_u64(len_u64(slab.fp_sums.len()));
+    w.put_u64s(&slab.fp_sums);
 }
 
-fn tracking_level_payload(level: &TrackingLevelState) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn write_tracking_level(w: &mut ByteWriter, level: &TrackingLevelState) {
     w.put_u32(level.level);
-    w.put_u64(u64::try_from(level.singletons.len()).unwrap_or(u64::MAX));
+    w.put_u64(len_u64(level.singletons.len()));
     for &(packed, count) in &level.singletons {
         w.put_u64(packed);
         w.put_u32(count);
     }
-    w.put_u64(u64::try_from(level.heap_slots.len()).unwrap_or(u64::MAX));
+    w.put_u64(len_u64(level.heap_slots.len()));
     for &(priority, group) in &level.heap_slots {
         w.put_u64(priority);
         w.put_u32(group);
@@ -242,33 +278,103 @@ fn tracking_level_payload(level: &TrackingLevelState) -> Vec<u8> {
     w.put_u64(level.heap_underflows);
     w.put_u64(level.heap_overflows);
     w.put_u64(level.heap_adjusts);
-    w.into_bytes()
 }
 
-fn sketch_sections(state: &SketchState, sections: &mut Vec<([u8; 4], Vec<u8>)>) {
-    push_section(sections, TAG_CFG, config_payload(&state.config));
-    let mut met = ByteWriter::new();
-    met.put_u64(state.updates_processed);
-    met.put_i64(state.net_updates);
-    push_section(sections, TAG_MET, met.into_bytes());
+fn write_sketch(w: &mut ByteWriter, state: &SketchState) {
+    let mut doc = DocWriter::begin(w, KIND_SKETCH);
+    doc.section(TAG_CFG, |w| write_config(w, &state.config));
+    doc.section(TAG_MET, |w| {
+        w.put_u64(state.updates_processed);
+        w.put_i64(state.net_updates);
+    });
     for slab in &state.levels {
-        push_section(sections, TAG_LVL, level_payload(slab));
+        doc.section(TAG_LVL, |w| write_level(w, slab));
+    }
+    doc.finish();
+}
+
+fn write_tracking(w: &mut ByteWriter, state: &TrackingState) {
+    let mut doc = DocWriter::begin(w, KIND_TRACKING);
+    doc.section(TAG_SKC, |w| write_sketch(w, &state.sketch));
+    doc.section(TAG_TRM, |w| w.put_u64(state.untracked_decrements));
+    for level in &state.levels {
+        doc.section(TAG_TRK, |w| write_tracking_level(w, level));
+    }
+    doc.finish();
+}
+
+fn write_checkpoint(w: &mut ByteWriter, checkpoint: &Checkpoint) {
+    match checkpoint {
+        Checkpoint::Sketch(state) => write_sketch(w, state),
+        Checkpoint::Tracking(state) => write_tracking(w, state),
+        Checkpoint::Epoch(epoch) => {
+            let mut doc = DocWriter::begin(w, KIND_EPOCH);
+            doc.section(TAG_EPO, |w| {
+                w.put_u64(epoch.max_snapshots);
+                w.put_u64(epoch.epochs_rotated);
+                w.put_u32(len_u32(epoch.snapshots.len()));
+            });
+            doc.section(TAG_CUR, |w| write_tracking(w, &epoch.current));
+            for snapshot in &epoch.snapshots {
+                doc.section(TAG_SNP, |w| write_sketch(w, snapshot));
+            }
+            doc.finish();
+        }
+        Checkpoint::Sharded(sharded) => {
+            let mut doc = DocWriter::begin(w, KIND_SHARDED);
+            doc.section(TAG_SHD, |w| {
+                w.put_u64(sharded.updates_distributed);
+                w.put_u32(len_u32(sharded.shards.len()));
+            });
+            for shard in &sharded.shards {
+                doc.section(TAG_SNP, |w| write_sketch(w, shard));
+            }
+            doc.finish();
+        }
+        Checkpoint::Window(window) => {
+            let mut doc = DocWriter::begin(w, KIND_WINDOW);
+            doc.section(TAG_WND, |w| {
+                w.put_u64(window.epochs);
+                w.put_u64(window.epochs_rotated);
+                w.put_u32(len_u32(window.deltas.len()));
+            });
+            doc.section(TAG_CUR, |w| write_tracking(w, &window.current));
+            doc.section(TAG_BAS, |w| write_sketch(w, &window.base));
+            doc.section(TAG_WIN, |w| write_sketch(w, &window.window));
+            for delta in &window.deltas {
+                doc.section(TAG_SNP, |w| write_sketch(w, delta));
+            }
+            doc.finish();
+        }
     }
 }
 
-fn assemble(kind: u8, sections: Vec<([u8; 4], Vec<u8>)>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_bytes(&MAGIC);
-    w.put_u32(FORMAT_VERSION);
-    w.put_u8(kind);
-    w.put_u32(u32::try_from(sections.len()).unwrap_or(u32::MAX));
-    for (tag, payload) in sections {
-        w.put_bytes(&tag);
-        w.put_u64(u64::try_from(payload.len()).unwrap_or(u64::MAX));
-        w.put_u32(crc32(&payload));
-        w.put_bytes(&payload);
+/// Roughly the encoded size of `checkpoint`: every slab and list
+/// element plus a frame allowance per section. It only has to be close
+/// enough that a fresh buffer is allocated once.
+fn size_hint(checkpoint: &Checkpoint) -> usize {
+    let sketch = |s: &SketchState| -> usize {
+        let words: usize = (s.levels.iter())
+            .map(|l| l.counts.len() + l.key_sums.len() + l.fp_sums.len() + 8)
+            .sum();
+        words * 8 + 128
+    };
+    let tracking = |t: &TrackingState| -> usize {
+        let pairs: usize = (t.levels.iter())
+            .map(|l| l.singletons.len() + l.heap_slots.len() + 6)
+            .sum();
+        sketch(&t.sketch) + pairs * 12 + 64
+    };
+    let ring = |states: &[SketchState]| -> usize { states.iter().map(sketch).sum::<usize>() + 64 };
+    match checkpoint {
+        Checkpoint::Sketch(s) => sketch(s),
+        Checkpoint::Tracking(t) => tracking(t),
+        Checkpoint::Epoch(e) => tracking(&e.current) + ring(&e.snapshots),
+        Checkpoint::Sharded(s) => ring(&s.shards),
+        Checkpoint::Window(w) => {
+            tracking(&w.current) + sketch(&w.base) + sketch(&w.window) + ring(&w.deltas)
+        }
     }
-    w.into_bytes()
 }
 
 /// Encodes a checkpoint into its on-disk byte representation.
@@ -276,85 +382,19 @@ fn assemble(kind: u8, sections: Vec<([u8; 4], Vec<u8>)>) -> Vec<u8> {
 /// Encoding is deterministic: the same state always produces the same
 /// bytes (the golden-fixture tests pin this down).
 pub fn encode(checkpoint: &Checkpoint) -> Vec<u8> {
-    let mut sections = Vec::new();
-    match checkpoint {
-        Checkpoint::Sketch(state) => sketch_sections(state, &mut sections),
-        Checkpoint::Tracking(state) => {
-            push_section(
-                &mut sections,
-                TAG_SKC,
-                encode(&Checkpoint::Sketch(state.sketch.clone())),
-            );
-            let mut trm = ByteWriter::new();
-            trm.put_u64(state.untracked_decrements);
-            push_section(&mut sections, TAG_TRM, trm.into_bytes());
-            for level in &state.levels {
-                push_section(&mut sections, TAG_TRK, tracking_level_payload(level));
-            }
-        }
-        Checkpoint::Epoch(epoch) => {
-            let mut epo = ByteWriter::new();
-            epo.put_u64(epoch.max_snapshots);
-            epo.put_u64(epoch.epochs_rotated);
-            epo.put_u32(u32::try_from(epoch.snapshots.len()).unwrap_or(u32::MAX));
-            push_section(&mut sections, TAG_EPO, epo.into_bytes());
-            push_section(
-                &mut sections,
-                TAG_CUR,
-                encode(&Checkpoint::Tracking(epoch.current.clone())),
-            );
-            for snapshot in &epoch.snapshots {
-                push_section(
-                    &mut sections,
-                    TAG_SNP,
-                    encode(&Checkpoint::Sketch(snapshot.clone())),
-                );
-            }
-        }
-        Checkpoint::Sharded(sharded) => {
-            let mut shd = ByteWriter::new();
-            shd.put_u64(sharded.updates_distributed);
-            shd.put_u32(u32::try_from(sharded.shards.len()).unwrap_or(u32::MAX));
-            push_section(&mut sections, TAG_SHD, shd.into_bytes());
-            for shard in &sharded.shards {
-                push_section(
-                    &mut sections,
-                    TAG_SNP,
-                    encode(&Checkpoint::Sketch(shard.clone())),
-                );
-            }
-        }
-        Checkpoint::Window(window) => {
-            let mut wnd = ByteWriter::new();
-            wnd.put_u64(window.epochs);
-            wnd.put_u64(window.epochs_rotated);
-            wnd.put_u32(u32::try_from(window.deltas.len()).unwrap_or(u32::MAX));
-            push_section(&mut sections, TAG_WND, wnd.into_bytes());
-            push_section(
-                &mut sections,
-                TAG_CUR,
-                encode(&Checkpoint::Tracking(window.current.clone())),
-            );
-            push_section(
-                &mut sections,
-                TAG_BAS,
-                encode(&Checkpoint::Sketch(window.base.clone())),
-            );
-            push_section(
-                &mut sections,
-                TAG_WIN,
-                encode(&Checkpoint::Sketch(window.window.clone())),
-            );
-            for delta in &window.deltas {
-                push_section(
-                    &mut sections,
-                    TAG_SNP,
-                    encode(&Checkpoint::Sketch(delta.clone())),
-                );
-            }
-        }
-    }
-    assemble(checkpoint.kind_byte(), sections)
+    let mut out = Vec::new();
+    encode_into(checkpoint, &mut out);
+    out
+}
+
+/// Encodes a checkpoint into `out`, replacing its contents but keeping
+/// its allocation — the same bytes as [`encode`], without faulting in
+/// a fresh buffer on every periodic save.
+pub(crate) fn encode_into(checkpoint: &Checkpoint, out: &mut Vec<u8>) {
+    let mut w = ByteWriter::with_buffer(std::mem::take(out));
+    w.reserve(size_hint(checkpoint));
+    write_checkpoint(&mut w, checkpoint);
+    *out = w.into_bytes();
 }
 
 // ---------------------------------------------------------------------
@@ -366,11 +406,9 @@ struct Section<'a> {
     payload: &'a [u8],
 }
 
-/// Walks the document framing: validates magic and version, reads the
-/// section table, and checks every section's CRC. Returns the document
-/// kind and the sections in file order.
-fn read_document(bytes: &[u8]) -> Result<(u8, Vec<Section<'_>>), PersistError> {
-    let mut r = ByteReader::new(bytes);
+/// Reads a document header: validates magic and version, and returns
+/// the document kind and the declared section count.
+fn read_header(r: &mut ByteReader<'_>) -> Result<(u8, u32), PersistError> {
     let magic = r.take(8, "magic")?;
     if magic != MAGIC {
         let mut found = [0u8; 8];
@@ -386,6 +424,16 @@ fn read_document(bytes: &[u8]) -> Result<(u8, Vec<Section<'_>>), PersistError> {
     }
     let kind = r.u8("document kind")?;
     let section_count = r.u32("section count")?;
+    Ok((kind, section_count))
+}
+
+/// Reads the section table after a header and checks every section's
+/// CRC, so nothing is interpreted before all of it is known intact.
+/// Returns the sections in file order.
+fn read_sections<'a>(
+    mut r: ByteReader<'a>,
+    section_count: u32,
+) -> Result<Vec<Section<'a>>, PersistError> {
     let mut sections = Vec::new();
     for index in 0..section_count {
         let tag_bytes = r.take(4, "section tag")?;
@@ -408,7 +456,35 @@ fn read_document(bytes: &[u8]) -> Result<(u8, Vec<Section<'_>>), PersistError> {
         sections.push(Section { tag, payload });
     }
     r.expect_end()?;
-    Ok((kind, sections))
+    Ok(sections)
+}
+
+/// Walks the document framing: header, then every section with its
+/// CRC checked. Returns the document kind and the sections in file
+/// order.
+fn read_document(bytes: &[u8]) -> Result<(u8, Vec<Section<'_>>), PersistError> {
+    let mut r = ByteReader::new(bytes);
+    let (kind, section_count) = read_header(&mut r)?;
+    Ok((kind, read_sections(r, section_count)?))
+}
+
+/// Reads a document embedded in a section payload, refusing it from
+/// its header alone unless it is the one kind the grammar allows
+/// there. Only leaf kinds are ever expected, so nesting stays at most
+/// three documents deep whatever the input claims.
+fn read_embedded<'a>(
+    payload: &'a [u8],
+    expected: u8,
+    what: &str,
+) -> Result<Vec<Section<'a>>, PersistError> {
+    let mut r = ByteReader::new(payload);
+    let (kind, section_count) = read_header(&mut r)?;
+    if kind != expected {
+        return Err(PersistError::Corrupt {
+            context: format!("{what}: embedded document has kind {kind}, expected {expected}"),
+        });
+    }
+    read_sections(r, section_count)
 }
 
 /// Returns the byte offset of every top-level section boundary in a
@@ -491,21 +567,9 @@ fn decode_config(payload: &[u8]) -> Result<SketchConfig, PersistError> {
 fn decode_level(payload: &[u8]) -> Result<LevelSlabs, PersistError> {
     let mut r = ByteReader::new(payload);
     let level = r.u32("level index")?;
-    let count_len = r.element_count(8, "level counter slab")?;
-    let mut counts = Vec::with_capacity(count_len);
-    for _ in 0..count_len {
-        counts.push(r.i64("level counter")?);
-    }
-    let key_len = r.element_count(8, "level key-sum slab")?;
-    let mut key_sums = Vec::with_capacity(key_len);
-    for _ in 0..key_len {
-        key_sums.push(r.u64("level key sum")?);
-    }
-    let fp_len = r.element_count(8, "level fp-sum slab")?;
-    let mut fp_sums = Vec::with_capacity(fp_len);
-    for _ in 0..fp_len {
-        fp_sums.push(r.u64("level fp sum")?);
-    }
+    let counts = r.i64_slab("level counter slab")?;
+    let key_sums = r.u64_slab("level key-sum slab")?;
+    let fp_sums = r.u64_slab("level fp-sum slab")?;
     r.expect_end()?;
     Ok(LevelSlabs {
         level,
@@ -589,22 +653,39 @@ fn decode_sketch_sections(sections: &[Section<'_>]) -> Result<SketchState, Persi
     })
 }
 
-fn decode_nested_sketch(payload: &[u8], what: &str) -> Result<SketchState, PersistError> {
-    match decode(payload)? {
-        Checkpoint::Sketch(state) => Ok(state),
-        other => Err(PersistError::Corrupt {
-            context: format!("{what}: embedded document is {:?}", other.kind_name()),
-        }),
+fn decode_tracking_sections(sections: &[Section<'_>]) -> Result<TrackingState, PersistError> {
+    if sections.len() < 2 {
+        return Err(PersistError::Corrupt {
+            context: format!(
+                "tracking document has {} section(s), needs at least SKC and TRM",
+                sections.len()
+            ),
+        });
     }
+    expect_tag(&sections[0], TAG_SKC)?;
+    expect_tag(&sections[1], TAG_TRM)?;
+    let sketch = decode_nested_sketch(sections[0].payload, "SKC section")?;
+    let mut trm = ByteReader::new(sections[1].payload);
+    let untracked_decrements = trm.u64("untracked_decrements")?;
+    trm.expect_end()?;
+    let mut levels = Vec::with_capacity(sections.len() - 2);
+    for section in &sections[2..] {
+        expect_tag(section, TAG_TRK)?;
+        levels.push(decode_tracking_level(section.payload)?);
+    }
+    Ok(TrackingState {
+        sketch,
+        levels,
+        untracked_decrements,
+    })
+}
+
+fn decode_nested_sketch(payload: &[u8], what: &str) -> Result<SketchState, PersistError> {
+    decode_sketch_sections(&read_embedded(payload, KIND_SKETCH, what)?)
 }
 
 fn decode_nested_tracking(payload: &[u8], what: &str) -> Result<TrackingState, PersistError> {
-    match decode(payload)? {
-        Checkpoint::Tracking(state) => Ok(state),
-        other => Err(PersistError::Corrupt {
-            context: format!("{what}: embedded document is {:?}", other.kind_name()),
-        }),
-    }
+    decode_tracking_sections(&read_embedded(payload, KIND_TRACKING, what)?)
 }
 
 /// Decodes a checkpoint document, validating framing, CRCs, and
@@ -618,32 +699,7 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     let (kind, sections) = read_document(bytes)?;
     match kind {
         KIND_SKETCH => Ok(Checkpoint::Sketch(decode_sketch_sections(&sections)?)),
-        KIND_TRACKING => {
-            if sections.len() < 2 {
-                return Err(PersistError::Corrupt {
-                    context: format!(
-                        "tracking document has {} section(s), needs at least SKC and TRM",
-                        sections.len()
-                    ),
-                });
-            }
-            expect_tag(&sections[0], TAG_SKC)?;
-            expect_tag(&sections[1], TAG_TRM)?;
-            let sketch = decode_nested_sketch(sections[0].payload, "SKC section")?;
-            let mut trm = ByteReader::new(sections[1].payload);
-            let untracked_decrements = trm.u64("untracked_decrements")?;
-            trm.expect_end()?;
-            let mut levels = Vec::with_capacity(sections.len() - 2);
-            for section in &sections[2..] {
-                expect_tag(section, TAG_TRK)?;
-                levels.push(decode_tracking_level(section.payload)?);
-            }
-            Ok(Checkpoint::Tracking(TrackingState {
-                sketch,
-                levels,
-                untracked_decrements,
-            }))
-        }
+        KIND_TRACKING => Ok(Checkpoint::Tracking(decode_tracking_sections(&sections)?)),
         KIND_EPOCH => {
             if sections.len() < 2 {
                 return Err(PersistError::Corrupt {
@@ -765,6 +821,7 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
 mod tests {
     use super::*;
     use dcs_core::{DestAddr, DistinctCountSketch, SourceAddr, TrackingDcs};
+    use proptest::prelude::*;
 
     fn config(seed: u64) -> SketchConfig {
         // Small dimensions keep the encoded documents in the tens of
@@ -793,6 +850,182 @@ mod tests {
             t.insert(SourceAddr(s), DestAddr(s % 5));
         }
         t.to_state()
+    }
+
+    // The encoder `encode` replaced — one `Vec` per section payload,
+    // assembled at the end, nested documents encoded from clones — kept
+    // as the byte-for-byte oracle for the one-buffer encoder.
+
+    fn legacy_assemble(kind: u8, sections: Vec<([u8; 4], Vec<u8>)>) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_bytes(&MAGIC);
+        w.put_u32(FORMAT_VERSION);
+        w.put_u8(kind);
+        w.put_u32(u32::try_from(sections.len()).unwrap());
+        for (tag, payload) in sections {
+            w.put_bytes(&tag);
+            w.put_u64(u64::try_from(payload.len()).unwrap());
+            w.put_u32(crc32(&payload));
+            w.put_bytes(&payload);
+        }
+        w.into_bytes()
+    }
+
+    fn legacy_config(config: &SketchConfig) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(u64::try_from(config.num_tables()).unwrap());
+        w.put_u64(u64::try_from(config.buckets_per_table()).unwrap());
+        w.put_u32(config.max_levels());
+        w.put_u64(config.seed());
+        let (group_tag, bits) = match config.group_by() {
+            GroupBy::Destination => (0u8, 0u8),
+            GroupBy::Source => (1, 0),
+            GroupBy::DestinationPrefix { bits } => (2, bits),
+            GroupBy::SourcePrefix { bits } => (3, bits),
+        };
+        w.put_u8(group_tag);
+        w.put_u8(bits);
+        w.put_u8(match config.hash_family() {
+            HashFamily::MultiplyShift => 0,
+            HashFamily::Tabulation => 1,
+        });
+        w.into_bytes()
+    }
+
+    fn legacy_level(slab: &LevelSlabs) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(slab.level);
+        w.put_u64(u64::try_from(slab.counts.len()).unwrap());
+        for &c in &slab.counts {
+            w.put_i64(c);
+        }
+        for sums in [&slab.key_sums, &slab.fp_sums] {
+            w.put_u64(u64::try_from(sums.len()).unwrap());
+            for &s in sums {
+                w.put_u64(s);
+            }
+        }
+        w.into_bytes()
+    }
+
+    fn legacy_tracking_level(level: &TrackingLevelState) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(level.level);
+        for pairs in [&level.singletons, &level.heap_slots] {
+            w.put_u64(u64::try_from(pairs.len()).unwrap());
+            for &(wide, narrow) in pairs {
+                w.put_u64(wide);
+                w.put_u32(narrow);
+            }
+        }
+        w.put_u64(level.heap_underflows);
+        w.put_u64(level.heap_overflows);
+        w.put_u64(level.heap_adjusts);
+        w.into_bytes()
+    }
+
+    fn legacy_header(words: &[u64], count: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for &word in words {
+            w.put_u64(word);
+        }
+        w.put_u32(u32::try_from(count).unwrap());
+        w.into_bytes()
+    }
+
+    fn legacy_encode(checkpoint: &Checkpoint) -> Vec<u8> {
+        let sketch = |s: &SketchState| legacy_encode(&Checkpoint::Sketch(s.clone()));
+        let tracking = |t: &TrackingState| legacy_encode(&Checkpoint::Tracking(t.clone()));
+        let mut sections = Vec::new();
+        let kind = match checkpoint {
+            Checkpoint::Sketch(state) => {
+                sections.push((TAG_CFG, legacy_config(&state.config)));
+                let mut met = ByteWriter::new();
+                met.put_u64(state.updates_processed);
+                met.put_i64(state.net_updates);
+                sections.push((TAG_MET, met.into_bytes()));
+                sections.extend(state.levels.iter().map(|l| (TAG_LVL, legacy_level(l))));
+                KIND_SKETCH
+            }
+            Checkpoint::Tracking(state) => {
+                sections.push((TAG_SKC, sketch(&state.sketch)));
+                let trm = state.untracked_decrements.to_le_bytes().to_vec();
+                sections.push((TAG_TRM, trm));
+                let levels = state.levels.iter();
+                sections.extend(levels.map(|l| (TAG_TRK, legacy_tracking_level(l))));
+                KIND_TRACKING
+            }
+            Checkpoint::Epoch(e) => {
+                let words = [e.max_snapshots, e.epochs_rotated];
+                sections.push((TAG_EPO, legacy_header(&words, e.snapshots.len())));
+                sections.push((TAG_CUR, tracking(&e.current)));
+                sections.extend(e.snapshots.iter().map(|s| (TAG_SNP, sketch(s))));
+                KIND_EPOCH
+            }
+            Checkpoint::Sharded(s) => {
+                let words = [s.updates_distributed];
+                sections.push((TAG_SHD, legacy_header(&words, s.shards.len())));
+                sections.extend(s.shards.iter().map(|s| (TAG_SNP, sketch(s))));
+                KIND_SHARDED
+            }
+            Checkpoint::Window(w) => {
+                let words = [w.epochs, w.epochs_rotated];
+                sections.push((TAG_WND, legacy_header(&words, w.deltas.len())));
+                sections.push((TAG_CUR, tracking(&w.current)));
+                sections.push((TAG_BAS, sketch(&w.base)));
+                sections.push((TAG_WIN, sketch(&w.window)));
+                sections.extend(w.deltas.iter().map(|s| (TAG_SNP, sketch(s))));
+                KIND_WINDOW
+            }
+        };
+        legacy_assemble(kind, sections)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every document kind — nested Epoch, Sharded and Window
+        /// documents with none or several ring members included —
+        /// encodes to exactly the legacy encoder's bytes, and decodes
+        /// back to the same state.
+        #[test]
+        fn one_buffer_encode_matches_the_legacy_encoder(
+            seed in 0u64..1_000,
+            n in 1u32..800,
+            members in 0usize..4,
+        ) {
+            let ring: Vec<SketchState> = (0..members)
+                .map(|i| sample_sketch(seed, n / (u32::try_from(i).unwrap() + 2)))
+                .collect();
+            let docs = [
+                Checkpoint::Sketch(sample_sketch(seed, n)),
+                Checkpoint::Tracking(sample_tracking(seed, n)),
+                Checkpoint::Epoch(EpochCheckpoint {
+                    current: sample_tracking(seed, n),
+                    max_snapshots: 4,
+                    epochs_rotated: u64::from(n),
+                    snapshots: ring.clone(),
+                }),
+                Checkpoint::Sharded(ShardedCheckpoint {
+                    updates_distributed: u64::from(n) * 3,
+                    shards: ring.clone(),
+                }),
+                Checkpoint::Window(WindowCheckpoint {
+                    epochs: 4,
+                    epochs_rotated: u64::from(n) / 7,
+                    current: sample_tracking(seed, n),
+                    base: sample_sketch(seed, n / 2),
+                    window: sample_sketch(seed, n / 3),
+                    deltas: ring,
+                }),
+            ];
+            for doc in &docs {
+                let bytes = encode(doc);
+                prop_assert!(size_hint(doc) >= bytes.len(), "the buffer had to grow");
+                prop_assert_eq!(&bytes, &legacy_encode(doc));
+                prop_assert_eq!(&decode(&bytes).unwrap(), doc);
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{decode, encode, Checkpoint};
+use crate::codec::{decode, encode_into, Checkpoint};
 use crate::error::PersistError;
 
 /// Writes and reads checkpoints at a fixed path with atomic-rename
@@ -23,6 +23,9 @@ pub struct CheckpointManager {
     saves: u64,
     bytes_last: u64,
     bytes_total: u64,
+    /// The encode buffer, kept across saves so periodic checkpoints of
+    /// a steady-size state reuse one allocation.
+    buf: Vec<u8>,
 }
 
 impl CheckpointManager {
@@ -34,6 +37,7 @@ impl CheckpointManager {
             saves: 0,
             bytes_last: 0,
             bytes_total: 0,
+            buf: Vec::new(),
         }
     }
 
@@ -64,32 +68,26 @@ impl CheckpointManager {
     /// `fsync` the sibling → rename over the target → best-effort
     /// `fsync` of the parent directory. A crash before the rename
     /// leaves the previous checkpoint intact; a crash after it leaves
-    /// the new one.
+    /// the new one. A failed save removes the `.tmp` sibling (best
+    /// effort) before returning the error.
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<u64, PersistError> {
-        let bytes = encode(checkpoint);
+        let mut buf = std::mem::take(&mut self.buf);
+        encode_into(checkpoint, &mut buf);
+        let saved = self.save_encoded(&buf);
+        self.buf = buf;
+        saved
+    }
+
+    /// The write half of [`save`](Self::save): atomically replaces the
+    /// checkpoint file with `bytes`, which must be a document produced
+    /// by [`encode`](crate::encode) (they are written as given, not
+    /// re-validated). Lets a caller time encoding and the durable write
+    /// separately.
+    pub fn save_encoded(&mut self, bytes: &[u8]) -> Result<u64, PersistError> {
         let tmp = self.temp_path();
-        let io_err = |context: &str| {
-            let context = context.to_string();
-            move |source: std::io::Error| PersistError::Io { context, source }
-        };
-        {
-            let mut file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)
-                .map_err(io_err("create temp checkpoint"))?;
-            file.write_all(&bytes)
-                .map_err(io_err("write temp checkpoint"))?;
-            file.sync_all().map_err(io_err("sync temp checkpoint"))?;
-        }
-        fs::rename(&tmp, &self.path).map_err(io_err("rename checkpoint into place"))?;
-        // Durability of the rename itself needs a directory fsync; best
-        // effort because not every filesystem/platform allows it.
-        if let Some(parent) = self.path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
+        if let Err(e) = replace_durably(&tmp, &self.path, bytes) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
         let size = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
         self.saves += 1;
@@ -131,6 +129,36 @@ impl CheckpointManager {
         name.push(".tmp");
         self.path.with_file_name(name)
     }
+}
+
+/// Writes `bytes` to `tmp`, fsyncs it, renames it over `path`, then
+/// fsyncs the parent directory (best effort). Leaves `tmp` behind on
+/// failure; the caller removes it.
+fn replace_durably(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    let io_err = |context: &str| {
+        let context = context.to_string();
+        move |source: std::io::Error| PersistError::Io { context, source }
+    };
+    {
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(tmp)
+            .map_err(io_err("create temp checkpoint"))?;
+        file.write_all(bytes)
+            .map_err(io_err("write temp checkpoint"))?;
+        file.sync_all().map_err(io_err("sync temp checkpoint"))?;
+    }
+    fs::rename(tmp, path).map_err(io_err("rename checkpoint into place"))?;
+    // Durability of the rename itself needs a directory fsync; best
+    // effort because not every filesystem/platform allows it.
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = File::open(parent) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -196,6 +224,39 @@ mod tests {
         assert_eq!(manager.load().unwrap(), second);
         // No stray temp file left behind.
         assert!(!manager.temp_path().exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reused_buffer_leaves_no_stale_tail() {
+        let dir = temp_dir("reuse");
+        let path = dir.join("monitor.ckpt");
+        let mut manager = CheckpointManager::new(&path);
+        let large = sample_checkpoint(500);
+        let small = sample_checkpoint(3);
+        let large_size = manager.save(&large).unwrap();
+        let small_size = manager.save(&small).unwrap();
+        assert!(small_size < large_size, "{small_size} vs {large_size}");
+        let on_disk = fs::read(&path).unwrap();
+        assert_eq!(on_disk, crate::encode(&small));
+        assert_eq!(manager.load().unwrap(), small);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_save_removes_its_temp_file() {
+        let dir = temp_dir("failed-save");
+        // The target is a non-empty directory, so the rename fails
+        // after the temp file was written and synced.
+        let path = dir.join("monitor.ckpt");
+        fs::create_dir_all(path.join("occupied")).unwrap();
+        let mut manager = CheckpointManager::new(&path);
+        assert!(matches!(
+            manager.save(&sample_checkpoint(20)),
+            Err(PersistError::Io { .. })
+        ));
+        assert!(!manager.temp_path().exists(), "temp file left behind");
+        assert_eq!(manager.saves(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,12 +10,17 @@
 //! * **Bit flips** — seeded pseudo-random single-bit flips across the
 //!   whole file; each must be caught by the magic check, the framing
 //!   checks, a section CRC, or semantic validation.
+//! * **Nesting** — forged documents nested far deeper than the grammar
+//!   allows are refused from their headers, without recursion.
 //! * **Round-trip** — proptest-driven encode → decode identity over
 //!   randomized sketch contents.
 
 use proptest::prelude::*;
 
-use ddos_streams::persist::{decode, encode, section_offsets, Checkpoint, PersistError};
+use ddos_streams::netsim::{run_pipeline, CheckpointSidecar, PipelineConfig, TrafficDriver};
+use ddos_streams::persist::{
+    crc32, decode, encode, section_offsets, Checkpoint, PersistError, FORMAT_VERSION, MAGIC,
+};
 use ddos_streams::{
     Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, SourceAddr,
     TrackingDcs,
@@ -191,6 +196,124 @@ fn sharded_counts_overflowing_u64_are_incompatible() {
         }
         other => panic!("overflowing counts must be Incompatible, got {other:?}"),
     }
+}
+
+/// `crc32(a ‖ b)` from `crc32(a)`, `crc32(b)` and `b.len()` (zlib's
+/// `crc32_combine`), so a deeply nested document gets a valid CRC at
+/// every layer without re-hashing each layer's whole payload.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // Polynomials mod P in reflected bit order: x^k is bit 31 − k.
+    fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+        let mut product = 0;
+        for bit in (0..32).rev() {
+            if a & (1 << bit) != 0 {
+                product ^= b;
+            }
+            b = if b & 1 != 0 {
+                (b >> 1) ^ 0xEDB8_8320
+            } else {
+                b >> 1
+            };
+        }
+        product
+    }
+    let (mut shift, mut square) = (1u32 << 31, 1u32 << 23); // x^0, x^8
+    let mut zero_bytes = len_b;
+    while zero_bytes != 0 {
+        if zero_bytes & 1 != 0 {
+            shift = mul_mod_p(square, shift);
+        }
+        square = mul_mod_p(square, square);
+        zero_bytes >>= 1;
+    }
+    mul_mod_p(shift, crc_a) ^ crc_b
+}
+
+/// A forged chain of `depth` tracking documents, each holding the next
+/// in its `SKC` section (where the grammar allows only a sketch), around
+/// an empty sketch document. Every layer's framing and CRCs are valid.
+fn nested_tracking_chain(depth: usize) -> Vec<u8> {
+    let leaf = encode(&Checkpoint::Sketch(
+        DistinctCountSketch::new(config(1)).to_state(),
+    ));
+    let mut suffix = b"TRM\0".to_vec();
+    suffix.extend_from_slice(&8u64.to_le_bytes());
+    suffix.extend_from_slice(&crc32(&[0; 8]).to_le_bytes());
+    suffix.extend_from_slice(&[0; 8]);
+    let (mut len, mut crc) = (leaf.len(), crc32(&leaf));
+    let mut prefixes = Vec::with_capacity(depth);
+    for _ in 0..depth {
+        let mut prefix = MAGIC.to_vec();
+        prefix.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        prefix.push(2); // document kind: Tracking
+        prefix.extend_from_slice(&2u32.to_le_bytes()); // SKC + TRM
+        prefix.extend_from_slice(b"SKC\0");
+        prefix.extend_from_slice(&u64::try_from(len).unwrap().to_le_bytes());
+        prefix.extend_from_slice(&crc.to_le_bytes());
+        crc = crc32_combine(
+            crc32_combine(crc32(&prefix), crc, len),
+            crc32(&suffix),
+            suffix.len(),
+        );
+        len += prefix.len() + suffix.len();
+        prefixes.push(prefix);
+    }
+    let mut bytes = Vec::with_capacity(len);
+    for prefix in prefixes.iter().rev() {
+        bytes.extend_from_slice(prefix);
+    }
+    bytes.extend_from_slice(&leaf);
+    for _ in 0..depth {
+        bytes.extend_from_slice(&suffix);
+    }
+    assert_eq!(bytes.len(), len);
+    bytes
+}
+
+#[test]
+fn deeply_nested_documents_are_corrupt_not_a_stack_overflow() {
+    // One layer is a well-formed tracking document: the forgery is
+    // valid framing, so only the nesting rule can refuse deeper ones.
+    assert!(matches!(
+        decode(&nested_tracking_chain(1)),
+        Ok(Checkpoint::Tracking(_))
+    ));
+    for depth in [2, 3, 10_000] {
+        match decode(&nested_tracking_chain(depth)) {
+            Err(PersistError::Corrupt { context }) => {
+                assert!(
+                    context.contains("SKC section: embedded document has kind 2"),
+                    "depth {depth}: {context}"
+                );
+            }
+            other => panic!("depth {depth}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn pipeline_starts_fresh_from_a_deeply_nested_checkpoint() {
+    let path = std::env::temp_dir().join(format!("dcs-corrupt-nested-{}.ckpt", std::process::id()));
+    std::fs::write(&path, nested_tracking_chain(10_000)).unwrap();
+    let mut driver = TrafficDriver::new(5);
+    driver.syn_flood(DestAddr(4), 300);
+    let report = run_pipeline(
+        vec![driver.into_segments()],
+        PipelineConfig {
+            sketch: config(1),
+            checkpoint: Some(CheckpointSidecar {
+                path: path.clone(),
+                every: 100,
+            }),
+            ..PipelineConfig::default()
+        },
+    );
+    let _ = std::fs::remove_file(&path);
+    assert!(!report.restored_from_checkpoint);
+    assert!(
+        report.checkpoints_written > 0,
+        "the fresh run checkpoints again"
+    );
 }
 
 proptest! {
