@@ -64,12 +64,14 @@ pub const HOT_PATH_ROOTS: &[RootSpec] = &[
     // walk slabs in place and must stay effect-free end to end.
     ("LevelState", "merge_from", FORBID_ALL),
     ("LevelState", "subtract", FORBID_ALL),
+    ("LevelState", "slide_epoch", FORBID_ALL),
     ("LevelState", "occupancy", FORBID_ALL),
     // Merge/difference assemble a result sketch (allocation is the
     // point) but run beside live ingest and must never block it.
     ("DistinctCountSketch", "merge_many", FORBID_BLOCKING),
     ("DistinctCountSketch", "difference", FORBID_BLOCKING),
     ("DistinctCountSketch", "subtract", FORBID_BLOCKING),
+    ("DistinctCountSketch", "slide_epoch", FORBID_BLOCKING),
     // Sliding-window slide and query (DESIGN.md §17): run at epoch
     // boundaries beside live ingest — retaining the delta and building
     // estimates allocate, but nothing may block.

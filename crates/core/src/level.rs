@@ -65,8 +65,9 @@
 
 use crate::signature::{
     counter_slab_is_zero, merge_counter_slab, merge_counter_slab_scalar, merge_sum_slab,
-    merge_sum_slab_scalar, subtract_counter_slab, subtract_counter_slab_scalar, subtract_sum_slab,
-    subtract_sum_slab_scalar, sum_slab_is_zero, BucketState, SigMut, SigRef, SIGNATURE_LEN,
+    merge_sum_slab_scalar, slide_counter_slab, slide_sum_slab, subtract_counter_slab,
+    subtract_counter_slab_scalar, subtract_sum_slab, subtract_sum_slab_scalar, sum_slab_is_zero,
+    BucketState, SigMut, SigRef, SIGNATURE_LEN,
 };
 use crate::types::{Delta, FlowKey};
 use dcs_hash::cast::usize_from_u32;
@@ -405,6 +406,45 @@ impl LevelState {
         subtract_sum_slab_scalar(&mut self.key_sums, &other.key_sums);
         subtract_sum_slab_scalar(&mut self.fp_sums, &other.fp_sums);
         subtract_counter_slab_scalar(&mut self.totals, &other.totals);
+    }
+
+    /// Closes one epoch over this level in one fused pass per slab:
+    /// `d = cumulative − base; window += d − slot; base = cumulative;
+    /// slot = d` (see `slide_kernel!`). `slot` holds the expiring
+    /// delta on entry (an all-zero level when nothing expires) and the
+    /// closing epoch's delta on exit. Each slab is walked once, where
+    /// the unfused composition walks the level five times (two clones,
+    /// two subtractions, one merge) and allocates two copies of it.
+    pub(crate) fn slide_epoch(
+        cumulative: &LevelState,
+        base: &mut LevelState,
+        window: &mut LevelState,
+        slot: &mut LevelState,
+    ) {
+        slide_counter_slab(
+            &cumulative.counts,
+            &mut base.counts,
+            &mut window.counts,
+            &mut slot.counts,
+        );
+        slide_sum_slab(
+            &cumulative.key_sums,
+            &mut base.key_sums,
+            &mut window.key_sums,
+            &mut slot.key_sums,
+        );
+        slide_sum_slab(
+            &cumulative.fp_sums,
+            &mut base.fp_sums,
+            &mut window.fp_sums,
+            &mut slot.fp_sums,
+        );
+        slide_counter_slab(
+            &cumulative.totals,
+            &mut base.totals,
+            &mut window.totals,
+            &mut slot.totals,
+        );
     }
 
     /// Telemetry gauges for this level: `(occupied, singletons)` —

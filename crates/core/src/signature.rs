@@ -653,6 +653,90 @@ slab_is_zero!(
     u64
 );
 
+/// Generates the fused epoch-slide kernel over one slab type.
+///
+/// One pass over four equal-length slabs — cumulative `c`, epoch base
+/// `b`, window accumulator `w`, and ring slot `s` (the expiring delta
+/// on entry, the closing epoch's delta on exit) — computing per element
+/// `d = c − b; w += d − s; b = c; s = d` with wrapping arithmetic, so
+/// the result equals difference → merge → subtract → copy in any order.
+/// [`SLAB_LANES`]-wide chunks where `c == b` and `s == 0` are skipped:
+/// there `d = 0`, so no slab changes and no destination line is
+/// written.
+macro_rules! slide_kernel {
+    ($(#[$meta:meta])* $name:ident, $ty:ty) => {
+        $(#[$meta])*
+        #[inline]
+        pub(crate) fn $name(c: &[$ty], b: &mut [$ty], w: &mut [$ty], s: &mut [$ty]) {
+            debug_assert!(c.len() == b.len() && c.len() == w.len() && c.len() == s.len());
+            let mut c_chunks = c.chunks_exact(SLAB_LANES);
+            let mut b_chunks = b.chunks_exact_mut(SLAB_LANES);
+            let mut w_chunks = w.chunks_exact_mut(SLAB_LANES);
+            let mut s_chunks = s.chunks_exact_mut(SLAB_LANES);
+            for (((c, b), w), s) in c_chunks
+                .by_ref()
+                .zip(b_chunks.by_ref())
+                .zip(w_chunks.by_ref())
+                .zip(s_chunks.by_ref())
+            {
+                match (
+                    c.first_chunk::<SLAB_LANES>(),
+                    b.first_chunk_mut::<SLAB_LANES>(),
+                    w.first_chunk_mut::<SLAB_LANES>(),
+                    s.first_chunk_mut::<SLAB_LANES>(),
+                ) {
+                    (Some(c), Some(b), Some(w), Some(s)) => {
+                        let mut moved: $ty = 0;
+                        for j in 0..SLAB_LANES {
+                            moved |= (c[j] ^ b[j]) | s[j];
+                        }
+                        if moved == 0 {
+                            continue;
+                        }
+                        for j in 0..SLAB_LANES {
+                            lane(c[j], &mut b[j], &mut w[j], &mut s[j]);
+                        }
+                    }
+                    // Unreachable, kept total (see `slab_kernels!`).
+                    _ => lanes(c, b, w, s),
+                }
+            }
+            lanes(
+                c_chunks.remainder(),
+                b_chunks.into_remainder(),
+                w_chunks.into_remainder(),
+                s_chunks.into_remainder(),
+            );
+
+            #[inline(always)]
+            fn lane(c: $ty, b: &mut $ty, w: &mut $ty, s: &mut $ty) {
+                let d = c.wrapping_sub(*b);
+                *w = w.wrapping_add(d.wrapping_sub(*s));
+                *b = c;
+                *s = d;
+            }
+
+            fn lanes(c: &[$ty], b: &mut [$ty], w: &mut [$ty], s: &mut [$ty]) {
+                for (((c, b), w), s) in c.iter().zip(b).zip(w).zip(s) {
+                    lane(*c, b, w, s);
+                }
+            }
+        }
+    };
+}
+
+slide_kernel!(
+    /// The fused epoch slide over counter slabs (and the totals mirror).
+    slide_counter_slab,
+    i64
+);
+
+slide_kernel!(
+    /// The fused epoch slide over screen-sum slabs.
+    slide_sum_slab,
+    u64
+);
+
 /// A second-level hash bucket's counter array (the owned form).
 ///
 /// The sketch's arena storage borrows buckets as `SigRef`/`SigMut`

@@ -1029,6 +1029,133 @@ impl DistinctCountSketch {
         Ok(())
     }
 
+    /// Closes one epoch of a sliding window in a single pass over four
+    /// sketches: this one (the window accumulator), `cumulative` (the
+    /// all-time sketch the stream is ingested into), `base` (the
+    /// cumulative state at the previous epoch boundary), and `slot`
+    /// (the expiring delta, or an empty sketch when nothing expires).
+    ///
+    /// On success `slot` holds the closing epoch's delta
+    /// `cumulative − base`, this accumulator has gained that delta and
+    /// shed what `slot` held before, and `base` equals `cumulative`.
+    /// The result is bit-identical — every materialized level, counter
+    /// and update count — to the unfused composition
+    ///
+    /// ```text
+    /// let delta = cumulative.difference(base)?;
+    /// window.merge_from(&delta)?;
+    /// window.subtract(&expired)?;
+    /// *base = cumulative.clone();
+    /// *slot = delta;
+    /// ```
+    ///
+    /// but walks each level once and, once every level it touches is
+    /// materialized in all four sketches, allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Every check runs before anything is written, so on error all
+    /// four sketches are unchanged. Returns
+    /// [`SketchError::IncompatibleMerge`] if any configuration differs
+    /// from this sketch's, and [`SketchError::SnapshotAhead`] if `base`
+    /// has processed more updates than `cumulative` (it cannot be an
+    /// earlier state) or `slot` more than the accumulator would hold
+    /// after admitting the delta (it cannot be one of its constituents).
+    pub fn slide_epoch(
+        &mut self,
+        cumulative: &Self,
+        base: &mut Self,
+        slot: &mut Self,
+    ) -> Result<(), SketchError> {
+        // The composition's checks, in its order and with its errors.
+        let incompatible = |a: &SketchConfig, b: &SketchConfig| SketchError::IncompatibleMerge {
+            reason: format!("configs differ: {a:?} vs {b:?}"),
+        };
+        if cumulative.config != base.config {
+            return Err(incompatible(&cumulative.config, &base.config));
+        }
+        if base.updates_processed > cumulative.updates_processed {
+            cumulative.telem.incr(Counter::SnapshotAheadRejected);
+            return Err(SketchError::SnapshotAhead {
+                snapshot_updates: base.updates_processed,
+                current_updates: cumulative.updates_processed,
+            });
+        }
+        for other in [&cumulative.config, &slot.config] {
+            if self.config != *other {
+                return Err(incompatible(&self.config, other));
+            }
+        }
+        let delta_updates = cumulative.updates_processed - base.updates_processed;
+        let admitted = self.updates_processed + delta_updates;
+        if slot.updates_processed > admitted {
+            self.telem.incr(Counter::SnapshotAheadRejected);
+            return Err(SketchError::SnapshotAhead {
+                snapshot_updates: slot.updates_processed,
+                current_updates: admitted,
+            });
+        }
+        let (tables, buckets) = (self.config.num_tables(), self.config.buckets_per_table());
+        let fresh = || LevelState::new(tables, buckets);
+        for (((c, b), w), s) in cumulative
+            .levels
+            .iter()
+            .zip(&mut base.levels)
+            .zip(&mut self.levels)
+            .zip(&mut slot.levels)
+        {
+            match c {
+                // The delta of a level the cumulative sketch holds is
+                // always materialized, so a missing base, accumulator
+                // or slot level is exactly an all-zero one.
+                Some(c) => LevelState::slide_epoch(
+                    c,
+                    b.get_or_insert_with(fresh),
+                    w.get_or_insert_with(fresh),
+                    s.get_or_insert_with(fresh),
+                ),
+                // Only a base or window from another history can hold
+                // a level the cumulative sketch lacks: replay the
+                // unfused level rules (a non-zero base level yields a
+                // negated delta; an expiring level is subtracted,
+                // materializing the accumulator only when non-zero).
+                None => {
+                    let delta = b.take().filter(|b| !b.is_zero()).map(|b| {
+                        let mut d = fresh();
+                        d.subtract(&b);
+                        d
+                    });
+                    if let Some(d) = &delta {
+                        w.get_or_insert_with(fresh).merge_from(d);
+                    }
+                    if let Some(e) = s.as_ref() {
+                        match w {
+                            Some(w) => w.subtract(e),
+                            None if !e.is_zero() => {
+                                let mut negated = fresh();
+                                negated.subtract(e);
+                                *w = Some(negated);
+                            }
+                            None => {}
+                        }
+                    }
+                    *s = delta;
+                }
+            }
+        }
+        let delta_net = cumulative.net_updates - base.net_updates;
+        self.updates_processed = admitted - slot.updates_processed;
+        self.net_updates = self.net_updates + delta_net - slot.net_updates;
+        self.telem.merge_from(&cumulative.telem);
+        slot.updates_processed = delta_updates;
+        slot.net_updates = delta_net;
+        slot.telem.clone_from(&cumulative.telem);
+        base.updates_processed = cumulative.updates_processed;
+        base.net_updates = cumulative.net_updates;
+        base.telem.clone_from(&cumulative.telem);
+        Ok(())
+    }
+
     /// Estimates the distinct-count frequency of a single `group` from
     /// the current distinct sample (a point query over the same sample
     /// the top-k estimate uses).

@@ -464,16 +464,7 @@ fn boundary_snapshot(
     };
     judge.stamp_gauges(&mut snap);
     if let Some(w) = window {
-        let ring = w.window();
-        snap.set_counter(
-            "window_epochs_held",
-            u64::try_from(ring.len()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter(
-            "window_epochs_capacity",
-            u64::try_from(ring.epochs()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter("window_epochs_rotated", ring.epochs_rotated());
+        w.stamp_gauges(&mut snap);
     }
     snap
 }
@@ -1080,5 +1071,11 @@ mod tests {
         assert!(last.contains("\"window_epochs_held\""));
         assert!(last.contains("\"window_epochs_capacity\":3"));
         assert!(last.contains("\"window_epochs_rotated\""));
+        let heap = last
+            .split("\"window_heap_bytes\":")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse::<u64>().ok());
+        assert!(heap.is_some_and(|bytes| bytes > 0), "{last}");
     }
 }

@@ -17,7 +17,10 @@
 //! [`DistinctCountSketch::subtract`] the expiring one. No
 //! recompute-from-ring, no snapshot clone on the query path — windowed
 //! top-k queries run the wide read kernels directly against the
-//! accumulator.
+//! accumulator. [`EpochWindow`] closes an epoch off a cumulative
+//! sketch in one fused pass ([`DistinctCountSketch::slide_epoch`]):
+//! the epoch's delta is written straight into the expiring delta's
+//! ring slot, with no intermediate sketch.
 //!
 //! The window algebra is *bit-exact*, not approximate: the accumulator
 //! equals the merge of the retained deltas counter-for-counter at every
@@ -170,19 +173,62 @@ impl SlidingWindow {
     /// retains it in the ring, and subtracts the expiring delta once
     /// the ring is past capacity. O(1) in the window length.
     ///
+    /// For callers that already hold the delta; an epoch closed off a
+    /// cumulative sketch goes through [`EpochWindow::advance`], which
+    /// never materializes the delta as a separate sketch.
+    ///
     /// # Errors
     ///
     /// Returns [`SketchError::IncompatibleMerge`] when `delta` was
-    /// built with a different configuration. The expiry subtraction
-    /// cannot fail for ring-resident deltas (same configuration, and
-    /// the accumulator's update count always dominates a constituent's)
-    /// but any error is propagated rather than swallowed.
+    /// built with a different configuration, and
+    /// [`SketchError::SnapshotAhead`] when the expiring delta holds
+    /// more updates than the accumulator would after admitting `delta`
+    /// (a ring that is not the accumulator's constituents). Both are
+    /// checked before anything is written: the window is unchanged on
+    /// error.
     pub fn roll(&mut self, delta: DistinctCountSketch) -> Result<(), SketchError> {
+        if self.ring.len() >= self.epochs {
+            if let Some(expired) = self.ring.front() {
+                let admitted = self.window.updates_processed() + delta.updates_processed();
+                if expired.updates_processed() > admitted {
+                    return Err(SketchError::SnapshotAhead {
+                        snapshot_updates: expired.updates_processed(),
+                        current_updates: admitted,
+                    });
+                }
+            }
+        }
         self.window.merge_from(&delta)?;
         self.ring.push_back(delta);
         if self.ring.len() > self.epochs {
             if let Some(expired) = self.ring.pop_front() {
                 self.window.subtract(&expired)?;
+            }
+        }
+        self.epochs_rotated += 1;
+        Ok(())
+    }
+
+    /// Slides the window by the epoch between `base` and `cumulative`
+    /// with [`DistinctCountSketch::slide_epoch`]: once the ring is at
+    /// capacity the expiring delta's storage becomes the new delta, so
+    /// a steady-state slide allocates nothing. All-or-nothing, like
+    /// the core operation.
+    fn slide(
+        &mut self,
+        cumulative: &DistinctCountSketch,
+        base: &mut DistinctCountSketch,
+    ) -> Result<(), SketchError> {
+        let full = self.ring.len() >= self.epochs;
+        match self.ring.front_mut() {
+            Some(expiring) if full => {
+                self.window.slide_epoch(cumulative, base, expiring)?;
+                self.ring.rotate_left(1);
+            }
+            _ => {
+                let mut slot = DistinctCountSketch::new(self.config.clone());
+                self.window.slide_epoch(cumulative, base, &mut slot)?;
+                self.ring.push_back(slot);
             }
         }
         self.epochs_rotated += 1;
@@ -290,21 +336,21 @@ impl EpochWindow {
     }
 
     /// Closes the current epoch against `cumulative` (the all-time
-    /// sketch the stream is being ingested into): differences it
-    /// against the epoch base to obtain exactly this epoch's delta,
-    /// advances the base, and slides the window.
+    /// sketch the stream is being ingested into): this epoch's delta is
+    /// `cumulative − base`; the accumulator gains it and sheds the
+    /// expiring delta, the delta takes the expiring one's ring slot,
+    /// and the base advances to `cumulative` — one fused pass over the
+    /// four sketches ([`DistinctCountSketch::slide_epoch`], DESIGN.md
+    /// §17.1).
     ///
     /// # Errors
     ///
-    /// Propagates [`SketchError`] from the difference — in particular
+    /// Propagates [`SketchError`] from the slide — in particular
     /// [`SketchError::SnapshotAhead`] when `cumulative` is *behind* the
     /// base (the supplied sketch cannot be a later state of the one the
     /// base was captured from). The window is unchanged on error.
     pub fn advance(&mut self, cumulative: &DistinctCountSketch) -> Result<(), SketchError> {
-        let delta = cumulative.difference(&self.base)?;
-        self.window.roll(delta)?;
-        self.base = cumulative.clone();
-        Ok(())
+        self.window.slide(cumulative, &mut self.base)
     }
 
     /// The policy-weighted windowed top-k: plain accumulator top-k for
@@ -363,9 +409,13 @@ impl EpochWindow {
     ///
     /// Returns [`PersistError::Incompatible`] when the checkpoint's
     /// ring capacity differs from the policy's, the ring overflows its
-    /// declared capacity, or any embedded sketch was built with a
-    /// different configuration; propagates [`PersistError::State`] when
-    /// an embedded state fails the sketches' own validation.
+    /// declared capacity, any embedded sketch was built with a
+    /// different configuration, or the ring is inconsistent — the
+    /// deltas' update and net counts do not sum to the accumulator's,
+    /// or the base has processed more updates than the cumulative
+    /// sketch (such a window would fail, or silently miscount, at a
+    /// later slide); propagates [`PersistError::State`] when an
+    /// embedded state fails the sketches' own validation.
     pub fn from_checkpoint(
         checkpoint: WindowCheckpoint,
         policy: WindowPolicy,
@@ -395,6 +445,33 @@ impl EpochWindow {
                     reason: format!("{what} sketch was built with a different configuration"),
                 });
             }
+        }
+        let inconsistent = |reason: String| PersistError::Incompatible { reason };
+        let updates = checkpoint
+            .deltas
+            .iter()
+            .try_fold(0u64, |sum, d| sum.checked_add(d.updates_processed));
+        if updates != Some(checkpoint.window.updates_processed) {
+            return Err(inconsistent(format!(
+                "ring deltas hold {updates:?} updates but the accumulator {}",
+                checkpoint.window.updates_processed
+            )));
+        }
+        let net = checkpoint
+            .deltas
+            .iter()
+            .try_fold(0i64, |sum, d| sum.checked_add(d.net_updates));
+        if net != Some(checkpoint.window.net_updates) {
+            return Err(inconsistent(format!(
+                "ring deltas net {net:?} updates but the accumulator {}",
+                checkpoint.window.net_updates
+            )));
+        }
+        if checkpoint.base.updates_processed > checkpoint.current.sketch.updates_processed {
+            return Err(inconsistent(format!(
+                "epoch base has processed {} updates, more than the cumulative sketch's {}",
+                checkpoint.base.updates_processed, checkpoint.current.sketch.updates_processed
+            )));
         }
         let current = TrackingDcs::from_state(checkpoint.current)?;
         let base = DistinctCountSketch::from_state(checkpoint.base)?;
@@ -427,6 +504,18 @@ impl EpochWindow {
     /// Heap bytes across the window and the epoch base.
     pub fn heap_bytes(&self) -> usize {
         self.window.heap_bytes() + self.base.heap_bytes()
+    }
+
+    /// Stamps the window gauges — ring depth, capacity, rotations, and
+    /// heap bytes — onto a telemetry snapshot under assembly. The one
+    /// definition behind [`WindowedMonitor::telemetry_snapshot`] and
+    /// the windowed pipeline's boundary snapshots.
+    pub fn stamp_gauges(&self, snap: &mut TelemetrySnapshot) {
+        let gauge = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+        snap.set_counter("window_epochs_held", gauge(self.window.len()));
+        snap.set_counter("window_epochs_capacity", gauge(self.window.epochs()));
+        snap.set_counter("window_epochs_rotated", self.window.epochs_rotated());
+        snap.set_counter("window_heap_bytes", gauge(self.heap_bytes()));
     }
 }
 
@@ -576,20 +665,7 @@ impl WindowedMonitor {
     /// gauges — ring depth, capacity, rotations, and window heap bytes.
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
         let mut snap = self.monitor.telemetry_snapshot(label);
-        let window = self.epoch_window.window();
-        snap.set_counter(
-            "window_epochs_held",
-            u64::try_from(window.len()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter(
-            "window_epochs_capacity",
-            u64::try_from(window.epochs()).unwrap_or(u64::MAX),
-        );
-        snap.set_counter("window_epochs_rotated", window.epochs_rotated());
-        snap.set_counter(
-            "window_heap_bytes",
-            u64::try_from(self.epoch_window.heap_bytes()).unwrap_or(u64::MAX),
-        );
+        self.epoch_window.stamp_gauges(&mut snap);
         snap
     }
 }
@@ -677,6 +753,82 @@ mod tests {
         ));
         assert_eq!(window.len(), 1);
         assert_eq!(window.epochs_rotated(), 1);
+    }
+
+    /// A Sliding{2} window whose ring does not sum to its accumulator:
+    /// the expiring delta holds 50 updates, the accumulator 49.
+    fn inconsistent_window() -> EpochWindow {
+        let mut window = delta(0, 1, 49);
+        window.merge_from(&delta(500, 2, 0)).unwrap();
+        EpochWindow {
+            policy: WindowPolicy::Sliding { epochs: 2 },
+            window: SlidingWindow {
+                config: config(),
+                ring: VecDeque::from([delta(0, 1, 50), delta(500, 2, 0)]),
+                window,
+                epochs: 2,
+                epochs_rotated: 2,
+            },
+            base: delta(0, 1, 49),
+        }
+    }
+
+    #[test]
+    fn failed_slides_leave_an_inconsistent_window_unchanged() {
+        let mut ew = inconsistent_window();
+        let current = TrackingDcs::from_sketch(delta(0, 1, 49));
+        let before = ew.to_checkpoint(&current);
+        // Both entry points check the expiring delta before writing.
+        assert!(matches!(
+            ew.advance(current.sketch()),
+            Err(SketchError::SnapshotAhead {
+                snapshot_updates: 50,
+                current_updates: 49
+            })
+        ));
+        assert_eq!(ew.to_checkpoint(&current), before);
+        assert!(matches!(
+            ew.window.roll(DistinctCountSketch::new(config())),
+            Err(SketchError::SnapshotAhead { .. })
+        ));
+        assert_eq!(ew.to_checkpoint(&current), before);
+    }
+
+    #[test]
+    fn restore_rejects_a_ring_that_does_not_sum_to_the_accumulator() {
+        let policy = WindowPolicy::Sliding { epochs: 2 };
+        let current = TrackingDcs::from_sketch(delta(0, 1, 49));
+        let restore = |doc: WindowCheckpoint| EpochWindow::from_checkpoint(doc, policy.clone());
+        assert!(matches!(
+            restore(inconsistent_window().to_checkpoint(&current)),
+            Err(PersistError::Incompatible { .. })
+        ));
+        // A consistent document restores; each single inconsistency
+        // (update sum, net sum, base ahead of the cumulative) is refused.
+        let mut wm =
+            WindowedMonitor::new(config(), AlarmPolicy::default(), policy.clone()).unwrap();
+        for epoch in 0..3u32 {
+            for s in 0..20 + epoch {
+                wm.ingest_one(FlowUpdate::insert(SourceAddr(epoch * 100 + s), DestAddr(1)));
+            }
+            wm.rotate().unwrap();
+        }
+        wm.ingest_one(FlowUpdate::delete(SourceAddr(0), DestAddr(1)));
+        let good = wm.to_checkpoint();
+        assert!(restore(good.clone()).is_ok());
+        let tampered: [fn(&mut WindowCheckpoint); 3] = [
+            |doc| doc.deltas[0].updates_processed += 1,
+            |doc| doc.deltas[1].net_updates -= 2,
+            |doc| doc.base.updates_processed = doc.current.sketch.updates_processed + 1,
+        ];
+        for (i, tamper) in tampered.iter().enumerate() {
+            let mut doc = good.clone();
+            tamper(&mut doc);
+            assert!(
+                matches!(restore(doc), Err(PersistError::Incompatible { .. })),
+                "tamper {i}"
+            );
+        }
     }
 
     #[test]
@@ -835,6 +987,12 @@ mod tests {
         wm.rotate().unwrap();
         let snap = wm.telemetry_snapshot("windowed");
         let line = snap.to_jsonl();
+        let heap = wm.epoch_window().heap_bytes();
+        assert!(heap > 0);
+        assert!(
+            line.contains(&format!("\"window_heap_bytes\":{heap}")),
+            "{line}"
+        );
         assert!(line.contains("\"window_epochs_held\":1"), "{line}");
         assert!(line.contains("\"window_epochs_capacity\":2"), "{line}");
         assert!(line.contains("\"window_epochs_rotated\":1"), "{line}");

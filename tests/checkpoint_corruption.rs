@@ -17,7 +17,9 @@
 
 use proptest::prelude::*;
 
-use ddos_streams::netsim::{run_pipeline, CheckpointSidecar, PipelineConfig, TrafficDriver};
+use ddos_streams::netsim::{
+    run_pipeline, CheckpointSidecar, PipelineConfig, TrafficDriver, WindowPolicy,
+};
 use ddos_streams::persist::{
     crc32, decode, encode, section_offsets, Checkpoint, PersistError, FORMAT_VERSION, MAGIC,
 };
@@ -314,6 +316,42 @@ fn pipeline_starts_fresh_from_a_deeply_nested_checkpoint() {
         report.checkpoints_written > 0,
         "the fresh run checkpoints again"
     );
+}
+
+#[test]
+fn pipeline_starts_fresh_from_a_window_ring_that_does_not_sum() {
+    let path = std::env::temp_dir().join(format!("dcs-corrupt-ring-{}.ckpt", std::process::id()));
+    let run = || {
+        let mut driver = TrafficDriver::new(5);
+        driver.syn_flood(DestAddr(4), 300);
+        run_pipeline(
+            vec![driver.into_segments()],
+            PipelineConfig {
+                sketch: config(1),
+                evaluate_every: 50,
+                window: Some(WindowPolicy::Sliding { epochs: 2 }),
+                checkpoint: Some(CheckpointSidecar {
+                    path: path.clone(),
+                    every: 100,
+                }),
+                ..PipelineConfig::default()
+            },
+        )
+    };
+    assert!(!run().restored_from_checkpoint);
+    let Checkpoint::Window(mut doc) = decode(&std::fs::read(&path).unwrap()).unwrap() else {
+        panic!("a windowed direct pipeline saves window documents");
+    };
+    assert!(!doc.deltas.is_empty());
+    // The intact document resumes; the same document with its oldest
+    // delta claiming one update the accumulator never saw does not.
+    assert!(run().restored_from_checkpoint);
+    doc.deltas[0].updates_processed += 1;
+    std::fs::write(&path, encode(&Checkpoint::Window(doc))).unwrap();
+    let report = run();
+    let _ = std::fs::remove_file(&path);
+    assert!(!report.restored_from_checkpoint);
+    assert!(report.checkpoints_written > 0);
 }
 
 proptest! {

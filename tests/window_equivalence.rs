@@ -11,6 +11,12 @@
 //! the window. Deterministic tests pin the shape; proptest interleaves
 //! slides, queries, and restores arbitrarily.
 //!
+//! The window slides through one fused pass
+//! ([`DistinctCountSketch::slide_epoch`] under `EpochWindow::advance`);
+//! the unfused composition it replaced — `difference` → `roll` →
+//! `clone` — survives here only as the oracle it must equal byte for
+//! byte, checkpoint documents included.
+//!
 //! **Claim 2 — detection semantics.** Windowing is not a refactor; it
 //! changes what the monitor can see. A pulse-wave attack whose bursts
 //! straddle every coarse interval boundary averages out to nothing in
@@ -21,11 +27,13 @@
 
 use proptest::prelude::*;
 
+use ddos_streams::netsim::sharded::ShardedIngest;
 use ddos_streams::netsim::window::{EpochWindow, SlidingWindow, WindowPolicy, WindowedMonitor};
-use ddos_streams::persist::{decode, encode, Checkpoint};
+use ddos_streams::persist::{decode, encode, Checkpoint, WindowCheckpoint};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
 use ddos_streams::{
-    AlarmPolicy, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SourceAddr,
+    AlarmPolicy, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, SourceAddr,
+    TrackingDcs,
 };
 
 fn config(seed: u64) -> SketchConfig {
@@ -460,4 +468,321 @@ fn windowed_query_rejects_snapshot_ahead_cumulative() {
     // The failed advance left the window untouched.
     assert_eq!(window.window().epochs_rotated(), 1);
     assert_eq!(window.window().sketch().updates_processed(), 50);
+}
+
+/// The unfused epoch slide, composed from public operations: the
+/// oracle the fused [`EpochWindow::advance`] must equal byte for byte.
+struct ComposedWindow {
+    window: SlidingWindow,
+    base: DistinctCountSketch,
+}
+
+impl ComposedWindow {
+    fn new(config: SketchConfig, epochs: usize) -> Self {
+        Self {
+            window: SlidingWindow::new(config.clone(), epochs),
+            base: DistinctCountSketch::new(config),
+        }
+    }
+
+    fn advance(&mut self, cumulative: &DistinctCountSketch) -> Result<(), SketchError> {
+        let delta = cumulative.difference(&self.base)?;
+        self.window.roll(delta)?;
+        self.base = cumulative.clone();
+        Ok(())
+    }
+
+    fn to_checkpoint(&self, current: &TrackingDcs) -> WindowCheckpoint {
+        WindowCheckpoint {
+            epochs: self.window.epochs() as u64,
+            epochs_rotated: self.window.epochs_rotated(),
+            current: current.to_state(),
+            base: self.base.to_state(),
+            window: self.window.sketch().to_state(),
+            deltas: self
+                .window
+                .deltas()
+                .map(DistinctCountSketch::to_state)
+                .collect(),
+        }
+    }
+}
+
+/// The cumulative sketch a window slides over: ingested directly, or
+/// split across sharded workers and merged at each boundary.
+enum Cumulative {
+    Direct(DistinctCountSketch),
+    Sharded(ShardedIngest),
+}
+
+impl Cumulative {
+    fn ingest(&mut self, updates: &[FlowUpdate]) {
+        match self {
+            Self::Direct(sketch) => sketch.update_batch(updates),
+            Self::Sharded(engine) => engine.ingest(updates),
+        }
+    }
+
+    fn sketch(&mut self) -> DistinctCountSketch {
+        match self {
+            Self::Direct(sketch) => sketch.clone(),
+            Self::Sharded(engine) => engine.merged_sketch().unwrap(),
+        }
+    }
+}
+
+/// A sketch small enough that a 16-deep ring of them checkpoints fast.
+fn slim_config(seed: u64) -> SketchConfig {
+    SketchConfig::builder()
+        .num_tables(2)
+        .buckets_per_table(16)
+        .max_levels(16)
+        .seed(seed)
+        .build()
+        .unwrap()
+}
+
+/// Asserts the fused window and the oracle hold the same accumulator,
+/// base and ring deltas, and encode to the same kind-5 bytes. (The
+/// documents' `current` field only passes through, so an empty
+/// tracking sketch stands in for the cumulative one.)
+fn assert_same_window(fused: &EpochWindow, oracle: &ComposedWindow) -> Result<(), TestCaseError> {
+    let current = TrackingDcs::new(oracle.window.config().clone());
+    let (got, want) = (
+        fused.to_checkpoint(&current),
+        oracle.to_checkpoint(&current),
+    );
+    prop_assert_eq!(&got.window, &want.window, "accumulator");
+    prop_assert_eq!(&got.base, &want.base, "epoch base");
+    prop_assert_eq!(&got.deltas, &want.deltas, "ring deltas");
+    prop_assert_eq!(got.epochs_rotated, want.epochs_rotated);
+    prop_assert!(
+        encode(&Checkpoint::Window(got)) == encode(&Checkpoint::Window(want)),
+        "kind-5 documents differ"
+    );
+    Ok(())
+}
+
+/// One step of the fused-vs-composed interleaving.
+#[derive(Debug, Clone)]
+enum SlideOp {
+    /// Ingest updates into the open epoch (`true` = insert).
+    Ingest(Vec<(u32, u32, bool)>),
+    /// Close the epoch on both windows.
+    Rotate,
+    /// Checkpoint the fused window through the codec and carry on from
+    /// the restore.
+    Restore,
+    /// Advance with a cumulative sketch behind the base (an error once
+    /// the base has seen updates).
+    Stale,
+    /// Advance with a sketch of another configuration (always an error).
+    Foreign,
+}
+
+fn slide_op_strategy() -> impl Strategy<Value = SlideOp> {
+    let batch = |max| {
+        proptest::collection::vec((0u32..100_000, 0u32..6, 0u32..10), 1..max).prop_map(|batch| {
+            SlideOp::Ingest(
+                batch
+                    .into_iter()
+                    .map(|(s, d, roll)| (s, d, roll < 8))
+                    .collect(),
+            )
+        })
+    };
+    // Small epochs stay on the low levels; the occasional large one
+    // reaches levels the cumulative sketch never had.
+    prop_oneof![
+        batch(20),
+        batch(20),
+        batch(300),
+        Just(SlideOp::Rotate),
+        Just(SlideOp::Rotate),
+        Just(SlideOp::Rotate),
+        Just(SlideOp::Restore),
+        Just(SlideOp::Stale),
+        Just(SlideOp::Foreign),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random ingest/rotate/restore/error interleavings, for N = 1
+    /// (tumbling), 2 and 16 — before and after the ring fills — over a
+    /// direct or a sharded-merged cumulative: after every rotation the
+    /// fused window equals the composed one byte for byte, and a failed
+    /// advance leaves the fused window's checkpoint unchanged.
+    #[test]
+    fn fused_slide_equals_the_composed_slide_byte_for_byte(
+        seed in 0u64..50,
+        epochs in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
+        sharded in any::<bool>(),
+        ops in proptest::collection::vec(slide_op_strategy(), 1..60),
+    ) {
+        let policy = if epochs == 1 {
+            WindowPolicy::Tumbling
+        } else {
+            WindowPolicy::Sliding { epochs }
+        };
+        let config = slim_config(seed);
+        let mut fused = EpochWindow::new(config.clone(), policy.clone()).unwrap();
+        let mut oracle = ComposedWindow::new(config.clone(), epochs);
+        let mut cumulative = if sharded {
+            Cumulative::Sharded(ShardedIngest::new(config.clone(), 2))
+        } else {
+            Cumulative::Direct(DistinctCountSketch::new(config.clone()))
+        };
+        let current = TrackingDcs::new(config.clone());
+        for op in ops.iter().chain([&SlideOp::Rotate]) {
+            let supplied = match op {
+                SlideOp::Ingest(batch) => {
+                    let updates: Vec<FlowUpdate> = batch
+                        .iter()
+                        .map(|&(s, d, insert)| {
+                            if insert {
+                                FlowUpdate::insert(SourceAddr(s), DestAddr(d))
+                            } else {
+                                FlowUpdate::delete(SourceAddr(s), DestAddr(d))
+                            }
+                        })
+                        .collect();
+                    cumulative.ingest(&updates);
+                    continue;
+                }
+                SlideOp::Restore => {
+                    let now = cumulative.sketch();
+                    let doc = fused.to_checkpoint(&TrackingDcs::from_sketch(now));
+                    let Checkpoint::Window(doc) =
+                        decode(&encode(&Checkpoint::Window(doc))).unwrap()
+                    else {
+                        panic!("wrong document kind");
+                    };
+                    fused = EpochWindow::from_checkpoint(doc, policy.clone()).unwrap().0;
+                    continue;
+                }
+                SlideOp::Rotate => cumulative.sketch(),
+                SlideOp::Stale => DistinctCountSketch::new(config.clone()),
+                SlideOp::Foreign => DistinctCountSketch::new(slim_config(seed + 1_000)),
+            };
+            let before = fused.to_checkpoint(&current);
+            let got = fused.advance(&supplied);
+            prop_assert_eq!(&got, &oracle.advance(&supplied));
+            if got.is_err() {
+                prop_assert_eq!(fused.to_checkpoint(&current), before);
+            }
+            assert_same_window(&fused, &oracle)?;
+        }
+    }
+}
+
+#[test]
+fn fused_slide_matches_across_a_new_level_with_the_ring_full() {
+    // Two small epochs fill a 2-epoch ring on the low levels; the third
+    // epoch is large enough to materialize levels the cumulative
+    // sketch, the base, the accumulator and the expiring delta never
+    // had. A sharded-merged cumulative must slide identically.
+    let policy = WindowPolicy::Sliding { epochs: 2 };
+    for sharded in [false, true] {
+        let mut fused = EpochWindow::new(slim_config(5), policy.clone()).unwrap();
+        let mut oracle = ComposedWindow::new(slim_config(5), 2);
+        let mut cumulative = if sharded {
+            Cumulative::Sharded(ShardedIngest::new(slim_config(5), 3))
+        } else {
+            Cumulative::Direct(DistinctCountSketch::new(slim_config(5)))
+        };
+        let mut levels_before = 0;
+        for (epoch, size) in [8u32, 8, 4_000, 30].into_iter().enumerate() {
+            let updates: Vec<FlowUpdate> = (0..size)
+                .map(|s| FlowUpdate::insert(SourceAddr(epoch as u32 * 10_000 + s), DestAddr(s % 5)))
+                .collect();
+            cumulative.ingest(&updates);
+            let now = cumulative.sketch();
+            if epoch == 2 {
+                assert_eq!(fused.window().len(), 2, "the ring is full");
+                assert!(
+                    now.allocated_levels() > levels_before,
+                    "a new level appeared"
+                );
+            }
+            levels_before = now.allocated_levels();
+            fused.advance(&now).unwrap();
+            oracle.advance(&now).unwrap();
+            assert_same_window(&fused, &oracle).unwrap();
+        }
+    }
+}
+
+/// A small, shallow configuration whose arbitrary sketches disagree
+/// on which levels they materialize.
+fn shallow_config() -> SketchConfig {
+    SketchConfig::builder()
+        .num_tables(2)
+        .buckets_per_table(16)
+        .max_levels(6)
+        .seed(3)
+        .build()
+        .unwrap()
+}
+
+/// An arbitrary sketch: inserts, deletes, and insert-then-delete pairs
+/// (which leave a materialized, all-zero level behind).
+fn arbitrary_sketch(max_ops: usize) -> impl Strategy<Value = DistinctCountSketch> {
+    proptest::collection::vec((0u32..300, 0u32..4, 0u32..3), 0..max_ops).prop_map(|ops| {
+        let mut sketch = DistinctCountSketch::new(shallow_config());
+        for (s, d, kind) in ops {
+            let (source, dest) = (SourceAddr(s), DestAddr(d));
+            match kind {
+                0 => sketch.insert(source, dest),
+                1 => sketch.delete(source, dest),
+                _ => {
+                    sketch.insert(source, dest);
+                    sketch.delete(source, dest);
+                }
+            }
+        }
+        sketch
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The core operation against the composition on four unrelated
+    /// sketches, so every combination of present, absent and all-zero
+    /// levels across cumulative, base, accumulator and expiring delta
+    /// occurs: equal results on success, the same error with all four
+    /// sketches untouched on failure.
+    #[test]
+    fn slide_epoch_equals_the_composition_on_arbitrary_sketches(
+        cumulative in arbitrary_sketch(40),
+        base in arbitrary_sketch(20),
+        window in arbitrary_sketch(40),
+        expiring in arbitrary_sketch(20),
+    ) {
+        let composed = (|| {
+            let delta = cumulative.difference(&base)?;
+            let mut w = window.clone();
+            w.merge_from(&delta)?;
+            w.subtract(&expiring)?;
+            Ok::<_, SketchError>((w, cumulative.clone(), delta))
+        })();
+        let (mut w, mut b, mut slot) = (window.clone(), base.clone(), expiring.clone());
+        let fused = w.slide_epoch(&cumulative, &mut b, &mut slot);
+        match composed {
+            Ok((want_w, want_b, want_slot)) => {
+                prop_assert_eq!(fused, Ok(()));
+                prop_assert_eq!(w.to_state(), want_w.to_state());
+                prop_assert_eq!(b.to_state(), want_b.to_state());
+                prop_assert_eq!(slot.to_state(), want_slot.to_state());
+            }
+            Err(err) => {
+                prop_assert_eq!(fused, Err(err));
+                prop_assert_eq!(w.to_state(), window.to_state());
+                prop_assert_eq!(b.to_state(), base.to_state());
+                prop_assert_eq!(slot.to_state(), expiring.to_state());
+            }
+        }
+    }
 }
