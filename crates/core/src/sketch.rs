@@ -852,7 +852,7 @@ impl DistinctCountSketch {
     /// sketch at time `t₁` and this sketch has since processed more
     /// updates, the difference equals a sketch built over only the
     /// `(t₁, now]` updates. This is the building block for epoch-based
-    /// surge detection (see `dcs-netsim`'s epoch manager): compare the
+    /// surge detection (see `dcs-netsim`'s epoch window): compare the
     /// *recent* distinct-source activity against baseline profiles
     /// without keeping per-interval sketches.
     ///

@@ -24,9 +24,10 @@
 //! a modestly larger k' (decay only shrinks contributions), so we
 //! oversample the accumulator's top-k and re-score just those
 //! candidates against each retained delta with the batched
-//! [`DistinctCountSketch::estimate_group_frequencies`] kernel.
+//! [`dcs_core::DistinctCountSketch::estimate_group_frequencies`]
+//! kernel.
 
-use dcs_core::{DistinctCountSketch, TopKEntry, TopKEstimate};
+use dcs_core::{TopKEntry, TopKEstimate};
 
 use crate::window::SlidingWindow;
 
@@ -95,60 +96,10 @@ pub fn decayed_top_k(window: &SlidingWindow, lambda: f64, k: usize, epsilon: f64
     }
 }
 
-/// A standalone decayed window: a [`SlidingWindow`] bundled with its
-/// decay factor, for callers that want recency-weighted queries without
-/// the full monitor stack.
-#[derive(Debug, Clone)]
-pub struct DecayedWindow {
-    window: SlidingWindow,
-    lambda: f64,
-}
-
-impl DecayedWindow {
-    /// Bundles `window` with the decay factor `lambda`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`dcs_core::SketchError::InvalidConfig`] when `lambda`
-    /// is outside `(0, 1]`.
-    pub fn new(window: SlidingWindow, lambda: f64) -> Result<Self, dcs_core::SketchError> {
-        crate::window::WindowPolicy::Decayed {
-            epochs: window.epochs(),
-            lambda,
-        }
-        .validate()?;
-        Ok(Self { window, lambda })
-    }
-
-    /// Slides by one epoch (see [`SlidingWindow::roll`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`dcs_core::SketchError`] from the roll.
-    pub fn roll(&mut self, delta: DistinctCountSketch) -> Result<(), dcs_core::SketchError> {
-        self.window.roll(delta)
-    }
-
-    /// The decayed top-k over the retained epochs.
-    pub fn top_k(&self, k: usize, epsilon: f64) -> TopKEstimate {
-        decayed_top_k(&self.window, self.lambda, k, epsilon)
-    }
-
-    /// The decay factor.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The underlying sliding window.
-    pub fn window(&self) -> &SlidingWindow {
-        &self.window
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_core::{DestAddr, SketchConfig, SourceAddr};
+    use dcs_core::{DestAddr, DistinctCountSketch, SketchConfig, SourceAddr};
 
     fn config() -> SketchConfig {
         SketchConfig::builder()
@@ -221,16 +172,5 @@ mod tests {
         let window = SlidingWindow::new(config(), 2);
         let est = decayed_top_k(&window, 0.5, 4, 0.25);
         assert!(est.entries.is_empty());
-    }
-
-    #[test]
-    fn decayed_window_wrapper_validates_lambda() {
-        let window = SlidingWindow::new(config(), 2);
-        assert!(DecayedWindow::new(window.clone(), 0.0).is_err());
-        let mut dw = DecayedWindow::new(window, 0.5).unwrap();
-        dw.roll(delta(0, 1, 50)).unwrap();
-        assert_eq!(dw.lambda(), 0.5);
-        assert_eq!(dw.top_k(1, 0.25).groups(), vec![1]);
-        assert_eq!(dw.window().len(), 1);
     }
 }

@@ -18,12 +18,11 @@
 //! * [`router`] — edge routers batching exported flow updates.
 //! * [`monitor`] — the DDoS MONITOR of Fig. 1: a Tracking
 //!   Distinct-Count Sketch plus EWMA baseline profiles and alarm logic.
-//! * [`epoch`] — windowed surge detection built on sketch linearity:
-//!   snapshot rings and epoch differences.
-//! * [`window`] / [`decay`] — sliding-window detection: a ring of
-//!   per-epoch delta sketches with O(1) slide (merge the incoming
-//!   delta, subtract the expiring one) and an exponentially-decayed
-//!   scoring variant.
+//! * [`window`] / [`decay`] — windowed detection built on sketch
+//!   linearity: a ring of per-epoch delta sketches with O(1) slide
+//!   (merge the incoming delta, subtract the expiring one), tumbling
+//!   and sliding policies, and an exponentially-decayed scoring
+//!   variant.
 //! * [`topology`] — prefix-partitioned edge routers feeding one
 //!   central monitor.
 //! * [`pipeline`] — a multi-threaded router → monitor pipeline over
@@ -38,7 +37,6 @@
 
 pub mod conn;
 pub mod decay;
-pub mod epoch;
 pub mod hierarchy;
 pub mod impair;
 pub mod ingest;
@@ -55,8 +53,7 @@ pub mod udp;
 pub mod window;
 
 pub use conn::{ConnectionState, HandshakeTracker};
-pub use decay::{decayed_top_k, DecayedWindow};
-pub use epoch::EpochManager;
+pub use decay::decayed_top_k;
 pub use hierarchy::{Granularity, HierarchicalTracker};
 pub use impair::Impairment;
 pub use ingest::{ShardReader, ShardedSnapshot};

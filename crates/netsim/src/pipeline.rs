@@ -86,17 +86,19 @@ pub struct PipelineConfig {
     /// `Some(n)`: the monitor thread feeds a [`ShardedIngest`] engine
     /// with `n` persistent workers instead of sketching inline, judging
     /// alarms against merged snapshots at evaluation boundaries.
-    /// Checkpoints are then sharded documents capturing ring-drained
-    /// positions. `None` (default): single-threaded monitor sketch.
+    /// `None` (default): single-threaded monitor sketch. The mode does
+    /// not change what is saved: the merged sketch equals the direct
+    /// one under any routing, so both write the same checkpoint bytes,
+    /// and a checkpoint from either resumes in either with the
+    /// configured shard count.
     pub ingest_shards: Option<usize>,
     /// `Some(policy)`: alarms are judged over a sliding (or decayed)
     /// window of evaluation epochs instead of the all-time sketch —
     /// every [`Self::evaluate_every`] boundary closes one epoch and
-    /// slides the window in O(1). Direct-mode checkpoints then persist
-    /// the full window document (kind 5); sharded checkpoints stay
-    /// sharded documents and the window re-warms after a restore.
-    /// `None` (default): all-time judgment, bit-for-bit the previous
-    /// behaviour.
+    /// slides the window in O(1). Checkpoints then persist the full
+    /// window document (kind 5), so a resumed run's ring is
+    /// bit-identical to an uninterrupted one's. `None` (default):
+    /// all-time judgment, saved as a sketch document (kind 1).
     pub window: Option<WindowPolicy>,
 }
 
@@ -226,64 +228,43 @@ fn rejected(e: impl std::fmt::Display) -> String {
     format!("restored state rejected ({e})")
 }
 
-fn wrong_kind(doc: &Checkpoint, wanted: &str) -> String {
-    format!("holds a {} document, not {wanted}", doc.kind_name())
-}
-
-/// The direct all-time monitor's cumulative sketch, from a sketch
-/// document (kind 1) or from a tracking document (kind 2) written by
-/// earlier versions, whose tracking levels are validated and dropped.
-fn restore_sketch(
+/// The cumulative sketch, and the epoch window when `window_policy` is
+/// set, from the checkpoint file. A windowed run resumes a window
+/// document (kind 5), whose ring, accumulator and epoch base come back
+/// bit-exactly. An all-time run resumes a sketch document (kind 1), or
+/// the tracking (kind 2) or sharded (kind 4) documents earlier versions
+/// wrote, reduced to the one sketch they hold. Alarm baselines re-warm
+/// as usual.
+fn restore(
     manager: &CheckpointManager,
     config: &SketchConfig,
-) -> Option<DistinctCountSketch> {
-    resume_from(manager, |doc| match doc {
-        Checkpoint::Sketch(state) => {
-            same_config(&state.config, config)?;
-            DistinctCountSketch::from_state(state).map_err(rejected)
-        }
-        Checkpoint::Tracking(state) => {
-            same_config(&state.sketch.config, config)?;
-            TrackingDcs::from_state(state)
-                .map(TrackingDcs::into_sketch)
-                .map_err(rejected)
-        }
-        other => Err(wrong_kind(&other, "a sketch")),
-    })
-}
-
-/// A windowed direct monitor's epoch window and cumulative sketch, from
-/// a window document (kind 5). The ring, accumulator and epoch base
-/// are restored bit-exactly, while alarm baselines re-warm as usual.
-fn restore_window(
-    manager: &CheckpointManager,
-    config: &SketchConfig,
-    policy: &WindowPolicy,
-) -> Option<(EpochWindow, DistinctCountSketch)> {
-    resume_from(manager, |doc| match doc {
-        Checkpoint::Window(doc) => {
-            same_config(&doc.current.sketch.config, config)?;
-            EpochWindow::from_checkpoint(doc, policy.clone())
-                .map(|(window, current)| (window, current.into_sketch()))
-                .map_err(rejected)
-        }
-        other => Err(wrong_kind(&other, "a window")),
-    })
-}
-
-/// A sharded ingest engine, from a sharded document (kind 4). A valid
-/// document resumes with *its own* shard count (routing is part of the
-/// persisted stream position), which may differ from the configured
-/// one.
-fn restore_sharded(manager: &CheckpointManager, config: &SketchConfig) -> Option<ShardedIngest> {
-    resume_from(manager, |doc| match doc {
-        Checkpoint::Sharded(doc) => {
-            if let Some(first) = doc.shards.first() {
-                same_config(&first.config, config)?;
+    window_policy: Option<&WindowPolicy>,
+) -> Option<(DistinctCountSketch, Option<EpochWindow>)> {
+    resume_from(manager, |doc| {
+        let kind = doc.kind_name();
+        let wrong_kind = |wanted: &str| format!("holds a {kind} document, not {wanted}");
+        let (sketch, window) = match (doc, window_policy) {
+            (Checkpoint::Window(doc), Some(policy)) => {
+                let (window, current) =
+                    EpochWindow::from_checkpoint(doc, policy.clone()).map_err(rejected)?;
+                (current.into_sketch(), Some(window))
             }
-            ShardedIngest::from_checkpoint(doc).map_err(rejected)
-        }
-        other => Err(wrong_kind(&other, "a sharded ingest")),
+            (_, Some(_)) => return Err(wrong_kind("a window")),
+            (Checkpoint::Sketch(state), None) => (
+                DistinctCountSketch::from_state(state).map_err(rejected)?,
+                None,
+            ),
+            (Checkpoint::Tracking(state), None) => {
+                let tracking = TrackingDcs::from_state(state).map_err(rejected)?;
+                (tracking.into_sketch(), None)
+            }
+            (doc, None) => match ShardedIngest::merged_document(doc) {
+                Some(merged) => (merged.map_err(rejected)?, None),
+                None => return Err(wrong_kind("a sketch")),
+            },
+        };
+        same_config(sketch.config(), config)?;
+        Ok((sketch, window))
     })
 }
 
@@ -312,50 +293,29 @@ enum Cumulative {
 
 impl Cumulative {
     /// The starting state: resumed from the checkpoint file when it
-    /// holds a compatible document for this mode, empty otherwise.
-    /// Returns the cumulative sketch, the epoch window (when windowed)
-    /// and whether anything was restored.
+    /// holds a compatible document, empty otherwise, in either ingest
+    /// mode — a sharded engine's shard 0 starts from the restored
+    /// sketch. Returns the cumulative sketch, the epoch window (when
+    /// windowed) and whether anything was restored.
     fn start(
         manager: Option<&CheckpointManager>,
         config: &SketchConfig,
         shards: Option<usize>,
         window_policy: Option<&WindowPolicy>,
     ) -> (Self, Option<EpochWindow>, bool) {
-        let fresh_window = || window_policy.map(|wp| new_epoch_window(config, wp));
-        match shards {
-            Some(shards) => {
-                let restored = manager.and_then(|m| restore_sharded(m, config));
-                let resumed = restored.is_some();
-                let mut cumulative = Self::Sharded(
-                    restored.unwrap_or_else(|| ShardedIngest::new(config.clone(), shards.max(1))),
-                );
-                let mut window = fresh_window();
-                // A sharded document carries no ring, so the window
-                // starts empty; rebase it onto the restored cumulative
-                // so the first epoch covers only post-restore traffic.
-                if let (true, Some(w)) = (resumed, &mut window) {
-                    match cumulative.sketch() {
-                        Ok(sketch) => w.rebase(&sketch),
-                        Err(e) => eprintln!("sharded merge failed during window rebase: {e}"),
-                    }
-                }
-                (cumulative, window, resumed)
-            }
-            None => {
-                let restored = manager.and_then(|m| match window_policy {
-                    Some(wp) => restore_window(m, config, wp).map(|(w, s)| (s, Some(w))),
-                    None => restore_sketch(m, config).map(|s| (s, None)),
-                });
-                match restored {
-                    Some((sketch, window)) => (Self::Direct(sketch), window, true),
-                    None => (
-                        Self::Direct(DistinctCountSketch::new(config.clone())),
-                        fresh_window(),
-                        false,
-                    ),
-                }
-            }
-        }
+        let restored = manager.and_then(|m| restore(m, config, window_policy));
+        let resumed = restored.is_some();
+        let (sketch, window) = restored.unwrap_or_else(|| {
+            (
+                DistinctCountSketch::new(config.clone()),
+                window_policy.map(|wp| new_epoch_window(config, wp)),
+            )
+        });
+        let cumulative = match shards {
+            Some(shards) => Self::Sharded(ShardedIngest::starting_from(sketch, shards.max(1))),
+            None => Self::Direct(sketch),
+        };
+        (cumulative, window, resumed)
     }
 
     fn ingest(&mut self, updates: &[FlowUpdate]) {
@@ -383,30 +343,41 @@ impl Cumulative {
     }
 }
 
-/// Writes one checkpoint document, timing the save and disabling
+/// Writes the boundary checkpoint, timing the save and disabling
 /// checkpointing on failure (same degradation contract as the
-/// telemetry exporter: warn once, carry on).
+/// telemetry exporter: warn once, carry on). A sharded merge failure —
+/// unreachable with one shared configuration — skips this save with a
+/// warning.
 fn write_checkpoint(
     manager: &mut Option<CheckpointManager>,
-    checkpoint: &Checkpoint,
+    cumulative: &mut Cumulative,
+    window: &Option<EpochWindow>,
     stats: &mut CheckpointStats,
 ) {
-    if let Some(mgr) = manager {
-        let started = Instant::now();
-        match mgr.save(checkpoint) {
-            Ok(bytes) => {
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                stats.latency.record(nanos);
-                stats.written += 1;
-                stats.bytes_last = bytes;
-            }
-            Err(e) => {
-                eprintln!(
-                    "checkpoint {}: save failed ({e}); disabling checkpointing",
-                    mgr.path().display()
-                );
-                *manager = None;
-            }
+    let Some(mgr) = manager else {
+        return;
+    };
+    let checkpoint = match boundary_checkpoint(cumulative, window) {
+        Ok(checkpoint) => checkpoint,
+        Err(e) => {
+            eprintln!("sharded merge failed during checkpoint: {e}");
+            return;
+        }
+    };
+    let started = Instant::now();
+    match mgr.save(&checkpoint) {
+        Ok(bytes) => {
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            stats.latency.record(nanos);
+            stats.written += 1;
+            stats.bytes_last = bytes;
+        }
+        Err(e) => {
+            eprintln!(
+                "checkpoint {}: save failed ({e}); disabling checkpointing",
+                mgr.path().display()
+            );
+            *manager = None;
         }
     }
 }
@@ -469,26 +440,24 @@ fn boundary_snapshot(
     snap
 }
 
-/// The checkpoint document saved at a boundary: the cumulative sketch
-/// (kind 1) in direct mode; in sharded mode the engine's flushed
-/// ring-drained shard states (never in-flight items), so a restore
-/// resumes routing from exactly the persisted cursor.
-///
-/// Direct windowed mode persists the full window document instead —
-/// ring, accumulator, epoch base, and the cumulative sketch, whose
-/// `current` field is a tracking state built here — so a resumed run's
-/// windowed judgments stay bit-identical to an uninterrupted one.
-/// Sharded mode keeps the sharded document even when windowed (routing
-/// cursors are the resumable state there); the window re-warms over
-/// the next N epochs after a restore.
-fn boundary_checkpoint(cumulative: &mut Cumulative, window: &Option<EpochWindow>) -> Checkpoint {
-    match (cumulative, window) {
-        (Cumulative::Sharded(engine), _) => Checkpoint::Sharded(engine.checkpoint()),
-        (Cumulative::Direct(sketch), Some(w)) => {
-            Checkpoint::Window(w.to_checkpoint(&TrackingDcs::from_sketch(sketch.clone())))
+/// The checkpoint document saved at a boundary, the same in either
+/// ingest mode: the cumulative sketch (kind 1), or when windowed the
+/// full window document (kind 5) — ring, accumulator, epoch base, and
+/// the cumulative sketch, whose `current` field is a tracking state
+/// built here — so a resumed run's windowed judgments stay
+/// bit-identical to an uninterrupted one. A sharded engine is flushed
+/// and merged first, so the document never records an in-flight item.
+fn boundary_checkpoint(
+    cumulative: &mut Cumulative,
+    window: &Option<EpochWindow>,
+) -> Result<Checkpoint, SketchError> {
+    let sketch = cumulative.sketch()?;
+    Ok(match window {
+        Some(w) => {
+            Checkpoint::Window(w.to_checkpoint(&TrackingDcs::from_sketch(sketch.into_owned())))
         }
-        (Cumulative::Direct(sketch), None) => Checkpoint::Sketch(sketch.to_state()),
-    }
+        None => Checkpoint::Sketch(sketch.to_state()),
+    })
 }
 
 /// Runs the pipeline: one thread per router feed, one monitor thread.
@@ -621,20 +590,19 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                         next_snapshot += snapshot_every;
                     }
                     if ingested >= next_checkpoint {
-                        if ckpt_manager.is_some() {
-                            let doc = boundary_checkpoint(&mut cumulative, &window);
-                            write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
-                        }
+                        write_checkpoint(
+                            &mut ckpt_manager,
+                            &mut cumulative,
+                            &window,
+                            &mut ckpt_stats,
+                        );
                         next_checkpoint += checkpoint_every;
                     }
                 }
             }
             evaluate_boundary(&mut cumulative, &mut judge, &mut window, &mut alarms);
             // One final checkpoint so a clean shutdown is resumable too.
-            if ckpt_manager.is_some() {
-                let doc = boundary_checkpoint(&mut cumulative, &window);
-                write_checkpoint(&mut ckpt_manager, &doc, &mut ckpt_stats);
-            }
+            write_checkpoint(&mut ckpt_manager, &mut cumulative, &window, &mut ckpt_stats);
             if exporter.is_some() {
                 let snap = boundary_snapshot(&cumulative, &judge, &window, "pipeline_final");
                 export_snapshot(

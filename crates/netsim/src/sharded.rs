@@ -12,7 +12,7 @@
 use dcs_core::{
     cast, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TrackingDcs, BATCH_CHUNK,
 };
-use dcs_persist::{PersistError, ShardedCheckpoint};
+use dcs_persist::{Checkpoint, PersistError, ShardedCheckpoint};
 use dcs_telemetry::TelemetrySnapshot;
 
 use crate::ingest::{ShardReader, WorkerPool};
@@ -124,20 +124,29 @@ impl ShardedIngest {
     ///
     /// Panics if `shards` is zero.
     pub fn new(config: SketchConfig, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let seeds = (0..shards)
-            .map(|_| DistinctCountSketch::new(config.clone()))
-            .collect();
-        Self {
-            pool: WorkerPool::spawn(seeds),
-            config,
-            updates_distributed: 0,
-        }
+        Self::starting_from(DistinctCountSketch::new(config), shards)
     }
 
-    /// Rebuilds a running sharded ingest from restored shard sketches
-    /// and the position cursor (the internal half of
-    /// [`Self::from_checkpoint`]).
+    /// Spawns `shards` persistent workers: shard 0 starts from `sketch`,
+    /// the others empty, and the position cursor sits at the updates
+    /// `sketch` has processed. By linearity the merged view is `sketch`
+    /// plus whatever is ingested from here, however it is routed — how
+    /// a sharded pipeline resumes the sketch a checkpoint holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub(crate) fn starting_from(sketch: DistinctCountSketch, shards: usize) -> Self {
+        assert!(shards > 0, "need at least one shard");
+        let config = sketch.config().clone();
+        let updates_distributed = sketch.updates_processed();
+        let mut seeds = vec![sketch];
+        seeds.resize_with(shards, || DistinctCountSketch::new(config.clone()));
+        Self::from_parts(config, seeds, updates_distributed)
+    }
+
+    /// Rebuilds a running sharded ingest from shard sketches and the
+    /// position cursor.
     fn from_parts(
         config: SketchConfig,
         seeds: Vec<DistinctCountSketch>,
@@ -248,46 +257,25 @@ impl ShardedIngest {
     /// two must match); propagates [`PersistError::State`] when a shard
     /// state fails validation.
     pub fn from_checkpoint(checkpoint: ShardedCheckpoint) -> Result<Self, PersistError> {
-        let Some(first) = checkpoint.shards.first() else {
-            return Err(PersistError::Incompatible {
-                reason: "sharded checkpoint has no shards".into(),
-            });
+        let cursor = checkpoint.updates_distributed;
+        let (config, seeds) = checked_shards(checkpoint)?;
+        Ok(Self::from_parts(config, seeds, cursor))
+    }
+
+    /// The one sketch a sharded document (kind 4) sums to: its shards
+    /// pass [`Self::from_checkpoint`]'s checks and merge without
+    /// spawning workers. Earlier pipelines saved sharded runs this way,
+    /// and a pipeline resumes such a file as this sketch. Returns `None`
+    /// for any other document kind.
+    pub(crate) fn merged_document(
+        doc: Checkpoint,
+    ) -> Option<Result<DistinctCountSketch, PersistError>> {
+        let Checkpoint::Sharded(checkpoint) = doc else {
+            return None;
         };
-        let config = first.config.clone();
-        let mut total = 0u64;
-        let mut seeds = Vec::with_capacity(checkpoint.shards.len());
-        for (index, state) in checkpoint.shards.into_iter().enumerate() {
-            if state.config != config {
-                return Err(PersistError::Incompatible {
-                    reason: format!(
-                        "shard {index} was built with a different sketch configuration"
-                    ),
-                });
-            }
-            // `checked_add`, not `saturating_add`: a corrupt document
-            // whose counts saturate to u64::MAX could otherwise match a
-            // u64::MAX cursor and pass the consistency check below.
-            total = total.checked_add(state.updates_processed).ok_or_else(|| {
-                PersistError::Incompatible {
-                    reason: format!("per-shard update counts overflow u64 at shard {index}"),
-                }
-            })?;
-            seeds.push(DistinctCountSketch::from_state(state)?);
-        }
-        if total != checkpoint.updates_distributed {
-            return Err(PersistError::Incompatible {
-                reason: format!(
-                    "cursor says {} update(s) distributed but the shards \
-                     together processed {total}",
-                    checkpoint.updates_distributed
-                ),
-            });
-        }
-        Ok(Self::from_parts(
-            config,
-            seeds,
-            checkpoint.updates_distributed,
-        ))
+        Some(checked_shards(checkpoint).and_then(|(config, shards)| {
+            DistinctCountSketch::merge_many(&config, &shards).map_err(PersistError::State)
+        }))
     }
 
     /// Drains every ring and merges the shards into one basic sketch
@@ -351,6 +339,47 @@ impl ShardedIngest {
     fn inject_worker_panic(&mut self, shard: usize, message: &str) {
         self.pool.inject_panic(shard, message);
     }
+}
+
+/// Validates a sharded document and restores its shard sketches (see
+/// [`ShardedIngest::from_checkpoint`] for the checks).
+fn checked_shards(
+    checkpoint: ShardedCheckpoint,
+) -> Result<(SketchConfig, Vec<DistinctCountSketch>), PersistError> {
+    let Some(first) = checkpoint.shards.first() else {
+        return Err(PersistError::Incompatible {
+            reason: "sharded checkpoint has no shards".into(),
+        });
+    };
+    let config = first.config.clone();
+    let mut total = 0u64;
+    let mut seeds = Vec::with_capacity(checkpoint.shards.len());
+    for (index, state) in checkpoint.shards.into_iter().enumerate() {
+        if state.config != config {
+            return Err(PersistError::Incompatible {
+                reason: format!("shard {index} was built with a different sketch configuration"),
+            });
+        }
+        // `checked_add`, not `saturating_add`: a corrupt document
+        // whose counts saturate to u64::MAX could otherwise match a
+        // u64::MAX cursor and pass the consistency check below.
+        total = total.checked_add(state.updates_processed).ok_or_else(|| {
+            PersistError::Incompatible {
+                reason: format!("per-shard update counts overflow u64 at shard {index}"),
+            }
+        })?;
+        seeds.push(DistinctCountSketch::from_state(state)?);
+    }
+    if total != checkpoint.updates_distributed {
+        return Err(PersistError::Incompatible {
+            reason: format!(
+                "cursor says {} update(s) distributed but the shards \
+                 together processed {total}",
+                checkpoint.updates_distributed
+            ),
+        });
+    }
+    Ok((config, seeds))
 }
 
 #[cfg(test)]

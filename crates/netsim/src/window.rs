@@ -1,12 +1,13 @@
-//! Sliding-window detection: a ring of per-epoch delta sketches with
-//! O(1) slide.
+//! Windowed detection: a ring of per-epoch delta sketches with O(1)
+//! slide.
 //!
-//! The epoch snapshot ring ([`crate::epoch`]) gives coarse *tumbling*
-//! windows: a pulse-wave attack that bursts and tears down within one
-//! interval averages out to nothing at every interval boundary and is
-//! never seen. The fix (ROADMAP item 1, grounded in *Memento: Making
-//! Sliding Windows Efficient for Heavy Hitters*) is a window that
-//! *slides* one epoch at a time while covering N epochs.
+//! Judging each epoch on its own ([`WindowPolicy::Tumbling`]) gives
+//! coarse, non-overlapping windows: a pulse-wave attack that bursts
+//! and tears down within one interval averages out to nothing at every
+//! interval boundary and is never seen. The fix (grounded in *Memento:
+//! Making Sliding Windows Efficient for Heavy Hitters*) is a window
+//! that *slides* one epoch at a time while covering N epochs. Both are
+//! the same ring: a tumbling window is its one-epoch case.
 //!
 //! Because distinct-count sketch counters are linear, the sketch of
 //! the last N epochs is exactly the sum of the N per-epoch delta
@@ -372,10 +373,9 @@ impl EpochWindow {
         &self.window
     }
 
-    /// Resets the epoch base to `cumulative` without closing an epoch —
-    /// the restore path when the cumulative sketch was recovered from a
-    /// checkpoint that carries no window document (the ring restarts
-    /// empty and re-warms over the next N rotations, like baselines).
+    /// Resets the epoch base to `cumulative` without closing an epoch,
+    /// so the next epoch covers only what `cumulative` gains from here:
+    /// how a window starts over a stream that already has history.
     pub fn rebase(&mut self, cumulative: &DistinctCountSketch) {
         self.base = cumulative.clone();
     }

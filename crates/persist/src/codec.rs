@@ -12,9 +12,10 @@
 //! by its own CRC-32 (reflected IEEE), so any single flipped bit in a
 //! payload is detected; the header fields are protected structurally
 //! (magic, version, known tags, exact length accounting, and a
-//! trailing-bytes check). Compound documents nest recursively: an
-//! epoch checkpoint's `CUR`/`SNP` sections carry complete embedded
-//! documents, so the same encode/decode pair handles every layer. An
+//! trailing-bytes check). Compound documents nest recursively: a
+//! window checkpoint's `CUR`/`BAS`/`WIN`/`SNP` sections carry complete
+//! embedded documents, so the same encode/decode pair handles every
+//! layer. An
 //! embedded document must be the kind the table below names for its
 //! section; the decoder checks the embedded header's kind byte before
 //! reading any further, so nesting is at most three documents deep
@@ -31,9 +32,14 @@
 //! |---|---|
 //! | 1 `Sketch`   | `CFG` `MET` `LVL`* |
 //! | 2 `Tracking` | `SKC`(nested Sketch) `TRM` `TRK`* |
-//! | 3 `Epoch`    | `EPO` `CUR`(nested Tracking) `SNP`(nested Sketch)* |
 //! | 4 `Sharded`  | `SHD` `SNP`(nested Sketch)* |
 //! | 5 `Window`   | `WND` `CUR`(nested Tracking) `BAS`(nested Sketch) `WIN`(nested Sketch) `SNP`(nested Sketch)* |
+//!
+//! Kind 3 was an epoch snapshot ring, retired in favour of the window
+//! document; its byte is never reused, and a file that carries it
+//! decodes to an error. Kind 4 is written only by
+//! `ShardedIngest::checkpoint`: pipelines save kind 1 or 5 in every
+//! ingest mode.
 //!
 //! Version-evolution rules: `FORMAT_VERSION` bumps on any change to
 //! the byte layout; readers reject versions newer than they know
@@ -58,7 +64,7 @@ pub const FORMAT_VERSION: u32 = 1;
 
 const KIND_SKETCH: u8 = 1;
 const KIND_TRACKING: u8 = 2;
-const KIND_EPOCH: u8 = 3;
+// 3 was the retired epoch-ring document; never reuse it.
 const KIND_SHARDED: u8 = 4;
 const KIND_WINDOW: u8 = 5;
 
@@ -68,7 +74,6 @@ const TAG_LVL: [u8; 4] = *b"LVL\0";
 const TAG_SKC: [u8; 4] = *b"SKC\0";
 const TAG_TRM: [u8; 4] = *b"TRM\0";
 const TAG_TRK: [u8; 4] = *b"TRK\0";
-const TAG_EPO: [u8; 4] = *b"EPO\0";
 const TAG_CUR: [u8; 4] = *b"CUR\0";
 const TAG_SNP: [u8; 4] = *b"SNP\0";
 const TAG_SHD: [u8; 4] = *b"SHD\0";
@@ -81,22 +86,6 @@ fn tag_name(tag: [u8; 4]) -> String {
         .take_while(|&&b| b != 0)
         .map(|&b| char::from(b))
         .collect()
-}
-
-/// The persistent state of an epoch manager: the live tracking sketch
-/// plus the ring of end-of-epoch snapshots (oldest first) and the ring
-/// bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochCheckpoint {
-    /// State of the current (live) tracking sketch.
-    pub current: TrackingState,
-    /// Ring capacity (`max_snapshots` of the manager; always ≥ 1).
-    pub max_snapshots: u64,
-    /// Total number of `rotate()` calls so far.
-    pub epochs_rotated: u64,
-    /// Retained end-of-epoch snapshots, oldest first; at most
-    /// `max_snapshots` of them.
-    pub snapshots: Vec<SketchState>,
 }
 
 /// The persistent state of a sharded ingest pipeline: one basic-sketch
@@ -156,8 +145,6 @@ pub enum Checkpoint {
     Sketch(SketchState),
     /// A [`dcs_core::TrackingDcs`] with its tracking structures.
     Tracking(TrackingState),
-    /// An epoch manager: live tracking sketch + snapshot ring.
-    Epoch(EpochCheckpoint),
     /// A sharded ingest pipeline: per-shard sketches + stream cursor.
     Sharded(ShardedCheckpoint),
     /// A windowed monitor: cumulative sketch + ring-of-deltas window.
@@ -170,7 +157,6 @@ impl Checkpoint {
         match self {
             Checkpoint::Sketch(_) => "sketch",
             Checkpoint::Tracking(_) => "tracking",
-            Checkpoint::Epoch(_) => "epoch",
             Checkpoint::Sharded(_) => "sharded",
             Checkpoint::Window(_) => "window",
         }
@@ -307,19 +293,6 @@ fn write_checkpoint(w: &mut ByteWriter, checkpoint: &Checkpoint) {
     match checkpoint {
         Checkpoint::Sketch(state) => write_sketch(w, state),
         Checkpoint::Tracking(state) => write_tracking(w, state),
-        Checkpoint::Epoch(epoch) => {
-            let mut doc = DocWriter::begin(w, KIND_EPOCH);
-            doc.section(TAG_EPO, |w| {
-                w.put_u64(epoch.max_snapshots);
-                w.put_u64(epoch.epochs_rotated);
-                w.put_u32(len_u32(epoch.snapshots.len()));
-            });
-            doc.section(TAG_CUR, |w| write_tracking(w, &epoch.current));
-            for snapshot in &epoch.snapshots {
-                doc.section(TAG_SNP, |w| write_sketch(w, snapshot));
-            }
-            doc.finish();
-        }
         Checkpoint::Sharded(sharded) => {
             let mut doc = DocWriter::begin(w, KIND_SHARDED);
             doc.section(TAG_SHD, |w| {
@@ -369,7 +342,6 @@ fn size_hint(checkpoint: &Checkpoint) -> usize {
     match checkpoint {
         Checkpoint::Sketch(s) => sketch(s),
         Checkpoint::Tracking(t) => tracking(t),
-        Checkpoint::Epoch(e) => tracking(&e.current) + ring(&e.snapshots),
         Checkpoint::Sharded(s) => ring(&s.shards),
         Checkpoint::Window(w) => {
             tracking(&w.current) + sketch(&w.base) + sketch(&w.window) + ring(&w.deltas)
@@ -700,44 +672,6 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     match kind {
         KIND_SKETCH => Ok(Checkpoint::Sketch(decode_sketch_sections(&sections)?)),
         KIND_TRACKING => Ok(Checkpoint::Tracking(decode_tracking_sections(&sections)?)),
-        KIND_EPOCH => {
-            if sections.len() < 2 {
-                return Err(PersistError::Corrupt {
-                    context: format!(
-                        "epoch document has {} section(s), needs at least EPO and CUR",
-                        sections.len()
-                    ),
-                });
-            }
-            expect_tag(&sections[0], TAG_EPO)?;
-            expect_tag(&sections[1], TAG_CUR)?;
-            let mut epo = ByteReader::new(sections[0].payload);
-            let max_snapshots = epo.u64("epoch ring capacity")?;
-            let epochs_rotated = epo.u64("epochs rotated")?;
-            let snapshot_count = epo.u32("epoch snapshot count")?;
-            epo.expect_end()?;
-            let current = decode_nested_tracking(sections[1].payload, "CUR section")?;
-            let mut snapshots = Vec::with_capacity(sections.len() - 2);
-            for section in &sections[2..] {
-                expect_tag(section, TAG_SNP)?;
-                snapshots.push(decode_nested_sketch(section.payload, "SNP section")?);
-            }
-            if u64::try_from(snapshots.len()).unwrap_or(u64::MAX) != u64::from(snapshot_count) {
-                return Err(PersistError::Corrupt {
-                    context: format!(
-                        "epoch document declares {snapshot_count} snapshot(s) \
-                         but carries {}",
-                        snapshots.len()
-                    ),
-                });
-            }
-            Ok(Checkpoint::Epoch(EpochCheckpoint {
-                current,
-                max_snapshots,
-                epochs_rotated,
-                snapshots,
-            }))
-        }
         KIND_SHARDED => {
             if sections.is_empty() {
                 return Err(PersistError::Corrupt {
@@ -955,13 +889,6 @@ mod tests {
                 sections.extend(levels.map(|l| (TAG_TRK, legacy_tracking_level(l))));
                 KIND_TRACKING
             }
-            Checkpoint::Epoch(e) => {
-                let words = [e.max_snapshots, e.epochs_rotated];
-                sections.push((TAG_EPO, legacy_header(&words, e.snapshots.len())));
-                sections.push((TAG_CUR, tracking(&e.current)));
-                sections.extend(e.snapshots.iter().map(|s| (TAG_SNP, sketch(s))));
-                KIND_EPOCH
-            }
             Checkpoint::Sharded(s) => {
                 let words = [s.updates_distributed];
                 sections.push((TAG_SHD, legacy_header(&words, s.shards.len())));
@@ -984,10 +911,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every document kind — nested Epoch, Sharded and Window
-        /// documents with none or several ring members included —
-        /// encodes to exactly the legacy encoder's bytes, and decodes
-        /// back to the same state.
+        /// Every document kind — nested Sharded and Window documents
+        /// with none or several ring members included — encodes to
+        /// exactly the legacy encoder's bytes, and decodes back to the
+        /// same state.
         #[test]
         fn one_buffer_encode_matches_the_legacy_encoder(
             seed in 0u64..1_000,
@@ -1000,12 +927,6 @@ mod tests {
             let docs = [
                 Checkpoint::Sketch(sample_sketch(seed, n)),
                 Checkpoint::Tracking(sample_tracking(seed, n)),
-                Checkpoint::Epoch(EpochCheckpoint {
-                    current: sample_tracking(seed, n),
-                    max_snapshots: 4,
-                    epochs_rotated: u64::from(n),
-                    snapshots: ring.clone(),
-                }),
                 Checkpoint::Sharded(ShardedCheckpoint {
                     updates_distributed: u64::from(n) * 3,
                     shards: ring.clone(),
@@ -1040,18 +961,6 @@ mod tests {
         let state = sample_tracking(2, 400);
         let bytes = encode(&Checkpoint::Tracking(state.clone()));
         assert_eq!(decode(&bytes).unwrap(), Checkpoint::Tracking(state));
-    }
-
-    #[test]
-    fn epoch_document_roundtrips() {
-        let epoch = EpochCheckpoint {
-            current: sample_tracking(3, 200),
-            max_snapshots: 4,
-            epochs_rotated: 9,
-            snapshots: vec![sample_sketch(3, 50), sample_sketch(3, 120)],
-        };
-        let bytes = encode(&Checkpoint::Epoch(epoch.clone()));
-        assert_eq!(decode(&bytes).unwrap(), Checkpoint::Epoch(epoch));
     }
 
     #[test]
@@ -1207,16 +1116,14 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_snapshot_count_is_corrupt() {
-        let epoch = EpochCheckpoint {
-            current: sample_tracking(14, 60),
-            max_snapshots: 4,
-            epochs_rotated: 1,
-            snapshots: vec![sample_sketch(14, 10)],
+    fn mismatched_shard_count_is_corrupt() {
+        let sharded = ShardedCheckpoint {
+            updates_distributed: 70,
+            shards: vec![sample_sketch(14, 60), sample_sketch(14, 10)],
         };
-        let bytes = encode(&Checkpoint::Epoch(epoch));
+        let bytes = encode(&Checkpoint::Sharded(sharded));
         // Drop the final SNP section and fix up the section count so the
-        // framing stays valid; the declared snapshot count now lies.
+        // framing stays valid; the declared shard count now lies.
         let offsets = section_offsets(&bytes).unwrap();
         let mut shortened = bytes[..offsets[offsets.len() - 2]].to_vec();
         // Section count is a u32 at offset 13 (magic 8 + version 4 + kind 1).
@@ -1224,7 +1131,7 @@ mod tests {
         shortened[13..17].copy_from_slice(&(old_count - 1).to_le_bytes());
         assert!(matches!(
             decode(&shortened),
-            Err(PersistError::Corrupt { .. })
+            Err(PersistError::Corrupt { context }) if context.contains("declares 2 shard")
         ));
     }
 }

@@ -41,8 +41,8 @@ pub mod manager;
 pub mod wire;
 
 pub use codec::{
-    decode, encode, section_offsets, Checkpoint, EpochCheckpoint, ShardedCheckpoint,
-    WindowCheckpoint, FORMAT_VERSION, MAGIC,
+    decode, encode, section_offsets, Checkpoint, ShardedCheckpoint, WindowCheckpoint,
+    FORMAT_VERSION, MAGIC,
 };
 pub use error::PersistError;
 pub use manager::CheckpointManager;

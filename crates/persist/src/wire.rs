@@ -134,7 +134,7 @@ const LANES_MIN: usize = 4096;
 /// bit in a section payload is guaranteed to surface as a
 /// [`PersistError::ChecksumMismatch`].
 ///
-/// Slicing-by-16 (see [`fold_block`]). One register chain is bound by
+/// Slicing-by-16 (see `fold_block`). One register chain is bound by
 /// the latency of its lookups, so inputs of at least `LANES_MIN` bytes
 /// run three chains over three equal thirds side by side and combine
 /// them by CRC linearity: feeding a register `n` zero bytes is a

@@ -1,39 +1,41 @@
-//! Windowed surge detection: epoch-differenced sketches over a phased
+//! Windowed surge detection: a tumbling epoch window over a phased
 //! timeline, including a low-rate pulse attack.
 //!
 //! Two things the plain all-time sketch cannot do on its own:
 //!
 //! 1. Spot a *surge* at a destination whose all-time total is
-//!    unremarkable — solved by differencing against an epoch snapshot
-//!    (sketches are linear).
+//!    unremarkable — solved by judging the last closed epoch alone,
+//!    whose delta sketch is the cumulative sketch minus its state at
+//!    the epoch's start (sketches are linear).
 //! 2. Catch a Kuzmanovic–Knightly-style low-rate *pulse* attack whose
-//!    long-run average is tiny — the within-burst window shows the
-//!    spike that coarse averages hide.
+//!    long-run average is tiny — epochs shorter than the pulse period
+//!    show the spike that coarse averages hide.
 //!
 //! Run: `cargo run --release --example surge_detection`
 
-use ddos_streams::netsim::epoch::EpochManager;
+use ddos_streams::netsim::window::{WindowPolicy, WindowedMonitor};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
-use ddos_streams::{DestAddr, SketchConfig};
+use ddos_streams::{AlarmPolicy, DestAddr, SketchConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let steady_heavy = 0x0a00_0001u32; // always-busy destination
     let surge_victim = 0x0a00_0002u32; // quiet, then attacked
     let pulse_victim = 0x0a00_0003u32; // low-rate pulsed
 
-    // 10 epochs of 100 ticks each. The surge hits in the final epoch;
-    // the pulse attack fires one 5-tick burst per epoch.
+    // 10 pulse periods of 100 ticks each. The surge hits in the final
+    // period; the pulse attack fires one 5-tick burst per period and
+    // tears it down at the period's end.
     let timeline = TimelineBuilder::new(11)
         .steady_background(900, 20, 8, 0.92)
-        .plateau_flood(surge_victim, 100, 12) // 1200 sources, final epoch
+        .plateau_flood(surge_victim, 100, 12) // 1200 sources, final period
         .build();
     // The pulse attack runs concurrently; build it separately and merge
-    // by tick so its periods align with epochs.
+    // by tick so its periods align with the surge's.
     let pulses = TimelineBuilder::new(12)
         .pulse_attack(pulse_victim, 10, 100, 5, 300)
         .build();
     // The steady-heavy destination accumulates 200 half-open flows per
-    // epoch throughout (unanswered probes at a popular server).
+    // period throughout (unanswered probes at a popular server).
     let chatter = TimelineBuilder::new(13)
         .plateau_flood(steady_heavy, 1_000, 2)
         .build();
@@ -51,34 +53,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .buckets_per_table(1024)
         .seed(99)
         .build()?;
-    let mut epochs = EpochManager::new(config, 8);
+    let mut monitor = WindowedMonitor::new(config, AlarmPolicy::default(), WindowPolicy::Tumbling)?;
 
-    let epoch_ticks = 100u64;
+    // Epochs of half a pulse period: a pulse burst is alive in the
+    // first half of its period and torn down by its end, so a window
+    // that closed only at period boundaries would always miss it.
+    let epoch_ticks = 50u64;
     let mut next_rotation = epoch_ticks;
-    // Check the open-epoch window mid-epoch: a pulse burst is alive
-    // inside its period and torn down by its end, so end-of-epoch
-    // checks would always miss it.
-    let mut next_check = epoch_ticks / 2;
     let mut pulse_caught_in_window = false;
 
     for timed in &all {
-        while timed.at >= next_check {
-            let recent = epochs.recent_top_k(1, 3, 0.25)?;
+        while timed.at >= next_rotation {
+            monitor.rotate()?;
+            let recent = monitor.windowed_top_k(3);
             if recent.frequency_of(pulse_victim).unwrap_or(0) >= 150 {
                 pulse_caught_in_window = true;
             }
-            next_check += epoch_ticks;
-        }
-        while timed.at >= next_rotation {
-            epochs.rotate();
             next_rotation += epoch_ticks;
         }
-        epochs.ingest(timed.update);
+        monitor.ingest_one(timed.update);
     }
+    // Close the last epoch, which the surge fills.
+    monitor.rotate()?;
 
-    // End of run: the surge epoch is open. Compare views.
-    let all_time = epochs.all_time().track_top_k(3, 0.25);
-    let last_window = epochs.recent_top_k(1, 3, 0.25)?;
+    let all_time = monitor.monitor().top_k(3);
+    let last_window = monitor.windowed_top_k(3);
 
     println!("all-time top destinations:");
     for e in &all_time.entries {
@@ -96,9 +95,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The pulse attack was visible inside at least one epoch window.
     assert!(pulse_caught_in_window, "pulse attack went unnoticed");
     // Yet its long-run residue is ~zero (bursts tear down):
-    let residue = epochs
-        .all_time()
-        .track_top_k(10, 0.25)
+    let residue = monitor
+        .monitor()
+        .top_k(10)
         .frequency_of(pulse_victim)
         .unwrap_or(0);
     println!("\npulse victim: caught in-window, all-time residue ≈ {residue} (true residue 0)");

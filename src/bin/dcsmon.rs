@@ -89,8 +89,9 @@ USAGE:
       from one shared distinct sample (one sketch scan for all of them).
       --window N answers over a sliding window of the last N epochs of
       --epoch M updates each (default 10000) instead of the whole trace;
-      the window slides in O(1) per epoch. --lambda L (in (0,1)) weights
-      each epoch's contribution by L^age — recent-weighted scoring.
+      the window slides in O(1) per epoch. --lambda L (in (0,1]) weights
+      each epoch's contribution by L^age — recent-weighted scoring; 1
+      (the default) weights every epoch equally.
 
   dcsmon monitor --input <file> [--threshold N] [--every N] [--buckets S]
       Replay with periodic alarm evaluation; print raised alarms.
@@ -284,8 +285,12 @@ fn cmd_topk_windowed(
     window_epochs: usize,
 ) -> Result<(), String> {
     use ddos_streams::netsim::{EpochWindow, WindowPolicy};
+    use ddos_streams::DistinctCountSketch;
     let epoch_len = args.number("--epoch", 10_000usize)?.max(1);
     let lambda = args.number("--lambda", 1.0f64)?;
+    if !(lambda > 0.0 && lambda <= 1.0) {
+        return Err(format!("--lambda: {lambda} is outside (0, 1]"));
+    }
     let policy = if lambda < 1.0 {
         WindowPolicy::Decayed {
             epochs: window_epochs,
@@ -298,14 +303,13 @@ fn cmd_topk_windowed(
     };
     let config = sketch_config(args, group_by)?;
     let mut window = EpochWindow::new(config.clone(), policy).map_err(|e| e.to_string())?;
-    let mut sketch = TrackingDcs::new(config);
-    // The trailing partial epoch closes too, so the window always
+    // The window reads only the basic sketch, so no tracking state is
+    // kept. The trailing partial epoch closes too, so the window always
     // covers the end of the trace.
+    let mut sketch = DistinctCountSketch::new(config);
     for chunk in updates.chunks(epoch_len) {
-        for u in chunk {
-            sketch.update(*u);
-        }
-        window.advance(sketch.sketch()).map_err(|e| e.to_string())?;
+        sketch.update_batch(chunk);
+        window.advance(&sketch).map_err(|e| e.to_string())?;
     }
     let held = window.window().len();
     let covered: usize = window

@@ -6,21 +6,22 @@
 //! same top-k — to a sketch that processed all `n` updates without
 //! interruption. These tests kill runs at deliberately awkward offsets
 //! (mid-`update_batch` chunk, one update in, one update before the
-//! end, across an epoch `rotate()`) and check exact state equality
+//! end, across a window `rotate()`) and check exact state equality
 //! after the restored run replays its suffix, going through real
-//! checkpoint files on disk each time. The last two tests drive
-//! `run_pipeline` itself across a restart, from a legacy tracking
-//! document and from the sketch documents it saves today.
+//! checkpoint files on disk each time. The tests after those drive
+//! `run_pipeline` itself across a restart: from the legacy tracking
+//! and sharded documents earlier pipelines saved, from the documents
+//! it saves today in every ingest mode, and from a retired kind.
 
 use std::path::PathBuf;
 
-use ddos_streams::netsim::epoch::EpochManager;
 use ddos_streams::netsim::sharded::ShardedIngest;
+use ddos_streams::netsim::window::{WindowPolicy, WindowedMonitor};
 use ddos_streams::netsim::{run_pipeline, CheckpointSidecar, PipelineConfig, TrafficDriver};
-use ddos_streams::persist::{Checkpoint, CheckpointManager};
+use ddos_streams::persist::{decode, encode, Checkpoint, CheckpointManager, PersistError};
 use ddos_streams::{
-    Delta, DestAddr, DistinctCountSketch, EdgeRouter, FlowUpdate, SketchConfig, SourceAddr,
-    TcpSegment, TrackingDcs,
+    AlarmPolicy, Delta, DestAddr, DistinctCountSketch, EdgeRouter, FlowUpdate, SketchConfig,
+    SourceAddr, TcpSegment, TrackingDcs,
 };
 
 fn config(seed: u64) -> SketchConfig {
@@ -146,47 +147,47 @@ fn restore_mid_stream_then_immediate_checkpoint_is_stable() {
     assert_eq!(first, second);
 }
 
-#[test]
-fn epoch_manager_survives_a_kill_across_rotations() {
-    let updates = stream(6_000);
-    // Uninterrupted: rotate every 1500 updates.
-    let mut full = EpochManager::new(config(4), 3);
+/// Feeds `updates` (starting at absolute stream position `from`) to a
+/// windowed monitor that closes an epoch every 1500 updates.
+fn feed_rotating(wm: &mut WindowedMonitor, updates: &[FlowUpdate], from: usize) {
     for (i, u) in updates.iter().enumerate() {
-        full.ingest(*u);
-        if (i + 1) % 1_500 == 0 {
-            full.rotate();
+        wm.ingest_one(*u);
+        if (from + i + 1).is_multiple_of(1_500) {
+            wm.rotate().unwrap();
         }
     }
+}
+
+#[test]
+fn epoch_window_survives_a_kill_across_rotations() {
+    let updates = stream(6_000);
+    let policy = WindowPolicy::Sliding { epochs: 3 };
+    let monitor =
+        || WindowedMonitor::new(config(4), AlarmPolicy::default(), policy.clone()).unwrap();
+    let mut full = monitor();
+    feed_rotating(&mut full, &updates, 0);
     // Kill at several points: mid-epoch, immediately after a rotate()
     // (the ring just changed), and immediately before one.
     for cut in [700usize, 3_000, 2_999, 4_501] {
-        let mut prefix = EpochManager::new(config(4), 3);
-        for (i, u) in updates[..cut].iter().enumerate() {
-            prefix.ingest(*u);
-            if (i + 1) % 1_500 == 0 {
-                prefix.rotate();
-            }
-        }
-        let saved = through_disk("epoch", &Checkpoint::Epoch(prefix.to_checkpoint()));
+        let mut prefix = monitor();
+        feed_rotating(&mut prefix, &updates[..cut], 0);
+        let saved = through_disk("window", &Checkpoint::Window(prefix.to_checkpoint()));
         drop(prefix);
-        let Checkpoint::Epoch(checkpoint) = saved else {
+        let Checkpoint::Window(checkpoint) = saved else {
             panic!("wrong document kind");
         };
-        let mut resumed = EpochManager::from_checkpoint(checkpoint).unwrap();
-        for (i, u) in updates[cut..].iter().enumerate() {
-            resumed.ingest(*u);
-            if (cut + i + 1) % 1_500 == 0 {
-                resumed.rotate();
-            }
-        }
+        let mut resumed =
+            WindowedMonitor::from_checkpoint(checkpoint, AlarmPolicy::default(), policy.clone())
+                .unwrap();
+        feed_rotating(&mut resumed, &updates[cut..], cut);
         assert_eq!(
             resumed.to_checkpoint(),
             full.to_checkpoint(),
-            "cut at {cut}: epoch state diverged"
+            "cut at {cut}: window state diverged"
         );
         assert_eq!(
-            resumed.recent_top_k(2, 5, 0.25).unwrap(),
-            full.recent_top_k(2, 5, 0.25).unwrap(),
+            resumed.windowed_top_k(5),
+            full.windowed_top_k(5),
             "cut at {cut}: windowed query diverged"
         );
     }
@@ -361,4 +362,130 @@ fn pipeline_sketch_checkpoint_kill_and_resume_is_bit_identical() {
             "cut at {cut}: the resumed sketch diverged"
         );
     }
+}
+
+/// A pipeline that evaluates every 500 updates and, given `window`,
+/// judges over that window instead of the all-time sketch.
+fn two_phase_config(
+    path: &std::path::Path,
+    shards: Option<usize>,
+    window: Option<WindowPolicy>,
+) -> PipelineConfig {
+    PipelineConfig {
+        policy: AlarmPolicy {
+            absolute_threshold: 200,
+            ..AlarmPolicy::default()
+        },
+        ingest_shards: shards,
+        window,
+        ..checkpointed(config(8), path, 700)
+    }
+}
+
+#[test]
+fn pipeline_checkpoints_are_the_same_bytes_in_every_ingest_mode() {
+    // The merged sketch of any partition of the stream is the direct
+    // sketch, so a two-phase run writes the same final checkpoint file
+    // whether each phase ingests inline or through sharded workers —
+    // the window ring included — and judges the same alarms.
+    let feed = mixed_feed(43);
+    let (before, after) = feed.split_at(feed.len() / 2);
+    let phases = [
+        (None, None),
+        (Some(1), Some(1)),
+        (Some(3), Some(3)),
+        (None, Some(3)),
+        (Some(3), None),
+    ];
+    for window in [None, Some(WindowPolicy::Sliding { epochs: 3 })] {
+        let mut reference: Option<(Vec<u8>, Vec<_>)> = None;
+        for (first_shards, second_shards) in phases {
+            let path = temp_path("pipeline-modes");
+            let _ = std::fs::remove_file(&path);
+            let first = run_pipeline(
+                vec![before.to_vec()],
+                two_phase_config(&path, first_shards, window.clone()),
+            );
+            assert!(!first.restored_from_checkpoint);
+            let second = run_pipeline(
+                vec![after.to_vec()],
+                two_phase_config(&path, second_shards, window.clone()),
+            );
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert!(second.restored_from_checkpoint);
+            let kind = decode(&bytes).unwrap().kind_name();
+            assert_eq!(kind, if window.is_some() { "window" } else { "sketch" });
+            let alarms = [first.alarms, second.alarms].concat();
+            match &reference {
+                None => reference = Some((bytes, alarms)),
+                Some((expected, expected_alarms)) => {
+                    let modes = (first_shards, second_shards, &window);
+                    assert!(bytes == *expected, "{modes:?}: checkpoint bytes differ");
+                    assert_eq!(alarms, *expected_alarms, "{modes:?}: alarms differ");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pipeline_resumes_a_legacy_sharded_checkpoint() {
+    // A kind-4 document as earlier sharded pipelines saved it: the
+    // engine's ring-drained shards plus the routing cursor.
+    let prefix = stream(3_000);
+    let mut engine = ShardedIngest::new(config(9), 3);
+    engine.ingest(&prefix);
+    let legacy = Checkpoint::Sharded(engine.checkpoint());
+    drop(engine);
+    let feed = mixed_feed(44);
+    let mut expected = DistinctCountSketch::new(config(9));
+    expected.update_batch(&prefix);
+    expected.update_batch(&router_exports(&feed));
+
+    for shards in [None, Some(2)] {
+        let path = temp_path("pipeline-legacy-sharded");
+        CheckpointManager::new(&path).save(&legacy).unwrap();
+        let cfg = PipelineConfig {
+            ingest_shards: shards,
+            ..checkpointed(config(9), &path, 1_000)
+        };
+        let report = run_pipeline(vec![feed.clone()], cfg);
+        let rewritten = CheckpointManager::new(&path).load().unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(report.restored_from_checkpoint, "shards {shards:?}");
+        assert_eq!(
+            report.monitor.sketch().sketch().to_state(),
+            expected.to_state(),
+            "shards {shards:?}"
+        );
+        // From then on the pipeline saves the merged sketch itself.
+        assert_eq!(rewritten, Checkpoint::Sketch(expected.to_state()));
+    }
+}
+
+#[test]
+fn retired_epoch_document_kind_is_refused_and_the_pipeline_starts_fresh() {
+    // Kind 3 was the retired epoch-ring document. Its byte is never
+    // reused: a file that carries it is corrupt, not some other kind.
+    let mut sketch = DistinctCountSketch::new(config(10));
+    sketch.update_batch(&stream(500));
+    let mut bytes = encode(&Checkpoint::Sketch(sketch.to_state()));
+    // The kind byte follows the 8-byte magic and the 4-byte version.
+    bytes[12] = 3;
+    assert!(matches!(
+        decode(&bytes),
+        Err(PersistError::Corrupt { context }) if context.contains("kind 3")
+    ));
+
+    let path = temp_path("pipeline-kind-3");
+    std::fs::write(&path, &bytes).unwrap();
+    let feed = mixed_feed(45);
+    let report = run_pipeline(vec![feed.clone()], checkpointed(config(10), &path, 1_000));
+    let rewritten = CheckpointManager::new(&path).load().unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(!report.restored_from_checkpoint);
+    let mut fresh = DistinctCountSketch::new(config(10));
+    fresh.update_batch(&router_exports(&feed));
+    assert_eq!(rewritten, Checkpoint::Sketch(fresh.to_state()));
 }

@@ -260,3 +260,80 @@ fn timeline_and_replay_commands() {
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&plain).ok();
 }
+
+/// Writes the attack trace the windowed `topk` tests replay: 5279
+/// updates, the 10.0.0.9 flood among them.
+fn window_trace(name: &str) -> std::path::PathBuf {
+    let trace = temp_path(name);
+    let out = dcsmon()
+        .args([
+            "attack",
+            "--output",
+            trace.to_str().unwrap(),
+            "--victim",
+            "10.0.0.9",
+            "--sources",
+            "1500",
+            "--background",
+            "2000",
+            "--seed",
+            "5",
+        ])
+        .output()
+        .expect("attack");
+    assert!(out.status.success());
+    trace
+}
+
+fn topk_window(trace: &std::path::Path, extra: &[&str]) -> std::process::Output {
+    dcsmon()
+        .args(["topk", "--input", trace.to_str().unwrap(), "--k", "3"])
+        .args(["--window", "2", "--epoch", "1000"])
+        .args(extra)
+        .output()
+        .expect("topk --window")
+}
+
+#[test]
+fn topk_window_answers_from_the_last_epochs() {
+    let trace = window_trace("window.dcs");
+    let out = topk_window(&trace, &[]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    // Six epochs of 1000 updates (the last one partial): the window
+    // holds the last two.
+    assert!(
+        text.starts_with(
+            "windowed top-3 destinations, last 2 epoch(s) of 1000 updates \
+             (1279 updates covered):\n  10.0.0.9 "
+        ),
+        "{text}"
+    );
+    // λ = 1 weights every epoch equally: the undecayed table, byte for
+    // byte.
+    let out = topk_window(&trace, &["--lambda", "1"]);
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), text);
+
+    let out = topk_window(&trace, &["--lambda", "0.5"]);
+    assert!(out.status.success());
+    let decayed = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        decayed.contains("(1279 updates covered), decayed λ = 0.5:\n  10.0.0.9 "),
+        "{decayed}"
+    );
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn topk_window_rejects_lambda_outside_the_unit_interval() {
+    let trace = window_trace("window-lambda.dcs");
+    for lambda in ["1.5", "nan", "inf", "0"] {
+        let out = topk_window(&trace, &["--lambda", lambda]);
+        assert!(!out.status.success(), "--lambda {lambda} was accepted");
+        assert!(out.stdout.is_empty(), "--lambda {lambda} printed a table");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--lambda"), "--lambda {lambda}: {err}");
+    }
+    std::fs::remove_file(&trace).ok();
+}

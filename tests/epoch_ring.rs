@@ -1,18 +1,16 @@
-//! Edge cases of the `EpochManager` snapshot ring, with and without a
+//! Edge cases of the epoch window's delta ring, with and without a
 //! checkpoint round trip in the middle.
 //!
 //! The ring is the subtlest state the checkpoint format carries: it
-//! wraps (oldest snapshots evicted), it can be partially filled, and
-//! windowed queries index it from the *end*. Each scenario here is run
-//! against a manager that has been serialized to bytes and restored,
-//! asserting the restored manager answers exactly like the original.
+//! wraps (oldest deltas evicted), it can be partially filled or empty,
+//! and its capacity is declared in the document. Each scenario here is
+//! run against a windowed monitor that has been serialized to bytes
+//! (the kind-5 `Window` document) and restored, asserting the restored
+//! monitor answers exactly like the original.
 
-use ddos_streams::netsim::epoch::EpochManager;
 use ddos_streams::netsim::window::{WindowPolicy, WindowedMonitor};
 use ddos_streams::persist::{decode, encode, Checkpoint, PersistError};
-use ddos_streams::{
-    AlarmPolicy, Delta, DestAddr, FlowUpdate, SketchConfig, SketchError, SourceAddr,
-};
+use ddos_streams::{AlarmPolicy, Delta, DestAddr, FlowUpdate, SketchConfig, SourceAddr};
 
 fn config() -> SketchConfig {
     SketchConfig::builder()
@@ -22,9 +20,18 @@ fn config() -> SketchConfig {
         .unwrap()
 }
 
-fn flood(epochs: &mut EpochManager, dest: u32, from: u32, count: u32) {
+fn sliding(epochs: usize) -> WindowedMonitor {
+    WindowedMonitor::new(
+        config(),
+        AlarmPolicy::default(),
+        WindowPolicy::Sliding { epochs },
+    )
+    .unwrap()
+}
+
+fn flood(wm: &mut WindowedMonitor, dest: u32, from: u32, count: u32) {
     for s in from..from + count {
-        epochs.ingest(FlowUpdate::new(
+        wm.ingest_one(FlowUpdate::new(
             SourceAddr(s),
             DestAddr(dest),
             Delta::Insert,
@@ -32,163 +39,173 @@ fn flood(epochs: &mut EpochManager, dest: u32, from: u32, count: u32) {
     }
 }
 
-/// Serializes and restores a manager through the full codec.
-fn roundtrip(epochs: &EpochManager) -> EpochManager {
-    let bytes = encode(&Checkpoint::Epoch(epochs.to_checkpoint()));
-    let Checkpoint::Epoch(checkpoint) = decode(&bytes).unwrap() else {
+/// Serializes a windowed monitor through the full codec and restores
+/// it under `policy`.
+fn roundtrip(wm: &WindowedMonitor, policy: WindowPolicy) -> WindowedMonitor {
+    let bytes = encode(&Checkpoint::Window(wm.to_checkpoint()));
+    let Checkpoint::Window(checkpoint) = decode(&bytes).unwrap() else {
         panic!("wrong document kind");
     };
-    EpochManager::from_checkpoint(checkpoint).unwrap()
+    WindowedMonitor::from_checkpoint(checkpoint, wm.monitor().policy().clone(), policy).unwrap()
 }
 
 #[test]
 fn wrapped_ring_restores_with_correct_eviction_order() {
-    // Capacity 3, 7 rotations: snapshots for epochs 5, 6, 7 remain.
-    let mut epochs = EpochManager::new(config(), 3);
+    // Capacity 3, 7 rotations: the deltas of epochs 4, 5, 6 remain,
+    // oldest first.
+    let mut wm = sliding(3);
     for e in 0..7u32 {
-        flood(&mut epochs, e, e * 1_000, 20);
-        epochs.rotate();
+        flood(&mut wm, e, e * 1_000, 20);
+        wm.rotate().unwrap();
     }
-    assert_eq!(epochs.snapshots_held(), 3);
-    assert_eq!(epochs.epochs_rotated(), 7);
-    let restored = roundtrip(&epochs);
-    assert_eq!(restored.snapshots_held(), 3);
-    assert_eq!(restored.epochs_rotated(), 7);
-    assert_eq!(restored.to_checkpoint(), epochs.to_checkpoint());
+    let restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 3 });
+    for window in [wm.window(), restored.window()] {
+        assert_eq!(window.len(), 3);
+        assert_eq!(window.epochs_rotated(), 7);
+        let order: Vec<u32> = window
+            .deltas()
+            .map(|delta| delta.estimate_top_k(1, 0.25).entries[0].group)
+            .collect();
+        assert_eq!(order, vec![4, 5, 6]);
+    }
+    assert_eq!(restored.to_checkpoint(), wm.to_checkpoint());
 }
 
 #[test]
 fn windowed_query_spanning_the_wrap_survives_restore() {
-    // After the ring wraps, a window reaching to its oldest retained
-    // snapshot must see exactly the post-eviction epochs — identically
-    // before and after a checkpoint round trip.
-    let mut epochs = EpochManager::new(config(), 2);
+    // After the ring wraps, the window must see exactly the
+    // post-eviction epochs — identically before and after a checkpoint
+    // round trip taken mid-epoch.
+    let mut wm = sliding(2);
     for e in 0..5u32 {
-        flood(&mut epochs, e, e * 1_000, 30);
-        epochs.rotate();
+        flood(&mut wm, e, e * 1_000, 30);
+        wm.rotate().unwrap();
     }
-    flood(&mut epochs, 99, 50_000, 40); // open epoch
-    let restored = roundtrip(&epochs);
-    for window in [1usize, 2] {
-        assert_eq!(
-            restored.recent_top_k(window, 4, 0.25).unwrap(),
-            epochs.recent_top_k(window, 4, 0.25).unwrap(),
-            "window {window} diverged after restore"
-        );
-    }
-    // Window 2 reaches the oldest retained snapshot (epoch 4's close):
-    // epochs 0..=3 are invisible, destination 4 and 99 are.
-    let w2 = restored.recent_top_k(2, 6, 0.25).unwrap();
-    let mut groups = w2.groups();
+    flood(&mut wm, 99, 50_000, 40); // open epoch
+    let mut restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 2 });
+    assert_eq!(wm.rotate().unwrap(), restored.rotate().unwrap());
+    assert_eq!(restored.windowed_top_k(4), wm.windowed_top_k(4));
+    // The window holds epoch 4 and the epoch that just closed:
+    // epochs 0..=3 are invisible, destinations 4 and 99 are.
+    let top = restored.windowed_top_k(6);
+    let mut groups = top.groups();
     groups.sort_unstable();
     assert_eq!(groups, vec![4, 99]);
-    assert!(w2.frequency_of(0).is_none(), "evicted epoch leaked through");
+    assert!(
+        top.frequency_of(0).is_none(),
+        "evicted epoch leaked through"
+    );
 }
 
 #[test]
 fn difference_against_oldest_snapshot_is_exact_after_restore() {
-    // recent_activity(window = ring length) differences against the
-    // oldest snapshot; the restored manager must produce an identical
-    // difference sketch (same estimates, not just same ordering).
-    let mut epochs = EpochManager::new(config(), 4);
+    // A full window equals the cumulative sketch minus its snapshot
+    // from `N` rotations ago; the restored monitor's window must be
+    // that same difference sketch (same state, not just same ranking).
+    let mut wm = sliding(4);
+    let mut snapshots = Vec::new();
     for e in 0..4u32 {
-        flood(&mut epochs, 7, e * 1_000, 25); // same dest every epoch
-        epochs.rotate();
+        flood(&mut wm, 7, e * 1_000, 25); // same dest every epoch
+        wm.rotate().unwrap();
+        snapshots.push(wm.monitor().sketch().sketch().clone());
     }
-    flood(&mut epochs, 7, 100_000, 60);
-    let restored = roundtrip(&epochs);
-    let original = epochs.recent_activity(4).unwrap();
-    let recovered = restored.recent_activity(4).unwrap();
+    flood(&mut wm, 7, 100_000, 60);
+    let mut restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 4 });
+    wm.rotate().unwrap();
+    restored.rotate().unwrap();
+    let expected = wm
+        .monitor()
+        .sketch()
+        .sketch()
+        .difference(&snapshots[0])
+        .unwrap();
+    assert_eq!(restored.window().sketch().to_state(), expected.to_state());
     assert_eq!(
-        original.track_top_k(3, 0.25),
-        recovered.track_top_k(3, 0.25)
+        restored.window().sketch().to_state(),
+        wm.window().sketch().to_state()
     );
-    assert_eq!(original.to_state(), recovered.to_state());
+    assert_eq!(restored.windowed_top_k(3), wm.windowed_top_k(3));
 }
 
 #[test]
 fn partially_filled_ring_restores() {
     // Fewer rotations than capacity: the checkpoint carries a short
-    // snapshot list that must restore as-is (not padded, not rejected).
-    let mut epochs = EpochManager::new(config(), 8);
-    flood(&mut epochs, 1, 0, 40);
-    epochs.rotate();
-    flood(&mut epochs, 2, 1_000, 40);
-    assert_eq!(epochs.snapshots_held(), 1);
-    let restored = roundtrip(&epochs);
-    assert_eq!(restored.snapshots_held(), 1);
-    assert_eq!(restored.epochs_rotated(), 1);
-    assert_eq!(
-        restored.recent_top_k(1, 2, 0.25).unwrap(),
-        epochs.recent_top_k(1, 2, 0.25).unwrap()
-    );
+    // delta list that must restore as-is (not padded, not rejected).
+    let mut wm = sliding(8);
+    flood(&mut wm, 1, 0, 40);
+    wm.rotate().unwrap();
+    flood(&mut wm, 2, 1_000, 40);
+    assert_eq!(wm.window().len(), 1);
+    let restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 8 });
+    assert_eq!(restored.window().len(), 1);
+    assert_eq!(restored.window().epochs_rotated(), 1);
+    assert_eq!(restored.windowed_top_k(2), wm.windowed_top_k(2));
+    assert_eq!(restored.to_checkpoint(), wm.to_checkpoint());
 }
 
 #[test]
 fn empty_ring_restores() {
-    // No rotations at all: snapshots list is empty, only the live
-    // sketch travels.
-    let mut epochs = EpochManager::new(config(), 4);
-    flood(&mut epochs, 3, 0, 50);
-    let restored = roundtrip(&epochs);
-    assert_eq!(restored.snapshots_held(), 0);
-    assert_eq!(restored.to_checkpoint(), epochs.to_checkpoint());
+    // No rotations at all: the delta list is empty, and only the
+    // cumulative sketch and its (empty) epoch base travel.
+    let mut wm = sliding(4);
+    flood(&mut wm, 3, 0, 50);
+    let restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 4 });
+    assert!(restored.window().is_empty());
+    assert!(restored.windowed_top_k(4).entries.is_empty());
+    assert_eq!(restored.to_checkpoint(), wm.to_checkpoint());
 }
 
 #[test]
-fn restored_manager_keeps_rotating_correctly() {
+fn restored_window_keeps_rotating_correctly() {
     // The restored ring must continue evicting in the right order:
     // rotate it past capacity after restore and compare against an
-    // uninterrupted manager fed the same schedule.
-    let mut full = EpochManager::new(config(), 3);
-    let mut prefix = EpochManager::new(config(), 3);
+    // uninterrupted monitor fed the same schedule.
+    let mut full = sliding(3);
+    let mut prefix = sliding(3);
     for e in 0..2u32 {
         flood(&mut full, e, e * 1_000, 20);
         flood(&mut prefix, e, e * 1_000, 20);
-        full.rotate();
-        prefix.rotate();
+        full.rotate().unwrap();
+        prefix.rotate().unwrap();
     }
-    let mut restored = roundtrip(&prefix);
+    let mut restored = roundtrip(&prefix, WindowPolicy::Sliding { epochs: 3 });
     for e in 2..6u32 {
         flood(&mut full, e, e * 1_000, 20);
         flood(&mut restored, e, e * 1_000, 20);
-        full.rotate();
-        restored.rotate();
+        assert_eq!(full.rotate().unwrap(), restored.rotate().unwrap());
     }
     assert_eq!(restored.to_checkpoint(), full.to_checkpoint());
 }
 
 #[test]
 fn oversized_snapshot_list_is_rejected() {
-    let mut epochs = EpochManager::new(config(), 2);
+    let mut wm = sliding(2);
     for e in 0..2u32 {
-        flood(&mut epochs, e, e * 1_000, 10);
-        epochs.rotate();
+        flood(&mut wm, e, e * 1_000, 10);
+        wm.rotate().unwrap();
     }
-    let mut checkpoint = epochs.to_checkpoint();
-    // Claim a smaller ring than the snapshots present.
-    checkpoint.max_snapshots = 1;
-    assert!(matches!(
-        EpochManager::from_checkpoint(checkpoint),
-        Err(PersistError::Incompatible { .. })
-    ));
-
-    let mut zero = epochs.to_checkpoint();
-    zero.max_snapshots = 0;
-    assert!(matches!(
-        EpochManager::from_checkpoint(zero),
-        Err(PersistError::Incompatible { .. })
-    ));
-}
-
-/// Serializes a windowed monitor through the full codec (the kind-5
-/// `Window` document) and restores it.
-fn window_roundtrip(wm: &WindowedMonitor, policy: WindowPolicy) -> WindowedMonitor {
-    let bytes = encode(&Checkpoint::Window(wm.to_checkpoint()));
-    let Checkpoint::Window(checkpoint) = decode(&bytes).unwrap() else {
-        panic!("wrong document kind");
+    let restore = |checkpoint, epochs| {
+        WindowedMonitor::from_checkpoint(
+            checkpoint,
+            AlarmPolicy::default(),
+            WindowPolicy::Sliding { epochs },
+        )
     };
-    WindowedMonitor::from_checkpoint(checkpoint, wm.monitor().policy().clone(), policy).unwrap()
+    // Claim a smaller ring than the deltas present, under a policy
+    // that agrees with the claim.
+    let mut oversized = wm.to_checkpoint();
+    oversized.epochs = 1;
+    assert!(matches!(
+        restore(oversized, 1),
+        Err(PersistError::Incompatible { .. })
+    ));
+
+    let mut zero = wm.to_checkpoint();
+    zero.epochs = 0;
+    assert!(matches!(
+        restore(zero, 2),
+        Err(PersistError::Incompatible { .. })
+    ));
 }
 
 #[test]
@@ -216,7 +233,7 @@ fn window_slide_before_ring_full_keeps_partial_coverage_across_restore() {
     assert_eq!(wm.window().sketch().updates_processed(), 60);
     let top = wm.windowed_top_k(4);
     assert!(top.frequency_of(9).is_none(), "open epoch leaked: {top}");
-    let restored = window_roundtrip(&wm, window_policy);
+    let restored = roundtrip(&wm, window_policy);
     assert_eq!(restored.window().len(), 2);
     assert_eq!(
         restored.window().sketch().to_state(),
@@ -246,7 +263,7 @@ fn rotation_landing_exactly_on_checkpoint_save_resumes_identically() {
         live.rotate().unwrap();
     }
     // Save lands exactly on the rotation boundary.
-    let mut restored = window_roundtrip(&live, window_policy);
+    let mut restored = roundtrip(&live, window_policy);
     assert_eq!(restored.window().epochs_rotated(), 4);
     for epoch in 4..7u32 {
         for s in 0..25u32 {
@@ -261,28 +278,4 @@ fn rotation_landing_exactly_on_checkpoint_save_resumes_identically() {
             "diverged at epoch {epoch}"
         );
     }
-}
-
-#[test]
-fn snapshot_ahead_rejection_propagates_through_windowed_queries() {
-    // A tampered checkpoint whose live sketch is an *earlier* state
-    // than a retained snapshot passes the structural validation (the
-    // configs match), but every windowed query that differences against
-    // the ahead snapshot must surface SnapshotAhead rather than return
-    // a wrapped (garbage) window.
-    let mut epochs = EpochManager::new(config(), 2);
-    flood(&mut epochs, 5, 0, 40);
-    epochs.rotate();
-    let mut checkpoint = epochs.to_checkpoint();
-    // Replace the live sketch with a state from before the snapshot.
-    checkpoint.current = EpochManager::new(config(), 2).to_checkpoint().current;
-    let tampered = EpochManager::from_checkpoint(checkpoint).unwrap();
-    assert!(matches!(
-        tampered.recent_activity(1),
-        Err(SketchError::SnapshotAhead { .. })
-    ));
-    assert!(matches!(
-        tampered.recent_top_k(1, 3, 0.25),
-        Err(SketchError::SnapshotAhead { .. })
-    ));
 }

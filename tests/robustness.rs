@@ -2,12 +2,12 @@
 //! discounting, epoch windows over phased timelines, and the ISP
 //! topology end to end.
 
-use ddos_streams::netsim::epoch::EpochManager;
 use ddos_streams::netsim::impair::Impairment;
 use ddos_streams::netsim::topology::IspTopology;
+use ddos_streams::netsim::window::{EpochWindow, WindowPolicy};
 use ddos_streams::netsim::{HandshakeTracker, TrafficDriver};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
-use ddos_streams::{DestAddr, SketchConfig, TrackingDcs};
+use ddos_streams::{DestAddr, DistinctCountSketch, SketchConfig, TrackingDcs};
 
 fn config(seed: u64) -> SketchConfig {
     SketchConfig::builder()
@@ -128,20 +128,22 @@ fn epoch_windows_catch_ramp_attacks_early() {
         .steady_background(200, 30, 10, 0.95)
         .ramp_flood(victim, 300, 20)
         .build();
-    let mut epochs = EpochManager::new(config(4), 8);
+    let mut cumulative = DistinctCountSketch::new(config(4));
+    let mut window = EpochWindow::new(config(4), WindowPolicy::Tumbling).unwrap();
     let epoch_ticks = 50u64;
     let mut next_rotation = epoch_ticks;
     let mut first_window_hit = None;
     for t in timeline.updates() {
         while t.at >= next_rotation {
-            let recent = epochs.recent_top_k(1, 1, 0.25).unwrap();
+            // Close the epoch; the tumbling window is exactly its delta.
+            window.advance(&cumulative).unwrap();
+            let recent = window.top_k(1, 0.25);
             if first_window_hit.is_none() && recent.frequency_of(victim).is_some_and(|f| f >= 100) {
                 first_window_hit = Some(next_rotation);
             }
-            epochs.rotate();
             next_rotation += epoch_ticks;
         }
-        epochs.ingest(t.update);
+        cumulative.update(t.update);
     }
     let hit = first_window_hit.expect("ramp never crossed 100/epoch");
     // The ramp reaches 100 fresh sources/epoch well before its peak

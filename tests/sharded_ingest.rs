@@ -1,7 +1,12 @@
 //! Cross-crate contract tests for the lock-free sharded ingest engine:
 //! the merged result is *bit-identical* to single-threaded ingestion
 //! regardless of how callers slice the stream or how many shards run,
-//! and concurrent read-side snapshots are never torn.
+//! and concurrent read-side snapshots are never torn. Underneath both
+//! sits linearity itself: *any* partition of a stream merges to the
+//! single-threaded sketch, which is what lets a sharded run resume from
+//! the direct pipeline's checkpoint.
+
+use proptest::prelude::*;
 
 use ddos_streams::netsim::{ingest_sharded, ShardedIngest};
 use ddos_streams::{
@@ -201,4 +206,78 @@ fn sharded_matches_incremental_tracking_top_k() {
     let a = sharded.track_top_k(10, 0.25);
     let b = tracked.track_top_k(10, 0.25);
     assert_eq!(a.entries, b.entries);
+}
+
+/// A churned stream with no routing constraint: every seventh position
+/// discounts the flow inserted three positions earlier. Split at random,
+/// the delete often lands in another part than its insert.
+fn cross_churn(n: usize) -> Vec<FlowUpdate> {
+    (0..n)
+        .map(|i| {
+            let i = u32::try_from(i).unwrap();
+            if i % 7 == 6 {
+                FlowUpdate {
+                    key: key_at(i - 3),
+                    delta: Delta::Delete,
+                }
+            } else {
+                FlowUpdate {
+                    key: key_at(i),
+                    delta: Delta::Insert,
+                }
+            }
+        })
+        .collect()
+}
+
+/// Sketches each part's sub-stream (in stream order) on top of its
+/// starting sketch, then merges the parts.
+fn merge_partition(
+    mut parts: Vec<DistinctCountSketch>,
+    updates: &[FlowUpdate],
+    owners: &[usize],
+) -> DistinctCountSketch {
+    let count = parts.len();
+    for (update, owner) in updates.iter().zip(owners) {
+        parts[owner % count].update(*update);
+    }
+    DistinctCountSketch::merge_many(&config(17), &parts).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any assignment of updates to 1–5 parts — cross-part deletes
+    /// included, so a part may hold a delete whose insert it never saw —
+    /// merges to the single-threaded sketch, bit for bit.
+    #[test]
+    fn any_partition_merges_to_the_single_threaded_sketch(
+        n in 1usize..3_000,
+        shards in 1usize..=5,
+        owners in proptest::collection::vec(0usize..5, 3_000),
+    ) {
+        let updates = cross_churn(n);
+        let reference = reference_sketch(&updates, 17);
+        let parts = (0..shards).map(|_| DistinctCountSketch::new(config(17))).collect();
+        let merged = merge_partition(parts, &updates, &owners);
+        prop_assert_eq!(merged.to_state(), reference.to_state());
+    }
+
+    /// The same with part 0 starting from a sketch of a prefix of the
+    /// stream — the shape of a sharded run resumed from a checkpoint.
+    #[test]
+    fn a_partition_on_top_of_a_prefix_sketch_merges_to_the_whole(
+        n in 1usize..3_000,
+        cut in 0usize..3_000,
+        shards in 1usize..=5,
+        owners in proptest::collection::vec(0usize..5, 3_000),
+    ) {
+        let updates = cross_churn(n);
+        let (prefix, suffix) = updates.split_at(cut.min(n));
+        let reference = reference_sketch(&updates, 17);
+        let mut parts = vec![reference_sketch(prefix, 17)];
+        parts.resize_with(shards, || DistinctCountSketch::new(config(17)));
+        let merged = merge_partition(parts, suffix, &owners);
+        prop_assert_eq!(merged.to_state(), reference.to_state());
+    }
 }
