@@ -16,8 +16,8 @@
 //!   floods (SYN only, spoofed sources), flash crowds (complete
 //!   handshakes), port scans.
 //! * [`router`] — edge routers batching exported flow updates.
-//! * [`monitor`] — the DDoS MONITOR of Fig. 1: a Tracking
-//!   Distinct-Count Sketch plus EWMA baseline profiles and alarm logic.
+//! * [`monitor`] — the DDoS MONITOR of Fig. 1: a Distinct-Count Sketch
+//!   (optionally windowed) plus EWMA baseline profiles and alarm logic.
 //! * [`window`] / [`decay`] — windowed detection built on sketch
 //!   linearity: a ring of per-epoch delta sketches with O(1) slide
 //!   (merge the incoming delta, subtract the expiring one), tumbling
@@ -57,7 +57,7 @@ pub use decay::decayed_top_k;
 pub use hierarchy::{Granularity, HierarchicalTracker};
 pub use impair::Impairment;
 pub use ingest::{ShardReader, ShardedSnapshot};
-pub use monitor::{Alarm, AlarmEvent, AlarmPolicy, DdosMonitor};
+pub use monitor::{Alarm, AlarmEvent, AlarmPolicy, DdosMonitor, Monitor};
 pub use netflow::{FlowAggregator, FlowRecord, RecordConverter};
 pub use packet::{TcpFlags, TcpSegment};
 pub use pipeline::{
@@ -69,4 +69,4 @@ pub use simulation::{run_simulation, SimulationConfig, SimulationOutcome};
 pub use topology::IspTopology;
 pub use traffic::TrafficDriver;
 pub use udp::{Datagram, UdpTracker};
-pub use window::{EpochWindow, SlidingWindow, WindowPolicy, WindowedMonitor};
+pub use window::{EpochWindow, SlidingWindow, WindowPolicy};

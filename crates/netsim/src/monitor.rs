@@ -1,17 +1,33 @@
-//! The DDoS MONITOR of Fig. 1: sketch-backed tracking plus alarm logic.
+//! The DDoS MONITOR of Fig. 1: a sketch plus the alarm rules judged
+//! over it.
 //!
 //! The paper's monitor "can readily identify (in real time) signs of
 //! potential DDoS activity in the network (e.g., by comparing against
 //! 'baseline' profiles of network activity created over longer periods
-//! of time)" (§2). This module supplies both halves: a
-//! [`dcs_core::TrackingDcs`] consuming the flow-update
-//! streams, and per-destination EWMA baselines with absolute and
-//! relative alarm thresholds.
+//! of time)" (§2). This module supplies both halves — per-destination
+//! EWMA baselines with absolute and relative alarm thresholds, judged
+//! over a sketch of the flow-update streams — in two shapes:
+//!
+//! * [`Monitor`] judges at a cadence: a basic cumulative
+//!   [`DistinctCountSketch`], optionally an [`EpochWindow`] over it,
+//!   and the alarm judge. `run_pipeline` runs one, moved onto a
+//!   [`ShardedIngest`] engine when `ingest_shards` is set.
+//! * [`DdosMonitor`] keeps a [`TrackingDcs`] incrementally and adds
+//!   raise/clear events ([`DdosMonitor::evaluate_events`]), which
+//!   `dcsmon replay` prints; it is also the type of the pipeline
+//!   report's final monitor (DESIGN.md §18).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use dcs_core::{FlowUpdate, SketchConfig, TopKEstimate, TrackingDcs};
+use dcs_core::{
+    DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TopKEstimate, TrackingDcs,
+};
+use dcs_persist::{Checkpoint, PersistError};
 use dcs_telemetry::TelemetrySnapshot;
+
+use crate::sharded::ShardedIngest;
+use crate::window::{EpochWindow, WindowPolicy};
 
 /// Alarm thresholds and baseline smoothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +114,8 @@ pub enum AlarmEvent {
 /// The alarm rules and the state they carry between evaluations —
 /// policy, EWMA baselines, the hysteresis set, and the evaluation
 /// counter — apart from any sketch. A [`DdosMonitor`] pairs one with
-/// its own tracking sketch; the pipeline pairs one with the basic
-/// sketch it ingests into, and hands both over as a [`DdosMonitor`] at
+/// its own tracking sketch; a [`Monitor`] pairs one with its basic
+/// sketch or window, and hands it over as a [`DdosMonitor`] at
 /// shutdown.
 #[derive(Debug)]
 pub(crate) struct AlarmJudge {
@@ -119,10 +135,6 @@ impl AlarmJudge {
             active_alarms: HashSet::new(),
             evaluations: 0,
         }
-    }
-
-    pub(crate) fn policy(&self) -> &AlarmPolicy {
-        &self.policy
     }
 
     /// Judges a top-k view against the alarm rules, updating baselines
@@ -177,7 +189,12 @@ impl AlarmJudge {
     }
 }
 
-/// The sketch-backed DDoS monitor.
+/// The DDoS monitor over an incrementally maintained [`TrackingDcs`]:
+/// every update keeps the top-k heaps current, so each query is cheap.
+/// Unlike [`Monitor`], it reports raise/clear transitions
+/// ([`evaluate_events`](Self::evaluate_events)). A caller that only
+/// needs the alarms at a cadence runs a [`Monitor`], which ingests at
+/// the basic sketch's cost (DESIGN.md §18).
 ///
 /// # Examples
 ///
@@ -267,11 +284,10 @@ impl DdosMonitor {
     }
 
     /// Evaluates the alarm rules against an externally-computed top-k
-    /// view — the judgment path for windowed monitors, whose views come
-    /// from a [`crate::window::SlidingWindow`] accumulator (or a
-    /// decayed rescoring of one) rather than from any single sketch.
-    /// Baselines, hysteresis state, and the evaluation counter advance
-    /// exactly as [`Self::evaluate`] would.
+    /// view — e.g. an [`EpochWindow`]'s, which comes from a window
+    /// accumulator (or a decayed rescoring of one) rather than from any
+    /// single sketch. Baselines, hysteresis state, and the evaluation
+    /// counter advance exactly as [`Self::evaluate`] would.
     pub fn evaluate_top(&mut self, top: &TopKEstimate) -> Vec<Alarm> {
         self.judge.judge_top(top)
     }
@@ -359,6 +375,289 @@ impl DdosMonitor {
         let mut snap = self.sketch.telemetry_snapshot(label);
         self.judge.stamp_gauges(&mut snap);
         snap
+    }
+}
+
+/// Where a [`Monitor`]'s cumulative sketch lives: owned inline
+/// (direct), or split across a sharded engine's workers and merged on
+/// demand. Judgment, windows and checkpoints see one basic sketch
+/// either way.
+#[derive(Debug)]
+enum Cumulative {
+    Direct(DistinctCountSketch),
+    Sharded(ShardedIngest),
+}
+
+impl Cumulative {
+    fn ingest(&mut self, updates: &[FlowUpdate]) {
+        match self {
+            Self::Direct(sketch) => sketch.update_batch(updates),
+            Self::Sharded(engine) => engine.ingest(updates),
+        }
+    }
+
+    /// The cumulative sketch now: borrowed when direct; flushed and
+    /// merged when sharded (a merge error is unreachable with one
+    /// shared configuration).
+    fn sketch(&mut self) -> Result<Cow<'_, DistinctCountSketch>, SketchError> {
+        match self {
+            Self::Direct(sketch) => Ok(Cow::Borrowed(sketch)),
+            Self::Sharded(engine) => engine.merged_sketch().map(Cow::Owned),
+        }
+    }
+}
+
+/// The DDoS monitor judged at a cadence: one basic cumulative sketch,
+/// an optional epoch window over it, and the alarm rules. The sketch
+/// is owned inline; `run_pipeline` moves it onto a [`ShardedIngest`]
+/// engine when `ingest_shards` is set.
+///
+/// [`ingest`](Self::ingest) only updates the basic sketch (DESIGN.md
+/// §18). [`evaluate`](Self::evaluate) judges the alarm rules against
+/// the sketch's `BaseTopk` view or, when windowed, first closes an
+/// epoch — the window slides in O(1) — and judges the windowed view.
+/// Checkpoints are the same document in every ingest mode: a sketch
+/// (kind 1), or a window (kind 5) when windowed.
+///
+/// # Examples
+///
+/// ```
+/// use dcs_core::{DestAddr, FlowUpdate, SketchConfig, SourceAddr};
+/// use dcs_netsim::{AlarmPolicy, Monitor, WindowPolicy};
+///
+/// let policy = AlarmPolicy { absolute_threshold: 100, ..AlarmPolicy::default() };
+/// let window = Some(WindowPolicy::Sliding { epochs: 3 });
+/// let mut monitor = Monitor::new(SketchConfig::paper_default(), policy, window)?;
+/// let flood: Vec<FlowUpdate> = (0..500u32)
+///     .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(80)))
+///     .collect();
+/// monitor.ingest(&flood);
+/// let alarms = monitor.evaluate()?; // closes the epoch, slides, judges
+/// assert!(alarms.iter().any(|a| a.dest == 80));
+/// # Ok::<(), dcs_core::SketchError>(())
+/// ```
+#[derive(Debug)]
+pub struct Monitor {
+    cumulative: Cumulative,
+    window: Option<EpochWindow>,
+    judge: AlarmJudge,
+}
+
+impl Monitor {
+    /// An empty monitor judging the all-time sketch (`window` `None`)
+    /// or a window of evaluation epochs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SketchError::InvalidConfig`] when `window` fails
+    /// [`WindowPolicy::validate`].
+    pub fn new(
+        config: SketchConfig,
+        policy: AlarmPolicy,
+        window: Option<WindowPolicy>,
+    ) -> Result<Self, SketchError> {
+        let window = window
+            .map(|wp| EpochWindow::new(config.clone(), wp))
+            .transpose()?;
+        Ok(Self {
+            cumulative: Cumulative::Direct(DistinctCountSketch::new(config)),
+            window,
+            judge: AlarmJudge::new(policy),
+        })
+    }
+
+    /// Resumes a monitor from a checkpoint document. A windowed monitor
+    /// resumes a window document (kind 5), whose ring, accumulator and
+    /// epoch base come back bit-exactly. An all-time monitor resumes a
+    /// sketch document (kind 1), or the tracking (kind 2) or sharded
+    /// (kind 4) documents earlier versions wrote, reduced to the one
+    /// sketch they hold. Alarm baselines start empty and re-warm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Incompatible`] when the document is of
+    /// the wrong kind for `window`, its sketches were built with a
+    /// configuration other than `config`, or (see
+    /// [`EpochWindow::from_checkpoint`] and
+    /// [`ShardedIngest::from_checkpoint`]) its parts do not fit
+    /// together; propagates [`PersistError::State`] when an embedded
+    /// state fails validation.
+    pub fn from_checkpoint(
+        doc: Checkpoint,
+        config: &SketchConfig,
+        policy: AlarmPolicy,
+        window: Option<WindowPolicy>,
+    ) -> Result<Self, PersistError> {
+        let kind = doc.kind_name();
+        let wrong_kind = |wanted: &str| PersistError::Incompatible {
+            reason: format!("holds a {kind} document, not {wanted}"),
+        };
+        let (sketch, window) = match (doc, window) {
+            (Checkpoint::Window(doc), Some(wp)) => {
+                let (window, current) = EpochWindow::from_checkpoint(doc, wp)?;
+                (current.into_sketch(), Some(window))
+            }
+            (_, Some(_)) => return Err(wrong_kind("a window")),
+            (Checkpoint::Sketch(state), None) => (DistinctCountSketch::from_state(state)?, None),
+            (Checkpoint::Tracking(state), None) => {
+                (TrackingDcs::from_state(state)?.into_sketch(), None)
+            }
+            (doc, None) => match ShardedIngest::merged_document(doc) {
+                Some(merged) => (merged?, None),
+                None => return Err(wrong_kind("a sketch")),
+            },
+        };
+        if sketch.config() != config {
+            return Err(PersistError::Incompatible {
+                reason: "sketch configuration differs from the monitor's".into(),
+            });
+        }
+        Ok(Self {
+            cumulative: Cumulative::Direct(sketch),
+            window,
+            judge: AlarmJudge::new(policy),
+        })
+    }
+
+    /// Moves the cumulative sketch into a sharded engine of `shards`
+    /// workers (`None`: ingest stays inline), shard 0 starting from the
+    /// sketch so far. By linearity the merged view is unchanged.
+    pub(crate) fn with_shards(self, shards: Option<usize>) -> Self {
+        let cumulative = match (self.cumulative, shards) {
+            (Cumulative::Direct(sketch), Some(n)) => {
+                Cumulative::Sharded(ShardedIngest::starting_from(sketch, n.max(1)))
+            }
+            (cumulative, _) => cumulative,
+        };
+        Self { cumulative, ..self }
+    }
+
+    /// Ingests flow updates into the cumulative basic sketch (the
+    /// window only reads it when an epoch closes).
+    pub fn ingest(&mut self, updates: &[FlowUpdate]) {
+        self.cumulative.ingest(updates);
+    }
+
+    /// Judges the alarm rules and returns any alarms raised. All-time,
+    /// the cumulative sketch's top destinations are judged. Windowed,
+    /// this first closes an epoch: the cumulative sketch is differenced
+    /// against the epoch base, the window slides in O(1), and its
+    /// policy-weighted top-k is judged. Baselines absorb the view after
+    /// judgment, so a surge is compared against the calm profile that
+    /// preceded it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a sharded merge failure (see
+    /// [`ShardedIngest::merged_sketch`]) or a failed slide (see
+    /// [`EpochWindow::advance`]), both unreachable under this type's
+    /// invariants (one shared configuration, a base that only trails
+    /// the cumulative sketch). Nothing is judged then, and the window
+    /// and the judge are left as they were.
+    pub fn evaluate(&mut self) -> Result<Vec<Alarm>, SketchError> {
+        let sketch = self.cumulative.sketch()?;
+        let (k, epsilon) = (self.judge.policy.watch_top_k, self.judge.policy.epsilon);
+        let top = match &mut self.window {
+            Some(w) => {
+                w.advance(&sketch)?;
+                w.top_k(k, epsilon)
+            }
+            None => sketch.estimate_top_k(k, epsilon),
+        };
+        Ok(self.judge.judge_top(&top))
+    }
+
+    /// The top-k view the monitor judges, without judging it: the last
+    /// closed epochs' window when windowed (the open epoch joins at the
+    /// next [`evaluate`](Self::evaluate)), the cumulative sketch's
+    /// otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a sharded merge failure (see
+    /// [`ShardedIngest::merged_sketch`]).
+    pub fn top_k(&mut self, k: usize) -> Result<TopKEstimate, SketchError> {
+        let epsilon = self.judge.policy.epsilon;
+        Ok(match &self.window {
+            Some(w) => w.top_k(k, epsilon),
+            None => self.cumulative.sketch()?.estimate_top_k(k, epsilon),
+        })
+    }
+
+    /// The cumulative sketch of everything ingested: borrowed when
+    /// direct, flushed and merged when sharded.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a sharded merge failure (see
+    /// [`ShardedIngest::merged_sketch`]).
+    pub fn cumulative(&mut self) -> Result<Cow<'_, DistinctCountSketch>, SketchError> {
+        self.cumulative.sketch()
+    }
+
+    /// The epoch window, when the monitor is windowed.
+    pub fn window(&self) -> Option<&EpochWindow> {
+        self.window.as_ref()
+    }
+
+    /// The alarm policy.
+    pub fn policy(&self) -> &AlarmPolicy {
+        &self.judge.policy
+    }
+
+    /// The checkpoint document of the monitor's state, the same in
+    /// either ingest mode: the cumulative sketch (kind 1), or when
+    /// windowed the full window document (kind 5) — ring, accumulator,
+    /// epoch base, and the cumulative sketch as a tracking state built
+    /// here — so a resumed monitor's windowed judgments stay
+    /// bit-identical to an uninterrupted one's. A sharded engine is
+    /// flushed and merged first, so the document never records an
+    /// in-flight update.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a sharded merge failure (see
+    /// [`ShardedIngest::merged_sketch`]).
+    pub fn checkpoint(&mut self) -> Result<Checkpoint, SketchError> {
+        let sketch = self.cumulative.sketch()?;
+        Ok(match &self.window {
+            Some(w) => {
+                Checkpoint::Window(w.to_checkpoint(&TrackingDcs::from_sketch(sketch.into_owned())))
+            }
+            None => Checkpoint::Sketch(sketch.to_state()),
+        })
+    }
+
+    /// A telemetry snapshot of the monitor: the sketch's gauges when
+    /// direct, the engine's (queue depth, merge latency, cursors —
+    /// non-blocking, from published partials) when sharded, plus the
+    /// judge's and the window's gauges in either.
+    pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
+        let mut snap = match &self.cumulative {
+            Cumulative::Direct(sketch) => sketch.telemetry_snapshot(label),
+            Cumulative::Sharded(engine) => engine.telemetry_snapshot(label),
+        };
+        self.judge.stamp_gauges(&mut snap);
+        if let Some(w) = &self.window {
+            w.stamp_gauges(&mut snap);
+        }
+        snap
+    }
+
+    /// The shutdown hand-over: a [`DdosMonitor`] over tracking
+    /// structures built once from the final cumulative sketch, carrying
+    /// on the judge's baselines, hysteresis and evaluation count. A
+    /// sharded merge failure — unreachable with one shared
+    /// configuration — leaves an empty sketch and a warning.
+    pub(crate) fn into_tracking_monitor(self) -> DdosMonitor {
+        let sketch = match self.cumulative {
+            Cumulative::Direct(sketch) => sketch,
+            Cumulative::Sharded(mut engine) => engine.merged_sketch().unwrap_or_else(|e| {
+                eprintln!("sharded merge failed at shutdown: {e}");
+                DistinctCountSketch::new(engine.config().clone())
+            }),
+        };
+        DdosMonitor::from_parts(TrackingDcs::from_sketch(sketch), self.judge)
     }
 }
 

@@ -3,34 +3,36 @@
 //! Deployment shape for the architecture of Fig. 1: several edge
 //! routers, each on its own thread, convert their packet feeds into
 //! flow updates and ship them over a bounded crossbeam channel to one
-//! central monitor thread. That thread ingests into a basic
-//! Distinct-Count Sketch — its own, or the per-worker partials of a
-//! [`ShardedIngest`] engine — and every [`PipelineConfig::evaluate_every`]
-//! updates judges the alarm rules against the sketch's `BaseTopk` view
-//! (Fig. 3), or against a sliding window of it.
+//! central monitor thread. That thread feeds a [`Monitor`] — a basic
+//! Distinct-Count Sketch of its own, or the per-worker partials of a
+//! [`crate::ShardedIngest`] engine — and every
+//! [`PipelineConfig::evaluate_every`] updates has it judge the alarm
+//! rules against the sketch's `BaseTopk` view (Fig. 3), or against a
+//! sliding window of it. The thread itself only cuts the stream at
+//! evaluation, telemetry and checkpoint boundaries and runs the two
+//! sidecars.
 //!
 //! The Tracking DCS (§5) is deliberately not on the ingest path: it
 //! makes every update dearer so that queries are cheap, and at
 //! evaluation cadence `BaseTopk` returns the same ranking for far less
-//! (DESIGN.md §18). The final sketch is wrapped in a [`TrackingDcs`]
-//! once, at shutdown, and handed back in [`DetectionReport::monitor`].
+//! (DESIGN.md §18). The final sketch is wrapped in a
+//! [`dcs_core::TrackingDcs`] once, at shutdown, and handed back in
+//! [`DetectionReport::monitor`].
 
-use std::borrow::Cow;
 use std::path::PathBuf;
 use std::thread;
 use std::time::Instant;
 
 use crossbeam::channel;
 
-use dcs_core::{DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TrackingDcs};
-use dcs_persist::{Checkpoint, CheckpointManager};
+use dcs_core::{FlowUpdate, SketchConfig};
+use dcs_persist::CheckpointManager;
 use dcs_telemetry::{JsonlExporter, LogHistogram, TelemetrySnapshot};
 
-use crate::monitor::{Alarm, AlarmJudge, AlarmPolicy, DdosMonitor};
+use crate::monitor::{Alarm, AlarmPolicy, DdosMonitor, Monitor};
 use crate::packet::TcpSegment;
 use crate::router::EdgeRouter;
-use crate::sharded::ShardedIngest;
-use crate::window::{EpochWindow, WindowPolicy};
+use crate::window::WindowPolicy;
 
 /// Where and how often the monitor thread exports telemetry snapshots.
 #[derive(Debug, Clone)]
@@ -83,7 +85,7 @@ pub struct PipelineConfig {
     pub telemetry: Option<TelemetrySidecar>,
     /// Optional crash-recovery checkpoint written by the monitor thread.
     pub checkpoint: Option<CheckpointSidecar>,
-    /// `Some(n)`: the monitor thread feeds a [`ShardedIngest`] engine
+    /// `Some(n)`: the monitor thread feeds a [`crate::ShardedIngest`] engine
     /// with `n` persistent workers instead of sketching inline, judging
     /// alarms against merged snapshots at evaluation boundaries.
     /// `None` (default): single-threaded monitor sketch. The mode does
@@ -189,20 +191,22 @@ fn export_snapshot(
     }
 }
 
-/// Resumes pipeline state from the checkpoint file, if there is one.
-/// `resume` turns the document into state or says why it cannot. Any
-/// problem — missing file aside — degrades to a fresh start (`None`)
-/// with a warning on stderr: a monitor must never refuse to boot
-/// because its own recovery file is damaged or stale.
-fn resume_from<T>(
+/// Resumes the monitor from the checkpoint file, if there is one (see
+/// [`Monitor::from_checkpoint`]). Any problem — missing file aside —
+/// degrades to a fresh start (`None`) with a warning on stderr: a
+/// monitor must never refuse to boot because its own recovery file is
+/// damaged or stale.
+fn resume_from(
     manager: &CheckpointManager,
-    resume: impl FnOnce(Checkpoint) -> Result<T, String>,
-) -> Option<T> {
+    sketch: &SketchConfig,
+    policy: AlarmPolicy,
+    window: Option<WindowPolicy>,
+) -> Option<Monitor> {
     let reason = match manager.try_load() {
         Ok(None) => return None,
-        Ok(Some(doc)) => match resume(doc) {
-            Ok(state) => return Some(state),
-            Err(reason) => reason,
+        Ok(Some(doc)) => match Monitor::from_checkpoint(doc, sketch, policy, window) {
+            Ok(monitor) => return Some(monitor),
+            Err(e) => e.to_string(),
         },
         Err(e) => format!("unreadable ({e})"),
     };
@@ -213,133 +217,13 @@ fn resume_from<T>(
     None
 }
 
-/// Refuses a document whose sketches were built with another
-/// configuration (different hash functions: nothing in it would line
-/// up with this pipeline's counters).
-fn same_config(found: &SketchConfig, config: &SketchConfig) -> Result<(), String> {
-    if found == config {
-        Ok(())
-    } else {
-        Err("sketch configuration differs from the pipeline's".into())
-    }
-}
-
-fn rejected(e: impl std::fmt::Display) -> String {
-    format!("restored state rejected ({e})")
-}
-
-/// The cumulative sketch, and the epoch window when `window_policy` is
-/// set, from the checkpoint file. A windowed run resumes a window
-/// document (kind 5), whose ring, accumulator and epoch base come back
-/// bit-exactly. An all-time run resumes a sketch document (kind 1), or
-/// the tracking (kind 2) or sharded (kind 4) documents earlier versions
-/// wrote, reduced to the one sketch they hold. Alarm baselines re-warm
-/// as usual.
-fn restore(
-    manager: &CheckpointManager,
-    config: &SketchConfig,
-    window_policy: Option<&WindowPolicy>,
-) -> Option<(DistinctCountSketch, Option<EpochWindow>)> {
-    resume_from(manager, |doc| {
-        let kind = doc.kind_name();
-        let wrong_kind = |wanted: &str| format!("holds a {kind} document, not {wanted}");
-        let (sketch, window) = match (doc, window_policy) {
-            (Checkpoint::Window(doc), Some(policy)) => {
-                let (window, current) =
-                    EpochWindow::from_checkpoint(doc, policy.clone()).map_err(rejected)?;
-                (current.into_sketch(), Some(window))
-            }
-            (_, Some(_)) => return Err(wrong_kind("a window")),
-            (Checkpoint::Sketch(state), None) => (
-                DistinctCountSketch::from_state(state).map_err(rejected)?,
-                None,
-            ),
-            (Checkpoint::Tracking(state), None) => {
-                let tracking = TrackingDcs::from_state(state).map_err(rejected)?;
-                (tracking.into_sketch(), None)
-            }
-            (doc, None) => match ShardedIngest::merged_document(doc) {
-                Some(merged) => (merged.map_err(rejected)?, None),
-                None => return Err(wrong_kind("a sketch")),
-            },
-        };
-        same_config(sketch.config(), config)?;
-        Ok((sketch, window))
-    })
-}
-
-/// Builds the epoch window for a pipeline window policy. An invalid
-/// policy is a caller error, not a runtime artifact, so it panics (the
-/// documented [`run_pipeline`] contract) instead of degrading.
-///
-/// # Panics
-///
-/// Panics when `policy` fails [`WindowPolicy::validate`].
-fn new_epoch_window(config: &SketchConfig, policy: &WindowPolicy) -> EpochWindow {
-    match EpochWindow::new(config.clone(), policy.clone()) {
-        Ok(window) => window,
-        Err(e) => panic!("invalid pipeline window policy: {e}"),
-    }
-}
-
-/// Where the monitor thread's cumulative sketch lives: owned inline
-/// (direct mode), or split across a sharded engine's workers and
-/// merged on demand. Everything downstream — judgment, windows,
-/// telemetry — sees one basic sketch either way.
-enum Cumulative {
-    Direct(DistinctCountSketch),
-    Sharded(ShardedIngest),
-}
-
-impl Cumulative {
-    /// The starting state: resumed from the checkpoint file when it
-    /// holds a compatible document, empty otherwise, in either ingest
-    /// mode — a sharded engine's shard 0 starts from the restored
-    /// sketch. Returns the cumulative sketch, the epoch window (when
-    /// windowed) and whether anything was restored.
-    fn start(
-        manager: Option<&CheckpointManager>,
-        config: &SketchConfig,
-        shards: Option<usize>,
-        window_policy: Option<&WindowPolicy>,
-    ) -> (Self, Option<EpochWindow>, bool) {
-        let restored = manager.and_then(|m| restore(m, config, window_policy));
-        let resumed = restored.is_some();
-        let (sketch, window) = restored.unwrap_or_else(|| {
-            (
-                DistinctCountSketch::new(config.clone()),
-                window_policy.map(|wp| new_epoch_window(config, wp)),
-            )
-        });
-        let cumulative = match shards {
-            Some(shards) => Self::Sharded(ShardedIngest::starting_from(sketch, shards.max(1))),
-            None => Self::Direct(sketch),
-        };
-        (cumulative, window, resumed)
-    }
-
-    fn ingest(&mut self, updates: &[FlowUpdate]) {
-        match self {
-            Self::Direct(sketch) => sketch.update_batch(updates),
-            Self::Sharded(engine) => engine.ingest(updates),
-        }
-    }
-
-    /// The cumulative sketch now: borrowed in direct mode; flushed and
-    /// merged in sharded mode (a merge error is unreachable with one
-    /// shared configuration).
-    fn sketch(&mut self) -> Result<Cow<'_, DistinctCountSketch>, SketchError> {
-        match self {
-            Self::Direct(sketch) => Ok(Cow::Borrowed(sketch)),
-            Self::Sharded(engine) => engine.merged_sketch().map(Cow::Owned),
-        }
-    }
-
-    fn into_sketch(self) -> Result<DistinctCountSketch, SketchError> {
-        match self {
-            Self::Direct(sketch) => Ok(sketch),
-            Self::Sharded(mut engine) => engine.merged_sketch(),
-        }
+/// Judges the alarm rules at a boundary, appending what fires. An
+/// evaluation error — unreachable with one shared configuration —
+/// skips this judgment with a warning, so the detection run carries on.
+fn evaluate_into(monitor: &mut Monitor, alarms: &mut Vec<Alarm>) {
+    match monitor.evaluate() {
+        Ok(raised) => alarms.extend(raised),
+        Err(e) => eprintln!("alarm evaluation failed: {e}; skipping this judgment"),
     }
 }
 
@@ -350,14 +234,13 @@ impl Cumulative {
 /// warning.
 fn write_checkpoint(
     manager: &mut Option<CheckpointManager>,
-    cumulative: &mut Cumulative,
-    window: &Option<EpochWindow>,
+    monitor: &mut Monitor,
     stats: &mut CheckpointStats,
 ) {
     let Some(mgr) = manager else {
         return;
     };
-    let checkpoint = match boundary_checkpoint(cumulative, window) {
+    let checkpoint = match monitor.checkpoint() {
         Ok(checkpoint) => checkpoint,
         Err(e) => {
             eprintln!("sharded merge failed during checkpoint: {e}");
@@ -382,84 +265,6 @@ fn write_checkpoint(
     }
 }
 
-/// One alarm evaluation at an ingest boundary, judged on the cumulative
-/// basic sketch (a sharded merge failure — unreachable with one shared
-/// configuration — degrades to a warning, never a lost pipeline).
-///
-/// All-time mode judges the sketch's `BaseTopk` view. Windowed mode
-/// also closes an epoch: the cumulative sketch is differenced against
-/// the epoch base, the window slides in O(1), and the alarm rules judge
-/// the windowed top-k instead. A window failure — unreachable under the
-/// pipeline's invariants — degrades to a warning and a skipped
-/// judgment.
-fn evaluate_boundary(
-    cumulative: &mut Cumulative,
-    judge: &mut AlarmJudge,
-    window: &mut Option<EpochWindow>,
-    alarms: &mut Vec<Alarm>,
-) {
-    let sketch = match cumulative.sketch() {
-        Ok(sketch) => sketch,
-        Err(e) => {
-            eprintln!("sharded merge failed during evaluation: {e}");
-            return;
-        }
-    };
-    let (k, epsilon) = (judge.policy().watch_top_k, judge.policy().epsilon);
-    let top = match window {
-        Some(w) => match w.advance(&sketch) {
-            Ok(()) => w.top_k(k, epsilon),
-            Err(e) => {
-                eprintln!("window slide failed during evaluation: {e}");
-                return;
-            }
-        },
-        None => sketch.estimate_top_k(k, epsilon),
-    };
-    alarms.extend(judge.judge_top(&top));
-}
-
-/// The telemetry snapshot exported at a boundary: the sketch's gauges
-/// in direct mode, the engine's (queue depth, merge latency, cursors —
-/// non-blocking, from published partials) in sharded mode, plus the
-/// judge's and the window's gauges in either.
-fn boundary_snapshot(
-    cumulative: &Cumulative,
-    judge: &AlarmJudge,
-    window: &Option<EpochWindow>,
-    label: &str,
-) -> TelemetrySnapshot {
-    let mut snap = match cumulative {
-        Cumulative::Direct(sketch) => sketch.telemetry_snapshot(label),
-        Cumulative::Sharded(engine) => engine.telemetry_snapshot(label),
-    };
-    judge.stamp_gauges(&mut snap);
-    if let Some(w) = window {
-        w.stamp_gauges(&mut snap);
-    }
-    snap
-}
-
-/// The checkpoint document saved at a boundary, the same in either
-/// ingest mode: the cumulative sketch (kind 1), or when windowed the
-/// full window document (kind 5) — ring, accumulator, epoch base, and
-/// the cumulative sketch, whose `current` field is a tracking state
-/// built here — so a resumed run's windowed judgments stay
-/// bit-identical to an uninterrupted one. A sharded engine is flushed
-/// and merged first, so the document never records an in-flight item.
-fn boundary_checkpoint(
-    cumulative: &mut Cumulative,
-    window: &Option<EpochWindow>,
-) -> Result<Checkpoint, SketchError> {
-    let sketch = cumulative.sketch()?;
-    Ok(match window {
-        Some(w) => {
-            Checkpoint::Window(w.to_checkpoint(&TrackingDcs::from_sketch(sketch.into_owned())))
-        }
-        None => Checkpoint::Sketch(sketch.to_state()),
-    })
-}
-
 /// Runs the pipeline: one thread per router feed, one monitor thread.
 ///
 /// Each element of `router_feeds` is the time-ordered packet feed of one
@@ -471,9 +276,11 @@ fn boundary_checkpoint(
 ///
 /// # Panics
 ///
-/// Panics if [`PipelineConfig::window`] is set to a policy that fails
+/// Panics with "invalid pipeline window policy" if
+/// [`PipelineConfig::window`] is set to a policy that fails
 /// [`WindowPolicy::validate`] (zero-length window, decay factor outside
 /// `(0, 1]`) — a caller configuration error, not a runtime condition.
+/// The check runs on the caller's thread before any thread starts.
 ///
 /// # Examples
 ///
@@ -487,6 +294,13 @@ fn boundary_checkpoint(
 /// assert!(report.alarmed_destinations().contains(&0x0a000001));
 /// ```
 pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) -> DetectionReport {
+    // The one window-policy check, before any thread starts.
+    let fresh = Monitor::new(
+        config.sketch.clone(),
+        config.policy.clone(),
+        config.window.clone(),
+    )
+    .unwrap_or_else(|e| panic!("invalid pipeline window policy: {e}"));
     let (update_tx, update_rx) = channel::bounded::<Vec<FlowUpdate>>(64);
 
     // Each router thread returns how many segments it observed.
@@ -517,114 +331,97 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
     }
     drop(update_tx);
 
-    let monitor_handle = {
-        let sketch_config = config.sketch.clone();
-        let policy = config.policy.clone();
-        let evaluate_every = config.evaluate_every.max(1);
-        let sidecar = config.telemetry.clone();
-        let ckpt_sidecar = config.checkpoint.clone();
-        let ingest_shards = config.ingest_shards;
-        let window_policy = config.window.clone();
-        thread::spawn(move || {
-            if let Some(wp) = &window_policy {
-                if let Err(e) = wp.validate() {
-                    panic!("invalid pipeline window policy: {e}");
+    let monitor_handle = thread::spawn(move || {
+        let PipelineConfig {
+            sketch,
+            policy,
+            evaluate_every,
+            telemetry: sidecar,
+            checkpoint: ckpt_sidecar,
+            ingest_shards,
+            window,
+            ..
+        } = config;
+        let evaluate_every = evaluate_every.max(1);
+        let mut ckpt_manager = ckpt_sidecar
+            .as_ref()
+            .map(|c| CheckpointManager::new(&c.path));
+        let restored = ckpt_manager
+            .as_ref()
+            .and_then(|m| resume_from(m, &sketch, policy, window));
+        let resumed = restored.is_some();
+        let mut monitor = restored.unwrap_or(fresh).with_shards(ingest_shards);
+        let mut ckpt_stats = CheckpointStats::default();
+        // A failed sidecar must not kill the detection run: report
+        // on stderr and carry on without telemetry.
+        let mut exporter = sidecar.as_ref().and_then(|s| {
+            JsonlExporter::create(&s.path)
+                .map_err(|e| eprintln!("telemetry sidecar {}: {e}", s.path.display()))
+                .ok()
+        });
+        let snapshot_every = sidecar.map_or(u64::MAX, |s| s.every.max(1));
+        let checkpoint_every = ckpt_sidecar.map_or(u64::MAX, |c| c.every.max(1));
+        let mut alarms = Vec::new();
+        let mut ingested = 0u64;
+        let mut next_eval = evaluate_every;
+        let mut next_snapshot = snapshot_every;
+        let mut next_checkpoint = checkpoint_every;
+        for batch in update_rx {
+            // Feed the batched fast path in sub-chunks that stop
+            // exactly at the next evaluation/snapshot/checkpoint
+            // boundary, so alarms, snapshots, and checkpoints fire
+            // at the same ingested counts as a per-update loop.
+            let mut offset = 0usize;
+            while offset < batch.len() {
+                let remaining = batch.len() - offset;
+                let until_boundary = next_eval
+                    .saturating_sub(ingested)
+                    .min(next_snapshot.saturating_sub(ingested))
+                    .min(next_checkpoint.saturating_sub(ingested));
+                let take = usize::try_from(until_boundary)
+                    .unwrap_or(remaining)
+                    .min(remaining);
+                monitor.ingest(&batch[offset..offset + take]);
+                offset += take;
+                ingested += take as u64;
+                if ingested >= next_eval {
+                    evaluate_into(&mut monitor, &mut alarms);
+                    next_eval += evaluate_every;
                 }
-            }
-            let mut ckpt_manager = ckpt_sidecar
-                .as_ref()
-                .map(|c| CheckpointManager::new(&c.path));
-            let (mut cumulative, mut window, restored) = Cumulative::start(
-                ckpt_manager.as_ref(),
-                &sketch_config,
-                ingest_shards,
-                window_policy.as_ref(),
-            );
-            let mut judge = AlarmJudge::new(policy);
-            let mut ckpt_stats = CheckpointStats::default();
-            // A failed sidecar must not kill the detection run: report
-            // on stderr and carry on without telemetry.
-            let mut exporter = sidecar.as_ref().and_then(|s| {
-                JsonlExporter::create(&s.path)
-                    .map_err(|e| eprintln!("telemetry sidecar {}: {e}", s.path.display()))
-                    .ok()
-            });
-            let snapshot_every = sidecar.map_or(u64::MAX, |s| s.every.max(1));
-            let checkpoint_every = ckpt_sidecar.map_or(u64::MAX, |c| c.every.max(1));
-            let mut alarms = Vec::new();
-            let mut ingested = 0u64;
-            let mut next_eval = evaluate_every;
-            let mut next_snapshot = snapshot_every;
-            let mut next_checkpoint = checkpoint_every;
-            for batch in update_rx {
-                // Feed the batched fast path in sub-chunks that stop
-                // exactly at the next evaluation/snapshot/checkpoint
-                // boundary, so alarms, snapshots, and checkpoints fire
-                // at the same ingested counts as a per-update loop.
-                let mut offset = 0usize;
-                while offset < batch.len() {
-                    let remaining = batch.len() - offset;
-                    let until_boundary = next_eval
-                        .saturating_sub(ingested)
-                        .min(next_snapshot.saturating_sub(ingested))
-                        .min(next_checkpoint.saturating_sub(ingested));
-                    let take = usize::try_from(until_boundary)
-                        .unwrap_or(remaining)
-                        .min(remaining);
-                    cumulative.ingest(&batch[offset..offset + take]);
-                    offset += take;
-                    ingested += take as u64;
-                    if ingested >= next_eval {
-                        evaluate_boundary(&mut cumulative, &mut judge, &mut window, &mut alarms);
-                        next_eval += evaluate_every;
-                    }
-                    if ingested >= next_snapshot {
-                        if exporter.is_some() {
-                            let snap = boundary_snapshot(&cumulative, &judge, &window, "pipeline");
-                            export_snapshot(
-                                &mut exporter,
-                                snap,
-                                ckpt_manager.as_ref().map(|_| &ckpt_stats),
-                            );
-                        }
-                        next_snapshot += snapshot_every;
-                    }
-                    if ingested >= next_checkpoint {
-                        write_checkpoint(
-                            &mut ckpt_manager,
-                            &mut cumulative,
-                            &window,
-                            &mut ckpt_stats,
+                if ingested >= next_snapshot {
+                    if exporter.is_some() {
+                        export_snapshot(
+                            &mut exporter,
+                            monitor.telemetry_snapshot("pipeline"),
+                            ckpt_manager.as_ref().map(|_| &ckpt_stats),
                         );
-                        next_checkpoint += checkpoint_every;
                     }
+                    next_snapshot += snapshot_every;
+                }
+                if ingested >= next_checkpoint {
+                    write_checkpoint(&mut ckpt_manager, &mut monitor, &mut ckpt_stats);
+                    next_checkpoint += checkpoint_every;
                 }
             }
-            evaluate_boundary(&mut cumulative, &mut judge, &mut window, &mut alarms);
-            // One final checkpoint so a clean shutdown is resumable too.
-            write_checkpoint(&mut ckpt_manager, &mut cumulative, &window, &mut ckpt_stats);
-            if exporter.is_some() {
-                let snap = boundary_snapshot(&cumulative, &judge, &window, "pipeline_final");
-                export_snapshot(
-                    &mut exporter,
-                    snap,
-                    ckpt_manager.as_ref().map(|_| &ckpt_stats),
-                );
-            }
-            // Build the tracking structures once, over the final
-            // sketch, so the returned report is inspectable the usual
-            // way.
-            let tracking = match cumulative.into_sketch() {
-                Ok(sketch) => TrackingDcs::from_sketch(sketch),
-                Err(e) => {
-                    eprintln!("sharded merge failed at shutdown: {e}");
-                    TrackingDcs::new(sketch_config)
-                }
-            };
-            let monitor = DdosMonitor::from_parts(tracking, judge);
-            (monitor, alarms, ingested, ckpt_stats.written, restored)
-        })
-    };
+        }
+        evaluate_into(&mut monitor, &mut alarms);
+        // One final checkpoint so a clean shutdown is resumable too.
+        write_checkpoint(&mut ckpt_manager, &mut monitor, &mut ckpt_stats);
+        if exporter.is_some() {
+            export_snapshot(
+                &mut exporter,
+                monitor.telemetry_snapshot("pipeline_final"),
+                ckpt_manager.as_ref().map(|_| &ckpt_stats),
+            );
+        }
+        (
+            monitor.into_tracking_monitor(),
+            alarms,
+            ingested,
+            ckpt_stats.written,
+            resumed,
+        )
+    });
 
     // Join failures carry the worker's own panic payload; re-raise it
     // (as `ingest_sharded` does) instead of masking it with a generic
@@ -728,6 +525,33 @@ mod tests {
         assert!(report.alarms.is_empty());
         assert_eq!(report.updates_ingested, 0);
         assert_eq!(report.monitor.sketch().updates_processed(), 0);
+    }
+
+    /// A feed of `sources` flood SYNs, for runs whose outcome does not
+    /// matter.
+    fn flood_feed(sources: u32) -> Vec<TcpSegment> {
+        let mut driver = TrafficDriver::new(90);
+        driver.syn_flood(DestAddr(0x0a00_0010), sources);
+        driver.into_segments()
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid pipeline window policy")]
+    fn zero_epoch_window_is_refused_before_the_run() {
+        let mut cfg = config(300);
+        cfg.window = Some(WindowPolicy::Sliding { epochs: 0 });
+        run_pipeline(vec![flood_feed(200)], cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid pipeline window policy")]
+    fn decay_factor_above_one_is_refused_before_the_run() {
+        let mut cfg = config(300);
+        cfg.window = Some(WindowPolicy::Decayed {
+            epochs: 3,
+            lambda: 1.5,
+        });
+        run_pipeline(vec![flood_feed(200)], cfg);
     }
 
     #[test]

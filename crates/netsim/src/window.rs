@@ -21,7 +21,8 @@
 //! accumulator. [`EpochWindow`] closes an epoch off a cumulative
 //! sketch in one fused pass ([`DistinctCountSketch::slide_epoch`]):
 //! the epoch's delta is written straight into the expiring delta's
-//! ring slot, with no intermediate sketch.
+//! ring slot, with no intermediate sketch. A windowed
+//! [`crate::Monitor`] owns one and closes an epoch at each evaluation.
 //!
 //! The window algebra is *bit-exact*, not approximate: the accumulator
 //! equals the merge of the retained deltas counter-for-counter at every
@@ -31,18 +32,15 @@
 
 use std::collections::VecDeque;
 
-use dcs_core::{
-    DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TopKEstimate, TrackingDcs,
-};
+use dcs_core::{DistinctCountSketch, SketchConfig, SketchError, TopKEstimate, TrackingDcs};
 use dcs_persist::{PersistError, WindowCheckpoint};
 use dcs_telemetry::TelemetrySnapshot;
 
 use crate::decay::decayed_top_k;
-use crate::monitor::{Alarm, AlarmPolicy, DdosMonitor};
 
 /// How a monitor windows its alarm judgments over epochs.
 ///
-/// The epoch cadence itself (how often `rotate()` is called — ticks,
+/// The epoch cadence itself (how often an epoch closes — ticks,
 /// seconds, or ingested updates) is the caller's; the policy says how
 /// many closed epochs each judgment covers and how they are weighted.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,12 +301,12 @@ impl SlidingWindow {
     }
 }
 
-/// The epoch-windowing machinery shared by [`WindowedMonitor`] and the
-/// pipeline's windowed mode: a [`SlidingWindow`] plus the *epoch base*
-/// — the cumulative counter state at the last rotation, from which the
-/// next epoch's delta is differenced.
+/// The epoch-windowing machinery of a windowed [`crate::Monitor`]: a
+/// [`SlidingWindow`] plus the *epoch base* — the cumulative counter
+/// state at the last rotation, from which the next epoch's delta is
+/// differenced.
 ///
-/// The cumulative sketch itself lives elsewhere (a monitor's tracking
+/// The cumulative sketch itself lives elsewhere (the monitor's basic
 /// sketch, or a sharded engine's merged view); this type only needs to
 /// see it at rotation boundaries, so sliding windows cost nothing on
 /// the per-update ingest path.
@@ -508,8 +506,7 @@ impl EpochWindow {
 
     /// Stamps the window gauges — ring depth, capacity, rotations, and
     /// heap bytes — onto a telemetry snapshot under assembly. The one
-    /// definition behind [`WindowedMonitor::telemetry_snapshot`] and
-    /// the windowed pipeline's boundary snapshots.
+    /// definition behind a windowed [`crate::Monitor::telemetry_snapshot`].
     pub fn stamp_gauges(&self, snap: &mut TelemetrySnapshot) {
         let gauge = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
         snap.set_counter("window_epochs_held", gauge(self.window.len()));
@@ -519,161 +516,12 @@ impl EpochWindow {
     }
 }
 
-/// A [`DdosMonitor`] whose alarm judgments run over a sliding (or
-/// decayed) epoch window instead of the all-time sketch.
-///
-/// Ingest goes to the cumulative tracking sketch exactly as in the
-/// plain monitor — the window costs nothing per update. At each epoch
-/// boundary the caller invokes [`rotate`](Self::rotate): the closing
-/// epoch's delta is differenced off the cumulative sketch, the window
-/// slides in O(1), and the alarm rules are judged against the windowed
-/// top-k view (baselines and hysteresis advance exactly as
-/// [`DdosMonitor::evaluate`] would).
-///
-/// # Examples
-///
-/// ```
-/// use dcs_core::{DestAddr, FlowUpdate, SketchConfig, SourceAddr};
-/// use dcs_netsim::{AlarmPolicy, WindowPolicy, WindowedMonitor};
-///
-/// let policy = AlarmPolicy { absolute_threshold: 100, ..AlarmPolicy::default() };
-/// let mut wm = WindowedMonitor::new(
-///     SketchConfig::paper_default(),
-///     policy,
-///     WindowPolicy::Sliding { epochs: 3 },
-/// )?;
-/// for s in 0..500u32 {
-///     wm.ingest_one(FlowUpdate::insert(SourceAddr(s), DestAddr(80)));
-/// }
-/// let alarms = wm.rotate()?;
-/// assert!(alarms.iter().any(|a| a.dest == 80));
-/// # Ok::<(), dcs_core::SketchError>(())
-/// ```
-#[derive(Debug)]
-pub struct WindowedMonitor {
-    monitor: DdosMonitor,
-    epoch_window: EpochWindow,
-}
-
-impl WindowedMonitor {
-    /// Creates a windowed monitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SketchError::InvalidConfig`] when `window_policy`
-    /// fails [`WindowPolicy::validate`].
-    pub fn new(
-        config: SketchConfig,
-        alarm_policy: AlarmPolicy,
-        window_policy: WindowPolicy,
-    ) -> Result<Self, SketchError> {
-        Ok(Self {
-            epoch_window: EpochWindow::new(config.clone(), window_policy)?,
-            monitor: DdosMonitor::new(config, alarm_policy),
-        })
-    }
-
-    /// Ingests one flow update into the cumulative sketch.
-    pub fn ingest_one(&mut self, update: FlowUpdate) {
-        self.monitor.ingest_one(update);
-    }
-
-    /// Ingests a slice through the batched fast path.
-    pub fn ingest_batch(&mut self, updates: &[FlowUpdate]) {
-        self.monitor.ingest_batch(updates);
-    }
-
-    /// Ingests a stream of flow updates.
-    pub fn ingest<I: IntoIterator<Item = FlowUpdate>>(&mut self, updates: I) {
-        self.monitor.ingest(updates);
-    }
-
-    /// Closes the current epoch, slides the window, and judges the
-    /// alarm rules against the windowed view.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SketchError`] from the epoch difference or the
-    /// slide (unreachable under this type's invariants — one shared
-    /// configuration, a base that only ever trails the cumulative
-    /// sketch — but never swallowed).
-    pub fn rotate(&mut self) -> Result<Vec<Alarm>, SketchError> {
-        self.epoch_window.advance(self.monitor.sketch().sketch())?;
-        let top = self.epoch_window.top_k(
-            self.monitor.policy().watch_top_k,
-            self.monitor.policy().epsilon,
-        );
-        Ok(self.monitor.evaluate_top(&top))
-    }
-
-    /// The windowed top-k view (without alarm evaluation): the last N
-    /// closed epochs, policy-weighted. The open epoch is excluded —
-    /// it joins the window at the next [`rotate`](Self::rotate).
-    pub fn windowed_top_k(&self, k: usize) -> TopKEstimate {
-        self.epoch_window.top_k(k, self.monitor.policy().epsilon)
-    }
-
-    /// The inner monitor (cumulative sketch, baselines, policy).
-    pub fn monitor(&self) -> &DdosMonitor {
-        &self.monitor
-    }
-
-    /// The epoch-window state.
-    pub fn epoch_window(&self) -> &EpochWindow {
-        &self.epoch_window
-    }
-
-    /// The underlying sliding window.
-    pub fn window(&self) -> &SlidingWindow {
-        self.epoch_window.window()
-    }
-
-    /// Consumes the windowed monitor, returning the inner
-    /// [`DdosMonitor`] — how the pipeline hands back its final report
-    /// state.
-    pub fn into_monitor(self) -> DdosMonitor {
-        self.monitor
-    }
-
-    /// Captures the full windowed-monitor state as a persistable
-    /// window document.
-    pub fn to_checkpoint(&self) -> WindowCheckpoint {
-        self.epoch_window.to_checkpoint(self.monitor.sketch())
-    }
-
-    /// Rebuilds a windowed monitor from a checkpoint. Alarm baselines
-    /// and hysteresis are not part of the document (same contract as
-    /// [`DdosMonitor::with_sketch`]); the window ring, accumulator, and
-    /// epoch base are restored bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// See [`EpochWindow::from_checkpoint`].
-    pub fn from_checkpoint(
-        checkpoint: WindowCheckpoint,
-        alarm_policy: AlarmPolicy,
-        window_policy: WindowPolicy,
-    ) -> Result<Self, PersistError> {
-        let (epoch_window, current) = EpochWindow::from_checkpoint(checkpoint, window_policy)?;
-        Ok(Self {
-            monitor: DdosMonitor::with_sketch(current, alarm_policy),
-            epoch_window,
-        })
-    }
-
-    /// Telemetry: the inner monitor's snapshot extended with window
-    /// gauges — ring depth, capacity, rotations, and window heap bytes.
-    pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
-        let mut snap = self.monitor.telemetry_snapshot(label);
-        self.epoch_window.stamp_gauges(&mut snap);
-        snap
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_core::{DestAddr, SourceAddr};
+    use crate::monitor::{AlarmPolicy, Monitor};
+    use dcs_core::{DestAddr, FlowUpdate, SourceAddr};
+    use dcs_persist::Checkpoint;
 
     fn config() -> SketchConfig {
         SketchConfig::builder()
@@ -681,6 +529,24 @@ mod tests {
             .seed(7)
             .build()
             .unwrap()
+    }
+
+    /// `count` distinct sources `from..` opening flows to `dest`.
+    fn inserts(from: u32, dest: u32, count: u32) -> Vec<FlowUpdate> {
+        (from..from + count)
+            .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(dest)))
+            .collect()
+    }
+
+    fn windowed(policy: AlarmPolicy, window: WindowPolicy) -> Monitor {
+        Monitor::new(config(), policy, Some(window)).unwrap()
+    }
+
+    fn window_doc(monitor: &mut Monitor) -> WindowCheckpoint {
+        let Ok(Checkpoint::Window(doc)) = monitor.checkpoint() else {
+            panic!("a windowed monitor saves a window document");
+        };
+        doc
     }
 
     fn delta(seed_base: u32, dest: u32, sources: u32) -> DistinctCountSketch {
@@ -805,16 +671,13 @@ mod tests {
         ));
         // A consistent document restores; each single inconsistency
         // (update sum, net sum, base ahead of the cumulative) is refused.
-        let mut wm =
-            WindowedMonitor::new(config(), AlarmPolicy::default(), policy.clone()).unwrap();
+        let mut m = windowed(AlarmPolicy::default(), policy.clone());
         for epoch in 0..3u32 {
-            for s in 0..20 + epoch {
-                wm.ingest_one(FlowUpdate::insert(SourceAddr(epoch * 100 + s), DestAddr(1)));
-            }
-            wm.rotate().unwrap();
+            m.ingest(&inserts(epoch * 100, 1, 20 + epoch));
+            m.evaluate().unwrap();
         }
-        wm.ingest_one(FlowUpdate::delete(SourceAddr(0), DestAddr(1)));
-        let good = wm.to_checkpoint();
+        m.ingest(&[FlowUpdate::delete(SourceAddr(0), DestAddr(1))]);
+        let good = window_doc(&mut m);
         assert!(restore(good.clone()).is_ok());
         let tampered: [fn(&mut WindowCheckpoint); 3] = [
             |doc| doc.deltas[0].updates_processed += 1,
@@ -873,121 +736,88 @@ mod tests {
             absolute_threshold: 100,
             ..AlarmPolicy::default()
         };
-        let mut wm =
-            WindowedMonitor::new(config(), policy, WindowPolicy::Sliding { epochs: 2 }).unwrap();
+        let mut m = windowed(policy, WindowPolicy::Sliding { epochs: 2 });
         // Epoch 0: attack on dest 9.
-        for s in 0..300u32 {
-            wm.ingest_one(FlowUpdate::insert(SourceAddr(s), DestAddr(9)));
-        }
-        let alarms = wm.rotate().unwrap();
+        m.ingest(&inserts(0, 9, 300));
+        let alarms = m.evaluate().unwrap();
         assert!(alarms.iter().any(|a| a.dest == 9));
         // Epochs 1..3: calm. After two quiet rotations the attack epoch
         // has aged out of the 2-epoch window.
         for epoch in 1..3u32 {
-            for s in 0..10u32 {
-                wm.ingest_one(FlowUpdate::insert(
-                    SourceAddr(1_000 * epoch + s),
-                    DestAddr(9),
-                ));
-            }
-            wm.rotate().unwrap();
+            m.ingest(&inserts(1_000 * epoch, 9, 10));
+            m.evaluate().unwrap();
         }
-        let top = wm.windowed_top_k(1);
+        let top = m.top_k(1).unwrap();
         assert!(
             top.frequency_of(9).unwrap_or(0) < 100,
             "attack epoch must have aged out: {top}"
         );
         // The cumulative sketch still remembers everything.
-        assert_eq!(wm.monitor().sketch().updates_processed(), 320);
+        assert_eq!(m.cumulative().unwrap().updates_processed(), 320);
     }
 
     #[test]
     fn windowed_monitor_checkpoint_roundtrips_bit_identically() {
-        let policy = AlarmPolicy::default();
-        let mut wm = WindowedMonitor::new(
-            config(),
-            policy.clone(),
-            WindowPolicy::Sliding { epochs: 3 },
-        )
-        .unwrap();
+        let window = WindowPolicy::Sliding { epochs: 3 };
+        let mut m = windowed(AlarmPolicy::default(), window.clone());
         for epoch in 0..5u32 {
-            for s in 0..60u32 {
-                wm.ingest_one(FlowUpdate::insert(
-                    SourceAddr(epoch * 500 + s),
-                    DestAddr(epoch % 2),
-                ));
-            }
-            wm.rotate().unwrap();
+            m.ingest(&inserts(epoch * 500, epoch % 2, 60));
+            m.evaluate().unwrap();
         }
         // Mid-epoch state: some updates past the last rotation.
-        for s in 0..25u32 {
-            wm.ingest_one(FlowUpdate::insert(SourceAddr(90_000 + s), DestAddr(7)));
-        }
-        let doc = wm.to_checkpoint();
-        let restored =
-            WindowedMonitor::from_checkpoint(doc, policy, WindowPolicy::Sliding { epochs: 3 })
-                .unwrap();
+        m.ingest(&inserts(90_000, 7, 25));
+        let doc = window_doc(&mut m);
+        let mut restored = Monitor::from_checkpoint(
+            Checkpoint::Window(doc.clone()),
+            &config(),
+            AlarmPolicy::default(),
+            Some(window),
+        )
+        .unwrap();
+        let (got, want) = (restored.window().unwrap(), m.window().unwrap());
         assert_eq!(
-            restored.window().sketch().to_state(),
-            wm.window().sketch().to_state()
+            got.window().sketch().to_state(),
+            want.window().sketch().to_state()
         );
-        assert_eq!(restored.window().len(), wm.window().len());
+        assert_eq!(got.window().len(), want.window().len());
         assert_eq!(
-            restored.window().epochs_rotated(),
-            wm.window().epochs_rotated()
+            got.window().epochs_rotated(),
+            want.window().epochs_rotated()
         );
         assert_eq!(
-            restored.monitor().sketch().to_state(),
-            wm.monitor().sketch().to_state()
+            restored.cumulative().unwrap().to_state(),
+            m.cumulative().unwrap().to_state()
         );
+        assert_eq!(window_doc(&mut restored), doc);
         // Both continue identically through the next rotation.
-        let mut live = wm;
-        let mut resumed = restored;
-        for s in 0..30u32 {
-            let u = FlowUpdate::insert(SourceAddr(95_000 + s), DestAddr(7));
-            live.ingest_one(u);
-            resumed.ingest_one(u);
-        }
-        live.rotate().unwrap();
-        resumed.rotate().unwrap();
-        assert_eq!(
-            live.window().sketch().to_state(),
-            resumed.window().sketch().to_state()
-        );
+        let (mut live, mut resumed) = (m, restored);
+        let more = inserts(95_000, 7, 30);
+        live.ingest(&more);
+        resumed.ingest(&more);
+        assert_eq!(live.evaluate().unwrap(), resumed.evaluate().unwrap());
+        assert_eq!(window_doc(&mut live), window_doc(&mut resumed));
     }
 
     #[test]
     fn checkpoint_capacity_mismatch_is_rejected() {
-        let wm = WindowedMonitor::new(
-            config(),
+        let mut m = windowed(AlarmPolicy::default(), WindowPolicy::Sliding { epochs: 3 });
+        let err = Monitor::from_checkpoint(
+            Checkpoint::Window(window_doc(&mut m)),
+            &config(),
             AlarmPolicy::default(),
-            WindowPolicy::Sliding { epochs: 3 },
-        )
-        .unwrap();
-        let doc = wm.to_checkpoint();
-        let err = WindowedMonitor::from_checkpoint(
-            doc,
-            AlarmPolicy::default(),
-            WindowPolicy::Sliding { epochs: 4 },
+            Some(WindowPolicy::Sliding { epochs: 4 }),
         );
         assert!(matches!(err, Err(PersistError::Incompatible { .. })));
     }
 
     #[test]
     fn telemetry_snapshot_carries_window_gauges() {
-        let mut wm = WindowedMonitor::new(
-            config(),
-            AlarmPolicy::default(),
-            WindowPolicy::Sliding { epochs: 2 },
-        )
-        .unwrap();
-        for s in 0..40u32 {
-            wm.ingest_one(FlowUpdate::insert(SourceAddr(s), DestAddr(1)));
-        }
-        wm.rotate().unwrap();
-        let snap = wm.telemetry_snapshot("windowed");
+        let mut m = windowed(AlarmPolicy::default(), WindowPolicy::Sliding { epochs: 2 });
+        m.ingest(&inserts(0, 1, 40));
+        m.evaluate().unwrap();
+        let snap = m.telemetry_snapshot("windowed");
         let line = snap.to_jsonl();
-        let heap = wm.epoch_window().heap_bytes();
+        let heap = m.window().unwrap().heap_bytes();
         assert!(heap > 0);
         assert!(
             line.contains(&format!("\"window_heap_bytes\":{heap}")),

@@ -13,7 +13,8 @@
 //!
 //! Run: `cargo run --release --example surge_detection`
 
-use ddos_streams::netsim::window::{WindowPolicy, WindowedMonitor};
+use ddos_streams::netsim::window::WindowPolicy;
+use ddos_streams::netsim::Monitor;
 use ddos_streams::streamgen::timeline::TimelineBuilder;
 use ddos_streams::{AlarmPolicy, DestAddr, SketchConfig};
 
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .buckets_per_table(1024)
         .seed(99)
         .build()?;
-    let mut monitor = WindowedMonitor::new(config, AlarmPolicy::default(), WindowPolicy::Tumbling)?;
+    let mut monitor = Monitor::new(config, AlarmPolicy::default(), Some(WindowPolicy::Tumbling))?;
 
     // Epochs of half a pulse period: a pulse burst is alive in the
     // first half of its period and torn down by its end, so a window
@@ -61,23 +62,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let epoch_ticks = 50u64;
     let mut next_rotation = epoch_ticks;
     let mut pulse_caught_in_window = false;
+    let mut open_epoch = Vec::new();
 
     for timed in &all {
         while timed.at >= next_rotation {
-            monitor.rotate()?;
-            let recent = monitor.windowed_top_k(3);
+            monitor.ingest(&open_epoch);
+            open_epoch.clear();
+            monitor.evaluate()?;
+            let recent = monitor.top_k(3)?;
             if recent.frequency_of(pulse_victim).unwrap_or(0) >= 150 {
                 pulse_caught_in_window = true;
             }
             next_rotation += epoch_ticks;
         }
-        monitor.ingest_one(timed.update);
+        open_epoch.push(timed.update);
     }
     // Close the last epoch, which the surge fills.
-    monitor.rotate()?;
+    monitor.ingest(&open_epoch);
+    monitor.evaluate()?;
 
-    let all_time = monitor.monitor().top_k(3);
-    let last_window = monitor.windowed_top_k(3);
+    let epsilon = monitor.policy().epsilon;
+    let all_time = monitor.cumulative()?.estimate_top_k(3, epsilon);
+    let last_window = monitor.top_k(3)?;
 
     println!("all-time top destinations:");
     for e in &all_time.entries {
@@ -96,8 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(pulse_caught_in_window, "pulse attack went unnoticed");
     // Yet its long-run residue is ~zero (bursts tear down):
     let residue = monitor
-        .monitor()
-        .top_k(10)
+        .cumulative()?
+        .estimate_top_k(10, epsilon)
         .frequency_of(pulse_victim)
         .unwrap_or(0);
     println!("\npulse victim: caught in-window, all-time residue ≈ {residue} (true residue 0)");

@@ -15,6 +15,7 @@ use std::net::Ipv4Addr;
 use std::process::ExitCode;
 
 use ddos_streams::baselines::ExactDistinctTracker;
+use ddos_streams::netsim::Monitor;
 use ddos_streams::streamgen::{decode_trace, encode_trace};
 use ddos_streams::{
     AlarmPolicy, DdosMonitor, DestAddr, GroupBy, PaperWorkload, ScenarioBuilder, SketchConfig,
@@ -341,31 +342,36 @@ fn cmd_topk_windowed(
 fn cmd_monitor(args: &Args) -> Result<(), String> {
     let updates = read_trace(args)?;
     let threshold = args.number("--threshold", 1_000u64)?;
-    let every = args.number("--every", 10_000u64)?.max(1);
-    let mut monitor = DdosMonitor::new(
+    let every = args.number("--every", 10_000usize)?.max(1);
+    let mut monitor = Monitor::new(
         sketch_config(args, GroupBy::Destination)?,
         AlarmPolicy {
             absolute_threshold: threshold,
             ..AlarmPolicy::default()
         },
-    );
+        None,
+    )
+    .map_err(|e| e.to_string())?;
     let mut alarms_total = 0usize;
-    for (i, u) in updates.iter().enumerate() {
-        monitor.ingest_one(*u);
-        if (i as u64 + 1).is_multiple_of(every) {
-            for alarm in monitor.evaluate() {
-                alarms_total += 1;
-                println!(
-                    "ALARM after {} updates: {} ≈ {} distinct half-open sources ({:?})",
-                    i + 1,
-                    DestAddr(alarm.dest),
-                    alarm.estimated_frequency,
-                    alarm.reason
-                );
-            }
+    let mut ingested = 0usize;
+    for chunk in updates.chunks(every) {
+        monitor.ingest(chunk);
+        ingested += chunk.len();
+        // A short last chunk is judged by the end-of-trace evaluation.
+        if chunk.len() < every {
+            break;
+        }
+        for alarm in monitor.evaluate().map_err(|e| e.to_string())? {
+            alarms_total += 1;
+            println!(
+                "ALARM after {ingested} updates: {} ≈ {} distinct half-open sources ({:?})",
+                DestAddr(alarm.dest),
+                alarm.estimated_frequency,
+                alarm.reason
+            );
         }
     }
-    for alarm in monitor.evaluate() {
+    for alarm in monitor.evaluate().map_err(|e| e.to_string())? {
         alarms_total += 1;
         println!(
             "ALARM at end of trace: {} ≈ {} ({:?})",

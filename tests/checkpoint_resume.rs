@@ -6,7 +6,7 @@
 //! same top-k — to a sketch that processed all `n` updates without
 //! interruption. These tests kill runs at deliberately awkward offsets
 //! (mid-`update_batch` chunk, one update in, one update before the
-//! end, across a window `rotate()`) and check exact state equality
+//! end, across a window epoch close) and check exact state equality
 //! after the restored run replays its suffix, going through real
 //! checkpoint files on disk each time. The tests after those drive
 //! `run_pipeline` itself across a restart: from the legacy tracking
@@ -16,8 +16,10 @@
 use std::path::PathBuf;
 
 use ddos_streams::netsim::sharded::ShardedIngest;
-use ddos_streams::netsim::window::{WindowPolicy, WindowedMonitor};
-use ddos_streams::netsim::{run_pipeline, CheckpointSidecar, PipelineConfig, TrafficDriver};
+use ddos_streams::netsim::window::WindowPolicy;
+use ddos_streams::netsim::{
+    run_pipeline, CheckpointSidecar, Monitor, PipelineConfig, TrafficDriver,
+};
 use ddos_streams::persist::{decode, encode, Checkpoint, CheckpointManager, PersistError};
 use ddos_streams::{
     AlarmPolicy, Delta, DestAddr, DistinctCountSketch, EdgeRouter, FlowUpdate, SketchConfig,
@@ -149,11 +151,15 @@ fn restore_mid_stream_then_immediate_checkpoint_is_stable() {
 
 /// Feeds `updates` (starting at absolute stream position `from`) to a
 /// windowed monitor that closes an epoch every 1500 updates.
-fn feed_rotating(wm: &mut WindowedMonitor, updates: &[FlowUpdate], from: usize) {
-    for (i, u) in updates.iter().enumerate() {
-        wm.ingest_one(*u);
-        if (from + i + 1).is_multiple_of(1_500) {
-            wm.rotate().unwrap();
+fn feed_rotating(wm: &mut Monitor, updates: &[FlowUpdate], from: usize) {
+    let mut offset = 0;
+    while offset < updates.len() {
+        let until_epoch_end = 1_500 - (from + offset) % 1_500;
+        let take = until_epoch_end.min(updates.len() - offset);
+        wm.ingest(&updates[offset..offset + take]);
+        offset += take;
+        if take == until_epoch_end {
+            wm.evaluate().unwrap();
         }
     }
 }
@@ -162,32 +168,34 @@ fn feed_rotating(wm: &mut WindowedMonitor, updates: &[FlowUpdate], from: usize) 
 fn epoch_window_survives_a_kill_across_rotations() {
     let updates = stream(6_000);
     let policy = WindowPolicy::Sliding { epochs: 3 };
-    let monitor =
-        || WindowedMonitor::new(config(4), AlarmPolicy::default(), policy.clone()).unwrap();
+    let monitor = || Monitor::new(config(4), AlarmPolicy::default(), Some(policy.clone())).unwrap();
     let mut full = monitor();
     feed_rotating(&mut full, &updates, 0);
-    // Kill at several points: mid-epoch, immediately after a rotate()
-    // (the ring just changed), and immediately before one.
+    let full_doc = full.checkpoint().unwrap();
+    assert!(matches!(full_doc, Checkpoint::Window(_)));
+    // Kill at several points: mid-epoch, immediately after an epoch
+    // closes (the ring just changed), and immediately before one.
     for cut in [700usize, 3_000, 2_999, 4_501] {
         let mut prefix = monitor();
         feed_rotating(&mut prefix, &updates[..cut], 0);
-        let saved = through_disk("window", &Checkpoint::Window(prefix.to_checkpoint()));
+        let saved = through_disk("window", &prefix.checkpoint().unwrap());
         drop(prefix);
-        let Checkpoint::Window(checkpoint) = saved else {
-            panic!("wrong document kind");
-        };
-        let mut resumed =
-            WindowedMonitor::from_checkpoint(checkpoint, AlarmPolicy::default(), policy.clone())
-                .unwrap();
+        let mut resumed = Monitor::from_checkpoint(
+            saved,
+            &config(4),
+            AlarmPolicy::default(),
+            Some(policy.clone()),
+        )
+        .unwrap();
         feed_rotating(&mut resumed, &updates[cut..], cut);
         assert_eq!(
-            resumed.to_checkpoint(),
-            full.to_checkpoint(),
+            resumed.checkpoint().unwrap(),
+            full_doc,
             "cut at {cut}: window state diverged"
         );
         assert_eq!(
-            resumed.windowed_top_k(5),
-            full.windowed_top_k(5),
+            resumed.top_k(5).unwrap(),
+            full.top_k(5).unwrap(),
             "cut at {cut}: windowed query diverged"
         );
     }

@@ -228,15 +228,45 @@ fn pipeline_alarms_equal_a_tracking_replay_in_every_mode() {
         updates.iter().any(|u| u.delta.signum() < 0),
         "the feed exercises deletes"
     );
+    // Each mode's absolute threshold. A tumbling epoch holds only
+    // `evaluate_every` = 400 updates, and the decayed window weighs the
+    // older two epochs down, so neither ever sees 500 of the flood's
+    // sources; they judge against 200 so that their alarm lists are not
+    // empty.
     let modes = [
-        ("direct", None, None),
-        ("sliding", None, Some(WindowPolicy::Sliding { epochs: 3 })),
-        ("sharded", Some(2), None),
+        ("direct", None, None, 500),
+        (
+            "sliding",
+            None,
+            Some(WindowPolicy::Sliding { epochs: 3 }),
+            500,
+        ),
+        ("sharded", Some(2), None, 500),
+        (
+            "sharded-sliding",
+            Some(2),
+            Some(WindowPolicy::Sliding { epochs: 3 }),
+            500,
+        ),
+        ("tumbling", None, Some(WindowPolicy::Tumbling), 200),
+        (
+            "decayed",
+            None,
+            Some(WindowPolicy::Decayed {
+                epochs: 3,
+                lambda: 0.5,
+            }),
+            200,
+        ),
     ];
-    for (name, ingest_shards, window) in modes {
+    for (name, ingest_shards, window, absolute_threshold) in modes {
         let config = PipelineConfig {
             ingest_shards,
             window,
+            policy: AlarmPolicy {
+                absolute_threshold,
+                ..base.policy.clone()
+            },
             ..base.clone()
         };
         let report = run_pipeline(vec![feed.clone()], config.clone());

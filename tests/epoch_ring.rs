@@ -8,8 +8,9 @@
 //! (the kind-5 `Window` document) and restored, asserting the restored
 //! monitor answers exactly like the original.
 
-use ddos_streams::netsim::window::{WindowPolicy, WindowedMonitor};
-use ddos_streams::persist::{decode, encode, Checkpoint, PersistError};
+use ddos_streams::netsim::window::{SlidingWindow, WindowPolicy};
+use ddos_streams::netsim::Monitor;
+use ddos_streams::persist::{decode, encode, Checkpoint, PersistError, WindowCheckpoint};
 use ddos_streams::{AlarmPolicy, Delta, DestAddr, FlowUpdate, SketchConfig, SourceAddr};
 
 fn config() -> SketchConfig {
@@ -20,33 +21,51 @@ fn config() -> SketchConfig {
         .unwrap()
 }
 
-fn sliding(epochs: usize) -> WindowedMonitor {
-    WindowedMonitor::new(
-        config(),
-        AlarmPolicy::default(),
-        WindowPolicy::Sliding { epochs },
-    )
-    .unwrap()
+fn windowed(policy: WindowPolicy) -> Monitor {
+    Monitor::new(config(), AlarmPolicy::default(), Some(policy)).unwrap()
 }
 
-fn flood(wm: &mut WindowedMonitor, dest: u32, from: u32, count: u32) {
-    for s in from..from + count {
-        wm.ingest_one(FlowUpdate::new(
-            SourceAddr(s),
-            DestAddr(dest),
-            Delta::Insert,
-        ));
-    }
+fn sliding(epochs: usize) -> Monitor {
+    windowed(WindowPolicy::Sliding { epochs })
+}
+
+fn flood(wm: &mut Monitor, dest: u32, from: u32, count: u32) {
+    let updates: Vec<FlowUpdate> = (from..from + count)
+        .map(|s| FlowUpdate::new(SourceAddr(s), DestAddr(dest), Delta::Insert))
+        .collect();
+    wm.ingest(&updates);
+}
+
+/// The monitor's sliding window.
+fn ring(wm: &Monitor) -> &SlidingWindow {
+    wm.window().expect("a windowed monitor").window()
+}
+
+/// The monitor's kind-5 checkpoint document.
+fn window_doc(wm: &mut Monitor) -> WindowCheckpoint {
+    let Ok(Checkpoint::Window(doc)) = wm.checkpoint() else {
+        panic!("wrong document kind");
+    };
+    doc
+}
+
+fn restore(checkpoint: WindowCheckpoint, policy: WindowPolicy) -> Result<Monitor, PersistError> {
+    Monitor::from_checkpoint(
+        Checkpoint::Window(checkpoint),
+        &config(),
+        AlarmPolicy::default(),
+        Some(policy),
+    )
 }
 
 /// Serializes a windowed monitor through the full codec and restores
 /// it under `policy`.
-fn roundtrip(wm: &WindowedMonitor, policy: WindowPolicy) -> WindowedMonitor {
-    let bytes = encode(&Checkpoint::Window(wm.to_checkpoint()));
+fn roundtrip(wm: &mut Monitor, policy: WindowPolicy) -> Monitor {
+    let bytes = encode(&Checkpoint::Window(window_doc(wm)));
     let Checkpoint::Window(checkpoint) = decode(&bytes).unwrap() else {
         panic!("wrong document kind");
     };
-    WindowedMonitor::from_checkpoint(checkpoint, wm.monitor().policy().clone(), policy).unwrap()
+    restore(checkpoint, policy).unwrap()
 }
 
 #[test]
@@ -56,10 +75,10 @@ fn wrapped_ring_restores_with_correct_eviction_order() {
     let mut wm = sliding(3);
     for e in 0..7u32 {
         flood(&mut wm, e, e * 1_000, 20);
-        wm.rotate().unwrap();
+        wm.evaluate().unwrap();
     }
-    let restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 3 });
-    for window in [wm.window(), restored.window()] {
+    let mut restored = roundtrip(&mut wm, WindowPolicy::Sliding { epochs: 3 });
+    for window in [ring(&wm), ring(&restored)] {
         assert_eq!(window.len(), 3);
         assert_eq!(window.epochs_rotated(), 7);
         let order: Vec<u32> = window
@@ -68,7 +87,7 @@ fn wrapped_ring_restores_with_correct_eviction_order() {
             .collect();
         assert_eq!(order, vec![4, 5, 6]);
     }
-    assert_eq!(restored.to_checkpoint(), wm.to_checkpoint());
+    assert_eq!(window_doc(&mut restored), window_doc(&mut wm));
 }
 
 #[test]
@@ -79,15 +98,15 @@ fn windowed_query_spanning_the_wrap_survives_restore() {
     let mut wm = sliding(2);
     for e in 0..5u32 {
         flood(&mut wm, e, e * 1_000, 30);
-        wm.rotate().unwrap();
+        wm.evaluate().unwrap();
     }
     flood(&mut wm, 99, 50_000, 40); // open epoch
-    let mut restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 2 });
-    assert_eq!(wm.rotate().unwrap(), restored.rotate().unwrap());
-    assert_eq!(restored.windowed_top_k(4), wm.windowed_top_k(4));
+    let mut restored = roundtrip(&mut wm, WindowPolicy::Sliding { epochs: 2 });
+    assert_eq!(wm.evaluate().unwrap(), restored.evaluate().unwrap());
+    assert_eq!(restored.top_k(4).unwrap(), wm.top_k(4).unwrap());
     // The window holds epoch 4 and the epoch that just closed:
     // epochs 0..=3 are invisible, destinations 4 and 99 are.
-    let top = restored.windowed_top_k(6);
+    let top = restored.top_k(6).unwrap();
     let mut groups = top.groups();
     groups.sort_unstable();
     assert_eq!(groups, vec![4, 99]);
@@ -106,25 +125,20 @@ fn difference_against_oldest_snapshot_is_exact_after_restore() {
     let mut snapshots = Vec::new();
     for e in 0..4u32 {
         flood(&mut wm, 7, e * 1_000, 25); // same dest every epoch
-        wm.rotate().unwrap();
-        snapshots.push(wm.monitor().sketch().sketch().clone());
+        wm.evaluate().unwrap();
+        snapshots.push(wm.cumulative().unwrap().into_owned());
     }
     flood(&mut wm, 7, 100_000, 60);
-    let mut restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 4 });
-    wm.rotate().unwrap();
-    restored.rotate().unwrap();
-    let expected = wm
-        .monitor()
-        .sketch()
-        .sketch()
-        .difference(&snapshots[0])
-        .unwrap();
-    assert_eq!(restored.window().sketch().to_state(), expected.to_state());
+    let mut restored = roundtrip(&mut wm, WindowPolicy::Sliding { epochs: 4 });
+    wm.evaluate().unwrap();
+    restored.evaluate().unwrap();
+    let expected = wm.cumulative().unwrap().difference(&snapshots[0]).unwrap();
+    assert_eq!(ring(&restored).sketch().to_state(), expected.to_state());
     assert_eq!(
-        restored.window().sketch().to_state(),
-        wm.window().sketch().to_state()
+        ring(&restored).sketch().to_state(),
+        ring(&wm).sketch().to_state()
     );
-    assert_eq!(restored.windowed_top_k(3), wm.windowed_top_k(3));
+    assert_eq!(restored.top_k(3).unwrap(), wm.top_k(3).unwrap());
 }
 
 #[test]
@@ -133,14 +147,14 @@ fn partially_filled_ring_restores() {
     // delta list that must restore as-is (not padded, not rejected).
     let mut wm = sliding(8);
     flood(&mut wm, 1, 0, 40);
-    wm.rotate().unwrap();
+    wm.evaluate().unwrap();
     flood(&mut wm, 2, 1_000, 40);
-    assert_eq!(wm.window().len(), 1);
-    let restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 8 });
-    assert_eq!(restored.window().len(), 1);
-    assert_eq!(restored.window().epochs_rotated(), 1);
-    assert_eq!(restored.windowed_top_k(2), wm.windowed_top_k(2));
-    assert_eq!(restored.to_checkpoint(), wm.to_checkpoint());
+    assert_eq!(ring(&wm).len(), 1);
+    let mut restored = roundtrip(&mut wm, WindowPolicy::Sliding { epochs: 8 });
+    assert_eq!(ring(&restored).len(), 1);
+    assert_eq!(ring(&restored).epochs_rotated(), 1);
+    assert_eq!(restored.top_k(2).unwrap(), wm.top_k(2).unwrap());
+    assert_eq!(window_doc(&mut restored), window_doc(&mut wm));
 }
 
 #[test]
@@ -149,10 +163,10 @@ fn empty_ring_restores() {
     // cumulative sketch and its (empty) epoch base travel.
     let mut wm = sliding(4);
     flood(&mut wm, 3, 0, 50);
-    let restored = roundtrip(&wm, WindowPolicy::Sliding { epochs: 4 });
-    assert!(restored.window().is_empty());
-    assert!(restored.windowed_top_k(4).entries.is_empty());
-    assert_eq!(restored.to_checkpoint(), wm.to_checkpoint());
+    let mut restored = roundtrip(&mut wm, WindowPolicy::Sliding { epochs: 4 });
+    assert!(ring(&restored).is_empty());
+    assert!(restored.top_k(4).unwrap().entries.is_empty());
+    assert_eq!(window_doc(&mut restored), window_doc(&mut wm));
 }
 
 #[test]
@@ -165,16 +179,16 @@ fn restored_window_keeps_rotating_correctly() {
     for e in 0..2u32 {
         flood(&mut full, e, e * 1_000, 20);
         flood(&mut prefix, e, e * 1_000, 20);
-        full.rotate().unwrap();
-        prefix.rotate().unwrap();
+        full.evaluate().unwrap();
+        prefix.evaluate().unwrap();
     }
-    let mut restored = roundtrip(&prefix, WindowPolicy::Sliding { epochs: 3 });
+    let mut restored = roundtrip(&mut prefix, WindowPolicy::Sliding { epochs: 3 });
     for e in 2..6u32 {
         flood(&mut full, e, e * 1_000, 20);
         flood(&mut restored, e, e * 1_000, 20);
-        assert_eq!(full.rotate().unwrap(), restored.rotate().unwrap());
+        assert_eq!(full.evaluate().unwrap(), restored.evaluate().unwrap());
     }
-    assert_eq!(restored.to_checkpoint(), full.to_checkpoint());
+    assert_eq!(window_doc(&mut restored), window_doc(&mut full));
 }
 
 #[test]
@@ -182,25 +196,19 @@ fn oversized_snapshot_list_is_rejected() {
     let mut wm = sliding(2);
     for e in 0..2u32 {
         flood(&mut wm, e, e * 1_000, 10);
-        wm.rotate().unwrap();
+        wm.evaluate().unwrap();
     }
-    let restore = |checkpoint, epochs| {
-        WindowedMonitor::from_checkpoint(
-            checkpoint,
-            AlarmPolicy::default(),
-            WindowPolicy::Sliding { epochs },
-        )
-    };
+    let restore = |checkpoint, epochs| restore(checkpoint, WindowPolicy::Sliding { epochs });
     // Claim a smaller ring than the deltas present, under a policy
     // that agrees with the claim.
-    let mut oversized = wm.to_checkpoint();
+    let mut oversized = window_doc(&mut wm);
     oversized.epochs = 1;
     assert!(matches!(
         restore(oversized, 1),
         Err(PersistError::Incompatible { .. })
     ));
 
-    let mut zero = wm.to_checkpoint();
+    let mut zero = window_doc(&mut wm);
     zero.epochs = 0;
     assert!(matches!(
         restore(zero, 2),
@@ -214,32 +222,24 @@ fn window_slide_before_ring_full_keeps_partial_coverage_across_restore() {
     // the window covers exactly the two closed epochs, and a checkpoint
     // taken in that state must restore the short ring as-is.
     let window_policy = WindowPolicy::Sliding { epochs: 4 };
-    let mut wm =
-        WindowedMonitor::new(config(), AlarmPolicy::default(), window_policy.clone()).unwrap();
+    let mut wm = windowed(window_policy.clone());
     for epoch in 0..2u32 {
-        for s in 0..30u32 {
-            wm.ingest_one(FlowUpdate::insert(
-                SourceAddr(epoch * 1_000 + s),
-                DestAddr(epoch),
-            ));
-        }
-        wm.rotate().unwrap();
+        flood(&mut wm, epoch, epoch * 1_000, 30);
+        wm.evaluate().unwrap();
     }
     // Open-epoch traffic that must stay out of the window.
-    for s in 0..40u32 {
-        wm.ingest_one(FlowUpdate::insert(SourceAddr(70_000 + s), DestAddr(9)));
-    }
-    assert_eq!(wm.window().len(), 2, "partial ring holds the closed epochs");
-    assert_eq!(wm.window().sketch().updates_processed(), 60);
-    let top = wm.windowed_top_k(4);
+    flood(&mut wm, 9, 70_000, 40);
+    assert_eq!(ring(&wm).len(), 2, "partial ring holds the closed epochs");
+    assert_eq!(ring(&wm).sketch().updates_processed(), 60);
+    let top = wm.top_k(4).unwrap();
     assert!(top.frequency_of(9).is_none(), "open epoch leaked: {top}");
-    let restored = roundtrip(&wm, window_policy);
-    assert_eq!(restored.window().len(), 2);
+    let mut restored = roundtrip(&mut wm, window_policy);
+    assert_eq!(ring(&restored).len(), 2);
     assert_eq!(
-        restored.window().sketch().to_state(),
-        wm.window().sketch().to_state()
+        ring(&restored).sketch().to_state(),
+        ring(&wm).sketch().to_state()
     );
-    assert_eq!(restored.windowed_top_k(4), wm.windowed_top_k(4));
+    assert_eq!(restored.top_k(4).unwrap(), wm.top_k(4).unwrap());
 }
 
 #[test]
@@ -251,30 +251,21 @@ fn rotation_landing_exactly_on_checkpoint_save_resumes_identically() {
     // epoch. The restored run must track an uninterrupted one
     // state-for-state.
     let window_policy = WindowPolicy::Sliding { epochs: 3 };
-    let mut live =
-        WindowedMonitor::new(config(), AlarmPolicy::default(), window_policy.clone()).unwrap();
+    let mut live = windowed(window_policy.clone());
     for epoch in 0..4u32 {
-        for s in 0..25u32 {
-            live.ingest_one(FlowUpdate::insert(
-                SourceAddr(epoch * 2_000 + s),
-                DestAddr(epoch % 2),
-            ));
-        }
-        live.rotate().unwrap();
+        flood(&mut live, epoch % 2, epoch * 2_000, 25);
+        live.evaluate().unwrap();
     }
     // Save lands exactly on the rotation boundary.
-    let mut restored = roundtrip(&live, window_policy);
-    assert_eq!(restored.window().epochs_rotated(), 4);
+    let mut restored = roundtrip(&mut live, window_policy);
+    assert_eq!(ring(&restored).epochs_rotated(), 4);
     for epoch in 4..7u32 {
-        for s in 0..25u32 {
-            let u = FlowUpdate::insert(SourceAddr(epoch * 2_000 + s), DestAddr(epoch % 2));
-            live.ingest_one(u);
-            restored.ingest_one(u);
-        }
-        assert_eq!(live.rotate().unwrap(), restored.rotate().unwrap());
+        flood(&mut live, epoch % 2, epoch * 2_000, 25);
+        flood(&mut restored, epoch % 2, epoch * 2_000, 25);
+        assert_eq!(live.evaluate().unwrap(), restored.evaluate().unwrap());
         assert_eq!(
-            live.window().sketch().to_state(),
-            restored.window().sketch().to_state(),
+            ring(&live).sketch().to_state(),
+            ring(&restored).sketch().to_state(),
             "diverged at epoch {epoch}"
         );
     }

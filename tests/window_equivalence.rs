@@ -28,7 +28,8 @@
 use proptest::prelude::*;
 
 use ddos_streams::netsim::sharded::ShardedIngest;
-use ddos_streams::netsim::window::{EpochWindow, SlidingWindow, WindowPolicy, WindowedMonitor};
+use ddos_streams::netsim::window::{EpochWindow, SlidingWindow, WindowPolicy};
+use ddos_streams::netsim::Monitor;
 use ddos_streams::persist::{decode, encode, Checkpoint, WindowCheckpoint};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
 use ddos_streams::{
@@ -66,14 +67,27 @@ fn reference_window(snaps: &[DistinctCountSketch], window: usize) -> DistinctCou
     now.difference(expired).expect("snapshots share a config")
 }
 
+fn windowed(config: SketchConfig, alarm_policy: AlarmPolicy, policy: WindowPolicy) -> Monitor {
+    Monitor::new(config, alarm_policy, Some(policy)).unwrap()
+}
+
+/// The monitor's sliding window.
+fn ring(wm: &Monitor) -> &SlidingWindow {
+    wm.window().expect("a windowed monitor").window()
+}
+
+/// The cumulative basic sketch the monitor's window slides over.
+fn cumulative(wm: &mut Monitor) -> DistinctCountSketch {
+    wm.cumulative().unwrap().into_owned()
+}
+
 /// Serializes a windowed monitor through the full persist codec and
 /// restores it — the checkpoint path a real crash recovery takes.
-fn roundtrip(wm: &WindowedMonitor, policy: &WindowPolicy) -> WindowedMonitor {
-    let bytes = encode(&Checkpoint::Window(wm.to_checkpoint()));
-    let Checkpoint::Window(doc) = decode(&bytes).unwrap() else {
-        panic!("wrong document kind");
-    };
-    WindowedMonitor::from_checkpoint(doc, wm.monitor().policy().clone(), policy.clone()).unwrap()
+fn roundtrip(wm: &mut Monitor, config: &SketchConfig, policy: &WindowPolicy) -> Monitor {
+    let bytes = encode(&wm.checkpoint().unwrap());
+    let doc = decode(&bytes).unwrap();
+    assert!(matches!(doc, Checkpoint::Window(_)), "wrong document kind");
+    Monitor::from_checkpoint(doc, config, AlarmPolicy::default(), Some(policy.clone())).unwrap()
 }
 
 #[test]
@@ -83,31 +97,26 @@ fn ring_window_is_bit_identical_to_difference_of_snapshots_at_every_slide() {
     // slide. Epoch 5 is churn-heavy (deletions of epoch-4 flows) so the
     // subtraction path sees negative nets too.
     let window_policy = WindowPolicy::Sliding { epochs: 3 };
-    let mut wm = WindowedMonitor::new(config(17), AlarmPolicy::default(), window_policy).unwrap();
-    let mut snaps = vec![wm.monitor().sketch().sketch().clone()];
+    let mut wm = windowed(config(17), AlarmPolicy::default(), window_policy);
+    let mut snaps = vec![cumulative(&mut wm)];
     for epoch in 0..9u32 {
-        for s in 0..40 + epoch * 7 {
-            wm.ingest_one(FlowUpdate::insert(
-                SourceAddr(epoch * 10_000 + s),
-                DestAddr(epoch % 4),
-            ));
-        }
+        let mut updates: Vec<FlowUpdate> = (0..40 + epoch * 7)
+            .map(|s| FlowUpdate::insert(SourceAddr(epoch * 10_000 + s), DestAddr(epoch % 4)))
+            .collect();
         if epoch == 5 {
-            for s in 0..30u32 {
-                wm.ingest_one(FlowUpdate::delete(
-                    SourceAddr(4 * 10_000 + s),
-                    DestAddr(4 % 4),
-                ));
-            }
+            updates.extend(
+                (0..30u32).map(|s| FlowUpdate::delete(SourceAddr(4 * 10_000 + s), DestAddr(4 % 4))),
+            );
         }
-        wm.rotate().unwrap();
-        snaps.push(wm.monitor().sketch().sketch().clone());
+        wm.ingest(&updates);
+        wm.evaluate().unwrap();
+        snaps.push(cumulative(&mut wm));
         let reference = reference_window(&snaps, 3);
         assert_eq!(
-            wm.window().sketch().to_state(),
+            ring(&wm).sketch().to_state(),
             reference.to_state(),
             "slide position {epoch} (window holds {})",
-            wm.window().len()
+            ring(&wm).len()
         );
     }
 }
@@ -119,53 +128,52 @@ fn restore_mid_window_continues_bit_identically() {
     // restored monitor must track the uninterrupted one state-for-state
     // through several more slides.
     let window_policy = WindowPolicy::Sliding { epochs: 3 };
-    let mut live =
-        WindowedMonitor::new(config(23), AlarmPolicy::default(), window_policy.clone()).unwrap();
-    let mut snaps = vec![live.monitor().sketch().sketch().clone()];
-    let feed = |wm: &mut WindowedMonitor, epoch: u32| {
-        for s in 0..60u32 {
-            wm.ingest_one(FlowUpdate::insert(
-                SourceAddr(epoch * 5_000 + s),
-                DestAddr(epoch % 3),
-            ));
-        }
+    let mut live = windowed(config(23), AlarmPolicy::default(), window_policy.clone());
+    let mut snaps = vec![cumulative(&mut live)];
+    let feed = |wm: &mut Monitor, epoch: u32| {
+        let updates: Vec<FlowUpdate> = (0..60u32)
+            .map(|s| FlowUpdate::insert(SourceAddr(epoch * 5_000 + s), DestAddr(epoch % 3)))
+            .collect();
+        wm.ingest(&updates);
     };
     for epoch in 0..5u32 {
         feed(&mut live, epoch);
-        live.rotate().unwrap();
-        snaps.push(live.monitor().sketch().sketch().clone());
+        live.evaluate().unwrap();
+        snaps.push(cumulative(&mut live));
     }
     // Open-epoch updates that must survive inside the cumulative state.
-    for s in 0..25u32 {
-        live.ingest_one(FlowUpdate::insert(SourceAddr(900_000 + s), DestAddr(9)));
-    }
-    let mut restored = roundtrip(&live, &window_policy);
+    let open: Vec<FlowUpdate> = (0..25u32)
+        .map(|s| FlowUpdate::insert(SourceAddr(900_000 + s), DestAddr(9)))
+        .collect();
+    live.ingest(&open);
+    let mut restored = roundtrip(&mut live, &config(23), &window_policy);
     assert_eq!(
-        restored.window().sketch().to_state(),
-        live.window().sketch().to_state()
+        ring(&restored).sketch().to_state(),
+        ring(&live).sketch().to_state()
     );
     assert_eq!(
-        restored.monitor().sketch().to_state(),
-        live.monitor().sketch().to_state()
+        cumulative(&mut restored).to_state(),
+        cumulative(&mut live).to_state()
     );
+    assert_eq!(restored.checkpoint().unwrap(), live.checkpoint().unwrap());
     for epoch in 5..9u32 {
         feed(&mut live, epoch);
         feed(&mut restored, epoch);
-        live.rotate().unwrap();
-        restored.rotate().unwrap();
-        snaps.push(live.monitor().sketch().sketch().clone());
+        live.evaluate().unwrap();
+        restored.evaluate().unwrap();
+        snaps.push(cumulative(&mut live));
         let reference = reference_window(&snaps, 3);
         assert_eq!(
-            restored.window().sketch().to_state(),
-            live.window().sketch().to_state(),
+            ring(&restored).sketch().to_state(),
+            ring(&live).sketch().to_state(),
             "restored diverged at epoch {epoch}"
         );
         assert_eq!(
-            restored.window().sketch().to_state(),
+            ring(&restored).sketch().to_state(),
             reference.to_state(),
             "both diverged from the snapshot reference at epoch {epoch}"
         );
-        assert_eq!(restored.windowed_top_k(5), live.windowed_top_k(5));
+        assert_eq!(restored.top_k(5).unwrap(), live.top_k(5).unwrap());
     }
 }
 
@@ -222,57 +230,57 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
         let window_policy = WindowPolicy::Sliding { epochs };
-        let mut wm = WindowedMonitor::new(
-            config(seed),
-            AlarmPolicy::default(),
-            window_policy.clone(),
-        ).unwrap();
-        let mut snaps = vec![wm.monitor().sketch().sketch().clone()];
+        let mut wm = windowed(config(seed), AlarmPolicy::default(), window_policy.clone());
+        let mut snaps = vec![cumulative(&mut wm)];
         for op in &ops {
             match op {
                 Op::Ingest(batch) => {
-                    for &(s, d, insert) in batch {
-                        let update = if insert {
-                            FlowUpdate::insert(SourceAddr(s), DestAddr(d))
-                        } else {
-                            FlowUpdate::delete(SourceAddr(s), DestAddr(d))
-                        };
-                        wm.ingest_one(update);
-                    }
+                    let updates: Vec<FlowUpdate> = batch
+                        .iter()
+                        .map(|&(s, d, insert)| {
+                            if insert {
+                                FlowUpdate::insert(SourceAddr(s), DestAddr(d))
+                            } else {
+                                FlowUpdate::delete(SourceAddr(s), DestAddr(d))
+                            }
+                        })
+                        .collect();
+                    wm.ingest(&updates);
                 }
                 Op::Rotate => {
-                    wm.rotate().unwrap();
-                    snaps.push(wm.monitor().sketch().sketch().clone());
+                    wm.evaluate().unwrap();
+                    snaps.push(cumulative(&mut wm));
                     let reference = reference_window(&snaps, epochs);
                     prop_assert_eq!(
-                        wm.window().sketch().to_state(),
+                        ring(&wm).sketch().to_state(),
                         reference.to_state()
                     );
                 }
                 Op::Query => {
-                    let before = wm.window().sketch().to_state();
-                    let _ = wm.windowed_top_k(5);
-                    prop_assert_eq!(wm.window().sketch().to_state(), before);
+                    let before = ring(&wm).sketch().to_state();
+                    let _ = wm.top_k(5).unwrap();
+                    prop_assert_eq!(ring(&wm).sketch().to_state(), before);
                 }
                 Op::Restore => {
-                    let restored = roundtrip(&wm, &window_policy);
+                    let mut restored = roundtrip(&mut wm, &config(seed), &window_policy);
                     prop_assert_eq!(
-                        restored.window().sketch().to_state(),
-                        wm.window().sketch().to_state()
+                        ring(&restored).sketch().to_state(),
+                        ring(&wm).sketch().to_state()
                     );
                     prop_assert_eq!(
-                        restored.monitor().sketch().to_state(),
-                        wm.monitor().sketch().to_state()
+                        cumulative(&mut restored).to_state(),
+                        cumulative(&mut wm).to_state()
                     );
+                    prop_assert_eq!(restored.checkpoint().unwrap(), wm.checkpoint().unwrap());
                     wm = restored;
                 }
             }
         }
         // Whatever the interleaving, close one last epoch and check.
-        wm.rotate().unwrap();
-        snaps.push(wm.monitor().sketch().sketch().clone());
+        wm.evaluate().unwrap();
+        snaps.push(cumulative(&mut wm));
         let reference = reference_window(&snaps, epochs);
-        prop_assert_eq!(wm.window().sketch().to_state(), reference.to_state());
+        prop_assert_eq!(ring(&wm).sketch().to_state(), reference.to_state());
     }
 }
 
@@ -292,12 +300,12 @@ fn run_detector(
         min_frequency_for_ratio: u64::MAX,
         ..AlarmPolicy::default()
     };
-    let mut wm = WindowedMonitor::new(wide_config(3), alarm_policy, policy).unwrap();
+    let mut wm = windowed(wide_config(3), alarm_policy, policy);
     let mut alarmed = Vec::new();
     for (i, chunk) in intervals.iter().enumerate() {
-        wm.ingest_batch(chunk);
+        wm.ingest(chunk);
         if (i + 1) % rotate_every_intervals == 0 {
-            for alarm in wm.rotate().unwrap() {
+            for alarm in wm.evaluate().unwrap() {
                 alarmed.push(alarm.dest);
             }
         }
@@ -370,24 +378,22 @@ fn tumbling_policy_is_the_capacity_one_degenerate_of_sliding() {
     // WindowPolicy::Tumbling is not special-cased machinery: it is a
     // capacity-1 sliding window, and at equal rotation cadence the two
     // produce identical windowed states.
-    let mut tumbling =
-        WindowedMonitor::new(config(7), AlarmPolicy::default(), WindowPolicy::Tumbling).unwrap();
-    let mut sliding1 = WindowedMonitor::new(
+    let mut tumbling = windowed(config(7), AlarmPolicy::default(), WindowPolicy::Tumbling);
+    let mut sliding1 = windowed(
         config(7),
         AlarmPolicy::default(),
         WindowPolicy::Sliding { epochs: 1 },
-    )
-    .unwrap();
+    );
     for epoch in 0..4u32 {
-        for s in 0..80u32 {
-            let u = FlowUpdate::insert(SourceAddr(epoch * 1_000 + s), DestAddr(epoch));
-            tumbling.ingest_one(u);
-            sliding1.ingest_one(u);
-        }
-        assert_eq!(tumbling.rotate().unwrap(), sliding1.rotate().unwrap());
+        let updates: Vec<FlowUpdate> = (0..80u32)
+            .map(|s| FlowUpdate::insert(SourceAddr(epoch * 1_000 + s), DestAddr(epoch)))
+            .collect();
+        tumbling.ingest(&updates);
+        sliding1.ingest(&updates);
+        assert_eq!(tumbling.evaluate().unwrap(), sliding1.evaluate().unwrap());
         assert_eq!(
-            tumbling.window().sketch().to_state(),
-            sliding1.window().sketch().to_state()
+            ring(&tumbling).sketch().to_state(),
+            ring(&sliding1).sketch().to_state()
         );
     }
 }
@@ -424,26 +430,24 @@ fn decayed_lambda_one_ranks_like_plain_sliding() {
     // The decayed policy at λ = 1 must rank exactly like the plain
     // sliding window (the degenerate case the decay docs promise).
     let mk = |policy: WindowPolicy| {
-        let mut wm = WindowedMonitor::new(wide_config(29), AlarmPolicy::default(), policy).unwrap();
+        let mut wm = windowed(wide_config(29), AlarmPolicy::default(), policy);
         for epoch in 0..5u32 {
-            for s in 0..(30 + epoch * 20) {
-                wm.ingest_one(FlowUpdate::insert(
-                    SourceAddr(epoch * 3_000 + s),
-                    DestAddr(epoch),
-                ));
-            }
-            wm.rotate().unwrap();
+            let updates: Vec<FlowUpdate> = (0..(30 + epoch * 20))
+                .map(|s| FlowUpdate::insert(SourceAddr(epoch * 3_000 + s), DestAddr(epoch)))
+                .collect();
+            wm.ingest(&updates);
+            wm.evaluate().unwrap();
         }
         wm
     };
-    let plain = mk(WindowPolicy::Sliding { epochs: 3 });
-    let decayed = mk(WindowPolicy::Decayed {
+    let mut plain = mk(WindowPolicy::Sliding { epochs: 3 });
+    let mut decayed = mk(WindowPolicy::Decayed {
         epochs: 3,
         lambda: 1.0,
     });
     assert_eq!(
-        plain.windowed_top_k(3).groups(),
-        decayed.windowed_top_k(3).groups()
+        plain.top_k(3).unwrap().groups(),
+        decayed.top_k(3).unwrap().groups()
     );
 }
 
