@@ -20,10 +20,9 @@
 //! that the *central* monitor aggregating many such streams holds no
 //! per-flow state at all.
 
-use std::collections::HashMap;
-
 use dcs_core::{DestAddr, FlowUpdate, SourceAddr};
 
+use crate::flow_table::FlowTable;
 use crate::packet::{TcpFlags, TcpSegment};
 
 /// The tracked state of one client→server flow.
@@ -33,12 +32,6 @@ pub enum ConnectionState {
     HalfOpen,
     /// Handshake completed — discounted from the monitor.
     Established,
-}
-
-#[derive(Debug, Clone)]
-struct FlowEntry {
-    state: ConnectionState,
-    last_seen: u64,
 }
 
 /// Converts observed TCP segments into `(source, dest, ±1)` flow
@@ -59,19 +52,32 @@ struct FlowEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HandshakeTracker {
-    flows: HashMap<u64, FlowEntry>,
-    /// Half-open flows older than this many ticks are expired (the
-    /// server reclaiming its backlog entry), emitting a `-1`.
-    half_open_timeout: Option<u64>,
+    /// Client→server flows. Flows idle longer than the half-open
+    /// timeout are expired (the server reclaiming its backlog entry),
+    /// emitting a `-1` if still half-open.
+    flows: FlowTable<ConnectionState>,
 }
 
 impl HandshakeTracker {
     /// Creates a tracker. `half_open_timeout = None` disables expiry.
     pub fn new(half_open_timeout: Option<u64>) -> Self {
         Self {
-            flows: HashMap::new(),
-            half_open_timeout,
+            flows: FlowTable::new(half_open_timeout),
         }
+    }
+
+    /// A tracker whose flow table hashes under `seed`.
+    #[cfg(test)]
+    pub(crate) fn with_seed(half_open_timeout: Option<u64>, seed: u64) -> Self {
+        Self {
+            flows: FlowTable::with_seed(half_open_timeout, seed),
+        }
+    }
+
+    /// Records in the flow table's expiry heap, stale ones included.
+    #[cfg(test)]
+    pub(crate) fn queued_expiries(&self) -> usize {
+        self.flows.queued()
     }
 
     /// Number of flows currently tracked (half-open + established).
@@ -83,14 +89,14 @@ impl HandshakeTracker {
     pub fn half_open_flows(&self) -> usize {
         self.flows
             .values()
-            .filter(|e| e.state == ConnectionState::HalfOpen)
+            .filter(|&&state| state == ConnectionState::HalfOpen)
             .count()
     }
 
     /// The state of the client→server flow, if tracked.
     pub fn state_of(&self, client: SourceAddr, server: DestAddr) -> Option<ConnectionState> {
         let key = dcs_core::FlowKey::new(client, server).packed();
-        self.flows.get(&key).map(|e| e.state)
+        self.flows.get(key).copied()
     }
 
     /// Observes one segment, returning the flow update to export, if
@@ -104,9 +110,7 @@ impl HandshakeTracker {
         let reverse = dcs_core::FlowKey::new(SourceAddr(segment.dst.0), DestAddr(segment.src.0));
         if segment.flags.is_syn_ack() {
             // Server reply: refresh the reverse (client→server) flow.
-            if let Some(entry) = self.flows.get_mut(&reverse.packed()) {
-                entry.last_seen = segment.timestamp;
-            }
+            self.flows.touch(reverse.packed(), segment.timestamp);
             return None;
         }
         if segment.flags.is_syn_only() {
@@ -125,18 +129,17 @@ impl HandshakeTracker {
         }
         if segment.flags.contains(TcpFlags::ACK) {
             // Client ACK (or data): completes a half-open flow.
-            if let Some(entry) = self.flows.get_mut(&forward.packed()) {
-                entry.last_seen = segment.timestamp;
-                if entry.state == ConnectionState::HalfOpen {
-                    entry.state = ConnectionState::Established;
+            if let Some(state) = self.flows.touch(forward.packed(), segment.timestamp) {
+                if *state == ConnectionState::HalfOpen {
+                    *state = ConnectionState::Established;
                     return Some(FlowUpdate {
                         key: forward,
                         delta: dcs_core::Delta::Delete,
                     });
                 }
-            } else if let Some(entry) = self.flows.get_mut(&reverse.packed()) {
+            } else {
                 // Server-side data; refresh only.
-                entry.last_seen = segment.timestamp;
+                self.flows.touch(reverse.packed(), segment.timestamp);
             }
             return None;
         }
@@ -149,33 +152,21 @@ impl HandshakeTracker {
         timestamp: u64,
         key: dcs_core::FlowKey,
     ) -> Option<FlowUpdate> {
-        match self.flows.get_mut(&packed) {
-            Some(entry) => {
-                // Retransmitted SYN: refresh, do not double-count.
-                entry.last_seen = timestamp;
-                None
-            }
-            None => {
-                self.flows.insert(
-                    packed,
-                    FlowEntry {
-                        state: ConnectionState::HalfOpen,
-                        last_seen: timestamp,
-                    },
-                );
-                Some(FlowUpdate {
-                    key,
-                    delta: dcs_core::Delta::Insert,
-                })
-            }
-        }
+        // A retransmitted SYN only refreshes: no double count.
+        let (_, inserted) = self
+            .flows
+            .touch_or_insert_with(packed, timestamp, || ConnectionState::HalfOpen);
+        inserted.then_some(FlowUpdate {
+            key,
+            delta: dcs_core::Delta::Insert,
+        })
     }
 
     /// Removes a flow; emits `-1` only if it was still half-open (an
     /// established flow was already discounted by its completing ACK).
     fn teardown(&mut self, packed: u64, key: dcs_core::FlowKey) -> Option<FlowUpdate> {
-        let entry = self.flows.remove(&packed)?;
-        (entry.state == ConnectionState::HalfOpen).then_some(FlowUpdate {
+        let state = self.flows.remove(packed)?;
+        (state == ConnectionState::HalfOpen).then_some(FlowUpdate {
             key,
             delta: dcs_core::Delta::Delete,
         })
@@ -185,22 +176,14 @@ impl HandshakeTracker {
     /// `now`), returning their `-1` updates. Established flows are also
     /// evicted when idle (silently — they were already discounted).
     pub fn tick(&mut self, now: u64) -> Vec<FlowUpdate> {
-        let Some(timeout) = self.half_open_timeout else {
-            return Vec::new();
-        };
         let mut expired = Vec::new();
-        self.flows.retain(|&packed, entry| {
-            let idle = now.saturating_sub(entry.last_seen);
-            if idle <= timeout {
-                return true;
-            }
-            if entry.state == ConnectionState::HalfOpen {
+        self.flows.expire(now, |packed, state| {
+            if state == ConnectionState::HalfOpen {
                 expired.push(FlowUpdate {
                     key: dcs_core::FlowKey::from_packed(packed),
                     delta: dcs_core::Delta::Delete,
                 });
             }
-            false
         });
         // Deterministic export order.
         expired.sort_by_key(|u| u.key.packed());
@@ -350,6 +333,25 @@ mod tests {
         t.observe(&TcpSegment::syn(c, s, 0));
         assert!(t.tick(u64::MAX).is_empty());
         assert_eq!(t.live_flows(), 1);
+    }
+
+    #[test]
+    fn refreshes_keep_the_expiry_queue_bounded() {
+        use crate::flow_table::QUEUE_SLACK;
+        let mut t = HandshakeTracker::new(Some(1_000));
+        let server = DestAddr(9);
+        for now in 0..2_000_000u64 {
+            let client = SourceAddr((now / 2 % 4) as u32);
+            let segment = if now % 2 == 0 {
+                TcpSegment::syn(client, server, now)
+            } else {
+                TcpSegment::syn_ack(server, client, now)
+            };
+            t.observe(&segment);
+            assert!(t.queued_expiries() <= 2 * t.live_flows() + QUEUE_SLACK);
+        }
+        assert_eq!(t.live_flows(), 4);
+        assert_eq!(t.half_open_flows(), 4);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   (potentially-malicious half-open connection), the completing ACK
 //!   emits `-1` (flow established as legitimate), and RST/FIN/timeout
 //!   discount flows that stop being half-open.
+//! * `flow_table` — the seeded per-flow table with O(expired) idle
+//!   expiry that the handshake, UDP and NetFlow trackers share.
 //! * [`traffic`] — packet-level drivers: legitimate handshakes, SYN
 //!   floods (SYN only, spoofed sources), flash crowds (complete
 //!   handshakes), port scans.
@@ -37,6 +39,9 @@
 
 pub mod conn;
 pub mod decay;
+#[cfg(test)]
+mod flow_oracle;
+mod flow_table;
 pub mod hierarchy;
 pub mod impair;
 pub mod ingest;

@@ -22,10 +22,11 @@
 //! remembers which flows it has emitted `+1` for and emits the matching
 //! `-1` when evidence of establishment arrives.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dcs_core::{Delta, DestAddr, FlowKey, FlowUpdate, SourceAddr};
 
+use crate::flow_table::FlowTable;
 use crate::packet::{TcpFlags, TcpSegment};
 
 /// An aggregated flow record (NetFlow v5-like, reduced to the fields
@@ -53,12 +54,10 @@ pub struct FlowRecord {
 /// (like a router's flow cache).
 #[derive(Debug)]
 pub struct FlowAggregator {
-    /// Active flows keyed by the client→server pair.
-    active: HashMap<u64, FlowRecord>,
-    /// Inactivity timeout (ticks) after which a record is exported.
-    idle_timeout: u64,
+    /// Active flows keyed by the client→server pair, exported once idle
+    /// for longer than the inactivity timeout.
+    active: FlowTable<FlowRecord>,
     exported: Vec<FlowRecord>,
-    clock: u64,
 }
 
 impl FlowAggregator {
@@ -71,10 +70,8 @@ impl FlowAggregator {
     pub fn new(idle_timeout: u64) -> Self {
         assert!(idle_timeout > 0, "idle_timeout must be positive");
         Self {
-            active: HashMap::new(),
-            idle_timeout,
+            active: FlowTable::new(Some(idle_timeout)),
             exported: Vec::new(),
-            clock: 0,
         }
     }
 
@@ -82,25 +79,26 @@ impl FlowAggregator {
     /// (reverse-direction segments update the same record but do not
     /// contribute client flags).
     pub fn observe(&mut self, segment: &TcpSegment) {
-        self.clock = self.clock.max(segment.timestamp);
         let forward = FlowKey::new(segment.src, segment.dst).packed();
         let reverse = FlowKey::new(SourceAddr(segment.dst.0), DestAddr(segment.src.0)).packed();
         let (key, is_forward) = if segment.flags.is_syn_ack() {
             (reverse, false)
-        } else if self.active.contains_key(&forward) || !self.active.contains_key(&reverse) {
+        } else if self.active.get(forward).is_some() || self.active.get(reverse).is_none() {
             (forward, true)
         } else {
             (reverse, false)
         };
-        let record = self.active.entry(key).or_insert_with(|| FlowRecord {
-            src: FlowKey::from_packed(key).source(),
-            dst: FlowKey::from_packed(key).dest(),
-            flags: TcpFlags::empty(),
-            packets: 0,
-            bytes: 0,
-            first: segment.timestamp,
-            last: segment.timestamp,
-        });
+        let (record, _) = self
+            .active
+            .touch_or_insert_with(key, segment.timestamp, || FlowRecord {
+                src: FlowKey::from_packed(key).source(),
+                dst: FlowKey::from_packed(key).dest(),
+                flags: TcpFlags::empty(),
+                packets: 0,
+                bytes: 0,
+                first: segment.timestamp,
+                last: segment.timestamp,
+            });
         record.packets += 1;
         record.bytes += u64::from(segment.payload_len);
         record.last = segment.timestamp;
@@ -112,25 +110,18 @@ impl FlowAggregator {
 
     /// Expires idle flows as of `now`, moving them to the export queue.
     pub fn expire(&mut self, now: u64) {
-        let timeout = self.idle_timeout;
-        let mut expired: Vec<FlowRecord> = Vec::new();
-        self.active.retain(|_, record| {
-            if now.saturating_sub(record.last) > timeout {
-                expired.push(*record);
-                false
-            } else {
-                true
-            }
-        });
-        expired.sort_by_key(|r| (r.first, r.src.0, r.dst.0));
-        self.exported.extend(expired);
+        let start = self.exported.len();
+        let exported = &mut self.exported;
+        self.active.expire(now, |_, record| exported.push(record));
+        sort_batch(&mut self.exported[start..]);
     }
 
     /// Forces every remaining flow out (end of the observation window).
     pub fn flush(&mut self) {
-        let mut rest: Vec<FlowRecord> = self.active.drain().map(|(_, r)| r).collect();
-        rest.sort_by_key(|r| (r.first, r.src.0, r.dst.0));
-        self.exported.extend(rest);
+        let start = self.exported.len();
+        self.exported
+            .extend(self.active.drain().map(|(_, record)| record));
+        sort_batch(&mut self.exported[start..]);
     }
 
     /// Takes the exported records.
@@ -142,6 +133,11 @@ impl FlowAggregator {
     pub fn active_flows(&self) -> usize {
         self.active.len()
     }
+}
+
+/// Puts one export batch in its deterministic order.
+fn sort_batch(batch: &mut [FlowRecord]) {
+    batch.sort_by_key(|r| (r.first, r.src.0, r.dst.0));
 }
 
 /// Converts expired flow records to flow updates, remembering which

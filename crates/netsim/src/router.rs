@@ -162,6 +162,44 @@ mod tests {
     }
 
     #[test]
+    fn exports_do_not_depend_on_the_table_seed() {
+        use crate::{Impairment, TrafficDriver};
+        let mut driver = TrafficDriver::new(17);
+        driver
+            .legitimate_sessions(DestAddr(1), 400)
+            .syn_flood(DestAddr(2), 600)
+            .advance_clock(150)
+            .flash_crowd(DestAddr(3), 300)
+            .syn_flood(DestAddr(1), 200);
+        let feed = Impairment::new(3)
+            .loss(0.05)
+            .duplication(0.1)
+            .reordering(24)
+            .apply(&driver.into_segments());
+        let last = feed.iter().map(|s| s.timestamp).max().unwrap_or(0);
+        let exports = |seed: u64| {
+            let mut r = EdgeRouter {
+                tracker: HandshakeTracker::with_seed(Some(20), seed),
+                ..EdgeRouter::new(0, None)
+            };
+            let mut stream = Vec::new();
+            for segment in &feed {
+                r.observe(segment);
+                stream.append(&mut r.drain_exports());
+            }
+            let live = r.tracker().live_flows();
+            r.flush_expired(last + 100);
+            stream.append(&mut r.drain_exports());
+            (stream, live)
+        };
+        let (stream, live) = exports(1);
+        assert!(stream.iter().filter(|u| u.delta == Delta::Delete).count() > 500);
+        for seed in [2, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            assert_eq!(exports(seed), (stream.clone(), live), "seed {seed:#x}");
+        }
+    }
+
+    #[test]
     fn observe_all_processes_batch() {
         let mut r = EdgeRouter::new(1, None);
         let segs = vec![

@@ -15,9 +15,9 @@
 //! discounting `-1`. One-way blast — floods and reflections alike —
 //! accumulates; request/response protocols cancel out.
 
-use std::collections::HashMap;
-
 use dcs_core::{Delta, DestAddr, FlowKey, FlowUpdate, SourceAddr};
+
+use crate::flow_table::FlowTable;
 
 /// A connectionless datagram (UDP or ICMP — the tracker does not care).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,18 +74,18 @@ enum PairState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UdpTracker {
-    pairs: HashMap<u64, (PairState, u64)>,
-    /// Pending pairs idle longer than this are evicted with a `-1`
-    /// (server-side rate limiting / NAT-entry expiry); `None` disables.
-    pending_timeout: Option<u64>,
+    /// Pairs by forward key. Pending pairs idle longer than the timeout
+    /// are evicted with a `-1` (server-side rate limiting / NAT-entry
+    /// expiry).
+    pairs: FlowTable<PairState>,
 }
 
 impl UdpTracker {
-    /// Creates a tracker; `pending_timeout` bounds per-flow state.
+    /// Creates a tracker; `pending_timeout` bounds per-flow state
+    /// (`None` disables expiry).
     pub fn new(pending_timeout: Option<u64>) -> Self {
         Self {
-            pairs: HashMap::new(),
-            pending_timeout,
+            pairs: FlowTable::new(pending_timeout),
         }
     }
 
@@ -96,10 +96,9 @@ impl UdpTracker {
         // Traffic whose reverse pair is tracked belongs to that
         // exchange: it proves bidirectionality (discounting a pending
         // pair) and never opens a pair of its own.
-        if let Some(entry) = self.pairs.get_mut(&reverse.packed()) {
-            entry.1 = datagram.timestamp;
-            if entry.0 == PairState::Pending {
-                entry.0 = PairState::Bidirectional;
+        if let Some(state) = self.pairs.touch(reverse.packed(), datagram.timestamp) {
+            if *state == PairState::Pending {
+                *state = PairState::Bidirectional;
                 return Some(FlowUpdate {
                     key: reverse,
                     delta: Delta::Delete,
@@ -107,40 +106,26 @@ impl UdpTracker {
             }
             return None;
         }
-        match self.pairs.get_mut(&forward.packed()) {
-            Some(entry) => {
-                entry.1 = datagram.timestamp;
-                None
-            }
-            None => {
-                self.pairs
-                    .insert(forward.packed(), (PairState::Pending, datagram.timestamp));
-                Some(FlowUpdate {
-                    key: forward,
-                    delta: Delta::Insert,
-                })
-            }
-        }
+        let (_, inserted) =
+            self.pairs
+                .touch_or_insert_with(forward.packed(), datagram.timestamp, || PairState::Pending);
+        inserted.then_some(FlowUpdate {
+            key: forward,
+            delta: Delta::Insert,
+        })
     }
 
     /// Expires idle state as of `now`: pending pairs emit their `-1`;
     /// bidirectional pairs are dropped silently.
     pub fn tick(&mut self, now: u64) -> Vec<FlowUpdate> {
-        let Some(timeout) = self.pending_timeout else {
-            return Vec::new();
-        };
         let mut expired = Vec::new();
-        self.pairs.retain(|&packed, &mut (state, last_seen)| {
-            if now.saturating_sub(last_seen) <= timeout {
-                return true;
-            }
+        self.pairs.expire(now, |packed, state| {
             if state == PairState::Pending {
                 expired.push(FlowUpdate {
                     key: FlowKey::from_packed(packed),
                     delta: Delta::Delete,
                 });
             }
-            false
         });
         expired.sort_by_key(|u| u.key.packed());
         expired
@@ -155,7 +140,7 @@ impl UdpTracker {
     pub fn pending_pairs(&self) -> usize {
         self.pairs
             .values()
-            .filter(|&&(state, _)| state == PairState::Pending)
+            .filter(|&&state| state == PairState::Pending)
             .count()
     }
 }
