@@ -129,15 +129,17 @@ fn bench_epoch_advance(c: &mut Criterion) {
     let mut group = c.benchmark_group("epoch_advance");
 
     // The fused slide, ring full: every advance reuses the expiring
-    // delta's storage. Epoch ingest and the cumulative clone happen in
-    // setup; the returned sketch is dropped outside the timed region.
+    // delta's storage. The first advance closes an epoch holding the
+    // prefill history, which expires as the ring fills. Epoch ingest
+    // and the cumulative clone happen in setup; the returned sketch is
+    // dropped outside the timed region.
     {
         let mut stream = EpochStream::new(&config);
         let policy = WindowPolicy::Sliding {
             epochs: ADVANCE_EPOCHS,
         };
         let mut window = EpochWindow::new(config.clone(), policy).expect("valid policy");
-        window.rebase(&stream.cumulative);
+        window.advance(&stream.cumulative).expect("compatible");
         for _ in 0..ADVANCE_EPOCHS {
             window.advance(&stream.next_epoch()).expect("compatible");
         }

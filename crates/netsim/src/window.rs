@@ -115,8 +115,10 @@ impl WindowPolicy {
 /// accumulator absorbs it and, once the ring is at capacity, sheds the
 /// expiring delta by exact subtraction. Both operations touch a fixed
 /// number of sketches — the slide cost is independent of the window
-/// length (the `window_slide` bench and `window_guard` CI gate pin
-/// this against the O(N) [`recompute`](Self::recompute) reference).
+/// length (the `window_slide` bench pins this against the O(N)
+/// [`recompute`](Self::recompute) reference, and the `perf_guard` CI
+/// gate pins it for [`EpochWindow::advance`], the slide a windowed
+/// monitor runs).
 ///
 /// # Examples
 ///
@@ -369,13 +371,6 @@ impl EpochWindow {
     /// The underlying sliding window.
     pub fn window(&self) -> &SlidingWindow {
         &self.window
-    }
-
-    /// Resets the epoch base to `cumulative` without closing an epoch,
-    /// so the next epoch covers only what `cumulative` gains from here:
-    /// how a window starts over a stream that already has history.
-    pub fn rebase(&mut self, cumulative: &DistinctCountSketch) {
-        self.base = cumulative.clone();
     }
 
     /// Captures the window state (ring, accumulator, base) together
