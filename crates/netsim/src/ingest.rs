@@ -1,27 +1,23 @@
 //! Persistent per-core ingest workers behind lock-free handoff rings.
 //!
 //! The engine under [`crate::sharded::ShardedIngest`]: one long-lived
-//! worker thread per shard, each owning a private
-//! [`DistinctCountSketch`] and draining a bounded lock-free ring
+//! worker thread per shard, each draining a bounded lock-free ring
 //! ([`crossbeam::queue::ArrayQueue`], used single-producer /
-//! single-consumer) of routed update slices. The producer never blocks
-//! on a mutex and workers never block each other; when a ring fills,
-//! the producer spins with [`std::thread::yield_now`] until the worker
-//! catches up (bounded memory, lossless backpressure).
+//! single-consumer) of routed update slices into its shard's
+//! [`DistinctCountSketch`]. Handing work over never takes a lock and
+//! workers never block each other; when a ring fills, the producer
+//! spins with [`std::thread::yield_now`] until the worker catches up
+//! (bounded memory, lossless backpressure).
 //!
-//! Reads never pause ingestion: each worker periodically *publishes* an
-//! epoch pointer — an `Arc` clone of its private sketch, swapped
-//! wholesale behind a mutex that is only ever held for the pointer
-//! exchange — and [`ShardReader::snapshot`] linearly merges the latest
-//! published partials into one consistent [`TrackingDcs`]. A published
-//! partial is immutable, so a snapshot can never observe a torn or
-//! half-applied state; it can only lag the stream, never misreport it.
-//!
-//! Checkpoint/flush semantics: the worker pool's flush pushes a publish
-//! request down every ring and waits until each worker's published
-//! update count equals the count handed to its ring — i.e. a flushed
-//! view captures exactly the ring-*drained* position, with no in-flight
-//! items, which is what makes sharded checkpoints resumable.
+//! Each shard's sketch sits behind one mutex, which its worker holds
+//! for one batch at a time. Reads lock the shards and use them in
+//! place, so a read sees every shard between batches, never
+//! half-applied. A flush waits until each worker has drained
+//! everything dispatched to it; a flushed read therefore captures
+//! exactly the ring-*drained* position, with no in-flight items, which
+//! is what makes sharded checkpoints resumable. The producer never
+//! holds a shard lock while pushing to a ring, so a full ring cannot
+//! wait on a lock the producer holds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,9 +25,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::queue::ArrayQueue;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use dcs_core::{cast, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TrackingDcs};
+use dcs_core::{cast, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError};
 use dcs_telemetry::LogHistogram;
 
 /// Jobs capacity of each worker's handoff ring. At the 1024-update
@@ -39,73 +35,60 @@ use dcs_telemetry::LogHistogram;
 /// updates.
 const RING_CAPACITY: usize = 64;
 
-/// A worker publishes a fresh read-side snapshot after applying this
-/// many updates since its last publish (flushes publish eagerly).
-const PUBLISH_EVERY_UPDATES: u64 = 32 * 1024;
-
 /// One unit of work handed to a worker through its ring.
 enum Job {
     /// Apply this routed slice of the stream, in order.
     Batch(Vec<FlowUpdate>),
-    /// Publish the private sketch as a read-side snapshot now.
-    Publish,
     /// Test hook: panic inside the worker with this message, so the
     /// dead-worker propagation path can be exercised deterministically.
     #[cfg(test)]
     Explode(String),
 }
 
-/// State shared between one worker thread, the producer, and readers.
+/// State shared between one worker thread and the producer.
 struct WorkerShared {
     /// The SPSC handoff ring (producer pushes, the worker pops).
     ring: ArrayQueue<Job>,
-    /// Epoch pointer to the latest published clone of the worker's
-    /// private sketch. Swapped wholesale; the mutex is held only for
-    /// the `Arc` exchange, never while sketching, so readers and the
-    /// worker are both effectively wait-free here.
-    published: Mutex<Arc<DistinctCountSketch>>,
-    /// Number of publishes so far (telemetry).
-    publishes: AtomicU64,
-    /// Updates the worker has applied to its private sketch.
+    /// The shard's sketch. The worker holds the lock for one batch at
+    /// a time; readers lock it to use the sketch in place.
+    sketch: Mutex<DistinctCountSketch>,
+    /// Updates applied to the sketch; advanced under the sketch lock,
+    /// so a locked sketch has processed exactly this many.
     drained: AtomicU64,
     /// Producer → worker: no more jobs are coming; drain and exit.
     stop: AtomicBool,
-    /// Set by the worker's drop sentinel when its thread exits for any
-    /// reason; with `join` still present, an early set means a panic.
+    /// Set when the worker thread unwinds, so the producer's spin loops
+    /// can distinguish "worker busy" from "worker gone" without joining.
     dead: AtomicBool,
 }
 
-/// Sets [`WorkerShared::dead`] when the worker thread unwinds or
-/// returns, so the producer's spin loops can distinguish "worker busy"
-/// from "worker gone" without joining.
-struct DeadFlag(Arc<WorkerShared>);
+/// Sets a worker's [`WorkerShared::dead`] flag if dropped while its
+/// thread unwinds.
+struct DeadFlag<'a>(&'a AtomicBool);
 
-impl Drop for DeadFlag {
+impl Drop for DeadFlag<'_> {
     fn drop(&mut self) {
-        self.0.dead.store(true, Ordering::Release);
+        if thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
     }
 }
 
-/// The worker body: drain the ring, apply batches in arrival (= stream)
-/// order, publish snapshots periodically and on request.
-fn worker_loop(mut sketch: DistinctCountSketch, shared: Arc<WorkerShared>) {
-    let _sentinel = DeadFlag(Arc::clone(&shared));
-    let mut since_publish = 0u64;
+/// The worker body: drain the ring and apply batches in arrival
+/// (= stream) order.
+fn worker_loop(shared: &WorkerShared) {
+    let _unwinding = DeadFlag(&shared.dead);
     loop {
         match shared.ring.pop() {
             Some(Job::Batch(items)) => {
+                let mut sketch = shared.sketch.lock();
+                // Dropped before the guard: a panic mid-batch marks the
+                // worker dead before its half-applied sketch unlocks.
+                let _mid_batch = DeadFlag(&shared.dead);
                 sketch.update_batch(&items);
-                let applied = cast::u64_from_usize(items.len());
-                shared.drained.fetch_add(applied, Ordering::Release);
-                since_publish += applied;
-                if since_publish >= PUBLISH_EVERY_UPDATES {
-                    publish(&sketch, &shared);
-                    since_publish = 0;
-                }
-            }
-            Some(Job::Publish) => {
-                publish(&sketch, &shared);
-                since_publish = 0;
+                shared
+                    .drained
+                    .fetch_add(cast::u64_from_usize(items.len()), Ordering::Release);
             }
             #[cfg(test)]
             Some(Job::Explode(message)) => panic!("{message}"),
@@ -114,7 +97,6 @@ fn worker_loop(mut sketch: DistinctCountSketch, shared: Arc<WorkerShared>) {
                     // `stop` is set only after the last push, so an
                     // empty ring here means the stream is fully drained.
                     if shared.ring.is_empty() {
-                        publish(&sketch, &shared);
                         return;
                     }
                 } else {
@@ -126,14 +108,6 @@ fn worker_loop(mut sketch: DistinctCountSketch, shared: Arc<WorkerShared>) {
             }
         }
     }
-}
-
-/// Publishes a consistent clone of `sketch` as the shard's read-side
-/// snapshot.
-fn publish(sketch: &DistinctCountSketch, shared: &WorkerShared) {
-    let snapshot = Arc::new(sketch.clone());
-    *shared.published.lock() = snapshot;
-    shared.publishes.fetch_add(1, Ordering::Release);
 }
 
 /// One worker: its shared state plus the join handle (taken exactly
@@ -149,10 +123,11 @@ pub(crate) struct WorkerPool {
     workers: Vec<Worker>,
     /// Per-shard target update counts: the seed sketch's count plus
     /// everything dispatched to that shard's ring since spawn. A shard
-    /// is fully drained exactly when its published count reaches this.
+    /// is fully drained exactly when its drained count reaches this.
     dispatched: Vec<u64>,
-    /// Read-side merge latencies (shared with every [`ShardReader`]).
-    merge_latency: Arc<LogHistogram>,
+    /// Merge latencies (boxed: kept inline, the histogram would make
+    /// every `ShardedIngest` holder hundreds of bytes larger).
+    merge_latency: Box<LogHistogram>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -165,8 +140,8 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns one worker per seed sketch; worker `i` starts from (and
-    /// immediately publishes) `seeds[i]`.
+    /// Spawns one worker per seed sketch; worker `i` starts from
+    /// `seeds[i]`.
     pub(crate) fn spawn(seeds: Vec<DistinctCountSketch>) -> Self {
         let mut workers = Vec::with_capacity(seeds.len());
         let mut dispatched = Vec::with_capacity(seeds.len());
@@ -174,14 +149,13 @@ impl WorkerPool {
             dispatched.push(sketch.updates_processed());
             let shared = Arc::new(WorkerShared {
                 ring: ArrayQueue::new(RING_CAPACITY),
-                published: Mutex::new(Arc::new(sketch.clone())),
-                publishes: AtomicU64::new(1),
                 drained: AtomicU64::new(sketch.updates_processed()),
+                sketch: Mutex::new(sketch),
                 stop: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
             });
             let worker_shared = Arc::clone(&shared);
-            let join = thread::spawn(move || worker_loop(sketch, worker_shared));
+            let join = thread::spawn(move || worker_loop(&worker_shared));
             workers.push(Worker {
                 shared,
                 join: Some(join),
@@ -190,7 +164,7 @@ impl WorkerPool {
         Self {
             workers,
             dispatched,
-            merge_latency: Arc::new(LogHistogram::new()),
+            merge_latency: Box::default(),
         }
     }
 
@@ -241,29 +215,19 @@ impl WorkerPool {
         }
     }
 
-    /// Drains every ring to its dispatched position and publishes each
-    /// shard's sketch at exactly that position. On return, published
-    /// snapshots together cover every update ever dispatched — the
-    /// ring-drained state a resumable checkpoint must capture.
+    /// Waits until every worker has drained its ring to the dispatched
+    /// position. On return the shards together cover every update ever
+    /// dispatched — the ring-drained state a resumable checkpoint must
+    /// capture.
     ///
     /// # Panics
     ///
     /// Re-raises the original payload of any worker that panicked.
     pub(crate) fn flush(&mut self) {
         for owner in 0..self.workers.len() {
-            self.push_job(owner, Job::Publish);
-        }
-        for owner in 0..self.workers.len() {
-            loop {
-                let published = self.workers[owner]
-                    .shared
-                    .published
-                    .lock()
-                    .updates_processed();
-                if published == self.dispatched[owner] {
-                    break;
-                }
-                if self.workers[owner].shared.dead.load(Ordering::Acquire) {
+            let shared = Arc::clone(&self.workers[owner].shared);
+            while shared.drained.load(Ordering::Acquire) != self.dispatched[owner] {
+                if shared.dead.load(Ordering::Acquire) {
                     self.raise_worker_panic(owner);
                 }
                 if let Some(join) = &self.workers[owner].join {
@@ -274,48 +238,47 @@ impl WorkerPool {
         }
     }
 
-    /// The latest published partial of every shard, in shard order.
-    pub(crate) fn published_parts(&self) -> Vec<Arc<DistinctCountSketch>> {
+    /// Locks every shard's sketch, in shard order. Each worker holds at
+    /// most its own lock, so taking them all cannot deadlock; the
+    /// workers wait while the guards live.
+    pub(crate) fn lock_shards(&self) -> Vec<MutexGuard<'_, DistinctCountSketch>> {
         self.workers
             .iter()
-            .map(|worker| Arc::clone(&worker.shared.published.lock()))
+            .map(|worker| worker.shared.sketch.lock())
             .collect()
     }
 
-    /// Linearly merges the latest published partials into one basic
-    /// sketch (call [`Self::flush`] first for an up-to-the-cursor view).
+    /// Linearly merges the shards as they stand into one basic sketch
+    /// (call [`Self::flush`] first for an up-to-the-cursor view).
     ///
-    /// Partials that have processed no updates are skipped: they hold
-    /// no levels, so merging them only burns per-level clone/merge
-    /// passes. Bit-identical — an untouched partial contributes zero to
-    /// every counter — and it matters for snapshots taken before all
-    /// shards have seen traffic.
+    /// Shards that have processed no updates are skipped: they hold no
+    /// levels, so merging them only burns per-level clone/merge passes.
+    /// Bit-identical — an untouched shard contributes zero to every
+    /// counter — and it matters before all shards have seen traffic.
     pub(crate) fn merged(&self, config: &SketchConfig) -> Result<DistinctCountSketch, SketchError> {
-        let parts = self.published_parts();
+        let shards = self.lock_shards();
         let started = Instant::now();
         let merged = DistinctCountSketch::merge_many(
             config,
-            parts
+            shards
                 .iter()
-                .map(Arc::as_ref)
-                .filter(|part| part.updates_processed() > 0),
+                .map(|shard| &**shard)
+                .filter(|shard| shard.updates_processed() > 0),
         )?;
+        drop(shards);
         self.merge_latency
             .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         Ok(merged)
     }
 
-    /// A cloneable non-blocking read handle over the published shards.
-    pub(crate) fn reader(&self, config: SketchConfig) -> ShardReader {
-        ShardReader {
-            config,
-            shards: self
-                .workers
-                .iter()
-                .map(|worker| Arc::clone(&worker.shared))
-                .collect(),
-            merge_latency: Arc::clone(&self.merge_latency),
-        }
+    /// Whether any worker has died. A dead worker's shard may hold a
+    /// half-applied batch, and the worker marks itself dead before that
+    /// shard unlocks, so a read that checks this after releasing its
+    /// locks never passes such a shard on.
+    pub(crate) fn any_dead(&self) -> bool {
+        self.workers
+            .iter()
+            .any(|worker| worker.shared.dead.load(Ordering::Acquire))
     }
 
     /// Jobs currently buffered across all rings (telemetry gauge).
@@ -323,14 +286,6 @@ impl WorkerPool {
         self.workers
             .iter()
             .map(|worker| cast::u64_from_usize(worker.shared.ring.len()))
-            .sum()
-    }
-
-    /// Total snapshot publishes across all shards (telemetry gauge).
-    pub(crate) fn publishes(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|worker| worker.shared.publishes.load(Ordering::Acquire))
             .sum()
     }
 
@@ -343,7 +298,7 @@ impl WorkerPool {
             .sum()
     }
 
-    /// Read-side merge latency distribution.
+    /// Merge latency distribution.
     pub(crate) fn merge_latency(&self) -> &LogHistogram {
         &self.merge_latency
     }
@@ -380,91 +335,5 @@ impl Drop for WorkerPool {
                 std::panic::resume_unwind(p);
             }
         }
-    }
-}
-
-/// A cloneable, non-blocking read handle over a sharded ingest's
-/// published per-shard snapshots. Obtained from
-/// [`crate::sharded::ShardedIngest::reader`]; remains usable from other
-/// threads while ingestion continues.
-pub struct ShardReader {
-    config: SketchConfig,
-    shards: Vec<Arc<WorkerShared>>,
-    merge_latency: Arc<LogHistogram>,
-}
-
-impl Clone for ShardReader {
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config.clone(),
-            shards: self.shards.iter().map(Arc::clone).collect(),
-            merge_latency: Arc::clone(&self.merge_latency),
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardReader")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
-/// A consistent point-in-time view merged from published shard
-/// partials. Each partial is an immutable clone published by its
-/// worker, so the merged sketch is never torn: it equals a
-/// single-threaded sketch over some prefix-per-shard of the routed
-/// stream.
-#[derive(Debug)]
-pub struct ShardedSnapshot {
-    /// The merged tracking sketch.
-    pub sketch: TrackingDcs,
-    /// Updates covered by the snapshot (sum over shards); lags the
-    /// dispatch cursor by at most the unpublished tail of each shard.
-    pub updates_applied: u64,
-    /// Updates covered per shard, in shard order.
-    pub shard_updates: Vec<u64>,
-}
-
-impl ShardReader {
-    /// Merges the latest published partial of every shard into one
-    /// consistent tracking sketch, without blocking or pausing the
-    /// workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SketchError`] from the merge (unreachable when all
-    /// shards share one configuration, which the pool guarantees).
-    pub fn snapshot(&self) -> Result<ShardedSnapshot, SketchError> {
-        let parts: Vec<Arc<DistinctCountSketch>> = self
-            .shards
-            .iter()
-            .map(|shard| Arc::clone(&shard.published.lock()))
-            .collect();
-        let started = Instant::now();
-        let shard_updates: Vec<u64> = parts.iter().map(|part| part.updates_processed()).collect();
-        // Skip partials that have processed nothing (same reasoning as
-        // `WorkerPool::merged`); `shard_updates` above still reports
-        // every shard, including idle ones.
-        let merged = DistinctCountSketch::merge_many(
-            &self.config,
-            parts
-                .iter()
-                .map(Arc::as_ref)
-                .filter(|part| part.updates_processed() > 0),
-        )?;
-        self.merge_latency
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        Ok(ShardedSnapshot {
-            sketch: TrackingDcs::from_sketch(merged),
-            updates_applied: shard_updates.iter().sum(),
-            shard_updates,
-        })
-    }
-
-    /// Number of shards feeding this reader.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 }

@@ -30,9 +30,9 @@
 //! * [`pipeline`] — a multi-threaded router → monitor pipeline over
 //!   crossbeam channels, demonstrating deployment shape.
 //! * [`ingest`] / [`sharded`] — persistent per-core ingest workers
-//!   behind lock-free SPSC rings, with deterministic absolute-position
-//!   routing, non-blocking read-side snapshots, and resumable
-//!   checkpoints.
+//!   behind lock-free SPSC rings, each feeding one locked shard sketch
+//!   that reads use in place, with deterministic absolute-position
+//!   routing and resumable checkpoints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +61,6 @@ pub use conn::{ConnectionState, HandshakeTracker};
 pub use decay::decayed_top_k;
 pub use hierarchy::{Granularity, HierarchicalTracker};
 pub use impair::Impairment;
-pub use ingest::{ShardReader, ShardedSnapshot};
 pub use monitor::{Alarm, AlarmEvent, AlarmPolicy, DdosMonitor, Monitor};
 pub use netflow::{FlowAggregator, FlowRecord, RecordConverter};
 pub use packet::{TcpFlags, TcpSegment};

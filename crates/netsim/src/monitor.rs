@@ -628,10 +628,11 @@ impl Monitor {
         })
     }
 
-    /// A telemetry snapshot of the monitor: the sketch's gauges when
-    /// direct, the engine's (queue depth, merge latency, cursors —
-    /// non-blocking, from published partials) when sharded, plus the
-    /// judge's and the window's gauges in either.
+    /// A telemetry snapshot of the monitor: the cumulative sketch's
+    /// gauges — when sharded, those of the shards merged as they stand,
+    /// plus the engine's `sharded_*` counters (queue depth, merge
+    /// latency, cursors) — and the judge's and the window's gauges in
+    /// either mode.
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
         let mut snap = match &self.cumulative {
             Cumulative::Direct(sketch) => sketch.telemetry_snapshot(label),
@@ -808,5 +809,40 @@ mod tests {
         }
         assert!(m.evaluate_events().is_empty());
         assert_eq!(m.active_alarms(), vec![80]);
+    }
+
+    #[test]
+    fn sharded_telemetry_reports_the_direct_gauges() {
+        let config = SketchConfig::builder()
+            .buckets_per_table(256)
+            .seed(5)
+            .build()
+            .unwrap();
+        let new_monitor = || Monitor::new(config.clone(), AlarmPolicy::default(), None).unwrap();
+        let mut direct = new_monitor();
+        let mut sharded = new_monitor().with_shards(Some(2));
+        let updates: Vec<FlowUpdate> = (0..12_000u32)
+            .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(s % 40)))
+            .collect();
+        for monitor in [&mut direct, &mut sharded] {
+            monitor.ingest(&updates);
+            monitor.evaluate().unwrap();
+        }
+        let (d, s) = (
+            direct.telemetry_snapshot("direct"),
+            sharded.telemetry_snapshot("sharded"),
+        );
+        assert_eq!(s.updates_processed, d.updates_processed);
+        assert!(!d.levels.is_empty());
+        assert_eq!(s.levels, d.levels);
+        let keys = |snap: &TelemetrySnapshot| -> Vec<String> {
+            snap.counters
+                .keys()
+                .filter(|name| !name.starts_with("sharded_"))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(keys(&s), keys(&d));
+        assert!(s.counters.contains_key("sharded_shards"));
     }
 }

@@ -5,9 +5,10 @@
 //! persistent worker threads, each feeding a private sketch built from
 //! the *same seed*, and merge on query. Any partition works — no
 //! key-based routing needed — because merge equals the union stream
-//! exactly. The workers, their lock-free handoff rings, and the
-//! read-side snapshot machinery live in [`crate::ingest`]; this module
-//! owns the deterministic routing and the checkpoint surface.
+//! exactly. The workers, their lock-free handoff rings, and the locked
+//! per-shard sketches they feed live in [`crate::ingest`]; this module
+//! owns the deterministic routing and the checkpoint surface, and
+//! reads the shards in place, merging them when asked.
 
 use dcs_core::{
     cast, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TrackingDcs, BATCH_CHUNK,
@@ -15,7 +16,7 @@ use dcs_core::{
 use dcs_persist::{Checkpoint, PersistError, ShardedCheckpoint};
 use dcs_telemetry::TelemetrySnapshot;
 
-use crate::ingest::{ShardReader, WorkerPool};
+use crate::ingest::WorkerPool;
 
 /// Ingests a stream across `shards` worker threads and returns the
 /// merged tracking sketch.
@@ -79,7 +80,7 @@ const _: () = assert!(SHARD_CHUNK.is_multiple_of(HANDOFF_CHUNK));
 
 /// An incremental, checkpointable sharded ingest engine with
 /// persistent per-core workers (see [`crate::ingest`] for the
-/// worker/ring/snapshot machinery).
+/// worker/ring machinery and the per-shard sketch locks).
 ///
 /// Routing is a pure function of *absolute stream position*: the update
 /// at position `p` belongs to chunk `p / 4096`, and chunk `c` goes to
@@ -211,15 +212,6 @@ impl ShardedIngest {
         &self.config
     }
 
-    /// A cloneable, non-blocking read handle: [`ShardReader::snapshot`]
-    /// merges the workers' latest *published* sketches into a
-    /// consistent view without pausing ingestion. Snapshots lag the
-    /// cursor by at most each worker's unpublished tail; they are never
-    /// torn.
-    pub fn reader(&self) -> ShardReader {
-        self.pool.reader(self.config.clone())
-    }
-
     /// Drains every ring and captures all shard states and the position
     /// cursor as a checkpoint document. Valid at *any* stream position —
     /// the cursor, not chunk alignment, is what routing resumes from.
@@ -238,9 +230,9 @@ impl ShardedIngest {
             updates_distributed: self.updates_distributed,
             shards: self
                 .pool
-                .published_parts()
+                .lock_shards()
                 .iter()
-                .map(|part| part.to_state())
+                .map(|shard| shard.to_state())
                 .collect(),
         }
     }
@@ -307,16 +299,25 @@ impl ShardedIngest {
         self.merged_sketch().map(TrackingDcs::from_sketch)
     }
 
-    /// Assembles a telemetry snapshot of the engine without pausing the
-    /// workers: the merged *published* view's sketch gauges plus the
-    /// engine's own — shard count, dispatch/drain cursors, ring depth,
-    /// publish count, and read-side merge latency quantiles.
+    /// Assembles a telemetry snapshot of the engine without flushing
+    /// the rings: the gauges of the shards merged as they stand (the
+    /// basic sketch's set, as a direct [`crate::Monitor`] reports) plus
+    /// the engine's own — shard count, dispatch/drain cursors, ring
+    /// depth, and merge latency quantiles. The workers wait for the
+    /// merge; what is still in the rings is not covered.
+    ///
+    /// When a worker has died, its shard may hold a half-applied batch,
+    /// so only the engine's own counters are reported; the next
+    /// [`Self::ingest`], [`Self::merged`] or [`Self::checkpoint`]
+    /// re-raises the worker's panic.
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
-        let mut snap = match self.reader().snapshot() {
-            Ok(view) => view.sketch.telemetry_snapshot(label),
-            // Unreachable — shards share one configuration — but a
-            // telemetry call must never panic the pipeline.
-            Err(_) => TelemetrySnapshot::new(label),
+        let merged = self.pool.merged(&self.config);
+        let mut snap = match merged {
+            Ok(sketch) if !self.pool.any_dead() => sketch.telemetry_snapshot(label),
+            // A dead worker, or a merge error — unreachable, as shards
+            // share one configuration — but a telemetry call must never
+            // panic the pipeline.
+            _ => TelemetrySnapshot::new(label),
         };
         snap.set_counter(
             "sharded_shards",
@@ -325,7 +326,6 @@ impl ShardedIngest {
         snap.set_counter("sharded_updates_distributed", self.updates_distributed);
         snap.set_counter("sharded_updates_drained", self.pool.drained());
         snap.set_counter("sharded_queue_depth", self.pool.queued_jobs());
-        snap.set_counter("sharded_publishes", self.pool.publishes());
         let merges = self.pool.merge_latency();
         snap.set_counter("sharded_merges", merges.count());
         snap.set_counter("sharded_merge_p50_ns", merges.quantile_ns(0.5) as u64);
@@ -541,16 +541,30 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_original_payload() {
-        // A panic job parks in shard 0's ring; the flush inside
-        // `merged` must notice the dead worker and re-raise its own
-        // payload rather than hanging or masking it.
+        // A panic job parks in shard 0's ring. A telemetry snapshot
+        // taken once the worker is dead reports the engine's counters
+        // only, without panicking; the flush inside `merged` must then
+        // notice the dead worker and re-raise its own payload rather
+        // than hanging or masking it.
         let updates: Vec<FlowUpdate> = (0..10_000u32)
             .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(1)))
             .collect();
+        let mut ingest = ShardedIngest::new(config(), 2);
+        ingest.ingest(&updates[..5_000]);
+        ingest.inject_worker_panic(0, "worker exploded for the test");
+        while !ingest.pool.any_dead() {
+            std::thread::yield_now();
+        }
+        let snap = ingest.telemetry_snapshot("dead_worker");
+        assert_eq!(snap.updates_processed, 0);
+        assert!(snap.levels.is_empty());
+        assert_eq!(snap.counters.get("sharded_shards"), Some(&2));
+        assert_eq!(
+            snap.counters.get("sharded_updates_distributed"),
+            Some(&5_000)
+        );
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut ingest = ShardedIngest::new(config(), 2);
-            ingest.inject_worker_panic(0, "worker exploded for the test");
-            ingest.ingest(&updates);
+            ingest.ingest(&updates[5_000..]);
             let _ = ingest.merged();
         }));
         let payload = result.unwrap_err();
@@ -561,32 +575,6 @@ mod tests {
             message.contains("worker exploded"),
             "unexpected payload: {message}"
         );
-    }
-
-    #[test]
-    fn reader_snapshot_is_consistent_and_current_after_flush() {
-        let updates: Vec<FlowUpdate> = (0..9_000u32)
-            .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(s % 9)))
-            .collect();
-        let mut ingest = ShardedIngest::new(config(), 3);
-        let reader = ingest.reader();
-        // Before any ingest: an empty but valid snapshot.
-        let empty = reader.snapshot().unwrap();
-        assert_eq!(empty.updates_applied, 0);
-        ingest.ingest(&updates);
-        // A snapshot taken mid-flight covers some consistent prefix
-        // per shard...
-        let mid = reader.snapshot().unwrap();
-        assert!(mid.updates_applied <= 9_000);
-        assert_eq!(mid.updates_applied, mid.sketch.updates_processed());
-        mid.sketch.check_tracking_invariants().unwrap();
-        // ...and after a flush (via `merged`) the published view covers
-        // everything dispatched.
-        let merged = ingest.merged().unwrap();
-        let full = reader.snapshot().unwrap();
-        assert_eq!(full.updates_applied, 9_000);
-        assert_eq!(full.shard_updates.iter().sum::<u64>(), 9_000);
-        assert_eq!(full.sketch.to_state(), merged.to_state());
     }
 
     #[test]
@@ -604,7 +592,6 @@ mod tests {
             Some(&5_000)
         );
         assert_eq!(snap.counters.get("sharded_updates_drained"), Some(&5_000));
-        assert!(snap.counters.get("sharded_publishes").copied().unwrap_or(0) >= 2);
         assert!(snap.counters.get("sharded_merges").copied().unwrap_or(0) >= 1);
         assert!(snap.counters.contains_key("sharded_merge_p50_ns"));
     }

@@ -1,10 +1,10 @@
 //! Cross-crate contract tests for the lock-free sharded ingest engine:
 //! the merged result is *bit-identical* to single-threaded ingestion
 //! regardless of how callers slice the stream or how many shards run,
-//! and concurrent read-side snapshots are never torn. Underneath both
-//! sits linearity itself: *any* partition of a stream merges to the
-//! single-threaded sketch, which is what lets a sharded run resume from
-//! the direct pipeline's checkpoint.
+//! and telemetry snapshots read while the workers drain are never
+//! torn. Underneath both sits linearity itself: *any* partition of a
+//! stream merges to the single-threaded sketch, which is what lets a
+//! sharded run resume from the direct pipeline's checkpoint.
 
 use proptest::prelude::*;
 
@@ -31,7 +31,7 @@ fn key_at(i: u32) -> FlowKey {
 /// (reordered or dropped deletes) would change counter state, not just
 /// shuffle identical work. The insert/delete pair always shares a
 /// 4096-update routing chunk (pairs never straddle `r % 4096 < 3`), so
-/// every per-shard sub-stream prefix — and therefore every read-side
+/// every per-shard sub-stream prefix — and therefore every mid-stream
 /// snapshot — is itself a well-formed multiset (no delete ever precedes
 /// its insert on any shard).
 fn churn_updates(n: u32) -> Vec<FlowUpdate> {
@@ -126,72 +126,42 @@ fn helper_matches_engine_for_every_shard_count() {
 
 #[test]
 fn concurrent_snapshots_are_never_torn() {
-    // Reader threads hammer `ShardReader::snapshot` while the producer
-    // streams updates. Every snapshot must be internally consistent
-    // (published counters match the merged sketch exactly, tracking
-    // invariants hold) and per-reader coverage must be monotone.
+    // Telemetry snapshots taken between unflushed `ingest` calls read
+    // the shards in place while the workers drain their rings. Each must
+    // cover no more than the workers have applied, and no more than the
+    // producer has handed out; coverage must never go backwards.
     let updates = churn_updates(60_000);
     let reference = reference_sketch(&updates, 13);
     let mut engine = ShardedIngest::new(config(13), 3);
-    let reader = engine.reader();
-    let stop = std::sync::atomic::AtomicBool::new(false);
+    let mut last_covered = 0u64;
+    for chunk in updates.chunks(512) {
+        engine.ingest(chunk);
+        let snap = engine.telemetry_snapshot("mid_stream");
+        let drained = snap.counters["sharded_updates_drained"];
+        let distributed = snap.counters["sharded_updates_distributed"];
+        assert!(
+            snap.updates_processed <= drained && drained <= distributed,
+            "torn snapshot: covered {} drained {drained} distributed {distributed}",
+            snap.updates_processed
+        );
+        assert_eq!(distributed, engine.updates_distributed());
+        assert!(
+            snap.updates_processed >= last_covered,
+            "snapshot coverage went backwards: {last_covered} -> {}",
+            snap.updates_processed
+        );
+        last_covered = snap.updates_processed;
+    }
 
-    std::thread::scope(|scope| {
-        let mut readers = Vec::new();
-        for _ in 0..2 {
-            let reader = reader.clone();
-            let stop = &stop;
-            readers.push(scope.spawn(move || {
-                let mut last_applied = 0u64;
-                let mut snapshots = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    let snap = reader.snapshot().unwrap();
-                    assert_eq!(
-                        snap.updates_applied,
-                        snap.sketch.updates_processed(),
-                        "torn snapshot: shard counters disagree with merged sketch"
-                    );
-                    assert_eq!(snap.shard_updates.iter().sum::<u64>(), snap.updates_applied);
-                    snap.sketch.check_tracking_invariants().unwrap();
-                    assert!(
-                        snap.updates_applied >= last_applied,
-                        "snapshot coverage went backwards: {last_applied} -> {}",
-                        snap.updates_applied
-                    );
-                    last_applied = snap.updates_applied;
-                    snapshots += 1;
-                    std::thread::yield_now();
-                }
-                snapshots
-            }));
-        }
-        let mut ingested = 0u64;
-        for (round, chunk) in updates.chunks(512).enumerate() {
-            engine.ingest(chunk);
-            ingested += chunk.len() as u64;
-            // Periodic flushes publish genuinely partial coverage for
-            // the reader threads to observe mid-stream.
-            if round % 16 == 15 {
-                let mid = engine.merged().unwrap();
-                assert_eq!(mid.updates_processed(), ingested);
-            }
-        }
-        let merged = engine.merged().unwrap();
-        assert_eq!(merged.sketch().to_state(), reference.to_state());
-        stop.store(true, std::sync::atomic::Ordering::Release);
-        for handle in readers {
-            assert!(
-                handle.join().unwrap() > 0,
-                "reader thread never snapshotted"
-            );
-        }
-    });
-
-    // After the flush inside `merged`, a fresh snapshot covers the full
-    // stream and equals the single-threaded result bit for bit.
-    let final_snap = reader.snapshot().unwrap();
-    assert_eq!(final_snap.updates_applied, 60_000);
-    assert_eq!(final_snap.sketch.sketch().to_state(), reference.to_state());
+    // After the flush inside `merged`, a snapshot covers the full
+    // stream and the merged sketch equals the single-threaded result
+    // bit for bit.
+    let merged = engine.merged().unwrap();
+    assert_eq!(merged.sketch().to_state(), reference.to_state());
+    assert_eq!(
+        engine.telemetry_snapshot("flushed").updates_processed,
+        60_000
+    );
 }
 
 #[test]
