@@ -111,7 +111,7 @@ pub fn parse_allow(text: &str) -> Result<Vec<AllowEntry>, String> {
             "lint" => {
                 let code = unquote(value, lineno)?;
                 partial.lint = Some(Lint::parse(&code).ok_or_else(|| {
-                    format!("line {lineno}: unknown lint code `{code}` (expected L1..L10)")
+                    format!("line {lineno}: unknown lint code `{code}` (expected L1..L10, except the retired L8)")
                 })?);
             }
             "path" => partial.path = Some(unquote(value, lineno)?),

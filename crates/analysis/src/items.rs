@@ -1,12 +1,11 @@
 //! Item index: a lightweight structural pass over stripped sources.
 //!
-//! The semantic lints (L6–L10) need to know *which function* a line of
-//! code belongs to and which `impl` block owns that function — but a
-//! full Rust parser would drag in a dependency the linter exists to
-//! gate. This module extracts just enough structure from the
+//! The semantic lints (L6, L7, L9, L10) need to know *which function*
+//! a line of code belongs to and which `impl` block owns that function
+//! — but a full Rust parser would drag in a dependency the linter
+//! exists to gate. This module extracts just enough structure from the
 //! [`strip`](crate::strip)-ped token stream: `fn` items with their
-//! owning `impl`/`trait` type, brace-balanced body spans, and
-//! `#[cfg(feature = "…")]` gates with the item they guard. Resolution
+//! owning `impl`/`trait` type and brace-balanced body spans. Resolution
 //! is name-based and tuned to this workspace's idioms (one type per
 //! impl block, no macro-generated items); it deliberately
 //! over-approximates rather than misses.
@@ -310,145 +309,6 @@ fn crate_imports(lines: &[Line]) -> Vec<String> {
     out
 }
 
-/// One `#[cfg(feature = "…")]`-style gate and the item it guards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CfgGate {
-    /// The feature named in the gate.
-    pub feature: String,
-    /// Whether the gate is `#[cfg(not(feature = "…"))]`.
-    pub negated: bool,
-    /// 1-based line of the attribute.
-    pub line: usize,
-    /// The gated item's kind keyword (`fn`, `struct`, `mod`, `use`, …).
-    pub kind: String,
-    /// The gated item's name (for `impl`: the type name).
-    pub name: String,
-}
-
-/// Item-introducing keywords a cfg gate can guard.
-const ITEM_KINDS: &[&str] = &[
-    "fn", "struct", "enum", "mod", "use", "impl", "trait", "type", "const", "static", "union",
-];
-
-/// Extracts feature gates on *items* from one file.
-///
-/// `raw` is the original source (feature names live inside string
-/// literals, which stripping blanks); `lines` is the stripped view used
-/// to locate the gated item. Gates on expressions or blocks inside
-/// function bodies are ignored — L8 is about the item-level API surface
-/// the disabled build must keep.
-pub fn cfg_gates(raw: &str, lines: &[Line]) -> Vec<CfgGate> {
-    let raw_lines: Vec<&str> = raw.lines().collect();
-    let mut out = Vec::new();
-    for (index, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.trim_start();
-        if !code.starts_with("#[cfg(") {
-            continue;
-        }
-        let Some(raw_line) = raw_lines.get(index) else {
-            continue;
-        };
-        let Some(feature) = feature_name(raw_line) else {
-            continue;
-        };
-        let negated = raw_line.contains("not(");
-        // Find the gated item: the next line (skipping further
-        // attributes and doc comments) that starts with an item keyword.
-        let mut target = None;
-        for probe in lines.iter().skip(index + 1).take(8) {
-            let t = probe.code.trim_start();
-            if t.is_empty() || t.starts_with("#[") || probe.is_doc {
-                continue;
-            }
-            let mut words = t.split_whitespace().peekable();
-            let mut kind = None;
-            let mut after_kind = t;
-            while let Some(w) = words.peek() {
-                let w = w.trim_end_matches(|c: char| !c.is_alphanumeric() && c != '_');
-                if ITEM_KINDS.contains(&w) {
-                    kind = Some(w.to_string());
-                    // Everything after the keyword token.
-                    if let Some(pos) = t.find(w) {
-                        after_kind = &t[pos + w.len()..];
-                    }
-                    break;
-                }
-                // Visibility/safety qualifiers before the keyword.
-                if w.starts_with("pub") || w == "unsafe" || w == "async" || w == "extern" {
-                    words.next();
-                    continue;
-                }
-                break;
-            }
-            if let Some(kind) = kind {
-                let name = item_name(&kind, after_kind);
-                target = Some((kind, name));
-            }
-            break;
-        }
-        if let Some((kind, name)) = target {
-            out.push(CfgGate {
-                feature,
-                negated,
-                line: index + 1,
-                kind,
-                name,
-            });
-        }
-    }
-    out
-}
-
-/// The feature string named in a `#[cfg(feature = "…")]` attribute
-/// line, if the attribute is a feature gate at all.
-fn feature_name(raw_line: &str) -> Option<String> {
-    let at = raw_line.find("feature")?;
-    let rest = raw_line[at + "feature".len()..].trim_start();
-    let rest = rest.strip_prefix('=')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-/// The name of an item given its kind keyword and the text after it.
-fn item_name(kind: &str, after: &str) -> String {
-    let after = after.trim_start();
-    match kind {
-        "impl" => {
-            // `impl A for B` names B; `impl B` names B.
-            let header = after.split('{').next().unwrap_or(after);
-            match header.split_whitespace().position(|w| w == "for") {
-                Some(pos) => header
-                    .split_whitespace()
-                    .nth(pos + 1)
-                    .map(last_type_segment)
-                    .unwrap_or_default(),
-                None => header
-                    .split_whitespace()
-                    .next()
-                    .map(last_type_segment)
-                    .unwrap_or_default(),
-            }
-        }
-        "use" => {
-            // The last path segment before `;` (or the alias after `as`).
-            let path = after.split(';').next().unwrap_or(after);
-            if let Some(pos) = path.split_whitespace().position(|w| w == "as") {
-                return path
-                    .split_whitespace()
-                    .nth(pos + 1)
-                    .map(last_type_segment)
-                    .unwrap_or_default();
-            }
-            last_type_segment(path.trim())
-        }
-        _ => ident_at(after, 0).unwrap_or("").to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,40 +415,6 @@ mod tests {
         let helper = items.iter().find(|f| f.name == "helper").unwrap();
         assert!(!live.is_test);
         assert!(helper.is_test);
-    }
-
-    #[test]
-    fn cfg_gates_pair_feature_items() {
-        let src = "//! doc\n\
-                   #[cfg(feature = \"telemetry\")]\n\
-                   pub fn snapshot() {}\n\
-                   #[cfg(not(feature = \"telemetry\"))]\n\
-                   pub fn snapshot() {}\n\
-                   #[cfg(feature = \"serde\")]\n\
-                   struct Repr { x: u32 }\n";
-        let gates = cfg_gates(src, &strip(src));
-        assert_eq!(gates.len(), 3);
-        assert_eq!(gates[0].feature, "telemetry");
-        assert!(!gates[0].negated);
-        assert_eq!(gates[0].kind, "fn");
-        assert_eq!(gates[0].name, "snapshot");
-        assert!(gates[1].negated);
-        assert_eq!(gates[2].feature, "serde");
-        assert_eq!(gates[2].name, "Repr");
-    }
-
-    #[test]
-    fn cfg_gates_resolve_use_and_impl_names() {
-        let src = "//! doc\n\
-                   #[cfg(feature = \"telemetry\")]\n\
-                   pub(crate) use enabled::Telem;\n\
-                   #[cfg(feature = \"telemetry\")]\n\
-                   impl From<Repr> for State {}\n";
-        let gates = cfg_gates(src, &strip(src));
-        assert_eq!(gates[0].kind, "use");
-        assert_eq!(gates[0].name, "Telem");
-        assert_eq!(gates[1].kind, "impl");
-        assert_eq!(gates[1].name, "State");
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! # dcs-analysis — repo-native invariant linter
 //!
-//! Ten invariants of the Distinct-Count Sketch workspace live in the
+//! Nine invariants of the Distinct-Count Sketch workspace live in the
 //! *source text*, not the type system. Five are token-level: counter
 //! linearity under overflow (L1), audited numeric narrowing (L2),
 //! panic-free library paths (L3), run-to-run determinism (L4), and
-//! per-module intent headers (L5). Five are *semantic*, riding on a
+//! per-module intent headers (L5). Four are *semantic*, riding on a
 //! lightweight item index and call graph built over the same stripped
 //! token streams: hot-path purity (L6 — nothing reachable from the
 //! sketch update roots may allocate, lock, sleep, or do I/O),
-//! atomic-ordering audit (L7), cfg-pair consistency (L8),
-//! error-variant test coverage (L9), and concurrency preflight (L10).
+//! atomic-ordering audit (L7), error-variant test coverage (L9), and
+//! concurrency preflight (L10). L8 (cfg-pair consistency) was retired
+//! with the `telemetry` cargo feature it checked; its code stays
+//! unassigned.
 //! `cargo test` cannot see any of them — a non-wrapping `+=` passes
 //! every test until the day a counter overflows mid-merge, and a `Vec`
 //! growing three calls below `update_batch` passes every test until
@@ -155,7 +157,7 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
 }
 
 /// Lints the workspace rooted at `root` and applies `allows`: the
-/// per-file rules (L1–L5, L7, L8, L10) over each file, then the
+/// per-file rules (L1–L5, L7, L10) over each file, then the
 /// cross-file pass (L6 hot-path purity, L9 error-variant coverage)
 /// over the whole set at once.
 ///

@@ -25,8 +25,8 @@
 //!   [`crate::graph::HOT_PATH_ROOTS`]).
 //! * **L7** — atomic-ordering audit: every atomic op names an
 //!   `Ordering`; `Relaxed` only in `crates/telemetry`.
-//! * **L8** — cfg-pair consistency: every `telemetry`-gated item has
-//!   its `not(feature = …)` twin so the disabled build keeps the API.
+//! * **L8** — retired with the `telemetry` cargo feature it checked
+//!   (cfg-pair consistency); the code stays unassigned.
 //! * **L9** — error-variant coverage: every constructed
 //!   `SketchError`/`PersistError` variant is matched by name in tests.
 //! * **L10** — concurrency preflight: no `static mut`, no
@@ -34,10 +34,10 @@
 //!   confined to the netsim fan-out modules.
 
 use crate::graph::CallGraph;
-use crate::items::{self, CfgGate, FnItem};
+use crate::items::{self, FnItem};
 use crate::strip;
 
-/// A lint rule identifier (`L1` … `L10`).
+/// A lint rule identifier (`L1` … `L10`; `L8` is retired).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lint {
     /// Non-wrapping arithmetic on count-signature counters.
@@ -55,8 +55,6 @@ pub enum Lint {
     /// Atomic op without a named `Ordering`, or `Relaxed` outside
     /// `crates/telemetry`.
     L7,
-    /// Feature-gated item missing its `cfg(not(…))` twin.
-    L8,
     /// Error variant constructed in library code but never matched by
     /// name in tests.
     L9,
@@ -76,7 +74,6 @@ impl Lint {
             Lint::L5 => "L5",
             Lint::L6 => "L6",
             Lint::L7 => "L7",
-            Lint::L8 => "L8",
             Lint::L9 => "L9",
             Lint::L10 => "L10",
         }
@@ -92,7 +89,6 @@ impl Lint {
             "L5" => Some(Lint::L5),
             "L6" => Some(Lint::L6),
             "L7" => Some(Lint::L7),
-            "L8" => Some(Lint::L8),
             "L9" => Some(Lint::L9),
             "L10" => Some(Lint::L10),
             _ => None,
@@ -158,12 +154,6 @@ const NONDETERMINISM: &[&str] = &[
 /// counters are monotonic and read only at snapshot boundaries, so
 /// `Relaxed` is the documented design there (DESIGN.md §11).
 const RELAXED_OK_PREFIX: &str = "crates/telemetry/src/";
-
-/// Features whose disabled build must keep the full item surface, so
-/// every gate needs a `cfg(not(…))` twin (L8). `serde` is deliberately
-/// absent: its gates add trait impls, which simply vanish when the
-/// feature is off — there is no symbol for the disabled build to miss.
-const PAIRED_FEATURES: &[&str] = &["telemetry"];
 
 /// The error enums whose variants L9 requires tests to match by name.
 const ERROR_ENUMS: &[&str] = &["SketchError", "PersistError"];
@@ -311,7 +301,6 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Violation> {
 
     let stripped = strip::strip(source);
     out.extend(atomic_ordering_audit(path, &stripped));
-    out.extend(cfg_pair_consistency(path, source, &stripped));
     out.extend(concurrency_preflight(path, &stripped));
 
     for (index, line) in stripped.iter().enumerate() {
@@ -444,49 +433,6 @@ fn atomic_ordering_audit(path: &str, stripped: &[strip::Line]) -> Vec<Violation>
         }
     }
     out
-}
-
-/// L8: every item gated on a feature in [`PAIRED_FEATURES`] must have
-/// a `cfg(not(feature = …))` twin, so the disabled build never loses a
-/// symbol the hot path calls. `mod`/`impl` twins are matched by kind
-/// (the enabled/disabled module pair is *named* differently on
-/// purpose); named items must pair exactly.
-fn cfg_pair_consistency(path: &str, source: &str, stripped: &[strip::Line]) -> Vec<Violation> {
-    let gates = items::cfg_gates(source, stripped);
-    let mut out = Vec::new();
-    for gate in &gates {
-        if !PAIRED_FEATURES.contains(&gate.feature.as_str()) {
-            continue;
-        }
-        if !has_cfg_twin(gate, &gates) {
-            let polarity = if gate.negated {
-                "cfg(feature = …)"
-            } else {
-                "cfg(not(feature = …))"
-            };
-            out.push(Violation {
-                lint: Lint::L8,
-                path: path.to_string(),
-                line: gate.line,
-                message: format!(
-                    "`{} {}` gated on feature `{}` has no {polarity} twin; the other build \
-                     loses this symbol",
-                    gate.kind, gate.name, gate.feature
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Whether `gate` has an opposite-polarity twin in `gates`.
-fn has_cfg_twin(gate: &CfgGate, gates: &[CfgGate]) -> bool {
-    gates.iter().any(|other| {
-        other.feature == gate.feature
-            && other.negated != gate.negated
-            && other.kind == gate.kind
-            && (matches!(gate.kind.as_str(), "mod" | "impl") || other.name == gate.name)
-    })
 }
 
 /// L10: concurrency preflight ahead of the lock-free ingest refactor.
@@ -808,12 +754,12 @@ mod tests {
             Lint::L5,
             Lint::L6,
             Lint::L7,
-            Lint::L8,
             Lint::L9,
             Lint::L10,
         ] {
             assert_eq!(Lint::parse(lint.code()), Some(lint));
         }
+        assert_eq!(Lint::parse("L8"), None, "retired with its feature");
         assert_eq!(Lint::parse("L11"), None);
         assert_eq!(Lint::parse("l3"), None);
     }

@@ -13,7 +13,7 @@ use dcs_analysis::{lint_root, parse_allow, AllowEntry, Violation};
 
 const USAGE: &str = "usage: dcs-analysis lint [--root DIR] [--allow FILE] [--format text|json]
 
-Lints the workspace at DIR (default: .) against invariants L1-L10,
+Lints the workspace at DIR (default: .) against invariants L1-L7, L9 and L10,
 reading suppressions from FILE (default: DIR/analysis/allow.toml).
 `--format json` prints one diagnostic per line as JSON (keys: lint,
 path, line, message, suppressed) for machine diffing.";

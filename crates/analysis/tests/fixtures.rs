@@ -242,32 +242,6 @@ fn l7_skips_files_that_use_no_atomics() {
 }
 
 #[test]
-fn l8_unpaired_telemetry_gates_fire_on_the_attribute_line() {
-    let source = include_str!("fixtures/l8_cfg_pair.rs");
-    let path = "crates/core/src/telem.rs";
-    // Line 11: `struct Snapshot` has no cfg(not(…)) twin. Line 16:
-    // `fn orphan_hook` likewise. NOT firing: `record_depth` (lines 3/8
-    // form a pair) and the serde gate on line 19 (serde is not a
-    // paired feature — its gates add trait impls, not API surface).
-    assert_eq!(fire_lines(path, source, Lint::L8), vec![11, 16]);
-    let diags: Vec<Violation> = lint_source(path, source)
-        .into_iter()
-        .filter(|v| v.lint == Lint::L8)
-        .collect();
-    assert!(
-        diags[0].message.contains("`struct Snapshot`")
-            && diags[0].message.contains("cfg(not(feature = …)) twin"),
-        "{}",
-        diags[0].message
-    );
-    assert!(
-        diags[1].message.contains("`fn orphan_hook`"),
-        "{}",
-        diags[1].message
-    );
-}
-
-#[test]
 fn l10_static_mut_sleep_and_lock_ctors_fire_in_library_code() {
     let source = include_str!("fixtures/l10_concurrency.rs");
     // static mut (3), thread::sleep (6), Mutex::new (10), mpsc::channel (14).

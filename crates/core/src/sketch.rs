@@ -282,11 +282,11 @@ pub struct DistinctCountSketch {
     levels: Vec<Option<LevelState>>,
     updates_processed: u64,
     net_updates: i64,
-    /// Telemetry recorder — a ZST no-op unless the `telemetry` feature
-    /// is enabled. Not part of the synopsis state, so it is skipped by
-    /// serialization and ignored by equality-style comparisons.
+    /// Telemetry recorder. Not part of the synopsis state, so it is
+    /// skipped by serialization and ignored by equality-style
+    /// comparisons. Boxed so the sketch itself stays a few words wide.
     #[cfg_attr(feature = "serde", serde(skip, default))]
-    pub(crate) telem: Telem,
+    pub(crate) telem: Box<Telem>,
 }
 
 impl DistinctCountSketch {
@@ -305,7 +305,7 @@ impl DistinctCountSketch {
             levels,
             updates_processed: 0,
             net_updates: 0,
-            telem: Telem::new(),
+            telem: Box::default(),
         }
     }
 
@@ -346,17 +346,14 @@ impl DistinctCountSketch {
     /// the update to the count signature at `g_j(u,v)`.
     #[inline]
     pub fn update(&mut self, update: FlowUpdate) {
-        let timer = self.telem.start_timer();
         self.apply_update(update);
-        self.telem.record_update(timer);
     }
 
-    /// The telemetry-free scalar core shared by [`update`](Self::update)
-    /// and the short-batch plan of [`update_batch`](Self::update_batch):
-    /// hash, materialize the level, apply to all `r` tables, bump the
-    /// stream counters. Exactly one code path mutates counters per
-    /// update, so the two entry points cannot drift and the recorders
-    /// around them cannot double-count.
+    /// The scalar core shared by [`update`](Self::update) and the
+    /// short-batch plan of [`update_batch`](Self::update_batch): hash,
+    /// materialize the level, apply to all `r` tables, bump the stream
+    /// counters. Exactly one code path mutates counters per update, so
+    /// the two entry points cannot drift.
     #[inline]
     fn apply_update(&mut self, update: FlowUpdate) {
         let level = usize_from_u32(self.level_of(update.key));
@@ -402,9 +399,10 @@ impl DistinctCountSketch {
     ///   the hot arenas are cache-resident and the grouping passes cost
     ///   more than the locality they buy (measured; see DESIGN.md §13).
     ///
-    /// Telemetry: one amortized-latency sample per update and exactly
-    /// one batch-size observation per call, regardless of which plan
-    /// runs.
+    /// Telemetry: one clock pair per call, giving one amortized-latency
+    /// sample per update and exactly one batch-size observation per
+    /// call, regardless of which plan runs. ([`update`](Self::update)
+    /// records no latency.)
     pub fn update_batch(&mut self, updates: &[FlowUpdate]) {
         if updates.is_empty() {
             return;
@@ -421,7 +419,6 @@ impl DistinctCountSketch {
             }
         }
         self.telem.record_update_batch(timer, updates.len());
-        self.telem.record_batch(u64_from_usize(updates.len()));
     }
 
     /// One [`BATCH_CHUNK`]-bounded chunk of the routed batch plan
@@ -1339,12 +1336,10 @@ impl DistinctCountSketch {
     }
 
     /// Assembles a telemetry snapshot of the sketch: per-level bucket
-    /// occupancy and decodable-singleton gauges, plus — when the
-    /// `telemetry` feature is enabled — the hot-path event counters and
-    /// update/query latency summaries. With the feature disabled the
-    /// counters map is empty and latencies are `None` (the no-op
-    /// recorder contributes nothing); the structural gauges are always
-    /// read live from the counter arrays.
+    /// occupancy and decodable-singleton gauges, read live from the
+    /// counter arrays, plus the recorder's nonzero event counters and
+    /// its latency and batch-size summaries (`None` until a batch or
+    /// query has been timed).
     ///
     /// This is a full scan of the allocated levels (`O(levels · r · s)`
     /// screened decodes), intended for periodic export, not the update

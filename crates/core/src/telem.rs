@@ -1,171 +1,92 @@
-//! Feature-gated hot-path telemetry recorder.
+//! Always-on hot-path telemetry recorder.
 //!
 //! [`Telem`] is the single seam between the sketch hot paths and
-//! `dcs-telemetry`. With the `telemetry` feature **on** it wraps a
-//! [`dcs_telemetry::CounterSet`] and two log₂ latency histograms; with
-//! the feature **off** (the default) it is a zero-sized type whose
-//! record methods are empty `#[inline]` bodies, so the compiler erases
-//! every call site and the update path is byte-for-byte the
-//! uninstrumented one. Both variants expose the *same* inherent API, so
-//! no call site carries `cfg` noise. Snapshot assembly
-//! ([`fill_snapshot`](Telem::fill_snapshot)) exists in both variants:
-//! the no-op recorder simply contributes nothing, which is how a
-//! disabled build "compiles to an empty snapshot".
-
-// Call sites only ever name `Telem`; timers stay inferred locals, so
-// `TelemTimer` is not re-exported.
-#[cfg(not(feature = "telemetry"))]
-pub(crate) use disabled::Telem;
-#[cfg(feature = "telemetry")]
-pub(crate) use enabled::Telem;
+//! `dcs-telemetry`: a [`dcs_telemetry::CounterSet`] plus log₂
+//! histograms of update latency, query latency and batch size. Every
+//! build records. To keep the single-update path free of clock reads,
+//! only whole calls are timed — one timer per `update_batch` (amortized
+//! over its updates) and one per top-k query — while `update()` pays
+//! nothing beyond the relaxed counter bumps of the tracking screen
+//! (DESIGN.md §10 has the measured overhead).
 
 pub(crate) use dcs_telemetry::Counter;
 
-#[cfg(feature = "telemetry")]
-mod enabled {
-    use dcs_telemetry::{Counter, CounterSet, LogHistogram, TelemetrySnapshot};
-    use std::time::Instant;
+use dcs_telemetry::{CounterSet, LogHistogram, TelemetrySnapshot};
+use std::time::Instant;
 
-    /// A started latency measurement (the `telemetry` build).
-    #[derive(Debug, Clone, Copy)]
-    pub(crate) struct TelemTimer(Instant);
+/// Live recorder: counters plus update/query latency histograms.
+///
+/// All recording takes `&self` (relaxed atomics underneath), so query
+/// paths can self-time without threading `&mut` through. Cloning
+/// snapshots the accumulated state, matching the sketch's
+/// counter-storage clone semantics.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Telem {
+    counters: CounterSet,
+    update_hist: LogHistogram,
+    query_hist: LogHistogram,
+    /// Distribution of `update_batch` call sizes (raw counts, not
+    /// nanoseconds — summarized with the histogram's raw-unit summary).
+    batch_hist: LogHistogram,
+}
 
-    /// Live recorder: counters plus update/query latency histograms.
-    ///
-    /// All recording takes `&self` (relaxed atomics underneath), so
-    /// query paths can self-time without threading `&mut` through.
-    /// Cloning snapshots the accumulated state, matching the sketch's
-    /// counter-storage clone semantics.
-    #[derive(Debug, Clone, Default)]
-    pub(crate) struct Telem {
-        counters: CounterSet,
-        update_hist: LogHistogram,
-        query_hist: LogHistogram,
-        /// Distribution of `update_batch` call sizes (raw counts, not
-        /// nanoseconds — summarized with the histogram's raw-unit
-        /// summary).
-        batch_hist: LogHistogram,
+impl Telem {
+    #[inline]
+    pub(crate) fn incr(&self, counter: Counter) {
+        self.counters.incr(counter);
     }
 
-    impl Telem {
-        pub(crate) fn new() -> Self {
-            Self::default()
-        }
-
-        #[inline]
-        pub(crate) fn incr(&self, counter: Counter) {
-            self.counters.incr(counter);
-        }
-
-        #[inline]
-        pub(crate) fn start_timer(&self) -> TelemTimer {
-            TelemTimer(Instant::now())
-        }
-
-        #[inline]
-        pub(crate) fn record_update(&self, timer: TelemTimer) {
-            self.update_hist.record(elapsed_ns(timer.0));
-        }
-
-        #[inline]
-        pub(crate) fn record_query(&self, timer: TelemTimer) {
-            self.query_hist.record(elapsed_ns(timer.0));
-        }
-
-        /// Records one chunk of `n` updates applied through the batched
-        /// path: `n` update-latency samples of the amortized per-update
-        /// cost, so `update_latency.count` keeps meaning "updates
-        /// measured" whichever path processed them.
-        #[inline]
-        pub(crate) fn record_update_batch(&self, timer: TelemTimer, n: usize) {
-            if n == 0 {
-                return;
-            }
-            let n_u64 = u64::try_from(n).unwrap_or(u64::MAX);
-            self.update_hist
-                .record_n(elapsed_ns(timer.0) / n_u64, n_u64);
-        }
-
-        /// Records the size of one `update_batch` call.
-        #[inline]
-        pub(crate) fn record_batch(&self, size: u64) {
-            self.batch_hist.record(size);
-        }
-
-        pub(crate) fn merge_from(&self, other: &Telem) {
-            self.counters.merge_from(&other.counters);
-            self.update_hist.merge_from(&other.update_hist);
-            self.query_hist.merge_from(&other.query_hist);
-            self.batch_hist.merge_from(&other.batch_hist);
-        }
-
-        /// Copies nonzero counters and non-empty latency summaries into
-        /// a snapshot under assembly.
-        pub(crate) fn fill_snapshot(&self, snapshot: &mut TelemetrySnapshot) {
-            for (name, value) in self.counters.nonzero() {
-                snapshot.set_counter(name, value);
-            }
-            if self.update_hist.count() > 0 {
-                snapshot.update_latency = Some(self.update_hist.summary());
-            }
-            if self.query_hist.count() > 0 {
-                snapshot.query_latency = Some(self.query_hist.summary());
-            }
-            if self.batch_hist.count() > 0 {
-                snapshot.batch_size = Some(self.batch_hist.size_summary());
-            }
-        }
+    #[inline]
+    pub(crate) fn start_timer(&self) -> Instant {
+        Instant::now()
     }
 
-    fn elapsed_ns(start: Instant) -> u64 {
-        u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    #[inline]
+    pub(crate) fn record_query(&self, timer: Instant) {
+        self.query_hist.record(elapsed_ns(timer));
+    }
+
+    /// Records one `update_batch` call of `n` updates: `n`
+    /// update-latency samples of the amortized per-update cost, so
+    /// `update_latency.count` means "updates measured", and one
+    /// batch-size observation.
+    #[inline]
+    pub(crate) fn record_update_batch(&self, timer: Instant, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let n_u64 = u64::try_from(n).unwrap_or(u64::MAX);
+        self.update_hist.record_n(elapsed_ns(timer) / n_u64, n_u64);
+        self.batch_hist.record(n_u64);
+    }
+
+    pub(crate) fn merge_from(&self, other: &Telem) {
+        self.counters.merge_from(&other.counters);
+        self.update_hist.merge_from(&other.update_hist);
+        self.query_hist.merge_from(&other.query_hist);
+        self.batch_hist.merge_from(&other.batch_hist);
+    }
+
+    /// Copies nonzero counters and non-empty latency summaries into a
+    /// snapshot under assembly.
+    pub(crate) fn fill_snapshot(&self, snapshot: &mut TelemetrySnapshot) {
+        for (name, value) in self.counters.nonzero() {
+            snapshot.set_counter(name, value);
+        }
+        if self.update_hist.count() > 0 {
+            snapshot.update_latency = Some(self.update_hist.summary());
+        }
+        if self.query_hist.count() > 0 {
+            snapshot.query_latency = Some(self.query_hist.summary());
+        }
+        if self.batch_hist.count() > 0 {
+            snapshot.batch_size = Some(self.batch_hist.size_summary());
+        }
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use dcs_telemetry::{Counter, TelemetrySnapshot};
-
-    /// A started latency measurement (erased in the default build).
-    #[derive(Debug, Clone, Copy)]
-    pub(crate) struct TelemTimer;
-
-    /// The no-op recorder: a ZST whose methods compile to nothing.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub(crate) struct Telem;
-
-    impl Telem {
-        #[inline(always)]
-        pub(crate) fn new() -> Self {
-            Telem
-        }
-
-        #[inline(always)]
-        pub(crate) fn incr(&self, _counter: Counter) {}
-
-        #[inline(always)]
-        pub(crate) fn start_timer(&self) -> TelemTimer {
-            TelemTimer
-        }
-
-        #[inline(always)]
-        pub(crate) fn record_update(&self, _timer: TelemTimer) {}
-
-        #[inline(always)]
-        pub(crate) fn record_query(&self, _timer: TelemTimer) {}
-
-        #[inline(always)]
-        pub(crate) fn record_update_batch(&self, _timer: TelemTimer, _n: usize) {}
-
-        #[inline(always)]
-        pub(crate) fn record_batch(&self, _size: u64) {}
-
-        #[inline(always)]
-        pub(crate) fn merge_from(&self, _other: &Telem) {}
-
-        #[inline(always)]
-        pub(crate) fn fill_snapshot(&self, _snapshot: &mut TelemetrySnapshot) {}
-    }
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -173,33 +94,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recorder_api_is_uniform_across_features() {
-        // Exercises every method in whichever variant is compiled; with
-        // the feature off this proves the no-op surface stays in sync.
-        let telem = Telem::new();
+    fn recorder_fills_and_merges_every_summary() {
+        let telem = Telem::default();
         telem.incr(Counter::ScreenMiss);
-        let timer = telem.start_timer();
-        telem.record_update(timer);
         telem.record_query(telem.start_timer());
         telem.record_update_batch(telem.start_timer(), 3);
-        telem.record_batch(3);
+        telem.record_update_batch(telem.start_timer(), 0);
         telem.merge_from(&telem.clone());
-        let mut snap = dcs_telemetry::TelemetrySnapshot::new("telem");
+        let mut snap = TelemetrySnapshot::new("telem");
         telem.fill_snapshot(&mut snap);
-        #[cfg(not(feature = "telemetry"))]
-        {
-            assert!(snap.counters.is_empty(), "no-op recorder stays empty");
-            assert!(snap.update_latency.is_none());
-            assert!(snap.batch_size.is_none());
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            // merge_from(clone) doubled everything recorded above:
-            // 1 single update + a 3-update batch chunk = 4 samples.
-            assert_eq!(snap.counters.get("screen_miss"), Some(&2));
-            assert_eq!(snap.update_latency.map(|l| l.count), Some(8));
-            assert_eq!(snap.query_latency.map(|l| l.count), Some(2));
-            assert_eq!(snap.batch_size.map(|b| b.count), Some(2));
-        }
+        // merge_from(clone) doubled everything recorded above: one
+        // 3-update batch (the empty one records nothing) = 3 samples.
+        assert_eq!(snap.counters.get("screen_miss"), Some(&2));
+        assert_eq!(snap.update_latency.map(|l| l.count), Some(6));
+        assert_eq!(snap.query_latency.map(|l| l.count), Some(2));
+        assert_eq!(snap.batch_size.map(|b| b.count), Some(2));
     }
 }

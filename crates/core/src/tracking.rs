@@ -156,16 +156,13 @@ impl TrackingDcs {
     /// Only buckets the screen cannot clear pay for the
     /// decode-before/decode-after transition handling.
     pub fn update(&mut self, update: FlowUpdate) {
-        let timer = self.sketch.telem.start_timer();
         self.apply_update(update);
-        self.sketch.telem.record_update(timer);
     }
 
-    /// The telemetry-free screened core shared by
-    /// [`update`](Self::update) and the short-batch plan of
-    /// [`update_batch`](Self::update_batch) — one code path mutates the
-    /// counters and tracking structures per update, so the recorders
-    /// around it cannot double-count.
+    /// The screened core shared by [`update`](Self::update) and the
+    /// short-batch plan of [`update_batch`](Self::update_batch) — one
+    /// code path mutates the counters and tracking structures per
+    /// update.
     #[inline]
     fn apply_update(&mut self, update: FlowUpdate) {
         let level = usize_from_u32(self.sketch.level_of(update.key));
@@ -245,7 +242,8 @@ impl TrackingDcs {
     /// directly; longer batches route each chunk in one up-front bulk
     /// hashing pass, then screen/apply/patch in original order.
     /// Telemetry: one amortized-latency sample per update and exactly
-    /// one batch-size observation per call, whichever plan runs.
+    /// one batch-size observation per call, whichever plan runs
+    /// ([`update`](Self::update) records no latency).
     pub fn update_batch(&mut self, updates: &[FlowUpdate]) {
         if updates.is_empty() {
             return;
@@ -262,9 +260,6 @@ impl TrackingDcs {
             }
         }
         self.sketch.telem.record_update_batch(timer, updates.len());
-        self.sketch
-            .telem
-            .record_batch(u64_from_usize(updates.len()));
     }
 
     /// One [`BATCH_CHUNK`]-bounded chunk of
@@ -495,7 +490,7 @@ impl TrackingDcs {
     /// `topDestHeap(b)` size per level, plus the always-on bookkeeping
     /// counters (`heap_adjust`, the two heap clamp counters, and
     /// `untracked_decrement`), which are recorded as plain fields on the
-    /// structures and therefore appear even in non-`telemetry` builds.
+    /// structures.
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
         let mut snap = self.sketch.telemetry_snapshot(label);
         let mut by_level: std::collections::BTreeMap<u32, LevelGauges> = snap

@@ -128,17 +128,26 @@ impl LogHistogram {
         bucket_mid_ns(BUCKETS - 1)
     }
 
+    /// The `q`-quantile for a summary: [`quantile_ns`](Self::quantile_ns)
+    /// capped at the exact maximum, since a bucket's midpoint can lie
+    /// above every sample in it (one batch records one amortized value).
+    fn summary_quantile(&self, q: f64) -> f64 {
+        self.quantile_ns(q)
+            .min(self.max_ns.load(Ordering::Relaxed) as f64)
+    }
+
     /// Summarizes the distribution as microsecond [`LatencyStats`]
-    /// (`count` and `max` exact, quantiles bucket-resolution).
+    /// (`count` and `max` exact, quantiles bucket-resolution and never
+    /// above `max`).
     pub fn summary(&self) -> LatencyStats {
         if self.count() == 0 {
             return LatencyStats::empty();
         }
         LatencyStats {
             count: self.count(),
-            p50_micros: self.quantile_ns(0.50) / 1e3,
-            p95_micros: self.quantile_ns(0.95) / 1e3,
-            p99_micros: self.quantile_ns(0.99) / 1e3,
+            p50_micros: self.summary_quantile(0.50) / 1e3,
+            p95_micros: self.summary_quantile(0.95) / 1e3,
+            p99_micros: self.summary_quantile(0.99) / 1e3,
             max_micros: self.max_ns.load(Ordering::Relaxed) as f64 / 1e3,
         }
     }
@@ -152,9 +161,9 @@ impl LogHistogram {
         }
         SizeStats {
             count: self.count(),
-            p50: self.quantile_ns(0.50),
-            p95: self.quantile_ns(0.95),
-            p99: self.quantile_ns(0.99),
+            p50: self.summary_quantile(0.50),
+            p95: self.summary_quantile(0.95),
+            p99: self.summary_quantile(0.99),
             max: self.max_ns.load(Ordering::Relaxed),
         }
     }
@@ -223,6 +232,20 @@ mod tests {
         for q in [0.01, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile_ns(q), 768.0, "q = {q}");
         }
+    }
+
+    #[test]
+    fn summary_quantiles_never_exceed_the_exact_max() {
+        let h = LogHistogram::new();
+        // 600 ns sits in bucket 9 ([512, 1024)), whose mid is 768 ns.
+        h.record_n(600, 500);
+        let s = h.summary();
+        assert_eq!(s.max_micros, 0.6);
+        assert_eq!(s.p50_micros, 0.6);
+        assert_eq!(s.p99_micros, 0.6);
+        assert_eq!(h.quantile_ns(0.5), 768.0, "raw quantile is uncapped");
+        let sizes = h.size_summary();
+        assert_eq!(sizes.p50, 600.0);
     }
 
     #[test]

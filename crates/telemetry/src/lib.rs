@@ -23,10 +23,8 @@
 //! The recording types all take `&self` (atomics, `Relaxed`): sketches
 //! can record from query paths without threading `&mut` through, and
 //! sharded ingestion merges counter state linearly like the sketch
-//! counters themselves. Recording is feature-gated *in the sketch
-//! crates* (`dcs-core`'s `telemetry` feature); this crate is always
-//! compiled so snapshot/gauge types stay available to exporters even
-//! when the hot-path recorder is the monomorphized no-op.
+//! counters themselves. The sketch crates record in every build
+//! (`dcs-core`'s `telem` module is the one recorder).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,12 +3,11 @@
 //! documented schema (DESIGN.md §10).
 //!
 //! Exits nonzero if the pipeline misses the attack, the sidecar is
-//! missing/empty, or any line fails [`ddos_streams::telemetry::validate_line`].
-//! CI runs this with `--features telemetry` so the hot-path counters and
-//! latency histograms must actually appear; it also passes in the
-//! default build, where the sidecar carries gauges only.
+//! missing/empty, any line fails [`ddos_streams::telemetry::validate_line`],
+//! or the final snapshot lacks the ingest sketch's update-latency and
+//! batch-size summaries.
 //!
-//! Run: `cargo run --features telemetry --example telemetry_pipeline`
+//! Run: `cargo run --example telemetry_pipeline`
 
 use ddos_streams::netsim::{run_pipeline, PipelineConfig, TelemetrySidecar, TrafficDriver};
 use ddos_streams::{DestAddr, SketchConfig};
@@ -72,11 +71,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    // With hot-path recording compiled in, the final snapshot must carry
-    // the ingest sketch's update-latency and batch-size summaries.
-    #[cfg(feature = "telemetry")]
+    // The final snapshot must carry the ingest sketch's update-latency
+    // and batch-size summaries.
     if last.contains("\"update_latency\":null") || last.contains("\"batch_size\":null") {
-        eprintln!("FAIL: telemetry feature on but hot-path data missing: {last}");
+        eprintln!("FAIL: hot-path data missing from the final snapshot: {last}");
         std::process::exit(1);
     }
 

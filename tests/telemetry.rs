@@ -1,11 +1,12 @@
 //! Integration tests for the telemetry layer: snapshot contents after
 //! scripted insert/delete churn, JSONL schema conformance, the
-//! snapshot-ahead rejection, and the feature-gated recorder's
-//! all-or-nothing behavior (`--features telemetry` fills counters and
-//! latency summaries; the default build's no-op recorder contributes
-//! nothing).
+//! snapshot-ahead rejection counter, and the recorder's accounting
+//! (counters and batch/query timings, no clock on single updates).
 
-use dcs_core::{DestAddr, DistinctCountSketch, SketchConfig, SketchError, SourceAddr, TrackingDcs};
+use dcs_core::{
+    DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, SourceAddr, TrackingDcs,
+    BATCH_MIN_ROUTED,
+};
 use dcs_telemetry::{validate_line, JsonlExporter, TelemetrySnapshot};
 
 fn config(seed: u64) -> SketchConfig {
@@ -56,7 +57,7 @@ fn tracking_snapshot_gauges_match_sketch_state() {
     assert!(tracked_total > 0, "churn leaves live singletons");
 
     // Deletion churn exercises the heap adjust path, whose bookkeeping
-    // is always on (not gated by the telemetry feature).
+    // lives on the tracking structures rather than in the recorder.
     assert_eq!(
         snap.counters.get("heap_adjust").copied(),
         Some(sketch.heap_adjusts())
@@ -123,25 +124,23 @@ fn difference_rejects_snapshot_ahead_of_sketch() {
         other => panic!("expected SnapshotAhead, got {other:?}"),
     }
 
-    // With recording compiled in, the rejection leaves counter evidence.
-    #[cfg(feature = "telemetry")]
-    {
-        let snap = snapshot.telemetry_snapshot("rejected");
-        assert_eq!(snap.counters.get("snapshot_ahead_rejected"), Some(&1));
-    }
+    // The rejection leaves counter evidence.
+    let snap = snapshot.telemetry_snapshot("rejected");
+    assert_eq!(snap.counters.get("snapshot_ahead_rejected"), Some(&1));
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
-fn enabled_recorder_fills_counters_and_latencies() {
+fn recorder_fills_counters_and_latencies() {
     // Screen/decode counters live on the *tracking* hot path
-    // (`screened_apply`), so exercise a TrackingDcs here.
+    // (`screened_apply`), so exercise a TrackingDcs here, fed through
+    // `update_batch` (single updates are never timed).
+    let updates: Vec<_> = (0..500u32)
+        .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(s % 5)))
+        .collect();
     let mut sketch = TrackingDcs::new(config(29));
-    for s in 0..500u32 {
-        sketch.insert(SourceAddr(s), DestAddr(s % 5));
-    }
+    sketch.update_batch(&updates);
     let _ = sketch.track_top_k(3, 0.25);
-    let snap = sketch.telemetry_snapshot("enabled");
+    let snap = sketch.telemetry_snapshot("recorded");
 
     let screen_total: u64 = snap
         .counters
@@ -160,30 +159,7 @@ fn enabled_recorder_fills_counters_and_latencies() {
     let query = snap.query_latency.as_ref().expect("query latency");
     assert_eq!(query.count, 1);
 
-    validate_line(&snap.to_jsonl()).expect("enabled snapshot validates");
-}
-
-#[cfg(not(feature = "telemetry"))]
-#[test]
-fn disabled_recorder_compiles_to_an_empty_snapshot() {
-    let mut sketch = DistinctCountSketch::new(config(29));
-    for s in 0..500u32 {
-        sketch.insert(SourceAddr(s), DestAddr(s % 5));
-    }
-    let _ = sketch.estimate_top_k(3, 0.25);
-    let snap = sketch.telemetry_snapshot("disabled");
-
-    // Gauges derive from sketch state and survive; everything the
-    // recorder owns is absent.
-    assert!(!snap.levels.is_empty());
-    assert!(
-        snap.counters.is_empty(),
-        "no-op recorder: {:?}",
-        snap.counters
-    );
-    assert!(snap.update_latency.is_none());
-    assert!(snap.query_latency.is_none());
-    validate_line(&snap.to_jsonl()).expect("empty snapshot still validates");
+    validate_line(&snap.to_jsonl()).expect("recorded snapshot validates");
 }
 
 #[test]
@@ -194,21 +170,17 @@ fn fresh_snapshot_is_minimal_and_valid() {
     validate_line(&snap.to_jsonl()).expect("minimal snapshot validates");
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn update_batch_records_each_update_once_and_each_batch_once() {
     // Batch accounting must not double-count whichever plan
     // `update_batch` auto-selects: exactly one amortized latency sample
-    // per update (never one from the batch timer *and* one from the
-    // per-update timer) and exactly one batch-size observation per
-    // call. Exercise both sides of the dispatch cutoff, plus the
-    // per-update path for contrast, on both sketch flavors.
-    use dcs_core::BATCH_MIN_ROUTED;
-
+    // per update and exactly one batch-size observation per call.
+    // Exercise both sides of the dispatch cutoff, plus the per-update
+    // path for contrast, on both sketch flavors.
     let small = BATCH_MIN_ROUTED - 1; // scalar-loop plan
     let large = 3 * BATCH_MIN_ROUTED; // routed plan
     let updates: Vec<_> = (0..large as u32)
-        .map(|s| dcs_core::FlowUpdate::insert(SourceAddr(s), DestAddr(s % 7)))
+        .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(s % 7)))
         .collect();
 
     let mut sketch = DistinctCountSketch::new(config(31));
@@ -225,18 +197,19 @@ fn update_batch_records_each_update_once_and_each_batch_once() {
     assert_eq!(batches.count, 2, "one size observation per call");
     assert_eq!(batches.max, large as u64);
 
-    // The per-update path records one (unamortized) sample per call and
-    // no batch-size observation.
+    // The per-update path reads no clock: no latency sample and no
+    // batch-size observation.
     let mut sketch = DistinctCountSketch::new(config(31));
     for u in &updates {
         sketch.update(*u);
     }
     let snap = sketch.telemetry_snapshot("per-update");
-    assert_eq!(snap.update_latency.expect("recorded").count, large as u64);
+    assert_eq!(snap.updates_processed, large as u64);
+    assert!(snap.update_latency.is_none(), "single updates are untimed");
     assert!(snap.batch_size.is_none(), "no batch was ever ingested");
 
     // Same contract on the tracking flavor (its update_batch wraps the
-    // screened path).
+    // screened path, whose counters single updates still bump).
     let mut sketch = TrackingDcs::new(config(31));
     sketch.update_batch(&updates[..small]);
     sketch.update_batch(&updates);
@@ -246,4 +219,12 @@ fn update_batch_records_each_update_once_and_each_batch_once() {
         (small + large) as u64
     );
     assert_eq!(snap.batch_size.expect("recorded").count, 2);
+
+    let mut sketch = TrackingDcs::new(config(31));
+    for u in &updates {
+        sketch.update(*u);
+    }
+    let snap = sketch.telemetry_snapshot("tracking-per-update");
+    assert!(snap.update_latency.is_none(), "single updates are untimed");
+    assert!(snap.counters.keys().any(|name| name.starts_with("screen_")));
 }
