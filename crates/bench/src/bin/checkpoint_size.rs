@@ -13,6 +13,12 @@
 //! * load latency in two stages: reading the file and `decode` (CRC
 //!   walk plus parsing). Rebuilding the live sketch from the decoded
 //!   state is checked for exactness but not timed.
+//! * the update log that spares most boundaries the full save: one
+//!   boundary's append of 12 000 updates (encode and CRC, append,
+//!   `fdatasync`) after a kind-1 snapshot of the sketch, and the
+//!   worst-case restore — that snapshot plus as many records as the
+//!   log holds before it outgrows the snapshot and a new snapshot is
+//!   due (read, decode, rebuild, replay every record).
 //!
 //! It also leaves a canonical `results/sample.ckpt` behind — CI uploads
 //! it as an artifact so any build's checkpoint output can be inspected
@@ -22,11 +28,16 @@
 
 use std::time::{Duration, Instant};
 
+use std::path::Path;
+
 use dcs_bench::{emit_record, Scale};
-use dcs_core::{SketchConfig, TrackingDcs};
+use dcs_core::{DistinctCountSketch, SketchConfig, TrackingDcs};
 use dcs_metrics::{ExperimentRecord, Table};
 use dcs_persist::{decode, encode, Checkpoint, CheckpointManager};
 use dcs_streamgen::{PaperWorkload, WorkloadConfig};
+
+/// Updates per checkpoint boundary in the update-log stages.
+const BOUNDARY: usize = 12_000;
 
 fn kb(bytes: u64) -> String {
     format!("{:.1} KB", bytes as f64 / 1e3)
@@ -43,6 +54,58 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, started.elapsed())
 }
 
+/// The update-log stages for `sketch` in directory `dir`: saves its
+/// kind-1 snapshot, times one boundary's append, fills the log until
+/// the next record would outgrow the snapshot, and times the restore
+/// of the snapshot plus every record. Returns the two times and the
+/// records replayed.
+fn log_stages(sketch: &DistinctCountSketch, dir: &Path) -> (Duration, Duration, u64) {
+    let path = dir.join("monitor.ckpt");
+    let mut manager = CheckpointManager::new(&path);
+    let snapshot = manager
+        .save(&Checkpoint::Sketch(sketch.to_state()))
+        .expect("save snapshot");
+    // More fresh pairs than the log can hold, cut into boundaries.
+    let workload = PaperWorkload::generate(WorkloadConfig {
+        distinct_pairs: snapshot / 8 + BOUNDARY as u64,
+        num_destinations: 1_000,
+        skew: 1.0,
+        seed: 4,
+    });
+    let mut boundaries = workload.updates().chunks(BOUNDARY);
+    let first = boundaries.next().expect("at least one boundary");
+    let (appended, append_t) = timed(|| manager.append(first));
+    appended.expect("append a boundary");
+    let mut expected = sketch.clone();
+    expected.update_batch(first);
+    for boundary in boundaries {
+        if !manager.can_append(boundary.len()) {
+            break;
+        }
+        manager.append(boundary).expect("append a boundary");
+        expected.update_batch(boundary);
+    }
+    let ((restored, replayed), restore_t) = timed(|| {
+        let mut restorer = CheckpointManager::new(&path);
+        let Some(Checkpoint::Sketch(state)) = restorer.try_load().expect("load snapshot") else {
+            unreachable!("just saved a sketch document");
+        };
+        let mut restored = DistinctCountSketch::from_state(state).expect("restore snapshot");
+        let from = restored.updates_processed();
+        let replay = restorer
+            .replay_log(from, |updates| restored.update_batch(updates))
+            .expect("replay the log");
+        (restored, replay.replayed)
+    });
+    assert_eq!(
+        restored.to_state(),
+        expected.to_state(),
+        "snapshot plus log must restore exactly"
+    );
+    assert_eq!(replayed, manager.log_records());
+    (append_t, restore_t, replayed)
+}
+
 fn main() {
     let scale = Scale::from_args();
     let sizes: &[u64] = match scale {
@@ -57,6 +120,8 @@ fn main() {
         eprintln!("warning: cannot create results dir: {e}");
     }
     let sample_path = results_dir.join("sample.ckpt");
+    let log_dir = std::env::temp_dir().join(format!("checkpoint_size_{}", std::process::id()));
+    std::fs::create_dir_all(&log_dir).expect("create a temporary directory");
 
     let mut table = Table::new(vec![
         "U".into(),
@@ -67,11 +132,22 @@ fn main() {
         "write+fsync+rename".into(),
         "read".into(),
         "decode".into(),
+        "append".into(),
+        "log records".into(),
+        "worst restore".into(),
     ]);
-    let stages = ["encode_ms", "write_ms", "read_ms", "decode_ms"];
+    let stages = [
+        "encode_ms",
+        "write_ms",
+        "read_ms",
+        "decode_ms",
+        "append_ms",
+        "restore_worst_ms",
+    ];
     let mut series_u = Vec::new();
     let mut series_bytes = Vec::new();
-    let mut series_stage_ms: [Vec<f64>; 4] = Default::default();
+    let mut series_log_records = Vec::new();
+    let mut series_stage_ms: [Vec<f64>; 6] = Default::default();
 
     for &u in sizes {
         let workload = PaperWorkload::generate(WorkloadConfig {
@@ -101,22 +177,36 @@ fn main() {
             "restore must be exact"
         );
 
+        let (append_t, restore_t, log_records) = log_stages(sketch.sketch(), &log_dir);
+
         let heap = sketch.heap_bytes() as u64;
-        let stage_ms = [ms(encode_t), ms(write_t), ms(read_t), ms(decode_t)];
+        let stage_ms = [
+            ms(encode_t),
+            ms(write_t),
+            ms(read_t),
+            ms(decode_t),
+            ms(append_t),
+            ms(restore_t),
+        ];
         let mut row = vec![
             u.to_string(),
             kb(bytes),
             kb(heap),
             format!("{:.2}", bytes as f64 / heap as f64),
         ];
-        row.extend(stage_ms.iter().map(|t| format!("{t:.2} ms")));
+        row.extend(stage_ms[..5].iter().map(|t| format!("{t:.2} ms")));
+        row.push(log_records.to_string());
+        row.push(format!("{:.2} ms", stage_ms[5]));
         table.row(row);
         series_u.push(u as f64);
         series_bytes.push(bytes as f64);
+        series_log_records.push(log_records as f64);
         for (series, t) in series_stage_ms.iter_mut().zip(stage_ms) {
             series.push(t);
         }
     }
+
+    let _ = std::fs::remove_dir_all(&log_dir);
 
     println!("\ncheckpoint cost profile:");
     print!("{}", table.render());
@@ -126,7 +216,8 @@ fn main() {
         .parameter("scale", scale.label())
         .parameter("format_version", i64::from(dcs_persist::FORMAT_VERSION))
         .with_series("u", series_u)
-        .with_series("checkpoint_bytes", series_bytes);
+        .with_series("checkpoint_bytes", series_bytes)
+        .with_series("log_records", series_log_records);
     for (name, series) in stages.into_iter().zip(series_stage_ms) {
         record = record.with_series(name, series);
     }

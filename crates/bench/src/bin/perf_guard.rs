@@ -25,6 +25,7 @@ use std::time::Instant;
 use dcs_core::{DistinctCountSketch, FlowUpdate, SketchConfig};
 use dcs_netsim::sharded::ShardedIngest;
 use dcs_netsim::{EpochWindow, WindowPolicy};
+use dcs_persist::{Checkpoint, CheckpointManager};
 use dcs_streamgen::{PaperWorkload, WorkloadConfig};
 
 /// The pass condition on a row's two minimum times.
@@ -206,6 +207,17 @@ const ROWS: &[Row] = &[
         time: window_slide,
     },
     Row {
+        name: "persist",
+        param: "updates",
+        sweep: &[12_000],
+        candidate: "append",
+        reference: "snapshot",
+        bound: Bound::SpeedupAtLeast(3.0),
+        reps: 30,
+        min_cores: None,
+        time: persist,
+    },
+    Row {
         name: "scaling",
         param: "shards",
         sweep: &[4],
@@ -358,6 +370,38 @@ fn window_slide(epochs: usize, reps: usize) -> [Stats; 2] {
     )
 }
 
+/// One checkpoint boundary's durable write as an all-time `Monitor` in
+/// `run_pipeline` makes it: an update-log record of the boundary's
+/// updates (encode and CRC, append, `fdatasync`), against the
+/// `CheckpointManager::save` of the whole sketch's kind-1 document
+/// (encode, write, fsync, rename, directory fsync, log truncation) that
+/// every boundary wrote before. The sketch holds the same seed-42
+/// updates. Each save truncates the log, so every append extends a
+/// fresh log, as the first one after a snapshot does.
+fn persist(updates: usize, reps: usize) -> [Stats; 2] {
+    let boundary = workload(updates as u64, 1_000, 42);
+    let config = SketchConfig::builder()
+        .seed(42)
+        .build()
+        .expect("valid benchmark config");
+    let mut sketch = DistinctCountSketch::new(config);
+    sketch.update_batch(&boundary);
+    let snapshot = Checkpoint::Sketch(sketch.to_state());
+    let dir = std::env::temp_dir().join(format!("perf_guard_persist_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temporary directory can be created");
+    let mut manager = CheckpointManager::new(dir.join("monitor.ckpt"));
+    manager.save(&snapshot).expect("snapshot saves");
+    let stats = alternate(
+        reps,
+        &mut manager,
+        |_| {},
+        |manager| manager.append(&boundary).expect("log appends"),
+        |manager| manager.save(&snapshot).expect("snapshot saves"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    stats
+}
+
 /// A long-lived sharded engine (ingest, then `merged`: flush, merge
 /// every shard and rebuild the tracking view) against direct
 /// `update_batch` into one long-lived sketch: reps time ingest, not
@@ -443,6 +487,13 @@ mod tests {
                 ("read/merge", r, Bound::AtMost(1.10), 30, None),
                 ("read/difference", r, Bound::AtMost(1.10), 30, None),
                 ("window", &[8, 16][..], Bound::SpeedupAtLeast(2.0), 30, None),
+                (
+                    "persist",
+                    &[12_000][..],
+                    Bound::SpeedupAtLeast(3.0),
+                    30,
+                    None
+                ),
                 ("scaling", &[4][..], Bound::SpeedupAtLeast(1.5), 15, Some(4)),
             ]
         );

@@ -595,6 +595,15 @@ impl Monitor {
         self.cumulative.sketch()
     }
 
+    /// Updates ingested, restored ones included: the stream position a
+    /// checkpoint of the monitor stands at.
+    pub fn updates_processed(&self) -> u64 {
+        match &self.cumulative {
+            Cumulative::Direct(sketch) => sketch.updates_processed(),
+            Cumulative::Sharded(engine) => engine.updates_distributed(),
+        }
+    }
+
     /// The epoch window, when the monitor is windowed.
     pub fn window(&self) -> Option<&EpochWindow> {
         self.window.as_ref()

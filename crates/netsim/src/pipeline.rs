@@ -59,12 +59,16 @@ impl TelemetrySidecar {
 /// checkpoints (see `dcs_persist`).
 #[derive(Debug, Clone)]
 pub struct CheckpointSidecar {
-    /// Checkpoint file, atomically replaced on every save. If a valid,
-    /// configuration-compatible checkpoint already exists there at
-    /// startup, the monitor resumes from it instead of starting empty.
+    /// Snapshot file, atomically replaced whenever a full snapshot is
+    /// written. An all-time monitor keeps its update log beside it, at
+    /// this path with `.log` appended, and most boundaries only append
+    /// to that. If a valid, configuration-compatible snapshot already
+    /// exists at startup, the monitor resumes from it, plus the log's
+    /// records, instead of starting empty.
     pub path: PathBuf,
-    /// Checkpoint every this many ingested updates (a final checkpoint
-    /// is always written at shutdown regardless).
+    /// Checkpoint every this many ingested updates. At shutdown a
+    /// snapshot is written unless the one on disk already holds every
+    /// update and the log is empty.
     pub every: u64,
 }
 
@@ -100,7 +104,8 @@ pub struct PipelineConfig {
     /// slides the window in O(1). Checkpoints then persist the full
     /// window document (kind 5), so a resumed run's ring is
     /// bit-identical to an uninterrupted one's. `None` (default):
-    /// all-time judgment, saved as a sketch document (kind 1).
+    /// all-time judgment, saved as a sketch document (kind 1) that the
+    /// update log extends between snapshots.
     pub window: Option<WindowPolicy>,
 }
 
@@ -129,8 +134,9 @@ pub struct DetectionReport {
     pub updates_ingested: u64,
     /// Total segments observed across all routers.
     pub segments_observed: u64,
-    /// Checkpoints successfully written during the run (0 when no
-    /// [`PipelineConfig::checkpoint`] sidecar was configured).
+    /// Checkpoints successfully written during the run, log appends
+    /// and snapshots alike (0 when no [`PipelineConfig::checkpoint`]
+    /// sidecar was configured).
     pub checkpoints_written: u64,
     /// Whether the monitor resumed from an existing checkpoint file
     /// rather than starting with an empty sketch.
@@ -154,9 +160,20 @@ impl DetectionReport {
 /// snapshots.
 #[derive(Debug, Default)]
 struct CheckpointStats {
+    /// Durable boundary writes: log appends and snapshots.
     written: u64,
     bytes_last: u64,
+    bytes_written: u64,
     latency: LogHistogram,
+    /// The restore's update-log records replayed and dropped, and its
+    /// wall time.
+    replayed: u64,
+    dropped: u64,
+    restore_ns: u64,
+}
+
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Appends one prepared snapshot (extended with checkpoint counters
@@ -166,12 +183,18 @@ struct CheckpointStats {
 fn export_snapshot(
     exporter: &mut Option<JsonlExporter>,
     mut snap: TelemetrySnapshot,
-    ckpt: Option<&CheckpointStats>,
+    ckpt: Option<(&CheckpointStats, &CheckpointManager)>,
 ) {
     if let Some(exp) = exporter {
-        if let Some(stats) = ckpt {
+        if let Some((stats, manager)) = ckpt {
             snap.set_counter("checkpoints_written", stats.written);
+            snap.set_counter("checkpoint_snapshots_written", manager.saves());
             snap.set_counter("checkpoint_bytes_last", stats.bytes_last);
+            snap.set_counter("checkpoint_bytes_written", stats.bytes_written);
+            snap.set_counter("checkpoint_log_bytes", manager.log_bytes());
+            snap.set_counter("checkpoint_log_records_replayed", stats.replayed);
+            snap.set_counter("checkpoint_log_records_dropped", stats.dropped);
+            snap.set_counter("checkpoint_restore_ns", stats.restore_ns);
             snap.set_counter(
                 "checkpoint_save_p50_ns",
                 stats.latency.quantile_ns(0.5) as u64,
@@ -191,21 +214,32 @@ fn export_snapshot(
     }
 }
 
-/// Resumes the monitor from the checkpoint file, if there is one (see
-/// [`Monitor::from_checkpoint`]). Any problem — missing file aside —
-/// degrades to a fresh start (`None`) with a warning on stderr: a
-/// monitor must never refuse to boot because its own recovery file is
-/// damaged or stale.
+/// Resumes the monitor from the snapshot file, if there is one (see
+/// [`Monitor::from_checkpoint`]), and an all-time monitor also from the
+/// update log beside it. Any problem with the snapshot — a missing file
+/// aside — degrades to a fresh start (`None`) with a warning on stderr:
+/// a monitor must never refuse to boot because its own recovery file is
+/// damaged or stale. A fresh start leaves the files alone; its first
+/// checkpoint is a snapshot, which truncates the log, so no record of
+/// another run's history is ever applied.
 fn resume_from(
-    manager: &CheckpointManager,
+    manager: &mut CheckpointManager,
     sketch: &SketchConfig,
     policy: AlarmPolicy,
     window: Option<WindowPolicy>,
+    stats: &mut CheckpointStats,
 ) -> Option<Monitor> {
+    let started = Instant::now();
     let reason = match manager.try_load() {
         Ok(None) => return None,
         Ok(Some(doc)) => match Monitor::from_checkpoint(doc, sketch, policy, window) {
-            Ok(monitor) => return Some(monitor),
+            Ok(mut monitor) => {
+                if monitor.window().is_none() {
+                    replay_log(manager, &mut monitor, stats);
+                }
+                stats.restore_ns = nanos_since(started);
+                return Some(monitor);
+            }
             Err(e) => e.to_string(),
         },
         Err(e) => format!("unreadable ({e})"),
@@ -215,6 +249,33 @@ fn resume_from(
         manager.path().display()
     );
     None
+}
+
+/// Replays the update log onto an all-time monitor just restored from
+/// the snapshot beside it (DESIGN.md §12, "Update log"). Dropped
+/// records are counted and reported on stderr, never skipped silently;
+/// a log that cannot be read is reported too, and the next checkpoint
+/// is then a snapshot.
+fn replay_log(manager: &mut CheckpointManager, monitor: &mut Monitor, stats: &mut CheckpointStats) {
+    let from = monitor.updates_processed();
+    match manager.replay_log(from, |updates| monitor.ingest(updates)) {
+        Ok(replay) => {
+            stats.replayed = replay.replayed;
+            stats.dropped = replay.dropped;
+            if let Some(problem) = replay.problem {
+                eprintln!(
+                    "update log {}: dropped {} record(s) after replaying {} ({problem})",
+                    manager.log_path().display(),
+                    replay.dropped,
+                    replay.replayed
+                );
+            }
+        }
+        Err(e) => eprintln!(
+            "update log {}: {e}; the next checkpoint is a snapshot",
+            manager.log_path().display()
+        ),
+    }
 }
 
 /// Judges the alarm rules at a boundary, appending what fires. An
@@ -227,37 +288,58 @@ fn evaluate_into(monitor: &mut Monitor, alarms: &mut Vec<Alarm>) {
     }
 }
 
-/// Writes the boundary checkpoint, timing the save and disabling
-/// checkpointing on failure (same degradation contract as the
-/// telemetry exporter: warn once, carry on). A sharded merge failure —
-/// unreachable with one shared configuration — skips this save with a
-/// warning.
+/// Makes the monitor's state durable at a checkpoint boundary, timing
+/// the write and disabling checkpointing on failure (same degradation
+/// contract as the telemetry exporter: warn once, carry on). `pending`
+/// holds the updates since the last durable write. They are appended
+/// to the update log as one record while
+/// [`CheckpointManager::can_append`] allows: an all-time snapshot of
+/// this run is on disk, and the log stays no larger than it. Otherwise,
+/// and at `shutdown` when anything is pending or logged, the monitor's
+/// whole state is saved as a snapshot, which truncates the log. A
+/// sharded merge failure — unreachable with one shared configuration —
+/// skips the save with a warning and keeps `pending`.
 fn write_checkpoint(
     manager: &mut Option<CheckpointManager>,
     monitor: &mut Monitor,
+    pending: &mut Vec<FlowUpdate>,
     stats: &mut CheckpointStats,
+    shutdown: bool,
 ) {
     let Some(mgr) = manager else {
         return;
     };
-    let checkpoint = match monitor.checkpoint() {
-        Ok(checkpoint) => checkpoint,
-        Err(e) => {
-            eprintln!("sharded merge failed during checkpoint: {e}");
-            return;
+    let appendable = mgr.can_append(pending.len());
+    if shutdown && appendable && pending.is_empty() && mgr.log_records() == 0 {
+        return;
+    }
+    let snapshot = if appendable && !shutdown {
+        None
+    } else {
+        match monitor.checkpoint() {
+            Ok(checkpoint) => Some(checkpoint),
+            Err(e) => {
+                eprintln!("sharded merge failed during checkpoint: {e}");
+                return;
+            }
         }
     };
     let started = Instant::now();
-    match mgr.save(&checkpoint) {
+    let written = match &snapshot {
+        Some(checkpoint) => mgr.save(checkpoint),
+        None => mgr.append(pending),
+    };
+    pending.clear();
+    match written {
         Ok(bytes) => {
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            stats.latency.record(nanos);
+            stats.latency.record(nanos_since(started));
             stats.written += 1;
             stats.bytes_last = bytes;
+            stats.bytes_written = stats.bytes_written.saturating_add(bytes);
         }
         Err(e) => {
             eprintln!(
-                "checkpoint {}: save failed ({e}); disabling checkpointing",
+                "checkpoint {}: write failed ({e}); disabling checkpointing",
                 mgr.path().display()
             );
             *manager = None;
@@ -346,12 +428,15 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
         let mut ckpt_manager = ckpt_sidecar
             .as_ref()
             .map(|c| CheckpointManager::new(&c.path));
+        let mut ckpt_stats = CheckpointStats::default();
         let restored = ckpt_manager
-            .as_ref()
-            .and_then(|m| resume_from(m, &sketch, policy, window));
+            .as_mut()
+            .and_then(|m| resume_from(m, &sketch, policy, window, &mut ckpt_stats));
         let resumed = restored.is_some();
         let mut monitor = restored.unwrap_or(fresh).with_shards(ingest_shards);
-        let mut ckpt_stats = CheckpointStats::default();
+        // An all-time monitor's updates since its last durable
+        // checkpoint write: the next update-log record.
+        let mut pending = Vec::new();
         // A failed sidecar must not kill the detection run: report
         // on stderr and carry on without telemetry.
         let mut exporter = sidecar.as_ref().and_then(|s| {
@@ -381,7 +466,11 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                 let take = usize::try_from(until_boundary)
                     .unwrap_or(remaining)
                     .min(remaining);
-                monitor.ingest(&batch[offset..offset + take]);
+                let chunk = &batch[offset..offset + take];
+                monitor.ingest(chunk);
+                if ckpt_manager.is_some() && monitor.window().is_none() {
+                    pending.extend_from_slice(chunk);
+                }
                 offset += take;
                 ingested += take as u64;
                 if ingested >= next_eval {
@@ -393,25 +482,37 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                         export_snapshot(
                             &mut exporter,
                             monitor.telemetry_snapshot("pipeline"),
-                            ckpt_manager.as_ref().map(|_| &ckpt_stats),
+                            ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
                         );
                     }
                     next_snapshot += snapshot_every;
                 }
                 if ingested >= next_checkpoint {
-                    write_checkpoint(&mut ckpt_manager, &mut monitor, &mut ckpt_stats);
+                    write_checkpoint(
+                        &mut ckpt_manager,
+                        &mut monitor,
+                        &mut pending,
+                        &mut ckpt_stats,
+                        false,
+                    );
                     next_checkpoint += checkpoint_every;
                 }
             }
         }
         evaluate_into(&mut monitor, &mut alarms);
-        // One final checkpoint so a clean shutdown is resumable too.
-        write_checkpoint(&mut ckpt_manager, &mut monitor, &mut ckpt_stats);
+        // One final snapshot so a clean shutdown resumes without a log.
+        write_checkpoint(
+            &mut ckpt_manager,
+            &mut monitor,
+            &mut pending,
+            &mut ckpt_stats,
+            true,
+        );
         if exporter.is_some() {
             export_snapshot(
                 &mut exporter,
                 monitor.telemetry_snapshot("pipeline_final"),
-                ckpt_manager.as_ref().map(|_| &ckpt_stats),
+                ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
             );
         }
         (
@@ -603,7 +704,7 @@ mod tests {
             "dcs_pipeline_checkpoint_{}.ckpt",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
         let mut cfg = config(300);
         cfg.checkpoint = Some(CheckpointSidecar {
             path: path.clone(),
@@ -630,7 +731,65 @@ mod tests {
             second.monitor.sketch().updates_processed(),
             first_count + second.updates_ingested
         );
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
+    }
+
+    /// Removes a checkpoint and the update log beside it.
+    fn remove_checkpoint(path: &std::path::Path) {
+        let _ = std::fs::remove_file(CheckpointManager::new(path).log_path());
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// The value of counter `name` in a sidecar line.
+    fn counter(line: &str, name: &str) -> u64 {
+        line.split(&format!("\"{name}\":"))
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from {line}"))
+    }
+
+    #[test]
+    fn checkpoint_counters_reach_the_telemetry_sidecar() {
+        let dir = std::env::temp_dir().join(format!(
+            "dcs_pipeline_checkpoint_telemetry_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = config(300);
+        cfg.checkpoint = Some(CheckpointSidecar {
+            path: dir.join("monitor.ckpt"),
+            every: 100,
+        });
+        cfg.telemetry = Some(TelemetrySidecar {
+            path: dir.join("monitor.telemetry.jsonl"),
+            every: 100,
+        });
+        // A fresh run snapshots at its first boundary and at shutdown,
+        // and appends in between; a restored run only at shutdown.
+        for (restored, snapshots) in [(false, 2), (true, 1)] {
+            let report = run_pipeline(vec![flood_feed(600)], cfg.clone());
+            assert_eq!(report.restored_from_checkpoint, restored);
+            let contents = std::fs::read_to_string(dir.join("monitor.telemetry.jsonl")).unwrap();
+            for line in contents.lines() {
+                dcs_telemetry::validate_line(line).unwrap();
+            }
+            let last = contents.lines().last().unwrap();
+            assert_eq!(
+                counter(last, "checkpoints_written"),
+                report.checkpoints_written
+            );
+            assert_eq!(counter(last, "checkpoint_snapshots_written"), snapshots);
+            assert!(report.checkpoints_written > snapshots, "boundaries append");
+            assert_eq!(counter(last, "checkpoint_log_bytes"), 12, "only the header");
+            assert_eq!(counter(last, "checkpoint_log_records_replayed"), 0);
+            assert_eq!(counter(last, "checkpoint_log_records_dropped"), 0);
+            assert_eq!(counter(last, "checkpoint_restore_ns") > 0, restored);
+            assert!(
+                counter(last, "checkpoint_bytes_written") > counter(last, "checkpoint_bytes_last")
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -648,7 +807,7 @@ mod tests {
         let report = run_pipeline(vec![driver.into_segments()], cfg);
         assert!(!report.restored_from_checkpoint);
         assert!(report.alarmed_destinations().contains(&0x0a00_000a));
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
     }
 
     #[test]
@@ -690,7 +849,7 @@ mod tests {
             "dcs_pipeline_sharded_ckpt_{}.ckpt",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
         let mut cfg = config(300);
         cfg.ingest_shards = Some(2);
         cfg.checkpoint = Some(CheckpointSidecar {
@@ -712,7 +871,7 @@ mod tests {
             second.monitor.sketch().updates_processed(),
             first_count + second.updates_ingested
         );
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
     }
 
     #[test]
@@ -763,7 +922,7 @@ mod tests {
             "dcs_pipeline_window_ckpt_{}.ckpt",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
         let mut cfg = config(300);
         cfg.window = Some(WindowPolicy::Sliding { epochs: 2 });
         cfg.checkpoint = Some(CheckpointSidecar {
@@ -785,7 +944,7 @@ mod tests {
             second.monitor.sketch().updates_processed(),
             first_count + second.updates_ingested
         );
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
     }
 
     #[test]
@@ -794,7 +953,7 @@ mod tests {
             "dcs_pipeline_window_badckpt_{}.ckpt",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
         let mut cfg = config(300);
         cfg.window = Some(WindowPolicy::Sliding { epochs: 2 });
         cfg.checkpoint = Some(CheckpointSidecar {
@@ -814,7 +973,7 @@ mod tests {
         let second = run_pipeline(vec![driver.into_segments()], cfg);
         assert!(!second.restored_from_checkpoint);
         assert!(second.alarmed_destinations().contains(&0x0a00_000e));
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub enum PersistError {
     /// A section's payload does not match its recorded CRC-32 — the
     /// bytes were corrupted after the checkpoint was written.
     ChecksumMismatch {
-        /// The four-character tag of the damaged section.
+        /// The four-character tag of the damaged section, or
+        /// `"update log record"`.
         section: String,
         /// The CRC recorded in the section header.
         expected: u32,

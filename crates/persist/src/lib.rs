@@ -3,15 +3,18 @@
 //! A dependency-free persistence layer for `dcs-core` state: a
 //! versioned binary codec (magic + format-version header,
 //! length-prefixed section framing, CRC-32 per section — see
-//! DESIGN.md §12 for the byte-level specification) and an atomic
-//! [`CheckpointManager`] (write-temp + fsync + rename).
+//! DESIGN.md §12 for the byte-level specification), an atomic
+//! [`CheckpointManager`] (write-temp + fsync + rename), and the update
+//! [`log`] beside each snapshot: one CRC-framed record of updates per
+//! checkpoint boundary, appended instead of rewriting the snapshot.
 //!
 //! Correctness rides on the sketches' *linearity*: every counter,
 //! key-sum, and fingerprint-sum is a sum over the updates seen so far,
 //! so a sketch restored from a checkpoint taken at stream position `p`
 //! and then fed updates `p..n` is **bit-identical** to a sketch that
 //! processed all `n` updates uninterrupted. Recovery is therefore
-//! "restore + replay the suffix", with no reconciliation step — the
+//! "restore + replay the suffix", with no reconciliation step, and the
+//! suffix can be the update log's records — the
 //! kill-and-resume tests in `tests/checkpoint_resume.rs` pin this down
 //! slab by slab.
 //!
@@ -37,6 +40,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod log;
 pub mod manager;
 pub mod wire;
 
@@ -45,5 +49,6 @@ pub use codec::{
     FORMAT_VERSION, MAGIC,
 };
 pub use error::PersistError;
+pub use log::LogReplay;
 pub use manager::CheckpointManager;
 pub use wire::crc32;

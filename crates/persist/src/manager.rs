@@ -1,31 +1,60 @@
-//! Atomic checkpoint files on disk.
+//! Atomic checkpoint files on disk, and the update log beside them.
 //!
 //! [`CheckpointManager`] owns one checkpoint path and guarantees that
-//! the file at that path is always a *complete* checkpoint: saves go
+//! the file at that path is always a *complete* snapshot: saves go
 //! through a temporary sibling file, are fsynced, and are then renamed
 //! into place. A crash at any instant leaves either the previous
-//! complete checkpoint or the new complete checkpoint — never a torn
+//! complete snapshot or the new complete snapshot — never a torn
 //! mixture (the codec's CRC framing catches the pathological cases a
 //! filesystem might still produce).
+//!
+//! Beside the snapshot, at `<path>.log`, the manager keeps an update
+//! log (see [`crate::log`]). [`append`](CheckpointManager::append) adds
+//! one CRC-framed record of the updates since the last durable point
+//! and `fdatasync`s it, extending a sketch snapshot without rewriting
+//! it. Every save truncates the log, which the new snapshot supersedes.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use dcs_core::FlowUpdate;
+
 use crate::codec::{decode, encode_into, Checkpoint};
 use crate::error::PersistError;
+use crate::log::{self, encode_record, record_len, LogReplay, LOG_HEADER_LEN};
 
 /// Writes and reads checkpoints at a fixed path with atomic-rename
-/// semantics.
+/// semantics, plus the update log that extends a sketch snapshot.
 #[derive(Debug)]
 pub struct CheckpointManager {
     path: PathBuf,
     saves: u64,
     bytes_last: u64,
     bytes_total: u64,
-    /// The encode buffer, kept across saves so periodic checkpoints of
-    /// a steady-size state reuse one allocation.
+    /// The encode buffer, kept across saves and appends so periodic
+    /// checkpoints of a steady-size state reuse one allocation.
     buf: Vec<u8>,
+    /// Size of the snapshot file, once written or adopted by
+    /// [`replay_log`](Self::replay_log).
+    snapshot_bytes: u64,
+    log: UpdateLog,
+}
+
+/// The manager's view of the update log on disk.
+#[derive(Debug, Default)]
+struct UpdateLog {
+    /// Opened on first use; dropped after a failed write, so the next
+    /// use cuts the torn bytes off.
+    file: Option<File>,
+    /// Bytes of the log that extend the snapshot (0: none written yet).
+    bytes: u64,
+    /// Records in those bytes.
+    records: u64,
+    /// The stream position the snapshot plus the log reach, once the
+    /// snapshot on disk is a sketch this manager saved or adopted.
+    /// `None` until then: there is nothing of this run to extend.
+    end: Option<u64>,
 }
 
 impl CheckpointManager {
@@ -38,12 +67,19 @@ impl CheckpointManager {
             bytes_last: 0,
             bytes_total: 0,
             buf: Vec::new(),
+            snapshot_bytes: 0,
+            log: UpdateLog::default(),
         }
     }
 
     /// The checkpoint path this manager owns.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The update log's path: the checkpoint path with `.log` appended.
+    pub fn log_path(&self) -> PathBuf {
+        sibling(&self.path, ".log")
     }
 
     /// Number of successful saves so far.
@@ -61,28 +97,63 @@ impl CheckpointManager {
         self.bytes_total
     }
 
+    /// Bytes of the update log that extend the snapshot, header
+    /// included (0 while there is no log).
+    pub fn log_bytes(&self) -> u64 {
+        self.log.bytes
+    }
+
+    /// Records in the update log that extend or precede the snapshot.
+    pub fn log_records(&self) -> u64 {
+        self.log.records
+    }
+
+    /// Whether [`append`](Self::append) of `updates` updates is the
+    /// checkpoint to write: a sketch snapshot this manager saved or
+    /// adopted is on disk for the record to extend, and the log stays
+    /// no larger than that snapshot. Otherwise a snapshot is due.
+    pub fn can_append(&self, updates: usize) -> bool {
+        self.log.end.is_some()
+            && self
+                .log
+                .bytes
+                .max(LOG_HEADER_LEN)
+                .saturating_add(record_len(updates))
+                <= self.snapshot_bytes
+    }
+
     /// Atomically replaces the checkpoint file with an encoding of
-    /// `checkpoint`, returning the encoded size in bytes.
+    /// `checkpoint`, returning the encoded size in bytes. A sketch
+    /// document becomes the snapshot later appends extend.
     ///
     /// The write path is: encode → write to a `.tmp` sibling →
     /// `fsync` the sibling → rename over the target → best-effort
-    /// `fsync` of the parent directory. A crash before the rename
-    /// leaves the previous checkpoint intact; a crash after it leaves
-    /// the new one. A failed save removes the `.tmp` sibling (best
-    /// effort) before returning the error.
+    /// `fsync` of the parent directory → truncate the update log, if
+    /// there is one. A crash before the rename leaves the previous
+    /// checkpoint intact; a crash after it leaves the new one, and any
+    /// log records it covers are skipped on restore. A failed save
+    /// removes the `.tmp` sibling (best effort) before returning the
+    /// error.
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<u64, PersistError> {
         let mut buf = std::mem::take(&mut self.buf);
         encode_into(checkpoint, &mut buf);
         let saved = self.save_encoded(&buf);
         self.buf = buf;
+        if saved.is_ok() {
+            if let Checkpoint::Sketch(state) = checkpoint {
+                self.log.end = Some(state.updates_processed);
+            }
+        }
         saved
     }
 
     /// The write half of [`save`](Self::save): atomically replaces the
     /// checkpoint file with `bytes`, which must be a document produced
     /// by [`encode`](crate::encode) (they are written as given, not
-    /// re-validated). Lets a caller time encoding and the durable write
-    /// separately.
+    /// re-validated), and truncates the update log. Lets a caller time
+    /// encoding and the durable write separately. Appends need a
+    /// [`save`](Self::save) first: these bytes are not decoded, so no
+    /// stream position is known for a record to extend.
     pub fn save_encoded(&mut self, bytes: &[u8]) -> Result<u64, PersistError> {
         let tmp = self.temp_path();
         if let Err(e) = replace_durably(&tmp, &self.path, bytes) {
@@ -93,7 +164,88 @@ impl CheckpointManager {
         self.saves += 1;
         self.bytes_last = size;
         self.bytes_total = self.bytes_total.saturating_add(size);
+        self.snapshot_bytes = size;
+        self.log.end = None;
+        self.truncate_log()?;
         Ok(size)
+    }
+
+    /// Appends one record of `updates` to the update log and
+    /// `fdatasync`s it, returning the record's size in bytes. The
+    /// record starts at the stream position the snapshot plus the log
+    /// reach, so `updates` must be exactly the updates since the last
+    /// save or append.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Incompatible`] when there is no sketch
+    /// snapshot of this manager's to extend (nothing saved, or a
+    /// restore not adopted through [`replay_log`](Self::replay_log)),
+    /// and [`PersistError::Io`] when the write or the sync fails.
+    pub fn append(&mut self, updates: &[FlowUpdate]) -> Result<u64, PersistError> {
+        let Some(start) = self.log.end else {
+            return Err(PersistError::Incompatible {
+                reason: "the update log has no snapshot of this run to extend".into(),
+            });
+        };
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        encode_record(start, updates, &mut buf);
+        let written = self.write_record(&buf);
+        let size = buf.len() as u64;
+        self.buf = buf;
+        if let Err(e) = written {
+            self.log.file = None;
+            return Err(e);
+        }
+        self.log.bytes += size;
+        self.log.records += 1;
+        self.log.end = Some(start + updates.len() as u64);
+        Ok(size)
+    }
+
+    /// Replays the update log onto a state restored from this manager's
+    /// snapshot, which stands at stream position `from`, and adopts the
+    /// pair: later appends extend them. Each record that starts exactly
+    /// where the state so far ends goes to `apply`, in order. Records
+    /// that end at or before `from` are skipped: a crash between a
+    /// snapshot's rename and the log's truncation leaves them. Replay
+    /// stops at the first record that is torn, fails its CRC or does
+    /// not extend the state; it and every later record are counted as
+    /// dropped, the reason is returned, and they are cut off the file.
+    /// A missing log is an empty one; a log with a wrong header is
+    /// dropped whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Io`] when the log exists but cannot be
+    /// read, or its dropped tail cannot be cut; nothing is adopted then,
+    /// so the next checkpoint is a snapshot.
+    pub fn replay_log(
+        &mut self,
+        from: u64,
+        apply: impl FnMut(&[FlowUpdate]),
+    ) -> Result<LogReplay, PersistError> {
+        let bytes = match fs::read(self.log_path()) {
+            Ok(bytes) => bytes,
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(source) => {
+                return Err(PersistError::Io {
+                    context: format!("read update log {:?}", self.log_path()),
+                    source,
+                })
+            }
+        };
+        let replay = log::replay(&bytes, from, apply);
+        self.log.file = None;
+        self.log.bytes = replay.kept_bytes;
+        self.log.records = replay.replayed + replay.skipped;
+        if replay.dropped > 0 {
+            self.log_file()?;
+        }
+        self.snapshot_bytes = fs::metadata(&self.path).map_or(0, |m| m.len());
+        self.log.end = Some(replay.end);
+        Ok(replay)
     }
 
     /// Reads and decodes the checkpoint file, failing if it is absent.
@@ -108,7 +260,8 @@ impl CheckpointManager {
     /// Reads the checkpoint file if it exists: `Ok(None)` when the file
     /// is absent (the normal cold-start case), `Ok(Some(..))` on a
     /// successful restore, and an error for any present-but-unreadable
-    /// file.
+    /// file. The update log is read separately, by
+    /// [`replay_log`](Self::replay_log).
     pub fn try_load(&self) -> Result<Option<Checkpoint>, PersistError> {
         match fs::read(&self.path) {
             Ok(bytes) => decode(&bytes).map(Some),
@@ -121,24 +274,105 @@ impl CheckpointManager {
     }
 
     fn temp_path(&self) -> PathBuf {
-        let mut name = self
-            .path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_else(|| "checkpoint".into());
-        name.push(".tmp");
-        self.path.with_file_name(name)
+        sibling(&self.path, ".tmp")
     }
+
+    /// The open update log, opened first if need be: created with its
+    /// header when it holds nothing to keep, else cut back to the bytes
+    /// that extend the snapshot.
+    fn log_file(&mut self) -> Result<&mut File, PersistError> {
+        let file = match self.log.file.take() {
+            Some(file) => file,
+            None => {
+                let file = open_log(&self.log_path(), self.log.bytes)?;
+                self.log.bytes = self.log.bytes.max(LOG_HEADER_LEN);
+                file
+            }
+        };
+        Ok(self.log.file.insert(file))
+    }
+
+    fn write_record(&mut self, record: &[u8]) -> Result<(), PersistError> {
+        let file = self.log_file()?;
+        file.write_all(record)
+            .map_err(io_err("append update log"))?;
+        file.sync_data().map_err(io_err("sync update log"))
+    }
+
+    /// Empties the update log after a save, if there is one.
+    fn truncate_log(&mut self) -> Result<(), PersistError> {
+        self.log.bytes = 0;
+        self.log.records = 0;
+        if self.log.file.take().is_some() || self.log_path().exists() {
+            self.log_file()?;
+        }
+        Ok(())
+    }
+}
+
+/// `path` with `suffix` appended to its file name.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_else(|| "checkpoint".into());
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
+fn io_err(context: &str) -> impl FnOnce(std::io::Error) -> PersistError {
+    let context = context.to_string();
+    move |source| PersistError::Io { context, source }
+}
+
+/// The directory holding `path`. A bare file name's parent is the empty
+/// path, which cannot be opened, so it resolves to `.`.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    }
+}
+
+/// Fsyncs the directory holding `path`, so a rename or a file creation
+/// there is durable. Best effort, because not every filesystem or
+/// platform allows it.
+fn sync_dir(path: &Path) {
+    if let Ok(dir) = File::open(parent_dir(path)) {
+        let _ = dir.sync_all();
+    }
+}
+
+/// Opens the update log at `path` for appending, keeping its first
+/// `keep` bytes: a `keep` shorter than the header starts the log over
+/// with just its header. The file and its directory entry are synced.
+fn open_log(path: &Path, keep: u64) -> Result<File, PersistError> {
+    let mut file = OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .map_err(io_err("open update log"))?;
+    let len = file.metadata().map_err(io_err("stat update log"))?.len();
+    if keep < LOG_HEADER_LEN {
+        file.set_len(0).map_err(io_err("truncate update log"))?;
+        file.write_all(&log::header())
+            .map_err(io_err("write update log header"))?;
+    } else if len < keep {
+        return Err(PersistError::Corrupt {
+            context: format!("update log shrank from {keep} to {len} bytes since it was read"),
+        });
+    } else {
+        file.set_len(keep).map_err(io_err("truncate update log"))?;
+    }
+    file.sync_all().map_err(io_err("sync update log"))?;
+    sync_dir(path);
+    Ok(file)
 }
 
 /// Writes `bytes` to `tmp`, fsyncs it, renames it over `path`, then
 /// fsyncs the parent directory (best effort). Leaves `tmp` behind on
 /// failure; the caller removes it.
 fn replace_durably(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let io_err = |context: &str| {
-        let context = context.to_string();
-        move |source: std::io::Error| PersistError::Io { context, source }
-    };
     {
         let mut file = OpenOptions::new()
             .write(true)
@@ -151,13 +385,7 @@ fn replace_durably(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), PersistE
         file.sync_all().map_err(io_err("sync temp checkpoint"))?;
     }
     fs::rename(tmp, path).map_err(io_err("rename checkpoint into place"))?;
-    // Durability of the rename itself needs a directory fsync; best
-    // effort because not every filesystem/platform allows it.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
+    sync_dir(path);
     Ok(())
 }
 
@@ -165,6 +393,7 @@ fn replace_durably(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), PersistE
 mod tests {
     use super::*;
     use dcs_core::{DestAddr, DistinctCountSketch, SketchConfig, SourceAddr};
+    use std::io::Write;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -257,6 +486,108 @@ mod tests {
         ));
         assert!(!manager.temp_path().exists(), "temp file left behind");
         assert_eq!(manager.saves(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bare_file_name_syncs_the_working_directory() {
+        assert_eq!(parent_dir(Path::new("monitor.ckpt")), Path::new("."));
+        assert_eq!(
+            parent_dir(Path::new("state/monitor.ckpt")),
+            Path::new("state")
+        );
+        assert_eq!(parent_dir(Path::new("/monitor.ckpt")), Path::new("/"));
+        assert!(File::open(parent_dir(Path::new("monitor.ckpt"))).is_ok());
+    }
+
+    fn updates(from: u32, n: u32) -> Vec<FlowUpdate> {
+        (from..from + n)
+            .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(s % 3)))
+            .collect()
+    }
+
+    #[test]
+    fn appends_extend_the_snapshot_until_the_next_save_truncates_them() {
+        let dir = temp_dir("append");
+        let mut manager = CheckpointManager::new(dir.join("monitor.ckpt"));
+        assert!(!manager.can_append(1), "nothing saved to extend");
+        assert!(matches!(
+            manager.append(&updates(0, 1)),
+            Err(PersistError::Incompatible { .. })
+        ));
+        let Checkpoint::Sketch(state) = sample_checkpoint(40) else {
+            unreachable!()
+        };
+        let mut sketch = DistinctCountSketch::from_state(state.clone()).unwrap();
+        manager.save(&Checkpoint::Sketch(state)).unwrap();
+        assert!(!manager.log_path().exists(), "a save creates no log");
+        assert!(manager.can_append(5));
+        for chunk in [updates(100, 5), updates(105, 7)] {
+            let size = manager.append(&chunk).unwrap();
+            assert_eq!(size, crate::log::record_len(chunk.len()));
+            sketch.update_batch(&chunk);
+        }
+        assert_eq!(manager.log_records(), 2);
+        assert_eq!(
+            manager.log_bytes(),
+            fs::metadata(manager.log_path()).unwrap().len()
+        );
+
+        let mut restored = CheckpointManager::new(manager.path());
+        let Some(Checkpoint::Sketch(state)) = restored.try_load().unwrap() else {
+            panic!("a sketch snapshot")
+        };
+        let mut resumed = DistinctCountSketch::from_state(state).unwrap();
+        let from = resumed.updates_processed();
+        let replay = restored
+            .replay_log(from, |chunk| resumed.update_batch(chunk))
+            .unwrap();
+        assert_eq!((replay.replayed, replay.dropped), (2, 0));
+        assert_eq!(resumed.to_state(), sketch.to_state());
+        // The adopted pair is extended where the first manager left off.
+        restored.append(&updates(112, 3)).unwrap();
+        sketch.update_batch(&updates(112, 3));
+
+        restored
+            .save(&Checkpoint::Sketch(sketch.to_state()))
+            .unwrap();
+        assert_eq!(restored.log_records(), 0);
+        assert_eq!(
+            fs::read(restored.log_path()).unwrap(),
+            crate::log::header(),
+            "a save leaves only the log header"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_append_is_cut_off_before_the_next_one() {
+        let dir = temp_dir("torn");
+        let mut manager = CheckpointManager::new(dir.join("monitor.ckpt"));
+        manager.save(&sample_checkpoint(10)).unwrap();
+        manager.append(&updates(0, 4)).unwrap();
+        let kept = manager.log_bytes();
+        // A crash mid-append leaves part of a record behind.
+        let mut log = OpenOptions::new()
+            .append(true)
+            .open(manager.log_path())
+            .unwrap();
+        log.write_all(&[0xab; 7]).unwrap();
+        drop(log);
+
+        let mut restored = CheckpointManager::new(manager.path());
+        let replay = restored.replay_log(10, |_| {}).unwrap();
+        assert_eq!((replay.replayed, replay.dropped), (1, 1));
+        assert!(matches!(
+            replay.problem,
+            Some(PersistError::Truncated { .. })
+        ));
+        assert_eq!(fs::metadata(restored.log_path()).unwrap().len(), kept);
+        restored.append(&updates(4, 2)).unwrap();
+        let clean = CheckpointManager::new(manager.path())
+            .replay_log(10, |_| {})
+            .unwrap();
+        assert_eq!((clean.replayed, clean.dropped, clean.end), (2, 0, 16));
         fs::remove_dir_all(&dir).unwrap();
     }
 

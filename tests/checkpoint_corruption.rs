@@ -14,18 +14,28 @@
 //!   allows are refused from their headers, without recursion.
 //! * **Round-trip** — proptest-driven encode → decode identity over
 //!   randomized sketch contents.
+//! * **Update log** — the log beside a snapshot cut anywhere in its
+//!   last record, bit-flipped in a middle record, starting past the
+//!   snapshot, or left by another run: each record is applied or
+//!   counted as dropped, never skipped silently or applied out of
+//!   lineage.
 
 use proptest::prelude::*;
 
+use std::path::{Path, PathBuf};
+
+use ddos_streams::core::SketchState;
 use ddos_streams::netsim::{
     run_pipeline, CheckpointSidecar, PipelineConfig, TrafficDriver, WindowPolicy,
 };
+use ddos_streams::persist::log::{record_len, LOG_HEADER_LEN};
 use ddos_streams::persist::{
-    crc32, decode, encode, section_offsets, Checkpoint, PersistError, FORMAT_VERSION, MAGIC,
+    crc32, decode, encode, section_offsets, Checkpoint, CheckpointManager, LogReplay, PersistError,
+    FORMAT_VERSION, MAGIC,
 };
 use ddos_streams::{
-    Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, SourceAddr,
-    TrackingDcs,
+    Delta, DestAddr, DistinctCountSketch, EdgeRouter, FlowUpdate, SketchConfig, SketchError,
+    SourceAddr, TcpSegment, TrackingDcs,
 };
 
 fn config(seed: u64) -> SketchConfig {
@@ -310,7 +320,7 @@ fn pipeline_starts_fresh_from_a_deeply_nested_checkpoint() {
             ..PipelineConfig::default()
         },
     );
-    let _ = std::fs::remove_file(&path);
+    remove_checkpoint(&path);
     assert!(!report.restored_from_checkpoint);
     assert!(
         report.checkpoints_written > 0,
@@ -349,9 +359,217 @@ fn pipeline_starts_fresh_from_a_window_ring_that_does_not_sum() {
     doc.deltas[0].updates_processed += 1;
     std::fs::write(&path, encode(&Checkpoint::Window(doc))).unwrap();
     let report = run();
-    let _ = std::fs::remove_file(&path);
+    remove_checkpoint(&path);
     assert!(!report.restored_from_checkpoint);
     assert!(report.checkpoints_written > 0);
+}
+
+/// Removes a checkpoint and the update log beside it.
+fn remove_checkpoint(path: &Path) {
+    let _ = std::fs::remove_file(CheckpointManager::new(path).log_path());
+    let _ = std::fs::remove_file(path);
+}
+
+fn log_path(path: &Path) -> PathBuf {
+    CheckpointManager::new(path).log_path()
+}
+
+/// Updates the log tests append, `RECORD` per record.
+const RECORD: u32 = 10;
+
+fn record(index: u32) -> Vec<FlowUpdate> {
+    (index * RECORD..(index + 1) * RECORD)
+        .map(|s| {
+            let delta = if s % 4 == 3 {
+                Delta::Delete
+            } else {
+                Delta::Insert
+            };
+            FlowUpdate::new(SourceAddr(s / 2), DestAddr(s % 7), delta)
+        })
+        .collect()
+}
+
+/// Saves a snapshot of a 600-update sketch at `path` and appends
+/// `records` records after it; returns the state after each record
+/// (index 0: the snapshot's).
+fn logged_checkpoint(path: &Path, records: u32) -> Vec<SketchState> {
+    remove_checkpoint(path);
+    let mut sketch = DistinctCountSketch::new(config(3));
+    for s in 0..600u32 {
+        sketch.insert(SourceAddr(s + 10_000), DestAddr(s % 11));
+    }
+    let mut manager = CheckpointManager::new(path);
+    manager
+        .save(&Checkpoint::Sketch(sketch.to_state()))
+        .unwrap();
+    let mut states = vec![sketch.to_state()];
+    for index in 0..records {
+        manager.append(&record(index)).unwrap();
+        sketch.update_batch(&record(index));
+        states.push(sketch.to_state());
+    }
+    states
+}
+
+/// Restores the snapshot at `path` and replays its update log.
+fn recover(path: &Path) -> (DistinctCountSketch, LogReplay) {
+    let mut manager = CheckpointManager::new(path);
+    let Some(Checkpoint::Sketch(state)) = manager.try_load().unwrap() else {
+        panic!("a sketch snapshot");
+    };
+    let mut sketch = DistinctCountSketch::from_state(state).unwrap();
+    let from = sketch.updates_processed();
+    let replay = manager
+        .replay_log(from, |updates| sketch.update_batch(updates))
+        .unwrap();
+    (sketch, replay)
+}
+
+#[test]
+fn update_log_cut_anywhere_in_its_last_record_drops_exactly_that_record() {
+    let path =
+        std::env::temp_dir().join(format!("dcs-corrupt-log-cut-{}.ckpt", std::process::id()));
+    let states = logged_checkpoint(&path, 4);
+    let full = std::fs::read(log_path(&path)).unwrap();
+    let last = full.len() - usize::try_from(record_len(RECORD as usize)).unwrap();
+    for cut in last..full.len() {
+        std::fs::write(log_path(&path), &full[..cut]).unwrap();
+        let (sketch, replay) = recover(&path);
+        assert_eq!(replay.replayed, 3, "cut at {cut}");
+        assert_eq!(replay.dropped, u64::from(cut > last), "cut at {cut}");
+        assert_eq!(sketch.to_state(), states[3], "cut at {cut}");
+        if cut > last {
+            assert!(matches!(
+                replay.problem,
+                Some(PersistError::Truncated { .. })
+            ));
+        }
+        // The torn tail is cut off, so the next append extends record 3.
+        assert_eq!(std::fs::read(log_path(&path)).unwrap(), &full[..last]);
+    }
+    remove_checkpoint(&path);
+}
+
+#[test]
+fn a_flipped_bit_in_a_middle_record_stops_the_replay_there() {
+    let path =
+        std::env::temp_dir().join(format!("dcs-corrupt-log-flip-{}.ckpt", std::process::id()));
+    let states = logged_checkpoint(&path, 5);
+    let mut log = std::fs::read(log_path(&path)).unwrap();
+    let record_bytes = usize::try_from(record_len(RECORD as usize)).unwrap();
+    let third = usize::try_from(LOG_HEADER_LEN).unwrap() + 2 * record_bytes;
+    log[third + record_bytes / 2] ^= 0x10;
+    std::fs::write(log_path(&path), &log).unwrap();
+    let (sketch, replay) = recover(&path);
+    assert_eq!((replay.replayed, replay.dropped), (2, 3));
+    assert!(matches!(
+        replay.problem,
+        Some(PersistError::ChecksumMismatch { .. })
+    ));
+    assert_eq!(sketch.to_state(), states[2]);
+    remove_checkpoint(&path);
+}
+
+/// Everything one `run_pipeline` router thread exports for `feed`.
+fn router_exports(feed: &[TcpSegment]) -> Vec<FlowUpdate> {
+    let mut router = EdgeRouter::new(0, None);
+    router.observe_all(feed);
+    let last_ts = feed.last().map_or(0, |s| s.timestamp);
+    router.flush_expired(last_ts.saturating_add(1_000_000));
+    router.drain_exports()
+}
+
+fn flood_feed(seed: u64) -> Vec<TcpSegment> {
+    let mut driver = TrafficDriver::new(seed);
+    driver.syn_flood(DestAddr(4), 300);
+    driver.into_segments()
+}
+
+fn checkpointed(sketch: SketchConfig, path: &Path) -> PipelineConfig {
+    PipelineConfig {
+        sketch,
+        batch_size: 64,
+        evaluate_every: 100,
+        checkpoint: Some(CheckpointSidecar {
+            path: path.to_path_buf(),
+            every: 100,
+        }),
+        ..PipelineConfig::default()
+    }
+}
+
+#[test]
+fn a_log_that_starts_past_its_snapshot_is_refused() {
+    let path =
+        std::env::temp_dir().join(format!("dcs-corrupt-log-gap-{}.ckpt", std::process::id()));
+    let states = logged_checkpoint(&path, 3);
+    // An older snapshot than the one the log extends: its records start
+    // 600 updates past it.
+    let mut older = DistinctCountSketch::new(config(3));
+    older.insert(SourceAddr(1), DestAddr(1));
+    std::fs::write(&path, encode(&Checkpoint::Sketch(older.to_state()))).unwrap();
+    let log = std::fs::read(log_path(&path)).unwrap();
+    let (sketch, replay) = recover(&path);
+    assert_eq!((replay.replayed, replay.dropped), (0, 3));
+    assert!(matches!(
+        replay.problem,
+        Some(PersistError::Incompatible { .. })
+    ));
+    assert_eq!(sketch.to_state(), older.to_state());
+    assert_ne!(states[0], older.to_state());
+
+    // The pipeline resumes the snapshot alone, with a warning.
+    std::fs::write(log_path(&path), &log).unwrap();
+    let feed = flood_feed(6);
+    let report = run_pipeline(vec![feed.clone()], checkpointed(config(3), &path));
+    assert!(report.restored_from_checkpoint);
+    older.update_batch(&router_exports(&feed));
+    assert_eq!(
+        report.monitor.sketch().sketch().to_state(),
+        older.to_state()
+    );
+    let (resumed, replay) = recover(&path);
+    assert_eq!(resumed.to_state(), older.to_state());
+    assert_eq!(replay.dropped, 0);
+    remove_checkpoint(&path);
+}
+
+#[test]
+fn a_fresh_start_after_a_refused_snapshot_never_replays_the_old_log() {
+    let path =
+        std::env::temp_dir().join(format!("dcs-corrupt-log-fresh-{}.ckpt", std::process::id()));
+    for why in ["a corrupt snapshot", "another configuration's snapshot"] {
+        logged_checkpoint(&path, 3);
+        let sketch = if why == "a corrupt snapshot" {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 1;
+            std::fs::write(&path, bytes).unwrap();
+            config(3)
+        } else {
+            config(4)
+        };
+        let feed = flood_feed(7);
+        let report = run_pipeline(vec![feed.clone()], checkpointed(sketch.clone(), &path));
+        assert!(!report.restored_from_checkpoint, "{why}");
+        let mut fresh = DistinctCountSketch::new(sketch);
+        fresh.update_batch(&router_exports(&feed));
+        assert_eq!(
+            report.monitor.sketch().sketch().to_state(),
+            fresh.to_state(),
+            "{why}"
+        );
+        // What the run left behind is its own history only.
+        let (resumed, replay) = recover(&path);
+        assert_eq!(resumed.to_state(), fresh.to_state(), "{why}");
+        assert_eq!(
+            (replay.replayed, replay.skipped, replay.dropped),
+            (0, 0, 0),
+            "{why}"
+        );
+    }
+    remove_checkpoint(&path);
 }
 
 proptest! {

@@ -11,14 +11,15 @@
 //! checkpoint files on disk each time. The tests after those drive
 //! `run_pipeline` itself across a restart: from the legacy tracking
 //! and sharded documents earlier pipelines saved, from the documents
-//! it saves today in every ingest mode, and from a retired kind.
+//! it saves today in every ingest mode, from a retired kind, and from
+//! a snapshot plus the update log a crash leaves behind.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ddos_streams::netsim::sharded::ShardedIngest;
 use ddos_streams::netsim::window::WindowPolicy;
 use ddos_streams::netsim::{
-    run_pipeline, CheckpointSidecar, Monitor, PipelineConfig, TrafficDriver,
+    run_pipeline, CheckpointSidecar, DetectionReport, Monitor, PipelineConfig, TrafficDriver,
 };
 use ddos_streams::persist::{decode, encode, Checkpoint, CheckpointManager, PersistError};
 use ddos_streams::{
@@ -296,6 +297,12 @@ fn mixed_feed(seed: u64) -> Vec<TcpSegment> {
     driver.into_segments()
 }
 
+/// Removes a checkpoint and the update log beside it.
+fn remove_checkpoint(path: &Path) {
+    let _ = std::fs::remove_file(CheckpointManager::new(path).log_path());
+    let _ = std::fs::remove_file(path);
+}
+
 /// A pipeline configuration checkpointing to `path`.
 fn checkpointed(config: SketchConfig, path: &std::path::Path, every: u64) -> PipelineConfig {
     PipelineConfig {
@@ -325,7 +332,7 @@ fn pipeline_resumes_a_legacy_tracking_checkpoint() {
     let feed = mixed_feed(41);
     let report = run_pipeline(vec![feed.clone()], checkpointed(config, &path, 1_000));
     let rewritten = CheckpointManager::new(&path).load().unwrap();
-    let _ = std::fs::remove_file(&path);
+    remove_checkpoint(&path);
     assert!(report.restored_from_checkpoint);
 
     let mut expected = TrackingDcs::from_state(legacy).unwrap().into_sketch();
@@ -345,7 +352,7 @@ fn pipeline_sketch_checkpoint_kill_and_resume_is_bit_identical() {
     // after its final checkpoint and the second resumes from that file.
     for cut in [1_000usize, feed.len() / 2, feed.len() - 1] {
         let path = temp_path(&format!("pipeline-kill-{cut}"));
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
         let cfg = checkpointed(config(7), &path, 700);
         let (before, after) = feed.split_at(cut);
         let first = run_pipeline(vec![before.to_vec()], cfg.clone());
@@ -355,7 +362,7 @@ fn pipeline_sketch_checkpoint_kill_and_resume_is_bit_identical() {
             Checkpoint::Sketch(_)
         ));
         let second = run_pipeline(vec![after.to_vec()], cfg);
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
         assert!(second.restored_from_checkpoint, "cut at {cut}");
 
         // Uninterrupted: one sketch over both runs' exports. (A cut
@@ -406,10 +413,10 @@ fn pipeline_checkpoints_are_the_same_bytes_in_every_ingest_mode() {
         (Some(3), None),
     ];
     for window in [None, Some(WindowPolicy::Sliding { epochs: 3 })] {
-        let mut reference: Option<(Vec<u8>, Vec<_>)> = None;
+        let mut reference: Option<(Vec<u8>, Vec<u8>, Vec<_>)> = None;
         for (first_shards, second_shards) in phases {
             let path = temp_path("pipeline-modes");
-            let _ = std::fs::remove_file(&path);
+            remove_checkpoint(&path);
             let first = run_pipeline(
                 vec![before.to_vec()],
                 two_phase_config(&path, first_shards, window.clone()),
@@ -420,16 +427,22 @@ fn pipeline_checkpoints_are_the_same_bytes_in_every_ingest_mode() {
                 two_phase_config(&path, second_shards, window.clone()),
             );
             let bytes = std::fs::read(&path).unwrap();
-            let _ = std::fs::remove_file(&path);
+            let log = std::fs::read(CheckpointManager::new(&path).log_path()).ok();
+            remove_checkpoint(&path);
             assert!(second.restored_from_checkpoint);
             let kind = decode(&bytes).unwrap().kind_name();
             assert_eq!(kind, if window.is_some() { "window" } else { "sketch" });
+            // A windowed monitor writes no log; an all-time one leaves
+            // just the log header after its shutdown snapshot.
+            assert_eq!(log.is_some(), window.is_none());
+            let log = log.unwrap_or_default();
             let alarms = [first.alarms, second.alarms].concat();
             match &reference {
-                None => reference = Some((bytes, alarms)),
-                Some((expected, expected_alarms)) => {
+                None => reference = Some((bytes, log, alarms)),
+                Some((expected, expected_log, expected_alarms)) => {
                     let modes = (first_shards, second_shards, &window);
                     assert!(bytes == *expected, "{modes:?}: checkpoint bytes differ");
+                    assert!(log == *expected_log, "{modes:?}: log bytes differ");
                     assert_eq!(alarms, *expected_alarms, "{modes:?}: alarms differ");
                 }
             }
@@ -460,7 +473,7 @@ fn pipeline_resumes_a_legacy_sharded_checkpoint() {
         };
         let report = run_pipeline(vec![feed.clone()], cfg);
         let rewritten = CheckpointManager::new(&path).load().unwrap();
-        let _ = std::fs::remove_file(&path);
+        remove_checkpoint(&path);
         assert!(report.restored_from_checkpoint, "shards {shards:?}");
         assert_eq!(
             report.monitor.sketch().sketch().to_state(),
@@ -491,9 +504,105 @@ fn retired_epoch_document_kind_is_refused_and_the_pipeline_starts_fresh() {
     let feed = mixed_feed(45);
     let report = run_pipeline(vec![feed.clone()], checkpointed(config(10), &path, 1_000));
     let rewritten = CheckpointManager::new(&path).load().unwrap();
-    let _ = std::fs::remove_file(&path);
+    remove_checkpoint(&path);
     assert!(!report.restored_from_checkpoint);
     let mut fresh = DistinctCountSketch::new(config(10));
     fresh.update_batch(&router_exports(&feed));
     assert_eq!(rewritten, Checkpoint::Sketch(fresh.to_state()));
+}
+
+/// Restores the snapshot at `path` and replays its update log.
+fn recover(path: &Path) -> (DistinctCountSketch, ddos_streams::persist::LogReplay) {
+    let mut manager = CheckpointManager::new(path);
+    let Some(Checkpoint::Sketch(state)) = manager.try_load().unwrap() else {
+        panic!("a sketch snapshot");
+    };
+    let mut sketch = DistinctCountSketch::from_state(state).unwrap();
+    let from = sketch.updates_processed();
+    let replay = manager
+        .replay_log(from, |updates| sketch.update_batch(updates))
+        .unwrap();
+    assert_eq!(replay.dropped, 0, "{:?}", replay.problem);
+    (sketch, replay)
+}
+
+/// Runs `feed` as one pipeline phase whose shutdown snapshot fails,
+/// because a directory occupies the snapshot's temporary file. The
+/// files are then what a crash after the phase's last boundary leaves:
+/// the snapshot the phase resumed from, and one log record per
+/// boundary since.
+fn run_without_shutdown_snapshot(
+    feed: &[TcpSegment],
+    config: PipelineConfig,
+    path: &Path,
+) -> DetectionReport {
+    let mut name = path.file_name().unwrap().to_os_string();
+    name.push(".tmp");
+    let blocker = path.with_file_name(name);
+    std::fs::create_dir_all(blocker.join("occupied")).unwrap();
+    let report = run_pipeline(vec![feed.to_vec()], config);
+    std::fs::remove_dir_all(&blocker).unwrap();
+    report
+}
+
+#[test]
+fn pipeline_crash_without_shutdown_snapshot_recovers_bit_identically() {
+    let feed = mixed_feed(46);
+    let (first, rest) = feed.split_at(feed.len() / 3);
+    let every = 300;
+    for shards in [None, Some(2)] {
+        for cut in [rest.len() / 4, rest.len() / 2, rest.len() - 1] {
+            let (middle, last) = rest.split_at(cut);
+            let exports = [first, middle, last].map(router_exports);
+            let stream = exports.concat();
+            let uninterrupted = |len: usize| {
+                let mut sketch = DistinctCountSketch::new(config(11));
+                sketch.update_batch(&stream[..len]);
+                sketch.to_state()
+            };
+            let path = temp_path(&format!("pipeline-crash-{cut}-{shards:?}"));
+            remove_checkpoint(&path);
+            let cfg = PipelineConfig {
+                ingest_shards: shards,
+                ..checkpointed(config(11), &path, every)
+            };
+            run_pipeline(vec![first.to_vec()], cfg.clone());
+            let crashed = run_without_shutdown_snapshot(middle, cfg.clone(), &path);
+            assert!(crashed.restored_from_checkpoint);
+            let boundaries = exports[1].len() as u64 / every;
+            assert_eq!(
+                crashed.checkpoints_written, boundaries,
+                "every boundary appends"
+            );
+            let durable = exports[0].len() + usize::try_from(boundaries * every).unwrap();
+            let modes = (cut, shards);
+            let (recovered, replay) = recover(&path);
+            assert_eq!(replay.replayed, boundaries, "{modes:?}");
+            assert_eq!(recovered.to_state(), uninterrupted(durable), "{modes:?}");
+
+            if boundaries > 0 {
+                // A crash between a snapshot's rename and the log's
+                // truncation: the new snapshot covers the first record.
+                let covered = exports[0].len() + usize::try_from(every).unwrap();
+                let snapshot = Checkpoint::Sketch(uninterrupted(covered));
+                std::fs::write(&path, encode(&snapshot)).unwrap();
+                let (recovered, replay) = recover(&path);
+                assert_eq!((replay.skipped, replay.replayed), (1, boundaries - 1));
+                assert_eq!(recovered.to_state(), uninterrupted(durable), "{modes:?}");
+            }
+
+            // The next run resumes the snapshot plus the log; what the
+            // crashed phase ingested after its last boundary is lost.
+            let resumed = run_pipeline(vec![last.to_vec()], cfg);
+            remove_checkpoint(&path);
+            assert!(resumed.restored_from_checkpoint);
+            let mut expected = DistinctCountSketch::from_state(uninterrupted(durable)).unwrap();
+            expected.update_batch(&exports[2]);
+            assert_eq!(
+                resumed.monitor.sketch().sketch().to_state(),
+                expected.to_state(),
+                "{modes:?}"
+            );
+        }
+    }
 }
