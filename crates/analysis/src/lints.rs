@@ -7,9 +7,11 @@
 //! * **L1** — counter mutations in the count-signature module must use
 //!   `wrapping_*`: sketch merge/subtract are linear only if overflow
 //!   wraps identically on both operands.
-//! * **L2** — no `as` numeric casts in `crates/core`/`crates/hash`;
-//!   conversions go through `dcs_hash::cast` or `From`/`TryFrom` so
-//!   every narrowing is explicit and audited in one place.
+//! * **L2** — no `as` numeric casts in `crates/core`, `crates/hash`
+//!   or `crates/persist` (which narrows 8-byte counter words to the
+//!   sketch's 4-byte counters); conversions go through `dcs_hash::cast`
+//!   or `From`/`TryFrom` so every narrowing is explicit and audited in
+//!   one place.
 //! * **L3** — no `.unwrap()`/`.expect(` in library code; fallible paths
 //!   return errors or are restructured so the invariant is visible.
 //! * **L4** — no nondeterminism sources (`HashMap`/`HashSet` with the
@@ -42,7 +44,7 @@ use crate::strip;
 pub enum Lint {
     /// Non-wrapping arithmetic on count-signature counters.
     L1,
-    /// Lossy or unaudited `as` numeric cast in core/hash.
+    /// Lossy or unaudited `as` numeric cast in core/hash/persist.
     L2,
     /// `.unwrap()` / `.expect()` in library (non-test, non-binary) code.
     L3,
@@ -211,6 +213,12 @@ fn in_core_or_hash(path: &str) -> bool {
     path.starts_with("crates/core/src/") || path.starts_with("crates/hash/src/")
 }
 
+/// Whether the file is in L2's scope: the determinism-critical crates
+/// plus the checkpoint codec, where a stray cast would wrap a counter.
+fn in_cast_scope(path: &str) -> bool {
+    in_core_or_hash(path) || path.starts_with("crates/persist/src/")
+}
+
 fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
@@ -336,7 +344,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Violation> {
             }
         }
 
-        if in_core_or_hash(path) && path != CAST_HELPER {
+        if in_cast_scope(path) && path != CAST_HELPER {
             if let Some(ty) = find_numeric_cast(code) {
                 out.push(Violation {
                     lint: Lint::L2,

@@ -62,6 +62,21 @@ fn l2_is_scoped_to_core_and_hash() {
 }
 
 #[test]
+fn l2_fires_on_persist_paths() {
+    // The checkpoint codec narrows 8-byte counter words to 4-byte
+    // counters, so it is in L2's scope like core and hash.
+    let source = include_str!("fixtures/l2_lossy_casts.rs");
+    for path in ["crates/persist/src/wire.rs", "crates/persist/src/codec.rs"] {
+        assert_eq!(fire_lines(path, source, Lint::L2), vec![4, 5], "{path}");
+    }
+    // Its integration tests stay exempt, as every test tree is.
+    assert_eq!(
+        fire_lines("crates/persist/tests/roundtrip.rs", source, Lint::L2),
+        Vec::<usize>::new()
+    );
+}
+
+#[test]
 fn l3_unwrap_and_expect_fire_outside_tests() {
     let source = include_str!("fixtures/l3_unwrap.rs");
     let path = "crates/netsim/src/pipeline.rs";

@@ -1,7 +1,8 @@
 //! The §6.1 space analysis: sketch storage vs the brute-force scheme.
 //!
 //! The paper's in-text numbers: at `U = 8M`, the Basic sketch is ≈2.3 MB
-//! (4-byte counters; ≈4.6 MB at our 8-byte counters), Tracking ≈2×
+//! (4-byte counters; ≈2.47 MB with our totals mirror and screen sums
+//! at 280 bytes per bucket), Tracking ≈2×
 //! Basic, and brute force ≈96 MB. At `U = 10⁹` the sketch grows ≈1.3×
 //! while brute force grows 125× (≥3 orders of magnitude advantage).
 //!

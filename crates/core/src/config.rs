@@ -1,9 +1,10 @@
 //! Sketch configuration: the `(r, s)` shape parameters, level count,
 //! seeding, and the paper's sizing formulas.
 
-use dcs_hash::cast::{ceil_to_usize, f64_from_u64, f64_from_usize, usize_from_u32};
+use dcs_hash::cast::{ceil_to_usize, f64_from_u64, f64_from_usize};
 
 use crate::error::SketchError;
+use crate::signature::{COUNTER_BYTES, SCREEN_SUM_BYTES, SIGNATURE_LEN};
 use crate::types::GroupBy;
 
 /// Which hash family the second-level bucket hashes `g_j` use.
@@ -205,12 +206,13 @@ impl SketchConfig {
     }
 
     /// Bytes used by one count signature: one total counter plus
-    /// [`KEY_BITS`] bit-location counters, plus the two linear screening
-    /// counters (key sum and fingerprint sum), plus the one-word
-    /// contiguous totals mirror the wide screen pass reads
-    /// (DESIGN.md §16), 8 bytes each.
+    /// [`KEY_BITS`] bit-location counters, plus the contiguous totals
+    /// mirror the wide screen pass reads (DESIGN.md §16), 4 bytes each;
+    /// plus the two 8-byte linear screening sums (key sum and
+    /// fingerprint sum) — 280 bytes. The level's `heap_bytes` adds up
+    /// the same element sizes over its slabs.
     pub fn signature_bytes() -> usize {
-        (usize_from_u32(KEY_BITS) + 1 + 2 + 1) * std::mem::size_of::<i64>()
+        (SIGNATURE_LEN + 1) * COUNTER_BYTES + 2 * SCREEN_SUM_BYTES
     }
 
     /// Bytes of counter storage for one fully allocated level:
@@ -350,11 +352,11 @@ mod tests {
 
     #[test]
     fn signature_bytes_matches_paper_layout_plus_screen() {
-        // The paper's §6.1 counts 65 four-byte counters; we use 8-byte
-        // counters (Θ(log n) with n up to 2^63) and add two screening
-        // sums (key sum + fingerprint sum) plus the totals-mirror word
-        // the wide screen pass reads.
-        assert_eq!(SketchConfig::signature_bytes(), 68 * 8);
+        // The paper's §6.1 counts 65 four-byte counters; we keep that
+        // width, mirror the total in a 4-byte slot the wide
+        // screen pass reads, and add two 8-byte screening sums (key
+        // sum + fingerprint sum): 66·4 + 2·8 = 280 bytes.
+        assert_eq!(SketchConfig::signature_bytes(), 280);
     }
 
     #[test]
@@ -410,7 +412,7 @@ mod tests {
             .unwrap();
         assert_eq!(small.level_bytes(), 2 * SketchConfig::signature_bytes());
         let paper = SketchConfig::paper_default();
-        assert_eq!(paper.level_bytes(), 3 * 128 * 68 * 8);
+        assert_eq!(paper.level_bytes(), 3 * 128 * 280);
     }
 
     #[cfg(feature = "serde")]

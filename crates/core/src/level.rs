@@ -12,14 +12,16 @@
 //! Instead of `r·s` individually heap-allocated signatures, a level owns
 //! exactly three slabs:
 //!
-//! * `counts`: one contiguous `Box<[i64]>` of `r·s·65` counters. Bucket
+//! * `counts`: one contiguous `Box<[i32]>` of `r·s·65` 4-byte counters
+//!   (the paper's counter width; `signature.rs` explains why wrapping
+//!   at 2³² decodes exactly). Bucket
 //!   `k` of table `j` occupies the stride-indexed block
 //!   `slot·65 .. (slot+1)·65` where `slot = j·s + k` — `counts[slot·65]`
 //!   is the bucket's total, `counts[slot·65 + 1 + b]` its bit-location
 //!   count for bit `b`.
 //! * `key_sums`, `fp_sums`: parallel `Box<[u64]>` arrays of `r·s` screen
 //!   sums, indexed by the same `slot`.
-//! * `totals`: a derived `Box<[i64]>` mirror of `r·s` bucket totals —
+//! * `totals`: a derived `Box<[i32]>` mirror of `r·s` bucket totals —
 //!   `totals[slot]` always equals `counts[slot·65]`. It is maintained
 //!   by every write path (per-update apply, merge, subtract), rebuilt
 //!   from the counter slab on restore, and never serialized. Its sole
@@ -27,13 +29,17 @@
 //!   the empty-vs-occupied screen streams three small slabs and never
 //!   strides over the 65×-larger counter slab.
 //!
-//! One update touches one 520-byte counter block (8–9 cache lines,
-//! contiguous) plus two single words, reached through a single pointer
-//! deref each — no per-bucket pointer chase. The screens live in
-//! parallel arrays rather than interleaved with the counters so the
-//! `O(1)` screen-only reject paths (`is_zero` fast reject, occupancy
-//! scans) stream through dense `u64` arrays without striding over 520
-//! bytes of counters per bucket.
+//! A bucket takes 280 bytes: 65 counters and its mirrored total at 4
+//! bytes each, plus two 8-byte screen sums
+//! ([`SketchConfig::signature_bytes`](crate::SketchConfig::signature_bytes)
+//! and [`heap_bytes`](LevelState::heap_bytes) both derive from these
+//! element sizes). One update touches one 260-byte counter block (4–5
+//! cache lines, contiguous) plus two single words, reached through a
+//! single pointer deref each — no per-bucket pointer chase. The
+//! screens live in parallel arrays rather than interleaved with the
+//! counters so the `O(1)` screen-only reject paths (`is_zero` fast
+//! reject, occupancy scans) stream through dense `u64` arrays without
+//! striding over 260 bytes of counters per bucket.
 //!
 //! Whole-level operations (`merge_from`, `subtract`, `is_zero`) become
 //! single linear passes over the slabs that LLVM can auto-vectorize;
@@ -67,7 +73,7 @@ use crate::signature::{
     counter_slab_is_zero, merge_counter_slab, merge_counter_slab_scalar, merge_sum_slab,
     merge_sum_slab_scalar, slide_counter_slab, slide_sum_slab, subtract_counter_slab,
     subtract_counter_slab_scalar, subtract_sum_slab, subtract_sum_slab_scalar, sum_slab_is_zero,
-    BucketState, SigMut, SigRef, SIGNATURE_LEN,
+    BucketState, SigMut, SigRef, COUNTER_BYTES, HEADROOM_TOTAL, SCREEN_SUM_BYTES, SIGNATURE_LEN,
 };
 use crate::types::{Delta, FlowKey};
 use dcs_hash::cast::usize_from_u32;
@@ -90,7 +96,7 @@ pub(crate) struct LevelState {
     /// Buckets per table (`s`).
     buckets_per_table: usize,
     /// `r·s·65` counters, stride-indexed by bucket slot.
-    counts: Box<[i64]>,
+    counts: Box<[i32]>,
     /// `r·s` wrapping key sums, one per bucket slot.
     key_sums: Box<[u64]>,
     /// `r·s` wrapping fingerprint sums, one per bucket slot.
@@ -99,7 +105,7 @@ pub(crate) struct LevelState {
     /// `counts[slot·65]`, maintained by every write path so the wide
     /// screen pass never strides over the counter slab (see the module
     /// docs). Never serialized; rebuilt in [`from_parts`](Self::from_parts).
-    totals: Box<[i64]>,
+    totals: Box<[i32]>,
 }
 
 impl LevelState {
@@ -110,10 +116,10 @@ impl LevelState {
         Self {
             num_tables,
             buckets_per_table,
-            counts: vec![0i64; slots * SIGNATURE_LEN].into_boxed_slice(),
+            counts: vec![0; slots * SIGNATURE_LEN].into_boxed_slice(),
             key_sums: vec![0u64; slots].into_boxed_slice(),
             fp_sums: vec![0u64; slots].into_boxed_slice(),
-            totals: vec![0i64; slots].into_boxed_slice(),
+            totals: vec![0; slots].into_boxed_slice(),
         }
     }
 
@@ -123,7 +129,7 @@ impl LevelState {
     pub(crate) fn from_parts(
         num_tables: usize,
         buckets_per_table: usize,
-        counts: Vec<i64>,
+        counts: Vec<i32>,
         key_sums: Vec<u64>,
         fp_sums: Vec<u64>,
     ) -> Result<Self, String> {
@@ -151,7 +157,7 @@ impl LevelState {
         }
         // The totals mirror is derived state: rebuild it from the
         // counter slab rather than trusting (or transporting) a copy.
-        let totals: Box<[i64]> = counts.iter().step_by(SIGNATURE_LEN).copied().collect();
+        let totals: Box<[i32]> = counts.iter().step_by(SIGNATURE_LEN).copied().collect();
         Ok(Self {
             num_tables,
             buckets_per_table,
@@ -163,7 +169,7 @@ impl LevelState {
     }
 
     /// The raw counter slab (`r·s·65` counters) — persistence view.
-    pub(crate) fn counts(&self) -> &[i64] {
+    pub(crate) fn counts(&self) -> &[i32] {
         &self.counts
     }
 
@@ -514,14 +520,29 @@ impl LevelState {
             && self.counts.iter().all(|&c| c == 0)
     }
 
-    /// Heap bytes used by the level's slabs: `r·s·65` counters plus
-    /// `2·r·s` screen-sum words plus the `r·s`-word totals mirror —
-    /// `r·s·68·8` in total.
+    /// Headroom of the 4-byte totals: how many bucket slots have
+    /// `|total| ≥` [`HEADROOM_TOTAL`], and the largest `|total|`. Reads
+    /// the contiguous totals mirror (`r·s` words), never the counter
+    /// slab, and nothing on the update path.
+    pub(crate) fn total_headroom(&self) -> (u64, u32) {
+        let mut exceeded = 0u64;
+        let mut max_abs = 0u32;
+        for &total in self.totals.iter() {
+            let abs = total.unsigned_abs();
+            exceeded += u64::from(abs >= HEADROOM_TOTAL);
+            max_abs = max_abs.max(abs);
+        }
+        (exceeded, max_abs)
+    }
+
+    /// Heap bytes used by the level's slabs: `r·s·65` counters and the
+    /// `r·s` totals mirror at 4 bytes, plus `2·r·s` 8-byte screen sums —
+    /// `r·s·280` in total, the same element sizes
+    /// [`SketchConfig::level_bytes`](crate::SketchConfig::level_bytes)
+    /// multiplies out.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<i64>()
-            + self.key_sums.len() * std::mem::size_of::<u64>()
-            + self.fp_sums.len() * std::mem::size_of::<u64>()
-            + self.totals.len() * std::mem::size_of::<i64>()
+        (self.counts.len() + self.totals.len()) * COUNTER_BYTES
+            + (self.key_sums.len() + self.fp_sums.len()) * SCREEN_SUM_BYTES
     }
 }
 
@@ -532,6 +553,8 @@ impl LevelState {
 struct LevelStateRepr {
     num_tables: usize,
     buckets_per_table: usize,
+    /// Counters widened to 8 bytes, as the checkpoint format carries
+    /// them; narrowed with a range check on the way back in.
     counts: Vec<i64>,
     key_sums: Vec<u64>,
     fp_sums: Vec<u64>,
@@ -543,7 +566,7 @@ impl From<LevelState> for LevelStateRepr {
         Self {
             num_tables: state.num_tables,
             buckets_per_table: state.buckets_per_table,
-            counts: state.counts.into_vec(),
+            counts: state.counts.iter().map(|&c| i64::from(c)).collect(),
             key_sums: state.key_sums.into_vec(),
             fp_sums: state.fp_sums.into_vec(),
         }
@@ -555,10 +578,18 @@ impl TryFrom<LevelStateRepr> for LevelState {
     type Error = String;
 
     fn try_from(repr: LevelStateRepr) -> Result<Self, Self::Error> {
+        let counts = repr
+            .counts
+            .iter()
+            .map(|&c| {
+                dcs_hash::cast::i32_from_i64(c)
+                    .ok_or_else(|| format!("counter {c} lies outside the 4-byte counter range"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         LevelState::from_parts(
             repr.num_tables,
             repr.buckets_per_table,
-            repr.counts,
+            counts,
             repr.key_sums,
             repr.fp_sums,
         )
@@ -624,10 +655,22 @@ mod tests {
 
     #[test]
     fn heap_bytes_counts_all_slab_bytes() {
-        // r·s·65 counters + 2·r·s screen sums + r·s totals mirror =
-        // r·s·68 words.
+        // r·s·65 four-byte counters + r·s four-byte totals mirror +
+        // 2·r·s eight-byte screen sums = r·s·280 bytes.
         let level = LevelState::new(2, 3);
-        assert_eq!(level.heap_bytes(), 2 * 3 * 68 * 8);
+        assert_eq!(level.heap_bytes(), 2 * 3 * 280);
+    }
+
+    /// The headroom gauge reads the totals mirror: it counts slots with
+    /// `|total| ≥ 2³⁰`, of either sign, and reports the largest.
+    #[test]
+    fn total_headroom_counts_slots_at_or_past_two_to_the_thirty() {
+        let mut level = LevelState::new(1, 4);
+        assert_eq!(level.total_headroom(), (0, 0));
+        level
+            .totals
+            .copy_from_slice(&[1 << 30, -(1 << 30), (1 << 30) - 1, 7]);
+        assert_eq!(level.total_headroom(), (2, 1 << 30));
     }
 
     /// `totals[slot] == counts[slot·65]` must hold after every write

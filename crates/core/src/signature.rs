@@ -35,8 +35,18 @@
 //! `wrapping_add`/`wrapping_sub` so merge/subtract stay linear even at
 //! the overflow boundary. The slab-wide helpers the level layer uses for
 //! its linear merge/subtract passes live here for the same reason.
+//!
+//! ## 4-byte counters
+//!
+//! The 65 counters are `i32`, the paper's §6.1 accounting. Wrapping
+//! sums are exact modulo 2³², and on a well-formed stream every bit
+//! counter lies in `[0, total]` with the total bounded by the live
+//! pairs in the bucket, so every decode matches an `i64` sketch's
+//! whenever `|total| < 2³¹`. The screen and decode paths read counters
+//! widened with `i64::from`; the [`HEADROOM_TOTAL`] gauge counts the
+//! buckets that come within a factor of two of that bound.
 
-use dcs_hash::cast::{u64_from_i64, usize_from_u32};
+use dcs_hash::cast::{low_u32, u64_from_i64, usize_from_u32};
 use dcs_hash::mix::fingerprint64;
 
 use crate::config::KEY_BITS;
@@ -44,6 +54,28 @@ use crate::types::{Delta, FlowKey};
 
 /// The number of counters in a signature: one total + 64 bit locations.
 pub const SIGNATURE_LEN: usize = usize_from_u32(KEY_BITS) + 1;
+
+/// Bytes of one signature counter: the paper's 4-byte counters (see
+/// the module docs for why wrapping at 2³² is safe).
+pub const COUNTER_BYTES: usize = std::mem::size_of::<i32>();
+
+/// Bytes of one linear screen sum (key sum or fingerprint sum).
+pub const SCREEN_SUM_BYTES: usize = std::mem::size_of::<u64>();
+
+/// `|total|` at or above which a bucket is counted as short of
+/// headroom: within a factor of two of the 2³¹ bound past which a
+/// 4-byte total would wrap. The telemetry snapshot reports the count of
+/// such buckets as `counter_headroom_exceeded`.
+pub const HEADROOM_TOTAL: u32 = 1 << 30;
+
+/// The ±1 step an update adds to the counters it touches.
+#[inline]
+fn counter_step(delta: Delta) -> i32 {
+    match delta {
+        Delta::Insert => 1,
+        Delta::Delete => -1,
+    }
+}
 
 /// What a count signature reveals about its bucket's contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,7 +221,7 @@ fn classify(total: i64, key_sum: u64, fp_sum: u64, bit_count: impl Fn(u32) -> i6
 pub(crate) struct SigRef<'a> {
     /// `counts[0]` is the total element count; `counts[1 + j]` is the
     /// bit-location count for bit `j` of the packed pair.
-    counts: &'a [i64],
+    counts: &'a [i32],
     key_sum: u64,
     fp_sum: u64,
 }
@@ -197,7 +229,7 @@ pub(crate) struct SigRef<'a> {
 impl<'a> SigRef<'a> {
     /// Wraps a borrowed counter block and its screen sums.
     #[inline]
-    pub(crate) fn new(counts: &'a [i64], key_sum: u64, fp_sum: u64) -> Self {
+    pub(crate) fn new(counts: &'a [i32], key_sum: u64, fp_sum: u64) -> Self {
         debug_assert_eq!(counts.len(), SIGNATURE_LEN);
         Self {
             counts,
@@ -209,7 +241,14 @@ impl<'a> SigRef<'a> {
     /// The net total number of pairs mapped to this bucket.
     #[inline]
     pub(crate) fn net_total(self) -> i64 {
-        self.counts[0]
+        i64::from(self.counts[0])
+    }
+
+    /// The `j`-th counter widened to `i64` (`0` is the total, `1 + j`
+    /// the bit-location count for bit `j`).
+    #[inline]
+    fn wide(self, j: usize) -> i64 {
+        i64::from(self.counts[j])
     }
 
     /// Whether the signature is identically zero.
@@ -229,8 +268,8 @@ impl<'a> SigRef<'a> {
     /// The screen class of the current state.
     #[inline]
     pub(crate) fn screen_class(self) -> ScreenClass {
-        classify(self.counts[0], self.key_sum, self.fp_sum, |j| {
-            self.counts[1 + usize_from_u32(j)]
+        classify(self.wide(0), self.key_sum, self.fp_sum, |j| {
+            self.wide(1 + usize_from_u32(j))
         })
     }
 
@@ -240,7 +279,9 @@ impl<'a> SigRef<'a> {
     /// to prove most updates cause no decode transition.
     #[inline]
     pub(crate) fn screen_class_after(self, key: FlowKey, delta: Delta, fp: u64) -> ScreenClass {
-        let sign = delta.signum();
+        // Stepped at counter width before widening, so the prediction
+        // wraps exactly where the applied update would.
+        let sign = counter_step(delta);
         let packed = key.packed();
         let (key_sum, fp_sum) = if sign >= 0 {
             (
@@ -253,9 +294,10 @@ impl<'a> SigRef<'a> {
                 self.fp_sum.wrapping_sub(fp),
             )
         };
-        classify(self.counts[0].wrapping_add(sign), key_sum, fp_sum, |j| {
+        let total = i64::from(self.counts[0].wrapping_add(sign));
+        classify(total, key_sum, fp_sum, |j| {
             let bit_delta = if packed >> j & 1 == 1 { sign } else { 0 };
-            self.counts[1 + usize_from_u32(j)].wrapping_add(bit_delta)
+            i64::from(self.counts[1 + usize_from_u32(j)].wrapping_add(bit_delta))
         })
     }
 
@@ -276,7 +318,7 @@ impl<'a> SigRef<'a> {
     /// as does a delete that would empty the bucket.
     #[inline]
     pub(crate) fn skips_as_own_singleton(self, key: FlowKey, delta: Delta, fp: u64) -> bool {
-        let total = self.counts[0];
+        let total = self.wide(0);
         let sign = delta.signum();
         if !(1..256).contains(&total) || total.wrapping_add(sign) < 1 {
             return false;
@@ -297,7 +339,7 @@ impl<'a> SigRef<'a> {
         let mut mismatch = false;
         for j in (0..8).chain(KEY_BITS - 8..KEY_BITS) {
             let expected = total.wrapping_mul(i64::from(packed >> j & 1 == 1));
-            let c = self.counts[usize_from_u32(j) + 1];
+            let c = self.wide(usize_from_u32(j) + 1);
             mismatch |= c != expected;
         }
         !mismatch
@@ -342,11 +384,11 @@ impl<'a> SigRef<'a> {
     /// blocking vectorization of the fixed-width compare ladder
     /// (`total · bit` selects each expected value without a branch).
     fn verify_candidate(self, candidate: u64) -> BucketState {
-        let total = self.counts[0];
+        let total = self.wide(0);
         let mut mismatch = false;
         for (j, &c) in self.counts[1..].iter().enumerate() {
             let expected = total.wrapping_mul(i64::from(candidate >> j & 1 == 1));
-            mismatch |= c != expected;
+            mismatch |= i64::from(c) != expected;
         }
         if mismatch {
             return BucketState::Collision;
@@ -370,7 +412,7 @@ impl<'a> SigRef<'a> {
     /// the total.
     #[inline]
     pub(crate) fn decode(self) -> BucketState {
-        let total = self.counts[0];
+        let total = self.wide(0);
         if total == 0 {
             // A zero total with nonzero bit counts can only arise from
             // ill-formed streams; classify it as a collision rather than
@@ -386,7 +428,7 @@ impl<'a> SigRef<'a> {
         }
         let mut packed = 0u64;
         for j in 0..KEY_BITS {
-            let c = self.counts[1 + usize_from_u32(j)];
+            let c = self.wide(1 + usize_from_u32(j));
             if c == total {
                 packed |= 1 << j;
             } else if c != 0 {
@@ -408,7 +450,7 @@ impl<'a> SigRef<'a> {
 /// wrapping-arithmetic guarantee in one file.
 #[derive(Debug)]
 pub(crate) struct SigMut<'a> {
-    counts: &'a mut [i64],
+    counts: &'a mut [i32],
     key_sum: &'a mut u64,
     fp_sum: &'a mut u64,
 }
@@ -416,7 +458,7 @@ pub(crate) struct SigMut<'a> {
 impl<'a> SigMut<'a> {
     /// Wraps mutable borrows of a counter block and its screen sums.
     #[inline]
-    pub(crate) fn new(counts: &'a mut [i64], key_sum: &'a mut u64, fp_sum: &'a mut u64) -> Self {
+    pub(crate) fn new(counts: &'a mut [i32], key_sum: &'a mut u64, fp_sum: &'a mut u64) -> Self {
         debug_assert_eq!(counts.len(), SIGNATURE_LEN);
         Self {
             counts,
@@ -432,25 +474,25 @@ impl<'a> SigMut<'a> {
     /// The 64 bit-location counters update as a fixed-width pass rather
     /// than a popcount-dependent `trailing_zeros` loop: each counter
     /// adds `bit_mask & sign_word`, where `bit_mask` broadcasts bit `j`
-    /// of the key to all 64 lanes (`wrapping_neg` of 0/1) and
+    /// of the key to all 32 bits of a mask word (`wrapping_neg` of 0/1) and
     /// `sign_word` is `1` or the two's-complement image of `-1`
-    /// (`u64::MAX`), so `wrapping_add_unsigned` lands on exactly the
+    /// (`u32::MAX`), so `wrapping_add_unsigned` lands on exactly the
     /// same wrapped value as a signed ±1. Same trip count for every
     /// key — no data-dependent branches — which lets the loop unroll
     /// and vectorize instead of serializing on the key's popcount.
     #[inline]
     pub(crate) fn apply_with_fp(&mut self, key: FlowKey, delta: Delta, fp: u64) {
-        let sign = delta.signum();
+        let sign = counter_step(delta);
         let packed = key.packed();
         self.counts[0] = self.counts[0].wrapping_add(sign);
         let sign_word = if sign >= 0 {
             *self.key_sum = self.key_sum.wrapping_add(packed);
             *self.fp_sum = self.fp_sum.wrapping_add(fp);
-            1u64
+            1u32
         } else {
             *self.key_sum = self.key_sum.wrapping_sub(packed);
             *self.fp_sum = self.fp_sum.wrapping_sub(fp);
-            u64::MAX
+            u32::MAX
         };
         match self.counts[1..].first_chunk_mut::<BIT_COUNTERS>() {
             Some(bits) => apply_bit_counters(bits, packed, sign_word),
@@ -459,7 +501,7 @@ impl<'a> SigMut<'a> {
             // machinery in the hot path.
             None => {
                 for (j, counter) in self.counts[1..].iter_mut().enumerate() {
-                    let bit_mask = (packed >> j & 1).wrapping_neg();
+                    let bit_mask = low_u32(packed >> j & 1).wrapping_neg();
                     *counter = counter.wrapping_add_unsigned(bit_mask & sign_word);
                 }
             }
@@ -473,7 +515,7 @@ const BIT_COUNTERS: usize = SIGNATURE_LEN - 1;
 /// The fixed-width inner kernel of [`SigMut::apply_with_fp`]: adds
 /// `bit_j(packed) · sign` to all 64 bit-location counters.
 ///
-/// Kept as a named kernel over `&mut [i64; 64]` so the loop shape the
+/// Kept as a named kernel over `&mut [i32; 64]` so the loop shape the
 /// vectorizer sees is a fixed-trip-count pass over a known-length
 /// array. When this body was a slice loop (`counts[1..]`) inlined into
 /// each call site, the per-update path vectorized but the batched
@@ -483,16 +525,16 @@ const BIT_COUNTERS: usize = SIGNATURE_LEN - 1;
 /// array-typed kernel lowers to AVX-512 masked adds (the packed key is
 /// the 64-lane predicate) in every inlining context.
 #[inline]
-fn apply_bit_counters(counters: &mut [i64; BIT_COUNTERS], packed: u64, sign_word: u64) {
+fn apply_bit_counters(counters: &mut [i32; BIT_COUNTERS], packed: u64, sign_word: u32) {
     for (j, counter) in counters.iter_mut().enumerate() {
-        let bit_mask = (packed >> j & 1).wrapping_neg();
+        let bit_mask = low_u32(packed >> j & 1).wrapping_neg();
         *counter = counter.wrapping_add_unsigned(bit_mask & sign_word);
     }
 }
 
 /// Lanes per fixed-width slab chunk in the wide merge/subtract and
-/// is-zero kernels below. Matches a full cache line of `i64`s eight
-/// times over and, like [`apply_bit_counters`], gives the vectorizer a
+/// is-zero kernels below: four cache lines of counters, eight of screen
+/// sums. Like [`apply_bit_counters`], it gives the vectorizer a
 /// fixed-trip-count body over a known-length array.
 pub(crate) const SLAB_LANES: usize = 64;
 
@@ -504,9 +546,11 @@ pub(crate) const SLAB_LANES: usize = 64;
 /// loop), so the wide kernel's win is entirely the zero-chunk skip —
 /// measured 2.4–4.3× on slabs ≥ 4 chunks with 7/8 zero chunks, but a
 /// 5–11% loss under ~4 chunks where the per-chunk zero-probe
-/// bookkeeping cannot amortize. The screen-sum slab of a
-/// `r = 2, s = 128` level sits exactly at this boundary;
-/// `tests/read_equivalence.rs` pins bit-identity on both sides of it.
+/// bookkeeping cannot amortize. Re-measured at 4-byte counters: the
+/// dense loss under 4 chunks persists (3–19%), so the cutoff stays.
+/// The screen-sum slab of a `r = 2, s = 128` level sits exactly at
+/// this boundary; `tests/read_equivalence.rs` pins bit-identity on both
+/// sides of it.
 pub const SLAB_WIDE_MIN: usize = 256;
 
 /// Generates one wide/scalar pair of element-wise slab kernels.
@@ -576,7 +620,7 @@ slab_kernels!(
     /// linear-pass half of level merging over whole counter slabs.
     merge_counter_slab,
     merge_counter_slab_scalar,
-    i64,
+    i32,
     wrapping_add
 );
 
@@ -584,7 +628,7 @@ slab_kernels!(
     /// Subtracts `src` from `dst` element-wise with wrapping arithmetic.
     subtract_counter_slab,
     subtract_counter_slab_scalar,
-    i64,
+    i32,
     wrapping_sub
 );
 
@@ -644,7 +688,7 @@ macro_rules! slab_is_zero {
 slab_is_zero!(
     /// Whether every counter in the slab is zero (chunked OR-fold).
     counter_slab_is_zero,
-    i64
+    i32
 );
 
 slab_is_zero!(
@@ -728,7 +772,7 @@ macro_rules! slide_kernel {
 slide_kernel!(
     /// The fused epoch slide over counter slabs (and the totals mirror).
     slide_counter_slab,
-    i64
+    i32
 );
 
 slide_kernel!(
@@ -762,7 +806,7 @@ slide_kernel!(
 pub struct CountSignature {
     /// `counts[0]` is the total element count; `counts[1 + j]` is the
     /// bit-location count for bit `j` of the packed pair.
-    counts: Vec<i64>,
+    counts: Vec<i32>,
     /// Wrapping key sum `Σ ±key` over every update applied so far.
     ///
     /// For any state this sum is determined by the bit-location counts
@@ -880,7 +924,7 @@ impl CountSignature {
     /// Heap bytes used by this signature's counters, including the two
     /// inline screening sums.
     pub fn heap_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<i64>() + 2 * std::mem::size_of::<u64>()
+        self.counts.len() * COUNTER_BYTES + 2 * SCREEN_SUM_BYTES
     }
 }
 
@@ -1076,8 +1120,32 @@ mod tests {
 
     #[test]
     fn heap_bytes_is_65_counters_plus_screen() {
-        // 65 paper counters + key sum + fingerprint sum.
-        assert_eq!(CountSignature::new().heap_bytes(), 67 * 8);
+        // 65 four-byte paper counters + key sum + fingerprint sum.
+        assert_eq!(CountSignature::new().heap_bytes(), 65 * 4 + 2 * 8);
+    }
+
+    /// Counters wrap at 2³² exactly as an `i64` counter wraps modulo
+    /// 2³²: a bucket pushed past `i32::MAX` and brought back lands on
+    /// its exact prior state, and the predicted screen class wraps
+    /// where the update itself does.
+    #[test]
+    fn counters_wrap_linearly_at_the_i32_boundary() {
+        let k = key(3, 5);
+        let fp = dcs_hash::mix::fingerprint64(k.packed());
+        let mut parked = CountSignature::new();
+        parked.apply(k, Delta::Insert);
+        // Park the total and k's bit counters one step below the wrap.
+        for c in parked.counts.iter_mut().filter(|c| **c == 1) {
+            *c = i32::MAX;
+        }
+        let mut sig = parked.clone();
+        let predicted = sig.screen_class_after(k, Delta::Insert, fp);
+        sig.apply(k, Delta::Insert);
+        assert_eq!(sig.counts[0], i32::MIN);
+        assert_eq!(sig.net_total(), i64::from(i32::MIN));
+        assert_eq!(predicted, sig.screen_class());
+        sig.apply(k, Delta::Delete);
+        assert_eq!(sig.counts, parked.counts);
     }
 
     #[test]
@@ -1276,6 +1344,15 @@ mod tests {
         u64::from_ne_bytes(v.to_ne_bytes())
     }
 
+    /// The same patterns at counter width: the low 32 bits of each
+    /// word, so the wrap boundaries land on `i32::MAX`/`i32::MIN`.
+    fn patterned_counters(len: usize, salt: i64) -> Vec<i32> {
+        patterned_i64(len, salt)
+            .into_iter()
+            .map(|v| i32::from_ne_bytes(low_u32(wrapped_u64(v)).to_ne_bytes()))
+            .collect()
+    }
+
     fn patterned_u64(len: usize, salt: i64) -> Vec<u64> {
         patterned_i64(len, salt)
             .into_iter()
@@ -1302,12 +1379,12 @@ mod tests {
     #[test]
     fn wide_counter_kernels_match_scalar_twins() {
         for &len in KERNEL_LENS {
-            let src = patterned_i64(len, 0x1e37_79b9_7f4a_7c15);
-            let base = patterned_i64(len, 0x51b5_4a32_d192_ed03);
+            let src = patterned_counters(len, 0x1e37_79b9_7f4a_7c15);
+            let base = patterned_counters(len, 0x51b5_4a32_d192_ed03);
             for (wide, scalar) in [
                 (
-                    merge_counter_slab as fn(&mut [i64], &[i64]),
-                    merge_counter_slab_scalar as fn(&mut [i64], &[i64]),
+                    merge_counter_slab as fn(&mut [i32], &[i32]),
+                    merge_counter_slab_scalar as fn(&mut [i32], &[i32]),
                 ),
                 (subtract_counter_slab, subtract_counter_slab_scalar),
             ] {
@@ -1344,8 +1421,8 @@ mod tests {
     #[test]
     fn zero_skip_source_chunks_leave_destination_untouched() {
         let len = SLAB_WIDE_MIN + SLAB_LANES;
-        let src = vec![0i64; len];
-        let base = patterned_i64(len, 0x2bcd_ef01_2345_6789);
+        let src = vec![0; len];
+        let base = patterned_counters(len, 0x2bcd_ef01_2345_6789);
         let mut merged = base.clone();
         merge_counter_slab(&mut merged, &src);
         assert_eq!(merged, base);
@@ -1357,7 +1434,7 @@ mod tests {
     #[test]
     fn slab_is_zero_matches_elementwise_scan() {
         for &len in KERNEL_LENS {
-            let zeros = vec![0i64; len];
+            let zeros: Vec<i32> = vec![0; len];
             let unsigned_zeros = vec![0u64; len];
             assert!(counter_slab_is_zero(&zeros), "len {len}");
             assert!(sum_slab_is_zero(&unsigned_zeros), "len {len}");
@@ -1370,7 +1447,7 @@ mod tests {
                 let mut one = zeros.clone();
                 one[hot] = 1;
                 assert!(!counter_slab_is_zero(&one), "len {len} hot {hot}");
-                let unsigned: Vec<u64> = one.iter().copied().map(wrapped_u64).collect();
+                let unsigned: Vec<u64> = one.iter().map(|&v| wrapped_u64(i64::from(v))).collect();
                 assert!(!sum_slab_is_zero(&unsigned), "len {len} hot {hot}");
             }
         }

@@ -435,7 +435,7 @@ impl DistinctCountSketch {
             // commutative wrapping add, so the final state is
             // independent of apply order — and visiting one level's
             // arena to exhaustion keeps the working set at one arena
-            // (~r·s·544 B) instead of every hot level at once, which is
+            // (~r·s·280 B) instead of every hot level at once, which is
             // the difference between L2 and L3 residency at large `r`
             // (DESIGN.md §13).
             scratch.group_by_level(chunk.len());
@@ -1341,15 +1341,28 @@ impl DistinctCountSketch {
     /// its latency and batch-size summaries (`None` until a batch or
     /// query has been timed).
     ///
+    /// Two gauges watch the 4-byte counters' headroom, read from each
+    /// level's totals mirror: `counter_headroom_exceeded`, the bucket
+    /// slots whose `|total|` has reached [`HEADROOM_TOTAL`] (2³⁰, half
+    /// the wrap bound), and `counter_total_max_abs`, the largest
+    /// `|total|`. Both are always present, so a wrap is never silent.
+    ///
     /// This is a full scan of the allocated levels (`O(levels · r · s)`
     /// screened decodes), intended for periodic export, not the update
     /// path.
+    ///
+    /// [`HEADROOM_TOTAL`]: crate::signature::HEADROOM_TOTAL
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot::new(label);
         snap.updates_processed = self.updates_processed;
         snap.net_updates = self.net_updates;
+        let mut headroom_exceeded = 0u64;
+        let mut total_max_abs = 0u32;
         for (index, state) in self.levels.iter().enumerate() {
             let Some(state) = state else { continue };
+            let (exceeded, max_abs) = state.total_headroom();
+            headroom_exceeded += exceeded;
+            total_max_abs = total_max_abs.max(max_abs);
             let (occupied, singletons) = state.occupancy();
             let gauges = LevelGauges {
                 level: u32_from_usize(index),
@@ -1362,6 +1375,8 @@ impl DistinctCountSketch {
                 snap.levels.push(gauges);
             }
         }
+        snap.set_counter("counter_headroom_exceeded", headroom_exceeded);
+        snap.set_counter("counter_total_max_abs", u64::from(total_max_abs));
         self.telem.fill_snapshot(&mut snap);
         snap
     }
@@ -1399,6 +1414,47 @@ mod tests {
         assert_eq!(sketch.estimate_distinct_pairs(0.25), 0);
         assert_eq!(sketch.allocated_levels(), 0);
         assert_eq!(sketch.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn heap_bytes_is_allocated_levels_times_level_bytes() {
+        let config = small_config(11);
+        let mut sketch = DistinctCountSketch::new(config.clone());
+        for s in 0..300u32 {
+            sketch.insert(SourceAddr(s), DestAddr(s % 5));
+        }
+        assert!(sketch.allocated_levels() > 1);
+        assert_eq!(
+            sketch.heap_bytes(),
+            sketch.allocated_levels() * config.level_bytes()
+        );
+        assert_eq!(
+            LevelState::new(config.num_tables(), config.buckets_per_table()).heap_bytes(),
+            config.level_bytes()
+        );
+    }
+
+    /// The headroom gauges count slots with `|total| ≥ 2³⁰` of either
+    /// sign, and report the largest `|total|`, from restored state.
+    #[test]
+    fn headroom_gauge_counts_totals_at_two_to_the_thirty() {
+        use crate::signature::SIGNATURE_LEN;
+        let mut sketch = DistinctCountSketch::new(small_config(12));
+        sketch.insert(SourceAddr(1), DestAddr(2));
+        let snap = sketch.telemetry_snapshot("fresh");
+        assert_eq!(snap.counters.get("counter_headroom_exceeded"), Some(&0));
+        assert_eq!(snap.counters.get("counter_total_max_abs"), Some(&1));
+
+        let mut state = sketch.to_state();
+        let counts = &mut state.levels[0].counts;
+        counts.fill(0);
+        for (slot, total) in [1 << 30, -(1 << 30), (1 << 30) - 1].into_iter().enumerate() {
+            counts[slot * SIGNATURE_LEN] = total;
+        }
+        let restored = DistinctCountSketch::from_state(state).unwrap();
+        let snap = restored.telemetry_snapshot("restored");
+        assert_eq!(snap.counters.get("counter_headroom_exceeded"), Some(&2));
+        assert_eq!(snap.counters.get("counter_total_max_abs"), Some(&(1 << 30)));
     }
 
     #[test]

@@ -35,13 +35,14 @@ pub fn brute_force_bytes(u: u64) -> u64 {
 
 /// Predicted counter bytes for a sketch over `u` distinct pairs:
 /// `⌈log₂ u⌉ + 1` non-empty levels (the geometric hash leaves deeper
-/// levels empty with high probability) × `r·s` signatures × 68 counters
-/// (the paper's 65 plus the two singleton-screen sums plus the
-/// totals-mirror word of the wide screen pass, DESIGN.md §16).
+/// levels empty with high probability) × `r·s` signatures ×
+/// [`SketchConfig::signature_bytes`] (the paper's 65 four-byte counters
+/// plus the 4-byte totals mirror of the wide screen pass, DESIGN.md
+/// §16, plus the two 8-byte singleton-screen sums: 280 bytes).
 ///
 /// This is the formula behind the paper's "23 non-empty first-level
-/// buckets at `U = 8·10⁶` ⇒ ≈2.3 MB" calculation (with 4-byte counters
-/// there; we account our actual 8-byte counters).
+/// buckets at `U = 8·10⁶` ⇒ ≈2.3 MB" calculation; the mirror and the
+/// screen sums put ours at ≈2.47 MB.
 pub fn predicted_sketch_bytes(config: &SketchConfig, u: u64) -> u64 {
     // Bit length of u: pairs spread over levels 0..⌈log₂ U⌉ with high
     // probability (deeper levels expect < 1 pair).
@@ -67,16 +68,16 @@ mod tests {
     #[test]
     fn predicted_bytes_match_paper_level_count() {
         // §6.1: ≈23 non-empty levels at U = 8·10⁶ (2^23 ≈ 8.4M). With
-        // the paper's r = 3, s = 128 and our 68 counters (65 + the two
-        // screening sums + the totals mirror): 23·3·128·68 counters.
-        // The paper uses 4-byte counters (2.3 MB); ours are 8 bytes.
+        // the paper's r = 3, s = 128 and 280 bytes per bucket (65
+        // four-byte counters + the 4-byte totals mirror + two 8-byte
+        // screening sums): 23·3·128 buckets.
         let config = SketchConfig::paper_default();
         let bytes = predicted_sketch_bytes(&config, 8_000_000);
         let levels = bytes / config.level_bytes() as u64;
         assert_eq!(levels, 23);
-        // 23 × 3 × 128 × 68 × 8 ≈ 4.8 MB (2.3 MB in the paper's 4-byte,
+        // 23 × 3 × 128 × 280 ≈ 2.47 MB (2.3 MB in the paper's
         // 65-counter accounting).
-        assert_eq!(bytes, 23 * 3 * 128 * 68 * 8);
+        assert_eq!(bytes, 23 * 3 * 128 * 280);
     }
 
     #[test]

@@ -39,8 +39,9 @@ use crate::config::SketchConfig;
 pub struct LevelSlabs {
     /// The first-level bucket index this slab belongs to.
     pub level: u32,
-    /// `r·s·65` signature counters, stride-indexed by bucket slot.
-    pub counts: Vec<i64>,
+    /// `r·s·65` four-byte signature counters, stride-indexed by bucket
+    /// slot (checkpoints widen them to 8 bytes on disk).
+    pub counts: Vec<i32>,
     /// `r·s` wrapping key sums, one per bucket slot.
     pub key_sums: Vec<u64>,
     /// `r·s` wrapping fingerprint sums, one per bucket slot.

@@ -66,6 +66,17 @@ pub fn i32_from_u32(v: u32) -> i32 {
     }
 }
 
+/// Narrows an `i64` to `i32`, or `None` when `v` lies outside `i32` —
+/// the checked way in for the sketch's 4-byte counters, which travel
+/// as 8-byte words in checkpoints. Fallible rather than panicking: an
+/// out-of-range counter in a decoded file is a data condition (the
+/// caller refuses the file), never a reason to wrap it silently.
+#[inline]
+#[must_use]
+pub fn i32_from_i64(v: i64) -> Option<i32> {
+    i32::try_from(v).ok()
+}
+
 /// Narrows a `usize` to `u32` — the level/index narrowing path in state
 /// capture and telemetry (indices there are bounded by `max_levels ≤
 /// 64`, so a failure is a logic error, never a data condition).
@@ -206,6 +217,10 @@ mod tests {
         assert_eq!(usize_from_u64(42), 42);
         assert_eq!(u64_from_i64(7), 7);
         assert_eq!(i32_from_u32(63), 63);
+        assert_eq!(i32_from_i64(-(1 << 31)), Some(i32::MIN));
+        assert_eq!(i32_from_i64((1 << 31) - 1), Some(i32::MAX));
+        assert_eq!(i32_from_i64(1 << 31), None);
+        assert_eq!(i32_from_i64(-(1 << 31) - 1), None);
         assert_eq!(u32_from_usize(63), 63);
         assert_eq!(u32_from_usize(usize_from_u32(u32::MAX)), u32::MAX);
     }

@@ -853,5 +853,13 @@ mod tests {
         };
         assert_eq!(keys(&s), keys(&d));
         assert!(s.counters.contains_key("sharded_shards"));
+        for snap in [&d, &s] {
+            assert_eq!(snap.counters.get("counter_headroom_exceeded"), Some(&0));
+            assert!(snap.counters["counter_total_max_abs"] > 0);
+        }
+        assert_eq!(
+            s.counters["counter_total_max_abs"],
+            d.counters["counter_total_max_abs"]
+        );
     }
 }

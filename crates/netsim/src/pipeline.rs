@@ -687,12 +687,15 @@ mod tests {
         assert_monitor_gauges(last);
     }
 
-    /// The monitor's three gauges, present in every mode.
+    /// The monitor's three gauges and the sketch's two counter-headroom
+    /// gauges, present in every mode.
     fn assert_monitor_gauges(line: &str) {
         for gauge in [
             "\"monitor_evaluations\"",
             "\"monitor_baselines\"",
             "\"monitor_active_alarms\"",
+            "\"counter_headroom_exceeded\":0",
+            "\"counter_total_max_abs\"",
         ] {
             assert!(line.contains(gauge), "{gauge} missing from {line}");
         }

@@ -35,6 +35,12 @@
 //! | 4 `Sharded`  | `SHD` `SNP`(nested Sketch)* |
 //! | 5 `Window`   | `WND` `CUR`(nested Tracking) `BAS`(nested Sketch) `WIN`(nested Sketch) `SNP`(nested Sketch)* |
 //!
+//! A `LVL` section's counter slab carries each 4-byte sketch counter
+//! widened to an 8-byte word. Decoding narrows the words back in the
+//! same pass and refuses a slab holding a word outside `i32` with
+//! [`PersistError::CounterOutOfRange`], so no kind can smuggle in a
+//! counter that would wrap.
+//!
 //! Kind 3 was an epoch snapshot ring, retired in favour of the window
 //! document; its byte is never reused, and a file that carries it
 //! decodes to an error. Kind 4 is written only by
@@ -242,7 +248,7 @@ fn write_config(w: &mut ByteWriter, config: &SketchConfig) {
 fn write_level(w: &mut ByteWriter, slab: &LevelSlabs) {
     w.put_u32(slab.level);
     w.put_u64(len_u64(slab.counts.len()));
-    w.put_i64s(&slab.counts);
+    w.put_counters(&slab.counts);
     w.put_u64(len_u64(slab.key_sums.len()));
     w.put_u64s(&slab.key_sums);
     w.put_u64(len_u64(slab.fp_sums.len()));
@@ -539,7 +545,7 @@ fn decode_config(payload: &[u8]) -> Result<SketchConfig, PersistError> {
 fn decode_level(payload: &[u8]) -> Result<LevelSlabs, PersistError> {
     let mut r = ByteReader::new(payload);
     let level = r.u32("level index")?;
-    let counts = r.i64_slab("level counter slab")?;
+    let counts = r.counter_slab("level counter slab")?;
     let key_sums = r.u64_slab("level key-sum slab")?;
     let fp_sums = r.u64_slab("level fp-sum slab")?;
     r.expect_end()?;
@@ -831,7 +837,7 @@ mod tests {
         w.put_u32(slab.level);
         w.put_u64(u64::try_from(slab.counts.len()).unwrap());
         for &c in &slab.counts {
-            w.put_i64(c);
+            w.put_i64(i64::from(c));
         }
         for sums in [&slab.key_sums, &slab.fp_sums] {
             w.put_u64(u64::try_from(sums.len()).unwrap());

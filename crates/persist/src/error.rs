@@ -60,6 +60,15 @@ pub enum PersistError {
         /// Description of the first inconsistency found.
         context: String,
     },
+    /// A counter word lies outside the sketch's 4-byte counter range.
+    /// The format carries counters as 8-byte words; one no running
+    /// sketch could hold is refused here, never wrapped into range.
+    CounterOutOfRange {
+        /// The slab being read.
+        context: String,
+        /// The offending word.
+        value: i64,
+    },
     /// The decoded state failed the sketch's own structural validation
     /// (see [`dcs_core::SketchError::InvalidState`]) or the restored
     /// configuration was rejected.
@@ -114,6 +123,13 @@ impl fmt::Display for PersistError {
             }
             PersistError::Corrupt { context } => {
                 write!(f, "checkpoint is corrupt: {context}")
+            }
+            PersistError::CounterOutOfRange { context, value } => {
+                write!(
+                    f,
+                    "checkpoint {context} holds counter {value}, \
+                     outside the 4-byte counter range"
+                )
             }
             PersistError::State(err) => {
                 write!(f, "restored state rejected: {err}")

@@ -21,6 +21,7 @@
 //! ones it drops ([`LogReplay`]).
 
 use dcs_core::{Delta, FlowKey, FlowUpdate};
+use dcs_hash::cast::u64_from_usize;
 
 use crate::error::PersistError;
 use crate::wire::{crc32, ByteReader};
@@ -33,7 +34,9 @@ pub const LOG_MAGIC: [u8; 8] = *b"DCSULOG\0";
 pub const LOG_FORMAT_VERSION: u32 = 1;
 
 /// Bytes of the log header: magic and version.
-pub const LOG_HEADER_LEN: u64 = 12;
+pub const LOG_HEADER_LEN: u64 = u64_from_usize(HEADER_LEN);
+/// [`LOG_HEADER_LEN`] as an in-memory length.
+const HEADER_LEN: usize = 12;
 
 /// Bytes of a record's frame: CRC and payload length.
 const FRAME_LEN: usize = 12;
@@ -44,12 +47,12 @@ const UPDATE_LEN: usize = 9;
 
 /// Bytes one record of `updates` updates takes in the log.
 pub fn record_len(updates: usize) -> u64 {
-    (FRAME_LEN + START_LEN) as u64 + updates as u64 * UPDATE_LEN as u64
+    u64_from_usize(FRAME_LEN + START_LEN) + u64_from_usize(updates) * u64_from_usize(UPDATE_LEN)
 }
 
 /// The log header.
-pub(crate) fn header() -> [u8; LOG_HEADER_LEN as usize] {
-    let mut out = [0; LOG_HEADER_LEN as usize];
+pub(crate) fn header() -> [u8; HEADER_LEN] {
+    let mut out = [0; HEADER_LEN];
     out[..8].copy_from_slice(&LOG_MAGIC);
     out[8..].copy_from_slice(&LOG_FORMAT_VERSION.to_le_bytes());
     out
@@ -62,7 +65,7 @@ pub(crate) fn encode_record(start: u64, updates: &[FlowUpdate], out: &mut Vec<u8
     let payload_len = START_LEN + updates.len() * UPDATE_LEN;
     out.reserve(FRAME_LEN + payload_len);
     out.extend_from_slice(&[0; 4]);
-    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    out.extend_from_slice(&u64_from_usize(payload_len).to_le_bytes());
     out.extend_from_slice(&start.to_le_bytes());
     for update in updates {
         out.extend_from_slice(&update.key.packed().to_le_bytes());
@@ -208,7 +211,7 @@ pub(crate) fn replay(log: &[u8], from: u64, mut apply: impl FnMut(&[FlowUpdate])
         out.problem = Some(problem);
         return out;
     }
-    let mut at = LOG_HEADER_LEN as usize;
+    let mut at = HEADER_LEN;
     let mut updates = Vec::new();
     while at < log.len() {
         let (start, len) = match decode_record(&log[at..], &mut updates) {
@@ -218,7 +221,7 @@ pub(crate) fn replay(log: &[u8], from: u64, mut apply: impl FnMut(&[FlowUpdate])
                 break;
             }
         };
-        let Some(end) = start.checked_add(updates.len() as u64) else {
+        let Some(end) = start.checked_add(u64_from_usize(updates.len())) else {
             out.problem = Some(PersistError::Corrupt {
                 context: format!("update log record at stream position {start} overflows"),
             });
@@ -241,7 +244,7 @@ pub(crate) fn replay(log: &[u8], from: u64, mut apply: impl FnMut(&[FlowUpdate])
         }
         at += len;
     }
-    out.kept_bytes = at as u64;
+    out.kept_bytes = u64_from_usize(at);
     out.dropped = count_records(&log[at..]);
     out
 }

@@ -19,6 +19,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use dcs_core::FlowUpdate;
+use dcs_hash::cast::u64_from_usize;
 
 use crate::codec::{decode, encode_into, Checkpoint};
 use crate::error::PersistError;
@@ -192,7 +193,7 @@ impl CheckpointManager {
         buf.clear();
         encode_record(start, updates, &mut buf);
         let written = self.write_record(&buf);
-        let size = buf.len() as u64;
+        let size = u64_from_usize(buf.len());
         self.buf = buf;
         if let Err(e) = written {
             self.log.file = None;
@@ -200,7 +201,7 @@ impl CheckpointManager {
         }
         self.log.bytes += size;
         self.log.records += 1;
-        self.log.end = Some(start + updates.len() as u64);
+        self.log.end = Some(start + u64_from_usize(updates.len()));
         Ok(size)
     }
 

@@ -7,6 +7,8 @@
 //! [`PersistError::Truncated`] errors instead of panicking on short
 //! input.
 
+use dcs_hash::cast::{i32_from_i64, usize_from_u32};
+
 use crate::error::PersistError;
 
 /// Slicing-by-16 tables for the reflected IEEE CRC-32 (polynomial
@@ -19,9 +21,9 @@ const CRC32_TABLES: [[u32; 256]; 16] = build_crc32_tables();
 
 const fn build_crc32_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
-    let mut i = 0usize;
+    let mut i = 0u32;
     while i < 256 {
-        let mut c = i as u32;
+        let mut c = i;
         let mut bit = 0;
         while bit < 8 {
             c = if c & 1 != 0 {
@@ -31,7 +33,7 @@ const fn build_crc32_tables() -> [[u32; 256]; 16] {
             };
             bit += 1;
         }
-        tables[0][i] = c;
+        tables[0][usize_from_u32(i)] = c;
         i += 1;
     }
     let mut k = 1usize;
@@ -39,7 +41,7 @@ const fn build_crc32_tables() -> [[u32; 256]; 16] {
         let mut i = 0usize;
         while i < 256 {
             let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            tables[k][i] = (prev >> 8) ^ tables[0][usize_from_u32(prev & 0xff)];
             i += 1;
         }
         k += 1;
@@ -50,7 +52,7 @@ const fn build_crc32_tables() -> [[u32; 256]; 16] {
 /// Table lookup keyed by the low byte of `v`.
 #[inline(always)]
 fn lookup(table: &[u32; 256], v: u32) -> u32 {
-    table[usize::from(v as u8)]
+    table[usize_from_u32(v & 0xff)]
 }
 
 /// Folds one 16-byte block into the CRC register `c`: the register is
@@ -240,10 +242,10 @@ impl ByteWriter {
         self.put_words(vs, u64::to_le_bytes);
     }
 
-    /// Appends a slab of `i64`s, little-endian two's complement, in one
-    /// pass.
-    pub fn put_i64s(&mut self, vs: &[i64]) {
-        self.put_words(vs, i64::to_le_bytes);
+    /// Appends a slab of 4-byte counters, each widened to an `i64`
+    /// word (little-endian two's complement), in one pass.
+    pub fn put_counters(&mut self, vs: &[i32]) {
+        self.put_words(vs, |v| i64::from(v).to_le_bytes());
     }
 
     fn put_words<T: Copy>(&mut self, vs: &[T], to_le: impl Fn(T) -> [u8; 8]) {
@@ -370,16 +372,34 @@ impl<'a> ByteReader<'a> {
         self.word_slab(what, u64::from_le_bytes)
     }
 
-    /// Reads a `u64`-count-prefixed slab of little-endian `i64`s with
-    /// one bounds check for the whole slab.
-    pub fn i64_slab(&mut self, what: &str) -> Result<Vec<i64>, PersistError> {
-        self.word_slab(what, i64::from_le_bytes)
+    /// Reads a `u64`-count-prefixed slab of `i64` counter words and
+    /// narrows each to a 4-byte counter in the same pass, refusing the
+    /// slab with [`PersistError::CounterOutOfRange`] at the first word
+    /// outside `i32`.
+    pub fn counter_slab(&mut self, what: &str) -> Result<Vec<i32>, PersistError> {
+        // The first out-of-range word, noted without leaving the
+        // exact-size pass that fills the slab.
+        let mut refused = None;
+        let slab = self.word_slab(what, |word| {
+            let value = i64::from_le_bytes(word);
+            i32_from_i64(value).unwrap_or_else(|| {
+                refused.get_or_insert(value);
+                0
+            })
+        })?;
+        match refused {
+            None => Ok(slab),
+            Some(value) => Err(PersistError::CounterOutOfRange {
+                context: what.to_string(),
+                value,
+            }),
+        }
     }
 
     fn word_slab<T>(
         &mut self,
         what: &str,
-        from_le: impl Fn([u8; 8]) -> T,
+        mut from_le: impl FnMut([u8; 8]) -> T,
     ) -> Result<Vec<T>, PersistError> {
         let count = self.element_count(8, what)?;
         // `element_count` proved `count × 8` fits and remains.
@@ -512,7 +532,7 @@ mod tests {
         assert!(w.is_empty(), "a reused buffer starts empty");
         w.put_u32(0);
         w.put_u64(3);
-        w.put_i64s(&[-1, 0, i64::MIN]);
+        w.put_counters(&[-1, 0, i32::MIN]);
         w.put_u64(2);
         w.put_u64s(&[u64::MAX, 5]);
         w.patch(0, &9u32.to_le_bytes());
@@ -520,7 +540,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u32("patched").unwrap(), 9);
-        assert_eq!(r.i64_slab("i").unwrap(), vec![-1, 0, i64::MIN]);
+        assert_eq!(r.counter_slab("i").unwrap(), vec![-1, 0, i32::MIN]);
         assert_eq!(r.u64_slab("u").unwrap(), vec![u64::MAX, 5]);
         r.expect_end().unwrap();
     }

@@ -14,6 +14,9 @@
 //!   allows are refused from their headers, without recursion.
 //! * **Round-trip** — proptest-driven encode → decode identity over
 //!   randomized sketch contents.
+//! * **Counter range** — a validly framed document whose 8-byte counter
+//!   word lies outside the sketch's 4-byte counters is refused, never
+//!   wrapped into range.
 //! * **Update log** — the log beside a snapshot cut anywhere in its
 //!   last record, bit-flipped in a middle record, starting past the
 //!   snapshot, or left by another run: each record is applied or
@@ -570,6 +573,92 @@ fn a_fresh_start_after_a_refused_snapshot_never_replays_the_old_log() {
         );
     }
     remove_checkpoint(&path);
+}
+
+/// `bytes` (an encoded document) with the first counter of its first
+/// `LVL` section — the total of bucket slot 0 — set to `word`, and
+/// that section's CRC recomputed, so only the counter range is wrong.
+fn with_first_counter(mut bytes: Vec<u8>, word: i64) -> Vec<u8> {
+    // Sections: CFG, MET, then the levels.
+    let offsets = section_offsets(&bytes).unwrap();
+    let (start, end) = (offsets[2], offsets[3]);
+    assert_eq!(&bytes[start..start + 4], b"LVL\0");
+    // Frame: tag(4) + length(8) + crc(4); payload: level(4) + count(8).
+    let payload = start + 16;
+    bytes[payload + 12..payload + 20].copy_from_slice(&word.to_le_bytes());
+    let crc = crc32(&bytes[payload..end]);
+    bytes[start + 12..start + 16].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn a_counter_outside_i32_is_refused_not_wrapped() {
+    let mut sketch = DistinctCountSketch::new(config(8));
+    for s in 0..40u32 {
+        sketch.insert(SourceAddr(s), DestAddr(s % 3));
+    }
+    let bytes = encode(&Checkpoint::Sketch(sketch.to_state()));
+    // The widest in-range words still decode, to exactly those values.
+    for word in [i64::from(i32::MAX), i64::from(i32::MIN)] {
+        let Checkpoint::Sketch(state) = decode(&with_first_counter(bytes.clone(), word)).unwrap()
+        else {
+            panic!("a sketch document decodes to a sketch");
+        };
+        assert_eq!(i64::from(state.levels[0].counts[0]), word);
+    }
+    // One past either end, and 2³² + 1 (which an `as i32` would wrap to
+    // a plausible total of 1), are refused — in a top-level sketch
+    // document and nested inside a tracking one alike.
+    let mut tracking = TrackingDcs::new(config(8));
+    tracking.insert(SourceAddr(1), DestAddr(2));
+    let tracking_bytes = encode(&Checkpoint::Tracking(tracking.to_state()));
+    for word in [1 << 31, -(1 << 31) - 1, (1 << 32) + 1] {
+        match decode(&with_first_counter(bytes.clone(), word)) {
+            Err(PersistError::CounterOutOfRange { context, value }) => {
+                assert_eq!(value, word);
+                assert_eq!(context, "level counter slab");
+            }
+            other => panic!("counter {word}: expected CounterOutOfRange, got {other:?}"),
+        }
+        let nested = decode(&with_nested_first_counter(&tracking_bytes, word));
+        assert!(
+            matches!(nested, Err(PersistError::CounterOutOfRange { value, .. }) if value == word),
+            "nested counter {word}: {nested:?}"
+        );
+    }
+
+    // The pipeline starts fresh, with a warning, from such a snapshot.
+    let path =
+        std::env::temp_dir().join(format!("dcs-corrupt-counter-{}.ckpt", std::process::id()));
+    remove_checkpoint(&path);
+    std::fs::write(&path, with_first_counter(bytes, (1 << 32) + 1)).unwrap();
+    let feed = flood_feed(8);
+    let report = run_pipeline(vec![feed.clone()], checkpointed(config(8), &path));
+    assert!(!report.restored_from_checkpoint);
+    let mut fresh = DistinctCountSketch::new(config(8));
+    fresh.update_batch(&router_exports(&feed));
+    assert_eq!(
+        report.monitor.sketch().sketch().to_state(),
+        fresh.to_state()
+    );
+    remove_checkpoint(&path);
+}
+
+/// A tracking document whose nested sketch (its `SKC` section) has the
+/// first counter set to `word`, with both layers' CRCs recomputed.
+fn with_nested_first_counter(bytes: &[u8], word: i64) -> Vec<u8> {
+    let offsets = section_offsets(bytes).unwrap();
+    // Sections: SKC (the nested sketch document), TRM, TRK*.
+    let (start, end) = (offsets[0], offsets[1]);
+    assert_eq!(&bytes[start..start + 4], b"SKC\0");
+    let payload = start + 16;
+    let nested = with_first_counter(bytes[payload..end].to_vec(), word);
+    assert_eq!(nested.len(), end - payload);
+    let mut out = bytes.to_vec();
+    out[payload..end].copy_from_slice(&nested);
+    let crc = crc32(&nested);
+    out[start + 12..start + 16].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
 proptest! {
