@@ -68,6 +68,22 @@
 //! zero but whose bit-location counters are not counts as occupied
 //! under the scalar full scan and as empty under the mask — a state no
 //! insert/delete-balanced stream can produce.
+//!
+//! ## Content ids (DESIGN.md §17.1)
+//!
+//! Each level carries one atomic *content id* word that names its slab
+//! contents: two levels with the same id hold byte-for-byte equal
+//! slabs. `0` is unnamed; [`ZERO_ID`] names an all-zero level (fresh
+//! or zero-filled); every other id is drawn once from a process-wide
+//! counter, lazily through `&self` the first time a slide or a clone
+//! reads it. Every write path stores `0` (one plain store through
+//! `&mut self`), and ids are never reused, so equal ids imply equal
+//! content for any lineage. The epoch slide uses this to skip a level
+//! whose base already names the cumulative level's content: its epoch
+//! delta is exactly zero. The id is not a slab — it is never
+//! serialized, and neither equality nor `heap_bytes` sees it.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::signature::{
     counter_slab_is_zero, merge_counter_slab, merge_counter_slab_scalar, merge_sum_slab,
@@ -82,9 +98,30 @@ use dcs_hash::cast::usize_from_u32;
 /// pass — one mask bit per slot, so a `u64` mask fixes this at 64.
 const SCREEN_LANES: usize = 64;
 
+/// The content id of a level whose contents are not named yet.
+const UNNAMED_ID: u64 = 0;
+
+/// The content id of an all-zero level: freshly allocated or
+/// zero-filled by a skipped slide.
+const ZERO_ID: u64 = 1;
+
+/// The next content id to hand out. Process-wide and never reused, so
+/// an id names one content for the life of the process.
+static NEXT_CONTENT_ID: AtomicU64 = AtomicU64::new(ZERO_ID + 1);
+
+/// What [`LevelState::slide_epoch`] did to one level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LevelSlide {
+    /// The epoch changed the level: the fused four-slab pass ran.
+    Fused,
+    /// The base already named the cumulative level's content, so the
+    /// epoch delta was zero: at most the expiring delta was shed.
+    Skipped,
+}
+
 /// Counter storage for one first-level bucket: a flat counter slab plus
 /// parallel screen-sum arrays (see the module docs for the layout).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 #[cfg_attr(
     feature = "serde",
     derive(serde::Serialize, serde::Deserialize),
@@ -106,7 +143,43 @@ pub(crate) struct LevelState {
     /// screen pass never strides over the counter slab (see the module
     /// docs). Never serialized; rebuilt in [`from_parts`](Self::from_parts).
     totals: Box<[i32]>,
+    /// The content id (see the module docs): [`UNNAMED_ID`] after any
+    /// write, named lazily by [`content_id`](Self::content_id).
+    id: AtomicU64,
 }
+
+/// A clone names its source first, so it carries the same content id:
+/// a cloned cumulative sketch still lets the slide skip its unchanged
+/// levels.
+impl Clone for LevelState {
+    fn clone(&self) -> Self {
+        let id = self.content_id();
+        Self {
+            num_tables: self.num_tables,
+            buckets_per_table: self.buckets_per_table,
+            counts: self.counts.clone(),
+            key_sums: self.key_sums.clone(),
+            fp_sums: self.fp_sums.clone(),
+            totals: self.totals.clone(),
+            id: AtomicU64::new(id),
+        }
+    }
+}
+
+/// Slab equality; the content id is a cache of it and does not take
+/// part.
+impl PartialEq for LevelState {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_tables == other.num_tables
+            && self.buckets_per_table == other.buckets_per_table
+            && self.counts == other.counts
+            && self.key_sums == other.key_sums
+            && self.fp_sums == other.fp_sums
+            && self.totals == other.totals
+    }
+}
+
+impl Eq for LevelState {}
 
 impl LevelState {
     /// Allocates an all-empty level with `r` tables of `s` buckets —
@@ -120,7 +193,32 @@ impl LevelState {
             key_sums: vec![0u64; slots].into_boxed_slice(),
             fp_sums: vec![0u64; slots].into_boxed_slice(),
             totals: vec![0; slots].into_boxed_slice(),
+            id: AtomicU64::new(ZERO_ID),
         }
+    }
+
+    /// The level's content id, naming it first if it is unnamed: a
+    /// fresh id from the process-wide counter is installed by
+    /// compare-and-swap, so concurrent readers agree on one id.
+    pub(crate) fn content_id(&self) -> u64 {
+        let id = self.id.load(Ordering::Acquire);
+        if id != UNNAMED_ID {
+            return id;
+        }
+        let fresh = NEXT_CONTENT_ID.fetch_add(1, Ordering::AcqRel);
+        match self
+            .id
+            .compare_exchange(UNNAMED_ID, fresh, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => fresh,
+            Err(named) => named,
+        }
+    }
+
+    /// Marks the contents as changed: the write paths' one plain store.
+    #[inline]
+    fn unname(&mut self) {
+        *self.id.get_mut() = UNNAMED_ID;
     }
 
     /// Rebuilds a level from raw slabs, validating the lengths against
@@ -165,6 +263,7 @@ impl LevelState {
             key_sums: key_sums.into_boxed_slice(),
             fp_sums: fp_sums.into_boxed_slice(),
             totals,
+            id: AtomicU64::new(UNNAMED_ID),
         })
     }
 
@@ -204,6 +303,7 @@ impl LevelState {
     /// A borrowed mutable view of one bucket's counters and screen sums.
     #[inline]
     fn sig_mut(&mut self, table: usize, bucket: usize) -> SigMut<'_> {
+        self.unname();
         let slot = self.slot(table, bucket);
         SigMut::new(
             &mut self.counts[slot * SIGNATURE_LEN..(slot + 1) * SIGNATURE_LEN],
@@ -377,6 +477,7 @@ impl LevelState {
     pub(crate) fn merge_from(&mut self, other: &LevelState) {
         debug_assert_eq!(self.num_tables, other.num_tables);
         debug_assert_eq!(self.buckets_per_table, other.buckets_per_table);
+        self.unname();
         merge_counter_slab(&mut self.counts, &other.counts);
         merge_sum_slab(&mut self.key_sums, &other.key_sums);
         merge_sum_slab(&mut self.fp_sums, &other.fp_sums);
@@ -387,6 +488,7 @@ impl LevelState {
     pub(crate) fn merge_from_scalar(&mut self, other: &LevelState) {
         debug_assert_eq!(self.num_tables, other.num_tables);
         debug_assert_eq!(self.buckets_per_table, other.buckets_per_table);
+        self.unname();
         merge_counter_slab_scalar(&mut self.counts, &other.counts);
         merge_sum_slab_scalar(&mut self.key_sums, &other.key_sums);
         merge_sum_slab_scalar(&mut self.fp_sums, &other.fp_sums);
@@ -398,6 +500,7 @@ impl LevelState {
     pub(crate) fn subtract(&mut self, other: &LevelState) {
         debug_assert_eq!(self.num_tables, other.num_tables);
         debug_assert_eq!(self.buckets_per_table, other.buckets_per_table);
+        self.unname();
         subtract_counter_slab(&mut self.counts, &other.counts);
         subtract_sum_slab(&mut self.key_sums, &other.key_sums);
         subtract_sum_slab(&mut self.fp_sums, &other.fp_sums);
@@ -408,25 +511,40 @@ impl LevelState {
     pub(crate) fn subtract_scalar(&mut self, other: &LevelState) {
         debug_assert_eq!(self.num_tables, other.num_tables);
         debug_assert_eq!(self.buckets_per_table, other.buckets_per_table);
+        self.unname();
         subtract_counter_slab_scalar(&mut self.counts, &other.counts);
         subtract_sum_slab_scalar(&mut self.key_sums, &other.key_sums);
         subtract_sum_slab_scalar(&mut self.fp_sums, &other.fp_sums);
         subtract_counter_slab_scalar(&mut self.totals, &other.totals);
     }
 
-    /// Closes one epoch over this level in one fused pass per slab:
-    /// `d = cumulative − base; window += d − slot; base = cumulative;
-    /// slot = d` (see `slide_kernel!`). `slot` holds the expiring
-    /// delta on entry (an all-zero level when nothing expires) and the
-    /// closing epoch's delta on exit. Each slab is walked once, where
-    /// the unfused composition walks the level five times (two clones,
-    /// two subtractions, one merge) and allocates two copies of it.
+    /// Closes one epoch over this level: `d = cumulative − base;
+    /// window += d − slot; base = cumulative; slot = d`. `slot` holds
+    /// the expiring delta on entry (an all-zero level when nothing
+    /// expires) and the closing epoch's delta on exit.
+    ///
+    /// When `base` already carries `cumulative`'s content id, the two
+    /// are equal and `d` is zero, so the level is skipped: the window
+    /// only sheds a non-zero expiring delta, and the slot is
+    /// zero-filled. Otherwise one fused pass per slab (see
+    /// `slide_kernel!`) does the whole step, walking each slab once
+    /// where the unfused composition walks the level five times (two
+    /// clones, two subtractions, one merge) and allocates two copies
+    /// of it; `base` then takes `cumulative`'s id.
     pub(crate) fn slide_epoch(
         cumulative: &LevelState,
         base: &mut LevelState,
         window: &mut LevelState,
         slot: &mut LevelState,
-    ) {
+    ) -> LevelSlide {
+        let id = cumulative.content_id();
+        if *base.id.get_mut() == id {
+            if *slot.id.get_mut() != ZERO_ID {
+                Self::subtract(window, slot);
+                slot.zero_fill();
+            }
+            return LevelSlide::Skipped;
+        }
         slide_counter_slab(
             &cumulative.counts,
             &mut base.counts,
@@ -451,6 +569,19 @@ impl LevelState {
             &mut window.totals,
             &mut slot.totals,
         );
+        *base.id.get_mut() = id;
+        window.unname();
+        slot.unname();
+        LevelSlide::Fused
+    }
+
+    /// Zeroes every slab in place; the level is then named [`ZERO_ID`].
+    fn zero_fill(&mut self) {
+        self.counts.fill(0);
+        self.key_sums.fill(0);
+        self.fp_sums.fill(0);
+        self.totals.fill(0);
+        *self.id.get_mut() = ZERO_ID;
     }
 
     /// Telemetry gauges for this level: `(occupied, singletons)` —
@@ -733,6 +864,113 @@ mod tests {
         .unwrap();
         assert_mirror(&restored, "after from_parts");
         assert_eq!(restored, a);
+    }
+
+    /// Every write path unnames the level, so a named level carries a
+    /// different id after any write; the slide hands the cumulative
+    /// level's id to the base and `ZERO_ID` to a zero-filled slot; a
+    /// clone carries its source's id; restores are unnamed; and two
+    /// levels with the same history are still named apart.
+    #[test]
+    fn content_id_is_cleared_by_every_write_path() {
+        let filled = |seed: u32| {
+            let mut level = LevelState::new(2, 5);
+            for i in 0..20u32 {
+                level.apply(
+                    usize_from_u32(i % 2),
+                    usize_from_u32(i % 5),
+                    key(seed + i, i),
+                    Delta::Insert,
+                );
+            }
+            level
+        };
+        let other = filled(1_000);
+        type Write = fn(&mut LevelState, &LevelState);
+        let writes: [(&str, Write); 7] = [
+            ("insert", |l, _| l.apply(0, 1, key(3, 4), Delta::Insert)),
+            ("delete", |l, _| l.apply(1, 2, key(0, 0), Delta::Delete)),
+            ("apply_with_fp", |l, _| {
+                let fp = dcs_hash::mix::fingerprint64(key(3, 4).packed());
+                l.apply_with_fp(0, 3, key(3, 4), Delta::Insert, fp);
+            }),
+            ("merge_from", |l, o| l.merge_from(o)),
+            ("merge_from_scalar", |l, o| l.merge_from_scalar(o)),
+            ("subtract", |l, o| l.subtract(o)),
+            ("subtract_scalar", |l, o| l.subtract_scalar(o)),
+        ];
+        for (name, write) in writes {
+            let mut level = filled(0);
+            let before = level.content_id();
+            assert_ne!(before, UNNAMED_ID);
+            assert_eq!(level.content_id(), before, "naming is stable");
+            write(&mut level, &other);
+            assert_eq!(*level.id.get_mut(), UNNAMED_ID, "{name} unnames");
+            assert_ne!(level.content_id(), before, "{name} renames");
+        }
+
+        assert_eq!(LevelState::new(2, 5).content_id(), ZERO_ID);
+        let a = filled(0);
+        let b = filled(0);
+        assert_eq!(a, b);
+        assert_ne!(a.content_id(), b.content_id(), "same history, new id");
+        let copy = a.clone();
+        assert_eq!(copy.content_id(), a.content_id(), "a clone keeps the id");
+        let restored = LevelState::from_parts(
+            2,
+            5,
+            a.counts.to_vec(),
+            a.key_sums.to_vec(),
+            a.fp_sums.to_vec(),
+        )
+        .unwrap();
+        assert_eq!(restored.id.load(Ordering::Acquire), UNNAMED_ID);
+        #[cfg(feature = "serde")]
+        {
+            let back: LevelState =
+                serde_json::from_str(&serde_json::to_string(&a).unwrap()).unwrap();
+            assert_eq!(back.id.load(Ordering::Acquire), UNNAMED_ID);
+        }
+
+        // A changed level takes the fused pass: the base takes the
+        // cumulative id, the window and slot are unnamed.
+        let cumulative = filled(0);
+        let (mut base, mut window, mut slot) = (
+            LevelState::new(2, 5),
+            LevelState::new(2, 5),
+            LevelState::new(2, 5),
+        );
+        let slide = LevelState::slide_epoch(&cumulative, &mut base, &mut window, &mut slot);
+        assert_eq!(slide, LevelSlide::Fused);
+        assert_eq!(base.content_id(), cumulative.content_id());
+        assert_eq!(*window.id.get_mut(), UNNAMED_ID);
+        assert_eq!(*slot.id.get_mut(), UNNAMED_ID);
+        assert_eq!(slot, cumulative, "the first delta is the whole level");
+
+        // Unchanged: the non-zero expiring slot is shed and zero-filled.
+        let mut expected_window = window.clone();
+        expected_window.subtract(&slot);
+        let slide = LevelState::slide_epoch(&cumulative, &mut base, &mut window, &mut slot);
+        assert_eq!(slide, LevelSlide::Skipped);
+        assert_eq!(window, expected_window);
+        assert!(slot.is_zero());
+        assert_eq!(slot.content_id(), ZERO_ID);
+        assert_eq!(*window.id.get_mut(), UNNAMED_ID);
+
+        // Unchanged with a zero slot: nothing is written.
+        let window_id = window.content_id();
+        let slide = LevelState::slide_epoch(&cumulative, &mut base, &mut window, &mut slot);
+        assert_eq!(slide, LevelSlide::Skipped);
+        assert_eq!(window.content_id(), window_id);
+        assert_eq!(slot.content_id(), ZERO_ID);
+
+        // A clone of the cumulative level is skipped too; an equal
+        // level from another history is not.
+        let slide = LevelState::slide_epoch(&cumulative.clone(), &mut base, &mut window, &mut slot);
+        assert_eq!(slide, LevelSlide::Skipped);
+        let slide = LevelState::slide_epoch(&filled(0), &mut base, &mut window, &mut slot);
+        assert_eq!(slide, LevelSlide::Fused);
+        assert_eq!(window, expected_window, "a zero delta changes nothing");
     }
 
     #[test]

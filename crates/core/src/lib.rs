@@ -77,7 +77,7 @@ pub use dcs_hash::det::{DetHashMap, DetHashSet};
 pub use dcs_telemetry as telemetry;
 pub use error::SketchError;
 pub use estimator::{TopKEntry, TopKEstimate};
-pub use sketch::{DistinctCountSketch, DistinctSample, BATCH_CHUNK, BATCH_MIN_ROUTED};
+pub use sketch::{DistinctCountSketch, DistinctSample, EpochSlide, BATCH_CHUNK, BATCH_MIN_ROUTED};
 pub use space::{brute_force_bytes, predicted_sketch_bytes, SpaceReport};
 pub use state::{LevelSlabs, SketchState, TrackingLevelState, TrackingState};
 pub use tracking::TrackingDcs;

@@ -14,7 +14,7 @@ use crate::estimator::{
     frequencies_for_groups, group_frequencies, threshold_from_frequencies, top_k_from_frequencies,
     TopKEstimate,
 };
-use crate::level::LevelState;
+use crate::level::{LevelSlide, LevelState};
 use crate::signature::BucketState;
 use crate::state::{LevelSlabs, SketchState};
 use crate::telem::{Counter, Telem};
@@ -239,6 +239,18 @@ impl Hash64 for TableHash {
             TableHash::Tabulation(h) => h.hash_to_range_fill(keys, range, out),
         }
     }
+}
+
+/// What one [`DistinctCountSketch::slide_epoch`] did, level by level:
+/// of the levels the cumulative sketch holds, how many the epoch
+/// changed (one fused slab pass each) and how many it left unchanged
+/// (skipped by their content ids; at most the expiring delta is shed).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpochSlide {
+    /// Levels that took the fused four-sketch pass.
+    pub levels_slid: u64,
+    /// Levels whose epoch delta was zero and whose pass was skipped.
+    pub levels_skipped: u64,
 }
 
 /// The Basic Distinct-Count Sketch (Fig. 2).
@@ -1047,7 +1059,11 @@ impl DistinctCountSketch {
     /// ```
     ///
     /// but walks each level once and, once every level it touches is
-    /// materialized in all four sketches, allocates nothing.
+    /// materialized in all four sketches, allocates nothing. A level
+    /// the epoch left unchanged — the base names the cumulative level's
+    /// content id (DESIGN.md §17.1) — is not walked at all; only a
+    /// non-zero expiring delta is shed from it. The returned
+    /// [`EpochSlide`] counts both kinds.
     ///
     /// # Errors
     ///
@@ -1063,7 +1079,7 @@ impl DistinctCountSketch {
         cumulative: &Self,
         base: &mut Self,
         slot: &mut Self,
-    ) -> Result<(), SketchError> {
+    ) -> Result<EpochSlide, SketchError> {
         // The composition's checks, in its order and with its errors.
         let incompatible = |a: &SketchConfig, b: &SketchConfig| SketchError::IncompatibleMerge {
             reason: format!("configs differ: {a:?} vs {b:?}"),
@@ -1094,6 +1110,7 @@ impl DistinctCountSketch {
         }
         let (tables, buckets) = (self.config.num_tables(), self.config.buckets_per_table());
         let fresh = || LevelState::new(tables, buckets);
+        let mut slide = EpochSlide::default();
         for (((c, b), w), s) in cumulative
             .levels
             .iter()
@@ -1105,12 +1122,15 @@ impl DistinctCountSketch {
                 // The delta of a level the cumulative sketch holds is
                 // always materialized, so a missing base, accumulator
                 // or slot level is exactly an all-zero one.
-                Some(c) => LevelState::slide_epoch(
+                Some(c) => match LevelState::slide_epoch(
                     c,
                     b.get_or_insert_with(fresh),
                     w.get_or_insert_with(fresh),
                     s.get_or_insert_with(fresh),
-                ),
+                ) {
+                    LevelSlide::Fused => slide.levels_slid += 1,
+                    LevelSlide::Skipped => slide.levels_skipped += 1,
+                },
                 // Only a base or window from another history can hold
                 // a level the cumulative sketch lacks: replay the
                 // unfused level rules (a non-zero base level yields a
@@ -1150,7 +1170,7 @@ impl DistinctCountSketch {
         base.updates_processed = cumulative.updates_processed;
         base.net_updates = cumulative.net_updates;
         base.telem.clone_from(&cumulative.telem);
-        Ok(())
+        Ok(slide)
     }
 
     /// Estimates the distinct-count frequency of a single `group` from

@@ -1025,6 +1025,8 @@ mod tests {
         assert!(last.contains("\"window_epochs_held\""));
         assert!(last.contains("\"window_epochs_capacity\":3"));
         assert!(last.contains("\"window_epochs_rotated\""));
+        assert!(last.contains("\"window_levels_slid\""));
+        assert!(last.contains("\"window_levels_skipped\""));
         let heap = last
             .split("\"window_heap_bytes\":")
             .nth(1)

@@ -32,7 +32,9 @@
 
 use std::collections::VecDeque;
 
-use dcs_core::{DistinctCountSketch, SketchConfig, SketchError, TopKEstimate, TrackingDcs};
+use dcs_core::{
+    DistinctCountSketch, EpochSlide, SketchConfig, SketchError, TopKEstimate, TrackingDcs,
+};
 use dcs_persist::{PersistError, WindowCheckpoint};
 use dcs_telemetry::TelemetrySnapshot;
 
@@ -219,21 +221,23 @@ impl SlidingWindow {
         &mut self,
         cumulative: &DistinctCountSketch,
         base: &mut DistinctCountSketch,
-    ) -> Result<(), SketchError> {
+    ) -> Result<EpochSlide, SketchError> {
         let full = self.ring.len() >= self.epochs;
-        match self.ring.front_mut() {
+        let slide = match self.ring.front_mut() {
             Some(expiring) if full => {
-                self.window.slide_epoch(cumulative, base, expiring)?;
+                let slide = self.window.slide_epoch(cumulative, base, expiring)?;
                 self.ring.rotate_left(1);
+                slide
             }
             _ => {
                 let mut slot = DistinctCountSketch::new(self.config.clone());
-                self.window.slide_epoch(cumulative, base, &mut slot)?;
+                let slide = self.window.slide_epoch(cumulative, base, &mut slot)?;
                 self.ring.push_back(slot);
+                slide
             }
-        }
+        };
         self.epochs_rotated += 1;
-        Ok(())
+        Ok(slide)
     }
 
     /// Top-k groups over the window, straight off the accumulator —
@@ -317,6 +321,9 @@ pub struct EpochWindow {
     policy: WindowPolicy,
     window: SlidingWindow,
     base: DistinctCountSketch,
+    /// Levels slid and skipped by every advance of this process (not
+    /// checkpointed: a restored window counts from zero).
+    slides: EpochSlide,
 }
 
 impl EpochWindow {
@@ -333,6 +340,7 @@ impl EpochWindow {
             window: SlidingWindow::new(config.clone(), policy.epochs()),
             base: DistinctCountSketch::new(config),
             policy,
+            slides: EpochSlide::default(),
         })
     }
 
@@ -342,7 +350,7 @@ impl EpochWindow {
     /// expiring delta, the delta takes the expiring one's ring slot,
     /// and the base advances to `cumulative` — one fused pass over the
     /// four sketches ([`DistinctCountSketch::slide_epoch`], DESIGN.md
-    /// §17.1).
+    /// §17.1), which skips every level the epoch left unchanged.
     ///
     /// # Errors
     ///
@@ -351,7 +359,10 @@ impl EpochWindow {
     /// base (the supplied sketch cannot be a later state of the one the
     /// base was captured from). The window is unchanged on error.
     pub fn advance(&mut self, cumulative: &DistinctCountSketch) -> Result<(), SketchError> {
-        self.window.slide(cumulative, &mut self.base)
+        let slide = self.window.slide(cumulative, &mut self.base)?;
+        self.slides.levels_slid += slide.levels_slid;
+        self.slides.levels_skipped += slide.levels_skipped;
+        Ok(())
     }
 
     /// The policy-weighted windowed top-k: plain accumulator top-k for
@@ -489,6 +500,7 @@ impl EpochWindow {
                 },
                 base,
                 policy,
+                slides: EpochSlide::default(),
             },
             current,
         ))
@@ -499,8 +511,9 @@ impl EpochWindow {
         self.window.heap_bytes() + self.base.heap_bytes()
     }
 
-    /// Stamps the window gauges — ring depth, capacity, rotations, and
-    /// heap bytes — onto a telemetry snapshot under assembly. The one
+    /// Stamps the window gauges — ring depth, capacity, rotations, heap
+    /// bytes, and levels slid and skipped — onto a telemetry snapshot
+    /// under assembly. The one
     /// definition behind a windowed [`crate::Monitor::telemetry_snapshot`].
     pub fn stamp_gauges(&self, snap: &mut TelemetrySnapshot) {
         let gauge = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
@@ -508,6 +521,8 @@ impl EpochWindow {
         snap.set_counter("window_epochs_capacity", gauge(self.window.epochs()));
         snap.set_counter("window_epochs_rotated", self.window.epochs_rotated());
         snap.set_counter("window_heap_bytes", gauge(self.heap_bytes()));
+        snap.set_counter("window_levels_slid", self.slides.levels_slid);
+        snap.set_counter("window_levels_skipped", self.slides.levels_skipped);
     }
 }
 
@@ -631,6 +646,7 @@ mod tests {
                 epochs_rotated: 2,
             },
             base: delta(0, 1, 49),
+            slides: EpochSlide::default(),
         }
     }
 

@@ -228,3 +228,39 @@ fn update_batch_records_each_update_once_and_each_batch_once() {
     assert!(snap.update_latency.is_none(), "single updates are untimed");
     assert!(snap.counters.keys().any(|name| name.starts_with("screen_")));
 }
+
+#[test]
+fn windowed_monitor_snapshot_counts_levels_slid_and_skipped() {
+    use ddos_streams::netsim::window::WindowPolicy;
+    use ddos_streams::netsim::Monitor;
+    use ddos_streams::AlarmPolicy;
+
+    let window = WindowPolicy::Sliding { epochs: 4 };
+    let mut monitor = Monitor::new(config(43), AlarmPolicy::default(), Some(window)).unwrap();
+    let gauges = |monitor: &Monitor| {
+        let snap = monitor.telemetry_snapshot("window");
+        validate_line(&snap.to_jsonl()).expect("windowed snapshot validates");
+        (
+            snap.counters["window_levels_slid"],
+            snap.counters["window_levels_skipped"],
+        )
+    };
+    assert_eq!(gauges(&monitor), (0, 0), "no slide yet");
+
+    // A wide first epoch materializes the high levels; the small
+    // epochs after it only change the low ones. Every level the
+    // cumulative sketch holds is either slid or skipped at each slide.
+    let mut levels_seen = 0u64;
+    for epoch in 0..6u32 {
+        let sources = if epoch == 0 { 4_000 } else { 10 };
+        let updates: Vec<FlowUpdate> = (0..sources)
+            .map(|s| FlowUpdate::insert(SourceAddr(epoch << 16 | s), DestAddr(s % 5)))
+            .collect();
+        monitor.ingest(&updates);
+        monitor.evaluate().unwrap();
+        levels_seen += monitor.cumulative().unwrap().allocated_levels() as u64;
+    }
+    let (slid, skipped) = gauges(&monitor);
+    assert_eq!(slid + skipped, levels_seen);
+    assert!(slid > 0 && skipped > 0, "slid {slid}, skipped {skipped}");
+}

@@ -25,6 +25,8 @@
 //! it. Asserted as precision/recall over the attacked destination,
 //! with a completing flash crowd present to keep precision honest.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
 use ddos_streams::netsim::sharded::ShardedIngest;
@@ -32,6 +34,7 @@ use ddos_streams::netsim::window::{EpochWindow, SlidingWindow, WindowPolicy};
 use ddos_streams::netsim::Monitor;
 use ddos_streams::persist::{decode, encode, Checkpoint, WindowCheckpoint};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
+use ddos_streams::telemetry::TelemetrySnapshot;
 use ddos_streams::{
     AlarmPolicy, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, SourceAddr,
     TrackingDcs,
@@ -512,25 +515,38 @@ impl ComposedWindow {
     }
 }
 
-/// The cumulative sketch a window slides over: ingested directly, or
-/// split across sharded workers and merged at each boundary.
+/// The cumulative sketch a window slides over: ingested directly and
+/// passed as a fresh clone at each boundary, ingested directly and
+/// passed in place, or split across sharded workers and merged at each
+/// boundary.
 enum Cumulative {
-    Direct(DistinctCountSketch),
+    Cloned(DistinctCountSketch),
+    InPlace(DistinctCountSketch),
     Sharded(ShardedIngest),
 }
 
 impl Cumulative {
     fn ingest(&mut self, updates: &[FlowUpdate]) {
         match self {
-            Self::Direct(sketch) => sketch.update_batch(updates),
+            Self::Cloned(sketch) | Self::InPlace(sketch) => sketch.update_batch(updates),
             Self::Sharded(engine) => engine.ingest(updates),
         }
     }
 
-    fn sketch(&mut self) -> DistinctCountSketch {
+    fn sketch(&mut self) -> Cow<'_, DistinctCountSketch> {
         match self {
-            Self::Direct(sketch) => sketch.clone(),
-            Self::Sharded(engine) => engine.merged_sketch().unwrap(),
+            Self::Cloned(sketch) => Cow::Owned(sketch.clone()),
+            Self::InPlace(sketch) => Cow::Borrowed(sketch),
+            Self::Sharded(engine) => Cow::Owned(engine.merged_sketch().unwrap()),
+        }
+    }
+
+    /// Carries on from a restored copy of the cumulative sketch, as a
+    /// resumed monitor does (a sharded engine keeps its shards).
+    fn resume(&mut self, restored: DistinctCountSketch) {
+        match self {
+            Self::Cloned(sketch) | Self::InPlace(sketch) => *sketch = restored,
+            Self::Sharded(_) => {}
         }
     }
 }
@@ -572,10 +588,14 @@ fn assert_same_window(fused: &EpochWindow, oracle: &ComposedWindow) -> Result<()
 enum SlideOp {
     /// Ingest updates into the open epoch (`true` = insert).
     Ingest(Vec<(u32, u32, bool)>),
-    /// Close the epoch on both windows.
+    /// Ingest only those updates whose pairs land on levels 0 and 1,
+    /// so the epoch leaves every higher level unchanged.
+    IngestLow(Vec<(u32, u32, bool)>),
+    /// Close the epoch on both windows. Back-to-back rotations close
+    /// empty epochs.
     Rotate,
-    /// Checkpoint the fused window through the codec and carry on from
-    /// the restore.
+    /// Checkpoint the fused window through the kind-5 codec and carry
+    /// on from the restore, cumulative sketch included.
     Restore,
     /// Advance with a cumulative sketch behind the base (an error once
     /// the base has seen updates).
@@ -587,20 +607,18 @@ enum SlideOp {
 fn slide_op_strategy() -> impl Strategy<Value = SlideOp> {
     let batch = |max| {
         proptest::collection::vec((0u32..100_000, 0u32..6, 0u32..10), 1..max).prop_map(|batch| {
-            SlideOp::Ingest(
-                batch
-                    .into_iter()
-                    .map(|(s, d, roll)| (s, d, roll < 8))
-                    .collect(),
-            )
+            batch
+                .into_iter()
+                .map(|(s, d, roll)| (s, d, roll < 8))
+                .collect::<Vec<_>>()
         })
     };
     // Small epochs stay on the low levels; the occasional large one
     // reaches levels the cumulative sketch never had.
     prop_oneof![
-        batch(20),
-        batch(20),
-        batch(300),
+        batch(20).prop_map(SlideOp::Ingest),
+        batch(20).prop_map(SlideOp::IngestLow),
+        batch(300).prop_map(SlideOp::Ingest),
         Just(SlideOp::Rotate),
         Just(SlideOp::Rotate),
         Just(SlideOp::Rotate),
@@ -610,19 +628,35 @@ fn slide_op_strategy() -> impl Strategy<Value = SlideOp> {
     ]
 }
 
+fn flow_updates(batch: &[(u32, u32, bool)]) -> Vec<FlowUpdate> {
+    batch
+        .iter()
+        .map(|&(s, d, insert)| {
+            if insert {
+                FlowUpdate::insert(SourceAddr(s), DestAddr(d))
+            } else {
+                FlowUpdate::delete(SourceAddr(s), DestAddr(d))
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random ingest/rotate/restore/error interleavings, for N = 1
     /// (tumbling), 2 and 16 — before and after the ring fills — over a
-    /// direct or a sharded-merged cumulative: after every rotation the
-    /// fused window equals the composed one byte for byte, and a failed
-    /// advance leaves the fused window's checkpoint unchanged.
+    /// cumulative passed as a fresh clone, passed in place, or merged
+    /// from shards. Empty epochs and epochs confined to the low levels
+    /// send unchanged levels down the content-id skip. After every
+    /// rotation the fused window equals the composed one byte for
+    /// byte, and a failed advance leaves the fused window's checkpoint
+    /// unchanged.
     #[test]
     fn fused_slide_equals_the_composed_slide_byte_for_byte(
         seed in 0u64..50,
         epochs in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
-        sharded in any::<bool>(),
+        source in 0usize..3,
         ops in proptest::collection::vec(slide_op_strategy(), 1..60),
     ) {
         let policy = if epochs == 1 {
@@ -631,44 +665,47 @@ proptest! {
             WindowPolicy::Sliding { epochs }
         };
         let config = slim_config(seed);
+        let levels = DistinctCountSketch::new(config.clone());
         let mut fused = EpochWindow::new(config.clone(), policy.clone()).unwrap();
         let mut oracle = ComposedWindow::new(config.clone(), epochs);
-        let mut cumulative = if sharded {
-            Cumulative::Sharded(ShardedIngest::new(config.clone(), 2))
-        } else {
-            Cumulative::Direct(DistinctCountSketch::new(config.clone()))
+        let mut cumulative = match source {
+            0 => Cumulative::Cloned(DistinctCountSketch::new(config.clone())),
+            1 => Cumulative::InPlace(DistinctCountSketch::new(config.clone())),
+            _ => Cumulative::Sharded(ShardedIngest::new(config.clone(), 2)),
         };
         let current = TrackingDcs::new(config.clone());
         for op in ops.iter().chain([&SlideOp::Rotate]) {
+            let stale;
             let supplied = match op {
                 SlideOp::Ingest(batch) => {
-                    let updates: Vec<FlowUpdate> = batch
-                        .iter()
-                        .map(|&(s, d, insert)| {
-                            if insert {
-                                FlowUpdate::insert(SourceAddr(s), DestAddr(d))
-                            } else {
-                                FlowUpdate::delete(SourceAddr(s), DestAddr(d))
-                            }
-                        })
-                        .collect();
+                    cumulative.ingest(&flow_updates(batch));
+                    continue;
+                }
+                SlideOp::IngestLow(batch) => {
+                    let mut updates = flow_updates(batch);
+                    updates.retain(|u| levels.level_of(u.key) < 2);
                     cumulative.ingest(&updates);
                     continue;
                 }
                 SlideOp::Restore => {
-                    let now = cumulative.sketch();
+                    let now = cumulative.sketch().into_owned();
                     let doc = fused.to_checkpoint(&TrackingDcs::from_sketch(now));
                     let Checkpoint::Window(doc) =
                         decode(&encode(&Checkpoint::Window(doc))).unwrap()
                     else {
                         panic!("wrong document kind");
                     };
-                    fused = EpochWindow::from_checkpoint(doc, policy.clone()).unwrap().0;
+                    let (restored, now) = EpochWindow::from_checkpoint(doc, policy.clone()).unwrap();
+                    fused = restored;
+                    cumulative.resume(now.into_sketch());
                     continue;
                 }
                 SlideOp::Rotate => cumulative.sketch(),
-                SlideOp::Stale => DistinctCountSketch::new(config.clone()),
-                SlideOp::Foreign => DistinctCountSketch::new(slim_config(seed + 1_000)),
+                SlideOp::Stale => {
+                    stale = DistinctCountSketch::new(config.clone());
+                    Cow::Borrowed(&stale)
+                }
+                SlideOp::Foreign => Cow::Owned(DistinctCountSketch::new(slim_config(seed + 1_000))),
             };
             let before = fused.to_checkpoint(&current);
             let got = fused.advance(&supplied);
@@ -679,6 +716,52 @@ proptest! {
             assert_same_window(&fused, &oracle)?;
         }
     }
+}
+
+/// The content-id skip at `pulse_sliding`'s shape: 2 000-update epochs
+/// through a 16-epoch window over a cumulative sketch that already
+/// spans more levels than one epoch reaches. Most boundaries leave the
+/// top levels unchanged, so the window must skip levels — and still
+/// equal the composed slide byte for byte, through the ring's wrap.
+#[test]
+fn pulse_shaped_epochs_skip_unchanged_levels_and_match_the_composition() {
+    let config = SketchConfig::paper_default();
+    let policy = WindowPolicy::Sliding { epochs: 16 };
+    let mut fused = EpochWindow::new(config.clone(), policy).unwrap();
+    let mut oracle = ComposedWindow::new(config.clone(), 16);
+    let mut cumulative = DistinctCountSketch::new(config);
+    let prefill: Vec<FlowUpdate> = (0..1u32 << 17)
+        .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(s % 64)))
+        .collect();
+    cumulative.update_batch(&prefill);
+    for epoch in 0..20u32 {
+        let base = (epoch + 2) << 17;
+        let mut updates: Vec<FlowUpdate> = (0..1_800u32)
+            .map(|s| FlowUpdate::insert(SourceAddr(base + s), DestAddr(s % 8)))
+            .collect();
+        // Half-open flows of the previous epoch time out.
+        updates.extend(
+            (0..200u32)
+                .map(|s| FlowUpdate::delete(SourceAddr(base - (1 << 17) + s), DestAddr(s % 8))),
+        );
+        if epoch > 0 {
+            cumulative.update_batch(&updates);
+        } else {
+            cumulative.update_batch(&updates[..1_800]);
+        }
+        fused.advance(&cumulative).unwrap();
+        oracle.advance(&cumulative).unwrap();
+        if epoch % 8 == 7 || epoch == 19 {
+            assert_same_window(&fused, &oracle).unwrap();
+        }
+    }
+    let mut snap = TelemetrySnapshot::new("pulse");
+    fused.stamp_gauges(&mut snap);
+    let (slid, skipped) = (
+        snap.counters["window_levels_slid"],
+        snap.counters["window_levels_skipped"],
+    );
+    assert!(slid > 0 && skipped > 0, "slid {slid}, skipped {skipped}");
 }
 
 #[test]
@@ -694,7 +777,7 @@ fn fused_slide_matches_across_a_new_level_with_the_ring_full() {
         let mut cumulative = if sharded {
             Cumulative::Sharded(ShardedIngest::new(slim_config(5), 3))
         } else {
-            Cumulative::Direct(DistinctCountSketch::new(slim_config(5)))
+            Cumulative::Cloned(DistinctCountSketch::new(slim_config(5)))
         };
         let mut levels_before = 0;
         for (epoch, size) in [8u32, 8, 4_000, 30].into_iter().enumerate() {
@@ -702,7 +785,7 @@ fn fused_slide_matches_across_a_new_level_with_the_ring_full() {
                 .map(|s| FlowUpdate::insert(SourceAddr(epoch as u32 * 10_000 + s), DestAddr(s % 5)))
                 .collect();
             cumulative.ingest(&updates);
-            let now = cumulative.sketch();
+            let now = cumulative.sketch().into_owned();
             if epoch == 2 {
                 assert_eq!(fused.window().len(), 2, "the ring is full");
                 assert!(
@@ -757,14 +840,18 @@ proptest! {
     /// sketches, so every combination of present, absent and all-zero
     /// levels across cumulative, base, accumulator and expiring delta
     /// occurs: equal results on success, the same error with all four
-    /// sketches untouched on failure.
+    /// sketches untouched on failure. Half the cases slide against a
+    /// base cloned from the cumulative sketch, so every level takes
+    /// the content-id skip.
     #[test]
     fn slide_epoch_equals_the_composition_on_arbitrary_sketches(
         cumulative in arbitrary_sketch(40),
         base in arbitrary_sketch(20),
         window in arbitrary_sketch(40),
         expiring in arbitrary_sketch(20),
+        base_is_cumulative in any::<bool>(),
     ) {
+        let base = if base_is_cumulative { cumulative.clone() } else { base };
         let composed = (|| {
             let delta = cumulative.difference(&base)?;
             let mut w = window.clone();
@@ -776,7 +863,14 @@ proptest! {
         let fused = w.slide_epoch(&cumulative, &mut b, &mut slot);
         match composed {
             Ok((want_w, want_b, want_slot)) => {
-                prop_assert_eq!(fused, Ok(()));
+                let slide = fused.unwrap();
+                prop_assert_eq!(
+                    slide.levels_slid + slide.levels_skipped,
+                    cumulative.allocated_levels() as u64
+                );
+                if base_is_cumulative {
+                    prop_assert_eq!(slide.levels_slid, 0);
+                }
                 prop_assert_eq!(w.to_state(), want_w.to_state());
                 prop_assert_eq!(b.to_state(), want_b.to_state());
                 prop_assert_eq!(slot.to_state(), want_slot.to_state());
