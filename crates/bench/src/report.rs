@@ -12,7 +12,7 @@
 //!
 //! The parser is deliberately strict to the shape `render_json` in
 //! `vendor/criterion` emits — this is a sidecar-format reader, not a
-//! general JSON parser (the vendored serde_json is a placeholder).
+//! general JSON parser (the workspace has no JSON dependency).
 
 /// One benchmark's measurement within a single run.
 #[derive(Debug, Clone, PartialEq, Eq)]

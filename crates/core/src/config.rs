@@ -16,7 +16,6 @@ use crate::types::GroupBy;
 /// 16 KiB of tables per function — the `ablation_hash` bench compares
 /// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HashFamily {
     /// Dietzfelbinger multiply-shift (pairwise independent, fastest).
     #[default]
@@ -57,14 +56,12 @@ pub const KEY_BITS: u32 = 64;
 /// # Ok::<(), dcs_core::SketchError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SketchConfig {
     num_tables: usize,
     buckets_per_table: usize,
     max_levels: u32,
     seed: u64,
     group_by: GroupBy,
-    #[cfg_attr(feature = "serde", serde(default))]
     hash_family: HashFamily,
 }
 
@@ -413,14 +410,5 @@ mod tests {
         assert_eq!(small.level_bytes(), 2 * SketchConfig::signature_bytes());
         let paper = SketchConfig::paper_default();
         assert_eq!(paper.level_bytes(), 3 * 128 * 280);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn config_serde_roundtrips() {
-        let c = SketchConfig::builder().seed(42).build().unwrap();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: SketchConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -24,7 +24,6 @@ use crate::types::GroupBy;
 /// One group (destination or source address, per the sketch's
 /// [`GroupBy`]) with its estimated distinct-count frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TopKEntry {
     /// The grouping address (destination for DDoS, source for scans).
     pub group: u32,
@@ -58,7 +57,6 @@ impl TopKEntry {
 /// alongside the entries so callers can assess estimate quality
 /// (C-INTERMEDIATE).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TopKEstimate {
     /// The approximate top-k groups, most frequent first. Ordering is
     /// deterministic: descending estimated frequency, ties broken by the

@@ -122,11 +122,6 @@ pub(crate) enum LevelSlide {
 /// Counter storage for one first-level bucket: a flat counter slab plus
 /// parallel screen-sum arrays (see the module docs for the layout).
 #[derive(Debug)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(try_from = "LevelStateRepr", into = "LevelStateRepr")
-)]
 pub(crate) struct LevelState {
     /// Number of second-level tables (`r`).
     num_tables: usize,
@@ -222,8 +217,8 @@ impl LevelState {
     }
 
     /// Rebuilds a level from raw slabs, validating the lengths against
-    /// the `(r, s)` dimensions — the single reconstruction path shared
-    /// by the persistence state layer and the serde representation.
+    /// the `(r, s)` dimensions — the single reconstruction path, used by
+    /// the persistence state layer.
     pub(crate) fn from_parts(
         num_tables: usize,
         buckets_per_table: usize,
@@ -315,7 +310,7 @@ impl LevelState {
     /// Applies an update to bucket `bucket` of table `table` (hashes the
     /// key's fingerprint itself; the sketch's hot paths use
     /// [`apply_with_fp`](Self::apply_with_fp) instead).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     #[inline]
     pub(crate) fn apply(&mut self, table: usize, bucket: usize, key: FlowKey, delta: Delta) {
         self.apply_with_fp(
@@ -327,9 +322,8 @@ impl LevelState {
         );
     }
 
-    /// [`apply`](Self::apply) with the key's fingerprint precomputed, so
-    /// the sketch hashes the key once per update instead of once per
-    /// table.
+    /// Applies an update with the key's fingerprint precomputed, so the
+    /// sketch hashes the key once per update instead of once per table.
     #[inline]
     pub(crate) fn apply_with_fp(
         &mut self,
@@ -677,56 +671,6 @@ impl LevelState {
     }
 }
 
-/// Wire representation of a [`LevelState`]: the slabs as plain vectors
-/// plus the dimensions needed to validate them on the way back in.
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct LevelStateRepr {
-    num_tables: usize,
-    buckets_per_table: usize,
-    /// Counters widened to 8 bytes, as the checkpoint format carries
-    /// them; narrowed with a range check on the way back in.
-    counts: Vec<i64>,
-    key_sums: Vec<u64>,
-    fp_sums: Vec<u64>,
-}
-
-#[cfg(feature = "serde")]
-impl From<LevelState> for LevelStateRepr {
-    fn from(state: LevelState) -> Self {
-        Self {
-            num_tables: state.num_tables,
-            buckets_per_table: state.buckets_per_table,
-            counts: state.counts.iter().map(|&c| i64::from(c)).collect(),
-            key_sums: state.key_sums.into_vec(),
-            fp_sums: state.fp_sums.into_vec(),
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-impl TryFrom<LevelStateRepr> for LevelState {
-    type Error = String;
-
-    fn try_from(repr: LevelStateRepr) -> Result<Self, Self::Error> {
-        let counts = repr
-            .counts
-            .iter()
-            .map(|&c| {
-                dcs_hash::cast::i32_from_i64(c)
-                    .ok_or_else(|| format!("counter {c} lies outside the 4-byte counter range"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        LevelState::from_parts(
-            repr.num_tables,
-            repr.buckets_per_table,
-            counts,
-            repr.key_sums,
-            repr.fp_sums,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,12 +869,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(restored.id.load(Ordering::Acquire), UNNAMED_ID);
-        #[cfg(feature = "serde")]
-        {
-            let back: LevelState =
-                serde_json::from_str(&serde_json::to_string(&a).unwrap()).unwrap();
-            assert_eq!(back.id.load(Ordering::Acquire), UNNAMED_ID);
-        }
 
         // A changed level takes the fused pass: the base takes the
         // cumulative id, the window and slot are unnamed.
@@ -1110,22 +1048,5 @@ mod tests {
         scalar.subtract_scalar(&b);
         assert_eq!(wide, scalar);
         assert_eq!(wide, a);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip_preserves_arena_and_rejects_bad_lengths() {
-        let mut level = LevelState::new(2, 4);
-        level.apply(0, 1, key(1, 2), Delta::Insert);
-        level.apply(1, 3, key(3, 4), Delta::Insert);
-        let json = serde_json::to_string(&level).unwrap();
-        let back: LevelState = serde_json::from_str(&json).unwrap();
-        assert_eq!(level, back);
-
-        // A truncated counter slab must fail validation, not panic later.
-        let mut repr = LevelStateRepr::from(level);
-        repr.counts.pop();
-        let corrupt = serde_json::to_string(&repr).unwrap();
-        assert!(serde_json::from_str::<LevelState>(&corrupt).is_err());
     }
 }

@@ -26,8 +26,8 @@
 //! values: each level keeps one contiguous counter slab plus two
 //! parallel screen-sum arrays, and borrows individual buckets through
 //! `SigRef` / `SigMut`. All decode/screen/apply logic lives on the
-//! views; the owned [`CountSignature`] (still the public, serde-derived
-//! type for standalone use) delegates every operation through a view of
+//! views; the owned [`CountSignature`] (still the public type for
+//! standalone use) delegates every operation through a view of
 //! its own fields, so the two representations cannot drift.
 //!
 //! This module is also the only place allowed to perform arithmetic on
@@ -785,8 +785,8 @@ slide_kernel!(
 ///
 /// The sketch's arena storage borrows buckets as `SigRef`/`SigMut`
 /// instead of holding `CountSignature` values; this owned type remains
-/// the public, serializable unit for standalone signatures and
-/// delegates all logic to the same view implementations.
+/// the public unit for standalone signatures and delegates all logic
+/// to the same view implementations.
 ///
 /// # Examples
 ///
@@ -802,7 +802,6 @@ slide_kernel!(
 /// assert_eq!(sig.decode(), BucketState::Empty);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountSignature {
     /// `counts[0]` is the total element count; `counts[1 + j]` is the
     /// bit-location count for bit `j` of the packed pair.
@@ -870,23 +869,23 @@ impl CountSignature {
     }
 
     /// The screen class of the current state.
+    #[cfg(test)]
     #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn screen_class(&self) -> ScreenClass {
         self.view().screen_class()
     }
 
     /// The screen class the signature *would* have after applying
     /// `(key, delta)` — see [`SigRef::screen_class_after`].
+    #[cfg(test)]
     #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn screen_class_after(&self, key: FlowKey, delta: Delta, fp: u64) -> ScreenClass {
         self.view().screen_class_after(key, delta, fp)
     }
 
     /// Hot-path fast skip — see [`SigRef::skips_as_own_singleton`].
+    #[cfg(test)]
     #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn skips_as_own_singleton(&self, key: FlowKey, delta: Delta, fp: u64) -> bool {
         self.view().skips_as_own_singleton(key, delta, fp)
     }

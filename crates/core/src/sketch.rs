@@ -204,7 +204,6 @@ impl DistinctSample {
 
 /// A second-level hash function of the configured [`HashFamily`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum TableHash {
     MultiplyShift(MultiplyShiftHash),
     Tabulation(Box<TabulationHash>),
@@ -286,7 +285,6 @@ pub struct EpochSlide {
 /// assert_eq!(top.entries[0].group, 7);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistinctCountSketch {
     config: SketchConfig,
     level_hash: GeometricLevelHash,
@@ -294,10 +292,9 @@ pub struct DistinctCountSketch {
     levels: Vec<Option<LevelState>>,
     updates_processed: u64,
     net_updates: i64,
-    /// Telemetry recorder. Not part of the synopsis state, so it is
-    /// skipped by serialization and ignored by equality-style
-    /// comparisons. Boxed so the sketch itself stays a few words wide.
-    #[cfg_attr(feature = "serde", serde(skip, default))]
+    /// Telemetry recorder. Not part of the synopsis state, so
+    /// checkpoints leave it out and equality-style comparisons ignore
+    /// it. Boxed so the sketch itself stays a few words wide.
     pub(crate) telem: Box<Telem>,
 }
 
@@ -1828,36 +1825,6 @@ mod tests {
         assert_eq!(est.entries.len(), 4);
         let total: u64 = est.entries.iter().map(|e| e.estimated_frequency).sum();
         assert!((100..400).contains(&total), "total = {total}");
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn tabulation_sketch_serde_roundtrips() {
-        let config = SketchConfig::builder()
-            .buckets_per_table(64)
-            .hash_family(crate::config::HashFamily::Tabulation)
-            .seed(25)
-            .build()
-            .unwrap();
-        let mut sketch = DistinctCountSketch::new(config);
-        for s in 0..100u32 {
-            sketch.insert(SourceAddr(s), DestAddr(1));
-        }
-        let json = serde_json::to_string(&sketch).unwrap();
-        let back: DistinctCountSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(sketch.estimate_top_k(1, 0.25), back.estimate_top_k(1, 0.25));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn sketch_serde_roundtrips_and_answers_identically() {
-        let mut sketch = DistinctCountSketch::new(small_config(13));
-        for s in 0..500u32 {
-            sketch.insert(SourceAddr(s), DestAddr(s % 7));
-        }
-        let json = serde_json::to_string(&sketch).unwrap();
-        let back: DistinctCountSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(sketch.estimate_top_k(3, 0.25), back.estimate_top_k(3, 0.25));
     }
 
     #[test]

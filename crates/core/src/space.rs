@@ -10,7 +10,6 @@ use crate::config::SketchConfig;
 
 /// A storage breakdown for one synopsis, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpaceReport {
     /// Bytes in count-signature counter slabs (each allocated level
     /// holds its `r·s` signatures in three flat arrays).

@@ -794,24 +794,6 @@ impl Default for TrackingDcs {
     }
 }
 
-/// Serialized as the underlying basic sketch alone; the tracking
-/// structures (singleton sets, heaps) are derived state and are rebuilt
-/// on deserialization.
-#[cfg(feature = "serde")]
-impl serde::Serialize for TrackingDcs {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.sketch.serialize(serializer)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for TrackingDcs {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let sketch = DistinctCountSketch::deserialize(deserializer)?;
-        Ok(TrackingDcs::from_sketch(sketch))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1043,20 +1025,6 @@ mod tests {
         recent.check_tracking_invariants().unwrap();
         assert_eq!(recent.estimate_distinct_pairs(0.25), 4);
         assert_eq!(recent.track_top_k(1, 0.25).entries[0].group, 2);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn tracking_serde_roundtrip_rebuilds_state() {
-        let mut t = TrackingDcs::new(small_config(12));
-        for s in 0..500u32 {
-            t.insert(SourceAddr(s), DestAddr(s % 9));
-        }
-        let json = serde_json::to_string(&t).unwrap();
-        let back: TrackingDcs = serde_json::from_str(&json).unwrap();
-        back.check_tracking_invariants().unwrap();
-        assert_eq!(t.track_top_k(9, 0.25), back.track_top_k(9, 0.25));
-        assert_eq!(t.updates_processed(), back.updates_processed());
     }
 
     proptest::proptest! {

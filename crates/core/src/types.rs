@@ -20,7 +20,6 @@ use std::net::Ipv4Addr;
 /// assert_eq!(u32::from(s), 0x0a000001);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SourceAddr(pub u32);
 
 /// A destination IP address in the integer domain `[m] = [2^32]`.
@@ -34,7 +33,6 @@ pub struct SourceAddr(pub u32);
 /// assert_eq!(d.to_ipv4(), std::net::Ipv4Addr::new(127, 0, 0, 1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DestAddr(pub u32);
 
 impl SourceAddr {
@@ -117,7 +115,6 @@ impl fmt::Display for DestAddr {
 /// assert_eq!(key.dest(), DestAddr(0x11223344));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowKey(u64);
 
 impl FlowKey {
@@ -180,7 +177,6 @@ impl fmt::Display for FlowKey {
 /// [`Delta::Insert`] and the legitimacy-establishing ACK as
 /// [`Delta::Delete`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Delta {
     /// `+1`: net frequency of the pair increases.
     Insert,
@@ -220,7 +216,6 @@ impl fmt::Display for Delta {
 /// assert_eq!(up.key.dest(), DestAddr(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowUpdate {
     /// The source-destination pair the update refers to.
     pub key: FlowKey,
@@ -275,7 +270,6 @@ impl fmt::Display for FlowUpdate {
 /// often spray a /24 rather than one host, and per-host counts dilute
 /// below any threshold while the prefix total stands out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GroupBy {
     /// Group by destination: `f_v` = number of distinct sources with
     /// positive net count towards `v`. DDoS-victim detection.

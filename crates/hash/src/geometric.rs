@@ -26,7 +26,6 @@ use crate::mix::mix64;
 /// assert!(h.level(12345) < 64);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeometricLevelHash {
     seed: u64,
     max_level: u32,

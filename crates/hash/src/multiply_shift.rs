@@ -24,7 +24,6 @@ use crate::Hash64;
 /// assert!(bucket < 128);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiplyShiftHash {
     multiplier: u64,
     addend: u64,

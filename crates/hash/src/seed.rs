@@ -22,7 +22,6 @@ use crate::mix::derive_seed;
 /// assert_ne!(a.next_seed(), a.next_seed()); // but a stream, not a constant
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeedSequence {
     root: u64,
     index: u64,

@@ -144,23 +144,6 @@ impl Hash64 for TabulationHash {
     }
 }
 
-/// Serialized as the seed alone; tables are rebuilt on deserialization,
-/// so round-tripping costs 8 bytes instead of 16 KiB.
-#[cfg(feature = "serde")]
-impl serde::Serialize for TabulationHash {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.seed.serialize(serializer)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for TabulationHash {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let seed = u64::deserialize(deserializer)?;
-        Ok(TabulationHash::new(seed))
-    }
-}
-
 impl std::fmt::Debug for TabulationHash {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TabulationHash")

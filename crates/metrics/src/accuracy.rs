@@ -6,7 +6,6 @@ use dcs_core::TopKEstimate;
 
 /// A combined accuracy measurement for one top-k query.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyReport {
     /// `k` used for the query.
     pub k: usize,

@@ -7,7 +7,6 @@
 
 /// Summary statistics over a set of samples.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stats {
     /// Number of samples.
     pub count: usize,

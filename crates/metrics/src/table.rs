@@ -6,6 +6,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use dcs_telemetry::json_string;
+
 /// A fixed-width text table.
 ///
 /// # Examples
@@ -90,7 +92,6 @@ impl Table {
 
 /// A machine-readable experiment result, one per figure/table run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentRecord {
     /// Experiment identifier, e.g. `"fig8a"`.
     pub experiment: String,
@@ -125,8 +126,8 @@ impl ExperimentRecord {
     /// Serializes to pretty JSON.
     ///
     /// Hand-rolled (two flat string maps and one series map) so record
-    /// emission works without a JSON dependency; the output matches
-    /// what `serde_json::to_string_pretty` produces for this struct.
+    /// emission needs no JSON dependency: two-space indentation, one
+    /// entry per line, maps in key order, empty maps as `{}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = write!(out, "  \"experiment\": {}", json_string(&self.experiment));
@@ -152,29 +153,8 @@ impl ExperimentRecord {
     }
 }
 
-/// Renders a JSON string literal with the escapes JSON requires.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders an `f64` as a JSON number (JSON has no NaN/Infinity; they
-/// are mapped to `null`, matching serde_json's lossy behavior).
+/// are mapped to `null`, so a failed point reads back as missing).
 fn json_number(x: f64) -> String {
     if x.is_finite() {
         let mut s = format!("{x}");
@@ -245,20 +225,6 @@ mod tests {
         assert!(json.contains("\"series\": {}"));
         let nan = ExperimentRecord::new("x").with_series("s", vec![f64::NAN]);
         assert!(nan.to_json().contains("[null]"));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn record_roundtrips_through_json() {
-        let rec = ExperimentRecord::new("fig8a")
-            .parameter("U", 8_000_000u64)
-            .parameter("z", 1.5f64)
-            .with_series("recall", vec![1.0, 0.9, 0.86]);
-        let json = rec.to_json();
-        let back: ExperimentRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(rec, back);
-        assert_eq!(back.parameters["U"], "8000000");
-        assert_eq!(back.series["recall"].len(), 3);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::time::Instant;
 
 /// Summary statistics over a set of timed runs, in microseconds.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingStats {
     /// Number of operations timed.
     pub operations: u64,

@@ -31,7 +31,6 @@ use crate::window::{EpochWindow, WindowPolicy};
 
 /// Alarm thresholds and baseline smoothing.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AlarmPolicy {
     /// Estimated distinct-source frequency that always raises an alarm.
     pub absolute_threshold: u64,
@@ -70,7 +69,6 @@ impl Default for AlarmPolicy {
 
 /// A raised alarm for one destination.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Alarm {
     /// The destination address under suspected attack.
     pub dest: u32,
@@ -86,7 +84,6 @@ pub struct Alarm {
 
 /// Which rule fired an alarm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AlarmReason {
     /// The estimate crossed the absolute threshold.
     AbsoluteThreshold,
@@ -96,7 +93,6 @@ pub enum AlarmReason {
 
 /// A transition in a destination's alarm state.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AlarmEvent {
     /// The destination entered the alarmed state.
     Raised(Alarm),

@@ -32,7 +32,6 @@ use crate::packet::{TcpFlags, TcpSegment};
 /// An aggregated flow record (NetFlow v5-like, reduced to the fields
 /// the monitor consumes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowRecord {
     /// Client (initiator) address.
     pub src: SourceAddr,

@@ -22,7 +22,6 @@ use dcs_core::{DestAddr, SourceAddr};
 /// assert!(!synack.contains(TcpFlags::RST));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TcpFlags(u8);
 
 impl TcpFlags {
@@ -103,7 +102,6 @@ impl fmt::Display for TcpFlags {
 /// the server as `src`. Handshake tracking canonicalizes to the
 /// client→server flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TcpSegment {
     /// Sender address.
     pub src: SourceAddr,

@@ -21,7 +21,6 @@ use crate::flow_table::FlowTable;
 
 /// A connectionless datagram (UDP or ICMP — the tracker does not care).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Datagram {
     /// Sender address.
     pub src: SourceAddr,

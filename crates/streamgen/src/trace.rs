@@ -2,9 +2,7 @@
 //!
 //! NetFlow-scale streams are large (the paper quotes 500 GB/day for one
 //! backbone); a 9-byte fixed record (8-byte packed pair + 1-byte delta)
-//! keeps recorded workloads replayable without JSON overhead. JSON
-//! (via serde) remains available for small, human-readable fixtures —
-//! `FlowUpdate` derives `Serialize`/`Deserialize` in `dcs-core`.
+//! keeps recorded workloads replayable without JSON overhead.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

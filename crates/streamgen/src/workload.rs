@@ -26,7 +26,6 @@ use crate::zipf::Zipf;
 /// `z ∈ {1.0, 1.5, 2.0, 2.5}`. Those sizes are minutes of work; tests
 /// and quick runs use scaled-down values.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadConfig {
     /// `U`: total number of distinct source-destination pairs.
     pub distinct_pairs: u64,

@@ -40,5 +40,5 @@ pub use counter::{Counter, CounterSet};
 pub use exporter::{sidecar_path, JsonlExporter};
 pub use hist::LogHistogram;
 pub use schema::validate_line;
-pub use snapshot::{LevelGauges, TelemetrySnapshot};
+pub use snapshot::{json_string, LevelGauges, TelemetrySnapshot};
 pub use stats::{LatencyStats, SizeStats};

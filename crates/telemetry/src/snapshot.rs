@@ -163,8 +163,17 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Renders a JSON string literal with required escapes.
-fn json_string(s: &str) -> String {
+/// Renders `s` as a quoted JSON string literal: `"` and `\` are
+/// backslash-escaped, control characters take their short escape or
+/// `\u00xx`. Shared by the workspace's hand-written JSON emitters
+/// (telemetry snapshots, experiment records).
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(dcs_telemetry::json_string("a\"b\n"), r#""a\"b\n""#);
+/// ```
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -15,7 +15,6 @@
 /// quantiles are therefore bucket-resolution approximations (within a
 /// factor of 2) while `count` and `max_micros` are exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyStats {
     /// Number of operations recorded.
     pub count: u64,
@@ -56,7 +55,6 @@ impl LatencyStats {
 /// quantiles are bucket-resolution approximations (within a factor of
 /// 2) while `count` and `max` are exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SizeStats {
     /// Number of samples recorded.
     pub count: u64,

@@ -22,28 +22,139 @@ use ddos_streams::{
     TrackingDcs, WorkloadConfig,
 };
 
-/// Minimal `--flag value` argument extraction.
+/// One subcommand: the `--flag value` options and bare `--switch`es it
+/// takes, and its body.
+struct Cmd {
+    name: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const COMMANDS: &[Cmd] = &[
+    Cmd {
+        name: "generate",
+        values: &["--output", "--pairs", "--dests", "--skew", "--seed"],
+        switches: &[],
+        run: cmd_generate,
+    },
+    Cmd {
+        name: "attack",
+        values: &[
+            "--output",
+            "--victim",
+            "--sources",
+            "--background",
+            "--flash",
+            "--clients",
+            "--seed",
+        ],
+        switches: &[],
+        run: cmd_attack,
+    },
+    Cmd {
+        name: "topk",
+        values: &[
+            "--input",
+            "--k",
+            "--shards",
+            "--query",
+            "--window",
+            "--epoch",
+            "--lambda",
+            "--buckets",
+            "--seed",
+        ],
+        switches: &["--by-source"],
+        run: cmd_topk,
+    },
+    Cmd {
+        name: "monitor",
+        values: &["--input", "--threshold", "--every", "--buckets", "--seed"],
+        switches: &[],
+        run: cmd_monitor,
+    },
+    Cmd {
+        name: "stats",
+        values: &["--input", "--buckets", "--seed"],
+        switches: &[],
+        run: cmd_stats,
+    },
+    Cmd {
+        name: "hierarchy",
+        values: &["--input", "--k", "--threshold", "--buckets", "--seed"],
+        switches: &[],
+        run: cmd_hierarchy,
+    },
+    Cmd {
+        name: "compare",
+        values: &["--input", "--k", "--buckets", "--seed"],
+        switches: &[],
+        run: cmd_compare,
+    },
+    Cmd {
+        name: "timeline",
+        values: &["--output", "--victim", "--peak", "--seed"],
+        switches: &[],
+        run: cmd_timeline,
+    },
+    Cmd {
+        name: "replay",
+        values: &["--input", "--threshold", "--every", "--buckets", "--seed"],
+        switches: &[],
+        run: cmd_replay,
+    },
+];
+
+/// One command's arguments, checked against what the command takes.
 struct Args {
-    raw: Vec<String>,
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
 }
 
 impl Args {
-    fn parse() -> (Option<String>, Args) {
-        let mut raw: Vec<String> = std::env::args().skip(1).collect();
-        let command = if raw.first().is_some_and(|a| !a.starts_with("--")) {
-            Some(raw.remove(0))
-        } else {
-            None
+    /// Parses `raw` for `cmd`. A flag `cmd` does not take, a value flag
+    /// with no value after it, a repeated flag or a stray word is an
+    /// error naming it: a misspelled option must never fall back to
+    /// its default.
+    fn parse(cmd: &Cmd, raw: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            values: Vec::new(),
+            switches: Vec::new(),
         };
-        (command, Args { raw })
+        let mut words = raw.iter().peekable();
+        while let Some(word) = words.next() {
+            if args.values.iter().any(|(f, _)| f == word) || args.has(word) {
+                return Err(format!("{word} given twice"));
+            }
+            if let Some(&flag) = cmd.values.iter().find(|f| *f == word) {
+                let value = words
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))?;
+                args.values.push((flag, value.clone()));
+            } else if let Some(&switch) = cmd.switches.iter().find(|f| *f == word) {
+                args.switches.push(switch);
+            } else if word.starts_with("--") {
+                return Err(format!(
+                    "{} does not take {word} (see `dcsmon help`)",
+                    cmd.name
+                ));
+            } else {
+                return Err(format!("unexpected argument {word:?}"));
+            }
+        }
+        Ok(args)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
     }
 
     fn value(&self, flag: &str) -> Option<&str> {
-        self.raw
+        self.values
             .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .map(String::as_str)
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
     }
 
     fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
@@ -95,17 +206,19 @@ USAGE:
       (the default) weights every epoch equally.
 
   dcsmon monitor --input <file> [--threshold N] [--every N] [--buckets S]
+                 [--seed S]
       Replay with periodic alarm evaluation; print raised alarms.
 
-  dcsmon stats --input <file> [--buckets S]
+  dcsmon stats --input <file> [--buckets S] [--seed S]
       Trace statistics: updates, net count, exact vs sketch-estimated
       distinct pairs and top destination.
 
-  dcsmon hierarchy --input <file> [--k N] [--buckets S]
+  dcsmon hierarchy --input <file> [--k N] [--threshold N] [--buckets S]
+                   [--seed S]
       Top-k at host, /24, and /16 destination granularity, plus the
       finest granularity crossing --threshold (default 500).
 
-  dcsmon compare --input <file> [--k N]
+  dcsmon compare --input <file> [--k N] [--buckets S] [--seed S]
       Run the Distinct-Count Sketch, an insert-only per-destination FM
       baseline, and the exact tracker over the trace; print their
       top-k side by side.
@@ -115,27 +228,27 @@ USAGE:
       --peak sources/tick, plus a low-rate pulse attack.
 
   dcsmon replay --input <timed-file> [--threshold N] [--every TICKS]
+                [--buckets S] [--seed S]
       Replay a timed trace against the monitor, evaluating every
       --every ticks; print the time-stamped alarm timeline.
 ";
 
 fn main() -> ExitCode {
-    let (command, args) = Args::parse();
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let command = if raw.first().is_some_and(|a| !a.starts_with("--")) {
+        Some(raw.remove(0))
+    } else {
+        None
+    };
     let result = match command.as_deref() {
-        Some("generate") => cmd_generate(&args),
-        Some("attack") => cmd_attack(&args),
-        Some("topk") => cmd_topk(&args),
-        Some("monitor") => cmd_monitor(&args),
-        Some("stats") => cmd_stats(&args),
-        Some("hierarchy") => cmd_hierarchy(&args),
-        Some("timeline") => cmd_timeline(&args),
-        Some("replay") => cmd_replay(&args),
-        Some("compare") => cmd_compare(&args),
         Some("help") | None => {
             print!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(cmd) => Args::parse(cmd, &raw).and_then(|args| (cmd.run)(&args)),
+            None => Err(format!("unknown command {name:?}\n\n{USAGE}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -213,12 +326,11 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
 fn cmd_topk(args: &Args) -> Result<(), String> {
     let updates = read_trace(args)?;
     let k = args.number("--k", 10usize)?;
-    let group_by =
-        if args.value("--by-source").is_some() || args.raw.iter().any(|a| a == "--by-source") {
-            GroupBy::Source
-        } else {
-            GroupBy::Destination
-        };
+    let group_by = if args.has("--by-source") {
+        GroupBy::Source
+    } else {
+        GroupBy::Destination
+    };
     let shards = args.number("--shards", 1usize)?;
     let window_epochs = args.number("--window", 0usize)?;
     if window_epochs > 0 {

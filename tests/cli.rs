@@ -337,3 +337,51 @@ fn topk_window_rejects_lambda_outside_the_unit_interval() {
     }
     std::fs::remove_file(&trace).ok();
 }
+
+/// Runs `dcsmon` and asserts it fails before printing anything, with an
+/// error that names `flag`.
+fn assert_rejected(args: &[&str], flag: &str) {
+    let out = dcsmon().args(args).output().expect("run dcsmon");
+    assert!(!out.status.success(), "{args:?} was accepted");
+    assert!(out.stdout.is_empty(), "{args:?} printed output");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(flag), "{args:?}: {err}");
+}
+
+#[test]
+fn misspelled_window_flag_is_rejected_not_ignored() {
+    let trace = window_trace("window-misspelled.dcs");
+    let input = trace.to_str().unwrap();
+    assert_rejected(&["topk", "--input", input, "--windw", "2"], "--windw");
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn misspelled_monitor_flag_is_rejected_not_ignored() {
+    let trace = window_trace("monitor-misspelled.dcs");
+    let input = trace.to_str().unwrap();
+    assert_rejected(
+        &["monitor", "--input", input, "--treshold", "5"],
+        "--treshold",
+    );
+    // `--by-source` is a topk switch; monitor does not take it.
+    assert_rejected(&["monitor", "--input", input, "--by-source"], "--by-source");
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn value_flag_without_a_value_is_rejected() {
+    let trace = window_trace("valueless.dcs");
+    let input = trace.to_str().unwrap();
+    assert_rejected(&["topk", "--input", input, "--k"], "--k");
+    assert_rejected(&["topk", "--input", input, "--k", "--by-source"], "--k");
+    assert_rejected(&["topk", "--input", input, "--k", "3", "--k", "4"], "--k");
+    // The switch still parses when it is spelled right.
+    let out = dcsmon()
+        .args(["topk", "--input", input, "--k", "2", "--by-source"])
+        .output()
+        .expect("run dcsmon");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("top-2 sources"));
+    std::fs::remove_file(&trace).ok();
+}
