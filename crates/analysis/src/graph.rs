@@ -15,8 +15,10 @@
 //!
 //! [`HOT_PATH_ROOTS`] lists the entry points with the effect classes
 //! each forbids. Update-path roots (`update`, `update_batch`,
-//! `screened_apply`, `ingest_*`) forbid **all** effects — the paper's
-//! real-time guarantee is O(1) bounded work per packet. Query-path
+//! `screened_apply`, `ingest_batch`) forbid **all** effects — the
+//! paper's real-time guarantee is O(1) bounded work per packet.
+//! `Monitor::ingest` forbids the blocking classes only: its sharded arm
+//! copies each handoff slice into a worker's ring. Query-path
 //! roots (`estimate_top_k`, `track_top_k`) forbid only *blocking*
 //! effects (lock/sleep/I/O): assembling a top-k answer inherently
 //! allocates its output, but it must never stall the ingest threads it
@@ -55,8 +57,10 @@ pub const HOT_PATH_ROOTS: &[RootSpec] = &[
     ("DistinctCountSketch", "screened_apply", FORBID_ALL),
     ("TrackingDcs", "update", FORBID_ALL),
     ("TrackingDcs", "update_batch", FORBID_ALL),
-    ("DdosMonitor", "ingest_one", FORBID_ALL),
     ("DdosMonitor", "ingest_batch", FORBID_ALL),
+    // Every `run_pipeline` update; the sharded arm copies each slice
+    // into a ring but never blocks (DESIGN.md §14).
+    ("Monitor", "ingest", FORBID_BLOCKING),
     // Query path: runs concurrently with ingest, must not block it.
     ("DistinctCountSketch", "estimate_top_k", FORBID_BLOCKING),
     ("TrackingDcs", "track_top_k", FORBID_BLOCKING),

@@ -10,7 +10,8 @@
 //! Expected shape: latency falls with the attack rate — the alarm
 //! fires as soon as the cumulative distinct-source count crosses the
 //! threshold, i.e. after `threshold / rate` ticks (plus one evaluation
-//! period) — and undetected below the threshold.
+//! period). The binary asserts that shape, with every seed detected at
+//! every rate, after writing its record.
 //!
 //! Run: `cargo run -p dcs-bench --release --bin detection_latency`
 
@@ -53,7 +54,8 @@ fn run_once(
         evaluate_every_ticks: 10,
         half_open_timeout: None,
     };
-    let outcome = run_simulation(&driver.into_segments(), config);
+    let outcome =
+        run_simulation(&driver.into_segments(), config).expect("all-time monitor evaluates");
     let variant = if absolute_only { "absolute" } else { "full" };
     let snapshot = outcome
         .monitor
@@ -79,6 +81,7 @@ fn main() {
         .parameter("seeds", SEEDS.len());
     let mut mean_latencies = Vec::new();
     let mut mean_absolute = Vec::new();
+    let mut missed = Vec::new();
 
     let summarize = |latencies: &[f64]| -> (String, f64) {
         if latencies.is_empty() {
@@ -108,6 +111,9 @@ fn main() {
             absolute.extend(latency.map(|l| l as f64));
         }
         let detected = full.len();
+        if detected < SEEDS.len() || absolute.len() < SEEDS.len() {
+            missed.push(rate);
+        }
         let (full_summary, full_mean) = summarize(&full);
         let (abs_summary, abs_mean) = summarize(&absolute);
         println!(
@@ -135,11 +141,19 @@ fn main() {
     rec = rec
         .parameter("attack_rates", format!("{ATTACK_RATES:?}"))
         .with_series("mean_latency_full", mean_latencies)
-        .with_series("mean_latency_absolute_only", mean_absolute);
+        .with_series("mean_latency_absolute_only", mean_absolute.clone());
     if let Some(path) = emit_record(&rec) {
         println!("wrote {}", path.display());
         if let Some(sidecar) = emit_telemetry(&path, &telemetry) {
             println!("wrote {}", sidecar.display());
         }
     }
+    assert!(
+        missed.is_empty(),
+        "some seeds missed the flood at rates {missed:?}"
+    );
+    assert!(
+        mean_absolute.windows(2).all(|w| w[1] <= w[0]),
+        "absolute-only latency rose with the rate: {mean_absolute:?}"
+    );
 }

@@ -18,9 +18,7 @@ use dcs_baselines::SampleAndHold;
 use dcs_bench::{emit_record, emit_telemetry, SEEDS};
 use dcs_core::{DestAddr, SketchConfig};
 use dcs_metrics::{ExperimentRecord, Table};
-use dcs_netsim::{
-    AlarmPolicy, DdosMonitor, HandshakeTracker, Monitor, TrafficDriver, WindowPolicy,
-};
+use dcs_netsim::{AlarmPolicy, HandshakeTracker, Monitor, TrafficDriver, WindowPolicy};
 use dcs_streamgen::TimelineBuilder;
 use dcs_telemetry::TelemetrySnapshot;
 
@@ -59,7 +57,7 @@ fn run_once(attack_sources: u32, seed: u64) -> Outcome {
 
     // Detector 1: sketch monitor over handshake-derived updates.
     let mut tracker = HandshakeTracker::new(None);
-    let mut monitor = DdosMonitor::new(
+    let mut monitor = Monitor::new(
         SketchConfig::builder()
             .buckets_per_table(1024)
             .seed(seed)
@@ -69,7 +67,10 @@ fn run_once(attack_sources: u32, seed: u64) -> Outcome {
             absolute_threshold: ALARM_THRESHOLD,
             ..AlarmPolicy::default()
         },
-    );
+        None,
+    )
+    .expect("all-time monitor");
+    let mut updates = Vec::new();
     // Detector 2: aggregate SYN−FIN CUSUM over fixed intervals, with a
     // training period covering the calm phase.
     let mut cusum = SynFinCusum::new(1.0, 6.0, 0.2).with_warmup(8);
@@ -81,9 +82,7 @@ fn run_once(attack_sources: u32, seed: u64) -> Outcome {
     let mut volume = SampleAndHold::new(0.0005, 4096, seed);
 
     for segment in &segments {
-        if let Some(update) = tracker.observe(segment) {
-            monitor.ingest_one(update);
-        }
+        updates.extend(tracker.observe(segment));
         while segment.timestamp >= interval_end {
             cusum_fires |= cusum.observe(counts);
             counts = IntervalCounts::default();
@@ -101,7 +100,8 @@ fn run_once(attack_sources: u32, seed: u64) -> Outcome {
     }
     cusum_fires |= cusum.observe(counts);
 
-    let alarms = monitor.evaluate();
+    monitor.ingest(&updates);
+    let alarms = monitor.evaluate().expect("one direct sketch");
     let dcs_names_victim = alarms.iter().any(|a| a.dest == victim.0);
     let dcs_false_alarm = alarms.iter().any(|a| a.dest != victim.0);
     let volume_names_victim = volume

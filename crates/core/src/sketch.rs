@@ -908,49 +908,9 @@ impl DistinctCountSketch {
     }
 
     fn difference_impl(&self, snapshot: &Self, wide: bool) -> Result<Self, SketchError> {
-        if !self.is_compatible(snapshot) {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!("configs differ: {:?} vs {:?}", self.config, snapshot.config),
-            });
-        }
-        if snapshot.updates_processed > self.updates_processed {
-            self.telem.incr(Counter::SnapshotAheadRejected);
-            return Err(SketchError::SnapshotAhead {
-                snapshot_updates: snapshot.updates_processed,
-                current_updates: self.updates_processed,
-            });
-        }
+        self.check_subtrahend(snapshot)?;
         let mut diff = self.clone();
-        for (mine, theirs) in diff.levels.iter_mut().zip(&snapshot.levels) {
-            match (mine.as_mut(), theirs) {
-                (Some(a), Some(b)) => {
-                    if wide {
-                        a.subtract(b);
-                    } else {
-                        a.subtract_scalar(b);
-                    }
-                }
-                (None, Some(b))
-                    // Level never touched here but present in the
-                    // snapshot: only sound if the snapshot level is
-                    // all-zero (anything else would go negative).
-                    if !(if wide { b.is_zero() } else { b.is_zero_scalar() }) => {
-                        let mut fresh =
-                            LevelState::new(self.config.num_tables(), self.config.buckets_per_table());
-                        if wide {
-                            fresh.subtract(b);
-                        } else {
-                            fresh.subtract_scalar(b);
-                        }
-                        *mine = Some(fresh);
-                    }
-                _ => {}
-            }
-        }
-        // Safe plain subtraction: the snapshot-ahead guard above already
-        // rejected `snapshot.updates_processed > self.updates_processed`.
-        diff.updates_processed = self.updates_processed - snapshot.updates_processed;
-        diff.net_updates = self.net_updates - snapshot.net_updates;
+        diff.subtract_levels(snapshot, wide);
         Ok(diff)
     }
 
@@ -990,19 +950,37 @@ impl DistinctCountSketch {
     }
 
     fn subtract_impl(&mut self, expired: &Self, wide: bool) -> Result<(), SketchError> {
-        if !self.is_compatible(expired) {
+        self.check_subtrahend(expired)?;
+        self.subtract_levels(expired, wide);
+        Ok(())
+    }
+
+    /// The checks [`difference`](Self::difference) and
+    /// [`subtract`](Self::subtract) run before they touch a counter:
+    /// `other` must share this sketch's configuration and must not have
+    /// processed more updates (counted as `snapshot_ahead_rejected` on
+    /// this sketch).
+    fn check_subtrahend(&self, other: &Self) -> Result<(), SketchError> {
+        if !self.is_compatible(other) {
             return Err(SketchError::IncompatibleMerge {
-                reason: format!("configs differ: {:?} vs {:?}", self.config, expired.config),
+                reason: format!("configs differ: {:?} vs {:?}", self.config, other.config),
             });
         }
-        if expired.updates_processed > self.updates_processed {
+        if other.updates_processed > self.updates_processed {
             self.telem.incr(Counter::SnapshotAheadRejected);
             return Err(SketchError::SnapshotAhead {
-                snapshot_updates: expired.updates_processed,
+                snapshot_updates: other.updates_processed,
                 current_updates: self.updates_processed,
             });
         }
-        for (mine, theirs) in self.levels.iter_mut().zip(&expired.levels) {
+        Ok(())
+    }
+
+    /// Subtracts `other`'s levels and counts from this sketch's, through
+    /// the wide slab kernels or (`wide` false) the retained scalar ones.
+    /// [`check_subtrahend`](Self::check_subtrahend) must have passed.
+    fn subtract_levels(&mut self, other: &Self, wide: bool) {
+        for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             match (mine.as_mut(), theirs) {
                 (Some(a), Some(b)) => {
                     if wide {
@@ -1012,9 +990,9 @@ impl DistinctCountSketch {
                     }
                 }
                 (None, Some(b))
-                    // Level never touched here but present in the
-                    // expired delta: only sound if that level is
-                    // all-zero (anything else would go negative).
+                    // Level never touched here but present in `other`:
+                    // only sound if that level is all-zero (anything
+                    // else would go negative).
                     if !(if wide { b.is_zero() } else { b.is_zero_scalar() }) => {
                         let mut fresh =
                             LevelState::new(self.config.num_tables(), self.config.buckets_per_table());
@@ -1028,11 +1006,10 @@ impl DistinctCountSketch {
                 _ => {}
             }
         }
-        // Safe plain subtraction: the snapshot-ahead guard above already
-        // rejected `expired.updates_processed > self.updates_processed`.
-        self.updates_processed -= expired.updates_processed;
-        self.net_updates -= expired.net_updates;
-        Ok(())
+        // Plain subtraction: `check_subtrahend` rejected
+        // `other.updates_processed > self.updates_processed`.
+        self.updates_processed -= other.updates_processed;
+        self.net_updates -= other.net_updates;
     }
 
     /// Closes one epoch of a sliding window in a single pass over four

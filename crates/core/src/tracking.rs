@@ -287,23 +287,6 @@ impl TrackingDcs {
         }
     }
 
-    /// Processes a stream of updates, chunking it through
-    /// [`update_batch`](Self::update_batch) so iterator callers get the
-    /// batched fast path for free.
-    pub fn extend<I: IntoIterator<Item = FlowUpdate>>(&mut self, updates: I) {
-        let mut buf: Vec<FlowUpdate> = Vec::with_capacity(BATCH_CHUNK);
-        for u in updates {
-            buf.push(u);
-            if buf.len() == BATCH_CHUNK {
-                self.update_batch(&buf);
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            self.update_batch(&buf);
-        }
-    }
-
     /// Fig. 6, steps 15–23: the pair became a singleton in one more
     /// table of level `level`.
     fn incr_singleton(&mut self, level: usize, key: FlowKey) {
@@ -973,7 +956,7 @@ mod tests {
     #[test]
     fn update_counters_delegate() {
         let mut t = TrackingDcs::new(small_config(8));
-        t.extend([
+        t.update_batch(&[
             FlowUpdate::new(SourceAddr(1), DestAddr(2), Delta::Insert),
             FlowUpdate::new(SourceAddr(1), DestAddr(2), Delta::Delete),
         ]);

@@ -10,9 +10,9 @@
 
 use std::collections::HashMap;
 
-use dcs_core::SketchConfig;
+use dcs_core::{SketchConfig, SketchError};
 
-use crate::monitor::{Alarm, AlarmPolicy, DdosMonitor};
+use crate::monitor::{Alarm, AlarmPolicy, Monitor};
 use crate::packet::TcpSegment;
 use crate::router::EdgeRouter;
 
@@ -55,7 +55,7 @@ pub struct SimulationOutcome {
     /// Every alarm raised, in time order.
     pub alarms: Vec<TimedAlarm>,
     /// Final monitor state.
-    pub monitor: DdosMonitor,
+    pub monitor: Monitor,
     /// Ticks simulated (last segment's timestamp).
     pub end_tick: u64,
 }
@@ -89,7 +89,12 @@ impl SimulationOutcome {
 /// Runs a monitoring simulation over a time-ordered packet feed.
 ///
 /// Alarm evaluation fires at every `evaluate_every_ticks` boundary the
-/// feed crosses, plus once at the end.
+/// feed crosses, plus once at the end. Each evaluation first ingests
+/// the router exports of the interval before it in one batch.
+///
+/// # Errors
+///
+/// Propagates [`Monitor::evaluate`]'s error, unreachable all-time.
 ///
 /// # Panics
 ///
@@ -107,16 +112,20 @@ impl SimulationOutcome {
 /// driver.syn_flood(DestAddr(9), 3_000);
 /// let mut config = SimulationConfig::default();
 /// config.policy.absolute_threshold = 500;
-/// let outcome = run_simulation(&driver.into_segments(), config);
+/// let outcome = run_simulation(&driver.into_segments(), config)?;
 /// assert!(outcome.first_alarm_for(9).is_some());
+/// # Ok::<(), dcs_core::SketchError>(())
 /// ```
-pub fn run_simulation(segments: &[TcpSegment], config: SimulationConfig) -> SimulationOutcome {
+pub fn run_simulation(
+    segments: &[TcpSegment],
+    config: SimulationConfig,
+) -> Result<SimulationOutcome, SketchError> {
     assert!(
         config.evaluate_every_ticks > 0,
         "tick interval must be positive"
     );
     let mut router = EdgeRouter::new(0, config.half_open_timeout);
-    let mut monitor = DdosMonitor::new(config.sketch, config.policy);
+    let mut monitor = Monitor::new(config.sketch, config.policy, None)?;
     let mut alarms = Vec::new();
     let mut next_eval = config.evaluate_every_ticks;
     let mut last_tick = 0u64;
@@ -124,8 +133,8 @@ pub fn run_simulation(segments: &[TcpSegment], config: SimulationConfig) -> Simu
         assert!(segment.timestamp >= last_tick, "feed must be time-ordered");
         last_tick = segment.timestamp;
         while segment.timestamp >= next_eval {
-            monitor.ingest(router.drain_exports());
-            alarms.extend(monitor.evaluate().into_iter().map(|alarm| TimedAlarm {
+            monitor.ingest(&router.drain_exports());
+            alarms.extend(monitor.evaluate()?.into_iter().map(|alarm| TimedAlarm {
                 at: next_eval,
                 alarm,
             }));
@@ -133,16 +142,16 @@ pub fn run_simulation(segments: &[TcpSegment], config: SimulationConfig) -> Simu
         }
         router.observe(segment);
     }
-    monitor.ingest(router.drain_exports());
-    alarms.extend(monitor.evaluate().into_iter().map(|alarm| TimedAlarm {
+    monitor.ingest(&router.drain_exports());
+    alarms.extend(monitor.evaluate()?.into_iter().map(|alarm| TimedAlarm {
         at: last_tick,
         alarm,
     }));
-    SimulationOutcome {
+    Ok(SimulationOutcome {
         alarms,
         monitor,
         end_tick: last_tick,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -180,7 +189,7 @@ mod tests {
         }
         let attack_start = 1_000u64;
         driver.syn_flood(victim, 2_000);
-        let outcome = run_simulation(&driver.into_segments(), config(400, 20));
+        let outcome = run_simulation(&driver.into_segments(), config(400, 20)).unwrap();
         let latency = outcome
             .detection_latency(victim.0, attack_start)
             .expect("attack detected");
@@ -193,7 +202,7 @@ mod tests {
     fn calm_run_raises_no_alarms() {
         let mut driver = TrafficDriver::new(2);
         driver.legitimate_sessions(DestAddr(1), 500);
-        let outcome = run_simulation(&driver.into_segments(), config(100, 10));
+        let outcome = run_simulation(&driver.into_segments(), config(100, 10)).unwrap();
         assert!(outcome.alarms.is_empty());
         assert!(outcome.alarmed().is_empty());
         assert!(outcome.end_tick > 0);
@@ -208,7 +217,7 @@ mod tests {
             driver.legitimate_sessions(DestAddr(0x0b00_0001), 100);
             driver.advance_clock(200);
             driver.syn_flood(victim, sources);
-            let outcome = run_simulation(&driver.into_segments(), config(300, 5));
+            let outcome = run_simulation(&driver.into_segments(), config(300, 5)).unwrap();
             outcome.detection_latency(victim.0, 200).expect("detected")
         };
         let slow = latency_for(400, 3); // barely over threshold

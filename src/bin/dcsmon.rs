@@ -15,11 +15,11 @@ use std::net::Ipv4Addr;
 use std::process::ExitCode;
 
 use ddos_streams::baselines::ExactDistinctTracker;
-use ddos_streams::netsim::Monitor;
+use ddos_streams::netsim::{AlarmEvent, Monitor};
 use ddos_streams::streamgen::{decode_trace, encode_trace};
 use ddos_streams::{
-    AlarmPolicy, DdosMonitor, DestAddr, GroupBy, PaperWorkload, ScenarioBuilder, SketchConfig,
-    TrackingDcs, WorkloadConfig,
+    AlarmPolicy, DestAddr, GroupBy, PaperWorkload, ScenarioBuilder, SketchConfig, TrackingDcs,
+    WorkloadConfig,
 };
 
 /// One subcommand: the `--flag value` options and bare `--switch`es it
@@ -620,6 +620,23 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// One `replay` event line, after its time stamp.
+fn event_line(event: &AlarmEvent) -> String {
+    match event {
+        AlarmEvent::Raised(alarm) => format!(
+            "RAISED  {} ≈ {} ({:?})",
+            DestAddr(alarm.dest),
+            alarm.estimated_frequency,
+            alarm.reason
+        ),
+        AlarmEvent::Cleared {
+            dest,
+            estimated_frequency,
+            ..
+        } => format!("CLEARED {} ≈ {estimated_frequency}", DestAddr(*dest)),
+    }
+}
+
 fn cmd_replay(args: &Args) -> Result<(), String> {
     use ddos_streams::streamgen::decode_timed_trace;
     let path = args.required("--input")?;
@@ -627,49 +644,37 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let timed = decode_timed_trace(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
     let threshold = args.number("--threshold", 500u64)?;
     let every = args.number("--every", 50u64)?.max(1);
-    let mut monitor = DdosMonitor::new(
+    let mut monitor = Monitor::new(
         sketch_config(args, GroupBy::Destination)?,
         AlarmPolicy {
             absolute_threshold: threshold,
             ..AlarmPolicy::default()
         },
-    );
+        None,
+    )
+    .map_err(|e| e.to_string())?;
+    // Each tick interval's updates, ingested in one batch before the
+    // evaluation that closes the interval.
+    let mut pending = Vec::new();
     let mut next_eval = every;
     let mut events_total = 0usize;
     for t in &timed {
         while t.at >= next_eval {
-            for event in monitor.evaluate_events() {
+            monitor.ingest(&pending);
+            pending.clear();
+            for event in monitor.evaluate_events().map_err(|e| e.to_string())? {
                 events_total += 1;
-                match event {
-                    ddos_streams::netsim::AlarmEvent::Raised(alarm) => println!(
-                        "[t={next_eval}] RAISED  {} ≈ {} ({:?})",
-                        DestAddr(alarm.dest),
-                        alarm.estimated_frequency,
-                        alarm.reason
-                    ),
-                    ddos_streams::netsim::AlarmEvent::Cleared {
-                        dest,
-                        estimated_frequency,
-                        ..
-                    } => println!(
-                        "[t={next_eval}] CLEARED {} ≈ {estimated_frequency}",
-                        DestAddr(dest)
-                    ),
-                }
+                println!("[t={next_eval}] {}", event_line(&event));
             }
             next_eval += every;
         }
-        monitor.ingest_one(t.update);
+        pending.push(t.update);
     }
-    for event in monitor.evaluate_events() {
+    monitor.ingest(&pending);
+    for event in monitor.evaluate_events().map_err(|e| e.to_string())? {
         events_total += 1;
-        if let ddos_streams::netsim::AlarmEvent::Raised(alarm) = event {
-            println!(
-                "[end] RAISED  {} ≈ {} ({:?})",
-                DestAddr(alarm.dest),
-                alarm.estimated_frequency,
-                alarm.reason
-            );
+        if matches!(event, AlarmEvent::Raised(_)) {
+            println!("[end] {}", event_line(&event));
         }
     }
     println!(

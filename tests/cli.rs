@@ -218,22 +218,38 @@ fn timeline_and_replay_commands() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("timed updates"));
 
-    let out = dcsmon()
-        .args([
-            "replay",
-            "--input",
-            trace.to_str().unwrap(),
-            "--threshold",
-            "400",
-            "--every",
-            "50",
-        ])
-        .output()
-        .expect("replay");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("RAISED  10.0.0.9"), "{text}");
-    assert!(text.contains("currently alarmed"), "{text}");
+    // The exact event stream: the flood raises once and stays alarmed;
+    // at the lower threshold the pulse target also raises, clears
+    // between bursts and raises again.
+    let replay = |threshold: &str, every: &str| {
+        let out = dcsmon()
+            .args([
+                "replay",
+                "--input",
+                trace.to_str().unwrap(),
+                "--threshold",
+                threshold,
+                "--every",
+                every,
+            ])
+            .output()
+            .expect("replay");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert_eq!(
+        replay("400", "50"),
+        "[t=600] RAISED  10.0.0.9 ≈ 992 (AbsoluteThreshold)\n\
+         replayed 19188 updates; 1 alarm events; currently alarmed: [\"10.0.0.9\"]\n"
+    );
+    assert_eq!(
+        replay("150", "25"),
+        "[t=550] RAISED  10.0.0.9 ≈ 232 (AbsoluteThreshold)\n\
+         [t=725] RAISED  10.0.0.10 ≈ 224 (AbsoluteThreshold)\n\
+         [t=800] CLEARED 10.0.0.10 ≈ 0\n\
+         [t=925] RAISED  10.0.0.10 ≈ 160 (AbsoluteThreshold)\n\
+         replayed 19188 updates; 5 alarm events; currently alarmed: [\"10.0.0.9\"]\n"
+    );
 
     // A plain trace is rejected by replay (wrong magic).
     let plain = temp_path("plain.dcs");

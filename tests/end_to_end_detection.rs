@@ -2,7 +2,7 @@
 //! monitor alarms, across crates.
 
 use ddos_streams::netsim::{
-    run_pipeline, Alarm, EpochWindow, PipelineConfig, TrafficDriver, WindowPolicy,
+    run_pipeline, Alarm, EpochWindow, Monitor, PipelineConfig, TrafficDriver, WindowPolicy,
 };
 use ddos_streams::{
     AlarmPolicy, DdosMonitor, DestAddr, EdgeRouter, FlowUpdate, ScenarioBuilder, SketchConfig,
@@ -48,15 +48,13 @@ fn monitor_alarms_on_flood_but_not_crowd() {
         .syn_flood(victim, 1_500)
         .flash_crowd(crowd, 3_000, 0.98)
         .build();
-    let mut monitor = DdosMonitor::new(
-        sketch_config(2),
-        AlarmPolicy {
-            absolute_threshold: 600,
-            ..AlarmPolicy::default()
-        },
-    );
-    monitor.ingest(scenario.updates().iter().copied());
-    let alarms = monitor.evaluate();
+    let policy = AlarmPolicy {
+        absolute_threshold: 600,
+        ..AlarmPolicy::default()
+    };
+    let mut monitor = Monitor::new(sketch_config(2), policy, None).unwrap();
+    monitor.ingest(scenario.updates());
+    let alarms = monitor.evaluate().unwrap();
     assert!(alarms.iter().any(|a| a.dest == victim), "flood missed");
     assert!(
         !alarms.iter().any(|a| a.dest == crowd),

@@ -103,6 +103,38 @@ proptest! {
         );
     }
 
+    /// A monitor's clear-level estimates come from one batched point
+    /// query on the basic sketch; on the same counters each equals the
+    /// tracking heap's `track_group` (0 where it has no entry), for
+    /// groups inside the sample, outside it, and never seen.
+    #[test]
+    fn batched_group_estimates_equal_track_group(
+        seed in 0u64..100,
+        ops in proptest::collection::vec((0u32..200, 0u32..10, any::<bool>()), 1..600),
+        epsilon in prop_oneof![Just(0.1), Just(0.25), Just(0.5)],
+    ) {
+        let mut tracking = TrackingDcs::new(config(seed));
+        let mut net: HashMap<(u32, u32), i64> = HashMap::new();
+        for (s, d, del) in ops {
+            let entry = net.entry((s, d)).or_insert(0);
+            let delta = if del && *entry > 0 {
+                *entry -= 1;
+                Delta::Delete
+            } else {
+                *entry += 1;
+                Delta::Insert
+            };
+            tracking.update(FlowUpdate::new(SourceAddr(s), DestAddr(d), delta));
+        }
+        let groups: Vec<u32> = (0..16).collect();
+        let batched = tracking.sketch().estimate_group_frequencies(&groups, epsilon);
+        let tracked: Vec<u64> = groups
+            .iter()
+            .map(|&g| tracking.track_group(g, epsilon).unwrap_or(0))
+            .collect();
+        prop_assert_eq!(batched, tracked);
+    }
+
     /// Merging a partition of a stream equals processing it whole.
     #[test]
     fn merge_of_partition_equals_whole(
