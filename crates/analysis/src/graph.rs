@@ -64,7 +64,7 @@ pub const HOT_PATH_ROOTS: &[RootSpec] = &[
     // Query path: runs concurrently with ingest, must not block it.
     ("DistinctCountSketch", "estimate_top_k", FORBID_BLOCKING),
     ("TrackingDcs", "track_top_k", FORBID_BLOCKING),
-    // Read-side kernels (DESIGN.md §16): the wide screen/merge passes
+    // Read-side kernels (DESIGN.md §16): the screen and merge passes
     // walk slabs in place and must stay effect-free end to end.
     ("LevelState", "merge_from", FORBID_ALL),
     ("LevelState", "subtract", FORBID_ALL),

@@ -36,7 +36,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
+/// Escapes a string for embedding in a JSON string literal. A copy of
+/// `dcs_telemetry::json_string` (without the quotes) on purpose:
+/// dcs-analysis stays dependency-free (see its `Cargo.toml`).
 fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     for c in text.chars() {

@@ -45,7 +45,7 @@ fn bench_queries(c: &mut Criterion) {
 
     // Structure-scan reads: raw singleton enumeration across every
     // level, and the per-level occupancy gauges behind a telemetry
-    // snapshot — the read paths served by the wide screen pass.
+    // snapshot — the read paths served by the screen pass.
     let mut group = c.benchmark_group("snapshot_scan");
     group.bench_function("singletons_enum", |b| b.iter(|| basic.singletons()));
     group.bench_function("occupancy_gauges", |b| {

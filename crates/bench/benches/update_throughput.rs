@@ -18,14 +18,14 @@ fn workload(n: u64) -> Vec<dcs_core::FlowUpdate> {
 
 fn bench_updates(c: &mut Criterion) {
     // `basic`/`tracking` measure the bulk-ingest path (`update_batch`,
-    // what `extend` and the netsim feeds use); the `*_per_update`
+    // what the netsim feeds use); the `*_per_update`
     // variants keep the one-call-per-update path visible for
     // comparison.
     //
     // The `basic*` benches ingest into ONE long-lived sketch across all
     // iterations (steady state): the basic sketch's update cost is
-    // state-independent — the 65-counter kernel is branchless in the
-    // counter values — and a production sketch is long-lived, so
+    // state-independent — four word updates per table, branchless in
+    // the bucket values — and a production sketch is long-lived, so
     // steady-state ingest is the quantity the bench's name promises.
     // Building a fresh sketch per iteration instead spends ~40% of each
     // sample allocating and page-faulting the level arenas, a cost that
@@ -120,15 +120,15 @@ fn bench_deletions(c: &mut Criterion) {
 
 fn bench_screen(c: &mut Criterion) {
     // Screened hot path (TrackingDcs::update) vs the unscreened
-    // reference path (decode-before / decode-after with the exhaustive
-    // 65-counter decode) on the same insert+delete stream. This is the
-    // before/after comparison for the O(1) singleton screen.
+    // reference path (decode-before / decode-after on every table) on
+    // the same insert+delete stream: the comparison for the fast skip
+    // of a repeat on a bucket's own singleton.
     //
     // The stream is repeat-heavy: each source-destination pair carries
     // many packets (SYN retries, long-lived flows), as in real flow
     // traces. Repeated hits on a singleton or empty bucket are exactly
-    // where the screen pays — the skip rule avoids both 65-counter
-    // decodes that the reference path performs per table per update.
+    // where the screen pays — the skip rule avoids both decodes that
+    // the reference path performs per table per update.
     use dcs_core::{DestAddr, FlowUpdate, SourceAddr};
     use rand::prelude::*;
 

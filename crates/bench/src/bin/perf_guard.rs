@@ -108,94 +108,6 @@ const ROWS: &[Row] = &[
         time: batch,
     },
     Row {
-        name: "read/singletons",
-        param: "r",
-        sweep: &[2, 3, 4],
-        candidate: "wide",
-        reference: "scalar",
-        bound: SLACK,
-        reps: 30,
-        min_cores: None,
-        time: |r, reps| {
-            read(
-                r,
-                reps,
-                |a, _| a.singletons(),
-                |a, _| a.singletons_reference(),
-            )
-        },
-    },
-    Row {
-        name: "read/occupancy",
-        param: "r",
-        sweep: &[2, 3, 4],
-        candidate: "wide",
-        reference: "scalar",
-        bound: SLACK,
-        reps: 30,
-        min_cores: None,
-        time: |r, reps| {
-            read(
-                r,
-                reps,
-                |a, _| {
-                    for level in 0..a.config().max_levels() {
-                        black_box(a.level_occupancy(level));
-                    }
-                },
-                |a, _| {
-                    for level in 0..a.config().max_levels() {
-                        black_box(a.level_occupancy_reference(level));
-                    }
-                },
-            )
-        },
-    },
-    Row {
-        name: "read/merge",
-        param: "r",
-        sweep: &[2, 3, 4],
-        candidate: "wide",
-        reference: "scalar",
-        bound: SLACK,
-        reps: 30,
-        min_cores: None,
-        time: |r, reps| {
-            read(
-                r,
-                reps,
-                |a, b| {
-                    let mut m = a.clone();
-                    m.merge_from(b).expect("compatible");
-                    m
-                },
-                |a, b| {
-                    let mut m = a.clone();
-                    m.merge_from_reference(b).expect("compatible");
-                    m
-                },
-            )
-        },
-    },
-    Row {
-        name: "read/difference",
-        param: "r",
-        sweep: &[2, 3, 4],
-        candidate: "wide",
-        reference: "scalar",
-        bound: SLACK,
-        reps: 30,
-        min_cores: None,
-        time: |r, reps| {
-            read(
-                r,
-                reps,
-                |a, b| a.difference(b).expect("compatible"),
-                |a, b| a.difference_reference(b).expect("compatible"),
-            )
-        },
-    },
-    Row {
         name: "window",
         param: "n",
         sweep: &[8, 16],
@@ -304,32 +216,6 @@ fn batch(r: usize, reps: usize) -> [Stats; 2] {
                 looped.update(*update);
             }
         },
-    )
-}
-
-/// A wide read path against its retained scalar twin. Both read the
-/// same two long-lived sketches, built by the per-update path from
-/// workload seeds 10 and 20; each side's result is dropped inside its
-/// timed region.
-fn read<A, B>(
-    r: usize,
-    reps: usize,
-    wide: impl Fn(&DistinctCountSketch, &DistinctCountSketch) -> A,
-    scalar: impl Fn(&DistinctCountSketch, &DistinctCountSketch) -> B,
-) -> [Stats; 2] {
-    let [a, b] = [10, 20].map(|seed| {
-        let mut sketch = DistinctCountSketch::new(tables(r));
-        for update in &workload(20_000, 1_000, seed) {
-            sketch.update(*update);
-        }
-        sketch
-    });
-    alternate(
-        reps,
-        &mut (),
-        |_| {},
-        |_| drop(black_box(wide(&a, &b))),
-        |_| drop(black_box(scalar(&a, &b))),
     )
 }
 
@@ -482,10 +368,6 @@ mod tests {
             table,
             [
                 ("batch", r, Bound::AtMost(1.10), 30, None),
-                ("read/singletons", r, Bound::AtMost(1.10), 30, None),
-                ("read/occupancy", r, Bound::AtMost(1.10), 30, None),
-                ("read/merge", r, Bound::AtMost(1.10), 30, None),
-                ("read/difference", r, Bound::AtMost(1.10), 30, None),
                 ("window", &[8, 16][..], Bound::SpeedupAtLeast(2.0), 30, None),
                 (
                     "persist",

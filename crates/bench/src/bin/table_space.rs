@@ -1,21 +1,22 @@
 //! The §6.1 space analysis: sketch storage vs the brute-force scheme.
 //!
 //! The paper's in-text numbers: at `U = 8M`, the Basic sketch is ≈2.3 MB
-//! (4-byte counters; ≈2.47 MB with our totals mirror and screen sums
-//! at 280 bytes per bucket), Tracking ≈2×
-//! Basic, and brute force ≈96 MB. At `U = 10⁹` the sketch grows ≈1.3×
+//! (65 four-byte counters per bucket), Tracking ≈2× Basic, and brute
+//! force ≈96 MB. At `U = 10⁹` the sketch grows ≈1.3×
 //! while brute force grows 125× (≥3 orders of magnitude advantage).
 //!
 //! This binary *measures* allocated bytes for sizes that fit in memory
-//! and uses the closed-form §6.1 accounting for the 10⁹ extrapolation.
+//! and prints them beside the paper's §6.1 formula (65 four-byte
+//! counters per bucket) and the same formula at this sketch's 28 bytes
+//! per bucket, which also gives the 10⁹ extrapolation.
 //!
 //! Run: `cargo run -p dcs-bench --release --bin table_space [--scale full]`
 
 use dcs_baselines::ExactDistinctTracker;
 use dcs_bench::{emit_record, emit_telemetry, Scale};
 use dcs_core::{
-    brute_force_bytes, predicted_sketch_bytes, DistinctCountSketch, GroupBy, SketchConfig,
-    TrackingDcs,
+    brute_force_bytes, paper_sketch_bytes, predicted_sketch_bytes, DistinctCountSketch, GroupBy,
+    SketchConfig, TrackingDcs,
 };
 use dcs_metrics::{ExperimentRecord, Table};
 use dcs_streamgen::{PaperWorkload, WorkloadConfig};
@@ -42,6 +43,7 @@ fn main() {
         "basic (measured)".into(),
         "tracking (measured)".into(),
         "brute force".into(),
+        "paper §6.1".into(),
         "predicted sketch".into(),
         "gain vs brute".into(),
     ]);
@@ -75,6 +77,7 @@ fn main() {
             mb(basic_bytes),
             mb(tracking_bytes),
             mb(brute),
+            mb(paper_sketch_bytes(&config, u)),
             mb(predicted),
             format!("{:.0}x", brute as f64 / basic_bytes as f64),
         ]);
@@ -100,6 +103,7 @@ fn main() {
         "-".into(),
         "-".into(),
         mb(brute_force_bytes(u_big)),
+        mb(paper_sketch_bytes(&config, u_big)),
         mb(predicted_big),
         format!(
             "{:.0}x",

@@ -4,7 +4,7 @@
 use dcs_hash::cast::{ceil_to_usize, f64_from_u64, f64_from_usize};
 
 use crate::error::SketchError;
-use crate::signature::{COUNTER_BYTES, SCREEN_SUM_BYTES, SIGNATURE_LEN};
+use crate::signature::BUCKET_BYTES;
 use crate::types::GroupBy;
 
 /// Which hash family the second-level bucket hashes `g_j` use.
@@ -25,8 +25,8 @@ pub enum HashFamily {
 }
 
 /// Number of bits in a packed source-destination pair (`2·log m` for
-/// `m = 2^32`), and therefore the number of bit-location counters in each
-/// count signature.
+/// `m = 2^32`), and therefore the number of bit-location counters in the
+/// paper's count signature.
 pub const KEY_BITS: u32 = 64;
 
 /// Shape and seeding of a distinct-count sketch.
@@ -202,20 +202,18 @@ impl SketchConfig {
         ceil_to_usize(((1.0 + epsilon) * f64_from_usize(self.buckets_per_table)) / 16.0)
     }
 
-    /// Bytes used by one count signature: one total counter plus
-    /// [`KEY_BITS`] bit-location counters, plus the contiguous totals
-    /// mirror the wide screen pass reads (DESIGN.md §16), 4 bytes each;
-    /// plus the two 8-byte linear screening sums (key sum and
-    /// fingerprint sum) — 280 bytes. The level's `heap_bytes` adds up
-    /// the same element sizes over its slabs.
+    /// Bytes used by one count signature: a 4-byte total plus three
+    /// 8-byte sums (low key half, high key half, fingerprint) — 28
+    /// bytes. The level's `heap_bytes` adds up the same element sizes
+    /// over its slabs.
     pub fn signature_bytes() -> usize {
-        (SIGNATURE_LEN + 1) * COUNTER_BYTES + 2 * SCREEN_SUM_BYTES
+        BUCKET_BYTES
     }
 
     /// Bytes of counter storage for one fully allocated level:
     /// `r × s` signatures, held as four contiguous per-level slabs
-    /// (counters, key sums, fingerprint sums, totals mirror) — see
-    /// DESIGN.md §11 and §16.
+    /// (totals, low sums, high sums, fingerprint sums) — see DESIGN.md
+    /// §11.
     pub fn level_bytes(&self) -> usize {
         self.num_tables * self.buckets_per_table * Self::signature_bytes()
     }
@@ -348,12 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn signature_bytes_matches_paper_layout_plus_screen() {
-        // The paper's §6.1 counts 65 four-byte counters; we keep that
-        // width, mirror the total in a 4-byte slot the wide
-        // screen pass reads, and add two 8-byte screening sums (key
-        // sum + fingerprint sum): 66·4 + 2·8 = 280 bytes.
-        assert_eq!(SketchConfig::signature_bytes(), 280);
+    fn signature_bytes_is_a_total_and_three_sums() {
+        // A 4-byte total plus 8-byte low-half, high-half and
+        // fingerprint sums: 4 + 3·8 = 28 bytes (the paper's 65
+        // four-byte counters took 260).
+        assert_eq!(SketchConfig::signature_bytes(), 28);
     }
 
     #[test]
@@ -409,6 +406,6 @@ mod tests {
             .unwrap();
         assert_eq!(small.level_bytes(), 2 * SketchConfig::signature_bytes());
         let paper = SketchConfig::paper_default();
-        assert_eq!(paper.level_bytes(), 3 * 128 * 280);
+        assert_eq!(paper.level_bytes(), 3 * 128 * 28);
     }
 }

@@ -78,7 +78,10 @@ pub use dcs_telemetry as telemetry;
 pub use error::SketchError;
 pub use estimator::{TopKEntry, TopKEstimate};
 pub use sketch::{DistinctCountSketch, DistinctSample, EpochSlide, BATCH_CHUNK, BATCH_MIN_ROUTED};
-pub use space::{brute_force_bytes, predicted_sketch_bytes, SpaceReport};
+pub use space::{
+    brute_force_bytes, paper_sketch_bytes, predicted_sketch_bytes, SpaceReport,
+    PAPER_SIGNATURE_BYTES,
+};
 pub use state::{LevelSlabs, SketchState, TrackingLevelState, TrackingState};
 pub use tracking::TrackingDcs;
 pub use types::{Delta, DestAddr, FlowKey, FlowUpdate, GroupBy, SourceAddr};

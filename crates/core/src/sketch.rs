@@ -26,25 +26,12 @@ use crate::types::{Delta, FlowKey, FlowUpdate, GroupBy};
 pub const BATCH_CHUNK: usize = 1024;
 
 /// Batches shorter than this skip the routed (structure-of-arrays)
-/// plan and run the per-update scalar path instead. Measured
-/// crossover: the routed plan amortizes its scratch-buffer fills and
-/// wide hashing loops over the batch, which needs a few dozen updates
-/// before it beats the scalar path's zero setup cost. Both plans
-/// produce bit-identical sketch state, so the cutoff is purely a
-/// performance knob.
-pub const BATCH_MIN_ROUTED: usize = 32;
-
-/// Minimum table count at which the routed plan's apply pass groups
-/// updates by level before touching the arenas. Below it the apply runs
-/// in stream order: with `r = 2` at the paper's bucket count the hot
-/// arenas are cache-resident, so the counting sort plus its
-/// order-indirected loads cost more than the locality they buy, while
-/// from `r = 3` up the grouped visit keeps one level's arena hot
-/// instead of cycling all of them (measured on the bench host; see
-/// DESIGN.md §13). Either order yields bit-identical state — counter
-/// updates commute — so, like [`BATCH_MIN_ROUTED`], this is purely a
-/// performance knob.
-pub const LEVEL_GROUP_MIN_TABLES: usize = 3;
+/// plan and run the per-update scalar path instead. Measured crossover
+/// at 28-byte buckets (DESIGN.md §13): routed calls of 48 updates still
+/// lose to the scalar loop at `r = 2`, calls of 64 win at every `r`
+/// from 2 to 4. Both plans produce bit-identical sketch state, so the
+/// cutoff is purely a performance knob.
+pub const BATCH_MIN_ROUTED: usize = 64;
 
 /// Reusable scratch for one routed batch: fixed-capacity
 /// structure-of-arrays buffers filled by pass 1 (`route_chunk`) and
@@ -61,11 +48,11 @@ pub const LEVEL_GROUP_MIN_TABLES: usize = 3;
 /// Slab layout, in `chunk_cap`-sized stripes of `u64`:
 ///
 /// ```text
-/// [ packed | fps | levels | order | buckets(table 0) | buckets(table 1) | … ]
+/// [ packed | fps | levels | buckets(table 0) | buckets(table 1) | … ]
 /// ```
 ///
 /// `buckets` is **table-major**: table `t`'s bucket for update `i`
-/// lives at stripe `4 + t`, index `i`, so pass 1 writes each table's
+/// lives at stripe `3 + t`, index `i`, so pass 1 writes each table's
 /// stripe in one contiguous fill (one hash-family dispatch per table
 /// per chunk, not per key).
 #[derive(Debug)]
@@ -78,8 +65,7 @@ pub(crate) struct BatchScratch {
 const STRIPE_PACKED: usize = 0;
 const STRIPE_FPS: usize = 1;
 const STRIPE_LEVELS: usize = 2;
-const STRIPE_ORDER: usize = 3;
-const STRIPE_BUCKETS: usize = 4;
+const STRIPE_BUCKETS: usize = 3;
 
 impl BatchScratch {
     /// Sizes scratch for batches of `len` updates (capped at
@@ -115,36 +101,10 @@ impl BatchScratch {
         }
     }
 
-    /// Counting-sorts the first `n` routed updates by first-level
-    /// bucket into the order stripe (stable: stream order within a
-    /// level). Levels are capped at 64, so the histogram lives on the
-    /// stack.
-    fn group_by_level(&mut self, n: usize) {
-        let mut starts = [0usize; 65];
-        let (levels, order) = self.stripe_pair_mut(STRIPE_LEVELS, STRIPE_ORDER);
-        for &level in &levels[..n] {
-            starts[usize_from_u64(level) + 1] += 1;
-        }
-        for l in 0..64 {
-            starts[l + 1] += starts[l];
-        }
-        for (i, &level) in levels[..n].iter().enumerate() {
-            let l = usize_from_u64(level);
-            order[starts[l]] = u64_from_usize(i);
-            starts[l] += 1;
-        }
-    }
-
     /// The fixed per-chunk capacity (also the stride of the slab's
     /// stripes).
     pub(crate) fn chunk_cap(&self) -> usize {
         self.chunk_cap
-    }
-
-    /// The level-grouped apply order of the routed chunk's updates.
-    #[inline]
-    fn order(&self, k: usize) -> usize {
-        usize_from_u64(self.slab[STRIPE_ORDER * self.chunk_cap + k])
     }
 
     /// The fingerprint of update `i` in the routed chunk.
@@ -256,7 +216,7 @@ pub struct EpochSlide {
 ///
 /// A delete-resilient synopsis of a flow-update stream supporting
 /// approximate top-k *distinct-source frequency* queries. Updates cost
-/// `O(r · log m)` counter operations; queries ([`estimate_top_k`]) scan
+/// `O(r)` word operations (four per table); queries ([`estimate_top_k`]) scan
 /// the structure (`O(r · s · log² m)`) — use
 /// [`TrackingDcs`](crate::tracking::TrackingDcs) when queries are
 /// frequent.
@@ -267,8 +227,10 @@ pub struct EpochSlide {
 /// prefix, each pair's net count is ≥ 0 (deletions never outnumber prior
 /// insertions of the same pair). SYN/ACK flow-update streams have this
 /// property by construction. On ill-formed streams the sketch stays
-/// consistent (counters are exact), but decodes may misreport buckets
-/// and estimates lose their guarantees.
+/// consistent (its sums are exact) and estimates lose their guarantees,
+/// but no negative-count pair reaches a sample: a bucket whose net
+/// count is negative, or zero with residue, decodes to a collision and
+/// is counted as `decode_ill_formed`.
 ///
 /// [`estimate_top_k`]: DistinctCountSketch::estimate_top_k
 ///
@@ -401,12 +363,8 @@ impl DistinctCountSketch {
     ///   chunks: pass 1 (`route_chunk`) bulk-hashes every key exactly
     ///   once into structure-of-arrays scratch — levels, fingerprints,
     ///   and all `r` second-level buckets as contiguous fills — and
-    ///   pass 2 applies the updates against the flat level arenas. With
-    ///   `r ≥` [`LEVEL_GROUP_MIN_TABLES`] tables pass 2 visits updates
-    ///   grouped by level (sound because counter updates commute);
-    ///   below it, in stream order with no permutation — at small `r`
-    ///   the hot arenas are cache-resident and the grouping passes cost
-    ///   more than the locality they buy (measured; see DESIGN.md §13).
+    ///   pass 2 applies the updates in stream order against the flat
+    ///   level arenas.
     ///
     /// Telemetry: one clock pair per call, giving one amortized-latency
     /// sample per update and exactly one batch-size observation per
@@ -439,53 +397,20 @@ impl DistinctCountSketch {
         self.route_chunk(chunk, scratch);
         let num_tables = self.config.num_tables();
         let mut net = 0i64;
-        if num_tables >= LEVEL_GROUP_MIN_TABLES {
-            // Level-grouped apply: every counter mutation is a
-            // commutative wrapping add, so the final state is
-            // independent of apply order — and visiting one level's
-            // arena to exhaustion keeps the working set at one arena
-            // (~r·s·280 B) instead of every hot level at once, which is
-            // the difference between L2 and L3 residency at large `r`
-            // (DESIGN.md §13).
-            scratch.group_by_level(chunk.len());
-            for k in 0..chunk.len() {
-                let i = scratch.order(k);
-                let update = chunk[i];
-                if let Some(state) = self.levels[scratch.level(i)].as_mut() {
-                    let fp = scratch.fp(i);
-                    for table in 0..num_tables {
-                        state.apply_with_fp(
-                            table,
-                            scratch.bucket(table, i),
-                            update.key,
-                            update.delta,
-                            fp,
-                        );
-                    }
+        for (i, &update) in chunk.iter().enumerate() {
+            if let Some(state) = self.levels[scratch.level(i)].as_mut() {
+                let fp = scratch.fp(i);
+                for table in 0..num_tables {
+                    state.apply_with_fp(
+                        table,
+                        scratch.bucket(table, i),
+                        update.key,
+                        update.delta,
+                        fp,
+                    );
                 }
-                net += update.delta.signum();
             }
-        } else {
-            // Stream-order apply: at small `r` the hot arenas already
-            // fit in cache, so the batch plan's edge over the scalar
-            // loop is the vectorized hash fills alone — the grouping
-            // sort and its order indirection would give that edge back
-            // (measured; DESIGN.md §13).
-            for (i, &update) in chunk.iter().enumerate() {
-                if let Some(state) = self.levels[scratch.level(i)].as_mut() {
-                    let fp = scratch.fp(i);
-                    for table in 0..num_tables {
-                        state.apply_with_fp(
-                            table,
-                            scratch.bucket(table, i),
-                            update.key,
-                            update.delta,
-                            fp,
-                        );
-                    }
-                }
-                net += update.delta.signum();
-            }
+            net += update.delta.signum();
         }
         self.updates_processed += u64_from_usize(chunk.len());
         self.net_updates += net;
@@ -532,62 +457,25 @@ impl DistinctCountSketch {
         }
     }
 
-    /// Processes a stream of updates, chunking it through
-    /// [`update_batch`](Self::update_batch) so iterator callers get the
-    /// batched fast path for free.
-    pub fn extend<I: IntoIterator<Item = FlowUpdate>>(&mut self, updates: I) {
-        let mut buf: Vec<FlowUpdate> = Vec::with_capacity(BATCH_CHUNK);
-        for u in updates {
-            buf.push(u);
-            if buf.len() == BATCH_CHUNK {
-                self.update_batch(&buf);
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            self.update_batch(&buf);
-        }
-    }
-
-    /// Decodes the bucket `(level, table, bucket)` without allocating,
-    /// via the screened `O(1)` fast path.
+    /// Decodes the bucket `(level, table, bucket)` without allocating.
     pub(crate) fn decode_bucket(&self, level: usize, table: usize, bucket: usize) -> BucketState {
         match &self.levels[level] {
-            Some(state) => state.decode_fast(table, bucket),
+            Some(state) => state.signature(table, bucket).decode(),
             None => BucketState::Empty,
         }
     }
 
-    /// Decodes the bucket `(level, table, bucket)` with the unscreened
-    /// 65-counter scan — the reference path for equivalence tests,
-    /// benchmarks, and invariant cross-checks.
-    pub(crate) fn decode_bucket_exhaustive(
-        &self,
-        level: usize,
-        table: usize,
-        bucket: usize,
-    ) -> BucketState {
-        match &self.levels[level] {
-            Some(state) => state.decode(table, bucket),
-            None => BucketState::Empty,
-        }
-    }
-
-    /// Applies `(key, delta)` to the bucket `(level, table, bucket)`,
-    /// screening for decode transitions: returns `None` when the `O(1)`
-    /// screen proves the update cannot change the bucket's decoded
-    /// singleton set (on a well-formed stream), and `Some((before,
-    /// after))` — the decoded states around the application — when it
-    /// cannot rule a transition out.
+    /// Applies `(key, delta)` to the bucket `(level, table, bucket)`
+    /// and reports its decode transition: `None` when the decoded
+    /// singleton is the same before and after the update, and
+    /// `Some((before, after))` — the decoded states around the
+    /// application — when it changed.
     ///
-    /// The screen proves no-transition when both the current and
-    /// post-update screen classes are non-candidates (the bucket is and
-    /// stays empty/colliding), or both are candidates for the *same*
-    /// key (a singleton absorbing a repeat of its own key). Any real
-    /// transition — singleton appearing, vanishing, or changing key —
-    /// forces the two classes to differ. On the `Some` path the decodes
-    /// reuse the two classes already computed, so no bucket is ever
-    /// classified twice.
+    /// The dominant case — a repeated packet on a flow that owns its
+    /// bucket — is proved by three multiplies without decoding
+    /// (`CountSignature::holds_only`). Every other update decodes the
+    /// bucket on both sides in `O(1)`; decodes of ill-formed states are
+    /// counted as `decode_ill_formed`.
     pub(crate) fn screened_apply(
         &mut self,
         level: usize,
@@ -597,36 +485,23 @@ impl DistinctCountSketch {
         delta: Delta,
         fp: u64,
     ) -> Option<(BucketState, BucketState)> {
-        use crate::signature::ScreenClass::{Candidate, Empty, Fail};
         let state = self.level_mut(level);
-        let sig = state.sig_ref(table, bucket);
-        // Dominant case first: a repeated packet on a flow that owns
-        // its bucket. Proves `(Candidate(key), Candidate(key))` with
-        // sixteen counter reads and no inverse or fingerprint mixing.
-        if sig.skips_as_own_singleton(key, delta, fp) {
-            state.apply_with_fp(table, bucket, key, delta, fp);
+        let sig = state.signature(table, bucket);
+        let next = sig.after(key, delta, fp);
+        state.set_signature(table, bucket, next);
+        if sig.holds_only(key, delta, fp) {
             self.telem.incr(Counter::ScreenFastSkip);
             return None;
         }
-        let sig = state.sig_ref(table, bucket);
-        let class_before = sig.screen_class();
-        let class_after = sig.screen_class_after(key, delta, fp);
-        let no_transition = match (class_before, class_after) {
-            (Fail | Empty, Fail | Empty) => true,
-            (Candidate(a), Candidate(b)) => a == b,
-            _ => false,
-        };
-        if no_transition {
-            state.apply_with_fp(table, bucket, key, delta, fp);
+        let ill_formed = u64::from(sig.is_ill_formed()) + u64::from(next.is_ill_formed());
+        if ill_formed > 0 {
+            self.telem.add(Counter::DecodeIllFormed, ill_formed);
+        }
+        let (before, after) = (sig.decode(), next.decode());
+        if before.singleton_key() == after.singleton_key() {
             self.telem.incr(Counter::ScreenNoTransition);
             return None;
         }
-        let before = sig.decode_class(class_before);
-        state.apply_with_fp(table, bucket, key, delta, fp);
-        // `class_after` predicted the post-update sums and counters
-        // exactly, so materializing it against the updated signature
-        // equals a fresh `decode_fast`.
-        let after = state.sig_ref(table, bucket).decode_class(class_after);
         self.telem.incr(Counter::ScreenMiss);
         for decoded in [&before, &after] {
             if matches!(decoded, BucketState::Singleton { .. }) {
@@ -675,23 +550,20 @@ impl DistinctCountSketch {
     /// streams and discards phantom decodes on ill-formed ones. The
     /// cross-check also means distinct levels can never yield the same
     /// key, so callers may concatenate levels without deduplicating.
+    /// Buckets holding ill-formed states are counted as
+    /// `decode_ill_formed`.
     ///
     /// [`distinct_sample`]: Self::distinct_sample
     fn level_singletons(&self, level: u32) -> Vec<FlowKey> {
-        self.level_singletons_impl(level, true)
-    }
-
-    fn level_singletons_impl(&self, level: u32, wide: bool) -> Vec<FlowKey> {
         // Most of the `max_levels` levels are never materialized; a
         // query walks all of them, so skip the set for those.
         let Some(state) = &self.levels[usize_from_u32(level)] else {
             return Vec::new();
         };
         let mut keys = BTreeSet::new();
-        if wide {
-            state.collect_singletons(&mut keys);
-        } else {
-            state.collect_singletons_scalar(&mut keys);
+        let ill_formed = state.collect_singletons(&mut keys);
+        if ill_formed > 0 {
+            self.telem.add(Counter::DecodeIllFormed, ill_formed);
         }
         // BTreeSet iteration is already ascending, so the collected
         // vector needs no further sort.
@@ -779,24 +651,6 @@ impl DistinctCountSketch {
     /// Returns [`SketchError::IncompatibleMerge`] if the configurations
     /// (including seeds) differ.
     pub fn merge_from(&mut self, other: &Self) -> Result<(), SketchError> {
-        self.merge_from_impl(other, true)
-    }
-
-    /// Scalar reference twin of [`merge_from`](Self::merge_from):
-    /// identical except the per-level slab passes run the retained
-    /// scalar kernels. Kept for the equivalence suite
-    /// (`tests/read_equivalence.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SketchError::IncompatibleMerge`] exactly as
-    /// [`merge_from`](Self::merge_from) does.
-    #[doc(hidden)]
-    pub fn merge_from_reference(&mut self, other: &Self) -> Result<(), SketchError> {
-        self.merge_from_impl(other, false)
-    }
-
-    fn merge_from_impl(&mut self, other: &Self, wide: bool) -> Result<(), SketchError> {
         if !self.is_compatible(other) {
             return Err(SketchError::IncompatibleMerge {
                 reason: format!("configs differ: {:?} vs {:?}", self.config, other.config),
@@ -804,13 +658,7 @@ impl DistinctCountSketch {
         }
         for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             match (mine.as_mut(), theirs) {
-                (Some(a), Some(b)) => {
-                    if wide {
-                        a.merge_from(b);
-                    } else {
-                        a.merge_from_scalar(b);
-                    }
-                }
+                (Some(a), Some(b)) => a.merge_from(b),
                 (None, Some(b)) => *mine = Some(b.clone()),
                 _ => {}
             }
@@ -891,26 +739,9 @@ impl DistinctCountSketch {
     /// # Ok::<(), dcs_core::SketchError>(())
     /// ```
     pub fn difference(&self, snapshot: &Self) -> Result<Self, SketchError> {
-        self.difference_impl(snapshot, true)
-    }
-
-    /// Scalar reference twin of [`difference`](Self::difference):
-    /// identical except the per-level subtract passes (and the
-    /// all-zero check on snapshot-only levels) run the retained scalar
-    /// paths. Kept for the equivalence suite.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`difference`](Self::difference).
-    #[doc(hidden)]
-    pub fn difference_reference(&self, snapshot: &Self) -> Result<Self, SketchError> {
-        self.difference_impl(snapshot, false)
-    }
-
-    fn difference_impl(&self, snapshot: &Self, wide: bool) -> Result<Self, SketchError> {
         self.check_subtrahend(snapshot)?;
         let mut diff = self.clone();
-        diff.subtract_levels(snapshot, wide);
+        diff.subtract_levels(snapshot);
         Ok(diff)
     }
 
@@ -934,24 +765,8 @@ impl DistinctCountSketch {
     /// updates than this sketch — it then cannot be a constituent of
     /// the current sum. On error, `self` is unchanged.
     pub fn subtract(&mut self, expired: &Self) -> Result<(), SketchError> {
-        self.subtract_impl(expired, true)
-    }
-
-    /// Scalar reference twin of [`subtract`](Self::subtract):
-    /// identical except the per-level slab passes run the retained
-    /// scalar kernels. Kept for the equivalence suite.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`subtract`](Self::subtract).
-    #[doc(hidden)]
-    pub fn subtract_reference(&mut self, expired: &Self) -> Result<(), SketchError> {
-        self.subtract_impl(expired, false)
-    }
-
-    fn subtract_impl(&mut self, expired: &Self, wide: bool) -> Result<(), SketchError> {
         self.check_subtrahend(expired)?;
-        self.subtract_levels(expired, wide);
+        self.subtract_levels(expired);
         Ok(())
     }
 
@@ -976,31 +791,20 @@ impl DistinctCountSketch {
         Ok(())
     }
 
-    /// Subtracts `other`'s levels and counts from this sketch's, through
-    /// the wide slab kernels or (`wide` false) the retained scalar ones.
+    /// Subtracts `other`'s levels and counts from this sketch's.
     /// [`check_subtrahend`](Self::check_subtrahend) must have passed.
-    fn subtract_levels(&mut self, other: &Self, wide: bool) {
+    fn subtract_levels(&mut self, other: &Self) {
         for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
             match (mine.as_mut(), theirs) {
-                (Some(a), Some(b)) => {
-                    if wide {
-                        a.subtract(b);
-                    } else {
-                        a.subtract_scalar(b);
-                    }
-                }
+                (Some(a), Some(b)) => a.subtract(b),
                 (None, Some(b))
                     // Level never touched here but present in `other`:
                     // only sound if that level is all-zero (anything
                     // else would go negative).
-                    if !(if wide { b.is_zero() } else { b.is_zero_scalar() }) => {
+                    if !b.is_zero() => {
                         let mut fresh =
                             LevelState::new(self.config.num_tables(), self.config.buckets_per_table());
-                        if wide {
-                            fresh.subtract(b);
-                        } else {
-                            fresh.subtract_scalar(b);
-                        }
+                        fresh.subtract(b);
                         *mine = Some(fresh);
                     }
                 _ => {}
@@ -1194,40 +998,16 @@ impl DistinctCountSketch {
         out
     }
 
-    /// Scalar reference twin of [`singletons`](Self::singletons): the
-    /// same enumeration through the retained per-bucket scan instead of
-    /// the wide screen pass. Kept for the equivalence suite.
-    #[doc(hidden)]
-    pub fn singletons_reference(&self) -> Vec<(u32, FlowKey)> {
-        let mut out = Vec::new();
-        for level in (0..self.config.max_levels()).rev() {
-            out.extend(
-                self.level_singletons_impl(level, false)
-                    .into_iter()
-                    .map(|k| (level, k)),
-            );
-        }
-        out
-    }
-
     /// The `(occupied, singletons)` gauges of one first-level bucket
     /// (`None` when the level was never materialized) — the per-level
     /// unit under [`telemetry_snapshot`](Self::telemetry_snapshot),
-    /// exposed so the equivalence suite can pin the wide occupancy mask
-    /// against its scalar twin below.
+    /// exposed so the differential suite can pin it against the
+    /// paper's 65-counter signature.
     #[doc(hidden)]
     pub fn level_occupancy(&self, level: u32) -> Option<(u64, u64)> {
         self.levels[usize_from_u32(level)]
             .as_ref()
             .map(LevelState::occupancy)
-    }
-
-    /// Scalar reference twin of [`level_occupancy`](Self::level_occupancy).
-    #[doc(hidden)]
-    pub fn level_occupancy_reference(&self, level: u32) -> Option<(u64, u64)> {
-        self.levels[usize_from_u32(level)]
-            .as_ref()
-            .map(LevelState::occupancy_scalar)
     }
 
     /// Number of currently allocated (touched) first-level buckets.
@@ -1265,8 +1045,9 @@ impl DistinctCountSketch {
                 // Bounded by max_levels ≤ 64; the audited cast panics
                 // on a logic error instead of mislabeling the level.
                 level: u32_from_usize(index),
-                counts: state.counts().to_vec(),
-                key_sums: state.key_sums().to_vec(),
+                totals: state.totals().to_vec(),
+                lo_sums: state.lo_sums().to_vec(),
+                hi_sums: state.hi_sums().to_vec(),
                 fp_sums: state.fp_sums().to_vec(),
             });
         }
@@ -1315,8 +1096,9 @@ impl DistinctCountSketch {
             let level = LevelState::from_parts(
                 sketch.config.num_tables(),
                 sketch.config.buckets_per_table(),
-                slab.counts,
-                slab.key_sums,
+                slab.totals,
+                slab.lo_sums,
+                slab.hi_sums,
                 slab.fp_sums,
             )
             .map_err(|reason| SketchError::InvalidState {
@@ -1335,8 +1117,8 @@ impl DistinctCountSketch {
     /// its latency and batch-size summaries (`None` until a batch or
     /// query has been timed).
     ///
-    /// Two gauges watch the 4-byte counters' headroom, read from each
-    /// level's totals mirror: `counter_headroom_exceeded`, the bucket
+    /// Two gauges watch the 4-byte totals' headroom, read from each
+    /// level's totals slab: `counter_headroom_exceeded`, the bucket
     /// slots whose `|total|` has reached [`HEADROOM_TOTAL`] (2³⁰, half
     /// the wrap bound), and `counter_total_max_abs`, the largest
     /// `|total|`. Both are always present, so a wrap is never silent.
@@ -1432,7 +1214,6 @@ mod tests {
     /// sign, and report the largest `|total|`, from restored state.
     #[test]
     fn headroom_gauge_counts_totals_at_two_to_the_thirty() {
-        use crate::signature::SIGNATURE_LEN;
         let mut sketch = DistinctCountSketch::new(small_config(12));
         sketch.insert(SourceAddr(1), DestAddr(2));
         let snap = sketch.telemetry_snapshot("fresh");
@@ -1440,11 +1221,9 @@ mod tests {
         assert_eq!(snap.counters.get("counter_total_max_abs"), Some(&1));
 
         let mut state = sketch.to_state();
-        let counts = &mut state.levels[0].counts;
-        counts.fill(0);
-        for (slot, total) in [1 << 30, -(1 << 30), (1 << 30) - 1].into_iter().enumerate() {
-            counts[slot * SIGNATURE_LEN] = total;
-        }
+        let totals = &mut state.levels[0].totals;
+        totals.fill(0);
+        totals[..3].copy_from_slice(&[1 << 30, -(1 << 30), (1 << 30) - 1]);
         let restored = DistinctCountSketch::from_state(state).unwrap();
         let snap = restored.telemetry_snapshot("restored");
         assert_eq!(snap.counters.get("counter_headroom_exceeded"), Some(&2));
@@ -1522,16 +1301,6 @@ mod tests {
         sketch.delete(SourceAddr(1), DestAddr(2));
         assert_eq!(sketch.updates_processed(), 3);
         assert_eq!(sketch.net_updates(), 1);
-    }
-
-    #[test]
-    fn extend_processes_all() {
-        let mut sketch = DistinctCountSketch::new(small_config(5));
-        let ups: Vec<FlowUpdate> = (0..10)
-            .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(1)))
-            .collect();
-        sketch.extend(ups);
-        assert_eq!(sketch.updates_processed(), 10);
     }
 
     #[test]

@@ -6,13 +6,19 @@
 //! accounting). These helpers reproduce that comparison for arbitrary
 //! `U`, and are what the `table_space` bench binary prints.
 
-use crate::config::SketchConfig;
+use crate::config::{SketchConfig, KEY_BITS};
+use dcs_hash::cast::{u64_from_usize, usize_from_u32};
+
+/// Bytes of one bucket in the paper's §6.1 accounting: `2·log m + 1 =
+/// 65` four-byte counters. The sketch stores 28 (see
+/// [`SketchConfig::signature_bytes`]); Table 2's formula keeps 260.
+pub const PAPER_SIGNATURE_BYTES: usize = (usize_from_u32(KEY_BITS) + 1) * 4;
 
 /// A storage breakdown for one synopsis, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpaceReport {
-    /// Bytes in count-signature counter slabs (each allocated level
-    /// holds its `r·s` signatures in three flat arrays).
+    /// Bytes in count-signature slabs (each allocated level holds its
+    /// `r·s` signatures in four flat arrays).
     pub counter_bytes: usize,
     /// Bytes in tracking structures (singleton sets + heaps); zero for
     /// a basic sketch.
@@ -32,26 +38,33 @@ pub fn brute_force_bytes(u: u64) -> u64 {
     u * 12
 }
 
-/// Predicted counter bytes for a sketch over `u` distinct pairs:
-/// `⌈log₂ u⌉ + 1` non-empty levels (the geometric hash leaves deeper
-/// levels empty with high probability) × `r·s` signatures ×
-/// [`SketchConfig::signature_bytes`] (the paper's 65 four-byte counters
-/// plus the 4-byte totals mirror of the wide screen pass, DESIGN.md
-/// §16, plus the two 8-byte singleton-screen sums: 280 bytes).
-///
-/// This is the formula behind the paper's "23 non-empty first-level
-/// buckets at `U = 8·10⁶` ⇒ ≈2.3 MB" calculation; the mirror and the
-/// screen sums put ours at ≈2.47 MB.
-pub fn predicted_sketch_bytes(config: &SketchConfig, u: u64) -> u64 {
-    // Bit length of u: pairs spread over levels 0..⌈log₂ U⌉ with high
-    // probability (deeper levels expect < 1 pair).
+/// The number of non-empty levels predicted for `u` distinct pairs:
+/// `⌈log₂ u⌉ + 1`, since the geometric hash leaves deeper levels empty
+/// with high probability (they expect < 1 pair), capped at
+/// `max_levels`.
+fn predicted_levels(config: &SketchConfig, u: u64) -> u64 {
     let levels = if u == 0 {
         0
     } else {
         u64::from(64 - u.leading_zeros())
     };
-    let levels = levels.min(u64::from(config.max_levels()));
-    levels * dcs_hash::cast::u64_from_usize(config.level_bytes())
+    levels.min(u64::from(config.max_levels()))
+}
+
+/// Predicted counter bytes for a sketch over `u` distinct pairs:
+/// the predicted non-empty levels × `r·s` signatures ×
+/// [`SketchConfig::signature_bytes`] (28 bytes: a 4-byte total and
+/// three 8-byte sums). At `U = 8·10⁶` that is ≈0.25 MB.
+pub fn predicted_sketch_bytes(config: &SketchConfig, u: u64) -> u64 {
+    predicted_levels(config, u) * u64_from_usize(config.level_bytes())
+}
+
+/// The same prediction in the paper's §6.1 accounting, with
+/// [`PAPER_SIGNATURE_BYTES`] per bucket: the formula behind "23
+/// non-empty first-level buckets at `U = 8·10⁶` ⇒ ≈2.3 MB".
+pub fn paper_sketch_bytes(config: &SketchConfig, u: u64) -> u64 {
+    let buckets = config.num_tables() * config.buckets_per_table();
+    predicted_levels(config, u) * u64_from_usize(buckets * PAPER_SIGNATURE_BYTES)
 }
 
 #[cfg(test)]
@@ -66,17 +79,17 @@ mod tests {
 
     #[test]
     fn predicted_bytes_match_paper_level_count() {
-        // §6.1: ≈23 non-empty levels at U = 8·10⁶ (2^23 ≈ 8.4M). With
-        // the paper's r = 3, s = 128 and 280 bytes per bucket (65
-        // four-byte counters + the 4-byte totals mirror + two 8-byte
-        // screening sums): 23·3·128 buckets.
+        // §6.1: ≈23 non-empty levels at U = 8·10⁶ (2^23 ≈ 8.4M), with
+        // the paper's r = 3, s = 128: 23·3·128 buckets, at 28 bytes
+        // each here and 65 four-byte counters each in the paper.
         let config = SketchConfig::paper_default();
         let bytes = predicted_sketch_bytes(&config, 8_000_000);
         let levels = bytes / config.level_bytes() as u64;
         assert_eq!(levels, 23);
-        // 23 × 3 × 128 × 280 ≈ 2.47 MB (2.3 MB in the paper's
-        // 65-counter accounting).
-        assert_eq!(bytes, 23 * 3 * 128 * 280);
+        assert_eq!(bytes, 23 * 3 * 128 * 28);
+        // 23 × 3 × 128 × 260 ≈ 2.3 MB, the paper's figure.
+        assert_eq!(PAPER_SIGNATURE_BYTES, 260);
+        assert_eq!(paper_sketch_bytes(&config, 8_000_000), 23 * 3 * 128 * 260);
     }
 
     #[test]

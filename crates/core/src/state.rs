@@ -1,10 +1,10 @@
 //! Plain-data snapshots of sketch state for persistence.
 //!
 //! A checkpoint layer (see the `dcs-persist` crate) needs every word of
-//! a synopsis' internal state — the per-level counter/key-sum/fp-sum
-//! slabs, the tracking layer's singleton multisets and heap slot
-//! arrays, the bookkeeping counters — but the storage types themselves
-//! are deliberately private. This module is the boundary: public
+//! a synopsis' internal state — the per-level total, half-sum and
+//! fingerprint-sum slabs, the tracking layer's singleton multisets and
+//! heap slot arrays, the bookkeeping counters — but the storage types
+//! themselves are deliberately private. This module is the boundary: public
 //! structure-of-vectors types that hold *exactly* the persistent state,
 //! produced by [`DistinctCountSketch::to_state`] /
 //! [`TrackingDcs::to_state`] and consumed by the matching
@@ -29,23 +29,38 @@
 //! [`TrackingDcs::to_state`]: crate::TrackingDcs::to_state
 
 use crate::config::SketchConfig;
+use crate::signature::CountSignature;
 
-/// The three storage slabs of one materialized level, as plain vectors.
+/// The four storage slabs of one materialized level, as plain vectors.
 ///
-/// Lengths are redundant with the sketch configuration (`counts` holds
-/// `r·s·65` counters, the sums `r·s` words each) and are re-validated
-/// against it on restore.
+/// Each slab holds one word per bucket slot (`r·s` words, bucket `k` of
+/// table `j` at slot `j·s + k`); lengths are redundant with the sketch
+/// configuration and are re-validated against it on restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelSlabs {
     /// The first-level bucket index this slab belongs to.
     pub level: u32,
-    /// `r·s·65` four-byte signature counters, stride-indexed by bucket
-    /// slot (checkpoints widen them to 8 bytes on disk).
-    pub counts: Vec<i32>,
-    /// `r·s` wrapping key sums, one per bucket slot.
-    pub key_sums: Vec<u64>,
-    /// `r·s` wrapping fingerprint sums, one per bucket slot.
+    /// Bucket totals `Σ ±1` (the paper's 4-byte counters).
+    pub totals: Vec<i32>,
+    /// Exact sums `Σ ±lo32(key)` of the keys' low 32-bit halves.
+    pub lo_sums: Vec<i64>,
+    /// Exact sums `Σ ±hi32(key)` of the keys' high 32-bit halves.
+    pub hi_sums: Vec<i64>,
+    /// Wrapping fingerprint sums `Σ ±fingerprint64(key)`.
     pub fp_sums: Vec<u64>,
+}
+
+impl LevelSlabs {
+    /// The count signature of bucket slot `slot`, or `None` past the
+    /// end of a slab.
+    pub fn signature(&self, slot: usize) -> Option<CountSignature> {
+        Some(CountSignature {
+            total: *self.totals.get(slot)?,
+            lo: *self.lo_sums.get(slot)?,
+            hi: *self.hi_sums.get(slot)?,
+            fp: *self.fp_sums.get(slot)?,
+        })
+    }
 }
 
 /// Complete persistent state of a [`DistinctCountSketch`].
@@ -216,7 +231,7 @@ mod tests {
         let mut sketch = DistinctCountSketch::new(config(5));
         sketch.insert(SourceAddr(1), DestAddr(2));
         let mut state = sketch.to_state();
-        state.levels[0].counts.pop();
+        state.levels[0].lo_sums.pop();
         assert!(DistinctCountSketch::from_state(state).is_err());
     }
 

@@ -37,6 +37,11 @@ impl Telem {
     }
 
     #[inline]
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters.add(counter, n);
+    }
+
+    #[inline]
     pub(crate) fn start_timer(&self) -> Instant {
         Instant::now()
     }

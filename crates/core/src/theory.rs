@@ -11,7 +11,7 @@
 //! a first-level hash sends each pair to level `l` with probability
 //! `2^-(l+1)` ([`dcs_hash::GeometricLevelHash`]); each level holds `r`
 //! independent tables of `s` buckets with count signatures
-//! ([`crate::signature::CountSignature`]).
+//! ([`crate::signature::CountSignature`]: a total and three sums).
 //!
 //! ## Why approximate at all (the lower bound)
 //!
@@ -28,30 +28,39 @@
 //!
 //! ## Singleton decode soundness
 //!
-//! *Claim.* On well-formed streams, a bucket decodes as a singleton iff
-//! exactly one distinct pair has positive net count in it, and the
-//! decoded bits are that pair.
+//! *Claim.* On well-formed streams, a bucket holding exactly one
+//! distinct pair with positive net count always decodes as that pair;
+//! a bucket holding two or more decodes as a singleton only on a
+//! 64-bit fingerprint collision (probability ≈ 2⁻⁶⁴ per check).
 //!
 //! *Why.* Let the bucket hold pairs `p₁ … p_j` with net counts
-//! `c₁ … c_j > 0` and total `T = Σcᵢ`. Bit `b`'s counter equals
-//! `Σ_{i : bit_b(pᵢ)=1} cᵢ`. If `j ≥ 2`, pick a bit where two resident
-//! pairs differ: its counter is strictly between `0` and `T`, so the
-//! decode reports a collision. If `j = 1` every counter is `0` or `T`
-//! and the pattern spells the pair. Negative net counts (ill-formed
-//! streams) break the "strictly between" step — that is the boundary
-//! of the guarantee, pinned by
-//! `signature::tests::ill_formed_zero_total_nonzero_bits_reports_collision`.
+//! `c₁ … c_j > 0` and total `T = Σcᵢ`. Its half sums are
+//! `Σ cᵢ·lo32(pᵢ)` and `Σ cᵢ·hi32(pᵢ)`, exact below 2⁶³. If `j = 1`
+//! both divide by `T` into the pair's halves and the fingerprint sum is
+//! `T·fingerprint64(p₁)`. If `j ≥ 2`, a candidate whose halves divide
+//! exactly must still satisfy `Σ cᵢ·fingerprint64(pᵢ) =
+//! T·fingerprint64(candidate)`, which the nonlinear mix makes a
+//! 2⁻⁶⁴ event. The paper's bit-counter decode is deterministic here
+//! instead (two resident pairs differ in a bit whose counter lies
+//! strictly between 0 and `T`); DESIGN.md §2 records the trade.
+//! Negative net counts (ill-formed streams) break the argument, so a
+//! negative total or a zero total with residue decodes to a collision,
+//! pinned by
+//! `signature::tests::ill_formed_states_decode_to_collision_and_are_flagged`.
 //!
 //! *Code.* [`crate::signature::CountSignature::decode`]. *Tests.* The
-//! `signature` unit tests; `tests/properties.rs` (delete-resilience).
+//! `signature` unit tests; `tests/signature_differential.rs` (against
+//! the paper's 65-counter decode); `tests/properties.rs`
+//! (delete-resilience).
 //!
 //! ## Delete-resilience (§3)
 //!
 //! *Claim.* The sketch after a stream equals the sketch after the same
 //! stream with every insert-then-deleted pair removed.
 //!
-//! *Why.* Every counter is a linear functional of the stream (sum of
-//! ±1 contributions); contributions of cancelled updates cancel.
+//! *Why.* Every word of a signature is a linear functional of the
+//! stream (a sum of ±1, ±half-key or ±fingerprint contributions);
+//! contributions of cancelled updates cancel.
 //!
 //! *Code.* [`crate::signature::CountSignature::apply`] (the only write
 //! path). *Tests.* `sketch::tests::deletes_cancel_inserts_exactly`,

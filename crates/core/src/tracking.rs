@@ -181,7 +181,7 @@ impl TrackingDcs {
     }
 
     /// The unscreened update path: decode-before / apply / decode-after
-    /// on every affected bucket, with the exhaustive 65-counter decode.
+    /// on every affected bucket, with no fast skip.
     ///
     /// Semantically identical to [`update`](Self::update) on well-formed
     /// streams; kept as the reference implementation for equivalence
@@ -194,10 +194,10 @@ impl TrackingDcs {
         let fp = fingerprint64(update.key.packed());
         for table in 0..num_tables {
             let bucket = self.sketch.bucket_of(table, update.key);
-            let before = self.sketch.decode_bucket_exhaustive(level, table, bucket);
+            let before = self.sketch.decode_bucket(level, table, bucket);
             self.sketch
                 .apply_at(level, table, bucket, update.key, update.delta, fp);
-            let after = self.sketch.decode_bucket_exhaustive(level, table, bucket);
+            let after = self.sketch.decode_bucket(level, table, bucket);
             self.handle_transition(level, before, after);
         }
         self.sketch.note_update(update.delta);
@@ -527,16 +527,18 @@ impl TrackingDcs {
     /// Registers every singleton the counters decode in the (empty)
     /// tracking structures.
     ///
-    /// Runs each level's singleton enumeration as the wide screen pass
+    /// Runs each level's singleton enumeration as the screen pass
     /// (`LevelState::for_each_singleton`), which visits singletons in
-    /// slot order — exactly the table-major `(table, bucket)` order the
-    /// former nested loop used, so the rebuilt heap arrangement is
-    /// bit-identical to the pre-wide-pass rebuild.
+    /// slot order — the table-major `(table, bucket)` order of a nested
+    /// loop — and counts the ill-formed buckets it meets.
     fn track_singletons(&mut self) {
         for level in 0..usize_from_u32(self.config().max_levels()) {
             let mut found: Vec<FlowKey> = Vec::new();
             if let Some(state) = self.sketch.level_state(level) {
-                state.for_each_singleton(|key, _net| found.push(key));
+                let ill_formed = state.for_each_singleton(|key, _net| found.push(key));
+                if ill_formed > 0 {
+                    self.sketch.telem.add(Counter::DecodeIllFormed, ill_formed);
+                }
             }
             for key in found {
                 self.incr_singleton(level, key);
@@ -687,9 +689,7 @@ impl TrackingDcs {
     /// singleton set, and every heap priority at `b` equals the group's
     /// frequency in `∪_{l ≥ b} singletons(l)`. Also fails if any
     /// silent-failure counter ([`untracked_decrements`],
-    /// [`heap_underflows`], [`heap_overflows`]) is nonzero, and
-    /// cross-checks the screened decode against the exhaustive decode
-    /// on every bucket.
+    /// [`heap_underflows`], [`heap_overflows`]) is nonzero.
     ///
     /// [`untracked_decrements`]: Self::untracked_decrements
     /// [`heap_underflows`]: Self::heap_underflows
@@ -723,15 +723,8 @@ impl TrackingDcs {
             let mut scanned: DetHashMap<u64, u32> = DetHashMap::default();
             for table in 0..num_tables {
                 for bucket in 0..buckets {
-                    let fast = self.sketch.decode_bucket(level, table, bucket);
-                    let exhaustive = self.sketch.decode_bucket_exhaustive(level, table, bucket);
-                    if fast != exhaustive {
-                        return Err(format!(
-                            "level {level} table {table} bucket {bucket}: screened \
-                             decode {fast:?} != exhaustive decode {exhaustive:?}"
-                        ));
-                    }
-                    if let Some(key) = fast.singleton_key() {
+                    let decoded = self.sketch.decode_bucket(level, table, bucket);
+                    if let Some(key) = decoded.singleton_key() {
                         *scanned.entry(key.packed()).or_insert(0) += 1;
                     }
                 }

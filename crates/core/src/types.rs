@@ -101,8 +101,8 @@ impl fmt::Display for DestAddr {
 ///
 /// The packing concatenates the source into the high 32 bits and the
 /// destination into the low 32 bits, exactly as the paper's
-/// "concatenating the two addresses" convention. The packed form is what
-/// count signatures store and recover bit-by-bit.
+/// "concatenating the two addresses" convention. Count signatures sum
+/// the packed form's two 32-bit halves and recover it from those sums.
 ///
 /// # Examples
 ///

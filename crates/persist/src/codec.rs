@@ -35,11 +35,23 @@
 //! | 4 `Sharded`  | `SHD` `SNP`(nested Sketch)* |
 //! | 5 `Window`   | `WND` `CUR`(nested Tracking) `BAS`(nested Sketch) `WIN`(nested Sketch) `SNP`(nested Sketch)* |
 //!
-//! A `LVL` section's counter slab carries each 4-byte sketch counter
-//! widened to an 8-byte word. Decoding narrows the words back in the
-//! same pass and refuses a slab holding a word outside `i32` with
-//! [`PersistError::CounterOutOfRange`], so no kind can smuggle in a
-//! counter that would wrap.
+//! A `LVL` section carries one level's four slabs, 28 bytes per bucket:
+//!
+//! ```text
+//! level := index:u32  n:u64 total:i32*n  n:u64 lo:i64*n  n:u64 hi:i64*n  n:u64 fp:u64*n
+//! ```
+//!
+//! Format 1 stored the paper's 65 counters per bucket (each 4-byte
+//! counter widened to an 8-byte word) plus a key sum and a fingerprint
+//! sum, 536 bytes per bucket. Format-1 files still decode: the bit
+//! counters `c_j` of each bucket convert exactly to the half sums
+//! `lo = Σ_{j<32} 2^j·c_j` and `hi = Σ_{j≥32} 2^(j−32)·c_j`, the first
+//! counter is the total, and the fingerprint sum carries over. A
+//! counter word outside `i32` is refused with
+//! [`PersistError::CounterOutOfRange`], and a level whose stored key
+//! sum differs from `lo + hi·2³²` (mod 2⁶⁴) — a sum the bit counters
+//! alone determine — is `Corrupt`. The update log's format is
+//! unchanged, so a format-1 snapshot resumes with its log.
 //!
 //! Kind 3 was an epoch snapshot ring, retired in favour of the window
 //! document; its byte is never reused, and a file that carries it
@@ -65,8 +77,15 @@ use crate::wire::{crc32, ByteReader, ByteWriter};
 /// The first eight bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"DCSCKPT\0";
 
-/// The newest (and currently only) checkpoint format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// The checkpoint format version this build writes. It reads this one
+/// and format 1 (see the module docs).
+pub const FORMAT_VERSION: u32 = 2;
+
+/// The last format that stored 65 counters per bucket.
+const FORMAT_V1: u32 = 1;
+
+/// Counters per bucket in a format-1 level: a total and 64 bit counts.
+const V1_SIGNATURE_LEN: usize = 65;
 
 const KIND_SKETCH: u8 = 1;
 const KIND_TRACKING: u8 = 2;
@@ -247,10 +266,12 @@ fn write_config(w: &mut ByteWriter, config: &SketchConfig) {
 
 fn write_level(w: &mut ByteWriter, slab: &LevelSlabs) {
     w.put_u32(slab.level);
-    w.put_u64(len_u64(slab.counts.len()));
-    w.put_counters(&slab.counts);
-    w.put_u64(len_u64(slab.key_sums.len()));
-    w.put_u64s(&slab.key_sums);
+    w.put_u64(len_u64(slab.totals.len()));
+    w.put_i32s(&slab.totals);
+    for sums in [&slab.lo_sums, &slab.hi_sums] {
+        w.put_u64(len_u64(sums.len()));
+        w.put_i64s(sums);
+    }
     w.put_u64(len_u64(slab.fp_sums.len()));
     w.put_u64s(&slab.fp_sums);
 }
@@ -333,10 +354,10 @@ fn write_checkpoint(w: &mut ByteWriter, checkpoint: &Checkpoint) {
 /// enough that a fresh buffer is allocated once.
 fn size_hint(checkpoint: &Checkpoint) -> usize {
     let sketch = |s: &SketchState| -> usize {
-        let words: usize = (s.levels.iter())
-            .map(|l| l.counts.len() + l.key_sums.len() + l.fp_sums.len() + 8)
+        let bytes: usize = (s.levels.iter())
+            .map(|l| l.totals.len() * SketchConfig::signature_bytes() + 64)
             .sum();
-        words * 8 + 128
+        bytes + 128
     };
     let tracking = |t: &TrackingState| -> usize {
         let pairs: usize = (t.levels.iter())
@@ -384,9 +405,15 @@ struct Section<'a> {
     payload: &'a [u8],
 }
 
-/// Reads a document header: validates magic and version, and returns
-/// the document kind and the declared section count.
-fn read_header(r: &mut ByteReader<'_>) -> Result<(u8, u32), PersistError> {
+/// A document's kind, format version and declared section count.
+struct Header {
+    kind: u8,
+    version: u32,
+    section_count: u32,
+}
+
+/// Reads a document header: validates magic and version.
+fn read_header(r: &mut ByteReader<'_>) -> Result<Header, PersistError> {
     let magic = r.take(8, "magic")?;
     if magic != MAGIC {
         let mut found = [0u8; 8];
@@ -394,7 +421,7 @@ fn read_header(r: &mut ByteReader<'_>) -> Result<(u8, u32), PersistError> {
         return Err(PersistError::BadMagic { found });
     }
     let version = r.u32("format version")?;
-    if version != FORMAT_VERSION {
+    if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -402,7 +429,11 @@ fn read_header(r: &mut ByteReader<'_>) -> Result<(u8, u32), PersistError> {
     }
     let kind = r.u8("document kind")?;
     let section_count = r.u32("section count")?;
-    Ok((kind, section_count))
+    Ok(Header {
+        kind,
+        version,
+        section_count,
+    })
 }
 
 /// Reads the section table after a header and checks every section's
@@ -438,12 +469,12 @@ fn read_sections<'a>(
 }
 
 /// Walks the document framing: header, then every section with its
-/// CRC checked. Returns the document kind and the sections in file
-/// order.
-fn read_document(bytes: &[u8]) -> Result<(u8, Vec<Section<'_>>), PersistError> {
+/// CRC checked. Returns the header and the sections in file order.
+fn read_document(bytes: &[u8]) -> Result<(Header, Vec<Section<'_>>), PersistError> {
     let mut r = ByteReader::new(bytes);
-    let (kind, section_count) = read_header(&mut r)?;
-    Ok((kind, read_sections(r, section_count)?))
+    let header = read_header(&mut r)?;
+    let sections = read_sections(r, header.section_count)?;
+    Ok((header, sections))
 }
 
 /// Reads a document embedded in a section payload, refusing it from
@@ -454,15 +485,19 @@ fn read_embedded<'a>(
     payload: &'a [u8],
     expected: u8,
     what: &str,
-) -> Result<Vec<Section<'a>>, PersistError> {
+) -> Result<(u32, Vec<Section<'a>>), PersistError> {
     let mut r = ByteReader::new(payload);
-    let (kind, section_count) = read_header(&mut r)?;
+    let Header {
+        kind,
+        version,
+        section_count,
+    } = read_header(&mut r)?;
     if kind != expected {
         return Err(PersistError::Corrupt {
             context: format!("{what}: embedded document has kind {kind}, expected {expected}"),
         });
     }
-    read_sections(r, section_count)
+    Ok((version, read_sections(r, section_count)?))
 }
 
 /// Returns the byte offset of every top-level section boundary in a
@@ -542,17 +577,77 @@ fn decode_config(payload: &[u8]) -> Result<SketchConfig, PersistError> {
         .map_err(PersistError::State)
 }
 
-fn decode_level(payload: &[u8]) -> Result<LevelSlabs, PersistError> {
+fn decode_level(payload: &[u8], version: u32) -> Result<LevelSlabs, PersistError> {
+    if version == FORMAT_V1 {
+        return decode_level_v1(payload);
+    }
+    let mut r = ByteReader::new(payload);
+    let level = r.u32("level index")?;
+    let totals = r.i32_slab("level totals slab")?;
+    let lo_sums = r.i64_slab("level low-sum slab")?;
+    let hi_sums = r.i64_slab("level high-sum slab")?;
+    let fp_sums = r.u64_slab("level fp-sum slab")?;
+    r.expect_end()?;
+    Ok(LevelSlabs {
+        level,
+        totals,
+        lo_sums,
+        hi_sums,
+        fp_sums,
+    })
+}
+
+/// Converts a format-1 level (65 counters per bucket, a key sum and a
+/// fingerprint sum) to the four slabs, exactly; see the module docs.
+fn decode_level_v1(payload: &[u8]) -> Result<LevelSlabs, PersistError> {
     let mut r = ByteReader::new(payload);
     let level = r.u32("level index")?;
     let counts = r.counter_slab("level counter slab")?;
     let key_sums = r.u64_slab("level key-sum slab")?;
     let fp_sums = r.u64_slab("level fp-sum slab")?;
     r.expect_end()?;
+    let slots = key_sums.len();
+    if counts.len() != slots.saturating_mul(V1_SIGNATURE_LEN) || fp_sums.len() != slots {
+        return Err(PersistError::Corrupt {
+            context: format!(
+                "level {level}: {} counters and {} fingerprint sums do not fit {slots} buckets",
+                counts.len(),
+                fp_sums.len()
+            ),
+        });
+    }
+    let mut totals = Vec::with_capacity(slots);
+    let mut lo_sums = Vec::with_capacity(slots);
+    let mut hi_sums = Vec::with_capacity(slots);
+    for (slot, (block, &key_sum)) in counts
+        .chunks_exact(V1_SIGNATURE_LEN)
+        .zip(&key_sums)
+        .enumerate()
+    {
+        // |c_j| ≤ 2³¹, so each half sum stays below 2³¹·(2³² − 1) < 2⁶³.
+        let half = |bits: &[i32]| -> i64 {
+            (bits.iter().zip(0u32..))
+                .map(|(&c, j)| i64::from(c) << j)
+                .sum()
+        };
+        let (lo, hi) = (half(&block[1..33]), half(&block[33..]));
+        let derived = lo.wrapping_add(hi.wrapping_shl(32));
+        if u64::from_le_bytes(derived.to_le_bytes()) != key_sum {
+            return Err(PersistError::Corrupt {
+                context: format!(
+                    "level {level} bucket {slot}: key sum {key_sum:#x} disagrees with its bit counters"
+                ),
+            });
+        }
+        totals.push(block[0]);
+        lo_sums.push(lo);
+        hi_sums.push(hi);
+    }
     Ok(LevelSlabs {
         level,
-        counts,
-        key_sums,
+        totals,
+        lo_sums,
+        hi_sums,
         fp_sums,
     })
 }
@@ -602,7 +697,10 @@ fn expect_tag(section: &Section<'_>, tag: [u8; 4]) -> Result<(), PersistError> {
     }
 }
 
-fn decode_sketch_sections(sections: &[Section<'_>]) -> Result<SketchState, PersistError> {
+fn decode_sketch_sections(
+    sections: &[Section<'_>],
+    version: u32,
+) -> Result<SketchState, PersistError> {
     if sections.len() < 2 {
         return Err(PersistError::Corrupt {
             context: format!(
@@ -621,7 +719,7 @@ fn decode_sketch_sections(sections: &[Section<'_>]) -> Result<SketchState, Persi
     let mut levels = Vec::with_capacity(sections.len() - 2);
     for section in &sections[2..] {
         expect_tag(section, TAG_LVL)?;
-        levels.push(decode_level(section.payload)?);
+        levels.push(decode_level(section.payload, version)?);
     }
     Ok(SketchState {
         config,
@@ -659,11 +757,12 @@ fn decode_tracking_sections(sections: &[Section<'_>]) -> Result<TrackingState, P
 }
 
 fn decode_nested_sketch(payload: &[u8], what: &str) -> Result<SketchState, PersistError> {
-    decode_sketch_sections(&read_embedded(payload, KIND_SKETCH, what)?)
+    let (version, sections) = read_embedded(payload, KIND_SKETCH, what)?;
+    decode_sketch_sections(&sections, version)
 }
 
 fn decode_nested_tracking(payload: &[u8], what: &str) -> Result<TrackingState, PersistError> {
-    decode_tracking_sections(&read_embedded(payload, KIND_TRACKING, what)?)
+    decode_tracking_sections(&read_embedded(payload, KIND_TRACKING, what)?.1)
 }
 
 /// Decodes a checkpoint document, validating framing, CRCs, and
@@ -674,9 +773,12 @@ fn decode_nested_tracking(payload: &[u8], what: &str) -> Result<TrackingState, P
 /// friends) validate the *semantics* — both must pass before any live
 /// structure is built.
 pub fn decode(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
-    let (kind, sections) = read_document(bytes)?;
-    match kind {
-        KIND_SKETCH => Ok(Checkpoint::Sketch(decode_sketch_sections(&sections)?)),
+    let (header, sections) = read_document(bytes)?;
+    match header.kind {
+        KIND_SKETCH => Ok(Checkpoint::Sketch(decode_sketch_sections(
+            &sections,
+            header.version,
+        )?)),
         KIND_TRACKING => Ok(Checkpoint::Tracking(decode_tracking_sections(&sections)?)),
         KIND_SHARDED => {
             if sections.is_empty() {
@@ -835,15 +937,19 @@ mod tests {
     fn legacy_level(slab: &LevelSlabs) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(slab.level);
-        w.put_u64(u64::try_from(slab.counts.len()).unwrap());
-        for &c in &slab.counts {
-            w.put_i64(i64::from(c));
+        w.put_u64(u64::try_from(slab.totals.len()).unwrap());
+        for &t in &slab.totals {
+            w.put_bytes(&t.to_le_bytes());
         }
-        for sums in [&slab.key_sums, &slab.fp_sums] {
+        for sums in [&slab.lo_sums, &slab.hi_sums] {
             w.put_u64(u64::try_from(sums.len()).unwrap());
             for &s in sums {
-                w.put_u64(s);
+                w.put_i64(s);
             }
+        }
+        w.put_u64(u64::try_from(slab.fp_sums.len()).unwrap());
+        for &s in &slab.fp_sums {
+            w.put_u64(s);
         }
         w.into_bytes()
     }

@@ -242,16 +242,22 @@ impl ByteWriter {
         self.put_words(vs, u64::to_le_bytes);
     }
 
-    /// Appends a slab of 4-byte counters, each widened to an `i64`
-    /// word (little-endian two's complement), in one pass.
-    pub fn put_counters(&mut self, vs: &[i32]) {
-        self.put_words(vs, |v| i64::from(v).to_le_bytes());
+    /// Appends a slab of `i64`s, little-endian two's complement, in
+    /// one pass.
+    pub fn put_i64s(&mut self, vs: &[i64]) {
+        self.put_words(vs, i64::to_le_bytes);
     }
 
-    fn put_words<T: Copy>(&mut self, vs: &[T], to_le: impl Fn(T) -> [u8; 8]) {
+    /// Appends a slab of `i32`s, four little-endian bytes each, in one
+    /// pass.
+    pub fn put_i32s(&mut self, vs: &[i32]) {
+        self.put_words(vs, i32::to_le_bytes);
+    }
+
+    fn put_words<T: Copy, const N: usize>(&mut self, vs: &[T], to_le: impl Fn(T) -> [u8; N]) {
         let start = self.buf.len();
-        self.buf.resize(start + vs.len() * 8, 0);
-        for (dst, &v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+        self.buf.resize(start + vs.len() * N, 0);
+        for (dst, &v) in self.buf[start..].chunks_exact_mut(N).zip(vs) {
             dst.copy_from_slice(&to_le(v));
         }
     }
@@ -372,10 +378,21 @@ impl<'a> ByteReader<'a> {
         self.word_slab(what, u64::from_le_bytes)
     }
 
-    /// Reads a `u64`-count-prefixed slab of `i64` counter words and
-    /// narrows each to a 4-byte counter in the same pass, refusing the
-    /// slab with [`PersistError::CounterOutOfRange`] at the first word
-    /// outside `i32`.
+    /// Reads a `u64`-count-prefixed slab of little-endian `i64`s.
+    pub fn i64_slab(&mut self, what: &str) -> Result<Vec<i64>, PersistError> {
+        self.word_slab(what, i64::from_le_bytes)
+    }
+
+    /// Reads a `u64`-count-prefixed slab of 4-byte little-endian `i32`s.
+    pub fn i32_slab(&mut self, what: &str) -> Result<Vec<i32>, PersistError> {
+        self.word_slab(what, i32::from_le_bytes)
+    }
+
+    /// Reads a `u64`-count-prefixed slab of `i64` counter words (the
+    /// format-1 counter slab) and narrows each to a 4-byte counter in
+    /// the same pass, refusing the slab with
+    /// [`PersistError::CounterOutOfRange`] at the first word outside
+    /// `i32`.
     pub fn counter_slab(&mut self, what: &str) -> Result<Vec<i32>, PersistError> {
         // The first out-of-range word, noted without leaving the
         // exact-size pass that fills the slab.
@@ -396,18 +413,18 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    fn word_slab<T>(
+    fn word_slab<T, const N: usize>(
         &mut self,
         what: &str,
-        mut from_le: impl FnMut([u8; 8]) -> T,
+        mut from_le: impl FnMut([u8; N]) -> T,
     ) -> Result<Vec<T>, PersistError> {
-        let count = self.element_count(8, what)?;
-        // `element_count` proved `count × 8` fits and remains.
-        let bytes = self.take(count * 8, what)?;
+        let count = self.element_count(N, what)?;
+        // `element_count` proved `count × N` fits and remains.
+        let bytes = self.take(count * N, what)?;
         Ok(bytes
-            .chunks_exact(8)
+            .chunks_exact(N)
             .map(|word| {
-                let mut arr = [0u8; 8];
+                let mut arr = [0u8; N];
                 arr.copy_from_slice(word);
                 from_le(arr)
             })
@@ -532,7 +549,9 @@ mod tests {
         assert!(w.is_empty(), "a reused buffer starts empty");
         w.put_u32(0);
         w.put_u64(3);
-        w.put_counters(&[-1, 0, i32::MIN]);
+        w.put_i64s(&[-1, 0, i64::from(i32::MIN)]);
+        w.put_u64(2);
+        w.put_i32s(&[i32::MAX, -7]);
         w.put_u64(2);
         w.put_u64s(&[u64::MAX, 5]);
         w.patch(0, &9u32.to_le_bytes());
@@ -541,6 +560,7 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u32("patched").unwrap(), 9);
         assert_eq!(r.counter_slab("i").unwrap(), vec![-1, 0, i32::MIN]);
+        assert_eq!(r.i32_slab("n").unwrap(), vec![i32::MAX, -7]);
         assert_eq!(r.u64_slab("u").unwrap(), vec![u64::MAX, 5]);
         r.expect_end().unwrap();
     }

@@ -19,18 +19,22 @@ pub enum Counter {
     /// update was a repeat of the bucket's own singleton key
     /// (`screened_apply`'s dominant fast path).
     ScreenFastSkip,
-    /// The screen proved no decode transition (bucket is and stays
-    /// empty/colliding) without running the 65-counter decode.
+    /// The `O(1)` decodes before and after the update recovered the
+    /// same singleton (or none): no transition to handle.
     ScreenNoTransition,
-    /// The screen could not rule a transition out; the bucket paid for
-    /// decode-before/decode-after transition handling.
+    /// The decoded singleton changed; the bucket paid for the
+    /// tracking layer's transition handling.
     ScreenMiss,
     /// A count-signature decode recovered a singleton pair
     /// (`ReturnSingleton` of Fig. 4 returned a key).
     DecodeSingleton,
-    /// A count-signature decode on the unscreened path found an empty
+    /// A count-signature decode on the transition path found an empty
     /// or colliding bucket (no pair recoverable).
     DecodeNonSingleton,
+    /// A decode met a state only an ill-formed stream can produce: a
+    /// negative total, or a zero total with residue in a sum. It
+    /// decodes to a collision, so no negative-count pair is sampled.
+    DecodeIllFormed,
     /// `difference()` rejected a snapshot with more processed updates
     /// than the sketch itself — the condition that previously clamped
     /// `updates_processed` silently to zero.
@@ -50,12 +54,13 @@ pub enum Counter {
 }
 
 /// Every counter, in stable export order.
-pub const ALL_COUNTERS: [Counter; 10] = [
+pub const ALL_COUNTERS: [Counter; 11] = [
     Counter::ScreenFastSkip,
     Counter::ScreenNoTransition,
     Counter::ScreenMiss,
     Counter::DecodeSingleton,
     Counter::DecodeNonSingleton,
+    Counter::DecodeIllFormed,
     Counter::SnapshotAheadRejected,
     Counter::HeapAdjust,
     Counter::HeapUnderflowClamp,
@@ -72,6 +77,7 @@ impl Counter {
             Counter::ScreenMiss => "screen_miss",
             Counter::DecodeSingleton => "decode_singleton",
             Counter::DecodeNonSingleton => "decode_non_singleton",
+            Counter::DecodeIllFormed => "decode_ill_formed",
             Counter::SnapshotAheadRejected => "snapshot_ahead_rejected",
             Counter::HeapAdjust => "heap_adjust",
             Counter::HeapUnderflowClamp => "heap_underflow_clamp",
@@ -92,6 +98,7 @@ impl Counter {
             Counter::HeapUnderflowClamp => 7,
             Counter::HeapOverflowClamp => 8,
             Counter::UntrackedDecrement => 9,
+            Counter::DecodeIllFormed => 10,
         }
     }
 }

@@ -354,8 +354,12 @@ mod tests {
         validate_line(&snap.to_jsonl()).expect("empty snapshot");
         snap.updates_processed = 42;
         snap.net_updates = -3;
-        snap.set_counter("heap_overflow_clamp", 1);
-        snap.set_counter("screen_fast_skip", 40);
+        // Every name of the closed counter vocabulary exports and
+        // validates, `decode_ill_formed` included.
+        for (value, counter) in (1..).zip(crate::counter::ALL_COUNTERS) {
+            snap.set_counter(counter.name(), value);
+        }
+        assert_eq!(snap.counters.get("decode_ill_formed"), Some(&6));
         snap.levels.push(LevelGauges {
             level: 0,
             occupied_buckets: 4,

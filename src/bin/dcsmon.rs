@@ -673,9 +673,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     monitor.ingest(&pending);
     for event in monitor.evaluate_events().map_err(|e| e.to_string())? {
         events_total += 1;
-        if matches!(event, AlarmEvent::Raised(_)) {
-            println!("[end] {}", event_line(&event));
-        }
+        println!("[end] {}", event_line(&event));
     }
     println!(
         "replayed {} updates; {} alarm events; currently alarmed: {:?}",

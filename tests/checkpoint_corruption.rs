@@ -14,9 +14,9 @@
 //!   allows are refused from their headers, without recursion.
 //! * **Round-trip** — proptest-driven encode → decode identity over
 //!   randomized sketch contents.
-//! * **Counter range** — a validly framed document whose 8-byte counter
-//!   word lies outside the sketch's 4-byte counters is refused, never
-//!   wrapped into range.
+//! * **Counter range** — a validly framed format-1 document whose 8-byte
+//!   counter word lies outside the sketch's 4-byte totals is refused,
+//!   never wrapped into range.
 //! * **Update log** — the log beside a snapshot cut anywhere in its
 //!   last record, bit-flipped in a middle record, starting past the
 //!   snapshot, or left by another run: each record is applied or
@@ -575,7 +575,7 @@ fn a_fresh_start_after_a_refused_snapshot_never_replays_the_old_log() {
     remove_checkpoint(&path);
 }
 
-/// `bytes` (an encoded document) with the first counter of its first
+/// `bytes` (a format-1 document) with the first counter of its first
 /// `LVL` section — the total of bucket slot 0 — set to `word`, and
 /// that section's CRC recomputed, so only the counter range is wrong.
 fn with_first_counter(mut bytes: Vec<u8>, word: i64) -> Vec<u8> {
@@ -591,27 +591,44 @@ fn with_first_counter(mut bytes: Vec<u8>, word: i64) -> Vec<u8> {
     bytes
 }
 
+/// A committed format-1 fixture. Format 2 stores each total in four
+/// bytes, so only a format-1 file can carry a counter word outside
+/// `i32`.
+fn v1_fixture(name: &str) -> Vec<u8> {
+    std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name),
+    )
+    .unwrap()
+}
+
+/// The configuration of the committed fixtures.
+fn fixture_config() -> SketchConfig {
+    SketchConfig::builder()
+        .num_tables(2)
+        .buckets_per_table(8)
+        .max_levels(6)
+        .seed(0xDC5_2007)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn a_counter_outside_i32_is_refused_not_wrapped() {
-    let mut sketch = DistinctCountSketch::new(config(8));
-    for s in 0..40u32 {
-        sketch.insert(SourceAddr(s), DestAddr(s % 3));
-    }
-    let bytes = encode(&Checkpoint::Sketch(sketch.to_state()));
-    // The widest in-range words still decode, to exactly those values.
+    let bytes = v1_fixture("sketch_v1.ckpt");
+    // The widest in-range words still decode, to exactly those totals.
     for word in [i64::from(i32::MAX), i64::from(i32::MIN)] {
         let Checkpoint::Sketch(state) = decode(&with_first_counter(bytes.clone(), word)).unwrap()
         else {
             panic!("a sketch document decodes to a sketch");
         };
-        assert_eq!(i64::from(state.levels[0].counts[0]), word);
+        assert_eq!(i64::from(state.levels[0].totals[0]), word);
     }
     // One past either end, and 2³² + 1 (which an `as i32` would wrap to
     // a plausible total of 1), are refused — in a top-level sketch
     // document and nested inside a tracking one alike.
-    let mut tracking = TrackingDcs::new(config(8));
-    tracking.insert(SourceAddr(1), DestAddr(2));
-    let tracking_bytes = encode(&Checkpoint::Tracking(tracking.to_state()));
+    let tracking_bytes = v1_fixture("tracking_v1.ckpt");
     for word in [1 << 31, -(1 << 31) - 1, (1 << 32) + 1] {
         match decode(&with_first_counter(bytes.clone(), word)) {
             Err(PersistError::CounterOutOfRange { context, value }) => {
@@ -633,15 +650,38 @@ fn a_counter_outside_i32_is_refused_not_wrapped() {
     remove_checkpoint(&path);
     std::fs::write(&path, with_first_counter(bytes, (1 << 32) + 1)).unwrap();
     let feed = flood_feed(8);
-    let report = run_pipeline(vec![feed.clone()], checkpointed(config(8), &path));
+    let report = run_pipeline(vec![feed.clone()], checkpointed(fixture_config(), &path));
     assert!(!report.restored_from_checkpoint);
-    let mut fresh = DistinctCountSketch::new(config(8));
+    let mut fresh = DistinctCountSketch::new(fixture_config());
     fresh.update_batch(&router_exports(&feed));
     assert_eq!(
         report.monitor.sketch().sketch().to_state(),
         fresh.to_state()
     );
     remove_checkpoint(&path);
+}
+
+/// A format-1 level's key sum is determined by its bit counters, so a
+/// validly framed file whose key sum disagrees with them is refused as
+/// corrupt rather than converted.
+#[test]
+fn a_format_1_key_sum_that_disagrees_with_its_bit_counters_is_corrupt() {
+    let mut bytes = v1_fixture("sketch_v1.ckpt");
+    let offsets = section_offsets(&bytes).unwrap();
+    let (start, end) = (offsets[2], offsets[3]);
+    assert_eq!(&bytes[start..start + 4], b"LVL\0");
+    // Payload: level(4), counter count(8), 65 eight-byte counters per
+    // bucket, key-sum count(8), key sums.
+    let payload = start + 16;
+    let counters = u64::from_le_bytes(bytes[payload + 4..payload + 12].try_into().unwrap());
+    let first_key_sum = payload + 12 + 8 * counters as usize + 8;
+    bytes[first_key_sum] ^= 1;
+    let crc = crc32(&bytes[payload..end]);
+    bytes[start + 12..start + 16].copy_from_slice(&crc.to_le_bytes());
+    assert!(matches!(
+        decode(&bytes),
+        Err(PersistError::Corrupt { context }) if context.contains("disagrees with its bit counters")
+    ));
 }
 
 /// A tracking document whose nested sketch (its `SKC` section) has the

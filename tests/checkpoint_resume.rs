@@ -345,6 +345,44 @@ fn pipeline_resumes_a_legacy_tracking_checkpoint() {
     assert_eq!(rewritten, Checkpoint::Sketch(expected.to_state()));
 }
 
+/// A format-1 sketch snapshot with an update log beside it (the log's
+/// format did not change with the snapshot's) resumes in a pipeline:
+/// the snapshot converts exactly, the log replays on top, and the run
+/// continues from there.
+#[test]
+fn pipeline_resumes_a_format_1_snapshot_with_its_log() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sketch_v1.ckpt");
+    let path = temp_path("pipeline-v1-log");
+    remove_checkpoint(&path);
+    std::fs::copy(&fixture, &path).unwrap();
+    let mut manager = CheckpointManager::new(&path);
+    let Checkpoint::Sketch(legacy) = manager.load().unwrap() else {
+        panic!("the fixture is a sketch document");
+    };
+    let mut expected = DistinctCountSketch::from_state(legacy.clone()).unwrap();
+    let logged: Vec<FlowUpdate> = (0..50u32)
+        .map(|s| FlowUpdate::insert(SourceAddr(0x0b00_0000 + s), DestAddr(3)))
+        .collect();
+    manager
+        .replay_log(legacy.updates_processed, |_| {})
+        .unwrap();
+    manager.append(&logged).unwrap();
+    expected.update_batch(&logged);
+
+    let feed = mixed_feed(43);
+    let report = run_pipeline(
+        vec![feed.clone()],
+        checkpointed(legacy.config, &path, 1_000),
+    );
+    remove_checkpoint(&path);
+    assert!(report.restored_from_checkpoint);
+    expected.update_batch(&router_exports(&feed));
+    assert_eq!(
+        report.monitor.sketch().sketch().to_state(),
+        expected.to_state()
+    );
+}
+
 #[test]
 fn pipeline_sketch_checkpoint_kill_and_resume_is_bit_identical() {
     let feed = mixed_feed(42);

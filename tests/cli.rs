@@ -220,7 +220,8 @@ fn timeline_and_replay_commands() {
 
     // The exact event stream: the flood raises once and stays alarmed;
     // at the lower threshold the pulse target also raises, clears
-    // between bursts and raises again.
+    // between bursts, raises again and clears at the final evaluation.
+    // Every counted event is printed.
     let replay = |threshold: &str, every: &str| {
         let out = dcsmon()
             .args([
@@ -248,6 +249,7 @@ fn timeline_and_replay_commands() {
          [t=725] RAISED  10.0.0.10 ≈ 224 (AbsoluteThreshold)\n\
          [t=800] CLEARED 10.0.0.10 ≈ 0\n\
          [t=925] RAISED  10.0.0.10 ≈ 160 (AbsoluteThreshold)\n\
+         [end] CLEARED 10.0.0.10 ≈ 0\n\
          replayed 19188 updates; 5 alarm events; currently alarmed: [\"10.0.0.9\"]\n"
     );
 

@@ -4,10 +4,13 @@
 //! deployed monitor discovers it cannot read last week's checkpoint.
 //!
 //! Two fixture classes live under `tests/fixtures/`:
-//! * `*.ckpt` — canonical checkpoint files for deterministic sample
-//!   states. Drift check: re-encoding the same state today must be
-//!   byte-identical to the committed file, and decoding the committed
-//!   file must reproduce the state.
+//! * `*_v2.ckpt` — canonical checkpoint files for deterministic sample
+//!   states in the current format. Drift check: re-encoding the same
+//!   state today must be byte-identical to the committed file, and
+//!   decoding the committed file must reproduce the state.
+//! * `*_v1.ckpt` — the same states in format 1 (65 counters per
+//!   bucket), frozen: they are never regenerated, and decoding them
+//!   must still reproduce today's state exactly.
 //! * `hash_vectors.txt` — golden input → output vectors for the
 //!   geometric, tabulation, and multiply-shift hash families. The
 //!   checkpoint format persists *only* the seed, so restore
@@ -16,7 +19,8 @@
 //!
 //! Regenerate intentionally with `UPDATE_FIXTURES=1 cargo test --test
 //! golden_fixtures` and commit the diff (a format-version bump must
-//! accompany any `.ckpt` change).
+//! accompany any `.ckpt` change; the new format's files join the old
+//! ones, which stay as decode fixtures).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -33,6 +37,11 @@ fn fixtures_dir() -> PathBuf {
 
 fn updating() -> bool {
     std::env::var_os("UPDATE_FIXTURES").is_some_and(|v| v == "1")
+}
+
+/// Decodes a committed fixture file.
+fn committed(name: &str) -> Checkpoint {
+    decode(&std::fs::read(fixtures_dir().join(name)).unwrap()).unwrap()
 }
 
 /// Compares `actual` against the committed fixture, or rewrites the
@@ -57,16 +66,8 @@ fn check_fixture(name: &str, actual: &[u8]) {
 /// The canonical sample state: fixed seed, fixed stream, both inserts
 /// and deletes. Changing this function invalidates the fixtures.
 fn canonical_tracking() -> TrackingDcs {
-    // Small dimensions keep the committed fixture compact (~150 KB):
-    // each materialized level stores 3 slabs of r x s x 65 counters.
-    let config = SketchConfig::builder()
-        .num_tables(2)
-        .buckets_per_table(8)
-        .max_levels(6)
-        .seed(0xDC5_2007)
-        .build()
-        .unwrap();
-    let mut sketch = TrackingDcs::new(config);
+    // Small dimensions keep the committed fixtures compact.
+    let mut sketch = TrackingDcs::new(fixture_config());
     for s in 0..500u32 {
         sketch.update(FlowUpdate::new(
             SourceAddr(s.wrapping_mul(2_654_435_761)),
@@ -84,23 +85,32 @@ fn canonical_tracking() -> TrackingDcs {
     sketch
 }
 
+/// The fixtures' configuration.
+fn fixture_config() -> SketchConfig {
+    SketchConfig::builder()
+        .num_tables(2)
+        .buckets_per_table(8)
+        .max_levels(6)
+        .seed(0xDC5_2007)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn tracking_checkpoint_fixture_has_not_drifted() {
     let state = canonical_tracking().to_state();
-    let bytes = encode(&Checkpoint::Tracking(state.clone()));
-    check_fixture("tracking_v1.ckpt", &bytes);
+    let checkpoint = Checkpoint::Tracking(state.clone());
+    check_fixture("tracking_v2.ckpt", &encode(&checkpoint));
     if updating() {
         return;
     }
-    // The committed file must also decode back to exactly this state —
-    // both directions of the format are pinned.
-    let committed = std::fs::read(fixtures_dir().join("tracking_v1.ckpt")).unwrap();
-    let Checkpoint::Tracking(decoded) = decode(&committed).unwrap() else {
-        panic!("fixture decodes to the wrong document kind");
-    };
-    assert_eq!(decoded, state);
+    // Both committed files decode back to exactly this state: the
+    // current format in both directions, and format 1 converted.
+    for name in ["tracking_v2.ckpt", "tracking_v1.ckpt"] {
+        assert_eq!(committed(name), checkpoint, "{name}");
+    }
     // And the restored sketch must answer queries identically.
-    let restored = TrackingDcs::from_state(decoded).unwrap();
+    let restored = TrackingDcs::from_state(state).unwrap();
     assert_eq!(
         restored.track_top_k(5, 0.25),
         canonical_tracking().track_top_k(5, 0.25)
@@ -109,29 +119,18 @@ fn tracking_checkpoint_fixture_has_not_drifted() {
 
 #[test]
 fn basic_checkpoint_fixture_has_not_drifted() {
-    // Small dimensions keep the committed fixture compact (~150 KB):
-    // each materialized level stores 3 slabs of r x s x 65 counters.
-    let config = SketchConfig::builder()
-        .num_tables(2)
-        .buckets_per_table(8)
-        .max_levels(6)
-        .seed(0xDC5_2007)
-        .build()
-        .unwrap();
-    let mut sketch = DistinctCountSketch::new(config);
+    let mut sketch = DistinctCountSketch::new(fixture_config());
     for s in 0..300u32 {
         sketch.insert(SourceAddr(s.wrapping_mul(0x9E37_79B9)), DestAddr(s % 6));
     }
-    let bytes = encode(&Checkpoint::Sketch(sketch.to_state()));
-    check_fixture("sketch_v1.ckpt", &bytes);
+    let checkpoint = Checkpoint::Sketch(sketch.to_state());
+    check_fixture("sketch_v2.ckpt", &encode(&checkpoint));
     if updating() {
         return;
     }
-    let committed = std::fs::read(fixtures_dir().join("sketch_v1.ckpt")).unwrap();
-    assert_eq!(
-        decode(&committed).unwrap(),
-        Checkpoint::Sketch(sketch.to_state())
-    );
+    for name in ["sketch_v2.ckpt", "sketch_v1.ckpt"] {
+        assert_eq!(committed(name), checkpoint, "{name}");
+    }
 }
 
 /// Golden vectors for the seeded hash families. A checkpoint stores
@@ -176,7 +175,13 @@ fn fixture_directory_is_complete() {
     if updating() {
         return;
     }
-    for name in ["tracking_v1.ckpt", "sketch_v1.ckpt", "hash_vectors.txt"] {
+    for name in [
+        "tracking_v2.ckpt",
+        "sketch_v2.ckpt",
+        "tracking_v1.ckpt",
+        "sketch_v1.ckpt",
+        "hash_vectors.txt",
+    ] {
         assert!(
             fixtures_dir().join(name).exists(),
             "missing fixture {name}; regenerate with UPDATE_FIXTURES=1"

@@ -1,28 +1,31 @@
-//! The wide read-side kernels (DESIGN.md §16) must be *bit-identical*
-//! to the retained scalar reference paths on well-formed streams —
-//! every singleton, occupancy gauge, merged counter, and difference
-//! state, not just statistically close. The wide screen is only
-//! allowed to skip signature decodes it can prove irrelevant, and the
-//! fixed-width merge/subtract kernels may only reorder independent
-//! wrapping lane operations.
+//! The read side against its references, bit for bit.
 //!
-//! Boundary shapes are chosen around both kernel thresholds:
-//! `SCREEN_LANES = 64` (the screen mask width — `r·s ∈ {62, 64, 66}`
-//! exercises the chunk tail) and `SLAB_WIDE_MIN = 256` (the slab
-//! cutoff — `r·s ∈ {254, 256, 258}` straddles the scalar fallback).
+//! * Reads — singleton enumeration and occupancy gauges — must equal
+//!   the paper's 65-counter signature (`tests/oracle`) on well-formed
+//!   streams: every singleton and gauge, not just statistically close.
+//! * Merge and difference must equal an element-wise wrapping sum or
+//!   difference of the captured slabs, computed here.
+//!
+//! Shapes straddle the screen pass's `SCREEN_LANES = 64` chunk
+//! (`r·s ∈ {62, 64, 66}` exercises the chunk tail) and the former
+//! 256-slot kernel cutoff (`r·s ∈ {254, 256, 258}`).
 
+mod oracle;
+
+use ddos_streams::core::{LevelSlabs, SketchState};
 use ddos_streams::{
     DestAddr, DistinctCountSketch, FlowUpdate, ScenarioBuilder, SketchConfig, SourceAddr,
 };
+use oracle::Oracle;
 
-/// `(num_tables, buckets_per_table)` shapes straddling the wide-kernel
-/// thresholds, plus the default-ish shape the scenario tests use.
+/// `(num_tables, buckets_per_table)` shapes straddling the chunk
+/// boundaries.
 const BOUNDARY_SHAPES: &[(usize, usize)] = &[
     // r·s around SCREEN_LANES = 64: one short chunk, one exact, one +tail.
     (2, 31),
     (2, 32),
     (2, 33),
-    // r·s around SLAB_WIDE_MIN = 256: scalar fallback, exact cutoff, +tail.
+    // r·s around 256: four chunks less one slot, exact, and +tail.
     (2, 127),
     (2, 128),
     (2, 129),
@@ -37,46 +40,50 @@ fn config(r: usize, s: usize, seed: u64) -> SketchConfig {
         .unwrap()
 }
 
-/// Every wide read of `sketch` must agree bit-for-bit with its scalar
-/// reference twin.
-fn assert_reads_equivalent(sketch: &DistinctCountSketch, context: &str) {
+/// Every read of `sketch` must agree bit-for-bit with the oracle's.
+fn assert_reads_equivalent(sketch: &DistinctCountSketch, oracle: &Oracle, context: &str) {
     assert_eq!(
         sketch.singletons(),
-        sketch.singletons_reference(),
+        oracle.singletons(),
         "singleton enumeration diverged ({context})"
     );
     for level in 0..sketch.config().max_levels() {
         assert_eq!(
             sketch.level_occupancy(level),
-            sketch.level_occupancy_reference(level),
+            oracle.level_occupancy(level),
             "occupancy diverged at level {level} ({context})"
         );
     }
 }
 
-/// Applies a fixed-seed attack scenario (background churn with
-/// deletions plus a SYN flood) to one sketch.
-fn attacked(config: SketchConfig) -> DistinctCountSketch {
-    let scenario = ScenarioBuilder::new(17)
-        .background(4_000, 60, 0.8)
-        .syn_flood(0x0a00_0001, 600)
-        .build();
-    let mut sketch = DistinctCountSketch::new(config);
-    for u in scenario.updates() {
+/// A sketch and its oracle over the same updates.
+fn both(config: SketchConfig, updates: &[FlowUpdate]) -> (DistinctCountSketch, Oracle) {
+    let mut sketch = DistinctCountSketch::new(config.clone());
+    for u in updates {
         sketch.update(*u);
     }
-    sketch
+    (sketch, Oracle::replay(config, updates))
+}
+
+/// A fixed-seed attack scenario: background churn with deletions plus
+/// a SYN flood.
+fn attack() -> Vec<FlowUpdate> {
+    ScenarioBuilder::new(17)
+        .background(4_000, 60, 0.8)
+        .syn_flood(0x0a00_0001, 600)
+        .build()
+        .updates()
+        .to_vec()
 }
 
 /// Seeded well-formed random churn: deletes only remove live pairs, a
 /// third of inserts repeat a live pair, and the all-zero flow key
-/// `(0, 0)` — invisible to both screen sums — is kept live throughout.
-fn churned(config: SketchConfig, seed: u64, updates: usize) -> DistinctCountSketch {
+/// `(0, 0)` — invisible to all three sums — is kept live throughout.
+fn churn(seed: u64, updates: usize) -> Vec<FlowUpdate> {
     use rand::prelude::*;
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sketch = DistinctCountSketch::new(config);
-    sketch.update(FlowUpdate::insert(SourceAddr(0), DestAddr(0)));
+    let mut out = vec![FlowUpdate::insert(SourceAddr(0), DestAddr(0))];
     let mut live: Vec<(u32, u32)> = Vec::new();
     for _ in 0..updates {
         let update = if !live.is_empty() && rng.gen_bool(0.4) {
@@ -92,16 +99,64 @@ fn churned(config: SketchConfig, seed: u64, updates: usize) -> DistinctCountSket
             live.push((s, d));
             FlowUpdate::insert(SourceAddr(s), DestAddr(d))
         };
-        sketch.update(update);
+        out.push(update);
     }
-    sketch
+    out
+}
+
+/// `a` combined level by level with `b` through `op` on every slab
+/// word: the reference merge (`wrapping_add`) and difference
+/// (`wrapping_sub`). A level only `b` holds is combined with zeros,
+/// and skipped when `skip_zero` and it is all zero (as a difference
+/// never materializes a zero level).
+fn combined(a: &SketchState, b: &SketchState, add: bool, skip_zero: bool) -> Vec<LevelSlabs> {
+    let mut levels = a.levels.clone();
+    for theirs in &b.levels {
+        let zero = theirs.totals.iter().all(|&t| t == 0)
+            && theirs
+                .lo_sums
+                .iter()
+                .chain(&theirs.hi_sums)
+                .all(|&v| v == 0)
+            && theirs.fp_sums.iter().all(|&v| v == 0);
+        let mine = match levels.iter_mut().find(|l| l.level == theirs.level) {
+            Some(mine) => mine,
+            None if skip_zero && zero => continue,
+            None => {
+                let n = theirs.totals.len();
+                levels.push(LevelSlabs {
+                    level: theirs.level,
+                    totals: vec![0; n],
+                    lo_sums: vec![0; n],
+                    hi_sums: vec![0; n],
+                    fp_sums: vec![0; n],
+                });
+                levels.last_mut().unwrap()
+            }
+        };
+        for i in 0..mine.totals.len() {
+            if add {
+                mine.totals[i] = mine.totals[i].wrapping_add(theirs.totals[i]);
+                mine.lo_sums[i] = mine.lo_sums[i].wrapping_add(theirs.lo_sums[i]);
+                mine.hi_sums[i] = mine.hi_sums[i].wrapping_add(theirs.hi_sums[i]);
+                mine.fp_sums[i] = mine.fp_sums[i].wrapping_add(theirs.fp_sums[i]);
+            } else {
+                mine.totals[i] = mine.totals[i].wrapping_sub(theirs.totals[i]);
+                mine.lo_sums[i] = mine.lo_sums[i].wrapping_sub(theirs.lo_sums[i]);
+                mine.hi_sums[i] = mine.hi_sums[i].wrapping_sub(theirs.hi_sums[i]);
+                mine.fp_sums[i] = mine.fp_sums[i].wrapping_sub(theirs.fp_sums[i]);
+            }
+        }
+    }
+    levels.sort_by_key(|l| l.level);
+    levels
 }
 
 #[test]
 fn wide_reads_match_reference_on_attack_scenario() {
     for &(r, s) in BOUNDARY_SHAPES {
-        let sketch = attacked(config(r, s, 23));
-        assert_reads_equivalent(&sketch, &format!("attack, r = {r}, s = {s}"));
+        let (sketch, oracle) = both(config(r, s, 23), &attack());
+        assert_reads_equivalent(&sketch, &oracle, &format!("attack, r = {r}, s = {s}"));
     }
 }
 
@@ -109,8 +164,9 @@ fn wide_reads_match_reference_on_attack_scenario() {
 fn wide_reads_match_reference_on_random_churn() {
     for seed in [3u64, 29, 71] {
         for &(r, s) in BOUNDARY_SHAPES {
-            let sketch = churned(config(r, s, seed), seed, 6_000);
-            assert_reads_equivalent(&sketch, &format!("churn seed {seed}, r = {r}, s = {s}"));
+            let (sketch, oracle) = both(config(r, s, seed), &churn(seed, 6_000));
+            let context = format!("churn seed {seed}, r = {r}, s = {s}");
+            assert_reads_equivalent(&sketch, &oracle, &context);
         }
     }
 }
@@ -120,20 +176,25 @@ fn wide_merge_matches_reference_merge_bit_for_bit() {
     for &(r, s) in BOUNDARY_SHAPES {
         // Same sketch seed (merge requires identical configs), two
         // different streams.
-        let a = attacked(config(r, s, 23));
-        let b = churned(config(r, s, 23), 29, 6_000);
+        let (a, mut oracle) = both(config(r, s, 23), &attack());
+        let (b, oracle_b) = both(config(r, s, 23), &churn(29, 6_000));
 
-        let mut wide = a.clone();
-        wide.merge_from(&b).unwrap();
-        let mut reference = a.clone();
-        reference.merge_from_reference(&b).unwrap();
-
+        let mut merged = a.clone();
+        merged.merge_from(&b).unwrap();
+        let (sa, sb) = (a.to_state(), b.to_state());
+        let reference = SketchState {
+            config: sa.config.clone(),
+            updates_processed: sa.updates_processed + sb.updates_processed,
+            net_updates: sa.net_updates + sb.net_updates,
+            levels: combined(&sa, &sb, true, false),
+        };
         assert_eq!(
-            wide.to_state(),
-            reference.to_state(),
+            merged.to_state(),
+            reference,
             "merged state diverged (r = {r}, s = {s})"
         );
-        assert_reads_equivalent(&wide, &format!("post-merge, r = {r}, s = {s}"));
+        oracle.merge_from(&oracle_b);
+        assert_reads_equivalent(&merged, &oracle, &format!("post-merge, r = {r}, s = {s}"));
     }
 }
 
@@ -142,27 +203,45 @@ fn wide_difference_matches_reference_difference_bit_for_bit() {
     for &(r, s) in BOUNDARY_SHAPES {
         // Build the snapshot as a mid-stream clone so `difference`
         // subtracts a genuine earlier state with shared levels.
-        let mut sketch = churned(config(r, s, 3), 3, 3_000);
+        let prefix = churn(3, 3_000);
+        let (mut sketch, mut oracle) = both(config(r, s, 3), &prefix);
+        let earlier_oracle = oracle.clone();
         let snapshot = sketch.clone();
-        let scenario = ScenarioBuilder::new(17).syn_flood(0x0a00_0001, 600).build();
-        for u in scenario.updates() {
+        let flood: Vec<FlowUpdate> = ScenarioBuilder::new(17)
+            .syn_flood(0x0a00_0001, 600)
+            .build()
+            .updates()
+            .to_vec();
+        for u in &flood {
             sketch.update(*u);
+            oracle.update(*u);
         }
 
-        let wide = sketch.difference(&snapshot).unwrap();
-        let reference = sketch.difference_reference(&snapshot).unwrap();
+        let diff = sketch.difference(&snapshot).unwrap();
+        let (full, earlier) = (sketch.to_state(), snapshot.to_state());
+        let reference = SketchState {
+            config: full.config.clone(),
+            updates_processed: full.updates_processed - earlier.updates_processed,
+            net_updates: full.net_updates - earlier.net_updates,
+            levels: combined(&full, &earlier, false, true),
+        };
         assert_eq!(
-            wide.to_state(),
-            reference.to_state(),
+            diff.to_state(),
+            reference,
             "difference state diverged (r = {r}, s = {s})"
         );
-        assert_reads_equivalent(&wide, &format!("post-difference, r = {r}, s = {s}"));
+        oracle.subtract(&earlier_oracle);
+        assert_reads_equivalent(
+            &diff,
+            &oracle,
+            &format!("post-difference, r = {r}, s = {s}"),
+        );
     }
 }
 
 #[test]
 fn batched_point_queries_match_single_shot_queries() {
-    let sketch = attacked(config(3, 256, 23));
+    let (sketch, _) = both(config(3, 256, 23), &attack());
     let groups: Vec<u32> = vec![0x0a00_0001, 0, 1, 7, 0xdead_beef, 42];
 
     let batched = sketch.estimate_group_frequencies(&groups, 0.25);
@@ -185,23 +264,16 @@ fn batched_point_queries_match_single_shot_queries() {
 
 #[test]
 fn zero_key_survives_every_read_path() {
-    // FlowKey(0, 0) packs to 0 and fingerprints to 0, so both screen
-    // sums stay zero for a bucket holding only that key — the wide
-    // screen must still report it via the signature total.
-    let mut sketch = DistinctCountSketch::new(config(2, 32, 5));
-    sketch.update(FlowUpdate::insert(SourceAddr(0), DestAddr(0)));
-
-    assert_eq!(sketch.singletons(), sketch.singletons_reference());
+    // FlowKey(0, 0) packs to 0 and fingerprints to 0, so all three sums
+    // stay zero for a bucket holding only that key — the screen pass
+    // must still report it via the bucket total.
+    let updates = [FlowUpdate::insert(SourceAddr(0), DestAddr(0))];
+    let (sketch, oracle) = both(config(2, 32, 5), &updates);
+    assert_reads_equivalent(&sketch, &oracle, "zero key");
     assert!(
         !sketch.singletons().is_empty(),
-        "the all-zero key vanished from the wide singleton enumeration"
+        "the all-zero key vanished from the singleton enumeration"
     );
-    for level in 0..sketch.config().max_levels() {
-        assert_eq!(
-            sketch.level_occupancy(level),
-            sketch.level_occupancy_reference(level)
-        );
-    }
     assert_eq!(sketch.estimate_group_frequency(0, 0.25), 1);
     assert_eq!(sketch.estimate_group_frequencies(&[0], 0.25), vec![1]);
 }

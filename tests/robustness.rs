@@ -1,13 +1,15 @@
 //! Robustness integration tests: impaired packet feeds, timeout-based
-//! discounting, epoch windows over phased timelines, and the ISP
-//! topology end to end.
+//! discounting, epoch windows over phased timelines, deletes with no
+//! matching insert, and the ISP topology end to end.
 
 use ddos_streams::netsim::impair::Impairment;
 use ddos_streams::netsim::topology::IspTopology;
 use ddos_streams::netsim::window::{EpochWindow, WindowPolicy};
-use ddos_streams::netsim::{HandshakeTracker, TrafficDriver};
+use ddos_streams::netsim::{HandshakeTracker, TcpFlags, TrafficDriver};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
-use ddos_streams::{DestAddr, DistinctCountSketch, SketchConfig, TrackingDcs};
+use ddos_streams::{
+    Delta, DestAddr, DistinctCountSketch, FlowKey, FlowUpdate, SketchConfig, TrackingDcs,
+};
 
 fn config(seed: u64) -> SketchConfig {
     SketchConfig::builder()
@@ -210,4 +212,76 @@ fn pulse_attack_invisible_to_coarse_syn_fin_counts() {
         .max()
         .unwrap();
     assert!(peak >= 200, "peak = {peak}");
+}
+
+/// A naive exporter with no handshake tracker — every client SYN an
+/// insert, every bare ACK a delete — over a lossy, duplicating,
+/// reordering feed: lost SYNs and duplicated ACKs leave deletes with no
+/// matching insert. No pair with a negative net count may reach the
+/// distinct sample or the top-k, and one full scan must count every
+/// bucket such deletes leave ill-formed.
+#[test]
+fn unmatched_deletes_are_counted_and_never_sampled() {
+    let mut driver = TrafficDriver::new(5);
+    driver
+        .syn_flood(DestAddr(0x0a00_0005), 400)
+        .flash_crowd(DestAddr(0x0a00_0006), 2_000);
+    let impaired = Impairment::new(5)
+        .loss(0.3)
+        .duplication(0.2)
+        .reordering(8)
+        .apply(&driver.into_segments());
+    let mut net: std::collections::BTreeMap<FlowKey, i64> = Default::default();
+    let mut sketch = DistinctCountSketch::new(config(5));
+    for seg in &impaired {
+        let delta = if seg.flags.is_syn_only() {
+            Delta::Insert
+        } else if seg.flags == TcpFlags::ACK && seg.payload_len == 0 {
+            Delta::Delete
+        } else {
+            continue;
+        };
+        let update = FlowUpdate::new(seg.src, seg.dst, delta);
+        *net.entry(update.key).or_insert(0) += delta.signum();
+        sketch.update(update);
+    }
+    assert!(
+        net.values().any(|&n| n < 0),
+        "the feed has unmatched deletes"
+    );
+
+    let sample = sketch.distinct_sample(0.25);
+    assert!(!sample.keys.is_empty());
+    for key in &sample.keys {
+        assert!(
+            net[key] > 0,
+            "sampled pair {key:?} has net count {}",
+            net[key]
+        );
+    }
+    let group_by = sketch.config().group_by();
+    for entry in sketch.estimate_top_k(5, 0.25).entries {
+        let positive = sample
+            .keys
+            .iter()
+            .filter(|k| group_by.group_of(**k) == entry.group && net[*k] > 0)
+            .count();
+        assert_eq!(entry.sample_frequency, positive as u64);
+    }
+
+    let ill_formed = sketch
+        .to_state()
+        .levels
+        .iter()
+        .flat_map(|l| (0..l.totals.len()).filter_map(move |slot| l.signature(slot)))
+        .filter(|sig| sig.is_ill_formed())
+        .count() as u64;
+    assert!(ill_formed > 0, "some bucket holds a negative count");
+    let counted = |sketch: &DistinctCountSketch| {
+        let snap = sketch.telemetry_snapshot("unmatched");
+        snap.counters.get("decode_ill_formed").copied().unwrap_or(0)
+    };
+    let before = counted(&sketch);
+    let _ = sketch.singletons();
+    assert_eq!(counted(&sketch) - before, ill_formed);
 }
