@@ -59,7 +59,8 @@ pub const HOT_PATH_ROOTS: &[RootSpec] = &[
     ("TrackingDcs", "update_batch", FORBID_ALL),
     ("DdosMonitor", "ingest_batch", FORBID_ALL),
     // Every `run_pipeline` update; the sharded arm copies each slice
-    // into a ring but never blocks (DESIGN.md §14).
+    // into a worker's queue, waiting while it is full, but takes no
+    // lock (DESIGN.md §14).
     ("Monitor", "ingest", FORBID_BLOCKING),
     // Query path: runs concurrently with ingest, must not block it.
     ("DistinctCountSketch", "estimate_top_k", FORBID_BLOCKING),

@@ -162,8 +162,8 @@ const ERROR_ENUMS: &[&str] = &["SketchError", "PersistError"];
 
 /// The only modules allowed to construct locks or channels (L10): the
 /// netsim fan-out layer that exists to demonstrate deployment shape,
-/// plus the lock-free ingest engine (whose only locks are the
-/// per-shard sketch mutexes that reads use in place). Everything
+/// plus the sharded ingest engine (whose only locks are the per-shard
+/// sketch mutexes that reads use in place). Everything
 /// upstream of it — especially `dcs-core` — must stay
 /// shared-state-free.
 const CONCURRENCY_MODULES: &[&str] = &[

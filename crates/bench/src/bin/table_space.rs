@@ -25,6 +25,12 @@ fn mb(bytes: u64) -> String {
     format!("{:.2} MB", bytes as f64 / 1e6)
 }
 
+/// How many times smaller than brute force the basic sketch is (the
+/// measured sketch where there is one, else the predicted one).
+fn gain(brute: u64, basic: u64) -> String {
+    format!("{:.0}x", brute as f64 / basic as f64)
+}
+
 fn main() {
     let scale = Scale::from_args();
     // Measured sizes, ascending; full scale adds the paper's 8M point.
@@ -45,7 +51,7 @@ fn main() {
         "brute force".into(),
         "paper §6.1".into(),
         "predicted sketch".into(),
-        "gain vs brute".into(),
+        "brute vs basic".into(),
     ]);
     let mut series_u = Vec::new();
     let mut series_basic = Vec::new();
@@ -79,7 +85,7 @@ fn main() {
             mb(brute),
             mb(paper_sketch_bytes(&config, u)),
             mb(predicted),
-            format!("{:.0}x", brute as f64 / basic_bytes as f64),
+            gain(brute, basic_bytes),
         ]);
         series_u.push(u as f64);
         series_basic.push(basic_bytes as f64);
@@ -105,10 +111,7 @@ fn main() {
         mb(brute_force_bytes(u_big)),
         mb(paper_sketch_bytes(&config, u_big)),
         mb(predicted_big),
-        format!(
-            "{:.0}x",
-            brute_force_bytes(u_big) as f64 / (2 * predicted_big) as f64
-        ),
+        gain(brute_force_bytes(u_big), predicted_big),
     ]);
 
     println!("\n§6.1 space comparison:");

@@ -1,120 +1,103 @@
-//! Persistent per-core ingest workers behind lock-free handoff rings.
+//! Persistent per-core ingest workers fed over bounded channels.
 //!
 //! The engine under [`crate::sharded::ShardedIngest`]: one long-lived
-//! worker thread per shard, each draining a bounded lock-free ring
-//! ([`crossbeam::queue::ArrayQueue`], used single-producer /
-//! single-consumer) of routed update slices into its shard's
-//! [`DistinctCountSketch`]. Handing work over never takes a lock and
-//! workers never block each other; when a ring fills, the producer
-//! spins with [`std::thread::yield_now`] until the worker catches up
-//! (bounded memory, lossless backpressure).
+//! worker thread per shard, each draining a bounded FIFO
+//! ([`std::sync::mpsc::sync_channel`]) of routed update slices into its
+//! shard's [`DistinctCountSketch`]. When a worker's queue is full the
+//! producer's `send` waits until the worker catches up (bounded memory,
+//! lossless backpressure); dropping a worker's sender ends it once its
+//! queue is drained.
 //!
 //! Each shard's sketch sits behind one mutex, which its worker holds
 //! for one batch at a time. Reads lock the shards and use them in
 //! place, so a read sees every shard between batches, never
-//! half-applied. A flush waits until each worker has drained
-//! everything dispatched to it; a flushed read therefore captures
-//! exactly the ring-*drained* position, with no in-flight items, which
-//! is what makes sharded checkpoints resumable. The producer never
-//! holds a shard lock while pushing to a ring, so a full ring cannot
-//! wait on a lock the producer holds.
+//! half-applied; a panic while a shard is locked poisons it, and reads
+//! treat a poisoned shard as dead. A flush waits until each worker has
+//! drained everything dispatched to it; a flushed read therefore
+//! captures exactly the queue-*drained* position, with no in-flight
+//! items, which is what makes sharded checkpoints resumable.
+//! The producer never holds a shard lock while sending, so a full
+//! queue cannot wait on a lock the producer holds.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
-
-use crossbeam::queue::ArrayQueue;
-use parking_lot::{Mutex, MutexGuard};
+use std::time::Instant;
 
 use dcs_core::{cast, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError};
 use dcs_telemetry::LogHistogram;
 
-/// Jobs capacity of each worker's handoff ring. At the 1024-update
-/// handoff granularity this bounds per-shard buffering at 64 Ki
-/// updates.
+/// Jobs capacity of each worker's queue. At the 1024-update handoff
+/// granularity this bounds per-shard buffering at 64 Ki updates.
 const RING_CAPACITY: usize = 64;
 
-/// One unit of work handed to a worker through its ring.
+/// One unit of work handed to a worker through its queue.
 enum Job {
     /// Apply this routed slice of the stream, in order.
     Batch(Vec<FlowUpdate>),
-    /// Test hook: panic inside the worker with this message, so the
-    /// dead-worker propagation path can be exercised deterministically.
+    /// Test hook: panic inside the worker with this message, holding
+    /// the shard lock when `locked`, so both dead-worker paths can be
+    /// exercised deterministically.
     #[cfg(test)]
-    Explode(String),
+    Explode { message: String, locked: bool },
 }
 
-/// State shared between one worker thread and the producer.
-struct WorkerShared {
-    /// The SPSC handoff ring (producer pushes, the worker pops).
-    ring: ArrayQueue<Job>,
+/// One shard: the state its worker shares with the readers.
+struct Shard {
     /// The shard's sketch. The worker holds the lock for one batch at
     /// a time; readers lock it to use the sketch in place.
     sketch: Mutex<DistinctCountSketch>,
     /// Updates applied to the sketch; advanced under the sketch lock,
     /// so a locked sketch has processed exactly this many.
     drained: AtomicU64,
-    /// Producer → worker: no more jobs are coming; drain and exit.
-    stop: AtomicBool,
-    /// Set when the worker thread unwinds, so the producer's spin loops
-    /// can distinguish "worker busy" from "worker gone" without joining.
-    dead: AtomicBool,
 }
 
-/// Sets a worker's [`WorkerShared::dead`] flag if dropped while its
-/// thread unwinds.
-struct DeadFlag<'a>(&'a AtomicBool);
-
-impl Drop for DeadFlag<'_> {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
+impl Shard {
+    /// Locks the sketch. A poisoned lock still yields the sketch:
+    /// [`WorkerPool::any_dead`] is how a read learns whether to trust
+    /// it.
+    fn lock(&self) -> MutexGuard<'_, DistinctCountSketch> {
+        self.sketch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// The worker body: drain the ring and apply batches in arrival
-/// (= stream) order.
-fn worker_loop(shared: &WorkerShared) {
-    let _unwinding = DeadFlag(&shared.dead);
-    loop {
-        match shared.ring.pop() {
-            Some(Job::Batch(items)) => {
-                let mut sketch = shared.sketch.lock();
-                // Dropped before the guard: a panic mid-batch marks the
-                // worker dead before its half-applied sketch unlocks.
-                let _mid_batch = DeadFlag(&shared.dead);
+/// The worker body: apply jobs in arrival (= stream) order until the
+/// producer drops its sender.
+fn worker_loop(jobs: Receiver<Job>, shard: &Shard) {
+    for job in jobs {
+        match job {
+            Job::Batch(items) => {
+                let mut sketch = shard.lock();
                 sketch.update_batch(&items);
-                shared
+                shard
                     .drained
                     .fetch_add(cast::u64_from_usize(items.len()), Ordering::Release);
             }
             #[cfg(test)]
-            Some(Job::Explode(message)) => panic!("{message}"),
-            None => {
-                if shared.stop.load(Ordering::Acquire) {
-                    // `stop` is set only after the last push, so an
-                    // empty ring here means the stream is fully drained.
-                    if shared.ring.is_empty() {
-                        return;
-                    }
-                } else {
-                    // The producer unparks after every push; the
-                    // timeout only bounds the cost of a lost race
-                    // between this park and that unpark.
-                    thread::park_timeout(Duration::from_millis(1));
-                }
+            Job::Explode { message, locked } => {
+                let _sketch = locked.then(|| shard.lock());
+                panic!("{message}");
             }
         }
     }
 }
 
-/// One worker: its shared state plus the join handle (taken exactly
-/// once, to propagate a panic or to shut down).
+/// One worker: its queue, its shard, and the join handle (taken
+/// exactly once, to propagate a panic or to shut down).
 struct Worker {
-    shared: Arc<WorkerShared>,
+    jobs: SyncSender<Job>,
+    shard: Arc<Shard>,
     join: Option<JoinHandle<()>>,
+}
+
+impl Worker {
+    /// Whether the worker has died: its shard is poisoned, or its
+    /// thread has finished (workers return only once their sender is
+    /// dropped) or was already joined.
+    fn is_dead(&self) -> bool {
+        self.shard.sketch.is_poisoned() || self.join.as_ref().is_none_or(JoinHandle::is_finished)
+    }
 }
 
 /// A set of persistent shard workers plus the producer-side routing
@@ -122,7 +105,7 @@ struct Worker {
 pub(crate) struct WorkerPool {
     workers: Vec<Worker>,
     /// Per-shard target update counts: the seed sketch's count plus
-    /// everything dispatched to that shard's ring since spawn. A shard
+    /// everything dispatched to that shard's queue since spawn. A shard
     /// is fully drained exactly when its drained count reaches this.
     dispatched: Vec<u64>,
     /// Merge latencies (boxed: kept inline, the histogram would make
@@ -147,17 +130,16 @@ impl WorkerPool {
         let mut dispatched = Vec::with_capacity(seeds.len());
         for sketch in seeds {
             dispatched.push(sketch.updates_processed());
-            let shared = Arc::new(WorkerShared {
-                ring: ArrayQueue::new(RING_CAPACITY),
+            let shard = Arc::new(Shard {
                 drained: AtomicU64::new(sketch.updates_processed()),
                 sketch: Mutex::new(sketch),
-                stop: AtomicBool::new(false),
-                dead: AtomicBool::new(false),
             });
-            let worker_shared = Arc::clone(&shared);
-            let join = thread::spawn(move || worker_loop(&worker_shared));
+            let (jobs, queue) = mpsc::sync_channel(RING_CAPACITY);
+            let worker_shard = Arc::clone(&shard);
+            let join = thread::spawn(move || worker_loop(queue, &worker_shard));
             workers.push(Worker {
-                shared,
+                jobs,
+                shard,
                 join: Some(join),
             });
         }
@@ -173,35 +155,22 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Hands one routed slice to shard `owner`'s ring, spinning (never
-    /// sleeping) while the ring is full.
+    /// Hands one routed slice to shard `owner`'s queue, waiting while
+    /// the queue is full.
     ///
     /// # Panics
     ///
     /// Re-raises the worker's own panic payload if that worker died.
     pub(crate) fn dispatch(&mut self, owner: usize, slice: &[FlowUpdate]) {
-        self.push_job(owner, Job::Batch(slice.to_vec()));
+        self.send(owner, Job::Batch(slice.to_vec()));
         self.dispatched[owner] += cast::u64_from_usize(slice.len());
     }
 
-    /// Pushes `job` onto shard `owner`'s ring with full-ring
-    /// backpressure and dead-worker detection, then unparks the worker.
-    fn push_job(&mut self, owner: usize, job: Job) {
-        let mut job = job;
-        loop {
-            if self.workers[owner].shared.dead.load(Ordering::Acquire) {
-                self.raise_worker_panic(owner);
-            }
-            match self.workers[owner].shared.ring.push(job) {
-                Ok(()) => break,
-                Err(back) => {
-                    job = back;
-                    thread::yield_now();
-                }
-            }
-        }
-        if let Some(join) = &self.workers[owner].join {
-            join.thread().unpark();
+    /// Sends `job` to shard `owner`'s worker; a worker that has gone
+    /// away has dropped its receiver, which fails the send.
+    fn send(&mut self, owner: usize, job: Job) {
+        if self.workers[owner].jobs.send(job).is_err() {
+            self.raise_worker_panic(owner);
         }
     }
 
@@ -215,23 +184,24 @@ impl WorkerPool {
         }
     }
 
-    /// Waits until every worker has drained its ring to the dispatched
-    /// position. On return the shards together cover every update ever
-    /// dispatched — the ring-drained state a resumable checkpoint must
+    /// Waits until every worker has applied everything dispatched to
+    /// it. On return the shards together cover every update ever
+    /// dispatched — the queue-drained state a resumable checkpoint must
     /// capture.
     ///
     /// # Panics
     ///
-    /// Re-raises the original payload of any worker that panicked.
+    /// Re-raises the original payload of any worker found dead: its
+    /// shard is poisoned or its thread has finished.
     pub(crate) fn flush(&mut self) {
         for owner in 0..self.workers.len() {
-            let shared = Arc::clone(&self.workers[owner].shared);
-            while shared.drained.load(Ordering::Acquire) != self.dispatched[owner] {
-                if shared.dead.load(Ordering::Acquire) {
+            loop {
+                let worker = &self.workers[owner];
+                if worker.is_dead() {
                     self.raise_worker_panic(owner);
                 }
-                if let Some(join) = &self.workers[owner].join {
-                    join.thread().unpark();
+                if worker.shard.drained.load(Ordering::Acquire) == self.dispatched[owner] {
+                    break;
                 }
                 thread::yield_now();
             }
@@ -244,7 +214,7 @@ impl WorkerPool {
     pub(crate) fn lock_shards(&self) -> Vec<MutexGuard<'_, DistinctCountSketch>> {
         self.workers
             .iter()
-            .map(|worker| worker.shared.sketch.lock())
+            .map(|worker| worker.shard.lock())
             .collect()
     }
 
@@ -271,30 +241,20 @@ impl WorkerPool {
         Ok(merged)
     }
 
-    /// Whether any worker has died. A dead worker's shard may hold a
-    /// half-applied batch, and the worker marks itself dead before that
-    /// shard unlocks, so a read that checks this after releasing its
-    /// locks never passes such a shard on.
+    /// Whether any worker has died. A worker that panics mid-batch
+    /// poisons its shard's lock as the lock is released, so a read that
+    /// checks this after releasing its locks never passes such a
+    /// half-applied shard on.
     pub(crate) fn any_dead(&self) -> bool {
-        self.workers
-            .iter()
-            .any(|worker| worker.shared.dead.load(Ordering::Acquire))
-    }
-
-    /// Jobs currently buffered across all rings (telemetry gauge).
-    pub(crate) fn queued_jobs(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|worker| cast::u64_from_usize(worker.shared.ring.len()))
-            .sum()
+        self.workers.iter().any(Worker::is_dead)
     }
 
     /// Updates drained (applied) across all shards; lags the dispatch
-    /// cursor by at most the buffered ring contents.
+    /// cursor by at most the buffered queue contents.
     pub(crate) fn drained(&self) -> u64 {
         self.workers
             .iter()
-            .map(|worker| worker.shared.drained.load(Ordering::Acquire))
+            .map(|worker| worker.shard.drained.load(Ordering::Acquire))
             .sum()
     }
 
@@ -303,29 +263,28 @@ impl WorkerPool {
         &self.merge_latency
     }
 
-    /// Test hook: make shard `owner`'s worker panic with `message` on
-    /// its next ring pop.
+    /// Test hook: make shard `owner`'s worker panic with `message` when
+    /// it reaches this job, holding its shard lock when `locked`.
     #[cfg(test)]
-    pub(crate) fn inject_panic(&mut self, owner: usize, message: &str) {
-        self.push_job(owner, Job::Explode(message.to_string()));
+    pub(crate) fn inject_panic(&mut self, owner: usize, message: &str, locked: bool) {
+        let message = message.to_string();
+        self.send(owner, Job::Explode { message, locked });
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        for worker in &self.workers {
-            worker.shared.stop.store(true, Ordering::Release);
-            if let Some(join) = &worker.join {
-                join.thread().unpark();
-            }
-        }
+        // Dropping each sender (with the rest of its worker) lets that
+        // worker drain its queue and return.
+        let joins: Vec<JoinHandle<()>> = self
+            .workers
+            .drain(..)
+            .filter_map(|worker| worker.join)
+            .collect();
         let mut payload = None;
-        for worker in &mut self.workers {
-            if let Some(join) = worker.join.take() {
-                join.thread().unpark();
-                if let Err(p) = join.join() {
-                    payload = Some(p);
-                }
+        for join in joins {
+            if let Err(p) = join.join() {
+                payload = Some(p);
             }
         }
         // Re-raise a worker's dying words unless we are already

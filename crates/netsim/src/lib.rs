@@ -27,12 +27,12 @@
 //!   variant.
 //! * [`topology`] — prefix-partitioned edge routers feeding one
 //!   central monitor.
-//! * [`pipeline`] — a multi-threaded router → monitor pipeline over
-//!   crossbeam channels, demonstrating deployment shape.
-//! * [`ingest`] / [`sharded`] — persistent per-core ingest workers
-//!   behind lock-free SPSC rings, each feeding one locked shard sketch
-//!   that reads use in place, with deterministic absolute-position
-//!   routing and resumable checkpoints.
+//! * [`pipeline`] — a multi-threaded router → monitor pipeline over a
+//!   bounded `std::sync::mpsc` channel, demonstrating deployment shape.
+//! * [`ingest`] / [`sharded`] — persistent per-core ingest workers fed
+//!   over bounded `std::sync::mpsc` channels, each feeding one locked
+//!   shard sketch that reads use in place, with deterministic
+//!   absolute-position routing and resumable checkpoints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! Deployment shape for the architecture of Fig. 1: several edge
 //! routers, each on its own thread, convert their packet feeds into
-//! flow updates and ship them over a bounded crossbeam channel to one
+//! flow updates and ship them over a bounded channel to one
 //! central monitor thread. That thread feeds a [`Monitor`] — a basic
 //! Distinct-Count Sketch of its own, or the per-worker partials of a
 //! [`crate::ShardedIngest`] engine — and every
@@ -20,10 +20,9 @@
 //! [`DetectionReport::monitor`].
 
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
-
-use crossbeam::channel;
 
 use dcs_core::{FlowUpdate, SketchConfig};
 use dcs_persist::CheckpointManager;
@@ -383,7 +382,7 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
         config.window.clone(),
     )
     .unwrap_or_else(|e| panic!("invalid pipeline window policy: {e}"));
-    let (update_tx, update_rx) = channel::bounded::<Vec<FlowUpdate>>(64);
+    let (update_tx, update_rx) = mpsc::sync_channel::<Vec<FlowUpdate>>(64);
 
     // Each router thread returns how many segments it observed.
     let mut router_handles = Vec::new();

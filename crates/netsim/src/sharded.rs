@@ -5,7 +5,7 @@
 //! persistent worker threads, each feeding a private sketch built from
 //! the *same seed*, and merge on query. Any partition works — no
 //! key-based routing needed — because merge equals the union stream
-//! exactly. The workers, their lock-free handoff rings, and the locked
+//! exactly. The workers, their bounded job channels, and the locked
 //! per-shard sketches they feed live in [`crate::ingest`]; this module
 //! owns the deterministic routing and the checkpoint surface, and
 //! reads the shards in place, merging them when asked.
@@ -68,7 +68,7 @@ pub fn ingest_sharded(
 const SHARD_CHUNK: u64 = 4096;
 
 /// Updates per handoff slice: the granularity at which routed work is
-/// copied into a worker's ring. Cuts fall on absolute multiples of this
+/// copied into a worker's queue. Cuts fall on absolute multiples of this
 /// value, and it divides [`SHARD_CHUNK`], so a handoff slice never
 /// straddles a routing boundary — whatever call slicing the producer
 /// sees, each worker receives the same sub-stream in the same order.
@@ -80,7 +80,7 @@ const _: () = assert!(SHARD_CHUNK.is_multiple_of(HANDOFF_CHUNK));
 
 /// An incremental, checkpointable sharded ingest engine with
 /// persistent per-core workers (see [`crate::ingest`] for the
-/// worker/ring machinery and the per-shard sketch locks).
+/// worker/channel machinery and the per-shard sketch locks).
 ///
 /// Routing is a pure function of *absolute stream position*: the update
 /// at position `p` belongs to chunk `p / 4096`, and chunk `c` goes to
@@ -160,9 +160,9 @@ impl ShardedIngest {
         }
     }
 
-    /// Routes `updates` into the worker rings and advances the position
-    /// cursor. Never blocks on a lock: when a ring is full the producer
-    /// spin-yields until its worker catches up.
+    /// Routes `updates` into the worker queues and advances the position
+    /// cursor. Takes no lock: when a queue is full the producer waits
+    /// in `send` until its worker catches up.
     ///
     /// The slice is cut at absolute `HANDOFF_CHUNK` boundaries; each
     /// cut lies within one routing chunk, so a shard sees its sub-stream
@@ -212,11 +212,11 @@ impl ShardedIngest {
         &self.config
     }
 
-    /// Drains every ring and captures all shard states and the position
+    /// Drains every queue and captures all shard states and the position
     /// cursor as a checkpoint document. Valid at *any* stream position —
     /// the cursor, not chunk alignment, is what routing resumes from.
     ///
-    /// The captured states are ring-*drained* positions: this waits for
+    /// The captured states are queue-*drained* positions: this waits for
     /// the workers to apply everything already dispatched, so the
     /// checkpoint holds no in-flight items and `updates_distributed`
     /// equals the sum of per-shard counts exactly.
@@ -270,7 +270,7 @@ impl ShardedIngest {
         }))
     }
 
-    /// Drains every ring and merges the shards into one basic sketch
+    /// Drains every queue and merges the shards into one basic sketch
     /// (the workers keep running, so ingestion can continue afterwards).
     ///
     /// # Errors
@@ -300,16 +300,16 @@ impl ShardedIngest {
     }
 
     /// Assembles a telemetry snapshot of the engine without flushing
-    /// the rings: the gauges of the shards merged as they stand (the
+    /// the queues: the gauges of the shards merged as they stand (the
     /// basic sketch's set, as a direct [`crate::Monitor`] reports) plus
-    /// the engine's own — shard count, dispatch/drain cursors, ring
-    /// depth, and merge latency quantiles. The workers wait for the
-    /// merge; what is still in the rings is not covered.
+    /// the engine's own — shard count, dispatch/drain cursors, queued
+    /// updates, and merge latency quantiles. The workers wait for the
+    /// merge; what is still queued is not covered.
     ///
-    /// When a worker has died, its shard may hold a half-applied batch,
-    /// so only the engine's own counters are reported; the next
-    /// [`Self::ingest`], [`Self::merged`] or [`Self::checkpoint`]
-    /// re-raises the worker's panic.
+    /// When a worker has died, its shard may hold a half-applied batch
+    /// (its lock is then poisoned), so only the engine's own counters
+    /// are reported; the next [`Self::ingest`], [`Self::merged`] or
+    /// [`Self::checkpoint`] re-raises the worker's panic.
     pub fn telemetry_snapshot(&self, label: &str) -> TelemetrySnapshot {
         let merged = self.pool.merged(&self.config);
         let mut snap = match merged {
@@ -324,8 +324,12 @@ impl ShardedIngest {
             cast::u64_from_usize(self.pool.shard_count()),
         );
         snap.set_counter("sharded_updates_distributed", self.updates_distributed);
-        snap.set_counter("sharded_updates_drained", self.pool.drained());
-        snap.set_counter("sharded_queue_depth", self.pool.queued_jobs());
+        let drained = self.pool.drained();
+        snap.set_counter("sharded_updates_drained", drained);
+        snap.set_counter(
+            "sharded_queue_depth",
+            self.updates_distributed.saturating_sub(drained),
+        );
         let merges = self.pool.merge_latency();
         snap.set_counter("sharded_merges", merges.count());
         snap.set_counter("sharded_merge_p50_ns", merges.quantile_ns(0.5) as u64);
@@ -337,7 +341,7 @@ impl ShardedIngest {
     /// payload propagation path deterministically.
     #[cfg(test)]
     fn inject_worker_panic(&mut self, shard: usize, message: &str) {
-        self.pool.inject_panic(shard, message);
+        self.pool.inject_panic(shard, message, false);
     }
 }
 
@@ -562,6 +566,49 @@ mod tests {
             message.contains("worker exploded"),
             "unexpected payload: {message}"
         );
+    }
+
+    #[test]
+    fn panic_holding_the_shard_lock_poisons_the_shard() {
+        // The worker panics while it holds shard 0's lock, so the lock
+        // is poisoned. Readers must treat that shard as dead: telemetry
+        // reports the engine's counters only, and both flushing reads
+        // re-raise the worker's own payload.
+        let updates: Vec<FlowUpdate> = (0..5_000u32)
+            .map(|s| FlowUpdate::insert(SourceAddr(s), DestAddr(1)))
+            .collect();
+        let flushing_reads: [fn(&mut ShardedIngest); 2] = [
+            |ingest| drop(ingest.merged_sketch()),
+            |ingest| drop(ingest.checkpoint()),
+        ];
+        for read in flushing_reads {
+            let mut ingest = ShardedIngest::new(config(), 2);
+            ingest.ingest(&updates);
+            ingest
+                .pool
+                .inject_panic(0, "worker exploded holding its shard", true);
+            while !ingest.pool.any_dead() {
+                std::thread::yield_now();
+            }
+            let snap = ingest.telemetry_snapshot("poisoned_shard");
+            assert_eq!(snap.updates_processed, 0);
+            assert!(snap.levels.is_empty());
+            assert_eq!(snap.counters.get("sharded_shards"), Some(&2));
+            assert_eq!(
+                snap.counters.get("sharded_updates_distributed"),
+                Some(&5_000)
+            );
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&mut ingest)))
+                    .unwrap_err();
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("original String payload, not a generic join message");
+            assert!(
+                message.contains("holding its shard"),
+                "unexpected payload: {message}"
+            );
+        }
     }
 
     #[test]

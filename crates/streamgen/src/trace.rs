@@ -4,8 +4,6 @@
 //! backbone); a 9-byte fixed record (8-byte packed pair + 1-byte delta)
 //! keeps recorded workloads replayable without JSON overhead.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use dcs_core::{Delta, FlowKey, FlowUpdate};
 
 /// Magic bytes identifying a trace file ("DCS1").
@@ -48,17 +46,14 @@ impl std::error::Error for TraceError {}
 /// assert_eq!(decode_trace(&bytes)?, updates);
 /// # Ok::<(), dcs_streamgen::TraceError>(())
 /// ```
-pub fn encode_trace(updates: &[FlowUpdate]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + updates.len() * 9);
-    buf.put_slice(MAGIC);
+pub fn encode_trace(updates: &[FlowUpdate]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + updates.len() * 9);
+    buf.extend_from_slice(MAGIC);
     for u in updates {
-        buf.put_u64(u.key.packed());
-        buf.put_u8(match u.delta {
-            Delta::Insert => 1,
-            Delta::Delete => 0,
-        });
+        buf.extend_from_slice(&u.key.packed().to_be_bytes());
+        buf.push(delta_byte(u.delta));
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a binary trace back into updates.
@@ -67,26 +62,15 @@ pub fn encode_trace(updates: &[FlowUpdate]) -> Bytes {
 ///
 /// Returns [`TraceError`] if the magic is missing, the buffer length is
 /// not a whole number of records, or a delta byte is invalid.
-pub fn decode_trace(mut bytes: &[u8]) -> Result<Vec<FlowUpdate>, TraceError> {
-    if bytes.len() < 4 || &bytes[..4] != MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    bytes = &bytes[4..];
-    if !bytes.len().is_multiple_of(9) {
-        return Err(TraceError::Truncated);
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 9);
-    while bytes.has_remaining() {
-        let packed = bytes.get_u64();
-        let delta = match bytes.get_u8() {
-            1 => Delta::Insert,
-            0 => Delta::Delete,
-            other => return Err(TraceError::BadDelta(other)),
-        };
-        let key = FlowKey::from_packed(packed);
-        out.push(FlowUpdate { key, delta });
-    }
-    Ok(out)
+pub fn decode_trace(bytes: &[u8]) -> Result<Vec<FlowUpdate>, TraceError> {
+    records(bytes, MAGIC, 9)?
+        .map(|record| {
+            Ok(FlowUpdate {
+                key: FlowKey::from_packed(be_u64(&record[..8])),
+                delta: delta_from(record[8])?,
+            })
+        })
+        .collect()
 }
 
 /// Magic bytes identifying a *timed* trace ("DCT1").
@@ -110,18 +94,15 @@ const TIMED_MAGIC: &[u8; 4] = b"DCT1";
 /// assert_eq!(decode_timed_trace(&bytes)?, timed);
 /// # Ok::<(), dcs_streamgen::TraceError>(())
 /// ```
-pub fn encode_timed_trace(updates: &[crate::timeline::TimedUpdate]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + updates.len() * 17);
-    buf.put_slice(TIMED_MAGIC);
+pub fn encode_timed_trace(updates: &[crate::timeline::TimedUpdate]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + updates.len() * 17);
+    buf.extend_from_slice(TIMED_MAGIC);
     for t in updates {
-        buf.put_u64(t.at);
-        buf.put_u64(t.update.key.packed());
-        buf.put_u8(match t.update.delta {
-            Delta::Insert => 1,
-            Delta::Delete => 0,
-        });
+        buf.extend_from_slice(&t.at.to_be_bytes());
+        buf.extend_from_slice(&t.update.key.packed().to_be_bytes());
+        buf.push(delta_byte(t.update.delta));
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a timed trace.
@@ -130,34 +111,55 @@ pub fn encode_timed_trace(updates: &[crate::timeline::TimedUpdate]) -> Bytes {
 ///
 /// Returns [`TraceError`] on a missing magic, partial record, or
 /// invalid delta byte.
-pub fn decode_timed_trace(
-    mut bytes: &[u8],
-) -> Result<Vec<crate::timeline::TimedUpdate>, TraceError> {
-    if bytes.len() < 4 || &bytes[..4] != TIMED_MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    bytes = &bytes[4..];
-    if !bytes.len().is_multiple_of(17) {
+pub fn decode_timed_trace(bytes: &[u8]) -> Result<Vec<crate::timeline::TimedUpdate>, TraceError> {
+    records(bytes, TIMED_MAGIC, 17)?
+        .map(|record| {
+            Ok(crate::timeline::TimedUpdate {
+                at: be_u64(&record[..8]),
+                update: FlowUpdate {
+                    key: FlowKey::from_packed(be_u64(&record[8..16])),
+                    delta: delta_from(record[16])?,
+                },
+            })
+        })
+        .collect()
+}
+
+/// Checks `magic` and whole `size`-byte records, then yields them.
+fn records<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    size: usize,
+) -> Result<std::slice::ChunksExact<'a, u8>, TraceError> {
+    let body = bytes.strip_prefix(magic).ok_or(TraceError::BadMagic)?;
+    if !body.len().is_multiple_of(size) {
         return Err(TraceError::Truncated);
     }
-    let mut out = Vec::with_capacity(bytes.len() / 17);
-    while bytes.has_remaining() {
-        let at = bytes.get_u64();
-        let packed = bytes.get_u64();
-        let delta = match bytes.get_u8() {
-            1 => Delta::Insert,
-            0 => Delta::Delete,
-            other => return Err(TraceError::BadDelta(other)),
-        };
-        out.push(crate::timeline::TimedUpdate {
-            at,
-            update: FlowUpdate {
-                key: FlowKey::from_packed(packed),
-                delta,
-            },
-        });
+    Ok(body.chunks_exact(size))
+}
+
+/// The big-endian `u64` in an 8-byte field.
+fn be_u64(field: &[u8]) -> u64 {
+    let mut be = [0u8; 8];
+    be.copy_from_slice(field);
+    u64::from_be_bytes(be)
+}
+
+/// The on-disk delta byte: 1 for an insert, 0 for a delete.
+fn delta_byte(delta: Delta) -> u8 {
+    match delta {
+        Delta::Insert => 1,
+        Delta::Delete => 0,
     }
-    Ok(out)
+}
+
+/// Reads a delta byte back.
+fn delta_from(byte: u8) -> Result<Delta, TraceError> {
+    match byte {
+        1 => Ok(Delta::Insert),
+        0 => Ok(Delta::Delete),
+        other => Err(TraceError::BadDelta(other)),
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +182,45 @@ mod tests {
             FlowUpdate::delete(SourceAddr(3), DestAddr(4)),
         ];
         assert_eq!(encode_trace(&updates).len(), 4 + 18);
+    }
+
+    #[test]
+    fn encodings_match_golden_bytes() {
+        use crate::timeline::TimedUpdate;
+        // The packed key holds the source in its high half; every
+        // multi-byte field is big-endian, and the delta byte is 1 for an
+        // insert, 0 for a delete.
+        let insert = FlowUpdate::insert(SourceAddr(0x0102_0304), DestAddr(0x0506_0708));
+        let delete = FlowUpdate::delete(SourceAddr(0xA0B0_C0D0), DestAddr(0x0000_00FF));
+        let plain = [
+            &b"DCS1"[..],
+            &[0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 1],
+            &[0xA0, 0xB0, 0xC0, 0xD0, 0x00, 0x00, 0x00, 0xFF, 0],
+        ]
+        .concat();
+        assert_eq!(&encode_trace(&[insert, delete])[..], &plain[..]);
+        assert_eq!(decode_trace(&plain).unwrap(), vec![insert, delete]);
+
+        let timed = [
+            TimedUpdate {
+                at: 0x1122_3344_5566_7788,
+                update: insert,
+            },
+            TimedUpdate {
+                at: 9,
+                update: delete,
+            },
+        ];
+        let timed_bytes = [
+            &b"DCT1"[..],
+            &[0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88],
+            &[0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 1],
+            &[0, 0, 0, 0, 0, 0, 0, 9],
+            &[0xA0, 0xB0, 0xC0, 0xD0, 0x00, 0x00, 0x00, 0xFF, 0],
+        ]
+        .concat();
+        assert_eq!(&encode_timed_trace(&timed)[..], &timed_bytes[..]);
+        assert_eq!(decode_timed_trace(&timed_bytes).unwrap(), timed);
     }
 
     #[test]

@@ -196,7 +196,7 @@ USAGE:
               [--window N] [--epoch M] [--lambda L]
       Replay a trace into a Tracking Distinct-Count Sketch; print the top-k
       groups with Poisson error bars. With --shards > 1 the replay runs
-      through the lock-free per-core ingest engine (bit-identical result).
+      through the sharded per-core ingest engine (bit-identical result).
       --query adds point-query estimates for the listed groups, answered
       from one shared distinct sample (one sketch scan for all of them).
       --window N answers over a sliding window of the last N epochs of
