@@ -275,8 +275,8 @@ fn l10_allowlisted_modules_and_binaries_keep_their_exemptions() {
         fire_lines("crates/netsim/src/sharded.rs", source, Lint::L10),
         vec![3, 6]
     );
-    // The lock-free ingest engine is allowlisted for its epoch-pointer
-    // mutex, under the same residual bans.
+    // The ingest engine is allowlisted for its `mpsc` job queues and
+    // `Mutex` shards, under the same residual bans.
     assert_eq!(
         fire_lines("crates/netsim/src/ingest.rs", source, Lint::L10),
         vec![3, 6]

@@ -74,7 +74,7 @@ impl HandshakeTracker {
         }
     }
 
-    /// Records in the flow table's expiry heap, stale ones included.
+    /// Records in the flow table's expiry queue, surplus ones included.
     #[cfg(test)]
     pub(crate) fn queued_expiries(&self) -> usize {
         self.flows.queued()
@@ -110,7 +110,7 @@ impl HandshakeTracker {
         let reverse = dcs_core::FlowKey::new(SourceAddr(segment.dst.0), DestAddr(segment.src.0));
         if segment.flags.is_syn_ack() {
             // Server reply: refresh the reverse (client→server) flow.
-            self.flows.touch(reverse.packed(), segment.timestamp);
+            self.flows.refresh(reverse.packed(), segment.timestamp);
             return None;
         }
         if segment.flags.is_syn_only() {
@@ -139,7 +139,7 @@ impl HandshakeTracker {
                 }
             } else {
                 // Server-side data; refresh only.
-                self.flows.touch(reverse.packed(), segment.timestamp);
+                self.flows.refresh(reverse.packed(), segment.timestamp);
             }
             return None;
         }

@@ -540,6 +540,58 @@ mod tests {
         Ok(())
     }
 
+    /// A workload-scale feed through `EdgeRouter` with a 300-tick
+    /// timeout against the oracle, driven the way the router drives its
+    /// tracker: observe, then expire whenever the clock advances.
+    /// Sessions, flash crowds, a scanner that revisits its targets and
+    /// periodic SYN bursts, reordered and duplicated, so expiry meets
+    /// refreshed, re-armed, torn-down and reordered flows.
+    #[test]
+    fn edge_router_matches_the_oracle_on_an_impaired_burst_feed() {
+        use crate::{EdgeRouter, Impairment, TrafficDriver};
+        const TIMEOUT: u64 = 300;
+        let mut driver = TrafficDriver::new(29);
+        for round in 0..24u32 {
+            for server in 0..20 {
+                driver.legitimate_sessions(DestAddr(0x0b00_0000 + server), 20);
+            }
+            driver.flash_crowd(DestAddr(0x0c00_0001), 200);
+            if round % 2 == 0 {
+                driver.port_scan(SourceAddr(0x0bad_0001), DestAddr(0x0d00_0000), 64);
+            }
+            if round % 4 == 1 {
+                driver.syn_flood(DestAddr(0x0a00_0001), 4_000);
+            }
+            driver.advance_clock(128);
+        }
+        let feed = Impairment::new(31)
+            .duplication(0.05)
+            .reordering(64)
+            .apply(&driver.into_segments());
+        let mut router = EdgeRouter::new(0, Some(TIMEOUT));
+        let mut oracle = super::handshake::HandshakeTracker::new(Some(TIMEOUT));
+        let mut last_tick = 0;
+        let mut deletes = 0;
+        for (i, segment) in feed.iter().enumerate() {
+            router.observe(segment);
+            let mut expected: Vec<_> = oracle.observe(segment).into_iter().collect();
+            if segment.timestamp > last_tick {
+                last_tick = segment.timestamp;
+                expected.extend(oracle.tick(last_tick));
+            }
+            let exported = router.drain_exports();
+            assert_eq!(exported, expected, "segment {i}");
+            deletes += exported.iter().filter(|u| u.delta.signum() < 0).count();
+        }
+        assert_eq!(router.tracker().live_flows(), oracle.live_flows());
+        assert_eq!(router.tracker().half_open_flows(), oracle.half_open_flows());
+        assert!(feed.len() > 100_000, "{} segments", feed.len());
+        assert!(deletes > 20_000, "{deletes} deletes");
+        router.flush_expired(last_tick + TIMEOUT + 1);
+        assert_eq!(router.drain_exports(), oracle.tick(last_tick + TIMEOUT + 1));
+        assert_eq!((router.tracker().live_flows(), oracle.live_flows()), (0, 0));
+    }
+
     proptest! {
         #[test]
         fn handshake_tracker_matches_its_oracle(timeout in timeouts(), steps in steps()) {

@@ -1,5 +1,6 @@
-//! Cross-crate contract tests for the lock-free sharded ingest engine:
-//! the merged result is *bit-identical* to single-threaded ingestion
+//! Cross-crate contract tests for the sharded ingest engine (one
+//! `mpsc` job queue per worker, shard sketches behind `Mutex`es): the
+//! merged result is *bit-identical* to single-threaded ingestion
 //! regardless of how callers slice the stream or how many shards run,
 //! and telemetry snapshots read while the workers drain are never
 //! torn. Underneath both sits linearity itself: *any* partition of a
