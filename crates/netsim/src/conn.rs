@@ -105,6 +105,7 @@ impl HandshakeTracker {
     /// Segment direction is canonicalized: a SYN-ACK (or any segment
     /// whose *reversed* flow is tracked) updates the client→server
     /// entry.
+    #[inline]
     pub fn observe(&mut self, segment: &TcpSegment) -> Option<FlowUpdate> {
         let forward = dcs_core::FlowKey::new(segment.src, segment.dst);
         let reverse = dcs_core::FlowKey::new(SourceAddr(segment.dst.0), DestAddr(segment.src.0));
@@ -146,6 +147,7 @@ impl HandshakeTracker {
         None
     }
 
+    #[inline]
     fn on_syn(
         &mut self,
         packed: u64,
@@ -164,6 +166,7 @@ impl HandshakeTracker {
 
     /// Removes a flow; emits `-1` only if it was still half-open (an
     /// established flow was already discounted by its completing ACK).
+    #[inline]
     fn teardown(&mut self, packed: u64, key: dcs_core::FlowKey) -> Option<FlowUpdate> {
         let state = self.flows.remove(packed)?;
         (state == ConnectionState::HalfOpen).then_some(FlowUpdate {

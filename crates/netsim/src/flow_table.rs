@@ -9,9 +9,10 @@
 //! * **Seeded hashing.** Attackers choose the addresses the table is
 //!   keyed on. A hash they can predict lets them precompute colliding
 //!   keys and slow the router down, a blind spot a burst attacker can
-//!   time. Each table draws a secret seed from `std`'s `RandomState`
-//!   once, at construction, and hashes with [`Mix13State::with_seed`]
-//!   (two rounds of the Stafford mix13 finalizer) in place of SipHash.
+//!   time. Each table draws two secret words from `std`'s
+//!   `RandomState` once, at construction, and hashes each key in one
+//!   keyed pass in place of SipHash: a 64×64→128-bit multiply, folded
+//!   to 64 bits, whose two factors each mix the key with one word.
 //!   No hash order reaches any output: callers sort each expiry batch.
 //! * **Expiry queue with lazy re-arm.** When a timeout is set, every
 //!   live entry has a queued `(time, key)` record whose time is no
@@ -44,11 +45,61 @@ use std::collections::hash_map::{self, HashMap};
 use std::collections::{BinaryHeap, VecDeque};
 use std::hash::{BuildHasher, Hasher, RandomState};
 
-use dcs_hash::det::Mix13State;
-
 /// Surplus records the expiry queue may hold beyond twice the live
 /// entries before it is rebuilt; keeps rebuilds rare on tiny tables.
 pub(crate) const QUEUE_SLACK: usize = 64;
+
+/// The table's two secret hash words. A `u64` key hashes in one keyed
+/// pass: `lo ^ hi` of the 128-bit product `(key ⊕ s0) · (rotl(key, 32)
+/// ⊕ s1)`. Both factors carry the key: with `s1` alone as the
+/// multiplier, keys that differ only in their source half spread
+/// poorly over the low hash bits (DESIGN.md §19).
+#[derive(Debug, Clone, Copy)]
+struct KeyedState {
+    s0: u64,
+    s1: u64,
+}
+
+impl BuildHasher for KeyedState {
+    type Hasher = KeyedHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KeyedHasher {
+        KeyedHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// Folds each written word into the hash with one keyed multiply; the
+/// table's keys are `u64`s, so a probe costs exactly one.
+#[derive(Debug, Clone)]
+struct KeyedHasher {
+    keys: KeyedState,
+    hash: u64,
+}
+
+impl Hasher for KeyedHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let x = self.hash ^ word;
+        let product = u128::from(x ^ self.keys.s0) * u128::from(x.rotate_left(32) ^ self.keys.s1);
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Entry<V> {
@@ -66,10 +117,12 @@ struct ExpiryQueue {
 }
 
 impl ExpiryQueue {
+    #[inline]
     fn len(&self) -> usize {
         self.fifo.len() + self.late.len()
     }
 
+    #[inline]
     fn push(&mut self, record: (u64, u64)) {
         match self.fifo.back() {
             Some(&(back, _)) if record.0 < back => self.late.push(Reverse(record)),
@@ -102,7 +155,7 @@ impl ExpiryQueue {
 /// Per-flow state keyed by a packed flow key, with idle expiry.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowTable<V> {
-    entries: HashMap<u64, Entry<V>, Mix13State>,
+    entries: HashMap<u64, Entry<V>, KeyedState>,
     /// Expiry records; empty without a timeout.
     queue: ExpiryQueue,
     /// Entries idle longer than this many ticks expire; `None`
@@ -111,15 +164,22 @@ pub(crate) struct FlowTable<V> {
 }
 
 impl<V> FlowTable<V> {
-    /// An empty table hashed under a fresh secret seed.
+    /// An empty table hashed under two fresh secret words.
     pub(crate) fn new(timeout: Option<u64>) -> Self {
-        Self::with_seed(timeout, RandomState::new().build_hasher().finish())
+        let random = RandomState::new();
+        Self::with_keys(timeout, random.hash_one(0u64), random.hash_one(1u64))
     }
 
-    /// An empty table hashed under `seed`.
+    /// An empty table hashed under words derived from `seed`.
+    #[cfg(test)]
     pub(crate) fn with_seed(timeout: Option<u64>, seed: u64) -> Self {
+        let word = |index| dcs_hash::mix::derive_seed(seed, index);
+        Self::with_keys(timeout, word(0), word(1))
+    }
+
+    fn with_keys(timeout: Option<u64>, s0: u64, s1: u64) -> Self {
         Self {
-            entries: HashMap::with_hasher(Mix13State::with_seed(seed)),
+            entries: HashMap::with_hasher(KeyedState { s0, s1 }),
             queue: ExpiryQueue::default(),
             timeout,
         }
@@ -142,6 +202,7 @@ impl<V> FlowTable<V> {
 
     /// Marks the entry under `key` as seen at `now` and returns its
     /// value, or `None` (and no change) when `key` is absent.
+    #[inline]
     pub(crate) fn touch(&mut self, key: u64, now: u64) -> Option<&mut V> {
         self.make_room();
         let entry = self.entries.get_mut(&key)?;
@@ -154,6 +215,7 @@ impl<V> FlowTable<V> {
 
     /// Marks the entry under `key`, if any, as seen at `now`. Without a
     /// timeout nothing reads `last_seen`, so this skips the probe.
+    #[inline]
     pub(crate) fn refresh(&mut self, key: u64, now: u64) {
         if self.timeout.is_some() {
             self.touch(key, now);
@@ -162,6 +224,7 @@ impl<V> FlowTable<V> {
 
     /// Like [`FlowTable::touch`], but inserts `make()` first when `key`
     /// is absent, in one probe. The flag is `true` on insertion.
+    #[inline]
     pub(crate) fn touch_or_insert_with(
         &mut self,
         key: u64,
@@ -193,6 +256,7 @@ impl<V> FlowTable<V> {
 
     /// Removes the entry under `key`. Its queued records are dropped
     /// when popped.
+    #[inline]
     pub(crate) fn remove(&mut self, key: u64) -> Option<V> {
         self.entries.remove(&key).map(|e| e.value)
     }
@@ -227,6 +291,7 @@ impl<V> FlowTable<V> {
     /// Rebuilds the expiry queue from the live entries once it holds
     /// `2 × live + QUEUE_SLACK` records; the caller then queues at most
     /// one record, so the queue never exceeds that bound after a write.
+    #[inline]
     fn make_room(&mut self) {
         if self.queue.len() < 2 * self.entries.len() + QUEUE_SLACK {
             return;
@@ -251,12 +316,65 @@ impl<V> FlowTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcs_core::{DestAddr, FlowKey, SourceAddr};
 
     fn expired(table: &mut FlowTable<u8>, now: u64) -> Vec<u64> {
         let mut keys = Vec::new();
         table.expire(now, |key, _| keys.push(key));
         keys.sort_unstable();
         keys
+    }
+
+    /// 2¹⁶ flow keys from `source(i)` to one destination.
+    fn keys(source: impl Fn(u32) -> u32) -> Vec<u64> {
+        (0..1u32 << 16)
+            .map(|i| FlowKey::new(SourceAddr(source(i)), DestAddr(0x0a00_0001)).packed())
+            .collect()
+    }
+
+    fn hashes(seed: u64, keys: &[u64]) -> Vec<u64> {
+        let table = FlowTable::<u8>::with_seed(None, seed);
+        keys.iter()
+            .map(|&key| table.entries.hasher().hash_one(key))
+            .collect()
+    }
+
+    /// Distinct values of the hashes' low 16 bits, as a share of 2¹⁶.
+    fn low_bits_spread(hashes: &[u64]) -> f64 {
+        let mut seen = vec![false; 1 << 16];
+        for &h in hashes {
+            seen[(h & 0xffff) as usize] = true;
+        }
+        seen.iter().filter(|&&s| s).count() as f64 / f64::from(1u32 << 16)
+    }
+
+    #[test]
+    fn attacker_shaped_keys_spread_over_the_low_hash_bits() {
+        // Sequential spoofed sources, as `TrafficDriver::syn_flood`
+        // makes them; and sources differing only in their high 16 bits.
+        let sequential = keys(|i| 0x2000_0000 + i);
+        let high_bits = keys(|i| i << 16 | 0x0101);
+        for seed in [1, 2, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            for set in [&sequential, &high_bits] {
+                // Uniform random hashes reach 1 − 1/e ≈ 63%.
+                let spread = low_bits_spread(&hashes(seed, set));
+                assert!(spread >= 0.60, "seed {seed:#x}: {spread:.3}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_seeds_order_the_same_keys_differently() {
+        let keys = keys(|i| 0x2000_0000 + i);
+        let order = |seed| {
+            let mut by_hash: Vec<(u64, u64)> = hashes(seed, &keys)
+                .into_iter()
+                .zip(keys.iter().copied())
+                .collect();
+            by_hash.sort_unstable();
+            by_hash.into_iter().map(|(_, key)| key).collect::<Vec<_>>()
+        };
+        assert_ne!(order(1), order(2));
     }
 
     #[test]

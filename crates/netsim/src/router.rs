@@ -55,6 +55,7 @@ impl EdgeRouter {
 
     /// Observes one segment, buffering any produced flow update and
     /// running timeout expiry as the clock advances.
+    #[inline]
     pub fn observe(&mut self, segment: &TcpSegment) {
         self.segments_observed += 1;
         self.bytes_observed += u64::from(segment.payload_len);
@@ -84,9 +85,11 @@ impl EdgeRouter {
         self.export_buffer.extend(expired);
     }
 
-    /// Takes the buffered exports, leaving the buffer empty.
+    /// Takes the buffered exports, leaving an empty buffer of the same
+    /// capacity, so the next batch fills without regrowing.
     pub fn drain_exports(&mut self) -> Vec<FlowUpdate> {
-        std::mem::take(&mut self.export_buffer)
+        let empty = Vec::with_capacity(self.export_buffer.capacity());
+        std::mem::replace(&mut self.export_buffer, empty)
     }
 
     /// Number of updates currently buffered for export.
@@ -151,6 +154,21 @@ mod tests {
         let exports = r.drain_exports();
         assert_eq!(exports.iter().map(|u| u.delta.signum()).sum::<i64>(), 0);
         assert_eq!(r.tracker().live_flows(), 0);
+    }
+
+    #[test]
+    fn drain_exports_keeps_the_buffer_capacity() {
+        let mut r = EdgeRouter::new(1, None);
+        for source in 0..100 {
+            r.observe(&TcpSegment::syn(SourceAddr(source), DestAddr(2), 0));
+        }
+        let capacity = r.export_buffer.capacity();
+        let exports = r.drain_exports();
+        let sources: Vec<u32> = exports.iter().map(|u| u.key.source().0).collect();
+        assert_eq!(sources, (0..100).collect::<Vec<_>>());
+        assert!(exports.iter().all(|u| u.delta == Delta::Insert));
+        assert_eq!(r.pending_exports(), 0);
+        assert_eq!(r.export_buffer.capacity(), capacity);
     }
 
     #[test]
