@@ -1,17 +1,17 @@
 //! Checkpoint cost profile: encoded size and save/load latency as the
 //! stream grows.
 //!
-//! The checkpoint format stores the materialized level slabs plus the
-//! tracking structures, so its size tracks the sketch's `heap_bytes`:
-//! about 1.9× it, since each 4-byte counter is an 8-byte word on disk
-//! (536 bytes per bucket against 280 in memory) and the configuration
-//! header and section framing are a fixed few dozen bytes. This binary
+//! The sample is a tracking document (kind 2): the materialized levels'
+//! four slabs at 28 bytes per bucket, as in memory, plus 12 bytes per
+//! tracked singleton and heap slot. In memory those tracking entries
+//! cost twice that and more, and `heap_bytes` counts the maps' and
+//! heaps' spare capacity too, so the file is smaller than the tracking
+//! sketch's heap: 0.56–0.75× at the quick scale's sizes. This binary
 //! measures, for several stream lengths:
 //!
 //! * encoded checkpoint bytes vs in-memory sketch bytes,
-//! * save latency in two stages: `encode` (framing, slab copies and
-//!   every section CRC) and the durable write (write-temp + fsync +
-//!   rename + directory fsync),
+//! * `encode` of the sample (framing, slab copies and every section
+//!   CRC),
 //! * load latency in two stages: reading the file and `decode` (CRC
 //!   walk plus parsing). Rebuilding the live sketch from the decoded
 //!   state is checked for exactness but not timed.
@@ -20,7 +20,10 @@
 //!   `fdatasync`) after a kind-1 snapshot of the sketch, and the
 //!   worst-case restore — that snapshot plus as many records as the
 //!   log holds before it outgrows the snapshot and a new snapshot is
-//!   due (read, decode, rebuild, replay every record).
+//!   due (read, decode, rebuild, replay every record),
+//! * the snapshot then due, written as a pipeline writes it: the kind-1
+//!   document's durable write (write-temp + fsync + rename + directory
+//!   fsync) and the cut of the full log beside it.
 //!
 //! It also leaves a canonical `results/sample.ckpt` behind — CI uploads
 //! it as an artifact so any build's checkpoint output can be inspected
@@ -58,10 +61,11 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// The update-log stages for `sketch` in directory `dir`: saves its
 /// kind-1 snapshot, times one boundary's append, fills the log until
-/// the next record would outgrow the snapshot, and times the restore
-/// of the snapshot plus every record. Returns the two times and the
+/// the next record would outgrow the snapshot, times the restore of the
+/// snapshot plus every record, and then times the durable write of the
+/// snapshot now due, over the full log. Returns the three times and the
 /// records replayed.
-fn log_stages(sketch: &DistinctCountSketch, dir: &Path) -> (Duration, Duration, u64) {
+fn log_stages(sketch: &DistinctCountSketch, dir: &Path) -> (Duration, Duration, Duration, u64) {
     let path = dir.join("monitor.ckpt");
     let mut manager = CheckpointManager::new(&path);
     let snapshot = manager
@@ -105,7 +109,11 @@ fn log_stages(sketch: &DistinctCountSketch, dir: &Path) -> (Duration, Duration, 
         "snapshot plus log must restore exactly"
     );
     assert_eq!(replayed, manager.log_records());
-    (append_t, restore_t, replayed)
+    let due = encode(&Checkpoint::Sketch(expected.to_state()));
+    let (saved, save_t) = timed(|| manager.save_encoded(&due));
+    saved.expect("save the snapshot due");
+    assert_eq!(manager.log_records(), 0, "the save cut the log");
+    (append_t, restore_t, save_t, replayed)
 }
 
 fn main() {
@@ -131,20 +139,20 @@ fn main() {
         "sketch heap".into(),
         "ratio".into(),
         "encode".into(),
-        "write+fsync+rename".into(),
         "read".into(),
         "decode".into(),
         "append".into(),
         "log records".into(),
         "worst restore".into(),
+        "snapshot write + log cut".into(),
     ]);
     let stages = [
         "encode_ms",
-        "write_ms",
         "read_ms",
         "decode_ms",
         "append_ms",
         "restore_worst_ms",
+        "snapshot_write_log_cut_ms",
     ];
     let mut series_u = Vec::new();
     let mut series_bytes = Vec::new();
@@ -164,8 +172,9 @@ fn main() {
         let mut manager = CheckpointManager::new(&sample_path);
         let checkpoint = Checkpoint::Tracking(sketch.to_state());
         let (encoded, encode_t) = timed(|| encode(&checkpoint));
-        let (saved, write_t) = timed(|| manager.save_encoded(&encoded));
-        let bytes = saved.expect("save sample checkpoint");
+        let bytes = manager
+            .save_encoded(&encoded)
+            .expect("save sample checkpoint");
         let (read, read_t) = timed(|| std::fs::read(&sample_path));
         let read = read.expect("read sample checkpoint");
         let (decoded, decode_t) = timed(|| decode(&read));
@@ -179,16 +188,16 @@ fn main() {
             "restore must be exact"
         );
 
-        let (append_t, restore_t, log_records) = log_stages(sketch.sketch(), &log_dir);
+        let (append_t, restore_t, save_t, log_records) = log_stages(sketch.sketch(), &log_dir);
 
         let heap = sketch.heap_bytes() as u64;
         let stage_ms = [
             ms(encode_t),
-            ms(write_t),
             ms(read_t),
             ms(decode_t),
             ms(append_t),
             ms(restore_t),
+            ms(save_t),
         ];
         let mut row = vec![
             u.to_string(),
@@ -196,9 +205,10 @@ fn main() {
             kb(heap),
             format!("{:.2}", bytes as f64 / heap as f64),
         ];
-        row.extend(stage_ms[..5].iter().map(|t| format!("{t:.2} ms")));
+        let cell = |t: &f64| format!("{t:.2} ms");
+        row.extend(stage_ms[..4].iter().map(cell));
         row.push(log_records.to_string());
-        row.push(format!("{:.2} ms", stage_ms[5]));
+        row.extend(stage_ms[4..].iter().map(cell));
         table.row(row);
         series_u.push(u as f64);
         series_bytes.push(bytes as f64);

@@ -39,10 +39,8 @@ pub type DetHashSet<T> = HashSet<T, Mix13State>;
 
 /// Fixed-seed [`BuildHasher`] on the Stafford mix13 finalizer.
 ///
-/// The default seed is an arbitrary odd constant (the golden-ratio word
-/// also used by SplitMix64); [`Mix13State::with_seed`] derives an
-/// independent family member when separate tables must not share hash
-/// order.
+/// The seed is an arbitrary odd constant (the golden-ratio word also
+/// used by SplitMix64), the same in every process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mix13State {
     seed: u64,
@@ -50,8 +48,7 @@ pub struct Mix13State {
 
 impl Mix13State {
     /// A state whose hash family is derived from `seed`.
-    #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
+    fn with_seed(seed: u64) -> Self {
         Self { seed }
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! Deployment shape for the architecture of Fig. 1: several edge
 //! routers, each on its own thread, convert their packet feeds into
-//! flow updates and ship them over a bounded channel to one
-//! central monitor thread. That thread feeds a [`Monitor`] — a basic
-//! Distinct-Count Sketch of its own, or the per-worker partials of a
-//! [`crate::ShardedIngest`] engine — and every
-//! [`PipelineConfig::evaluate_every`] updates has it judge the alarm
-//! rules against the sketch's `BaseTopk` view (Fig. 3), or against a
-//! sliding window of it. The thread itself only cuts the stream at
+//! flow updates and ship them over a bounded channel to one central
+//! monitor, which runs on the thread that called [`run_pipeline`]. The
+//! monitor feeds a [`Monitor`] — a basic Distinct-Count Sketch of its
+//! own, or the per-worker partials of a [`crate::ShardedIngest`] engine
+//! — and every [`PipelineConfig::evaluate_every`] updates judges the
+//! alarm rules against the sketch's `BaseTopk` view (Fig. 3), or against
+//! a sliding window of it. The loop itself only cuts the stream at
 //! evaluation, telemetry and checkpoint boundaries and runs the two
 //! sidecars.
 //!
@@ -33,7 +33,7 @@ use crate::packet::TcpSegment;
 use crate::router::EdgeRouter;
 use crate::window::WindowPolicy;
 
-/// Where and how often the monitor thread exports telemetry snapshots.
+/// Where and how often the monitor exports telemetry snapshots.
 #[derive(Debug, Clone)]
 pub struct TelemetrySidecar {
     /// JSONL file the snapshots are appended to (truncated at start).
@@ -54,7 +54,7 @@ impl TelemetrySidecar {
     }
 }
 
-/// Where and how often the monitor thread writes crash-recovery
+/// Where and how often the monitor writes crash-recovery
 /// checkpoints (see `dcs_persist`).
 #[derive(Debug, Clone)]
 pub struct CheckpointSidecar {
@@ -84,11 +84,11 @@ pub struct PipelineConfig {
     pub evaluate_every: u64,
     /// Router half-open timeout in ticks (`None` disables).
     pub half_open_timeout: Option<u64>,
-    /// Optional telemetry JSONL sidecar written by the monitor thread.
+    /// Optional telemetry JSONL sidecar written by the monitor.
     pub telemetry: Option<TelemetrySidecar>,
-    /// Optional crash-recovery checkpoint written by the monitor thread.
+    /// Optional crash-recovery checkpoint written by the monitor.
     pub checkpoint: Option<CheckpointSidecar>,
-    /// `Some(n)`: the monitor thread feeds a [`crate::ShardedIngest`] engine
+    /// `Some(n)`: the monitor feeds a [`crate::ShardedIngest`] engine
     /// with `n` persistent workers instead of sketching inline, judging
     /// alarms against merged snapshots at evaluation boundaries.
     /// `None` (default): single-threaded monitor sketch. The mode does
@@ -155,7 +155,7 @@ impl DetectionReport {
     }
 }
 
-/// Checkpoint bookkeeping the monitor thread folds into its telemetry
+/// Checkpoint bookkeeping the monitor folds into its telemetry
 /// snapshots.
 #[derive(Debug, Default)]
 struct CheckpointStats {
@@ -346,12 +346,15 @@ fn write_checkpoint(
     }
 }
 
-/// Runs the pipeline: one thread per router feed, one monitor thread.
+/// Runs the pipeline: one spawned thread per router feed, and the
+/// monitor on the calling thread.
 ///
 /// Each element of `router_feeds` is the time-ordered packet feed of one
-/// edge router. Returns after all feeds are exhausted, the channel has
-/// drained, and a final alarm evaluation has run. When
-/// [`PipelineConfig::telemetry`] is set, the monitor thread also appends
+/// edge router. The routers start first, so the monitor's restore
+/// overlaps their work. Returns after all feeds are exhausted, the
+/// channel has drained, the routers are joined, and a final alarm
+/// evaluation and the shutdown checkpoint have run. When
+/// [`PipelineConfig::telemetry`] is set, the monitor also appends
 /// periodic [`dcs_telemetry::TelemetrySnapshot`]s (and one final
 /// `pipeline_final` snapshot) to the configured JSONL sidecar.
 ///
@@ -361,7 +364,13 @@ fn write_checkpoint(
 /// [`PipelineConfig::window`] is set to a policy that fails
 /// [`WindowPolicy::validate`] (zero-length window, decay factor outside
 /// `(0, 1]`) — a caller configuration error, not a runtime condition.
-/// The check runs on the caller's thread before any thread starts.
+/// The check runs before any router thread starts.
+///
+/// Once the channel closes, the routers are joined in feed order and the
+/// first router panic is re-raised with its own payload, before the
+/// final evaluation and the shutdown checkpoint. A monitor panic unwinds
+/// on the calling thread and drops the receiver, so a router blocked on
+/// the full channel returns instead of waiting forever.
 ///
 /// # Examples
 ///
@@ -412,120 +421,94 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
     }
     drop(update_tx);
 
-    let monitor_handle = thread::spawn(move || {
-        let PipelineConfig {
-            sketch,
-            policy,
-            evaluate_every,
-            telemetry: sidecar,
-            checkpoint: ckpt_sidecar,
-            ingest_shards,
-            window,
-            ..
-        } = config;
-        let evaluate_every = evaluate_every.max(1);
-        let mut ckpt_manager = ckpt_sidecar
-            .as_ref()
-            .map(|c| CheckpointManager::new(&c.path));
-        let mut ckpt_stats = CheckpointStats::default();
-        let restored = ckpt_manager
-            .as_mut()
-            .and_then(|m| resume_from(m, &sketch, policy, window, &mut ckpt_stats));
-        let resumed = restored.is_some();
-        let mut monitor = restored.unwrap_or(fresh).with_shards(ingest_shards);
-        // An all-time monitor's updates since its last durable
-        // checkpoint write: the next update-log record.
-        let mut pending = Vec::new();
-        // A failed sidecar must not kill the detection run: report
-        // on stderr and carry on without telemetry.
-        let mut exporter = sidecar.as_ref().and_then(|s| {
-            JsonlExporter::create(&s.path)
-                .map_err(|e| eprintln!("telemetry sidecar {}: {e}", s.path.display()))
-                .ok()
-        });
-        let snapshot_every = sidecar.map_or(u64::MAX, |s| s.every.max(1));
-        let checkpoint_every = ckpt_sidecar.map_or(u64::MAX, |c| c.every.max(1));
-        let mut alarms = Vec::new();
-        let mut ingested = 0u64;
-        let mut next_eval = evaluate_every;
-        let mut next_snapshot = snapshot_every;
-        let mut next_checkpoint = checkpoint_every;
-        for batch in update_rx {
-            // Feed the batched fast path in sub-chunks that stop
-            // exactly at the next evaluation/snapshot/checkpoint
-            // boundary, so alarms, snapshots, and checkpoints fire
-            // at the same ingested counts as a per-update loop.
-            let mut offset = 0usize;
-            while offset < batch.len() {
-                let remaining = batch.len() - offset;
-                let until_boundary = next_eval
-                    .saturating_sub(ingested)
-                    .min(next_snapshot.saturating_sub(ingested))
-                    .min(next_checkpoint.saturating_sub(ingested));
-                let take = usize::try_from(until_boundary)
-                    .unwrap_or(remaining)
-                    .min(remaining);
-                let chunk = &batch[offset..offset + take];
-                monitor.ingest(chunk);
-                if ckpt_manager.is_some() && monitor.window().is_none() {
-                    pending.extend_from_slice(chunk);
-                }
-                offset += take;
-                ingested += take as u64;
-                if ingested >= next_eval {
-                    evaluate_into(&mut monitor, &mut alarms);
-                    next_eval += evaluate_every;
-                }
-                if ingested >= next_snapshot {
-                    if exporter.is_some() {
-                        export_snapshot(
-                            &mut exporter,
-                            monitor.telemetry_snapshot("pipeline"),
-                            ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
-                        );
-                    }
-                    next_snapshot += snapshot_every;
-                }
-                if ingested >= next_checkpoint {
-                    write_checkpoint(
-                        &mut ckpt_manager,
-                        &mut monitor,
-                        &mut pending,
-                        &mut ckpt_stats,
-                        false,
+    let PipelineConfig {
+        sketch,
+        policy,
+        evaluate_every,
+        telemetry: sidecar,
+        checkpoint: ckpt_sidecar,
+        ingest_shards,
+        window,
+        ..
+    } = config;
+    let evaluate_every = evaluate_every.max(1);
+    let mut ckpt_manager = ckpt_sidecar
+        .as_ref()
+        .map(|c| CheckpointManager::new(&c.path));
+    let mut ckpt_stats = CheckpointStats::default();
+    let restored = ckpt_manager
+        .as_mut()
+        .and_then(|m| resume_from(m, &sketch, policy, window, &mut ckpt_stats));
+    let restored_from_checkpoint = restored.is_some();
+    let mut monitor = restored.unwrap_or(fresh).with_shards(ingest_shards);
+    // An all-time monitor's updates since its last durable checkpoint
+    // write: the next update-log record.
+    let mut pending = Vec::new();
+    // A failed sidecar must not kill the detection run: report on
+    // stderr and carry on without telemetry.
+    let mut exporter = sidecar.as_ref().and_then(|s| {
+        JsonlExporter::create(&s.path)
+            .map_err(|e| eprintln!("telemetry sidecar {}: {e}", s.path.display()))
+            .ok()
+    });
+    let snapshot_every = sidecar.map_or(u64::MAX, |s| s.every.max(1));
+    let checkpoint_every = ckpt_sidecar.map_or(u64::MAX, |c| c.every.max(1));
+    let mut alarms = Vec::new();
+    let mut ingested = 0u64;
+    let mut next_eval = evaluate_every;
+    let mut next_snapshot = snapshot_every;
+    let mut next_checkpoint = checkpoint_every;
+    for batch in update_rx {
+        // Feed the batched fast path in sub-chunks that stop exactly at
+        // the next evaluation/snapshot/checkpoint boundary, so alarms,
+        // snapshots, and checkpoints fire at the same ingested counts as
+        // a per-update loop.
+        let mut offset = 0usize;
+        while offset < batch.len() {
+            let remaining = batch.len() - offset;
+            let until_boundary = next_eval
+                .saturating_sub(ingested)
+                .min(next_snapshot.saturating_sub(ingested))
+                .min(next_checkpoint.saturating_sub(ingested));
+            let take = usize::try_from(until_boundary)
+                .unwrap_or(remaining)
+                .min(remaining);
+            let chunk = &batch[offset..offset + take];
+            monitor.ingest(chunk);
+            if ckpt_manager.is_some() && monitor.window().is_none() {
+                pending.extend_from_slice(chunk);
+            }
+            offset += take;
+            ingested += take as u64;
+            if ingested >= next_eval {
+                evaluate_into(&mut monitor, &mut alarms);
+                next_eval += evaluate_every;
+            }
+            if ingested >= next_snapshot {
+                if exporter.is_some() {
+                    export_snapshot(
+                        &mut exporter,
+                        monitor.telemetry_snapshot("pipeline"),
+                        ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
                     );
-                    next_checkpoint += checkpoint_every;
                 }
+                next_snapshot += snapshot_every;
+            }
+            if ingested >= next_checkpoint {
+                write_checkpoint(
+                    &mut ckpt_manager,
+                    &mut monitor,
+                    &mut pending,
+                    &mut ckpt_stats,
+                    false,
+                );
+                next_checkpoint += checkpoint_every;
             }
         }
-        evaluate_into(&mut monitor, &mut alarms);
-        // One final snapshot so a clean shutdown resumes without a log.
-        write_checkpoint(
-            &mut ckpt_manager,
-            &mut monitor,
-            &mut pending,
-            &mut ckpt_stats,
-            true,
-        );
-        if exporter.is_some() {
-            export_snapshot(
-                &mut exporter,
-                monitor.telemetry_snapshot("pipeline_final"),
-                ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
-            );
-        }
-        (
-            monitor.into_tracking_monitor(),
-            alarms,
-            ingested,
-            ckpt_stats.written,
-            resumed,
-        )
-    });
+    }
 
-    // Join failures carry the worker's own panic payload; re-raise it
-    // (as `ingest_sharded` does) instead of masking it with a generic
-    // message.
+    // The channel closed, so every router has returned or panicked; a
+    // panic is re-raised with its own payload (as `ingest_sharded` does).
     let mut segments_observed = 0;
     for handle in router_handles {
         match handle.join() {
@@ -533,18 +516,29 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-    let (monitor, alarms, updates_ingested, checkpoints_written, restored_from_checkpoint) =
-        match monitor_handle.join() {
-            Ok(result) => result,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
+    evaluate_into(&mut monitor, &mut alarms);
+    // One final snapshot so a clean shutdown resumes without a log.
+    write_checkpoint(
+        &mut ckpt_manager,
+        &mut monitor,
+        &mut pending,
+        &mut ckpt_stats,
+        true,
+    );
+    if exporter.is_some() {
+        export_snapshot(
+            &mut exporter,
+            monitor.telemetry_snapshot("pipeline_final"),
+            ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
+        );
+    }
     DetectionReport {
         alarms,
-        updates_ingested,
+        updates_ingested: ingested,
         segments_observed,
-        checkpoints_written,
+        checkpoints_written: ckpt_stats.written,
         restored_from_checkpoint,
-        monitor,
+        monitor: monitor.into_tracking_monitor(),
     }
 }
 

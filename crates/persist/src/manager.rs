@@ -13,6 +13,10 @@
 //! one CRC-framed record of the updates since the last durable point
 //! and `fdatasync`s it, extending a sketch snapshot without rewriting
 //! it. Every save truncates the log, which the new snapshot supersedes.
+//! A snapshot costs two syncs, the temporary file's and its directory's:
+//! the truncation of a log this manager wrote or adopted is left to the
+//! next append's `fdatasync`, because replay skips every record a crash
+//! could bring back (each one ends at or before the snapshot's position).
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -45,8 +49,8 @@ pub struct CheckpointManager {
 /// The manager's view of the update log on disk.
 #[derive(Debug, Default)]
 struct UpdateLog {
-    /// Opened on first use; dropped after a failed write, so the next
-    /// use cuts the torn bytes off.
+    /// Opened on first use and kept across saves; dropped after a
+    /// failed write, so the next use cuts the torn bytes off.
     file: Option<File>,
     /// Bytes of the log that extend the snapshot (0: none written yet).
     bytes: u64,
@@ -132,7 +136,9 @@ impl CheckpointManager {
     /// `fsync` of the parent directory → truncate the update log, if
     /// there is one. A crash before the rename leaves the previous
     /// checkpoint intact; a crash after it leaves the new one, and any
-    /// log records it covers are skipped on restore. A failed save
+    /// log records it covers are skipped on restore. The truncation is
+    /// not synced unless the log holds bytes this manager neither wrote
+    /// nor adopted, which a crash must not bring back. A failed save
     /// removes the `.tmp` sibling (best effort) before returning the
     /// error.
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<u64, PersistError> {
@@ -166,8 +172,10 @@ impl CheckpointManager {
         self.bytes_last = size;
         self.bytes_total = self.bytes_total.saturating_add(size);
         self.snapshot_bytes = size;
-        self.log.end = None;
-        self.truncate_log()?;
+        // Records of this manager's snapshots all end at or before the
+        // new one's position; anything else on disk must go durably.
+        let ours = self.log.end.take().is_some() || self.log.file.is_some();
+        self.truncate_log(ours)?;
         Ok(size)
     }
 
@@ -242,7 +250,7 @@ impl CheckpointManager {
         self.log.bytes = replay.kept_bytes;
         self.log.records = replay.replayed + replay.skipped;
         if replay.dropped > 0 {
-            self.log_file()?;
+            self.open_log(true)?;
         }
         self.snapshot_bytes = fs::metadata(&self.path).map_or(0, |m| m.len());
         self.log.end = Some(replay.end);
@@ -278,18 +286,47 @@ impl CheckpointManager {
         sibling(&self.path, ".tmp")
     }
 
-    /// The open update log, opened first if need be: created with its
-    /// header when it holds nothing to keep, else cut back to the bytes
-    /// that extend the snapshot.
+    /// The open update log, opened first if need be.
     fn log_file(&mut self) -> Result<&mut File, PersistError> {
-        let file = match self.log.file.take() {
-            Some(file) => file,
-            None => {
-                let file = open_log(&self.log_path(), self.log.bytes)?;
-                self.log.bytes = self.log.bytes.max(LOG_HEADER_LEN);
-                file
-            }
-        };
+        match self.log.file {
+            Some(ref mut file) => Ok(file),
+            None => self.open_log(false),
+        }
+    }
+
+    /// Opens the update log for appending, keeping the bytes that
+    /// extend the snapshot: with fewer than a header's worth, it starts
+    /// over with just its header. The cut is synced when `durable`, and
+    /// the directory entry when the file is created; otherwise the next
+    /// append's `fdatasync` makes the cut durable.
+    fn open_log(&mut self, durable: bool) -> Result<&mut File, PersistError> {
+        let path = self.log_path();
+        let created = !path.exists();
+        let mut file = OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(&path)
+            .map_err(io_err("open update log"))?;
+        let keep = self.log.bytes;
+        let len = file.metadata().map_err(io_err("stat update log"))?.len();
+        if keep < LOG_HEADER_LEN {
+            file.set_len(0).map_err(io_err("truncate update log"))?;
+            file.write_all(&log::header())
+                .map_err(io_err("write update log header"))?;
+        } else if len < keep {
+            return Err(PersistError::Corrupt {
+                context: format!("update log shrank from {keep} to {len} bytes since it was read"),
+            });
+        } else {
+            file.set_len(keep).map_err(io_err("truncate update log"))?;
+        }
+        if durable {
+            sync(&file, false).map_err(io_err("sync update log"))?;
+        }
+        if created {
+            sync_dir(&path);
+        }
+        self.log.bytes = keep.max(LOG_HEADER_LEN);
         Ok(self.log.file.insert(file))
     }
 
@@ -297,15 +334,22 @@ impl CheckpointManager {
         let file = self.log_file()?;
         file.write_all(record)
             .map_err(io_err("append update log"))?;
-        file.sync_data().map_err(io_err("sync update log"))
+        sync(file, true).map_err(io_err("sync update log"))
     }
 
-    /// Empties the update log after a save, if there is one.
-    fn truncate_log(&mut self) -> Result<(), PersistError> {
-        self.log.bytes = 0;
+    /// Empties the update log after a save, if there is one, down to
+    /// its header; an open log keeps its handle. Only a log that is not
+    /// `ours` is cut durably.
+    fn truncate_log(&mut self, ours: bool) -> Result<(), PersistError> {
         self.log.records = 0;
-        if self.log.file.take().is_some() || self.log_path().exists() {
-            self.log_file()?;
+        self.log.bytes = 0;
+        if let Some(file) = self.log.file.take() {
+            file.set_len(LOG_HEADER_LEN)
+                .map_err(io_err("truncate update log"))?;
+            self.log.file = Some(file);
+            self.log.bytes = LOG_HEADER_LEN;
+        } else if self.log_path().exists() {
+            self.open_log(!ours)?;
         }
         Ok(())
     }
@@ -335,39 +379,31 @@ fn parent_dir(path: &Path) -> &Path {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Syncs this thread has issued, for the tests that count them.
+    static SYNCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `fdatasync`s (`data_only`) or `fsync`s `file`. Every sync the
+/// manager issues goes through here.
+fn sync(file: &File, data_only: bool) -> std::io::Result<()> {
+    #[cfg(test)]
+    SYNCS.with(|n| n.set(n.get() + 1));
+    if data_only {
+        file.sync_data()
+    } else {
+        file.sync_all()
+    }
+}
+
 /// Fsyncs the directory holding `path`, so a rename or a file creation
 /// there is durable. Best effort, because not every filesystem or
 /// platform allows it.
 fn sync_dir(path: &Path) {
     if let Ok(dir) = File::open(parent_dir(path)) {
-        let _ = dir.sync_all();
+        let _ = sync(&dir, false);
     }
-}
-
-/// Opens the update log at `path` for appending, keeping its first
-/// `keep` bytes: a `keep` shorter than the header starts the log over
-/// with just its header. The file and its directory entry are synced.
-fn open_log(path: &Path, keep: u64) -> Result<File, PersistError> {
-    let mut file = OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(path)
-        .map_err(io_err("open update log"))?;
-    let len = file.metadata().map_err(io_err("stat update log"))?.len();
-    if keep < LOG_HEADER_LEN {
-        file.set_len(0).map_err(io_err("truncate update log"))?;
-        file.write_all(&log::header())
-            .map_err(io_err("write update log header"))?;
-    } else if len < keep {
-        return Err(PersistError::Corrupt {
-            context: format!("update log shrank from {keep} to {len} bytes since it was read"),
-        });
-    } else {
-        file.set_len(keep).map_err(io_err("truncate update log"))?;
-    }
-    file.sync_all().map_err(io_err("sync update log"))?;
-    sync_dir(path);
-    Ok(file)
 }
 
 /// Writes `bytes` to `tmp`, fsyncs it, renames it over `path`, then
@@ -383,7 +419,7 @@ fn replace_durably(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), PersistE
             .map_err(io_err("create temp checkpoint"))?;
         file.write_all(bytes)
             .map_err(io_err("write temp checkpoint"))?;
-        file.sync_all().map_err(io_err("sync temp checkpoint"))?;
+        sync(&file, false).map_err(io_err("sync temp checkpoint"))?;
     }
     fs::rename(tmp, path).map_err(io_err("rename checkpoint into place"))?;
     sync_dir(path);
@@ -558,6 +594,45 @@ mod tests {
             crate::log::header(),
             "a save leaves only the log header"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The syncs `f` issues on this thread.
+    fn syncs(f: impl FnOnce()) -> u64 {
+        let before = SYNCS.with(|n| n.get());
+        f();
+        SYNCS.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn a_snapshot_issues_two_syncs_and_an_append_one() {
+        let dir = temp_dir("syncs");
+        let mut manager = CheckpointManager::new(dir.join("monitor.ckpt"));
+        let save = |manager: &mut CheckpointManager, pairs| {
+            syncs(|| {
+                manager.save(&sample_checkpoint(pairs)).unwrap();
+            })
+        };
+        assert_eq!(save(&mut manager, 10), 2, "no log yet");
+        let append = |manager: &mut CheckpointManager, from, n| {
+            syncs(|| {
+                manager.append(&updates(from, n)).unwrap();
+            })
+        };
+        assert_eq!(append(&mut manager, 0, 4), 2, "the new log's directory");
+        assert_eq!(append(&mut manager, 4, 4), 1);
+        assert_eq!(save(&mut manager, 18), 2, "over the open log");
+        assert_eq!(append(&mut manager, 18, 2), 1, "the log is kept open");
+
+        // A restore adopts the log: its first save cuts it unsynced too.
+        let mut restored = CheckpointManager::new(manager.path());
+        restored.replay_log(18, |_| {}).unwrap();
+        assert_eq!(save(&mut restored, 20), 2, "over an adopted log");
+        // A manager that never adopted the log cuts it durably.
+        restored.append(&updates(20, 1)).unwrap();
+        let mut fresh = CheckpointManager::new(manager.path());
+        assert_eq!(save(&mut fresh, 21), 3, "over a foreign log");
+        assert_eq!(fs::read(fresh.log_path()).unwrap(), crate::log::header());
         fs::remove_dir_all(&dir).unwrap();
     }
 

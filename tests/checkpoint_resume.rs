@@ -19,7 +19,8 @@ use std::path::{Path, PathBuf};
 use ddos_streams::netsim::sharded::ShardedIngest;
 use ddos_streams::netsim::window::WindowPolicy;
 use ddos_streams::netsim::{
-    run_pipeline, CheckpointSidecar, DetectionReport, Monitor, PipelineConfig, TrafficDriver,
+    run_pipeline, CheckpointSidecar, DetectionReport, Monitor, PipelineConfig, TelemetrySidecar,
+    TrafficDriver,
 };
 use ddos_streams::persist::{decode, encode, Checkpoint, CheckpointManager, PersistError};
 use ddos_streams::{
@@ -549,8 +550,15 @@ fn retired_epoch_document_kind_is_refused_and_the_pipeline_starts_fresh() {
     assert_eq!(rewritten, Checkpoint::Sketch(fresh.to_state()));
 }
 
-/// Restores the snapshot at `path` and replays its update log.
-fn recover(path: &Path) -> (DistinctCountSketch, ddos_streams::persist::LogReplay) {
+/// Restores the snapshot at `path` and replays its update log, with the
+/// manager that adopted the pair: its appends extend it.
+fn recover(
+    path: &Path,
+) -> (
+    DistinctCountSketch,
+    ddos_streams::persist::LogReplay,
+    CheckpointManager,
+) {
     let mut manager = CheckpointManager::new(path);
     let Some(Checkpoint::Sketch(state)) = manager.try_load().unwrap() else {
         panic!("a sketch snapshot");
@@ -561,7 +569,7 @@ fn recover(path: &Path) -> (DistinctCountSketch, ddos_streams::persist::LogRepla
         .replay_log(from, |updates| sketch.update_batch(updates))
         .unwrap();
     assert_eq!(replay.dropped, 0, "{:?}", replay.problem);
-    (sketch, replay)
+    (sketch, replay, manager)
 }
 
 /// Runs `feed` as one pipeline phase whose shutdown snapshot fails,
@@ -614,7 +622,7 @@ fn pipeline_crash_without_shutdown_snapshot_recovers_bit_identically() {
             );
             let durable = exports[0].len() + usize::try_from(boundaries * every).unwrap();
             let modes = (cut, shards);
-            let (recovered, replay) = recover(&path);
+            let (recovered, replay, _) = recover(&path);
             assert_eq!(replay.replayed, boundaries, "{modes:?}");
             assert_eq!(recovered.to_state(), uninterrupted(durable), "{modes:?}");
 
@@ -624,7 +632,7 @@ fn pipeline_crash_without_shutdown_snapshot_recovers_bit_identically() {
                 let covered = exports[0].len() + usize::try_from(every).unwrap();
                 let snapshot = Checkpoint::Sketch(uninterrupted(covered));
                 std::fs::write(&path, encode(&snapshot)).unwrap();
-                let (recovered, replay) = recover(&path);
+                let (recovered, replay, _) = recover(&path);
                 assert_eq!((replay.skipped, replay.replayed), (1, boundaries - 1));
                 assert_eq!(recovered.to_state(), uninterrupted(durable), "{modes:?}");
             }
@@ -643,4 +651,89 @@ fn pipeline_crash_without_shutdown_snapshot_recovers_bit_identically() {
             );
         }
     }
+}
+
+#[test]
+fn a_crash_before_the_log_cut_is_durable_restores_the_snapshot() {
+    // A save syncs the snapshot's rename but not the log's truncation,
+    // which the next append's sync makes durable. A crash in between
+    // leaves the pre-save log, or a zero-length one, beside the new
+    // snapshot: the restore must still equal the uninterrupted replay,
+    // and the restored pair must take further appends.
+    let updates = stream(4_000);
+    let uninterrupted = |len: usize| {
+        let mut sketch = DistinctCountSketch::new(config(12));
+        sketch.update_batch(&updates[..len]);
+        sketch.to_state()
+    };
+    for pre_save_log in [true, false] {
+        let path = temp_path(&format!("crash-window-{pre_save_log}"));
+        remove_checkpoint(&path);
+        let mut manager = CheckpointManager::new(&path);
+        manager
+            .save(&Checkpoint::Sketch(uninterrupted(1_000)))
+            .unwrap();
+        for chunk in updates[1_000..4_000].chunks(1_000) {
+            manager.append(chunk).unwrap();
+        }
+        let log = std::fs::read(manager.log_path()).unwrap();
+        manager
+            .save(&Checkpoint::Sketch(uninterrupted(4_500)))
+            .unwrap();
+        let left = if pre_save_log { &log[..] } else { &[] };
+        std::fs::write(manager.log_path(), left).unwrap();
+        drop(manager);
+
+        let (recovered, replay, mut restored) = recover(&path);
+        let skipped = if pre_save_log { 3 } else { 0 };
+        assert_eq!((replay.skipped, replay.replayed), (skipped, 0));
+        assert_eq!(recovered.to_state(), uninterrupted(4_500));
+
+        let tail = updates[4_500..].chunks(700);
+        let appended = tail.len() as u64;
+        for chunk in tail {
+            restored.append(chunk).unwrap();
+        }
+        let (recovered, replay, _) = recover(&path);
+        remove_checkpoint(&path);
+        assert_eq!((replay.skipped, replay.replayed), (skipped, appended));
+        assert_eq!(recovered.to_state(), uninterrupted(updates.len()));
+    }
+}
+
+#[test]
+fn an_empty_run_over_a_clean_shutdown_checkpoint_only_restores() {
+    // What `pipeline_bench`'s `restart_ckpt` times as `setup_s`: a
+    // restart with nothing to ingest restores, writes no checkpoint and
+    // leaves both files as the clean shutdown left them.
+    let path = temp_path("empty-restart");
+    remove_checkpoint(&path);
+    let telemetry = path.with_extension("telemetry.jsonl");
+    let cfg = PipelineConfig {
+        telemetry: Some(TelemetrySidecar {
+            path: telemetry.clone(),
+            every: 300,
+        }),
+        ..checkpointed(config(13), &path, 300)
+    };
+    let first = run_pipeline(vec![mixed_feed(47)], cfg.clone());
+    assert!(first.checkpoints_written > 1);
+    let files = || {
+        let log = CheckpointManager::new(&path).log_path();
+        (std::fs::read(&path).unwrap(), std::fs::read(log).unwrap())
+    };
+    let shutdown = files();
+    for _ in 0..2 {
+        let empty = run_pipeline(vec![Vec::new()], cfg.clone());
+        assert!(empty.restored_from_checkpoint);
+        assert_eq!(empty.checkpoints_written, 0);
+        assert_eq!(empty.updates_ingested, 0);
+        assert_eq!(
+            empty.monitor.sketch().updates_processed(),
+            first.updates_ingested
+        );
+        assert!(files() == shutdown, "an empty restart rewrote its files");
+    }
+    remove_checkpoint(&path);
+    let _ = std::fs::remove_file(&telemetry);
 }
