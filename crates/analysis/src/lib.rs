@@ -35,10 +35,12 @@
 pub mod allow;
 pub mod graph;
 pub mod items;
+pub mod lines;
 pub mod lints;
 pub mod strip;
 
 pub use allow::{parse_allow, AllowEntry, MAX_ALLOW_ENTRIES};
+pub use lines::program_lines;
 pub use lints::{lint_source, lint_workspace, Lint, SourceFile, Violation};
 
 use std::fs;
@@ -95,7 +97,7 @@ pub fn apply_allow(found: Vec<Violation>, allows: &[AllowEntry]) -> LintOutcome 
 /// trees, benches, fixtures, and build output. Test trees are walked
 /// separately by [`collect_files`] so their *top-level* dirs are
 /// covered while fixture subdirectories stay exempt.
-fn walk_src(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+pub(crate) fn walk_src(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<Result<_, _>>()?;
     entries.sort_by_key(|e| e.file_name());
     for entry in entries {
@@ -143,17 +145,20 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
             walk_src(&dir, &mut absolute)?;
         }
     }
-    let mut files = Vec::new();
-    for path in absolute {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path.as_path())
-            .to_string_lossy()
-            .replace('\\', "/");
-        files.push((rel, path.clone()));
-    }
+    let mut files: Vec<_> = absolute
+        .into_iter()
+        .map(|path| (rel_path(root, &path), path))
+        .collect();
     files.sort();
     Ok(files)
+}
+
+/// `path` relative to `root`, with forward slashes.
+pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
 }
 
 /// Lints the workspace rooted at `root` and applies `allows`: the

@@ -1,4 +1,5 @@
-//! CLI for the invariant linter: `cargo run -p dcs-analysis -- lint`.
+//! CLI for the invariant linter: `cargo run -p dcs-analysis -- lint`,
+//! and the program line count: `cargo run -p dcs-analysis -- lines`.
 //!
 //! Exit codes: `0` clean, `1` unsuppressed violations or stale allow
 //! entries, `2` usage or I/O errors. With `--format json` every
@@ -6,17 +7,21 @@
 //! object per line on stdout — the CI artifact PRs are diffed against —
 //! and the human summary moves to stderr.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dcs_analysis::{lint_root, parse_allow, AllowEntry, Violation};
+use dcs_analysis::{lint_root, parse_allow, program_lines, AllowEntry, Violation};
 
 const USAGE: &str = "usage: dcs-analysis lint [--root DIR] [--allow FILE] [--format text|json]
+       dcs-analysis lines [--root DIR]
 
-Lints the workspace at DIR (default: .) against invariants L1-L7, L9 and L10,
-reading suppressions from FILE (default: DIR/analysis/allow.toml).
+`lint` checks the workspace at DIR (default: .) against invariants L1-L7,
+L9 and L10, reading suppressions from FILE (default: DIR/analysis/allow.toml).
 `--format json` prints one diagnostic per line as JSON (keys: lint,
-path, line, message, suppressed) for machine diffing.";
+path, line, message, suppressed) for machine diffing.
+
+`lines` prints the program lines of each crate's src/, the root src/ and
+examples/, and their total: non-blank lines outside #[cfg(test)] items.";
 
 /// Output mode selected by `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +72,16 @@ fn json_line(violation: &Violation, suppressed: bool) -> String {
     )
 }
 
+/// Prints each unit's program lines, then their total.
+fn print_lines(root: &Path) -> Result<ExitCode, String> {
+    let units = program_lines(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
+    for (unit, lines) in &units {
+        println!("{unit:<20} {lines:>7}");
+    }
+    println!("{:<20} {:>7}", "total", units.values().sum::<usize>());
+    Ok(ExitCode::SUCCESS)
+}
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut root = PathBuf::from(".");
     let mut allow_path: Option<PathBuf> = None;
@@ -76,7 +91,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "lint" if command.is_none() => command = Some("lint"),
+            "lint" | "lines" if command.is_none() => command = Some(arg.as_str()),
             "--root" => {
                 root = PathBuf::from(iter.next().ok_or("--root requires a directory argument")?);
             }
@@ -105,8 +120,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    if command != Some("lint") {
-        return Err(format!("expected the `lint` subcommand\n{USAGE}"));
+    match command {
+        Some("lint") => {}
+        Some(_) if allow_path.is_none() && format == Format::Text => return print_lines(&root),
+        Some(_) => return Err(format!("`lines` takes only --root\n{USAGE}")),
+        None => return Err(format!("expected `lint` or `lines`\n{USAGE}")),
     }
 
     let allow_file = allow_path.unwrap_or_else(|| root.join("analysis/allow.toml"));

@@ -13,8 +13,6 @@
 //!   deletion gap the Distinct-Count Sketch closes.
 //! * [`hyperloglog::HyperLogLog`] — the modern insert-only distinct
 //!   counter, same gap, tighter space.
-//! * [`distinct_sampler::DistinctSampler`] — Gibbons-style adaptive
-//!   distinct sampling \[18, 19\]; insert-only.
 //! * [`countmin::CountMinSketch`] and [`spacesaving::SpaceSaving`] —
 //!   volume-based heavy-hitter detection in the Estan–Varghese style
 //!   \[10\]: finds *large flows*, and therefore confuses flash crowds
@@ -37,7 +35,6 @@
 
 pub mod cascaded;
 pub mod countmin;
-pub mod distinct_sampler;
 pub mod exact;
 pub mod fm;
 pub mod hyperloglog;
@@ -48,7 +45,6 @@ pub mod synfin;
 
 pub use cascaded::CascadedSummary;
 pub use countmin::CountMinSketch;
-pub use distinct_sampler::DistinctSampler;
 pub use exact::ExactDistinctTracker;
 pub use fm::{FmSketch, PerGroupFm};
 pub use hyperloglog::HyperLogLog;

@@ -2,8 +2,7 @@
 //!
 //! Each module below is a verbatim copy of a tracker as it stood on a
 //! SipHash `HashMap` swept by `retain` at every tick:
-//! [`HandshakeTracker`](crate::HandshakeTracker),
-//! [`UdpTracker`](crate::UdpTracker) and
+//! [`HandshakeTracker`](crate::HandshakeTracker) and
 //! [`FlowAggregator`](crate::FlowAggregator). The properties at the
 //! bottom drive each tracker and its oracle with the same random feed —
 //! retransmits, refreshes, both directions, backward timestamps, ticks
@@ -180,112 +179,6 @@ mod handshake {
     }
 }
 
-mod udp {
-    use std::collections::HashMap;
-
-    use dcs_core::{Delta, DestAddr, FlowKey, FlowUpdate, SourceAddr};
-
-    use crate::udp::Datagram;
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum PairState {
-        /// One-way traffic seen; counted.
-        Pending,
-        /// Reverse traffic seen; discounted.
-        Bidirectional,
-    }
-
-    /// Tracks directionality of connectionless flows, emitting `+1` for new
-    /// one-way pairs and `-1` once the exchange proves bidirectional.
-    #[derive(Debug, Clone)]
-    pub struct UdpTracker {
-        pairs: HashMap<u64, (PairState, u64)>,
-        /// Pending pairs idle longer than this are evicted with a `-1`
-        /// (server-side rate limiting / NAT-entry expiry); `None` disables.
-        pending_timeout: Option<u64>,
-    }
-
-    impl UdpTracker {
-        /// Creates a tracker; `pending_timeout` bounds per-flow state.
-        pub fn new(pending_timeout: Option<u64>) -> Self {
-            Self {
-                pairs: HashMap::new(),
-                pending_timeout,
-            }
-        }
-
-        /// Observes one datagram, returning the update to export, if any.
-        pub fn observe(&mut self, datagram: &Datagram) -> Option<FlowUpdate> {
-            let forward = FlowKey::new(datagram.src, datagram.dst);
-            let reverse = FlowKey::new(SourceAddr(datagram.dst.0), DestAddr(datagram.src.0));
-            // Traffic whose reverse pair is tracked belongs to that
-            // exchange: it proves bidirectionality (discounting a pending
-            // pair) and never opens a pair of its own.
-            if let Some(entry) = self.pairs.get_mut(&reverse.packed()) {
-                entry.1 = datagram.timestamp;
-                if entry.0 == PairState::Pending {
-                    entry.0 = PairState::Bidirectional;
-                    return Some(FlowUpdate {
-                        key: reverse,
-                        delta: Delta::Delete,
-                    });
-                }
-                return None;
-            }
-            match self.pairs.get_mut(&forward.packed()) {
-                Some(entry) => {
-                    entry.1 = datagram.timestamp;
-                    None
-                }
-                None => {
-                    self.pairs
-                        .insert(forward.packed(), (PairState::Pending, datagram.timestamp));
-                    Some(FlowUpdate {
-                        key: forward,
-                        delta: Delta::Insert,
-                    })
-                }
-            }
-        }
-
-        /// Expires idle state as of `now`: pending pairs emit their `-1`;
-        /// bidirectional pairs are dropped silently.
-        pub fn tick(&mut self, now: u64) -> Vec<FlowUpdate> {
-            let Some(timeout) = self.pending_timeout else {
-                return Vec::new();
-            };
-            let mut expired = Vec::new();
-            self.pairs.retain(|&packed, &mut (state, last_seen)| {
-                if now.saturating_sub(last_seen) <= timeout {
-                    return true;
-                }
-                if state == PairState::Pending {
-                    expired.push(FlowUpdate {
-                        key: FlowKey::from_packed(packed),
-                        delta: Delta::Delete,
-                    });
-                }
-                false
-            });
-            expired.sort_by_key(|u| u.key.packed());
-            expired
-        }
-
-        /// Number of pairs currently tracked.
-        pub fn live_pairs(&self) -> usize {
-            self.pairs.len()
-        }
-
-        /// Number of currently one-way (counted) pairs.
-        pub fn pending_pairs(&self) -> usize {
-            self.pairs
-                .values()
-                .filter(|&&(state, _)| state == PairState::Pending)
-                .count()
-        }
-    }
-}
-
 mod netflow {
     use std::collections::HashMap;
 
@@ -397,8 +290,7 @@ mod tests {
     use proptest::prelude::*;
 
     use crate::packet::{TcpFlags, TcpSegment};
-    use crate::udp::Datagram;
-    use crate::{FlowAggregator, HandshakeTracker, UdpTracker};
+    use crate::{FlowAggregator, HandshakeTracker};
 
     /// Addresses `0..ADDRS` serve as clients and servers alike, so
     /// flows collide, reverse each other and refresh often.
@@ -447,15 +339,6 @@ mod tests {
         prop_oneof![Just(None), Just(Some(0)), (1u64..8).prop_map(Some)]
     }
 
-    fn datagram(segment: &TcpSegment) -> Datagram {
-        Datagram::new(
-            segment.src,
-            segment.dst,
-            segment.timestamp,
-            segment.payload_len,
-        )
-    }
-
     fn handshake_matches(timeout: Option<u64>, steps: &[Step]) -> Result<(), TestCaseError> {
         let mut tracker = HandshakeTracker::new(timeout);
         let mut oracle = super::handshake::HandshakeTracker::new(timeout);
@@ -479,30 +362,6 @@ mod tests {
         for (c, s) in (0..ADDRS).flat_map(|c| (0..ADDRS).map(move |s| (c, s))) {
             let (c, s) = (SourceAddr(c), DestAddr(s));
             prop_assert_eq!(tracker.state_of(c, s), oracle.state_of(c, s));
-        }
-        Ok(())
-    }
-
-    fn udp_matches(timeout: Option<u64>, steps: &[Step]) -> Result<(), TestCaseError> {
-        let mut tracker = UdpTracker::new(timeout);
-        let mut oracle = super::udp::UdpTracker::new(timeout);
-        for (i, step) in steps.iter().enumerate() {
-            match step {
-                Step::Segment(s) => {
-                    let d = datagram(s);
-                    prop_assert_eq!(tracker.observe(&d), oracle.observe(&d), "step {}", i)
-                }
-                Step::Tick(now) => {
-                    prop_assert_eq!(tracker.tick(*now), oracle.tick(*now), "step {}", i)
-                }
-            }
-            prop_assert_eq!(tracker.live_pairs(), oracle.live_pairs(), "step {}", i);
-            prop_assert_eq!(
-                tracker.pending_pairs(),
-                oracle.pending_pairs(),
-                "step {}",
-                i
-            );
         }
         Ok(())
     }
@@ -599,11 +458,6 @@ mod tests {
         }
 
         #[test]
-        fn udp_tracker_matches_its_oracle(timeout in timeouts(), steps in steps()) {
-            udp_matches(timeout, &steps)?;
-        }
-
-        #[test]
         fn flow_aggregator_matches_its_oracle(timeout in 1u64..8, steps in steps()) {
             aggregator_matches(timeout, &steps)?;
         }
@@ -615,12 +469,6 @@ mod tests {
         #[ignore = "long run; CI runs it in release mode"]
         fn handshake_tracker_matches_its_oracle_long(timeout in timeouts(), steps in steps()) {
             handshake_matches(timeout, &steps)?;
-        }
-
-        #[test]
-        #[ignore = "long run; CI runs it in release mode"]
-        fn udp_tracker_matches_its_oracle_long(timeout in timeouts(), steps in steps()) {
-            udp_matches(timeout, &steps)?;
         }
 
         #[test]

@@ -1,10 +1,10 @@
 //! The edge router's flow table: a seeded hash map with O(expired)
 //! expiry.
 //!
-//! Every per-flow tracker at the edge — [`HandshakeTracker`],
-//! [`UdpTracker`] and [`FlowAggregator`] — keys its state by a packed
-//! `(source, dest)` pair and evicts entries idle longer than a timeout.
-//! This is the one table they share (DESIGN.md §19):
+//! Both per-flow trackers at the edge — [`HandshakeTracker`] and
+//! [`FlowAggregator`] — key their state by a packed `(source, dest)`
+//! pair and evict entries idle longer than a timeout. This is the one
+//! table they share (DESIGN.md §19):
 //!
 //! * **Seeded hashing.** Attackers choose the addresses the table is
 //!   keyed on. A hash they can predict lets them precompute colliding
@@ -37,7 +37,6 @@
 //!   write.
 //!
 //! [`HandshakeTracker`]: crate::HandshakeTracker
-//! [`UdpTracker`]: crate::UdpTracker
 //! [`FlowAggregator`]: crate::FlowAggregator
 
 use std::cmp::Reverse;

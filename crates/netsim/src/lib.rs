@@ -13,7 +13,7 @@
 //!   emits `-1` (flow established as legitimate), and RST/FIN/timeout
 //!   discount flows that stop being half-open.
 //! * `flow_table` — the seeded per-flow table with O(expired) idle
-//!   expiry that the handshake, UDP and NetFlow trackers share.
+//!   expiry that the handshake and NetFlow trackers share.
 //! * [`traffic`] — packet-level drivers: legitimate handshakes, SYN
 //!   floods (SYN only, spoofed sources), flash crowds (complete
 //!   handshakes), port scans.
@@ -25,8 +25,6 @@
 //!   (merge the incoming delta, subtract the expiring one), tumbling
 //!   and sliding policies, and an exponentially-decayed scoring
 //!   variant.
-//! * [`topology`] — prefix-partitioned edge routers feeding one
-//!   central monitor.
 //! * [`pipeline`] — a multi-threaded router → monitor pipeline over a
 //!   bounded `std::sync::mpsc` channel, demonstrating deployment shape.
 //! * [`ingest`] / [`sharded`] — persistent per-core ingest workers fed
@@ -52,9 +50,7 @@ pub mod pipeline;
 pub mod router;
 pub mod sharded;
 pub mod simulation;
-pub mod topology;
 pub mod traffic;
-pub mod udp;
 pub mod window;
 
 pub use conn::{ConnectionState, HandshakeTracker};
@@ -70,7 +66,5 @@ pub use pipeline::{
 pub use router::EdgeRouter;
 pub use sharded::{ingest_sharded, ShardedIngest};
 pub use simulation::{run_simulation, SimulationConfig, SimulationOutcome};
-pub use topology::IspTopology;
 pub use traffic::TrafficDriver;
-pub use udp::{Datagram, UdpTracker};
 pub use window::{EpochWindow, SlidingWindow, WindowPolicy};

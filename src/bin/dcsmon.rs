@@ -466,31 +466,26 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     let mut alarms_total = 0usize;
     let mut ingested = 0usize;
-    for chunk in updates.chunks(every) {
+    // Each chunk is judged once: a full one after its last update, a
+    // short last one (or an empty trace) at the end of the trace.
+    let empty = updates.is_empty().then_some(&[][..]);
+    for chunk in updates.chunks(every).chain(empty) {
         monitor.ingest(chunk);
         ingested += chunk.len();
-        // A short last chunk is judged by the end-of-trace evaluation.
-        if chunk.len() < every {
-            break;
-        }
+        let at = if chunk.len() < every {
+            "at end of trace".to_string()
+        } else {
+            format!("after {ingested} updates")
+        };
         for alarm in monitor.evaluate().map_err(|e| e.to_string())? {
             alarms_total += 1;
             println!(
-                "ALARM after {ingested} updates: {} ≈ {} distinct half-open sources ({:?})",
+                "ALARM {at}: {} ≈ {} distinct half-open sources ({:?})",
                 DestAddr(alarm.dest),
                 alarm.estimated_frequency,
                 alarm.reason
             );
         }
-    }
-    for alarm in monitor.evaluate().map_err(|e| e.to_string())? {
-        alarms_total += 1;
-        println!(
-            "ALARM at end of trace: {} ≈ {} ({:?})",
-            DestAddr(alarm.dest),
-            alarm.estimated_frequency,
-            alarm.reason
-        );
     }
     println!(
         "processed {} updates, {} alarms (threshold {threshold})",

@@ -374,6 +374,69 @@ fn misspelled_window_flag_is_rejected_not_ignored() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A trace whose length is a multiple of `--every` ends on an
+/// evaluation boundary: its last chunk's judgment is the end-of-trace
+/// judgment, so no alarm may be printed twice.
+#[test]
+fn monitor_judges_a_trace_ending_on_a_boundary_once() {
+    let trace = temp_path("boundary.dcs");
+    let out = dcsmon()
+        .args([
+            "generate",
+            "--output",
+            trace.to_str().unwrap(),
+            "--pairs",
+            "20000",
+            "--dests",
+            "50",
+            "--seed",
+            "3",
+        ])
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let out = dcsmon()
+        .args([
+            "monitor",
+            "--input",
+            trace.to_str().unwrap(),
+            "--threshold",
+            "300",
+            "--every",
+            "10000",
+        ])
+        .output()
+        .expect("monitor");
+    std::fs::remove_file(&trace).ok();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    // "processed {updates} updates, {alarms} alarms (threshold …)"
+    let summary = text.lines().last().expect("summary line");
+    let (updates, alarms) = summary
+        .strip_prefix("processed ")
+        .and_then(|rest| rest.split_once(" updates, "))
+        .and_then(|(updates, rest)| Some((updates, rest.split_once(' ')?.0)))
+        .unwrap_or_else(|| panic!("summary: {summary}"));
+    let alarms: usize = alarms.parse().expect("alarm count");
+    // (update count, destination) of every printed alarm.
+    let mut judged: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("ALARM "))
+        .map(|line| {
+            let (at, rest) = line.split_once(": ").expect("ALARM line");
+            let at = at
+                .strip_prefix("after ")
+                .map_or(updates, |n| n.trim_end_matches(" updates"));
+            (at, rest.split(' ').next().expect("destination"))
+        })
+        .collect();
+    assert!(!judged.is_empty(), "{text}");
+    assert_eq!(judged.len(), alarms, "{text}");
+    judged.sort_unstable();
+    judged.dedup();
+    assert_eq!(judged.len(), alarms, "a destination repeats: {text}");
+}
+
 #[test]
 fn misspelled_monitor_flag_is_rejected_not_ignored() {
     let trace = window_trace("monitor-misspelled.dcs");

@@ -1,14 +1,16 @@
 //! Robustness integration tests: impaired packet feeds, timeout-based
 //! discounting, epoch windows over phased timelines, deletes with no
-//! matching insert, and the ISP topology end to end.
+//! matching insert, and prefix-partitioned routers end to end.
 
 use ddos_streams::netsim::impair::Impairment;
-use ddos_streams::netsim::topology::IspTopology;
 use ddos_streams::netsim::window::{EpochWindow, WindowPolicy};
-use ddos_streams::netsim::{HandshakeTracker, TcpFlags, TrafficDriver};
+use ddos_streams::netsim::{
+    run_pipeline, HandshakeTracker, PipelineConfig, TcpFlags, TcpSegment, TrafficDriver,
+};
 use ddos_streams::streamgen::timeline::TimelineBuilder;
 use ddos_streams::{
-    Delta, DestAddr, DistinctCountSketch, FlowKey, FlowUpdate, SketchConfig, TrackingDcs,
+    AlarmPolicy, Delta, DestAddr, DistinctCountSketch, FlowKey, FlowUpdate, SketchConfig,
+    TrackingDcs,
 };
 
 fn config(seed: u64) -> SketchConfig {
@@ -155,10 +157,10 @@ fn epoch_windows_catch_ramp_attacks_early() {
 
 #[test]
 fn topology_plus_impairment_end_to_end() {
-    // Four-prefix ISP, impaired feeds, central merge of per-router
-    // sketches: the distributed victim still surfaces.
+    // Four prefix-owned edge routers on impaired feeds, one central
+    // monitor: the distributed victim still raises the only alarm.
     let victim = DestAddr(0xc000_0042);
-    let mut isp = IspTopology::new(2, Some(500));
+    let mut feeds: Vec<Vec<TcpSegment>> = vec![Vec::new(); 4];
     for round in 0..4u32 {
         let mut driver = TrafficDriver::new(u64::from(round) + 10)
             .with_source_base(0x3000_0000 + round * 0x0100_0000);
@@ -169,22 +171,45 @@ fn topology_plus_impairment_end_to_end() {
             .loss(0.05)
             .duplication(0.05)
             .apply(&driver.into_segments());
-        isp.observe_all(&impaired);
-    }
-    let mut central = TrackingDcs::new(config(5));
-    for (_, updates) in isp.drain_all() {
-        for u in updates {
-            central.update(u);
+        for segment in impaired {
+            // The router owning the server's top two bits sees both
+            // directions of a flow; a SYN-ACK's server is its source.
+            let server = if segment.flags.is_syn_ack() {
+                segment.src.0
+            } else {
+                segment.dst.0
+            };
+            feeds[(server >> 30) as usize].push(segment);
         }
     }
-    let top = central.track_top_k(1, 0.25);
-    assert_eq!(top.entries[0].group, victim.0);
-    // ~1600 attack sources minus ~5% loss: estimate in a sane band.
-    let est = top.entries[0].estimated_frequency as f64;
+    let fed: u64 = feeds.iter().map(|f| f.len() as u64).sum();
+    let config = PipelineConfig {
+        sketch: config(5),
+        policy: AlarmPolicy {
+            absolute_threshold: 500,
+            ..AlarmPolicy::default()
+        },
+        batch_size: 128,
+        evaluate_every: 256,
+        half_open_timeout: Some(500),
+        ..PipelineConfig::default()
+    };
+    let report = run_pipeline(feeds, config);
+    assert_eq!(report.segments_observed, fed);
+    assert_eq!(report.alarmed_destinations(), vec![victim.0]);
+    // ~1600 attack sources minus ~5% loss: every estimate stays in a
+    // sane band, and the peak reaches it from below.
+    let estimates: Vec<f64> = report
+        .alarms
+        .iter()
+        .map(|a| a.estimated_frequency as f64)
+        .collect();
     assert!(
-        (900.0..2_300.0).contains(&est),
-        "estimate {est} out of band"
+        estimates.iter().all(|&est| est < 2_300.0),
+        "estimates {estimates:?} out of band"
     );
+    let peak = estimates.iter().copied().fold(0.0, f64::max);
+    assert!((900.0..2_300.0).contains(&peak), "peak estimate {peak}");
 }
 
 #[test]
