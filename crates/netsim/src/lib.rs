@@ -25,8 +25,10 @@
 //!   (merge the incoming delta, subtract the expiring one), tumbling
 //!   and sliding policies, and an exponentially-decayed scoring
 //!   variant.
-//! * [`pipeline`] — a multi-threaded router → monitor pipeline over a
-//!   bounded `std::sync::mpsc` channel, demonstrating deployment shape.
+//! * [`pipeline`] — the packets-to-alarms driver: router threads ship
+//!   exports, and under a tick cadence in-band time markers, over a
+//!   bounded `std::sync::mpsc` channel to a monitor that judges on
+//!   update counts or on the markers.
 //! * [`ingest`] / [`sharded`] — persistent per-core ingest workers fed
 //!   over bounded `std::sync::mpsc` channels, each feeding one locked
 //!   shard sketch that reads use in place, with deterministic
@@ -49,7 +51,6 @@ pub mod packet;
 pub mod pipeline;
 pub mod router;
 pub mod sharded;
-pub mod simulation;
 pub mod traffic;
 pub mod window;
 
@@ -65,6 +66,5 @@ pub use pipeline::{
 };
 pub use router::EdgeRouter;
 pub use sharded::{ingest_sharded, ShardedIngest};
-pub use simulation::{run_simulation, SimulationConfig, SimulationOutcome};
 pub use traffic::TrafficDriver;
 pub use window::{EpochWindow, SlidingWindow, WindowPolicy};

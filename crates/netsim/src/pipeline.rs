@@ -6,11 +6,14 @@
 //! monitor, which runs on the thread that called [`run_pipeline`]. The
 //! monitor feeds a [`Monitor`] — a basic Distinct-Count Sketch of its
 //! own, or the per-worker partials of a [`crate::ShardedIngest`] engine
-//! — and every [`PipelineConfig::evaluate_every`] updates judges the
-//! alarm rules against the sketch's `BaseTopk` view (Fig. 3), or against
-//! a sliding window of it. The loop itself only cuts the stream at
-//! evaluation, telemetry and checkpoint boundaries and runs the two
-//! sidecars.
+//! — and judges the alarm rules against the sketch's `BaseTopk` view
+//! (Fig. 3), or against a sliding window of it: every
+//! [`PipelineConfig::evaluate_every`] updates, or in traffic time at
+//! every [`PipelineConfig::evaluate_every_ticks`] boundary. For the
+//! latter the router sends an in-band marker down the channel, behind
+//! the exports of every segment before the boundary. The loop itself
+//! only cuts the stream at evaluation, telemetry and checkpoint
+//! boundaries and runs the two sidecars.
 //!
 //! The Tracking DCS (§5) is deliberately not on the ingest path: it
 //! makes every update dearer so that queries are cheap, and at
@@ -20,7 +23,7 @@
 //! [`DetectionReport::monitor`].
 
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, SyncSender};
 use std::thread;
 use std::time::Instant;
 
@@ -82,6 +85,13 @@ pub struct PipelineConfig {
     pub batch_size: usize,
     /// Evaluate alarms every this many ingested updates.
     pub evaluate_every: u64,
+    /// `Some(n)`: evaluate alarms in traffic time instead, at every
+    /// multiple of `n` ticks that the feed's timestamps reach, empty
+    /// intervals included, over the exports of every segment before
+    /// the boundary. Takes a single router feed. Telemetry and
+    /// checkpoint boundaries stay counted in updates. `None` (default):
+    /// [`Self::evaluate_every`] sets the cadence.
+    pub evaluate_every_ticks: Option<u64>,
     /// Router half-open timeout in ticks (`None` disables).
     pub half_open_timeout: Option<u64>,
     /// Optional telemetry JSONL sidecar written by the monitor.
@@ -115,6 +125,7 @@ impl Default for PipelineConfig {
             policy: AlarmPolicy::default(),
             batch_size: 1024,
             evaluate_every: 10_000,
+            evaluate_every_ticks: None,
             half_open_timeout: None,
             telemetry: None,
             checkpoint: None,
@@ -129,6 +140,12 @@ impl Default for PipelineConfig {
 pub struct DetectionReport {
     /// Every alarm raised during the run, in evaluation order.
     pub alarms: Vec<Alarm>,
+    /// The traffic tick of each judgment, in order, so alarm `a` fired
+    /// at `judged_at[a.evaluation - 1]`. A tick-cadence judgment
+    /// records its boundary. An update-count judgment records the
+    /// newest timestamp the monitor's batches carry, and the final one
+    /// the newest any router observed.
+    pub judged_at: Vec<u64>,
     /// Total flow updates the monitor ingested.
     pub updates_ingested: u64,
     /// Total segments observed across all routers.
@@ -153,6 +170,50 @@ impl DetectionReport {
         dests.dedup();
         dests
     }
+
+    /// The tick of the first judgment that alarmed on `dest`, if any.
+    pub fn first_alarm_at(&self, dest: u32) -> Option<u64> {
+        let alarm = self.alarms.iter().find(|a| a.dest == dest)?;
+        let judgment = usize::try_from(alarm.evaluation - 1).ok()?;
+        self.judged_at.get(judgment).copied()
+    }
+}
+
+/// What a router thread sends the monitor.
+enum Shipment {
+    /// Exported updates, stamped with the router's clock: the newest
+    /// timestamp it had observed.
+    Batch(Vec<FlowUpdate>, u64),
+    /// Tick cadence: the feed reached this boundary, and every export
+    /// of the segments before it has been shipped.
+    Mark(u64),
+}
+
+/// The boundary that is never reached: the next mark under update
+/// cadence, and after the last representable one.
+const NEVER: u64 = u64::MAX;
+
+/// Tick cadence, on a segment stamped `now` that reaches the `next`
+/// boundary: ships the router's pending exports, then one mark per
+/// boundary up to `now`. Returns the next boundary past `now`, or
+/// `None` when the monitor has hung up.
+#[cold]
+fn ship_marks(
+    router: &mut EdgeRouter,
+    tx: &SyncSender<Shipment>,
+    now: u64,
+    mut next: u64,
+    every: u64,
+) -> Option<u64> {
+    if router.pending_exports() > 0 {
+        tx.send(Shipment::Batch(router.drain_exports(), router.clock()))
+            .ok()?;
+    }
+    while now >= next && next != NEVER {
+        tx.send(Shipment::Mark(next)).ok()?;
+        next = next.checked_add(every).unwrap_or(NEVER);
+    }
+    Some(next)
 }
 
 /// Checkpoint bookkeeping the monitor folds into its telemetry
@@ -277,12 +338,21 @@ fn replay_log(manager: &mut CheckpointManager, monitor: &mut Monitor, stats: &mu
     }
 }
 
-/// Judges the alarm rules at a boundary, appending what fires. An
-/// evaluation error — unreachable with one shared configuration —
-/// skips this judgment with a warning, so the detection run carries on.
-fn evaluate_into(monitor: &mut Monitor, alarms: &mut Vec<Alarm>) {
+/// Judges the alarm rules at a boundary, appending what fires and the
+/// judgment's traffic tick `at`. An evaluation error — unreachable with
+/// one shared configuration — skips this judgment with a warning, so
+/// the detection run carries on.
+fn evaluate_into(
+    monitor: &mut Monitor,
+    alarms: &mut Vec<Alarm>,
+    judged_at: &mut Vec<u64>,
+    at: u64,
+) {
     match monitor.evaluate() {
-        Ok(raised) => alarms.extend(raised),
+        Ok(raised) => {
+            alarms.extend(raised);
+            judged_at.push(at);
+        }
         Err(e) => eprintln!("alarm evaluation failed: {e}; skipping this judgment"),
     }
 }
@@ -349,22 +419,27 @@ fn write_checkpoint(
 /// Runs the pipeline: one spawned thread per router feed, and the
 /// monitor on the calling thread.
 ///
-/// Each element of `router_feeds` is the time-ordered packet feed of one
-/// edge router. The routers start first, so the monitor's restore
-/// overlaps their work. Returns after all feeds are exhausted, the
-/// channel has drained, the routers are joined, and a final alarm
+/// Each element of `router_feeds` is the packet feed of one edge
+/// router, in time order. The routers start first, so the monitor's
+/// restore overlaps their work. Returns after all feeds are exhausted,
+/// the channel has drained, the routers are joined, and a final alarm
 /// evaluation and the shutdown checkpoint have run. When
 /// [`PipelineConfig::telemetry`] is set, the monitor also appends
 /// periodic [`dcs_telemetry::TelemetrySnapshot`]s (and one final
 /// `pipeline_final` snapshot) to the configured JSONL sidecar.
+///
+/// A segment stamped earlier than one before it is observed as it
+/// comes, and under tick cadence it judges no boundary again.
 ///
 /// # Panics
 ///
 /// Panics with "invalid pipeline window policy" if
 /// [`PipelineConfig::window`] is set to a policy that fails
 /// [`WindowPolicy::validate`] (zero-length window, decay factor outside
-/// `(0, 1]`) — a caller configuration error, not a runtime condition.
-/// The check runs before any router thread starts.
+/// `(0, 1]`), and with "tick cadence takes a single router feed" if
+/// [`PipelineConfig::evaluate_every_ticks`] is set with several feeds —
+/// caller configuration errors, not runtime conditions. Both checks run
+/// before any router thread starts.
 ///
 /// Once the channel closes, the routers are joined in feed order and the
 /// first router panic is re-raised with its own payload, before the
@@ -382,6 +457,17 @@ fn write_checkpoint(
 /// driver.syn_flood(DestAddr(0x0a000001), 2_000);
 /// let report = run_pipeline(vec![driver.into_segments()], PipelineConfig::default());
 /// assert!(report.alarmed_destinations().contains(&0x0a000001));
+///
+/// // Judged every 10 ticks instead, the report says when it fired.
+/// let mut driver = TrafficDriver::new(1);
+/// driver.advance_clock(500);
+/// driver.syn_flood(DestAddr(0x0a000001), 2_000);
+/// let config = PipelineConfig {
+///     evaluate_every_ticks: Some(10),
+///     ..PipelineConfig::default()
+/// };
+/// let report = run_pipeline(vec![driver.into_segments()], config);
+/// assert!(report.first_alarm_at(0x0a000001).is_some_and(|tick| tick > 500));
 /// ```
 pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) -> DetectionReport {
     // The one window-policy check, before any thread starts.
@@ -391,9 +477,16 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
         config.window.clone(),
     )
     .unwrap_or_else(|e| panic!("invalid pipeline window policy: {e}"));
-    let (update_tx, update_rx) = mpsc::sync_channel::<Vec<FlowUpdate>>(64);
+    assert!(
+        config.evaluate_every_ticks.is_none() || router_feeds.len() <= 1,
+        "tick cadence takes a single router feed, not {}",
+        router_feeds.len()
+    );
+    let tick_every = config.evaluate_every_ticks.map_or(NEVER, |t| t.max(1));
+    let (update_tx, update_rx) = mpsc::sync_channel::<Shipment>(64);
 
-    // Each router thread returns how many segments it observed.
+    // Each router thread returns how many segments it observed and its
+    // final clock.
     let mut router_handles = Vec::new();
     for (index, feed) in router_feeds.into_iter().enumerate() {
         let tx = update_tx.clone();
@@ -402,21 +495,31 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
         router_handles.push(thread::spawn(move || {
             let mut router = EdgeRouter::new(index as u32, timeout);
             let last_ts = feed.last().map_or(0, |s| s.timestamp);
+            // Under update cadence no timestamp passes `NEVER`'s check,
+            // so a segment costs one compare.
+            let mut next_mark = tick_every;
             for segment in &feed {
+                if segment.timestamp >= next_mark {
+                    match ship_marks(&mut router, &tx, segment.timestamp, next_mark, tick_every) {
+                        Some(next) => next_mark = next,
+                        None => return (router.segments_observed(), router.clock()),
+                    }
+                }
                 router.observe(segment);
                 if router.pending_exports() >= batch_size {
-                    let batch = router.drain_exports();
+                    let batch = Shipment::Batch(router.drain_exports(), router.clock());
                     if tx.send(batch).is_err() {
-                        return router.segments_observed();
+                        return (router.segments_observed(), router.clock());
                     }
                 }
             }
+            let clock = router.clock();
             router.flush_expired(last_ts.saturating_add(1_000_000));
             let tail = router.drain_exports();
             if !tail.is_empty() {
-                let _ = tx.send(tail);
+                let _ = tx.send(Shipment::Batch(tail, clock));
             }
-            router.segments_observed()
+            (router.segments_observed(), clock)
         }));
     }
     drop(update_tx);
@@ -425,13 +528,17 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
         sketch,
         policy,
         evaluate_every,
+        evaluate_every_ticks,
         telemetry: sidecar,
         checkpoint: ckpt_sidecar,
         ingest_shards,
         window,
         ..
     } = config;
-    let evaluate_every = evaluate_every.max(1);
+    let evaluate_every = match evaluate_every_ticks {
+        Some(_) => NEVER,
+        None => evaluate_every.max(1),
+    };
     let mut ckpt_manager = ckpt_sidecar
         .as_ref()
         .map(|c| CheckpointManager::new(&c.path));
@@ -454,11 +561,24 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
     let snapshot_every = sidecar.map_or(u64::MAX, |s| s.every.max(1));
     let checkpoint_every = ckpt_sidecar.map_or(u64::MAX, |c| c.every.max(1));
     let mut alarms = Vec::new();
+    let mut judged_at = Vec::new();
+    // The newest timestamp the received batches carry.
+    let mut clock = 0u64;
     let mut ingested = 0u64;
     let mut next_eval = evaluate_every;
     let mut next_snapshot = snapshot_every;
     let mut next_checkpoint = checkpoint_every;
-    for batch in update_rx {
+    for shipment in update_rx {
+        let batch = match shipment {
+            Shipment::Batch(batch, stamp) => {
+                clock = clock.max(stamp);
+                batch
+            }
+            Shipment::Mark(boundary) => {
+                evaluate_into(&mut monitor, &mut alarms, &mut judged_at, boundary);
+                continue;
+            }
+        };
         // Feed the batched fast path in sub-chunks that stop exactly at
         // the next evaluation/snapshot/checkpoint boundary, so alarms,
         // snapshots, and checkpoints fire at the same ingested counts as
@@ -481,7 +601,7 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
             offset += take;
             ingested += take as u64;
             if ingested >= next_eval {
-                evaluate_into(&mut monitor, &mut alarms);
+                evaluate_into(&mut monitor, &mut alarms, &mut judged_at, clock);
                 next_eval += evaluate_every;
             }
             if ingested >= next_snapshot {
@@ -512,11 +632,14 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
     let mut segments_observed = 0;
     for handle in router_handles {
         match handle.join() {
-            Ok(segments) => segments_observed += segments,
+            Ok((segments, router_clock)) => {
+                segments_observed += segments;
+                clock = clock.max(router_clock);
+            }
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-    evaluate_into(&mut monitor, &mut alarms);
+    evaluate_into(&mut monitor, &mut alarms, &mut judged_at, clock);
     // One final snapshot so a clean shutdown resumes without a log.
     write_checkpoint(
         &mut ckpt_manager,
@@ -534,6 +657,7 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
     }
     DetectionReport {
         alarms,
+        judged_at,
         updates_ingested: ingested,
         segments_observed,
         checkpoints_written: ckpt_stats.written,
@@ -561,6 +685,7 @@ mod tests {
             },
             batch_size: 64,
             evaluate_every: 500,
+            evaluate_every_ticks: None,
             half_open_timeout: None,
             telemetry: None,
             checkpoint: None,

@@ -97,6 +97,12 @@ impl EdgeRouter {
         self.export_buffer.len()
     }
 
+    /// The router's clock: the newest timestamp it has observed, or the
+    /// `now` of a later [`Self::flush_expired`].
+    pub(crate) fn clock(&self) -> u64 {
+        self.last_tick
+    }
+
     /// Total segments observed.
     pub fn segments_observed(&self) -> u64 {
         self.segments_observed

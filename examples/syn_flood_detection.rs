@@ -42,6 +42,7 @@ fn main() {
         },
         batch_size: 512,
         evaluate_every: 2_000,
+        evaluate_every_ticks: None,
         half_open_timeout: None,
         telemetry: None,
         checkpoint: None,

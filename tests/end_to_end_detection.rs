@@ -2,7 +2,8 @@
 //! monitor alarms, across crates.
 
 use ddos_streams::netsim::{
-    run_pipeline, Alarm, EpochWindow, Monitor, PipelineConfig, TrafficDriver, WindowPolicy,
+    run_pipeline, Alarm, DetectionReport, EpochWindow, Monitor, PipelineConfig, TrafficDriver,
+    WindowPolicy,
 };
 use ddos_streams::{
     AlarmPolicy, DdosMonitor, DestAddr, EdgeRouter, FlowUpdate, ScenarioBuilder, SketchConfig,
@@ -88,6 +89,7 @@ fn pipeline_detects_distributed_attack_single_routers_do_not() {
         },
         batch_size: 128,
         evaluate_every: 1_000,
+        evaluate_every_ticks: None,
         half_open_timeout: None,
         telemetry: None,
         checkpoint: None,
@@ -275,5 +277,124 @@ fn pipeline_alarms_equal_a_tracking_replay_in_every_mode() {
             "{name}: the reference catches the flood"
         );
         assert_eq!(report.alarms, expected, "{name}: alarm lists differ");
+        assert_one_tick_per_judgment(&report);
     }
+}
+
+/// A tick-cadence configuration: judged every `every_ticks` ticks of
+/// traffic time, absolute threshold `threshold`.
+fn tick_config(threshold: u64, every_ticks: u64) -> PipelineConfig {
+    PipelineConfig {
+        sketch: sketch_config(5),
+        policy: AlarmPolicy {
+            absolute_threshold: threshold,
+            ..AlarmPolicy::default()
+        },
+        evaluate_every_ticks: Some(every_ticks),
+        ..PipelineConfig::default()
+    }
+}
+
+/// Asserts that `judged_at` holds one tick per judgment, non-decreasing.
+fn assert_one_tick_per_judgment(report: &DetectionReport) {
+    assert_eq!(report.judged_at.len() as u64, report.monitor.evaluations());
+    assert!(
+        report.judged_at.windows(2).all(|w| w[0] <= w[1]),
+        "{:?}",
+        report.judged_at
+    );
+}
+
+#[test]
+fn detection_happens_during_the_attack_not_after() {
+    // Calm traffic for 1000 ticks, then a flood spread over ~100
+    // ticks; detection latency must be within the attack window
+    // (plus one evaluation period).
+    let victim = DestAddr(0x0a00_0001);
+    let mut driver = TrafficDriver::new(1);
+    for _ in 0..10 {
+        driver.legitimate_sessions(DestAddr(0x0b00_0001), 50);
+        driver.advance_clock(100);
+    }
+    let attack_start = 1_000u64;
+    driver.syn_flood(victim, 2_000);
+    let report = run_pipeline(vec![driver.into_segments()], tick_config(400, 20));
+    let first = report.first_alarm_at(victim.0).expect("attack detected");
+    // No alarm precedes the attack.
+    assert!(first >= attack_start, "alarm at {first}");
+    let latency = first - attack_start;
+    assert!(latency <= 120, "latency {latency} ticks");
+    assert_one_tick_per_judgment(&report);
+}
+
+#[test]
+fn calm_run_raises_no_alarms() {
+    let mut driver = TrafficDriver::new(2);
+    driver.legitimate_sessions(DestAddr(1), 500);
+    let report = run_pipeline(vec![driver.into_segments()], tick_config(100, 10));
+    assert!(report.alarms.is_empty());
+    assert!(report.alarmed_destinations().is_empty());
+    // The final judgment stands at the feed's last tick.
+    assert!(report.judged_at.last().is_some_and(|&end| end > 0));
+}
+
+#[test]
+fn faster_attacks_are_detected_sooner() {
+    let victim = DestAddr(0x0a00_0002);
+    let latency_for = |sources: u32, seed: u64| -> u64 {
+        // Attack spread over ~100 ticks at `sources` total.
+        let mut driver = TrafficDriver::new(seed);
+        driver.legitimate_sessions(DestAddr(0x0b00_0001), 100);
+        driver.advance_clock(200);
+        driver.syn_flood(victim, sources);
+        let report = run_pipeline(vec![driver.into_segments()], tick_config(300, 5));
+        let first = report.first_alarm_at(victim.0).expect("detected");
+        first.saturating_sub(200)
+    };
+    let slow = latency_for(400, 3); // barely over threshold
+    let fast = latency_for(4_000, 3); // 10x the rate
+    assert!(
+        fast < slow,
+        "fast attack latency {fast} should beat slow {slow}"
+    );
+}
+
+/// One SYN from a fresh source to `dest` per timestamp.
+fn syns(dest: DestAddr, timestamps: &[u64]) -> Vec<TcpSegment> {
+    timestamps
+        .iter()
+        .zip(1u32..)
+        .map(|(&ts, source)| TcpSegment::syn(SourceAddr(source), dest, ts))
+        .collect()
+}
+
+#[test]
+fn a_jump_in_time_judges_every_boundary_it_crosses() {
+    let mut timestamps = vec![5; 50];
+    timestamps.push(105);
+    let report = run_pipeline(vec![syns(DestAddr(7), &timestamps)], tick_config(20, 10));
+    let boundaries: Vec<u64> = (1..=10).map(|b| b * 10).collect();
+    assert_eq!(report.judged_at[..10], boundaries[..]);
+    // Then the final judgment, at the feed's last tick.
+    assert_eq!(report.judged_at[10..], [105]);
+    assert_one_tick_per_judgment(&report);
+    // The first boundary already judges the 50 SYNs before it.
+    assert_eq!(report.first_alarm_at(7), Some(10));
+    assert_eq!(report.updates_ingested, 51);
+}
+
+#[test]
+fn a_late_segment_judges_no_boundary_twice() {
+    let feed = syns(DestAddr(7), &[0, 25, 12, 31]);
+    let report = run_pipeline(vec![feed], tick_config(100, 10));
+    assert_eq!(report.judged_at, [10, 20, 30, 31]);
+    assert_one_tick_per_judgment(&report);
+    assert_eq!(report.updates_ingested, 4, "the late SYN is still counted");
+}
+
+#[test]
+#[should_panic(expected = "tick cadence takes a single router feed")]
+fn tick_cadence_over_two_feeds_panics() {
+    let feed = syns(DestAddr(7), &[0, 15]);
+    run_pipeline(vec![feed.clone(), feed], tick_config(100, 10));
 }
