@@ -25,6 +25,13 @@
 //!   document's durable write (write-temp + fsync + rename + directory
 //!   fsync) and the cut of the full log beside it.
 //!
+//! A second table covers streams whose deletes cancel what they
+//! inserted: the kind-1 snapshot of a sketch that saw the largest
+//! size's pairs inserted and then none, half or all of them deleted
+//! again. All deleted is a clean shutdown under a half-open timeout,
+//! where the routers' flush deletes every pair still held. A snapshot
+//! keeps only levels with a non-zero slot, so that one holds no level.
+//!
 //! It also leaves a canonical `results/sample.ckpt` behind — CI uploads
 //! it as an artifact so any build's checkpoint output can be inspected
 //! (and decoded by any other build of the same format version).
@@ -36,7 +43,7 @@ use std::time::{Duration, Instant};
 use std::path::Path;
 
 use dcs_bench::{emit_record, Scale};
-use dcs_core::{DistinctCountSketch, SketchConfig, TrackingDcs};
+use dcs_core::{DistinctCountSketch, FlowUpdate, SketchConfig, TrackingDcs};
 use dcs_metrics::{ExperimentRecord, Table};
 use dcs_persist::{decode, encode, Checkpoint, CheckpointManager};
 use dcs_streamgen::{PaperWorkload, WorkloadConfig};
@@ -116,6 +123,53 @@ fn log_stages(sketch: &DistinctCountSketch, dir: &Path) -> (Duration, Duration, 
     (append_t, restore_t, save_t, replayed)
 }
 
+/// One cancelled-stream row: the share of inserted pairs deleted again,
+/// the snapshot's levels and bytes, and its encode and decode times.
+struct CancelledRow {
+    deleted: f64,
+    levels: usize,
+    bytes: u64,
+    encode: Duration,
+    decode: Duration,
+}
+
+/// The cancelled-stream rows over `inserts`: one sketch per share of
+/// the pairs deleted again (none, every second one, all), each saved as
+/// a kind-1 snapshot that must decode to its own state.
+fn cancelled_rows(config: &SketchConfig, inserts: &[FlowUpdate]) -> Vec<CancelledRow> {
+    [(0.0, None), (0.5, Some(2)), (1.0, Some(1))]
+        .into_iter()
+        .map(|(deleted, every)| {
+            let mut sketch = DistinctCountSketch::new(config.clone());
+            sketch.update_batch(inserts);
+            if let Some(every) = every {
+                let deletes: Vec<FlowUpdate> = inserts
+                    .iter()
+                    .step_by(every)
+                    .map(|u| u.inverted())
+                    .collect();
+                sketch.update_batch(&deletes);
+            }
+            let state = sketch.to_state();
+            let levels = state.levels.len();
+            let checkpoint = Checkpoint::Sketch(state);
+            let (encoded, encode) = timed(|| encode(&checkpoint));
+            let (decoded, decode) = timed(|| decode(&encoded));
+            assert!(
+                decoded.expect("decode a cancelled snapshot") == checkpoint,
+                "a cancelled snapshot must decode exactly"
+            );
+            CancelledRow {
+                deleted,
+                levels,
+                bytes: encoded.len() as u64,
+                encode,
+                decode,
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let scale = Scale::from_args();
     let sizes: &[u64] = match scale {
@@ -158,6 +212,7 @@ fn main() {
     let mut series_bytes = Vec::new();
     let mut series_log_records = Vec::new();
     let mut series_stage_ms: [Vec<f64>; 6] = Default::default();
+    let mut cancelled = Vec::new();
 
     for &u in sizes {
         let workload = PaperWorkload::generate(WorkloadConfig {
@@ -168,6 +223,9 @@ fn main() {
         });
         let mut sketch = TrackingDcs::new(config.clone());
         sketch.update_batch(workload.updates());
+        if Some(&u) == sizes.last() {
+            cancelled = cancelled_rows(&config, workload.updates());
+        }
 
         let mut manager = CheckpointManager::new(&sample_path);
         let checkpoint = Checkpoint::Tracking(sketch.to_state());
@@ -224,12 +282,54 @@ fn main() {
     print!("{}", table.render());
     println!("sample checkpoint left at {}", sample_path.display());
 
+    let mut cancelled_table = Table::new(vec![
+        "pairs deleted".into(),
+        "levels".into(),
+        "snapshot".into(),
+        "encode".into(),
+        "decode".into(),
+    ]);
+    let us = |d: Duration| format!("{:.1} µs", d.as_secs_f64() * 1e6);
+    for row in &cancelled {
+        cancelled_table.row(vec![
+            format!("{:.0}%", row.deleted * 100.0),
+            row.levels.to_string(),
+            format!("{} B", row.bytes),
+            us(row.encode),
+            us(row.decode),
+        ]);
+    }
+    let largest = sizes.last().copied().unwrap_or_default();
+    println!("\ncancelled streams (kind-1 snapshot, U = {largest}):");
+    print!("{}", cancelled_table.render());
+
     let mut record = ExperimentRecord::new("checkpoint_size")
         .parameter("scale", scale.label())
         .parameter("format_version", i64::from(dcs_persist::FORMAT_VERSION))
         .with_series("u", series_u)
         .with_series("checkpoint_bytes", series_bytes)
-        .with_series("log_records", series_log_records);
+        .with_series("log_records", series_log_records)
+        .parameter("cancelled_u", largest)
+        .with_series(
+            "cancelled_deleted_share",
+            cancelled.iter().map(|r| r.deleted).collect(),
+        )
+        .with_series(
+            "cancelled_levels",
+            cancelled.iter().map(|r| r.levels as f64).collect(),
+        )
+        .with_series(
+            "cancelled_snapshot_bytes",
+            cancelled.iter().map(|r| r.bytes as f64).collect(),
+        )
+        .with_series(
+            "cancelled_encode_ms",
+            cancelled.iter().map(|r| ms(r.encode)).collect(),
+        )
+        .with_series(
+            "cancelled_decode_ms",
+            cancelled.iter().map(|r| ms(r.decode)).collect(),
+        );
     for (name, series) in stages.into_iter().zip(series_stage_ms) {
         record = record.with_series(name, series);
     }

@@ -1031,16 +1031,19 @@ impl DistinctCountSketch {
 
     /// Captures the complete persistent state of the sketch as plain
     /// data (see [`crate::state`]): the configuration, the update
-    /// counters, and every materialized level's slabs — including
-    /// levels that have returned to all-zero, so `to_state` equality is
-    /// a true bit-identity check between two sketches.
+    /// counters, and the slabs of every level with a non-zero slot. A
+    /// level whose counters returned to zero is the same state as one
+    /// never touched and is left out, so `to_state` equality is counter
+    /// equality between two sketches, whichever levels each allocated.
     ///
     /// Hash functions are not captured; they re-derive from the
     /// configuration seed on restore.
     pub fn to_state(&self) -> SketchState {
         let mut levels = Vec::with_capacity(self.allocated_levels());
         for (index, state) in self.levels.iter().enumerate() {
-            let Some(state) = state else { continue };
+            let Some(state) = state.as_ref().filter(|l| !l.is_zero()) else {
+                continue;
+            };
             levels.push(LevelSlabs {
                 // Bounded by max_levels ≤ 64; the audited cast panics
                 // on a logic error instead of mislabeling the level.
@@ -1065,7 +1068,9 @@ impl DistinctCountSketch {
     /// Restore + suffix replay is bit-identical to the uninterrupted
     /// run: counters are restored verbatim, hash functions re-derive
     /// deterministically from the configuration seed, and the basic
-    /// sketch carries no other state.
+    /// sketch carries no other state. A level the state does not list
+    /// stays unmaterialized until an update touches it; a listed level
+    /// is installed as given, all-zero or not.
     ///
     /// # Errors
     ///

@@ -65,10 +65,13 @@ impl LevelSlabs {
 
 /// Complete persistent state of a [`DistinctCountSketch`].
 ///
-/// Captures every materialized level — including levels that were
-/// touched and have since returned to all-zero — so a restored sketch
-/// allocates exactly the same levels and `to_state` round-trips to an
-/// equal value.
+/// Holds only the levels with a non-zero slot. The sketch is linear, so
+/// a level whose counters all returned to zero is the same state as a
+/// level never touched: both are absent here, and two sketches have
+/// equal states exactly when their counters are equal. A state that
+/// also lists all-zero levels, as files from earlier builds do, is
+/// still valid; `from_state` installs those levels as given, and the
+/// next `to_state` omits them again.
 ///
 /// [`DistinctCountSketch`]: crate::DistinctCountSketch
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +83,7 @@ pub struct SketchState {
     pub updates_processed: u64,
     /// Net sum of update signs.
     pub net_updates: i64,
-    /// Materialized levels, strictly ascending by `level`.
+    /// Levels with a non-zero slot, strictly ascending by `level`.
     pub levels: Vec<LevelSlabs>,
 }
 
@@ -143,7 +146,8 @@ mod tests {
     use super::*;
     use crate::sketch::DistinctCountSketch;
     use crate::tracking::TrackingDcs;
-    use crate::types::{DestAddr, SourceAddr};
+    use crate::types::{DestAddr, FlowUpdate, SourceAddr};
+    use proptest::prelude::*;
 
     fn config(seed: u64) -> SketchConfig {
         SketchConfig::builder()
@@ -299,5 +303,106 @@ mod tests {
         );
         let restored = TrackingDcs::from_state(state).unwrap();
         restored.check_tracking_invariants().unwrap();
+    }
+
+    /// A stream whose deletes cancel whole levels: every `churn` pair is
+    /// inserted and later deleted, so a level only churn pairs reached
+    /// returns to all-zero while the few `keep` pairs hold theirs.
+    fn cancelling_stream(keep: &[(u32, u32)], churn: &[(u32, u32)]) -> Vec<FlowUpdate> {
+        let update = |&(s, d): &(u32, u32)| FlowUpdate::insert(SourceAddr(s), DestAddr(d));
+        let mut stream: Vec<FlowUpdate> = churn.iter().map(update).collect();
+        stream.extend(keep.iter().map(update));
+        stream.extend(
+            churn
+                .iter()
+                .rev()
+                .map(|&(s, d)| FlowUpdate::delete(SourceAddr(s), DestAddr(d))),
+        );
+        stream
+    }
+
+    fn replay(seed: u64, stream: &[FlowUpdate]) -> DistinctCountSketch {
+        let mut sketch = DistinctCountSketch::new(config(seed));
+        sketch.update_batch(stream);
+        sketch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A sketch's state is its levels with content: `to_state` lists
+        /// exactly the levels holding a non-zero slot, restoring it
+        /// answers every query as the sketch did, restore plus a suffix
+        /// lands on the uninterrupted run, and a state that also carries
+        /// the all-zero levels (as earlier builds wrote it) restores to
+        /// the same counters.
+        #[test]
+        fn state_holds_exactly_the_levels_with_content(
+            seed in 0u64..1_000,
+            keep in proptest::collection::vec((0u32..1_000, 0u32..16), 0..6),
+            churn in proptest::collection::vec((1_000u32..5_000, 0u32..16), 1..300),
+            cut in 0usize..700,
+        ) {
+            let stream = cancelling_stream(&keep, &churn);
+            let sketch = replay(seed, &stream);
+            let state = sketch.to_state();
+            let max_levels = sketch.config().max_levels();
+            let occupied = |level| sketch.level_occupancy(level).map(|(occupied, _)| occupied);
+            let with_content: Vec<u32> = (0..max_levels)
+                .filter(|&l| occupied(l).is_some_and(|o| o > 0))
+                .collect();
+            let listed: Vec<u32> = state.levels.iter().map(|l| l.level).collect();
+            prop_assert_eq!(listed, with_content);
+
+            let restored = DistinctCountSketch::from_state(state.clone()).unwrap();
+            prop_assert_eq!(&restored.to_state(), &state);
+            for epsilon in [0.0, 0.25] {
+                prop_assert_eq!(
+                    restored.distinct_sample(epsilon),
+                    sketch.distinct_sample(epsilon)
+                );
+                prop_assert_eq!(
+                    restored.estimate_top_k(5, epsilon),
+                    sketch.estimate_top_k(5, epsilon)
+                );
+            }
+
+            let split = cut.min(stream.len());
+            let prefix = replay(seed, &stream[..split]).to_state();
+            let mut resumed = DistinctCountSketch::from_state(prefix).unwrap();
+            resumed.update_batch(&stream[split..]);
+            prop_assert_eq!(resumed.to_state(), state.clone());
+
+            let slots = sketch.config().num_tables() * sketch.config().buckets_per_table();
+            let mut legacy = state.clone();
+            for level in (0..max_levels).filter(|&l| occupied(l) == Some(0)) {
+                let at = legacy.levels.partition_point(|l| l.level < level);
+                let zero = LevelSlabs {
+                    level,
+                    totals: vec![0; slots],
+                    lo_sums: vec![0; slots],
+                    hi_sums: vec![0; slots],
+                    fp_sums: vec![0; slots],
+                };
+                legacy.levels.insert(at, zero);
+            }
+            let from_legacy = DistinctCountSketch::from_state(legacy).unwrap();
+            prop_assert_eq!(from_legacy.to_state(), state);
+            prop_assert_eq!(
+                from_legacy.estimate_top_k(5, 0.25),
+                sketch.estimate_top_k(5, 0.25)
+            );
+        }
+    }
+
+    #[test]
+    fn a_fully_cancelled_sketch_has_no_levels() {
+        let churn: Vec<(u32, u32)> = (0..2_000).map(|s| (s, s % 9)).collect();
+        let sketch = replay(9, &cancelling_stream(&[], &churn));
+        assert!(sketch.allocated_levels() > 5);
+        let state = sketch.to_state();
+        assert!(state.levels.is_empty());
+        assert_eq!(state.updates_processed, 4_000);
+        assert_eq!(state.net_updates, 0);
     }
 }

@@ -570,11 +570,10 @@ mod tests {
     #[test]
     fn window_accumulator_matches_difference_reference_after_each_roll() {
         // Bit-identity reference: difference(cumulative_now,
-        // cumulative_{i−N}) — both sides materialize the union of all
-        // levels ever touched, so the comparison is exact down to
-        // zeroed slabs retained from expired epochs. (merge_many over
-        // the ring alone is only *query*-equivalent: it never
-        // materializes levels that expired epochs touched.)
+        // cumulative_{i−N}). The ring recompute never materializes the
+        // levels only expired epochs touched, which the accumulator
+        // keeps zeroed; states list only levels with content, so its
+        // state is equal too.
         let mut window = SlidingWindow::new(config(), 3);
         let mut cumulative = DistinctCountSketch::new(config());
         let mut snaps = vec![cumulative.clone()];
@@ -591,12 +590,11 @@ mod tests {
                 "epoch {epoch}"
             );
             assert_eq!(window.len(), 3.min(epoch + 1));
-            // The O(N) ring recompute is query-equivalent: same
-            // totals, same top-k ranking.
             let recomputed = window.recompute().unwrap();
             assert_eq!(
-                recomputed.updates_processed(),
-                window.sketch().updates_processed()
+                recomputed.to_state(),
+                window.sketch().to_state(),
+                "epoch {epoch}"
             );
             assert_eq!(
                 recomputed.estimate_top_k(4, 0.25).entries,

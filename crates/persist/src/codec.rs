@@ -35,7 +35,10 @@
 //! | 4 `Sharded`  | `SHD` `SNP`(nested Sketch)* |
 //! | 5 `Window`   | `WND` `CUR`(nested Tracking) `BAS`(nested Sketch) `WIN`(nested Sketch) `SNP`(nested Sketch)* |
 //!
-//! A `LVL` section carries one level's four slabs, 28 bytes per bucket:
+//! A `LVL` section carries one level's four slabs, 28 bytes per bucket,
+//! and a sketch has one per level with a non-zero slot (see
+//! [`SketchState`]). Documents from earlier builds that also carry
+//! all-zero levels decode to the same counters:
 //!
 //! ```text
 //! level := index:u32  n:u64 total:i32*n  n:u64 lo:i64*n  n:u64 hi:i64*n  n:u64 fp:u64*n
@@ -1145,6 +1148,51 @@ mod tests {
         let state = DistinctCountSketch::new(config(5)).to_state();
         let bytes = encode(&Checkpoint::Sketch(state.clone()));
         assert_eq!(decode(&bytes).unwrap(), Checkpoint::Sketch(state));
+    }
+
+    #[test]
+    fn documents_carry_only_levels_with_content() {
+        let mut sketch = DistinctCountSketch::new(config(11));
+        for s in 0..400u32 {
+            sketch.insert(SourceAddr(s), DestAddr(s % 5));
+        }
+        for s in 3..400u32 {
+            sketch.delete(SourceAddr(s), DestAddr(s % 5));
+        }
+        let sparse = sketch.to_state();
+        let bytes = encode(&Checkpoint::Sketch(sparse.clone()));
+        let restored = DistinctCountSketch::from_state(sparse.clone()).unwrap();
+        assert_eq!(encode(&Checkpoint::Sketch(restored.to_state())), bytes);
+
+        // The same state with its all-zero levels written out, as
+        // earlier builds saved it, decodes to the same counters.
+        let slots = sparse.config.num_tables() * sparse.config.buckets_per_table();
+        let mut legacy = sparse.clone();
+        for level in 0..sparse.config.max_levels() {
+            if sketch.level_occupancy(level) == Some((0, 0)) {
+                let at = legacy.levels.partition_point(|l| l.level < level);
+                legacy.levels.insert(
+                    at,
+                    LevelSlabs {
+                        level,
+                        totals: vec![0; slots],
+                        lo_sums: vec![0; slots],
+                        hi_sums: vec![0; slots],
+                        fp_sums: vec![0; slots],
+                    },
+                );
+            }
+        }
+        assert!(
+            legacy.levels.len() > sparse.levels.len(),
+            "no level cancelled"
+        );
+        let Checkpoint::Sketch(decoded) = decode(&encode(&Checkpoint::Sketch(legacy))).unwrap()
+        else {
+            panic!("a kind-1 document decodes to a sketch");
+        };
+        let from_legacy = DistinctCountSketch::from_state(decoded).unwrap();
+        assert_eq!(encode(&Checkpoint::Sketch(from_legacy.to_state())), bytes);
     }
 
     #[test]

@@ -22,7 +22,9 @@ use ddos_streams::netsim::{
     run_pipeline, CheckpointSidecar, DetectionReport, Monitor, PipelineConfig, TelemetrySidecar,
     TrafficDriver,
 };
-use ddos_streams::persist::{decode, encode, Checkpoint, CheckpointManager, PersistError};
+use ddos_streams::persist::{
+    decode, encode, section_offsets, Checkpoint, CheckpointManager, PersistError,
+};
 use ddos_streams::{
     AlarmPolicy, Delta, DestAddr, DistinctCountSketch, EdgeRouter, FlowUpdate, SketchConfig,
     SourceAddr, TcpSegment, TrackingDcs,
@@ -718,22 +720,68 @@ fn an_empty_run_over_a_clean_shutdown_checkpoint_only_restores() {
     };
     let first = run_pipeline(vec![mixed_feed(47)], cfg.clone());
     assert!(first.checkpoints_written > 1);
-    let files = || {
-        let log = CheckpointManager::new(&path).log_path();
-        (std::fs::read(&path).unwrap(), std::fs::read(log).unwrap())
-    };
-    let shutdown = files();
+    empty_restarts_only_restore(&cfg, &path, first.updates_ingested);
+    remove_checkpoint(&path);
+    let _ = std::fs::remove_file(&telemetry);
+}
+
+/// The checkpoint and the update log at `path`.
+fn checkpoint_files(path: &Path) -> (Vec<u8>, Vec<u8>) {
+    let log = CheckpointManager::new(path).log_path();
+    (std::fs::read(path).unwrap(), std::fs::read(log).unwrap())
+}
+
+/// Two empty runs over the clean-shutdown checkpoint at `path`, which
+/// holds `ingested` updates: each restores it, writes no checkpoint and
+/// leaves both files as they were.
+fn empty_restarts_only_restore(cfg: &PipelineConfig, path: &Path, ingested: u64) {
+    let shutdown = checkpoint_files(path);
     for _ in 0..2 {
         let empty = run_pipeline(vec![Vec::new()], cfg.clone());
         assert!(empty.restored_from_checkpoint);
         assert_eq!(empty.checkpoints_written, 0);
         assert_eq!(empty.updates_ingested, 0);
-        assert_eq!(
-            empty.monitor.sketch().updates_processed(),
-            first.updates_ingested
+        assert_eq!(empty.monitor.sketch().updates_processed(), ingested);
+        assert!(
+            checkpoint_files(path) == shutdown,
+            "an empty restart rewrote its files"
         );
-        assert!(files() == shutdown, "an empty restart rewrote its files");
     }
+}
+
+#[test]
+fn a_clean_shutdown_with_a_half_open_timeout_saves_no_level() {
+    // With a half-open timeout the routers' shutdown flush expires every
+    // flow they still hold, so the all-time sketch ends exactly zero and
+    // its snapshot is the configuration and counters alone. An empty
+    // restart over it restores, writes nothing and leaves both files as
+    // they were.
+    let path = temp_path("empty-restart-timeout");
     remove_checkpoint(&path);
-    let _ = std::fs::remove_file(&telemetry);
+    let cfg = PipelineConfig {
+        half_open_timeout: Some(300),
+        ..checkpointed(config(14), &path, 300)
+    };
+    let first = run_pipeline(vec![mixed_feed(48)], cfg.clone());
+    assert!(first.checkpoints_written > 1);
+    assert!(first.updates_ingested > 0);
+    let (snapshot, _) = checkpoint_files(&path);
+    let Checkpoint::Sketch(state) = decode(&snapshot).unwrap() else {
+        panic!("an all-time monitor saves a sketch document");
+    };
+    assert!(
+        state.levels.is_empty(),
+        "{} levels saved",
+        state.levels.len()
+    );
+    assert_eq!(state.updates_processed, first.updates_ingested);
+    // Section by section: the header, then `CFG` and `MET` and no `LVL`.
+    let offsets = section_offsets(&snapshot).unwrap();
+    let tags: Vec<&[u8]> = offsets[..offsets.len() - 1]
+        .iter()
+        .map(|&at| &snapshot[at..at + 4])
+        .collect();
+    assert_eq!(tags, [&b"CFG\0"[..], &b"MET\0"[..]]);
+    empty_restarts_only_restore(&cfg, &path, first.updates_ingested);
+    remove_checkpoint(&path);
 }

@@ -24,9 +24,9 @@ mod oracle;
 use proptest::prelude::*;
 use rand::prelude::*;
 
-use ddos_streams::core::signature::BucketState;
+use ddos_streams::core::signature::{BucketState, CountSignature};
 use ddos_streams::{Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SourceAddr};
-use oracle::Oracle;
+use oracle::{Oracle, PaperSignature};
 
 fn config(seed: u64) -> SketchConfig {
     SketchConfig::builder()
@@ -83,34 +83,62 @@ fn ill_formed(seed: u64, n: usize) -> Vec<FlowUpdate> {
 
 /// Every bucket of `sketch` paired with the oracle's, as
 /// `(level, slot, compact signature, paper decode)`.
+///
+/// `to_state` lists only levels with a non-zero slot: every level it
+/// lists must be one the oracle materialized, and every oracle level it
+/// omits must be all-zero there. An omitted level's buckets pair with
+/// the zero signature, so every bucket of every oracle level is still
+/// compared.
 fn bucket_pairs(
     sketch: &DistinctCountSketch,
     oracle: &Oracle,
-) -> Vec<(
-    u32,
-    usize,
-    ddos_streams::core::signature::CountSignature,
-    BucketState,
-)> {
+) -> Vec<(u32, usize, CountSignature, BucketState)> {
     let state = sketch.to_state();
-    let levels: Vec<_> = oracle.levels().collect();
-    assert_eq!(
-        state.levels.iter().map(|l| l.level).collect::<Vec<_>>(),
-        levels.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-        "the two layouts materialized different levels"
-    );
+    let mut held = state.levels.iter().peekable();
     let mut out = Vec::new();
-    for (slabs, (level, paper)) in state.levels.iter().zip(levels) {
+    for (level, paper) in oracle.levels() {
+        let slabs = held.next_if(|slabs| slabs.level == level);
+        assert!(
+            slabs.is_some() || paper.iter().all(PaperSignature::is_zero),
+            "to_state omits level {level}, which the oracle holds non-zero"
+        );
         for (slot, sig) in paper.iter().enumerate() {
-            out.push((level, slot, slabs.signature(slot).unwrap(), sig.decode()));
+            let compact = slabs.map_or(CountSignature::default(), |s| s.signature(slot).unwrap());
+            out.push((level, slot, compact, sig.decode()));
         }
     }
+    assert_eq!(
+        held.next().map(|slabs| slabs.level),
+        None,
+        "to_state lists a level the oracle never materialized"
+    );
     out
+}
+
+/// The levels of `oracle` that hold a non-zero bucket.
+fn nonzero_levels(oracle: &Oracle) -> Vec<u32> {
+    oracle
+        .levels()
+        .filter(|(_, sigs)| !sigs.iter().all(PaperSignature::is_zero))
+        .map(|(level, _)| level)
+        .collect()
 }
 
 /// On a well-formed stream every query the sketch answers equals the
 /// oracle's.
 fn assert_identical(sketch: &DistinctCountSketch, oracle: &Oracle, context: &str) {
+    // A well-formed bucket is zero in one layout exactly when it is
+    // zero in the other, so both hold content at the same levels.
+    assert_eq!(
+        sketch
+            .to_state()
+            .levels
+            .iter()
+            .map(|l| l.level)
+            .collect::<Vec<_>>(),
+        nonzero_levels(oracle),
+        "the two layouts materialized different levels ({context})"
+    );
     for (level, slot, compact, paper) in bucket_pairs(sketch, oracle) {
         assert_eq!(
             compact.decode(),
