@@ -14,7 +14,7 @@
 //! registers that cannot forget), so they cannot implement the
 //! half-open semantics that separates floods from flash crowds.
 
-use dcs_hash::{Hash64, MultiplyShiftHash, SeedSequence};
+use dcs_hash::{MultiplyShiftHash, SeedSequence};
 
 use crate::hyperloglog::HyperLogLog;
 

@@ -9,7 +9,7 @@
 //! flash crowd moving real data looks enormous — the confusion the
 //! paper's distinct-source metric resolves.
 
-use dcs_hash::{Hash64, MultiplyShiftHash, SeedSequence};
+use dcs_hash::{MultiplyShiftHash, SeedSequence};
 
 /// A Count-Min sketch over `u64` keys with `i64` counts.
 ///

@@ -7,23 +7,6 @@ use crate::error::SketchError;
 use crate::signature::BUCKET_BYTES;
 use crate::types::GroupBy;
 
-/// Which hash family the second-level bucket hashes `g_j` use.
-///
-/// The paper's analysis (Lemma 4.1) only needs pairwise independence,
-/// which [`MultiplyShift`](HashFamily::MultiplyShift) provides at a few
-/// arithmetic instructions per evaluation. [`Tabulation`](HashFamily::Tabulation)
-/// is 3-independent with Chernoff-style concentration at the cost of
-/// 16 KiB of tables per function — the `ablation_hash` bench compares
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashFamily {
-    /// Dietzfelbinger multiply-shift (pairwise independent, fastest).
-    #[default]
-    MultiplyShift,
-    /// Simple tabulation (3-independent, stronger concentration).
-    Tabulation,
-}
-
 /// Number of bits in a packed source-destination pair (`2·log m` for
 /// `m = 2^32`), and therefore the number of bit-location counters in the
 /// paper's count signature.
@@ -62,7 +45,6 @@ pub struct SketchConfig {
     max_levels: u32,
     seed: u64,
     group_by: GroupBy,
-    hash_family: HashFamily,
 }
 
 impl SketchConfig {
@@ -84,7 +66,6 @@ impl SketchConfig {
             max_levels: 64,
             seed: 0,
             group_by: GroupBy::Destination,
-            hash_family: HashFamily::MultiplyShift,
         }
     }
 
@@ -178,14 +159,9 @@ impl SketchConfig {
         self.group_by
     }
 
-    /// The second-level hash family.
-    pub fn hash_family(&self) -> HashFamily {
-        self.hash_family
-    }
-
     /// Returns this configuration with only the grouping orientation
-    /// replaced — every hash parameter (tables, buckets, levels, seed,
-    /// family) is preserved, so sketches built from the result ingest
+    /// replaced — every hash parameter (tables, buckets, levels, seed)
+    /// is preserved, so sketches built from the result ingest
     /// the same stream into bit-identical bucket layouts and differ
     /// only in how queries aggregate the sample. This is how the
     /// hierarchy tracker derives its /24 and /16 views from one base
@@ -235,7 +211,6 @@ pub struct SketchConfigBuilder {
     max_levels: u32,
     seed: u64,
     group_by: GroupBy,
-    hash_family: HashFamily,
 }
 
 impl SketchConfigBuilder {
@@ -249,7 +224,6 @@ impl SketchConfigBuilder {
             max_levels: defaults.max_levels,
             seed: defaults.seed,
             group_by: defaults.group_by,
-            hash_family: defaults.hash_family,
         }
     }
 
@@ -284,12 +258,6 @@ impl SketchConfigBuilder {
         self
     }
 
-    /// Sets the second-level hash family.
-    pub fn hash_family(&mut self, family: HashFamily) -> &mut Self {
-        self.hash_family = family;
-        self
-    }
-
     /// Validates the parameters and builds the configuration.
     ///
     /// # Errors
@@ -321,7 +289,6 @@ impl SketchConfigBuilder {
             max_levels: self.max_levels,
             seed: self.seed,
             group_by: self.group_by,
-            hash_family: self.hash_family,
         })
     }
 }

@@ -68,7 +68,7 @@ pub mod theory;
 pub mod tracking;
 pub mod types;
 
-pub use config::{HashFamily, SketchConfig, SketchConfigBuilder, KEY_BITS};
+pub use config::{SketchConfig, SketchConfigBuilder, KEY_BITS};
 pub use dcs_hash::cast;
 pub use dcs_hash::det::{DetHashMap, DetHashSet};
 /// Snapshot/gauge/export types for [`DistinctCountSketch::telemetry_snapshot`]

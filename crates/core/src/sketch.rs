@@ -4,11 +4,11 @@ use std::collections::BTreeSet;
 
 use dcs_hash::cast::{u32_from_usize, u64_from_usize, usize_from_u32, usize_from_u64};
 use dcs_hash::mix::{fingerprint64, fingerprint64_fill};
-use dcs_hash::{GeometricLevelHash, Hash64, MultiplyShiftHash, SeedSequence, TabulationHash};
+use dcs_hash::{GeometricLevelHash, MultiplyShiftHash, SeedSequence};
 
 use dcs_telemetry::{LevelGauges, TelemetrySnapshot};
 
-use crate::config::{HashFamily, SketchConfig};
+use crate::config::SketchConfig;
 use crate::error::SketchError;
 use crate::estimator::{
     frequencies_for_groups, group_frequencies, threshold_from_frequencies, top_k_from_frequencies,
@@ -53,8 +53,8 @@ pub const BATCH_MIN_ROUTED: usize = 64;
 ///
 /// `buckets` is **table-major**: table `t`'s bucket for update `i`
 /// lives at stripe `3 + t`, index `i`, so pass 1 writes each table's
-/// stripe in one contiguous fill (one hash-family dispatch per table
-/// per chunk, not per key).
+/// stripe in one contiguous fill (one call per table per chunk, not
+/// per key).
 #[derive(Debug)]
 pub(crate) struct BatchScratch {
     chunk_cap: usize,
@@ -162,44 +162,6 @@ impl DistinctSample {
     }
 }
 
-/// A second-level hash function of the configured [`HashFamily`].
-#[derive(Debug, Clone)]
-enum TableHash {
-    MultiplyShift(MultiplyShiftHash),
-    Tabulation(Box<TabulationHash>),
-}
-
-impl TableHash {
-    fn new(family: HashFamily, seed: u64) -> Self {
-        match family {
-            HashFamily::MultiplyShift => TableHash::MultiplyShift(MultiplyShiftHash::new(seed)),
-            HashFamily::Tabulation => TableHash::Tabulation(Box::new(TabulationHash::new(seed))),
-        }
-    }
-}
-
-impl Hash64 for TableHash {
-    #[inline]
-    fn hash(&self, key: u64) -> u64 {
-        match self {
-            TableHash::MultiplyShift(h) => h.hash(key),
-            TableHash::Tabulation(h) => h.hash(key),
-        }
-    }
-
-    /// Batched fill that hoists the family dispatch: one `match` per
-    /// *slice*, then the concrete family's monomorphized fill loop —
-    /// the per-key enum branch the scalar path pays disappears from the
-    /// routed batch plan entirely.
-    #[inline]
-    fn hash_to_range_fill(&self, keys: &[u64], range: usize, out: &mut [u64]) {
-        match self {
-            TableHash::MultiplyShift(h) => h.hash_to_range_fill(keys, range, out),
-            TableHash::Tabulation(h) => h.hash_to_range_fill(keys, range, out),
-        }
-    }
-}
-
 /// What one [`DistinctCountSketch::slide_epoch`] did, level by level:
 /// of the levels the cumulative sketch holds, how many the epoch
 /// changed (one fused slab pass each) and how many it left unchanged
@@ -250,7 +212,7 @@ pub struct EpochSlide {
 pub struct DistinctCountSketch {
     config: SketchConfig,
     level_hash: GeometricLevelHash,
-    table_hashes: Vec<TableHash>,
+    table_hashes: Vec<MultiplyShiftHash>,
     levels: Vec<Option<LevelState>>,
     updates_processed: u64,
     net_updates: i64,
@@ -266,7 +228,7 @@ impl DistinctCountSketch {
         let mut seeds = SeedSequence::new(config.seed());
         let level_hash = GeometricLevelHash::new(seeds.next_seed(), config.max_levels());
         let table_hashes = (0..config.num_tables())
-            .map(|_| TableHash::new(config.hash_family(), seeds.next_seed()))
+            .map(|_| MultiplyShiftHash::new(seeds.next_seed()))
             .collect();
         let levels = vec![None; usize_from_u32(config.max_levels())];
         Self {
@@ -421,10 +383,9 @@ impl DistinctCountSketch {
     /// buckets, fingerprints, and each table's second-level buckets as
     /// four contiguous fill loops — and materializes every touched
     /// level, so pass 2 only ever sees allocated arenas. Each fill is a
-    /// tight slice loop over one hash family (the enum dispatch is
-    /// hoisted to once per table per chunk), which is what lets the
-    /// mixing arithmetic unroll and vectorize across keys. Shared with
-    /// the tracking layer's batch path.
+    /// tight slice loop (one call per table per chunk), which is what
+    /// lets the mixing arithmetic unroll and vectorize across keys.
+    /// Shared with the tracking layer's batch path.
     pub(crate) fn route_chunk(&mut self, chunk: &[FlowUpdate], scratch: &mut BatchScratch) {
         let n = chunk.len();
         debug_assert!(n <= scratch.chunk_cap());
@@ -1557,25 +1518,6 @@ mod tests {
             top.entries[0].estimated_frequency
         );
         assert_eq!(sketch.estimate_group_frequency(999, 0.25), 0);
-    }
-
-    #[test]
-    fn tabulation_family_produces_working_sketch() {
-        let config = SketchConfig::builder()
-            .buckets_per_table(512)
-            .hash_family(crate::config::HashFamily::Tabulation)
-            .seed(24)
-            .build()
-            .unwrap();
-        assert_eq!(config.hash_family(), crate::config::HashFamily::Tabulation);
-        let mut sketch = DistinctCountSketch::new(config);
-        for s in 0..200u32 {
-            sketch.insert(SourceAddr(s), DestAddr(s % 4));
-        }
-        let est = sketch.estimate_top_k(4, 0.25);
-        assert_eq!(est.entries.len(), 4);
-        let total: u64 = est.entries.iter().map(|e| e.estimated_frequency).sum();
-        assert!((100..400).contains(&total), "total = {total}");
     }
 
     #[test]

@@ -76,8 +76,7 @@ impl LevelSlabs {
 /// [`DistinctCountSketch`]: crate::DistinctCountSketch
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchState {
-    /// Shape, seed, grouping, and hash family (hashes re-derive from
-    /// the seed).
+    /// Shape, seed and grouping (hashes re-derive from the seed).
     pub config: SketchConfig,
     /// Total updates processed.
     pub updates_processed: u64,

@@ -6,8 +6,8 @@
 //! assumes for the second-level hash functions `g_j`, whose collision
 //! analysis (Lemma 4.1) only needs pairwise independence.
 
+use crate::cast;
 use crate::mix::mix64;
-use crate::Hash64;
 
 /// A pairwise-independent multiply-shift hash over `u64` keys.
 ///
@@ -17,7 +17,7 @@ use crate::Hash64;
 /// # Examples
 ///
 /// ```
-/// use dcs_hash::{Hash64, MultiplyShiftHash};
+/// use dcs_hash::MultiplyShiftHash;
 ///
 /// let g = MultiplyShiftHash::new(3);
 /// let bucket = g.hash_to_range(0xdeadbeef, 128);
@@ -39,20 +39,9 @@ impl MultiplyShiftHash {
         Self { multiplier, addend }
     }
 
-    /// Creates a hash function from explicit parameters.
-    ///
-    /// Primarily useful in tests; `multiplier` is forced odd.
-    pub fn from_parameters(multiplier: u64, addend: u64) -> Self {
-        Self {
-            multiplier: multiplier | 1,
-            addend,
-        }
-    }
-}
-
-impl Hash64 for MultiplyShiftHash {
+    /// Hashes `key` to a 64-bit value.
     #[inline]
-    fn hash(&self, key: u64) -> u64 {
+    pub fn hash(&self, key: u64) -> u64 {
         // Finish with a mix so *all* output bits (not only high ones)
         // pass through an avalanche — the classic multiply-shift only
         // guarantees quality in the high bits.
@@ -60,6 +49,52 @@ impl Hash64 for MultiplyShiftHash {
             key.wrapping_mul(self.multiplier).wrapping_add(self.addend),
             self.multiplier,
         )
+    }
+
+    /// Hashes `key` into the range `[0, range)`.
+    ///
+    /// Uses Lemire's multiply-high reduction, which preserves uniformity
+    /// (up to negligible bias for ranges ≪ 2⁶⁴) without a modulo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is zero.
+    #[inline]
+    pub fn hash_to_range(&self, key: u64, range: usize) -> usize {
+        cast::lemire_index(self.hash(key), range)
+    }
+
+    /// Hashes every key into `[0, range)`, writing
+    /// `out[i] = self.hash_to_range(keys[i], range)` (widened to `u64`
+    /// so callers can stripe the results through a homogeneous scratch
+    /// slab).
+    ///
+    /// The batched form used by chunked sketch updates: one tight loop
+    /// whose hash + Lemire-reduction body can unroll across keys.
+    ///
+    /// For ranges below `2³²` (every realistic table size) the Lemire
+    /// reduction runs as [`cast::lemire_index_narrow`] — an exact
+    /// half-word decomposition of the 128-bit product whose 32×32→64
+    /// multiplies the auto-vectorizer can lower to `vpmuludq`, unlike
+    /// the full 64×64→high-64 multiply, which has no vector form.
+    /// Identical output to [`hash_to_range`](Self::hash_to_range) for
+    /// every key, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length, or if `range` is zero.
+    #[inline]
+    pub fn hash_to_range_fill(&self, keys: &[u64], range: usize, out: &mut [u64]) {
+        assert_eq!(keys.len(), out.len(), "hash_to_range_fill length mismatch");
+        if let Ok(narrow) = u32::try_from(cast::u64_from_usize(range)) {
+            for (o, &k) in out.iter_mut().zip(keys) {
+                *o = cast::u64_from_usize(cast::lemire_index_narrow(self.hash(k), narrow));
+            }
+        } else {
+            for (o, &k) in out.iter_mut().zip(keys) {
+                *o = cast::u64_from_usize(cast::lemire_index(self.hash(k), range));
+            }
+        }
     }
 }
 
@@ -109,11 +144,5 @@ mod tests {
             colliding_pairs < expected * 2,
             "colliding pairs {colliding_pairs} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn from_parameters_forces_odd_multiplier() {
-        let h = MultiplyShiftHash::from_parameters(4, 0);
-        assert_eq!(h.multiplier % 2, 1);
     }
 }

@@ -30,7 +30,6 @@ pub struct EdgeRouter {
     tracker: HandshakeTracker,
     export_buffer: Vec<FlowUpdate>,
     segments_observed: u64,
-    bytes_observed: u64,
     last_tick: u64,
 }
 
@@ -43,7 +42,6 @@ impl EdgeRouter {
             tracker: HandshakeTracker::new(half_open_timeout),
             export_buffer: Vec::new(),
             segments_observed: 0,
-            bytes_observed: 0,
             last_tick: 0,
         }
     }
@@ -58,7 +56,6 @@ impl EdgeRouter {
     #[inline]
     pub fn observe(&mut self, segment: &TcpSegment) {
         self.segments_observed += 1;
-        self.bytes_observed += u64::from(segment.payload_len);
         if let Some(update) = self.tracker.observe(segment) {
             self.export_buffer.push(update);
         }
@@ -106,11 +103,6 @@ impl EdgeRouter {
     /// Total segments observed.
     pub fn segments_observed(&self) -> u64 {
         self.segments_observed
-    }
-
-    /// Total payload bytes observed (for volume baselines).
-    pub fn bytes_observed(&self) -> u64 {
-        self.bytes_observed
     }
 
     /// The router's handshake tracker (read-only).
@@ -175,14 +167,6 @@ mod tests {
         assert!(exports.iter().all(|u| u.delta == Delta::Insert));
         assert_eq!(r.pending_exports(), 0);
         assert_eq!(r.export_buffer.capacity(), capacity);
-    }
-
-    #[test]
-    fn bytes_observed_accumulates_payload() {
-        let mut r = EdgeRouter::new(1, None);
-        r.observe(&TcpSegment::data(SourceAddr(1), DestAddr(2), 0, 1000));
-        r.observe(&TcpSegment::data(SourceAddr(1), DestAddr(2), 1, 500));
-        assert_eq!(r.bytes_observed(), 1500);
     }
 
     #[test]

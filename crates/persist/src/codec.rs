@@ -70,9 +70,7 @@
 //! so "unknown but ignorable" sections do not exist at this layer.
 //! See DESIGN.md §12 for the full specification.
 
-use dcs_core::{
-    GroupBy, HashFamily, LevelSlabs, SketchConfig, SketchState, TrackingLevelState, TrackingState,
-};
+use dcs_core::{GroupBy, LevelSlabs, SketchConfig, SketchState, TrackingLevelState, TrackingState};
 
 use crate::error::PersistError;
 use crate::wire::{crc32, ByteReader, ByteWriter};
@@ -89,6 +87,11 @@ const FORMAT_V1: u32 = 1;
 
 /// Counters per bucket in a format-1 level: a total and 64 bit counts.
 const V1_SIGNATURE_LEN: usize = 65;
+
+/// The `CFG` `hash_family` byte: multiply-shift, the only second-level
+/// hash. 1 was the retired tabulation family; a file carrying it (or any
+/// other value) is refused.
+const HASH_MULTIPLY_SHIFT: u8 = 0;
 
 const KIND_SKETCH: u8 = 1;
 const KIND_TRACKING: u8 = 2;
@@ -261,10 +264,7 @@ fn write_config(w: &mut ByteWriter, config: &SketchConfig) {
     };
     w.put_u8(group_tag);
     w.put_u8(bits);
-    w.put_u8(match config.hash_family() {
-        HashFamily::MultiplyShift => 0,
-        HashFamily::Tabulation => 1,
-    });
+    w.put_u8(HASH_MULTIPLY_SHIFT);
 }
 
 fn write_level(w: &mut ByteWriter, slab: &LevelSlabs) {
@@ -560,22 +560,19 @@ fn decode_config(payload: &[u8]) -> Result<SketchConfig, PersistError> {
             })
         }
     };
-    let hash_family = match family_tag {
-        0 => HashFamily::MultiplyShift,
-        1 => HashFamily::Tabulation,
-        other => {
-            return Err(PersistError::Corrupt {
-                context: format!("unknown hash_family tag {other}"),
-            })
-        }
-    };
+    if family_tag != HASH_MULTIPLY_SHIFT {
+        return Err(PersistError::Corrupt {
+            context: format!(
+                "config hash_family byte {family_tag} is not {HASH_MULTIPLY_SHIFT} (multiply-shift)"
+            ),
+        });
+    }
     SketchConfig::builder()
         .num_tables(num_tables)
         .buckets_per_table(buckets)
         .max_levels(max_levels)
         .seed(seed)
         .group_by(group_by)
-        .hash_family(hash_family)
         .build()
         .map_err(PersistError::State)
 }
@@ -930,10 +927,7 @@ mod tests {
         };
         w.put_u8(group_tag);
         w.put_u8(bits);
-        w.put_u8(match config.hash_family() {
-            HashFamily::MultiplyShift => 0,
-            HashFamily::Tabulation => 1,
-        });
+        w.put_u8(HASH_MULTIPLY_SHIFT);
         w.into_bytes()
     }
 
@@ -1272,6 +1266,36 @@ mod tests {
                 decode(&bytes[..cut]).is_err(),
                 "decode of {cut}-byte prefix unexpectedly succeeded"
             );
+        }
+    }
+
+    #[test]
+    fn retired_hash_family_bytes_are_refused() {
+        let state = sample_sketch(15, 0);
+        let document = |family: u8| {
+            let mut cfg = legacy_config(&state.config);
+            *cfg.last_mut().unwrap() = family;
+            let mut met = ByteWriter::new();
+            met.put_u64(state.updates_processed);
+            met.put_i64(state.net_updates);
+            legacy_assemble(
+                KIND_SKETCH,
+                vec![(TAG_CFG, cfg), (TAG_MET, met.into_bytes())],
+            )
+        };
+        assert_eq!(
+            decode(&document(0)).unwrap(),
+            Checkpoint::Sketch(state.clone())
+        );
+        // 1 was tabulation; 2 was never written.
+        for family in [1u8, 2] {
+            match decode(&document(family)) {
+                Err(PersistError::Corrupt { context }) => assert!(
+                    context.contains(&format!("hash_family byte {family}")),
+                    "{context}"
+                ),
+                other => panic!("hash_family byte {family} decoded to {other:?}"),
+            }
         }
     }
 

@@ -35,8 +35,6 @@ use crate::log::{self, encode_record, record_len, LogReplay, LOG_HEADER_LEN};
 pub struct CheckpointManager {
     path: PathBuf,
     saves: u64,
-    bytes_last: u64,
-    bytes_total: u64,
     /// The encode buffer, kept across saves and appends so periodic
     /// checkpoints of a steady-size state reuse one allocation.
     buf: Vec<u8>,
@@ -69,8 +67,6 @@ impl CheckpointManager {
         Self {
             path: path.into(),
             saves: 0,
-            bytes_last: 0,
-            bytes_total: 0,
             buf: Vec::new(),
             snapshot_bytes: 0,
             log: UpdateLog::default(),
@@ -90,16 +86,6 @@ impl CheckpointManager {
     /// Number of successful saves so far.
     pub fn saves(&self) -> u64 {
         self.saves
-    }
-
-    /// Size in bytes of the most recent successful save.
-    pub fn bytes_last(&self) -> u64 {
-        self.bytes_last
-    }
-
-    /// Total bytes written across all successful saves.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total
     }
 
     /// Bytes of the update log that extend the snapshot, header
@@ -169,8 +155,6 @@ impl CheckpointManager {
         }
         let size = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
         self.saves += 1;
-        self.bytes_last = size;
-        self.bytes_total = self.bytes_total.saturating_add(size);
         self.snapshot_bytes = size;
         // Records of this manager's snapshots all end at or before the
         // new one's position; anything else on disk must go durably.
@@ -462,7 +446,7 @@ mod tests {
         let size = manager.save(&checkpoint).unwrap();
         assert!(size > 0);
         assert_eq!(manager.saves(), 1);
-        assert_eq!(manager.bytes_last(), size);
+        assert_eq!(fs::metadata(&path).unwrap().len(), size);
         assert_eq!(manager.load().unwrap(), checkpoint);
         assert_eq!(manager.try_load().unwrap(), Some(checkpoint));
         fs::remove_dir_all(&dir).unwrap();

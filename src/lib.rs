@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `dcs-core` | Distinct-Count Sketch, Tracking DCS, estimators |
-//! | [`hash`] | `dcs-hash` | seeded hash families (mixers, multiply-shift, tabulation, geometric) |
+//! | [`hash`] | `dcs-hash` | seeded hash families (mixers, multiply-shift, geometric) |
 //! | [`baselines`] | `dcs-baselines` | exact tracking, FM/HLL, distinct sampling, Count-Min, Space-Saving, superspreaders |
 //! | [`streamgen`] | `dcs-streamgen` | Zipf workloads, attack scenarios, trace format |
 //! | [`netsim`] | `dcs-netsim` | TCP segments, handshake tracking, routers, DDoS monitor, pipeline |

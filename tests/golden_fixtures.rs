@@ -3,7 +3,7 @@
 //! on. If either ever changes shape, these tests fail **before** a
 //! deployed monitor discovers it cannot read last week's checkpoint.
 //!
-//! Two fixture classes live under `tests/fixtures/`:
+//! Three fixture classes live under `tests/fixtures/`:
 //! * `*_v2.ckpt` — canonical checkpoint files for deterministic sample
 //!   states in the current format. Drift check: re-encoding the same
 //!   state today must be byte-identical to the committed file, and
@@ -12,7 +12,7 @@
 //!   bucket), frozen: they are never regenerated, and decoding them
 //!   must still reproduce today's state exactly.
 //! * `hash_vectors.txt` — golden input → output vectors for the
-//!   geometric, tabulation, and multiply-shift hash families. The
+//!   geometric level hash and the multiply-shift bucket hash. The
 //!   checkpoint format persists *only* the seed, so restore
 //!   correctness requires that seeded hash construction never changes
 //!   across versions — these vectors are that guarantee's tripwire.
@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ddos_streams::hash::{GeometricLevelHash, Hash64, MultiplyShiftHash, TabulationHash};
+use ddos_streams::hash::{GeometricLevelHash, MultiplyShiftHash};
 use ddos_streams::persist::{decode, encode, Checkpoint};
 use ddos_streams::{
     Delta, DestAddr, DistinctCountSketch, FlowUpdate, SketchConfig, SourceAddr, TrackingDcs,
@@ -154,11 +154,9 @@ fn hash_vector_text() -> String {
     );
     for &seed in &seeds {
         let geometric = GeometricLevelHash::new(seed, 32);
-        let tabulation = TabulationHash::new(seed);
         let multiply = MultiplyShiftHash::new(seed);
         for &key in &keys {
             writeln!(out, "geometric {seed} {key} {}", geometric.level(key)).unwrap();
-            writeln!(out, "tabulation {seed} {key} {}", tabulation.hash(key)).unwrap();
             writeln!(out, "multiply_shift {seed} {key} {}", multiply.hash(key)).unwrap();
         }
     }
