@@ -15,10 +15,11 @@
 //!
 //! [`HOT_PATH_ROOTS`] lists the entry points with the effect classes
 //! each forbids. Update-path roots (`update`, `update_batch`,
-//! `screened_apply`, `ingest_batch`) forbid **all** effects — the
-//! paper's real-time guarantee is O(1) bounded work per packet.
-//! `Monitor::ingest` forbids the blocking classes only: its sharded arm
-//! copies each handoff slice into a worker's ring. Query-path
+//! `apply_net`, `screened_apply`, `ingest_batch`) forbid **all**
+//! effects — the paper's real-time guarantee is O(1) bounded work per
+//! packet. `Monitor::ingest` and `Monitor::ingest_net` forbid the
+//! blocking classes only: their sharded arm copies each handoff slice
+//! into a worker's ring. Query-path
 //! roots (`estimate_top_k`, `track_top_k`) forbid only *blocking*
 //! effects (lock/sleep/I/O): assembling a top-k answer inherently
 //! allocates its output, but it must never stall the ingest threads it
@@ -54,6 +55,7 @@ pub const HOT_PATH_ROOTS: &[RootSpec] = &[
     // Per-packet update path: O(1), no effects at all.
     ("DistinctCountSketch", "update", FORBID_ALL),
     ("DistinctCountSketch", "update_batch", FORBID_ALL),
+    ("DistinctCountSketch", "apply_net", FORBID_ALL),
     ("DistinctCountSketch", "screened_apply", FORBID_ALL),
     ("TrackingDcs", "update", FORBID_ALL),
     ("TrackingDcs", "update_batch", FORBID_ALL),
@@ -62,6 +64,7 @@ pub const HOT_PATH_ROOTS: &[RootSpec] = &[
     // into a worker's queue, waiting while it is full, but takes no
     // lock (DESIGN.md §14).
     ("Monitor", "ingest", FORBID_BLOCKING),
+    ("Monitor", "ingest_net", FORBID_BLOCKING),
     // Query path: runs concurrently with ingest, must not block it.
     ("DistinctCountSketch", "estimate_top_k", FORBID_BLOCKING),
     ("TrackingDcs", "track_top_k", FORBID_BLOCKING),

@@ -16,14 +16,21 @@
 //!   walk plus parsing). Rebuilding the live sketch from the decoded
 //!   state is checked for exactness but not timed.
 //! * the update log that spares most boundaries the full save: one
-//!   boundary's append of 12 000 updates (encode and CRC, append,
-//!   `fdatasync`) after a kind-1 snapshot of the sketch, and the
+//!   boundary's append of 12 000 distinct inserts, folded to their net
+//!   changes as the pipeline folds them (encode and CRC, append,
+//!   `fdatasync`), after a kind-1 snapshot of the sketch, and the
 //!   worst-case restore — that snapshot plus as many records as the
-//!   log holds before it outgrows the snapshot and a new snapshot is
-//!   due (read, decode, rebuild, replay every record),
+//!   log holds before a restore would pass its replay budget
+//!   (`LOG_ENTRY_BUDGET` entries) and a new snapshot is due (read,
+//!   decode, rebuild, replay every record),
 //! * the snapshot then due, written as a pipeline writes it: the kind-1
 //!   document's durable write (write-temp + fsync + rename + directory
 //!   fsync) and the cut of the full log beside it.
+//!
+//! One line gives the log bytes of a boundary shaped like a handshake:
+//! pairs that open and, 50 updates later, complete, so that only the
+//! last 50 are still open when the boundary closes. Folded, its record
+//! holds those 50 entries; written update by update it would hold all.
 //!
 //! A second table covers streams whose deletes cancel what they
 //! inserted: the kind-1 snapshot of a sketch that saw the largest
@@ -43,8 +50,13 @@ use std::time::{Duration, Instant};
 use std::path::Path;
 
 use dcs_bench::{emit_record, Scale};
-use dcs_core::{DistinctCountSketch, FlowUpdate, SketchConfig, TrackingDcs};
+use dcs_core::{
+    DestAddr, DistinctCountSketch, FlowUpdate, NetBatch, SketchConfig, SourceAddr, TrackingDcs,
+    UpdateFold,
+};
 use dcs_metrics::{ExperimentRecord, Table};
+use dcs_persist::log::record_len;
+use dcs_persist::manager::LOG_ENTRY_BUDGET;
 use dcs_persist::{decode, encode, Checkpoint, CheckpointManager};
 use dcs_streamgen::{PaperWorkload, WorkloadConfig};
 
@@ -66,37 +78,65 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, started.elapsed())
 }
 
+/// `updates` folded to their net changes, as the pipeline folds a
+/// boundary.
+fn folded(updates: &[FlowUpdate]) -> NetBatch {
+    let mut fold = UpdateFold::new();
+    let mut batch = NetBatch::default();
+    fold.absorb(updates, &mut batch);
+    fold.flush(&mut batch);
+    batch
+}
+
+/// A boundary shaped like a handshake: pair `i` opens, and completes 50
+/// updates later, so the last 50 pairs are still open at its end.
+fn handshake_boundary() -> Vec<FlowUpdate> {
+    const OPEN: u32 = 50;
+    let pairs = u32::try_from(BOUNDARY / 2).expect("a boundary fits u32");
+    let pair = |i: u32| (SourceAddr(0x0a00_0000 + i), DestAddr(0xc0a8_0001));
+    let mut updates = Vec::with_capacity(BOUNDARY);
+    for i in 0..pairs {
+        let (s, d) = pair(i);
+        updates.push(FlowUpdate::insert(s, d));
+        if i >= OPEN {
+            let (s, d) = pair(i - OPEN);
+            updates.push(FlowUpdate::delete(s, d));
+        }
+    }
+    updates
+}
+
 /// The update-log stages for `sketch` in directory `dir`: saves its
 /// kind-1 snapshot, times one boundary's append, fills the log until
-/// the next record would outgrow the snapshot, times the restore of the
-/// snapshot plus every record, and then times the durable write of the
-/// snapshot now due, over the full log. Returns the three times and the
-/// records replayed.
+/// the next record would pass the restore's replay budget, times the
+/// restore of the snapshot plus every record, and then times the
+/// durable write of the snapshot now due, over the full log. Returns
+/// the three times and the records replayed.
 fn log_stages(sketch: &DistinctCountSketch, dir: &Path) -> (Duration, Duration, Duration, u64) {
     let path = dir.join("monitor.ckpt");
     let mut manager = CheckpointManager::new(&path);
-    let snapshot = manager
+    manager
         .save(&Checkpoint::Sketch(sketch.to_state()))
         .expect("save snapshot");
     // More fresh pairs than the log can hold, cut into boundaries.
     let workload = PaperWorkload::generate(WorkloadConfig {
-        distinct_pairs: snapshot / 8 + BOUNDARY as u64,
+        distinct_pairs: LOG_ENTRY_BUDGET + BOUNDARY as u64,
         num_destinations: 1_000,
         skew: 1.0,
         seed: 4,
     });
-    let mut boundaries = workload.updates().chunks(BOUNDARY);
+    let mut boundaries = workload.updates().chunks(BOUNDARY).map(folded);
     let first = boundaries.next().expect("at least one boundary");
-    let (appended, append_t) = timed(|| manager.append(first));
+    let (appended, append_t) = timed(|| manager.append_net(&first));
     appended.expect("append a boundary");
     let mut expected = sketch.clone();
-    expected.update_batch(first);
+    expected.apply_net(&first);
     for boundary in boundaries {
-        if !manager.can_append(boundary.len()) {
+        if !manager.can_append(boundary.entries.len()) {
             break;
         }
-        manager.append(boundary).expect("append a boundary");
-        expected.update_batch(boundary);
+        manager.append_net(&boundary).expect("append a boundary");
+        expected.apply_net(&boundary);
     }
     let ((restored, replayed), restore_t) = timed(|| {
         let mut restorer = CheckpointManager::new(&path);
@@ -106,7 +146,7 @@ fn log_stages(sketch: &DistinctCountSketch, dir: &Path) -> (Duration, Duration, 
         let mut restored = DistinctCountSketch::from_state(state).expect("restore snapshot");
         let from = restored.updates_processed();
         let replay = restorer
-            .replay_log(from, |updates| restored.update_batch(updates))
+            .replay_log(from, |batch| restored.apply_net(batch))
             .expect("replay the log");
         (restored, replay.replayed)
     });
@@ -282,6 +322,17 @@ fn main() {
     print!("{}", table.render());
     println!("sample checkpoint left at {}", sample_path.display());
 
+    let handshake = handshake_boundary();
+    let net = folded(&handshake);
+    let (raw_bytes, net_bytes) = (record_len(handshake.len()), record_len(net.entries.len()));
+    println!(
+        "\nhandshake-shaped boundary: {} updates fold to {} entries; log record {} B folded, {} B update by update",
+        handshake.len(),
+        net.entries.len(),
+        net_bytes,
+        raw_bytes
+    );
+
     let mut cancelled_table = Table::new(vec![
         "pairs deleted".into(),
         "levels".into(),
@@ -309,6 +360,9 @@ fn main() {
         .with_series("u", series_u)
         .with_series("checkpoint_bytes", series_bytes)
         .with_series("log_records", series_log_records)
+        .parameter("handshake_updates", handshake.len() as u64)
+        .parameter("handshake_record_bytes", net_bytes)
+        .parameter("handshake_raw_record_bytes", raw_bytes)
         .parameter("cancelled_u", largest)
         .with_series(
             "cancelled_deleted_share",

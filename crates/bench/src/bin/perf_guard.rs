@@ -22,7 +22,7 @@ use std::fmt;
 use std::hint::black_box;
 use std::time::Instant;
 
-use dcs_core::{DistinctCountSketch, FlowUpdate, SketchConfig};
+use dcs_core::{DistinctCountSketch, FlowUpdate, NetBatch, SketchConfig, UpdateFold};
 use dcs_netsim::sharded::ShardedIngest;
 use dcs_netsim::{EpochWindow, WindowPolicy};
 use dcs_persist::{Checkpoint, CheckpointManager};
@@ -257,15 +257,22 @@ fn window_slide(epochs: usize, reps: usize) -> [Stats; 2] {
 }
 
 /// One checkpoint boundary's durable write as an all-time `Monitor` in
-/// `run_pipeline` makes it: an update-log record of the boundary's
-/// updates (encode and CRC, append, `fdatasync`), against the
+/// `run_pipeline` makes it: an update-log record of the boundary's net
+/// changes, folded outside the timer as the pipeline folds them while it
+/// ingests (encode and CRC, append, `fdatasync`), against the
 /// `CheckpointManager::save` of the whole sketch's kind-1 document
 /// (encode, write, fsync, rename, directory fsync, log truncation) that
 /// every boundary wrote before. The sketch holds the same seed-42
 /// updates. Each save truncates the log, so every append extends a
-/// fresh log, as the first one after a snapshot does.
+/// fresh log, as the first one after a snapshot does. The boundary's
+/// distinct inserts cancel nothing, so the record holds one `+1` entry
+/// per update.
 fn persist(updates: usize, reps: usize) -> [Stats; 2] {
     let boundary = workload(updates as u64, 1_000, 42);
+    let mut net = NetBatch::default();
+    let mut fold = UpdateFold::new();
+    fold.absorb(&boundary, &mut net);
+    fold.flush(&mut net);
     let config = SketchConfig::builder()
         .seed(42)
         .build()
@@ -281,7 +288,7 @@ fn persist(updates: usize, reps: usize) -> [Stats; 2] {
         reps,
         &mut manager,
         |_| {},
-        |manager| manager.append(&boundary).expect("log appends"),
+        |manager| manager.append_net(&net).expect("log appends"),
         |manager| manager.save(&snapshot).expect("snapshot saves"),
     );
     let _ = std::fs::remove_dir_all(&dir);

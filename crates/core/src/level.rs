@@ -54,10 +54,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::signature::{
-    merge_slab, slab_is_zero, slide_slab, subtract_slab, BucketState, CountSignature,
+    merge_slab, slab_is_zero, slide_slab, subtract_slab, BucketState, Change, CountSignature,
     HEADROOM_TOTAL, SUM_BYTES, TOTAL_BYTES,
 };
-use crate::types::{Delta, FlowKey};
+use crate::types::FlowKey;
 use dcs_hash::cast::usize_from_u32;
 
 /// Bucket slots folded per occupancy-mask chunk of the screen pass —
@@ -265,18 +265,18 @@ impl LevelState {
         self.fp_sums[slot] = sig.fp;
     }
 
-    /// Applies an update with the key's fingerprint precomputed, so the
-    /// sketch hashes the key once per update instead of once per table.
+    /// Applies a raw update or a net change with the key's fingerprint
+    /// precomputed, so the sketch hashes the key once per change instead
+    /// of once per table.
     #[inline]
     pub(crate) fn apply_with_fp(
         &mut self,
         table: usize,
         bucket: usize,
-        key: FlowKey,
-        delta: Delta,
+        change: impl Change,
         fp: u64,
     ) {
-        let sig = self.signature(table, bucket).after(key, delta, fp);
+        let sig = change.step(self.signature(table, bucket), fp);
         self.set_signature(table, bucket, sig);
     }
 
@@ -495,7 +495,7 @@ impl LevelState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{DestAddr, SourceAddr};
+    use crate::types::{Delta, DestAddr, FlowUpdate, SourceAddr};
     use std::collections::BTreeSet;
 
     fn key(s: u32, d: u32) -> FlowKey {
@@ -505,7 +505,7 @@ mod tests {
     impl LevelState {
         fn apply(&mut self, table: usize, bucket: usize, key: FlowKey, delta: Delta) {
             let fp = dcs_hash::mix::fingerprint64(key.packed());
-            self.apply_with_fp(table, bucket, key, delta, fp);
+            self.apply_with_fp(table, bucket, FlowUpdate { key, delta }, fp);
         }
 
         fn restored(&self) -> Self {

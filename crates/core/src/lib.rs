@@ -57,6 +57,7 @@
 pub mod config;
 pub mod error;
 pub mod estimator;
+pub mod fold;
 pub mod heap;
 pub(crate) mod level;
 pub mod signature;
@@ -77,6 +78,7 @@ pub use dcs_hash::det::{DetHashMap, DetHashSet};
 pub use dcs_telemetry as telemetry;
 pub use error::SketchError;
 pub use estimator::{TopKEntry, TopKEstimate};
+pub use fold::UpdateFold;
 pub use sketch::{DistinctCountSketch, DistinctSample, EpochSlide, BATCH_CHUNK, BATCH_MIN_ROUTED};
 pub use space::{
     brute_force_bytes, paper_sketch_bytes, predicted_sketch_bytes, SpaceReport,
@@ -84,7 +86,7 @@ pub use space::{
 };
 pub use state::{LevelSlabs, SketchState, TrackingLevelState, TrackingState};
 pub use tracking::TrackingDcs;
-pub use types::{Delta, DestAddr, FlowKey, FlowUpdate, GroupBy, SourceAddr};
+pub use types::{Delta, DestAddr, FlowKey, FlowUpdate, GroupBy, NetBatch, NetUpdate, SourceAddr};
 
 #[cfg(test)]
 mod tests {

@@ -41,10 +41,10 @@
 
 use std::ops::{BitOr, BitXor};
 
-use dcs_hash::cast::{high_u32, low_u32};
+use dcs_hash::cast::{high_u32, low_u32, wrapping_i32_from_i64, wrapping_u64_from_i64};
 use dcs_hash::mix::fingerprint64;
 
-use crate::types::{Delta, FlowKey};
+use crate::types::{Delta, FlowKey, FlowUpdate, NetUpdate};
 
 /// Bytes of a bucket's total: the paper's 4-byte counter.
 pub const TOTAL_BYTES: usize = std::mem::size_of::<i32>();
@@ -176,6 +176,23 @@ impl CountSignature {
         }
     }
 
+    /// The signature after a net change of `net` copies of `key`, with
+    /// the key's fingerprint `fp` precomputed: every word moves by `net`
+    /// times the key's word, wrapping, which is where `|net|` steps of
+    /// [`after`](Self::after) would leave it.
+    #[inline]
+    pub(crate) fn after_net(self, key: FlowKey, net: i64, fp: u64) -> Self {
+        let (lo, hi) = halves(key);
+        Self {
+            total: self.total.wrapping_add(wrapping_i32_from_i64(net)),
+            lo: self.lo.wrapping_add(net.wrapping_mul(lo)),
+            hi: self.hi.wrapping_add(net.wrapping_mul(hi)),
+            fp: self
+                .fp
+                .wrapping_add(wrapping_u64_from_i64(net).wrapping_mul(fp)),
+        }
+    }
+
     /// The net total number of pairs mapped to this bucket.
     #[inline]
     pub fn net_total(&self) -> i64 {
@@ -245,6 +262,52 @@ impl CountSignature {
         self.lo == t.wrapping_mul(lo)
             && self.hi == t.wrapping_mul(hi)
             && self.fp == u64::from(self.total.unsigned_abs()).wrapping_mul(fp)
+    }
+}
+
+/// What the sketch's update plans apply: one raw update, or a pair's
+/// net change over a stretch of the stream. Both step a bucket here, so
+/// every counter mutation stays in this module.
+pub(crate) trait Change: Copy {
+    /// The pair the change is to.
+    fn key(self) -> FlowKey;
+    /// The change in the pair's count: `±1` for a raw update.
+    fn net(self) -> i64;
+    /// `sig` after the change, with the key's fingerprint `fp`.
+    fn step(self, sig: CountSignature, fp: u64) -> CountSignature;
+}
+
+impl Change for FlowUpdate {
+    #[inline]
+    fn key(self) -> FlowKey {
+        self.key
+    }
+
+    #[inline]
+    fn net(self) -> i64 {
+        self.delta.signum()
+    }
+
+    #[inline]
+    fn step(self, sig: CountSignature, fp: u64) -> CountSignature {
+        sig.after(self.key, self.delta, fp)
+    }
+}
+
+impl Change for NetUpdate {
+    #[inline]
+    fn key(self) -> FlowKey {
+        self.key
+    }
+
+    #[inline]
+    fn net(self) -> i64 {
+        self.delta
+    }
+
+    #[inline]
+    fn step(self, sig: CountSignature, fp: u64) -> CountSignature {
+        sig.after_net(self.key, self.delta, fp)
     }
 }
 
@@ -505,6 +568,34 @@ mod tests {
         assert_eq!(sig.total, i32::MIN);
         sig.apply(k, Delta::Delete);
         assert_eq!(sig, parked);
+    }
+
+    /// A net change of `n` lands where `|n|` single steps do, across the
+    /// 4-byte total's wrap too.
+    #[test]
+    fn a_net_change_equals_its_single_steps() {
+        let k = key(0xdead_beef, 0x0a00_0001);
+        let fp = fingerprint64(k.packed());
+        let mut parked = CountSignature::new();
+        parked.apply(k, Delta::Insert);
+        parked.total = i32::MAX - 2;
+        for start in [CountSignature::new(), parked] {
+            for net in [-5i64, -1, 0, 1, 2, 7] {
+                let delta = if net < 0 {
+                    Delta::Delete
+                } else {
+                    Delta::Insert
+                };
+                let stepped = (0..net.unsigned_abs()).fold(start, |sig, _| sig.after(k, delta, fp));
+                assert_eq!(start.after_net(k, net, fp), stepped, "net {net}");
+            }
+        }
+        // 2³² steps of +1 leave the total where it was and add 2³²
+        // copies to each sum.
+        let big = 1i64 << 32;
+        let moved = parked.after_net(k, big, fp);
+        assert_eq!(moved.total, parked.total);
+        assert_eq!(moved.lo, parked.lo + big * i64::from(low_u32(k.packed())));
     }
 
     /// `holds_only` fires exactly when the decode on both sides of the

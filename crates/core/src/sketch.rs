@@ -15,10 +15,10 @@ use crate::estimator::{
     TopKEstimate,
 };
 use crate::level::{LevelSlide, LevelState};
-use crate::signature::BucketState;
+use crate::signature::{BucketState, Change};
 use crate::state::{LevelSlabs, SketchState};
 use crate::telem::{Counter, Telem};
-use crate::types::{Delta, FlowKey, FlowUpdate, GroupBy};
+use crate::types::{Delta, FlowKey, FlowUpdate, GroupBy, NetBatch};
 
 /// Updates per internal batch chunk: bounds the scratch buffers of
 /// [`DistinctCountSketch::update_batch`] (and the tracking equivalent)
@@ -279,27 +279,27 @@ impl DistinctCountSketch {
     /// the update to the count signature at `g_j(u,v)`.
     #[inline]
     pub fn update(&mut self, update: FlowUpdate) {
-        self.apply_update(update);
+        self.apply_change(update);
+        self.updates_processed += 1;
+        self.net_updates += update.delta.signum();
     }
 
     /// The scalar core shared by [`update`](Self::update) and the
-    /// short-batch plan of [`update_batch`](Self::update_batch): hash,
-    /// materialize the level, apply to all `r` tables, bump the stream
-    /// counters. Exactly one code path mutates counters per update, so
-    /// the two entry points cannot drift.
+    /// short-batch plan of [`update_batch`](Self::update_batch) and
+    /// [`apply_net`](Self::apply_net): hash, materialize the level,
+    /// apply to all `r` tables. The callers bump the stream counters.
     #[inline]
-    fn apply_update(&mut self, update: FlowUpdate) {
-        let level = usize_from_u32(self.level_of(update.key));
+    fn apply_change(&mut self, change: impl Change) {
+        let packed = change.key().packed();
+        let level = usize_from_u32(self.level_hash.level(packed));
         let buckets = self.config.buckets_per_table();
         let num_tables = self.config.num_tables();
-        let fp = fingerprint64(update.key.packed());
+        let fp = fingerprint64(packed);
         let state = self.levels[level].get_or_insert_with(|| LevelState::new(num_tables, buckets));
         for (table, hash) in self.table_hashes.iter().enumerate() {
-            let bucket = hash.hash_to_range(update.key.packed(), buckets);
-            state.apply_with_fp(table, bucket, update.key, update.delta, fp);
+            let bucket = hash.hash_to_range(packed, buckets);
+            state.apply_with_fp(table, bucket, change, fp);
         }
-        self.updates_processed += 1;
-        self.net_updates += update.delta.signum();
     }
 
     /// Convenience: processes a `+1` update for `(source, dest)`.
@@ -314,9 +314,8 @@ impl DistinctCountSketch {
 
     /// Processes a batch of updates — equivalent to calling
     /// [`update`](Self::update) for each element in order (bit-identical
-    /// final counters), but faster on large batches. This is the single
-    /// public batch entry point: it measures nothing at call time but
-    /// auto-selects between two pre-measured plans.
+    /// final counters), but faster on large batches. It measures nothing
+    /// at call time but auto-selects between two pre-measured plans.
     ///
     /// * Batches shorter than [`BATCH_MIN_ROUTED`] run the scalar
     ///   per-update core directly — the routed plan's scratch fills
@@ -333,49 +332,70 @@ impl DistinctCountSketch {
     /// call, regardless of which plan runs. ([`update`](Self::update)
     /// records no latency.)
     pub fn update_batch(&mut self, updates: &[FlowUpdate]) {
-        if updates.is_empty() {
+        self.apply_batch(updates, u64_from_usize(updates.len()));
+    }
+
+    /// Applies a batch of net changes ([`crate::UpdateFold`] makes
+    /// them) and advances [`updates_processed`](Self::updates_processed)
+    /// by the `covered` raw updates they stand for. The counters, and
+    /// [`net_updates`](Self::net_updates), end exactly as
+    /// [`update_batch`](Self::update_batch) of those raw updates would
+    /// leave them: every counter is a wrapping sum, so a pair's net
+    /// change applied once equals its updates applied one by one, and a
+    /// pair that cancelled needs no entry (DESIGN.md §18). Levels that
+    /// only cancelled updates touched are never materialized.
+    ///
+    /// Runs the plans of `update_batch` over the entries, and so does
+    /// its telemetry: one amortized-latency sample per entry, and one
+    /// batch-size observation of the entry count per call.
+    pub fn apply_net(&mut self, batch: &NetBatch) {
+        self.apply_batch(&batch.entries, batch.covered);
+    }
+
+    /// The body of [`update_batch`](Self::update_batch) and
+    /// [`apply_net`](Self::apply_net): `changes` stand for `covered`
+    /// updates of the stream.
+    fn apply_batch<C: Change>(&mut self, changes: &[C], covered: u64) {
+        self.updates_processed += covered;
+        if changes.is_empty() {
             return;
         }
         let timer = self.telem.start_timer();
-        if updates.len() < BATCH_MIN_ROUTED {
-            for &update in updates {
-                self.apply_update(update);
+        let mut net = 0i64;
+        if changes.len() < BATCH_MIN_ROUTED {
+            for &change in changes {
+                self.apply_change(change);
+                net += change.net();
             }
         } else {
-            let mut scratch = BatchScratch::new(updates.len(), self.config.num_tables());
-            for chunk in updates.chunks(BATCH_CHUNK) {
-                self.update_chunk(chunk, &mut scratch);
+            let mut scratch = BatchScratch::new(changes.len(), self.config.num_tables());
+            for chunk in changes.chunks(BATCH_CHUNK) {
+                net += self.update_chunk(chunk, &mut scratch);
             }
         }
-        self.telem.record_update_batch(timer, updates.len());
+        self.net_updates += net;
+        self.telem.record_update_batch(timer, changes.len());
     }
 
     /// One [`BATCH_CHUNK`]-bounded chunk of the routed batch plan
-    /// (`scratch` is allocated once per [`update_batch`] call and
-    /// reused across chunks).
+    /// (`scratch` is allocated once per [`apply_batch`] call and
+    /// reused across chunks). Returns the chunk's net change.
     ///
-    /// [`update_batch`]: Self::update_batch
-    fn update_chunk(&mut self, chunk: &[FlowUpdate], scratch: &mut BatchScratch) {
+    /// [`apply_batch`]: Self::apply_batch
+    fn update_chunk<C: Change>(&mut self, chunk: &[C], scratch: &mut BatchScratch) -> i64 {
         self.route_chunk(chunk, scratch);
         let num_tables = self.config.num_tables();
         let mut net = 0i64;
-        for (i, &update) in chunk.iter().enumerate() {
+        for (i, &change) in chunk.iter().enumerate() {
             if let Some(state) = self.levels[scratch.level(i)].as_mut() {
                 let fp = scratch.fp(i);
                 for table in 0..num_tables {
-                    state.apply_with_fp(
-                        table,
-                        scratch.bucket(table, i),
-                        update.key,
-                        update.delta,
-                        fp,
-                    );
+                    state.apply_with_fp(table, scratch.bucket(table, i), change, fp);
                 }
             }
-            net += update.delta.signum();
+            net += change.net();
         }
-        self.updates_processed += u64_from_usize(chunk.len());
-        self.net_updates += net;
+        net
     }
 
     /// Pass 1 of a batch chunk: bulk-hashes every key exactly once into
@@ -386,12 +406,12 @@ impl DistinctCountSketch {
     /// tight slice loop (one call per table per chunk), which is what
     /// lets the mixing arithmetic unroll and vectorize across keys.
     /// Shared with the tracking layer's batch path.
-    pub(crate) fn route_chunk(&mut self, chunk: &[FlowUpdate], scratch: &mut BatchScratch) {
+    pub(crate) fn route_chunk<C: Change>(&mut self, chunk: &[C], scratch: &mut BatchScratch) {
         let n = chunk.len();
         debug_assert!(n <= scratch.chunk_cap());
         let num_buckets = self.config.buckets_per_table();
-        for (slot, update) in scratch.stripe_mut(STRIPE_PACKED)[..n].iter_mut().zip(chunk) {
-            *slot = update.key.packed();
+        for (slot, change) in scratch.stripe_mut(STRIPE_PACKED)[..n].iter_mut().zip(chunk) {
+            *slot = change.key().packed();
         }
         {
             let (packed, levels) = scratch.stripe_pair_mut(STRIPE_PACKED, STRIPE_LEVELS);
@@ -488,7 +508,7 @@ impl DistinctCountSketch {
         fp: u64,
     ) {
         self.level_mut(level)
-            .apply_with_fp(table, bucket, key, delta, fp);
+            .apply_with_fp(table, bucket, FlowUpdate { key, delta }, fp);
     }
 
     pub(crate) fn note_update(&mut self, delta: Delta) {

@@ -260,6 +260,77 @@ impl fmt::Display for FlowUpdate {
     }
 }
 
+/// A pair's net change over a stretch of the stream: the sum of its
+/// updates' signs. The sketch is linear, so applying the net change
+/// leaves every counter as the updates themselves would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct NetUpdate {
+    /// The source-destination pair.
+    pub key: FlowKey,
+    /// The sum of the pair's `±1` updates.
+    pub delta: i64,
+}
+
+impl From<FlowUpdate> for NetUpdate {
+    fn from(update: FlowUpdate) -> Self {
+        Self {
+            key: update.key,
+            delta: update.delta.signum(),
+        }
+    }
+}
+
+/// The net changes of a stretch of `covered` consecutive updates of the
+/// stream, as [`crate::UpdateFold`] emits them: a pair may appear more
+/// than once, and pairs whose updates cancelled need not appear at all.
+/// Applying the entries leaves every counter as the `covered` updates
+/// would, and the stream position advances by `covered`.
+///
+/// # Examples
+///
+/// ```
+/// use dcs_core::{DestAddr, DistinctCountSketch, FlowUpdate, NetBatch, SketchConfig, SourceAddr};
+///
+/// let updates = [
+///     FlowUpdate::insert(SourceAddr(1), DestAddr(80)),
+///     FlowUpdate::delete(SourceAddr(1), DestAddr(80)),
+/// ];
+/// let mut raw = DistinctCountSketch::new(SketchConfig::paper_default());
+/// raw.update_batch(&updates);
+/// let mut net = DistinctCountSketch::new(SketchConfig::paper_default());
+/// net.apply_net(&NetBatch { entries: Vec::new(), covered: 2 });
+/// assert_eq!(net.to_state(), raw.to_state());
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NetBatch {
+    /// The net changes, in no particular order.
+    pub entries: Vec<NetUpdate>,
+    /// How many raw updates the entries stand for.
+    pub covered: u64,
+}
+
+impl NetBatch {
+    /// The batch of `updates` as they are: one `±1` entry per update.
+    pub fn from_updates(updates: &[FlowUpdate]) -> Self {
+        Self {
+            entries: updates.iter().map(|&u| NetUpdate::from(u)).collect(),
+            covered: dcs_hash::cast::u64_from_usize(updates.len()),
+        }
+    }
+
+    /// Empties the batch, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.covered = 0;
+    }
+
+    /// Appends `other`: the batch of the two stretches back to back.
+    pub fn extend_from(&mut self, other: &Self) {
+        self.entries.extend_from_slice(&other.entries);
+        self.covered += other.covered;
+    }
+}
+
 /// Which end of the pair the sketch aggregates distinct counts for.
 ///
 /// The paper's DDoS monitor groups by destination (how many distinct

@@ -110,6 +110,31 @@ pub fn u64_from_i64(v: i64) -> u64 {
     }
 }
 
+/// An `i64` reduced mod 2³² into `i32` — explicitly lossy: the step a
+/// net change of `n` makes to a wrapping 4-byte counter, which `n`
+/// steps of `±1` would make too.
+#[inline]
+#[must_use]
+pub const fn wrapping_i32_from_i64(v: i64) -> i32 {
+    v as i32
+}
+
+/// An `i64` reduced mod 2⁶⁴ into `u64` (its two's-complement bits): the
+/// multiplier of a net change in a wrapping `u64` sum.
+#[inline]
+#[must_use]
+pub const fn wrapping_u64_from_i64(v: i64) -> u64 {
+    v as u64
+}
+
+/// A `u64`'s bits read as two's-complement `i64`: the inverse of
+/// [`wrapping_u64_from_i64`].
+#[inline]
+#[must_use]
+pub const fn wrapping_i64_from_u64(v: u64) -> i64 {
+    v as i64
+}
+
 /// The low 32 bits of a packed 64-bit pair — explicitly lossy.
 #[inline]
 #[must_use]

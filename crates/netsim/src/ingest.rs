@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use dcs_core::{cast, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError};
+use dcs_core::{cast, DistinctCountSketch, FlowUpdate, NetBatch, SketchConfig, SketchError};
 use dcs_telemetry::LogHistogram;
 
 /// Jobs capacity of each worker's queue. At the 1024-update handoff
@@ -36,6 +36,8 @@ const RING_CAPACITY: usize = 64;
 enum Job {
     /// Apply this routed slice of the stream, in order.
     Batch(Vec<FlowUpdate>),
+    /// Apply these net changes, which stand for `covered` updates.
+    Net(NetBatch),
     /// Test hook: panic inside the worker with this message, holding
     /// the shard lock when `locked`, so both dead-worker paths can be
     /// exercised deterministically.
@@ -73,6 +75,11 @@ fn worker_loop(jobs: Receiver<Job>, shard: &Shard) {
                 shard
                     .drained
                     .fetch_add(cast::u64_from_usize(items.len()), Ordering::Release);
+            }
+            Job::Net(batch) => {
+                let mut sketch = shard.lock();
+                sketch.apply_net(&batch);
+                shard.drained.fetch_add(batch.covered, Ordering::Release);
             }
             #[cfg(test)]
             Job::Explode { message, locked } => {
@@ -164,6 +171,18 @@ impl WorkerPool {
     pub(crate) fn dispatch(&mut self, owner: usize, slice: &[FlowUpdate]) {
         self.send(owner, Job::Batch(slice.to_vec()));
         self.dispatched[owner] += cast::u64_from_usize(slice.len());
+    }
+
+    /// Hands a batch of net changes to shard `owner`'s queue, waiting
+    /// while the queue is full.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::dispatch`].
+    pub(crate) fn dispatch_net(&mut self, owner: usize, batch: NetBatch) {
+        let covered = batch.covered;
+        self.send(owner, Job::Net(batch));
+        self.dispatched[owner] += covered;
     }
 
     /// Sends `job` to shard `owner`'s worker; a worker that has gone

@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 use dcs_core::{
-    DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TopKEstimate, TrackingDcs,
+    DistinctCountSketch, FlowUpdate, NetBatch, SketchConfig, SketchError, TopKEstimate, TrackingDcs,
 };
 use dcs_persist::{Checkpoint, PersistError};
 use dcs_telemetry::TelemetrySnapshot;
@@ -341,6 +341,13 @@ impl Cumulative {
         }
     }
 
+    fn ingest_net(&mut self, batch: &NetBatch) {
+        match self {
+            Self::Direct(sketch) => sketch.apply_net(batch),
+            Self::Sharded(engine) => engine.ingest_net(batch),
+        }
+    }
+
     /// The cumulative sketch now: borrowed when direct; flushed and
     /// merged when sharded (a merge error is unreachable with one
     /// shared configuration).
@@ -481,6 +488,14 @@ impl Monitor {
     /// window only reads it when an epoch closes).
     pub fn ingest(&mut self, updates: &[FlowUpdate]) {
         self.cumulative.ingest(updates);
+    }
+
+    /// Ingests a batch of net changes ([`dcs_core::UpdateFold`] makes
+    /// them), advancing the stream position by the updates it covers:
+    /// the cumulative sketch ends as [`ingest`](Self::ingest) of those
+    /// updates would leave it.
+    pub fn ingest_net(&mut self, batch: &NetBatch) {
+        self.cumulative.ingest_net(batch);
     }
 
     /// Judges the alarm rules and returns any alarms raised. All-time,

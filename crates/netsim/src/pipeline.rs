@@ -15,6 +15,14 @@
 //! only cuts the stream at evaluation, telemetry and checkpoint
 //! boundaries and runs the two sidecars.
 //!
+//! Between two boundaries the loop folds the updates into one net change
+//! per pair ([`UpdateFold`]) and hands the sketch only that at the
+//! boundary, so a handshake that opens and completes in between costs
+//! the sketch nothing. The sketch is linear, so every judgment sees the
+//! counters raw ingest would have built, bit for bit; the same net
+//! changes are the update log's records (DESIGN.md §18, "Folding an
+//! interval").
+//!
 //! The Tracking DCS (§5) is deliberately not on the ingest path: it
 //! makes every update dearer so that queries are cheap, and at
 //! evaluation cadence `BaseTopk` returns the same ranking for far less
@@ -27,7 +35,7 @@ use std::sync::mpsc::{self, SyncSender};
 use std::thread;
 use std::time::Instant;
 
-use dcs_core::{FlowUpdate, SketchConfig};
+use dcs_core::{FlowUpdate, NetBatch, SketchConfig, UpdateFold};
 use dcs_persist::CheckpointManager;
 use dcs_telemetry::{JsonlExporter, LogHistogram, TelemetrySnapshot};
 
@@ -236,6 +244,16 @@ fn nanos_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// The monitor's telemetry snapshot plus the fold's counter:
+/// `ingest_updates_folded`, the raw updates minus the net entries the
+/// sketch ingested. The sketch's own update histogram times those net
+/// entries.
+fn pipeline_snapshot(monitor: &Monitor, folding: &Folding, label: &str) -> TelemetrySnapshot {
+    let mut snap = monitor.telemetry_snapshot(label);
+    snap.set_counter("ingest_updates_folded", folding.folded_away);
+    snap
+}
+
 /// Appends one prepared snapshot (extended with checkpoint counters
 /// when checkpointing is active), disabling the exporter on I/O failure
 /// so a full disk degrades to a warning rather than a panic or a flood
@@ -318,7 +336,7 @@ fn resume_from(
 /// is then a snapshot.
 fn replay_log(manager: &mut CheckpointManager, monitor: &mut Monitor, stats: &mut CheckpointStats) {
     let from = monitor.updates_processed();
-    match manager.replay_log(from, |updates| monitor.ingest(updates)) {
+    match manager.replay_log(from, |batch| monitor.ingest_net(batch)) {
         Ok(replay) => {
             stats.replayed = replay.replayed;
             stats.dropped = replay.dropped;
@@ -357,29 +375,66 @@ fn evaluate_into(
     }
 }
 
+/// The monitor loop's fold: the updates since the last boundary, folded
+/// to their net changes, and an all-time monitor's net changes since its
+/// last durable checkpoint write.
+#[derive(Debug, Default)]
+struct Folding {
+    fold: UpdateFold,
+    /// The interval's net changes so far: what the fold evicted.
+    interval: NetBatch,
+    /// The net changes since the last durable write: the next
+    /// update-log record.
+    pending: NetBatch,
+    /// Raw updates minus the net entries the sketch ingested.
+    folded_away: u64,
+}
+
+impl Folding {
+    /// Folds `chunk` into the interval.
+    fn absorb(&mut self, chunk: &[FlowUpdate]) {
+        self.fold.absorb(chunk, &mut self.interval);
+    }
+
+    /// Closes the interval at a boundary: the monitor ingests its net
+    /// changes and, when `logged`, they join the pending log record.
+    fn settle(&mut self, monitor: &mut Monitor, logged: bool) {
+        if self.interval.covered == 0 {
+            return;
+        }
+        self.fold.flush(&mut self.interval);
+        monitor.ingest_net(&self.interval);
+        self.folded_away += self.interval.covered - self.interval.entries.len() as u64;
+        if logged {
+            self.pending.extend_from(&self.interval);
+        }
+        self.interval.clear();
+    }
+}
+
 /// Makes the monitor's state durable at a checkpoint boundary, timing
 /// the write and disabling checkpointing on failure (same degradation
 /// contract as the telemetry exporter: warn once, carry on). `pending`
-/// holds the updates since the last durable write. They are appended
-/// to the update log as one record while
+/// holds the net changes since the last durable write. They are
+/// appended to the update log as one record while
 /// [`CheckpointManager::can_append`] allows: an all-time snapshot of
-/// this run is on disk, and the log stays no larger than it. Otherwise,
-/// and at `shutdown` when anything is pending or logged, the monitor's
-/// whole state is saved as a snapshot, which truncates the log. A
-/// sharded merge failure — unreachable with one shared configuration —
-/// skips the save with a warning and keeps `pending`.
+/// this run is on disk, and a restore stays within its replay budget.
+/// Otherwise, and at `shutdown` when anything is pending or logged, the
+/// monitor's whole state is saved as a snapshot, which truncates the
+/// log. A sharded merge failure — unreachable with one shared
+/// configuration — skips the save with a warning and keeps `pending`.
 fn write_checkpoint(
     manager: &mut Option<CheckpointManager>,
     monitor: &mut Monitor,
-    pending: &mut Vec<FlowUpdate>,
+    pending: &mut NetBatch,
     stats: &mut CheckpointStats,
     shutdown: bool,
 ) {
     let Some(mgr) = manager else {
         return;
     };
-    let appendable = mgr.can_append(pending.len());
-    if shutdown && appendable && pending.is_empty() && mgr.log_records() == 0 {
+    let appendable = mgr.can_append(pending.entries.len());
+    if shutdown && appendable && pending.covered == 0 && mgr.log_records() == 0 {
         return;
     }
     let snapshot = if appendable && !shutdown {
@@ -396,7 +451,7 @@ fn write_checkpoint(
     let started = Instant::now();
     let written = match &snapshot {
         Some(checkpoint) => mgr.save(checkpoint),
-        None => mgr.append(pending),
+        None => mgr.append_net(pending),
     };
     pending.clear();
     match written {
@@ -548,9 +603,8 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
         .and_then(|m| resume_from(m, &sketch, policy, window, &mut ckpt_stats));
     let restored_from_checkpoint = restored.is_some();
     let mut monitor = restored.unwrap_or(fresh).with_shards(ingest_shards);
-    // An all-time monitor's updates since its last durable checkpoint
-    // write: the next update-log record.
-    let mut pending = Vec::new();
+    let logged = monitor.window().is_none();
+    let mut folding = Folding::default();
     // A failed sidecar must not kill the detection run: report on
     // stderr and carry on without telemetry.
     let mut exporter = sidecar.as_ref().and_then(|s| {
@@ -575,14 +629,15 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                 batch
             }
             Shipment::Mark(boundary) => {
+                folding.settle(&mut monitor, logged && ckpt_manager.is_some());
                 evaluate_into(&mut monitor, &mut alarms, &mut judged_at, boundary);
                 continue;
             }
         };
-        // Feed the batched fast path in sub-chunks that stop exactly at
-        // the next evaluation/snapshot/checkpoint boundary, so alarms,
-        // snapshots, and checkpoints fire at the same ingested counts as
-        // a per-update loop.
+        // Fold the batch in sub-chunks that stop exactly at the next
+        // evaluation/snapshot/checkpoint boundary, so alarms, snapshots,
+        // and checkpoints fire at the same ingested counts as a
+        // per-update loop, each over the interval's net changes.
         let mut offset = 0usize;
         while offset < batch.len() {
             let remaining = batch.len() - offset;
@@ -593,13 +648,12 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
             let take = usize::try_from(until_boundary)
                 .unwrap_or(remaining)
                 .min(remaining);
-            let chunk = &batch[offset..offset + take];
-            monitor.ingest(chunk);
-            if ckpt_manager.is_some() && monitor.window().is_none() {
-                pending.extend_from_slice(chunk);
-            }
+            folding.absorb(&batch[offset..offset + take]);
             offset += take;
             ingested += take as u64;
+            if ingested >= next_eval.min(next_snapshot).min(next_checkpoint) {
+                folding.settle(&mut monitor, logged && ckpt_manager.is_some());
+            }
             if ingested >= next_eval {
                 evaluate_into(&mut monitor, &mut alarms, &mut judged_at, clock);
                 next_eval += evaluate_every;
@@ -608,7 +662,7 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                 if exporter.is_some() {
                     export_snapshot(
                         &mut exporter,
-                        monitor.telemetry_snapshot("pipeline"),
+                        pipeline_snapshot(&monitor, &folding, "pipeline"),
                         ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
                     );
                 }
@@ -618,7 +672,7 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
                 write_checkpoint(
                     &mut ckpt_manager,
                     &mut monitor,
-                    &mut pending,
+                    &mut folding.pending,
                     &mut ckpt_stats,
                     false,
                 );
@@ -639,19 +693,20 @@ pub fn run_pipeline(router_feeds: Vec<Vec<TcpSegment>>, config: PipelineConfig) 
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
+    folding.settle(&mut monitor, logged && ckpt_manager.is_some());
     evaluate_into(&mut monitor, &mut alarms, &mut judged_at, clock);
     // One final snapshot so a clean shutdown resumes without a log.
     write_checkpoint(
         &mut ckpt_manager,
         &mut monitor,
-        &mut pending,
+        &mut folding.pending,
         &mut ckpt_stats,
         true,
     );
     if exporter.is_some() {
         export_snapshot(
             &mut exporter,
-            monitor.telemetry_snapshot("pipeline_final"),
+            pipeline_snapshot(&monitor, &folding, "pipeline_final"),
             ckpt_manager.as_ref().map(|m| (&ckpt_stats, m)),
         );
     }
@@ -911,6 +966,36 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn folded_updates_reach_the_telemetry_sidecar() {
+        let path = std::env::temp_dir().join(format!(
+            "dcs_pipeline_folded_telemetry_{}.jsonl",
+            std::process::id()
+        ));
+        let mut cfg = config(300);
+        cfg.telemetry = Some(TelemetrySidecar {
+            path: path.clone(),
+            every: 400,
+        });
+        // A crowd's handshakes complete, so most of its updates cancel
+        // within an interval; the flood's SYNs never do.
+        let mut driver = TrafficDriver::new(12);
+        driver
+            .flash_crowd(DestAddr(0x0a00_0003), 1_000)
+            .syn_flood(DestAddr(0x0a00_0002), 400);
+        let report = run_pipeline(vec![driver.into_segments()], cfg);
+        let contents = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let last = contents.lines().last().unwrap();
+        let folded = counter(last, "ingest_updates_folded");
+        assert!(folded > 1_000, "{folded} folded");
+        assert!(folded + 400 <= report.updates_ingested);
+        assert_eq!(
+            report.monitor.sketch().updates_processed(),
+            report.updates_ingested
+        );
     }
 
     #[test]

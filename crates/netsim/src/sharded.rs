@@ -11,7 +11,8 @@
 //! reads the shards in place, merging them when asked.
 
 use dcs_core::{
-    cast, DistinctCountSketch, FlowUpdate, SketchConfig, SketchError, TrackingDcs, BATCH_CHUNK,
+    cast, DistinctCountSketch, FlowUpdate, NetBatch, SketchConfig, SketchError, TrackingDcs,
+    BATCH_CHUNK,
 };
 use dcs_persist::{Checkpoint, PersistError, ShardedCheckpoint};
 use dcs_telemetry::TelemetrySnapshot;
@@ -193,6 +194,47 @@ impl ShardedIngest {
             self.pool.dispatch(owner, &updates[offset..offset + take]);
             offset += take;
             pos += cast::u64_from_usize(take);
+        }
+        self.updates_distributed = pos;
+    }
+
+    /// Routes a batch of net changes into the worker queues and advances
+    /// the position cursor by the updates it covers. The entries go in
+    /// slices of [`BATCH_CHUNK`], each to the shard that owns the
+    /// position it starts at, and each but the last covers as many
+    /// updates as it holds entries; the last covers the rest. By
+    /// linearity any such split merges to the sketch of the covered
+    /// updates.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::ingest`].
+    pub fn ingest_net(&mut self, batch: &NetBatch) {
+        if batch.covered == 0 {
+            return;
+        }
+        let shard_count = cast::u64_from_usize(self.pool.shard_count());
+        let mut pos = self.updates_distributed;
+        let mut rest = batch.covered;
+        let mut slices = batch.entries.chunks(BATCH_CHUNK).peekable();
+        loop {
+            let entries = slices.next().unwrap_or_default();
+            let covered = if slices.peek().is_some() {
+                cast::u64_from_usize(entries.len()).min(rest)
+            } else {
+                rest
+            };
+            let owner = cast::usize_from_u64((pos / SHARD_CHUNK) % shard_count);
+            let slice = NetBatch {
+                entries: entries.to_vec(),
+                covered,
+            };
+            self.pool.dispatch_net(owner, slice);
+            pos += covered;
+            rest -= covered;
+            if rest == 0 {
+                break;
+            }
         }
         self.updates_distributed = pos;
     }

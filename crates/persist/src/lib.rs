@@ -14,7 +14,8 @@
 //! and then fed updates `p..n` is **bit-identical** to a sketch that
 //! processed all `n` updates uninterrupted. Recovery is therefore
 //! "restore + replay the suffix", with no reconciliation step, and the
-//! suffix can be the update log's records — the
+//! suffix can be the update log's records, the net changes of the
+//! updates they cover — the
 //! kill-and-resume tests in `tests/checkpoint_resume.rs` pin this down
 //! slab by slab.
 //!
@@ -50,5 +51,5 @@ pub use codec::{
 };
 pub use error::PersistError;
 pub use log::LogReplay;
-pub use manager::CheckpointManager;
+pub use manager::{CheckpointManager, LOG_ENTRY_BUDGET};
 pub use wire::crc32;

@@ -9,10 +9,11 @@
 //! filesystem might still produce).
 //!
 //! Beside the snapshot, at `<path>.log`, the manager keeps an update
-//! log (see [`crate::log`]). [`append`](CheckpointManager::append) adds
-//! one CRC-framed record of the updates since the last durable point
-//! and `fdatasync`s it, extending a sketch snapshot without rewriting
-//! it. Every save truncates the log, which the new snapshot supersedes.
+//! log (see [`crate::log`]). [`append_net`](CheckpointManager::append_net)
+//! adds one CRC-framed record of the net changes since the last durable
+//! point and `fdatasync`s it, extending a sketch snapshot without
+//! rewriting it. Every save truncates the log, which the new snapshot
+//! supersedes.
 //! A snapshot costs two syncs, the temporary file's and its directory's:
 //! the truncation of a log this manager wrote or adopted is left to the
 //! next append's `fdatasync`, because replay skips every record a crash
@@ -22,12 +23,20 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use dcs_core::FlowUpdate;
+use dcs_core::{FlowUpdate, NetBatch};
 use dcs_hash::cast::u64_from_usize;
 
 use crate::codec::{decode, encode_into, Checkpoint};
 use crate::error::PersistError;
-use crate::log::{self, encode_record, record_len, LogReplay, LOG_HEADER_LEN};
+use crate::log::{self, encode_record, LogReplay, LOG_HEADER_LEN};
+
+/// The restore budget: the most update-log entries a restore replays.
+/// [`CheckpointManager::can_append`] admits a record only while the log
+/// stays within it; past it, the boundary writes a snapshot. Applying an
+/// entry costs one update's sketch work, 30–40 ns on the 2-vCPU host the
+/// benchmarks run on, so a restore replays its log in about 2–3 ms at
+/// most, whatever the cadence or the traffic.
+pub const LOG_ENTRY_BUDGET: u64 = 1 << 16;
 
 /// Writes and reads checkpoints at a fixed path with atomic-rename
 /// semantics, plus the update log that extends a sketch snapshot.
@@ -38,9 +47,6 @@ pub struct CheckpointManager {
     /// The encode buffer, kept across saves and appends so periodic
     /// checkpoints of a steady-size state reuse one allocation.
     buf: Vec<u8>,
-    /// Size of the snapshot file, once written or adopted by
-    /// [`replay_log`](Self::replay_log).
-    snapshot_bytes: u64,
     log: UpdateLog,
 }
 
@@ -54,6 +60,8 @@ struct UpdateLog {
     bytes: u64,
     /// Records in those bytes.
     records: u64,
+    /// Entries in those records: what a restore would replay.
+    entries: u64,
     /// The stream position the snapshot plus the log reach, once the
     /// snapshot on disk is a sketch this manager saved or adopted.
     /// `None` until then: there is nothing of this run to extend.
@@ -68,7 +76,6 @@ impl CheckpointManager {
             path: path.into(),
             saves: 0,
             buf: Vec::new(),
-            snapshot_bytes: 0,
             log: UpdateLog::default(),
         }
     }
@@ -99,18 +106,14 @@ impl CheckpointManager {
         self.log.records
     }
 
-    /// Whether [`append`](Self::append) of `updates` updates is the
-    /// checkpoint to write: a sketch snapshot this manager saved or
-    /// adopted is on disk for the record to extend, and the log stays
-    /// no larger than that snapshot. Otherwise a snapshot is due.
-    pub fn can_append(&self, updates: usize) -> bool {
+    /// Whether [`append_net`](Self::append_net) of a record of
+    /// `entries` entries is the checkpoint to write: a sketch snapshot
+    /// this manager saved or adopted is on disk for the record to
+    /// extend, and a restore would replay no more than
+    /// [`LOG_ENTRY_BUDGET`] entries. Otherwise a snapshot is due.
+    pub fn can_append(&self, entries: usize) -> bool {
         self.log.end.is_some()
-            && self
-                .log
-                .bytes
-                .max(LOG_HEADER_LEN)
-                .saturating_add(record_len(updates))
-                <= self.snapshot_bytes
+            && self.log.entries.saturating_add(u64_from_usize(entries)) <= LOG_ENTRY_BUDGET
     }
 
     /// Atomically replaces the checkpoint file with an encoding of
@@ -155,7 +158,6 @@ impl CheckpointManager {
         }
         let size = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
         self.saves += 1;
-        self.snapshot_bytes = size;
         // Records of this manager's snapshots all end at or before the
         // new one's position; anything else on disk must go durably.
         let ours = self.log.end.take().is_some() || self.log.file.is_some();
@@ -163,27 +165,40 @@ impl CheckpointManager {
         Ok(size)
     }
 
-    /// Appends one record of `updates` to the update log and
-    /// `fdatasync`s it, returning the record's size in bytes. The
+    /// Appends one record of `batch`'s net changes to the update log
+    /// and `fdatasync`s it, returning the record's size in bytes. The
     /// record starts at the stream position the snapshot plus the log
-    /// reach, so `updates` must be exactly the updates since the last
-    /// save or append.
+    /// reach, so `batch` must cover exactly the updates since the last
+    /// save or append. A batch whose updates all cancelled is a record
+    /// with no entries, which still advances the position.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::Incompatible`] when there is no sketch
     /// snapshot of this manager's to extend (nothing saved, or a
     /// restore not adopted through [`replay_log`](Self::replay_log)),
-    /// and [`PersistError::Io`] when the write or the sync fails.
-    pub fn append(&mut self, updates: &[FlowUpdate]) -> Result<u64, PersistError> {
+    /// or when `batch` holds more entries than updates it covers or
+    /// would carry the position past `u64::MAX`, so that no replay
+    /// could accept it; and [`PersistError::Io`] when the write or the
+    /// sync fails.
+    pub fn append_net(&mut self, batch: &NetBatch) -> Result<u64, PersistError> {
         let Some(start) = self.log.end else {
             return Err(PersistError::Incompatible {
                 reason: "the update log has no snapshot of this run to extend".into(),
             });
         };
+        let (count, covered) = (u64_from_usize(batch.entries.len()), batch.covered);
+        let end = start.checked_add(covered).filter(|_| count <= covered);
+        let Some(end) = end else {
+            return Err(PersistError::Incompatible {
+                reason: format!(
+                    "a record of {count} entries covering {covered} updates from position {start}"
+                ),
+            });
+        };
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        encode_record(start, updates, &mut buf);
+        encode_record(start, covered, &batch.entries, &mut buf);
         let written = self.write_record(&buf);
         let size = u64_from_usize(buf.len());
         self.buf = buf;
@@ -193,8 +208,19 @@ impl CheckpointManager {
         }
         self.log.bytes += size;
         self.log.records += 1;
-        self.log.end = Some(start + u64_from_usize(updates.len()));
+        self.log.entries += count;
+        self.log.end = Some(end);
         Ok(size)
+    }
+
+    /// Appends `updates` as one record, an entry of `±1` per update:
+    /// [`append_net`](Self::append_net) of the batch they are, unfolded.
+    ///
+    /// # Errors
+    ///
+    /// As [`append_net`](Self::append_net).
+    pub fn append(&mut self, updates: &[FlowUpdate]) -> Result<u64, PersistError> {
+        self.append_net(&NetBatch::from_updates(updates))
     }
 
     /// Replays the update log onto a state restored from this manager's
@@ -207,7 +233,9 @@ impl CheckpointManager {
     /// not extend the state; it and every later record are counted as
     /// dropped, the reason is returned, and they are cut off the file.
     /// A missing log is an empty one; a log with a wrong header is
-    /// dropped whole.
+    /// dropped whole. A version-1 log replays but is not adopted: the
+    /// next checkpoint is a snapshot, which replaces it with a current
+    /// one.
     ///
     /// # Errors
     ///
@@ -217,7 +245,7 @@ impl CheckpointManager {
     pub fn replay_log(
         &mut self,
         from: u64,
-        apply: impl FnMut(&[FlowUpdate]),
+        apply: impl FnMut(&NetBatch),
     ) -> Result<LogReplay, PersistError> {
         let bytes = match fs::read(self.log_path()) {
             Ok(bytes) => bytes,
@@ -233,11 +261,16 @@ impl CheckpointManager {
         self.log.file = None;
         self.log.bytes = replay.kept_bytes;
         self.log.records = replay.replayed + replay.skipped;
+        self.log.entries = replay.entries;
         if replay.dropped > 0 {
             self.open_log(true)?;
         }
-        self.snapshot_bytes = fs::metadata(&self.path).map_or(0, |m| m.len());
-        self.log.end = Some(replay.end);
+        if replay.legacy {
+            // Reopened, and cut to a current header, by the next save.
+            self.log.file = None;
+        } else {
+            self.log.end = Some(replay.end);
+        }
         Ok(replay)
     }
 
@@ -326,6 +359,7 @@ impl CheckpointManager {
     /// `ours` is cut durably.
     fn truncate_log(&mut self, ours: bool) -> Result<(), PersistError> {
         self.log.records = 0;
+        self.log.entries = 0;
         self.log.bytes = 0;
         if let Some(file) = self.log.file.take() {
             file.set_len(LOG_HEADER_LEN)
@@ -561,7 +595,7 @@ mod tests {
         let mut resumed = DistinctCountSketch::from_state(state).unwrap();
         let from = resumed.updates_processed();
         let replay = restored
-            .replay_log(from, |chunk| resumed.update_batch(chunk))
+            .replay_log(from, |batch| resumed.apply_net(batch))
             .unwrap();
         assert_eq!((replay.replayed, replay.dropped), (2, 0));
         assert_eq!(resumed.to_state(), sketch.to_state());
@@ -578,6 +612,105 @@ mod tests {
             crate::log::header(),
             "a save leaves only the log header"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_restore_budget_is_counted_in_entries() {
+        let dir = temp_dir("budget");
+        let mut manager = CheckpointManager::new(dir.join("monitor.ckpt"));
+        manager.save(&sample_checkpoint(10)).unwrap();
+        let budget = usize::try_from(LOG_ENTRY_BUDGET).unwrap();
+        assert!(manager.can_append(budget));
+        assert!(!manager.can_append(budget + 1));
+        // A record that cancelled costs no replay, however much it
+        // covers.
+        let cancelled = NetBatch {
+            entries: Vec::new(),
+            covered: 1_000_000,
+        };
+        manager.append_net(&cancelled).unwrap();
+        assert!(manager.can_append(budget));
+        manager.append(&updates(0, 3)).unwrap();
+        assert!(manager.can_append(budget - 3));
+        assert!(!manager.can_append(budget - 2));
+        // A restore adopts the count with the log; a save empties both.
+        let mut restored = CheckpointManager::new(manager.path());
+        let replay = restored.replay_log(10, |_| {}).unwrap();
+        assert_eq!((replay.entries, replay.end), (3, 1_000_013));
+        assert!(!restored.can_append(budget - 2));
+        restored.save(&sample_checkpoint(12)).unwrap();
+        assert!(restored.can_append(budget));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_no_replay_could_accept_is_refused() {
+        let dir = temp_dir("refused");
+        let mut manager = CheckpointManager::new(dir.join("monitor.ckpt"));
+        manager.save(&sample_checkpoint(10)).unwrap();
+        let overfull = NetBatch {
+            covered: 2,
+            ..NetBatch::from_updates(&updates(0, 3))
+        };
+        let past_the_end = NetBatch {
+            covered: u64::MAX,
+            ..NetBatch::from_updates(&updates(0, 3))
+        };
+        for batch in [overfull, past_the_end] {
+            assert!(matches!(
+                manager.append_net(&batch),
+                Err(PersistError::Incompatible { .. })
+            ));
+        }
+        assert_eq!(manager.log_records(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_log_replays_and_the_next_save_replaces_it() {
+        let dir = temp_dir("v1-log");
+        let path = dir.join("monitor.ckpt");
+        let Checkpoint::Sketch(state) = sample_checkpoint(40) else {
+            unreachable!()
+        };
+        let mut expected = DistinctCountSketch::from_state(state.clone()).unwrap();
+        CheckpointManager::new(&path)
+            .save(&Checkpoint::Sketch(state.clone()))
+            .unwrap();
+        let logged = updates(100, 6);
+        let from = state.updates_processed;
+        fs::write(
+            sibling(&path, ".log"),
+            crate::log::v1_log(&[(from, &logged[..4]), (from + 4, &logged[4..])]),
+        )
+        .unwrap();
+        expected.update_batch(&logged);
+
+        let mut restored = CheckpointManager::new(&path);
+        let mut resumed = DistinctCountSketch::from_state(state).unwrap();
+        let replay = restored
+            .replay_log(from, |batch| resumed.apply_net(batch))
+            .unwrap();
+        assert_eq!((replay.replayed, replay.dropped), (2, 0));
+        assert_eq!(resumed.to_state(), expected.to_state());
+        // Not extended in the old layout: the next checkpoint is a
+        // snapshot, and it leaves a current header behind.
+        assert!(!restored.can_append(0));
+        assert!(matches!(
+            restored.append(&updates(106, 1)),
+            Err(PersistError::Incompatible { .. })
+        ));
+        restored
+            .save(&Checkpoint::Sketch(resumed.to_state()))
+            .unwrap();
+        assert_eq!(fs::read(restored.log_path()).unwrap(), crate::log::header());
+        restored.append(&updates(106, 1)).unwrap();
+        assert!(CheckpointManager::new(&path)
+            .replay_log(resumed.updates_processed(), |_| {})
+            .unwrap()
+            .problem
+            .is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

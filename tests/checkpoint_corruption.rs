@@ -424,7 +424,7 @@ fn recover(path: &Path) -> (DistinctCountSketch, LogReplay) {
     let mut sketch = DistinctCountSketch::from_state(state).unwrap();
     let from = sketch.updates_processed();
     let replay = manager
-        .replay_log(from, |updates| sketch.update_batch(updates))
+        .replay_log(from, |batch| sketch.apply_net(batch))
         .unwrap();
     (sketch, replay)
 }

@@ -568,7 +568,7 @@ fn recover(
     let mut sketch = DistinctCountSketch::from_state(state).unwrap();
     let from = sketch.updates_processed();
     let replay = manager
-        .replay_log(from, |updates| sketch.update_batch(updates))
+        .replay_log(from, |batch| sketch.apply_net(batch))
         .unwrap();
     assert_eq!(replay.dropped, 0, "{:?}", replay.problem);
     (sketch, replay, manager)
@@ -784,4 +784,73 @@ fn a_clean_shutdown_with_a_half_open_timeout_saves_no_level() {
     assert_eq!(tags, [&b"CFG\0"[..], &b"MET\0"[..]]);
     empty_restarts_only_restore(&cfg, &path, first.updates_ingested);
     remove_checkpoint(&path);
+}
+
+/// Kill and resume over a feed of completed handshakes, in the direct and
+/// the sharded mode. The monitor folds each boundary to its net changes,
+/// so most of a boundary's updates cancel before the sketch or the log
+/// sees them: the log's records hold far fewer entries than the updates
+/// they cover, yet the restore equals the uninterrupted replay, and so
+/// does the run that resumes from it.
+#[test]
+fn a_handshake_feed_killed_and_resumed_recovers_bit_identically() {
+    // About one session a tick, each completing two ticks after its
+    // SYN, and a flood whose SYNs never complete.
+    let mut driver = TrafficDriver::new(47);
+    for round in 0..30u32 {
+        driver.legitimate_sessions(DestAddr(6 + round % 2), 100);
+        if round == 12 {
+            driver.syn_flood(DestAddr(8), 150);
+        }
+        driver.advance_clock(100);
+    }
+    let feed = driver.into_segments();
+    let (first, rest) = feed.split_at(feed.len() / 4);
+    let (middle, last) = rest.split_at(rest.len() / 2);
+    let exports = [first, middle, last].map(router_exports);
+    let stream = exports.concat();
+    let uninterrupted = |len: usize| {
+        let mut sketch = DistinctCountSketch::new(config(13));
+        sketch.update_batch(&stream[..len]);
+        sketch.to_state()
+    };
+    let every = 200;
+    for shards in [None, Some(2)] {
+        let path = temp_path(&format!("handshake-kill-{shards:?}"));
+        remove_checkpoint(&path);
+        let cfg = PipelineConfig {
+            ingest_shards: shards,
+            ..checkpointed(config(13), &path, every)
+        };
+        run_pipeline(vec![first.to_vec()], cfg.clone());
+        let crashed = run_without_shutdown_snapshot(middle, cfg.clone(), &path);
+        assert!(crashed.restored_from_checkpoint);
+        let boundaries = exports[1].len() as u64 / every;
+        assert!(boundaries >= 5, "{boundaries} boundaries");
+        assert_eq!(
+            crashed.checkpoints_written, boundaries,
+            "every boundary appends"
+        );
+        let (recovered, replay, _) = recover(&path);
+        let covered = boundaries * every;
+        assert_eq!(replay.replayed, boundaries, "{shards:?}");
+        assert!(
+            replay.entries * 4 < covered,
+            "{} entries for {covered} updates",
+            replay.entries
+        );
+        let durable = exports[0].len() + usize::try_from(covered).unwrap();
+        assert_eq!(recovered.to_state(), uninterrupted(durable), "{shards:?}");
+
+        let resumed = run_pipeline(vec![last.to_vec()], cfg);
+        remove_checkpoint(&path);
+        assert!(resumed.restored_from_checkpoint);
+        let mut expected = DistinctCountSketch::from_state(uninterrupted(durable)).unwrap();
+        expected.update_batch(&exports[2]);
+        assert_eq!(
+            resumed.monitor.sketch().sketch().to_state(),
+            expected.to_state(),
+            "{shards:?}"
+        );
+    }
 }
